@@ -25,7 +25,7 @@ from . import ablation, metrics, training
 from .config import config_from_dict
 from .data import read_jsonl, tokenize, write_jsonl
 from .decoder import beam_search
-from .errors import GevstError, InputError
+from .errors import ConfigError, GevstError, InputError
 from .model import caption_logits, encode_sample, make_step_fn
 from .training import (load_checkpoint, restore_snapshot, save_checkpoint,
                        train_scst, train_xe, write_curve)
@@ -219,9 +219,12 @@ def cmd_dump_attention(args):
 
 def cmd_ablate(args):
     t0 = time.time()
+    try:
+        workers = max(1, int(os.environ.get("GEVST_THREADS", "1")))
+    except ValueError:
+        raise ConfigError(f"GEVST_THREADS must be an integer, got {os.environ['GEVST_THREADS']!r}") from None
     samples = read_jsonl(args.data)
     cfg = _load_config(args.config, seed=args.seed)
-    workers = max(1, int(os.environ.get("GEVST_THREADS", "1")))
     os.makedirs(args.out, exist_ok=True)
     rows, notes = ablation.run_axis(args.axis, samples, cfg, out_dir=args.out,
                                     epochs=args.epochs, workers=workers)

@@ -114,6 +114,30 @@ def parameters(obj):
     return [t for _, t in named_parameters(obj)]
 
 
+def flat_offsets(tensors):
+    """Where each tensor starts in the flat parameter vector, in elements."""
+    return np.cumsum([0] + [t.data.size for t in tensors[:-1]])
+
+
+def flat_views(flat, tensors):
+    """Views into `flat` shaped like each tensor, laid end to end."""
+    return [flat[o : o + t.data.size].reshape(t.data.shape) for t, o in zip(tensors, flat_offsets(tensors))]
+
+
+def flat_parameters(obj):
+    """The float64 vector holding every parameter of `obj` end to end, each
+    Tensor.data a view into it; later calls return the same vector unless a
+    parameter was rebound to another array since."""
+    tensors = parameters(obj)
+    flat = tensors[0].data.base if tensors else None
+    if flat is None or flat.shape != (sum(t.data.size for t in tensors),) or any(
+            t.data.base is not flat for t in tensors):
+        flat = np.concatenate([np.zeros(0)] + [t.data.ravel() for t in tensors])
+        for t, view in zip(tensors, flat_views(flat, tensors)):
+            t.data = view
+    return flat
+
+
 # ------------------------------------------------------------- head helpers
 
 

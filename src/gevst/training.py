@@ -16,15 +16,20 @@ gradient clipping at 5.0, batch-mean losses, a fixed shuffle stream per
 epoch, and best-checkpoint selection by validation CIDEr-D every val_every
 epochs.
 
+All parameters live in one float64 vector (nn.flat_parameters), each Tensor
+a view into it: Adam, clipping and best snapshots work on whole vectors.
+
 Checkpoints are one compact JSON header line (config, vocabulary, trained
-step count, parameter manifest of name/shape/offset) followed by the raw
-little-endian float64 arrays in manifest order.
+step count, parameter manifest of name/shape/offset, data_bytes) followed
+by that vector's little-endian float64 bytes. Loading accepts only the
+model's exact manifest and data_bytes finite values.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +40,8 @@ from .data import BOS_ID, EOS_ID, PAD_ID, Vocabulary, build_vocab, corpus_texts,
 from .decoder import beam_search, greedy_decode
 from .errors import ConfigError, ContractError, ParseError, SchemaError, TrainingDiverged
 from .model import caption_logits, encode_sample, init_model, make_step_fn
-from .nn import Tensor, log_softmax, named_parameters
+from .nn import (Tensor, flat_offsets, flat_parameters, flat_views, log_softmax,
+                 named_parameters, parameters)
 from .tensor import Tape, no_grad
 from . import tensor as T
 
@@ -50,43 +56,55 @@ def noam_lr(step, d_model, warmup_steps):
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed named-parameter list."""
+    """Bias-corrected Adam on the flat parameter vector of `params_obj`. A
+    missing gradient counts as zero: a parameter that never gets one never moves."""
 
     def __init__(self, params_obj, beta1=0.9, beta2=0.98, eps=1e-9):
-        self.named = list(named_parameters(params_obj))
+        self.params = flat_parameters(params_obj)
+        self.tensors = parameters(params_obj)
+        self.grad, self.m, self.v = (np.zeros_like(self.params) for _ in range(3))
+        self.grad_views = flat_views(self.grad, self.tensors)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(t.data) for _, t in self.named]
-        self.v = [np.zeros_like(t.data) for _, t in self.named]
         self.t = 0
 
+    def collect_grads(self):
+        """Add each Tensor.grad into `grad` and clear it; returns `grad`."""
+        for t, g in zip(self.tensors, self.grad_views):
+            if t.grad is not None:
+                g += t.grad
+                t.grad = None
+        return self.grad
+
     def step(self, lr):
+        g = self.collect_grads()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for i, (_, p) in enumerate(self.named):
-            g = p.grad
-            if g is None:
-                continue
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            p.data = p.data - lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+        self.m *= b1
+        self.m += (1.0 - b1) * g
+        self.v *= b2
+        self.v += (1.0 - b2) * g * g
+        # params -= lr * (m / c1) / (sqrt(v / c2) + eps), one temporary at a time
+        update = lr * (self.m / (1.0 - b1 ** self.t))
+        np.sqrt(np.divide(self.v, 1.0 - b2 ** self.t, out=g), out=g)
+        g += self.eps
+        update /= g
+        self.params -= update
+        g.fill(0.0)
 
     def zero_grads(self):
-        for _, p in self.named:
-            p.grad = None
+        for t in self.tensors:
+            t.grad = None
+        self.grad.fill(0.0)
 
 
-def clip_gradients(params_obj, max_norm):
-    """Scale all grads so the global norm is at most max_norm; returns the norm."""
-    grads = [t.grad for _, t in named_parameters(params_obj) if t.grad is not None]
-    if not grads:
-        return 0.0
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+def clip_gradients(opt, max_norm):
+    """Scale `opt.grad` to global norm <= max_norm; returns the norm before.
+    The squared norm is summed per tensor in parameter order: one dot product
+    over the whole vector rounds differently and would change training."""
+    opt.collect_grads()
+    total = math.sqrt(sum(float((g * g).sum()) for g in opt.grad_views))
     if total > max_norm and total > 0.0:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
+        opt.grad *= max_norm / total
     return total
 
 
@@ -188,20 +206,16 @@ class TrainOutcome:
     vocab: Vocabulary
     cfg: TrainConfig
     curve: list  # (epoch, value) pairs; loss for XE, mean sampled reward for SCST
-    best_snapshot: dict  # name -> array copy at the best validation point
+    best_snapshot: np.ndarray  # copy of the flat parameter vector at the best validation point
     best_epoch: int
     best_val: float
     trained_steps: int
     diagnostics: dict = field(default_factory=dict)
 
 
-def _snapshot(params_obj):
-    return {name: t.data.copy() for name, t in named_parameters(params_obj)}
-
-
 def restore_snapshot(params_obj, snap):
-    for name, t in named_parameters(params_obj):
-        t.data = snap[name].copy()
+    """Write a `best_snapshot` vector back into the parameters, in place."""
+    flat_parameters(params_obj)[...] = snap
 
 
 def _epoch_rng(seed, tag, epoch):
@@ -227,11 +241,10 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
     steps_per_epoch = max(1, math.ceil(len(train) / cfg.batch_size))
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
     opt = Adam(params)
-    opt.t = 0
     step = start_step
 
     curve = []
-    best_snapshot, best_epoch, best_val = _snapshot(params), 0, -1.0
+    best_snapshot, best_epoch, best_val = opt.params.copy(), 0, -1.0
     clip_events = 0
 
     for epoch in range(1, epochs + 1):
@@ -249,11 +262,12 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
                     acc = loss if acc is None else T.add(acc, loss)
                 batch_loss = T.mul(acc, 1.0 / len(batch))
                 tape.backward(batch_loss)
+            del tape  # free the graph before the optimizer's full-size vectors
             value = batch_loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(f"XE loss became {value} at epoch {epoch}")
             loss_total += value * len(batch)
-            if clip_gradients(params, cfg.grad_clip) > cfg.grad_clip:
+            if clip_gradients(opt, cfg.grad_clip) > cfg.grad_clip:
                 clip_events += 1
             step += 1
             opt.step(noam_lr(step, cfg.d_model, warmup_steps) * cfg.lr_scale)
@@ -262,17 +276,12 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
         if log:
             log(f"epoch {epoch}: loss {epoch_loss:.6f}")
 
-        if epoch % cfg.val_every == 0 or epoch == epochs:
-            pool = val if val else train
-            score = corpus_cider(params, cfg, vocab, pool)
+        stop = stop_fn is not None and stop_fn(epoch, epoch_loss)
+        if epoch % cfg.val_every == 0 or epoch == epochs or stop:
+            score = corpus_cider(params, cfg, vocab, val or train)
             if score > best_val:
-                best_snapshot, best_epoch, best_val = _snapshot(params), epoch, score
-        if stop_fn and stop_fn(epoch, epoch_loss):
-            if best_epoch < epoch:
-                pool = val if val else train
-                score = corpus_cider(params, cfg, vocab, pool)
-                if score > best_val:
-                    best_snapshot, best_epoch, best_val = _snapshot(params), epoch, score
+                best_snapshot, best_epoch, best_val = opt.params.copy(), epoch, score
+        if stop:
             break
 
     return TrainOutcome(params, vocab, cfg, curve, best_snapshot, best_epoch, best_val,
@@ -308,7 +317,7 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
     step = start_step
 
     curve = []
-    best_snapshot, best_epoch, best_val = _snapshot(params), 0, -1.0
+    best_snapshot, best_epoch, best_val = opt.params.copy(), 0, -1.0
     zero_reward_epochs = 0
 
     for epoch in range(1, epochs + 1):
@@ -336,9 +345,10 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
                     continue
                 batch_loss = T.mul(acc, 1.0 / len(batch))
                 tape.backward(batch_loss)
+            del tape  # free the graph before the optimizer's full-size vectors
             if not math.isfinite(batch_loss.item()):
                 raise TrainingDiverged(f"SCST loss became non-finite at epoch {epoch}")
-            clip_gradients(params, cfg.grad_clip)
+            clip_gradients(opt, cfg.grad_clip)
             step += 1
             opt.step(cfg.scst_lr)
         mean_reward = reward_total / len(train)
@@ -349,10 +359,9 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
             log(f"epoch {epoch}: mean sampled reward {mean_reward:.4f}")
 
         if epoch % cfg.val_every == 0 or epoch == epochs:
-            pool = val if val else train
-            score = corpus_cider(params, cfg, vocab, pool)
+            score = corpus_cider(params, cfg, vocab, val or train)
             if score > best_val:
-                best_snapshot, best_epoch, best_val = _snapshot(params), epoch, score
+                best_snapshot, best_epoch, best_val = opt.params.copy(), epoch, score
 
     diagnostics = {}
     if zero_reward_epochs == epochs and epochs > 0:
@@ -366,68 +375,78 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
 CHECKPOINT_FORMAT = "gevst-checkpoint-v1"
 
 
-def save_checkpoint(path, cfg: TrainConfig, vocab: Vocabulary, params, trained_steps=0, snapshot=None):
-    """JSON header line + little-endian float64 arrays in manifest order."""
-    manifest = []
-    chunks = []
-    offset = 0
-    values = snapshot if snapshot is not None else {n: t.data for n, t in named_parameters(params)}
-    for name, t in named_parameters(params):
-        arr = np.ascontiguousarray(values[name], dtype="<f8")
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        chunks.append(arr.tobytes())
-        offset += arr.nbytes
+def _manifest(params):
+    """[{name, shape, byte offset}] of each parameter in the flat vector."""
+    named = list(named_parameters(params))
+    offsets = flat_offsets([t for _, t in named])
+    return [{"name": n, "shape": list(t.data.shape), "offset": t.data.itemsize * int(o)}
+            for (n, t), o in zip(named, offsets)]
+
+
+def save_checkpoint(path, cfg: TrainConfig, vocab: Vocabulary, params, trained_steps=0):
+    """JSON header line + the flat parameter vector as little-endian float64."""
+    flat = flat_parameters(params)
     header = {
         "format": CHECKPOINT_FORMAT,
         "config": cfg.to_dict(),
         "vocab": vocab.id_to_token,
         "trained_steps": int(trained_steps),
-        "params": manifest,
-        "data_bytes": offset,
+        "params": _manifest(params),
+        "data_bytes": flat.nbytes,
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
         f.write(b"\n")
-        for c in chunks:
-            f.write(c)
+        f.write(np.ascontiguousarray(flat, dtype="<f8").data)
+
+
+def _layout_mismatch(entries, expected):
+    """What first differs between a checkpoint manifest and the model's."""
+    shapes = {e["name"]: e["shape"] for e in expected}
+    for entry in entries:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or name not in shapes:
+            return f"checkpoint names unknown parameter {name!r}"
+        if entry.get("shape") != shapes[name]:
+            return f"parameter {name!r}: checkpoint shape {entry.get('shape')} != model shape {shapes[name]}"
+    missing = sorted(set(shapes) - {e["name"] for e in entries})
+    if missing:
+        return f"checkpoint missing parameters: {missing[:3]}..."
+    return "checkpoint manifest order or offsets differ from the model layout"
 
 
 def load_checkpoint(path):
     """Returns (cfg, vocab, params, trained_steps); forward passes reproduce
     the saved model bit-identically."""
     with open(path, "rb") as f:
-        header_line = f.readline()
-        blob = f.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise ParseError("checkpoint header is not valid JSON", line=1) from None
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise SchemaError(f"unrecognized checkpoint format {header.get('format')!r}")
-    for key in ("config", "vocab", "params"):
-        if key not in header:
-            raise SchemaError(f"checkpoint header missing field {key!r}")
-    cfg = config_from_dict(header["config"])
-    vocab = Vocabulary(list(header["vocab"]))
-    params = init_model(cfg, len(vocab), np.random.default_rng(0))
-    by_name = dict(named_parameters(params))
-    listed = set()
-    for entry in header["params"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if name not in by_name:
-            raise SchemaError(f"checkpoint names unknown parameter {name!r}")
-        t = by_name[name]
-        if t.data.shape != shape:
-            raise SchemaError(f"parameter {name!r}: checkpoint shape {shape} != model shape {t.data.shape}")
-        n = t.data.size
-        raw = blob[offset : offset + 8 * n]
-        if len(raw) != 8 * n:
-            raise ParseError(f"checkpoint truncated while reading {name!r}")
-        t.data = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-        listed.add(name)
-    missing = set(by_name) - listed
-    if missing:
-        raise SchemaError(f"checkpoint missing parameters: {sorted(missing)[:3]}...")
+        try:
+            header = json.loads(f.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise ParseError("checkpoint header is not valid JSON", line=1) from None
+        header = header if isinstance(header, dict) else {}
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise SchemaError(f"unrecognized checkpoint format {header.get('format')!r}")
+        for key, kind in (("config", dict), ("vocab", list), ("params", list)):
+            if not isinstance(header.get(key), kind):
+                raise SchemaError(f"checkpoint header missing field {key!r} of type {kind.__name__}")
+        cfg = config_from_dict(header["config"])
+        vocab = Vocabulary(header["vocab"])
+        params = init_model(cfg, len(vocab), np.random.default_rng(0))
+        expected = _manifest(params)
+        if header["params"] != expected:
+            raise SchemaError(_layout_mismatch(header["params"], expected))
+        flat = flat_parameters(params)
+        if header.get("data_bytes") != flat.nbytes:
+            raise SchemaError(f"checkpoint data_bytes {header.get('data_bytes')!r} != model's {flat.nbytes}")
+        got = f.readinto(flat)
+        if got < flat.nbytes:
+            raise ParseError(f"checkpoint truncated: {got} of {flat.nbytes} parameter bytes")
+        if f.read(1):
+            raise ParseError("checkpoint has trailing bytes after the parameters")
+    if sys.byteorder != "little":
+        flat.byteswap(inplace=True)
+    if not np.isfinite(flat).all():
+        raise ParseError("checkpoint holds non-finite parameter values")
     return cfg, vocab, params, int(header.get("trained_steps", 0))
 
 

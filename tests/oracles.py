@@ -11,10 +11,17 @@ the width into h contiguous column blocks and scores each head by
 softmax(Q K^T / sqrt(d_h)); masked positions are set to exactly -1e9 before
 the softmax; layer norm uses population variance with eps=1e-5 inside the
 square root.
+
+The last section is the exception: it keeps the per-tensor numpy optimizer
+and checkpoint writer that the flat parameter vector replaced, as bit-exact
+references for it. They still import nothing from the package.
 """
 
+import json
 import math
 from collections import Counter
+
+import numpy as np
 
 
 # ----------------------------------------------------------- tiny algebra
@@ -387,3 +394,65 @@ def enumerate_best(step_fn, vocab_size, eos_id, max_len):
     scored = sorted(pool, key=lambda c: (-(c[1] / len(c[0])), c[0]))
     ids, cum = scored[0]
     return list(ids), cum, cum / len(ids)
+
+
+# ------------------------------------------ per-tensor optimizer and format
+
+
+class PerTensorAdam:
+    """Bias-corrected Adam with one m/v array per parameter, updated in a
+    per-tensor loop; a parameter whose grad is None is skipped entirely.
+    `named` is a list of (name, tensor) with `.data` and `.grad` arrays."""
+
+    def __init__(self, named, beta1=0.9, beta2=0.98, eps=1e-9):
+        self.named = list(named)
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(t.data) for _, t in self.named]
+        self.v = [np.zeros_like(t.data) for _, t in self.named]
+        self.t = 0
+
+    def step(self, lr):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for i, (_, p) in enumerate(self.named):
+            g = p.grad
+            if g is None:
+                continue
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
+            p.data = p.data - lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+
+
+def clip_per_tensor(named, max_norm):
+    """Global-norm clipping with the squared norm summed tensor by tensor.
+    Each gradient is rebound to a scaled copy, never scaled in place, so
+    aliased and read-only gradient arrays are handled correctly."""
+    with_grad = [t for _, t in named if t.grad is not None]
+    total = math.sqrt(sum(float((t.grad * t.grad).sum()) for t in with_grad))
+    if total > max_norm and total > 0.0:
+        scale = max_norm / total
+        for t in with_grad:
+            t.grad = t.grad * scale
+    return total
+
+
+def checkpoint_v1_bytes(config, vocab_tokens, named_arrays, trained_steps=0):
+    """A gevst-checkpoint-v1 file: one compact JSON header line, then one
+    little-endian float64 tobytes() per parameter in manifest order."""
+    manifest, chunks, offset = [], [], 0
+    for name, values in named_arrays:
+        arr = np.ascontiguousarray(values, dtype="<f8")
+        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        chunks.append(arr.tobytes())
+        offset += arr.nbytes
+    header = {
+        "format": "gevst-checkpoint-v1",
+        "config": config,
+        "vocab": vocab_tokens,
+        "trained_steps": int(trained_steps),
+        "params": manifest,
+        "data_bytes": offset,
+    }
+    return json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + b"".join(chunks)

@@ -191,3 +191,22 @@ def test_usage_errors_exit_two(capsys):
             cli.main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_ablate_rejects_non_integer_thread_count(workdir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GEVST_THREADS", "abc")
+    code = cli.main(["ablate", "--data", workdir["data"], "--axis", "gesa",
+                     "--config", workdir["cfg"], "--epochs", "1",
+                     "--out", str(tmp_path / "a")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "GEVST_THREADS" in err and "'abc'" in err
+
+
+def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
+    bad = tmp_path / "trailing.ckpt"
+    bad.write_bytes(open(workdir["ckpt"], "rb").read() + b"\0" * 8)
+    code = cli.main(["caption", "--ckpt", str(bad), "--data", workdir["data"],
+                     "--out", str(tmp_path / "pred.jsonl")])
+    assert code == 1
+    assert "trailing bytes" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import oracles as O
 from gevst import tensor as T
 from gevst.errors import ShapeError
 from gevst.nn import (LayerNorm, Tensor, apply_attention, attention_weights,
-                      ffn, init_ffn, init_linear, layer_norm, linear,
+                      ffn, flat_parameters, init_ffn, init_linear, layer_norm, linear,
                       log_softmax, merge_heads, named_parameters,
                       sinusoidal_positions, split_heads)
 from gevst.tensor import grad_check
@@ -100,6 +100,22 @@ def test_named_parameters_order_is_stable_and_complete():
     d = {"b": f1.inner, "a": f1.outer}
     names2 = [n for n, _ in named_parameters(d)]
     assert names2 == ["b.w", "b.b", "a.w", "a.b"]
+
+
+def test_flat_parameters_are_views_in_walk_order():
+    p = {"w": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
+         "b": Tensor(np.array([7.0]), requires_grad=True)}
+    flat = flat_parameters(p)
+    assert np.array_equal(flat, [0, 1, 2, 3, 4, 5, 7])
+    assert p["w"].data.shape == (2, 3) and p["w"].data.flags["C_CONTIGUOUS"]
+    assert flat_parameters(p) is flat
+    flat[6] = -1.0
+    assert p["b"].data[0] == -1.0
+    # a parameter rebound to a new array starts a fresh vector
+    p["w"].data = p["w"].data * 2.0
+    flat2 = flat_parameters(p)
+    assert flat2 is not flat and np.array_equal(flat2, [0, 2, 4, 6, 8, 10, -1])
+    assert np.shares_memory(p["w"].data, flat2) and np.shares_memory(p["b"].data, flat2)
 
 
 def test_layer_norm_matches_scalar():

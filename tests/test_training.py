@@ -11,7 +11,9 @@ from gevst.data import (BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts,
                         generate_dataset, split_train_val)
 from gevst.errors import ConfigError, ContractError, ParseError, SchemaError
 from gevst.model import caption_logits, encode_sample, init_model
-from gevst.nn import Tensor, log_softmax, named_parameters
+from gevst.nn import Tensor, flat_parameters, log_softmax, named_parameters, parameters
+
+import oracles as O
 
 # tiny datasets leave one-sample validation pools, which CIDEr rightly flags
 pytestmark = pytest.mark.filterwarnings(
@@ -73,18 +75,91 @@ def test_adam_skips_gradless_params():
 def test_clip_gradients():
     a = Tensor(np.zeros(3), requires_grad=True)
     b = Tensor(np.zeros(4), requires_grad=True)
-    obj = {"a": a, "b": b}
-    assert TR.clip_gradients(obj, 1.0) == 0.0
+    opt = TR.Adam({"a": a, "b": b})
+    assert TR.clip_gradients(opt, 1.0) == 0.0
     a.grad, b.grad = np.full(3, 3.0), np.full(4, 4.0)
     norm = math.sqrt(27 + 64)
-    got = TR.clip_gradients(obj, 1.0)
+    got = TR.clip_gradients(opt, 1.0)
     assert abs(got - norm) < 1e-12
-    clipped = math.sqrt(float((a.grad ** 2).sum() + (b.grad ** 2).sum()))
-    assert abs(clipped - 1.0) < 1e-12
+    # the gradients moved into the optimizer's vector, which was scaled
+    assert a.grad is None and b.grad is None
+    assert abs(math.sqrt(float((opt.grad ** 2).sum())) - 1.0) < 1e-12
     # already under the limit: untouched
+    opt.zero_grads()
     a.grad, b.grad = np.full(3, 0.1), np.full(4, 0.1)
-    TR.clip_gradients(obj, 1.0)
-    assert np.allclose(a.grad, 0.1)
+    TR.clip_gradients(opt, 1.0)
+    assert np.array_equal(opt.grad, np.full(7, 0.1))
+
+
+def test_clip_gradients_scales_aliased_gradients_once():
+    # add() hands both leaves one shared gradient array; scaling each
+    # parameter's gradient in place would scale that array twice
+    a = Tensor(np.full(3, 2.0), requires_grad=True)
+    b = Tensor(np.full(3, 1.0), requires_grad=True)
+    opt = TR.Adam({"a": a, "b": b})
+    with T.Tape() as tape:
+        tape.backward(T.total_sum(T.mul(T.add(a, b), Tensor(np.array([4.0, 3.0, 2.0])))))
+    norm = math.sqrt(2 * (16 + 9 + 4))
+    assert abs(TR.clip_gradients(opt, 5.0) - norm) < 1e-12
+    assert abs(math.sqrt(float((opt.grad ** 2).sum())) - 5.0) < 1e-12
+    assert np.allclose(opt.grad, np.tile([4.0, 3.0, 2.0], 2) * 5.0 / norm)
+
+
+def test_clip_gradients_accepts_read_only_gradients():
+    # total_sum's gradient is a read-only broadcast view
+    c = Tensor(np.arange(4.0), requires_grad=True)
+    opt = TR.Adam({"c": c})
+    with T.Tape() as tape:
+        tape.backward(T.mul(T.total_sum(c), 3.0))
+    assert TR.clip_gradients(opt, 1.0) == 6.0
+    assert np.allclose(opt.grad, 0.5)
+    opt.step(0.1)
+    assert np.all(c.data < np.arange(4.0))
+
+
+def test_flat_adam_matches_per_tensor_reference():
+    """20 clipped steps on the miniature model, plus one parameter that never
+    gets a gradient: the flat optimizer equals the per-tensor loop bit for bit."""
+    samples = generate_dataset(5, 4)
+    cfg = tiny_cfg()
+    vocab = build_vocab(corpus_texts(samples), 1)
+
+    def fresh():
+        rng = np.random.default_rng(21)
+        return {"model": init_model(cfg, len(vocab), rng),
+                "frozen": Tensor(rng.normal(size=(2, 3)), requires_grad=True)}
+
+    def backward(obj, batch):
+        with T.Tape() as tape:
+            acc = None
+            for s in batch:
+                inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
+                branch = encode_sample(obj["model"], cfg, s, vocab)
+                loss = TR.xe_loss(caption_logits(obj["model"], cfg, branch, inputs), targets)
+                acc = loss if acc is None else T.add(acc, loss)
+            tape.backward(T.mul(acc, 1.0 / len(batch)))
+
+    ref_obj, flat_obj = fresh(), fresh()
+    ref_named = list(named_parameters(ref_obj))
+    ref, opt = O.PerTensorAdam(ref_named), TR.Adam(flat_obj)
+    frozen = flat_obj["frozen"].data.copy()
+    clipped = 0
+    for step in range(20):
+        batch = samples[step % 2 :: 2]
+        for _, t in ref_named:
+            t.grad = None
+        opt.zero_grads()
+        backward(ref_obj, batch)
+        backward(flat_obj, batch)
+        ref_norm = O.clip_per_tensor(ref_named, 1.0)
+        assert TR.clip_gradients(opt, 1.0) == ref_norm
+        clipped += ref_norm > 1.0
+        ref.step(0.01)
+        opt.step(0.01)
+    assert 0 < clipped < 20
+    for (name, r), f in zip(ref_named, parameters(flat_obj)):
+        assert np.array_equal(r.data, f.data), name
+    assert np.array_equal(flat_obj["frozen"].data, frozen)
 
 
 # ------------------------------------------------------------------- losses
@@ -163,7 +238,8 @@ def test_train_xe_runs_and_is_deterministic():
     for (n1, t1), (n2, t2) in zip(named_parameters(out1.params), named_parameters(out2.params)):
         assert n1 == n2 and np.array_equal(t1.data, t2.data)
     assert out1.trained_steps == 2 * math.ceil(len(split_train_val(samples)[0]) / cfg.batch_size)
-    assert out1.best_epoch >= 1 and set(out1.best_snapshot) == {n for n, _ in named_parameters(out1.params)}
+    assert out1.best_epoch >= 1
+    assert out1.best_snapshot.shape == flat_parameters(out1.params).shape
 
 
 def test_train_xe_stop_fn_halts_early():
@@ -192,12 +268,16 @@ def test_degenerate_baseline_trains():
 def test_restore_snapshot_round_trip():
     samples, cfg = tiny_setup()
     out = TR.train_xe(samples, cfg, epochs=1)
-    snap = TR._snapshot(out.params)
-    for _, t in named_parameters(out.params):
+    flat = flat_parameters(out.params)
+    snap = flat.copy()
+    flat += 1.0
+    TR.restore_snapshot(out.params, snap)
+    # written back in place: the tensors are still views into the same vector
+    assert flat_parameters(out.params) is flat and np.array_equal(flat, snap)
+    for t in parameters(out.params):
         t.data = t.data + 1.0
     TR.restore_snapshot(out.params, snap)
-    for name, t in named_parameters(out.params):
-        assert np.array_equal(t.data, snap[name])
+    assert np.array_equal(flat_parameters(out.params), snap)
 
 
 def test_epoch_rng_streams_are_independent():
@@ -250,12 +330,28 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
 def test_checkpoint_saves_snapshot_values(tmp_path):
     samples, cfg = tiny_setup()
     out = TR.train_xe(samples, cfg, epochs=1)
-    snap = {n: t.data + 3.0 for n, t in named_parameters(out.params)}
+    snap = flat_parameters(out.params) + 3.0
+    TR.restore_snapshot(out.params, snap)
     path = tmp_path / "s.ckpt"
-    TR.save_checkpoint(path, cfg, out.vocab, out.params, snapshot=snap)
+    TR.save_checkpoint(path, cfg, out.vocab, out.params)
     _, _, params2, _ = TR.load_checkpoint(path)
-    for name, t in named_parameters(params2):
-        assert np.array_equal(t.data, snap[name])
+    assert np.array_equal(flat_parameters(params2), snap)
+
+
+def test_checkpoint_matches_per_tensor_v1_writer(tmp_path):
+    samples, cfg = tiny_setup(n=2)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    params = init_model(cfg, len(vocab), np.random.default_rng(4))
+    expected = O.checkpoint_v1_bytes(cfg.to_dict(), vocab.id_to_token,
+                                     [(n, t.data) for n, t in named_parameters(params)], 7)
+    path = tmp_path / "v1.ckpt"
+    TR.save_checkpoint(path, cfg, vocab, params, trained_steps=7)
+    assert path.read_bytes() == expected
+    path.write_bytes(expected)
+    cfg2, vocab2, params2, steps = TR.load_checkpoint(path)
+    assert (cfg2, vocab2.id_to_token, steps) == (cfg, vocab.id_to_token, 7)
+    for (n1, t1), (n2, t2) in zip(named_parameters(params), named_parameters(params2)):
+        assert n1 == n2 and t1.data.tobytes() == t2.data.tobytes()
 
 
 def checkpoint_bytes(tmp_path):
@@ -306,6 +402,27 @@ def test_checkpoint_error_taxonomy(tmp_path):
 
     with pytest.raises(ParseError, match="truncated"):
         rewrite(json.loads(header_line), body=blob[: len(blob) // 2])
+
+    with pytest.raises(ParseError, match="trailing bytes"):
+        rewrite(json.loads(header_line), body=blob + b"\0" * 8)
+
+    bad = json.loads(header_line)
+    bad["data_bytes"] += 8
+    with pytest.raises(SchemaError, match="data_bytes"):
+        rewrite(bad, body=blob + b"\0" * 8)
+
+    bad = json.loads(header_line)
+    bad["params"][1]["offset"] = bad["params"][0]["offset"]
+    with pytest.raises(SchemaError, match="offsets"):
+        rewrite(bad)
+
+    nan_blob = bytearray(blob)
+    nan_blob[8:16] = np.array([np.nan], dtype="<f8").tobytes()
+    with pytest.raises(ParseError, match="non-finite"):
+        rewrite(json.loads(header_line), body=bytes(nan_blob))
+
+    # the unmodified header and body still load
+    rewrite(json.loads(header_line))
 
 
 def test_write_curve_round_trips_floats(tmp_path):
