@@ -22,8 +22,7 @@ from .nn import (
     LayerNorm,
     Linear,
     Tensor,
-    apply_attention,
-    attention_weights,
+    attend,
     ffn,
     init_embedding,
     init_ffn,
@@ -91,8 +90,7 @@ def encode_captions(params: CaptionEncoderParams, heads, id_seqs):
     attn_mask = np.broadcast_to(pad_key[:, None, None, :], (b, heads, n, n))
 
     for lp in params.layers:
-        w = attention_weights(linear(x, lp.q), linear(x, lp.k), heads, mask=attn_mask)
-        att = linear(apply_attention(w, linear(x, lp.v), heads), lp.o)
+        att = linear(attend(x, x, lp.q, lp.k, lp.v, heads, mask=attn_mask), lp.o)
         x = layer_norm(T.add(x, att), lp.ln1)
         x = layer_norm(T.add(x, ffn(x, lp.ffn)), lp.ln2)
 

@@ -53,11 +53,19 @@ def _write_manifest(path, command, cfg, seed, data_path, outputs, timings):
         f.write("\n")
 
 
+def _read_config_file(path):
+    with open(path) as f:
+        try:
+            d = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+    if not isinstance(d, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(d).__name__}")
+    return d
+
+
 def _load_config(path, **overrides):
-    base = {}
-    if path:
-        with open(path) as f:
-            base = json.load(f)
+    base = _read_config_file(path) if path else {}
     base.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(base)
 
@@ -97,8 +105,7 @@ def cmd_train(args):
         if args.config or args.seed is not None:
             merged = cfg.to_dict()
             if args.config:
-                with open(args.config) as f:
-                    merged.update(json.load(f))
+                merged.update(_read_config_file(args.config))
             if args.seed is not None:
                 merged["seed"] = args.seed
             cfg = config_from_dict(merged)

@@ -6,6 +6,7 @@ batch 40) stay reachable through overrides. Validation runs before any math.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError
@@ -85,8 +86,9 @@ class TrainConfig:
         for name in ("xe_epochs", "scst_epochs"):
             if getattr(c, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(c, name)}")
-        if c.lr_scale <= 0 or c.grad_clip <= 0 or c.scst_lr <= 0:
-            raise ConfigError("lr_scale, grad_clip, and scst_lr must be positive")
+        for name in ("lr_scale", "grad_clip", "scst_lr"):
+            if not 0 < getattr(c, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(c, name)}")
 
     def to_dict(self):
         d = asdict(self)
@@ -97,13 +99,30 @@ class TrainConfig:
         return replace(self, **kw)
 
 
-_FIELDS = {f.name for f in fields(TrainConfig)}
+_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+
+# What each field annotation means for a decoded JSON value.
+_WANTED = {"bool": "true or false", "int": "an integer", "float": "a number",
+           "str": "a string", "tuple": "a list of strings"}
+
+
+def _accepts(kind, value):
+    if kind == "tuple":
+        return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+    if isinstance(value, bool):  # bool subclasses int: numeric fields refuse it
+        return kind == "bool"
+    return isinstance(value, {"bool": bool, "int": int, "float": (int, float), "str": str}[kind])
 
 
 def config_from_dict(d):
-    unknown = set(d) - _FIELDS
+    if not isinstance(d, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
+    unknown = d.keys() - _FIELDS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for name, value in d.items():
+        if not _accepts(_FIELDS[name], value):
+            raise ConfigError(f"config {name!r} must be {_WANTED[_FIELDS[name]]}, got {value!r}")
     return TrainConfig(**d)
 
 

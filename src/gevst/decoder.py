@@ -30,8 +30,7 @@ from .nn import (
     LayerNorm,
     Linear,
     Tensor,
-    apply_attention,
-    attention_weights,
+    attend,
     ffn,
     init_ffn,
     init_layer_norm,
@@ -89,12 +88,6 @@ def init_decoder_layer(rng, d, branches):
     )
 
 
-def cross_attend(y, branch_x, p: CrossAttentionParams, h):
-    """Multi-head attention of decoder states over one branch's outputs."""
-    w = attention_weights(linear(y, p.q), linear(branch_x, p.k), h)
-    return apply_attention(w, linear(branch_x, p.v), h)
-
-
 def modulated_multi_input(y, branch_outputs, layer: DecoderLayerParams, h,
                           gate_mode="sigmoid", trace=None):
     """Gated sum of per-branch cross-attention contexts."""
@@ -105,7 +98,8 @@ def modulated_multi_input(y, branch_outputs, layer: DecoderLayerParams, h,
         raise ConfigError("decoder needs at least one branch output")
     contexts, scores = [], []
     for b in branches:
-        c = cross_attend(y, branch_outputs[b], layer.cross[b], h)
+        p = layer.cross[b]
+        c = attend(y, branch_outputs[b], p.q, p.k, p.v, h)
         contexts.append(c)
         scores.append(linear(T.concat([y, c], axis=1), layer.mod[b]))
 
@@ -137,8 +131,7 @@ def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids,
     y = T.add(T.embedding_lookup(embed, ids), Tensor(sinusoidal_positions(t_len, d).data))
     mask = causal_mask(h, t_len)
     for lp in layers:
-        w = attention_weights(linear(y, lp.self_q), linear(y, lp.self_k), h, mask=mask)
-        y = layer_norm(T.add(y, apply_attention(w, linear(y, lp.self_v), h)), lp.ln1)
+        y = layer_norm(T.add(y, attend(y, y, lp.self_q, lp.self_k, lp.self_v, h, mask=mask)), lp.ln1)
         att = modulated_multi_input(y, branch_outputs, lp, h, gate_mode=gate_mode, trace=trace)
         y = layer_norm(T.add(y, att), lp.ln2)
         y = layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)

@@ -31,21 +31,6 @@ from .nn import Linear, Tensor, init_linear, linear
 
 BASES = ("c", "g", "cg")
 
-_GATHER_CACHE = {}
-
-
-def _pair_gathers(n, m):
-    """Constant matrices turning [N x da]/[M x da] into aligned [N*M x da] stacks."""
-    key = (n, m)
-    got = _GATHER_CACHE.get(key)
-    if got is None:
-        eq = Tensor(np.kron(np.eye(n), np.ones((m, 1))))
-        ek = Tensor(np.kron(np.ones((n, 1)), np.eye(m)))
-        got = (eq, ek)
-        _GATHER_CACHE[key] = got
-    return got
-
-
 @dataclass
 class AdditiveAttention:
     """score(i, j) = w_out . tanh(W_v q_i + W_s k_j) (+ zero-init biases)."""
@@ -91,10 +76,7 @@ def attention_map(att: AdditiveAttention, queries, keys):
     n, m = queries.data.shape[0], keys.data.shape[0]
     if queries.data.shape[1] != keys.data.shape[1]:
         raise ShapeError(f"query width {queries.data.shape} != key width {keys.data.shape}")
-    p = linear(queries, att.v_proj)
-    k = linear(keys, att.s_proj)
-    eq, ek = _pair_gathers(n, m)
-    h = T.tanh(T.add(T.matmul(eq, p), T.matmul(ek, k)))
+    h = T.tanh(T.pairwise_add(linear(queries, att.v_proj), linear(keys, att.s_proj)))
     scores = T.reshape(linear(h, att.out), (n, m))
     return T.softmax(scores)
 

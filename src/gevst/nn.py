@@ -29,10 +29,6 @@ def ones_const(rows, cols=1):
     return t
 
 
-def const(arr):
-    return Tensor(np.asarray(arr, dtype=np.float64))
-
-
 # ------------------------------------------------------------------- params
 
 
@@ -182,6 +178,13 @@ def attention_weights(q, k, h, mask=None):
 def apply_attention(weights, v, h):
     """weights: [..., h, n_q, n_k], v: [..., n_k, d] -> [..., n_q, d]."""
     return merge_heads(T.matmul(weights, split_heads(v, h)))
+
+
+def attend(x_q, x_kv, q: Linear, k: Linear, v: Linear, h, mask=None):
+    """Multi-head attention of x_q over x_kv through the projections q, k, v
+    (no output projection): [..., n_q, d] over [..., n_k, d] -> [..., n_q, d]."""
+    w = attention_weights(linear(x_q, q), linear(x_kv, k), h, mask=mask)
+    return apply_attention(w, linear(x_kv, v), h)
 
 
 # --------------------------------------------------------------- positions

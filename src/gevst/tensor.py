@@ -3,8 +3,8 @@
 Design constraints, fixed for the whole package:
   * every value is float64, stored row-major (C order) in a numpy array;
   * no implicit broadcasting between tensors except scalars (size-1 tensors
-    and python numbers); row-wise bias broadcast exists only INSIDE the fused
-    affine and layer_norm kernels;
+    and python numbers); row-wise broadcast exists only INSIDE the fused
+    affine and layer_norm kernels and the pairwise_add grid;
   * forward ops execute eagerly; when a Tape is active and an input requires
     grad, the op appends one node to the tape. Backward replays nodes in exact
     reverse recording order, which is a valid reverse topological order because
@@ -61,9 +61,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data.reshape(())[()])
-
-    def numpy(self):
-        return self.data
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.data.shape)}, requires_grad={self.requires_grad})"
@@ -142,11 +139,6 @@ def no_grad():
         _STATE.tape = prev
 
 
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
-
-
 def _emit(data, inputs, bwd):
     """Wrap data; record a node when a tape is live and some input needs grad."""
     tape = _tape()
@@ -200,100 +192,63 @@ def affine(x, w, b):
     return _emit(out, (x, w, b), bwd)
 
 
-def _scalar_pair(a, b, opname):
-    """Classify an elementwise operand pair. Returns 'same', 'bscalar' or 'ascalar'."""
-    if a.data.shape == b.data.shape:
-        return "same"
-    if b.data.size == 1:
-        return "bscalar"
-    if a.data.size == 1:
-        return "ascalar"
-    raise ShapeError(f"{opname}: shapes {a.data.shape} and {b.data.shape} differ and neither is scalar")
+def _operands(a, b, opname):
+    """The one elementwise rule of add/sub/mul: equal shapes pair up entry by
+    entry; otherwise a size-1 operand (a size-1 tensor or a python number)
+    acts as a scalar. Returns b as a tensor and the two arrays to combine."""
+    if not isinstance(b, Tensor):
+        b = Tensor._wrap(np.asarray(float(b)))
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        if bd.size == 1:
+            bd = bd.reshape(())
+        elif ad.size == 1:
+            ad = ad.reshape(())
+        else:
+            raise ShapeError(f"{opname}: shapes {a.data.shape} and {b.data.shape} differ and neither is scalar")
+    return b, ad, bd
+
+
+def _sum_to(t, g, factor=None):
+    """Operand t's gradient: g (times `factor`), summed down to one entry if t
+    acted as a scalar; None if t needs no gradient."""
+    if not t.requires_grad:
+        return None
+    if factor is not None:
+        g = g * factor
+    return g if g.shape == t.data.shape else g.sum().reshape(t.data.shape)
 
 
 def add(a, b):
-    if not isinstance(b, Tensor):
-        s = float(b)
-        return _emit(a.data + s, (a,), lambda g: (g,))
-    kind = _scalar_pair(a, b, "add")
-    if kind == "same":
-        return _emit(a.data + b.data, (a, b), lambda g: (g, g))
-    if kind == "bscalar":
-        out = a.data + b.data.reshape(())
-
-        def bwd(g):
-            ga = g if a.requires_grad else None
-            gb = g.sum().reshape(b.data.shape) if b.requires_grad else None
-            return ga, gb
-
-        return _emit(out, (a, b), bwd)
-    out = a.data.reshape(()) + b.data
-
-    def bwd(g):
-        ga = g.sum().reshape(a.data.shape) if a.requires_grad else None
-        gb = g if b.requires_grad else None
-        return ga, gb
-
-    return _emit(out, (a, b), bwd)
+    b, ad, bd = _operands(a, b, "add")
+    return _emit(ad + bd, (a, b), lambda g: (_sum_to(a, g), _sum_to(b, g)))
 
 
 def sub(a, b):
-    if not isinstance(b, Tensor):
-        s = float(b)
-        return _emit(a.data - s, (a,), lambda g: (g,))
-    kind = _scalar_pair(a, b, "sub")
-    if kind == "same":
-        return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
-    if kind == "bscalar":
-        out = a.data - b.data.reshape(())
-
-        def bwd(g):
-            ga = g if a.requires_grad else None
-            gb = -g.sum().reshape(b.data.shape) if b.requires_grad else None
-            return ga, gb
-
-        return _emit(out, (a, b), bwd)
-    out = a.data.reshape(()) - b.data
-
-    def bwd(g):
-        ga = g.sum().reshape(a.data.shape) if a.requires_grad else None
-        gb = -g if b.requires_grad else None
-        return ga, gb
-
-    return _emit(out, (a, b), bwd)
+    b, ad, bd = _operands(a, b, "sub")
+    return _emit(ad - bd, (a, b), lambda g: (_sum_to(a, g), _sum_to(b, g, -1.0)))
 
 
 def mul(a, b):
-    if not isinstance(b, Tensor):
-        s = float(b)
-        return _emit(a.data * s, (a,), lambda g: (g * s,))
-    kind = _scalar_pair(a, b, "mul")
-    ad, bd = a.data, b.data
-    if kind == "same":
+    b, ad, bd = _operands(a, b, "mul")
+    return _emit(ad * bd, (a, b), lambda g: (_sum_to(a, g, bd), _sum_to(b, g, ad)))
 
-        def bwd(g):
-            ga = g * bd if a.requires_grad else None
-            gb = g * ad if b.requires_grad else None
-            return ga, gb
 
-        return _emit(ad * bd, (a, b), bwd)
-    if kind == "bscalar":
-        bs = bd.reshape(())
-
-        def bwd(g):
-            ga = g * bs if a.requires_grad else None
-            gb = (g * ad).sum().reshape(bd.shape) if b.requires_grad else None
-            return ga, gb
-
-        return _emit(ad * bs, (a, b), bwd)
-    as_ = ad.reshape(())
+def pairwise_add(p, k):
+    """Every row of p plus every row of k: [N x d], [M x d] -> [N*M x d], row
+    i*M + j holding p[i] + k[j] (the score grid of additive attention)."""
+    pd, kd = p.data, k.data
+    if pd.ndim != 2 or kd.ndim != 2 or pd.shape[1] != kd.shape[1]:
+        raise ShapeError(f"pairwise_add needs [N x d] and [M x d], got {pd.shape} and {kd.shape}")
+    n, m, d = pd.shape[0], kd.shape[0], pd.shape[1]
+    out = (pd[:, None, :] + kd[None, :, :]).reshape(n * m, d)
 
     def bwd(g):
-        ga = (g * bd).sum().reshape(ad.shape) if a.requires_grad else None
-        gb = g * as_ if b.requires_grad else None
-        return ga, gb
+        g3 = g.reshape(n, m, d)
+        return (g3.sum(axis=1) if p.requires_grad else None,
+                g3.sum(axis=0) if k.requires_grad else None)
 
-    return _emit(as_ * bd, (a, b), bwd)
+    return _emit(out, (p, k), bwd)
 
 
 # ----------------------------------------------------------------- unary ops

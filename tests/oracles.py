@@ -12,9 +12,11 @@ softmax(Q K^T / sqrt(d_h)); masked positions are set to exactly -1e9 before
 the softmax; layer norm uses population variance with eps=1e-5 inside the
 square root.
 
-The last section is the exception: it keeps the per-tensor numpy optimizer
-and checkpoint writer that the flat parameter vector replaced, as bit-exact
-references for it. They still import nothing from the package.
+The last section is the exception: it keeps, as bit-exact references, the
+per-tensor numpy optimizer and checkpoint writer that the flat parameter
+vector replaced, and the kron-gather additive-attention map that the
+engine's pairwise_add replaced. They still import nothing from the package:
+the attention map takes the tensor engine as an argument.
 """
 
 import json
@@ -396,7 +398,7 @@ def enumerate_best(step_fn, vocab_size, eos_id, max_len):
     return list(ids), cum, cum / len(ids)
 
 
-# ------------------------------------------ per-tensor optimizer and format
+# ------------------------- per-tensor optimizer, format, kron-gather map
 
 
 class PerTensorAdam:
@@ -456,3 +458,18 @@ def checkpoint_v1_bytes(config, vocab_tokens, named_arrays, trained_steps=0):
         "data_bytes": offset,
     }
     return json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + b"".join(chunks)
+
+
+def kron_attention_map(T, att, queries, keys):
+    """Row-stochastic [N x M] additive-attention map with the [N*M x d_a]
+    pair grid built by multiplying both projections by constant kron gather
+    matrices. T is the tensor engine; att holds v_proj (queries), s_proj
+    (keys) and out, each with .w and .b tensors."""
+    n, m = queries.data.shape[0], keys.data.shape[0]
+    p = T.affine(queries, att.v_proj.w, att.v_proj.b)
+    k = T.affine(keys, att.s_proj.w, att.s_proj.b)
+    eq = T.Tensor(np.kron(np.eye(n), np.ones((m, 1))))
+    ek = T.Tensor(np.kron(np.ones((n, 1)), np.eye(m)))
+    h = T.tanh(T.add(T.matmul(eq, p), T.matmul(ek, k)))
+    scores = T.reshape(T.affine(h, att.out.w, att.out.b), (n, m))
+    return T.softmax(scores)

@@ -204,9 +204,38 @@ def test_ablate_rejects_non_integer_thread_count(workdir, tmp_path, monkeypatch,
 
 
 def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
-    bad = tmp_path / "trailing.ckpt"
-    bad.write_bytes(open(workdir["ckpt"], "rb").read() + b"\0" * 8)
-    code = cli.main(["caption", "--ckpt", str(bad), "--data", workdir["data"],
-                     "--out", str(tmp_path / "pred.jsonl")])
-    assert code == 1
-    assert "trailing bytes" in capsys.readouterr().err
+    raw = open(workdir["ckpt"], "rb").read()
+    header_line, _, body = raw.partition(b"\n")
+    header = json.loads(header_line)
+    header["config"]["renorm_fused_attention"] = "no"  # truthy, so once accepted as on
+    typed = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
+    for blob, message in ((raw + b"\0" * 8, "trailing bytes"),
+                          (typed, "'renorm_fused_attention' must be true or false")):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob)
+        code = cli.main(["caption", "--ckpt", str(bad), "--data", workdir["data"],
+                         "--out", str(tmp_path / "pred.jsonl")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+
+def test_wrongly_typed_config_exits_one(workdir, tmp_path, capsys):
+    cases = ({"d_model": "abc"}, {"renorm_fused_attention": "no"}, {"seed": "1"},
+             {"lr_scale": True}, {"branches": ["ss", 1]}, {"lr_scale": float("nan")},
+             {"grad_clip": float("inf")})
+    for i, bad in enumerate(cases):
+        cfg = tmp_path / f"bad{i}.json"
+        cfg.write_text(json.dumps(dict(TINY, **bad)))
+        code = cli.main(["train", "--data", workdir["data"], "--config", str(cfg),
+                         "--out", str(tmp_path / f"o{i}")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and next(iter(bad)) in err
+    for i, text in enumerate(("[1, 2]", "{not json")):
+        cfg = tmp_path / f"shape{i}.json"
+        cfg.write_text(text)
+        code = cli.main(["train", "--data", workdir["data"], "--config", str(cfg),
+                         "--out", str(tmp_path / f"s{i}")])
+        assert code == 1
+        assert "error: config file" in capsys.readouterr().err
+

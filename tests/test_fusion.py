@@ -7,7 +7,7 @@ from gevst import tensor as T
 from gevst.errors import ConfigError, InputError
 from gevst.fusion import (attention_map, fusion_cell, init_fusion_cell,
                           stack_fusion)
-from gevst.nn import Tensor
+from gevst.nn import Tensor, parameters
 
 
 def rand_inputs(rng, n, m, d):
@@ -119,6 +119,32 @@ def test_fusion_gradients(rng):
         cell.geometry.out.w,
     )
     assert relw < 1e-6
+
+
+def test_attention_map_equals_kron_gather_reference(rng):
+    # pairwise_add replaced two constant kron gather matmuls plus an add:
+    # the map and every gradient must come out bit for bit the same
+    n, m, d = 3, 5, 4
+    att = rand_cell(rng, d, 2).content
+    q = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    k = Tensor(rng.normal(size=(m, d)), requires_grad=True)
+    w = Tensor(rng.normal(size=(n, m)))
+    leaves = [q, k] + parameters(att)
+
+    def run(build):
+        for t in leaves:
+            t.grad = None
+        with T.Tape() as tape:
+            a = build(att, q, k)
+            tape.backward(T.total_sum(T.mul(a, w)))
+        return a.data, [t.grad for t in leaves]
+
+    got_map, got_grads = run(attention_map)
+    ref_map, ref_grads = run(lambda *args: O.kron_attention_map(T, *args))
+    assert np.array_equal(got_map, ref_map)
+    assert len(got_grads) == 8
+    for got, ref in zip(got_grads, ref_grads):
+        assert np.array_equal(got, ref)
 
 
 def test_error_cases(rng):

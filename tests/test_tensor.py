@@ -23,10 +23,17 @@ def test_add_mul_sub_chain_grads():
 
 
 def test_scalar_tensor_mul_grad():
-    # gates are size-1 tensors multiplied against whole maps
+    # gates are size-1 tensors multiplied against whole maps; add, sub and
+    # mul share one rule for a size-1 operand on either side or equal shapes
     g = Tensor(np.array([0.7]), requires_grad=True)
-    m = Tensor(RNG.normal(0, 1, (4, 4)))
-    check(lambda t: T.total_sum(T.mul(m, t)), g)
+    m = Tensor(RNG.normal(0, 1, (4, 4)), requires_grad=True)
+    m2 = Tensor(RNG.normal(0, 1, (4, 4)), requires_grad=True)
+    w = Tensor(RNG.normal(0, 1, (4, 4)))
+    for op in (T.add, T.sub, T.mul):
+        for a, b in ((m, g), (g, m), (m, m2)):
+            check(lambda t: T.total_sum(T.mul(op(t, b), w)), a)
+            check(lambda t: T.total_sum(T.mul(op(a, t), w)), b)
+        check(lambda t: T.total_sum(T.mul(op(t, 0.7), w)), m)  # python number
 
 
 def test_matmul_2d_and_batched_grads():
@@ -76,6 +83,19 @@ def test_shape_op_grads():
     check(lambda t: T.total_sum(T.narrow(t, 1, 2, 3)), x)
     check(lambda t: T.total_sum(T.mean(t, axis=0)), x)
     check(lambda t: T.total_sum(T.concat([t, t], axis=0)), x)
+
+
+def test_pairwise_add_grads_and_shapes():
+    p = Tensor(RNG.normal(0, 1, (3, 4)), requires_grad=True)
+    k = Tensor(RNG.normal(0, 1, (5, 4)), requires_grad=True)
+    out = T.pairwise_add(p, k)
+    assert np.array_equal(out.data, (p.data[:, None] + k.data[None]).reshape(15, 4))
+    w = Tensor(RNG.normal(0, 1, (15, 4)))
+    check(lambda t: T.total_sum(T.mul(T.tanh(T.pairwise_add(t, k)), w)), p)
+    check(lambda t: T.total_sum(T.mul(T.tanh(T.pairwise_add(p, t)), w)), k)
+    for bad_p, bad_k in (((3, 4), (5, 3)), ((12,), (5, 4)), ((3, 4), (1, 5, 4))):
+        with pytest.raises(ShapeError):
+            T.pairwise_add(Tensor(np.ones(bad_p)), Tensor(np.ones(bad_k)))
 
 
 def test_embedding_lookup_scatter_grad():
