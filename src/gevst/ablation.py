@@ -92,7 +92,7 @@ def run_axis(axis, samples, base_cfg, out_dir=None, epochs=None, workers=1):
              epochs)
             for label, cfg in grid]
     if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = list(pool.map(_worker, jobs))
     else:
         rows = [run_config(*job) for job in jobs]

@@ -7,7 +7,7 @@ timings (the one field allowed to differ between reruns). Everything else is
 byte-identical for identical flags and seed.
 
 Exit codes: 0 success, 1 runtime failure (diagnostic on stderr), 2 usage.
-GEVST_THREADS caps ablate's worker-process count.
+GEVST_THREADS (an integer >= 1, default 1) caps ablate's worker-process count.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ import time
 import numpy as np
 
 from . import ablation, metrics, training
+from . import tensor as T
 from .config import config_from_dict
-from .data import read_jsonl, tokenize, write_jsonl
-from .decoder import beam_search
-from .errors import ConfigError, GevstError, InputError
+from .data import BOS_ID, read_json_objects, read_jsonl, tokenize, write_jsonl
+from .decoder import beam_search, greedy_decode
+from .encoder import BRANCHES
+from .errors import ConfigError, GevstError, InputError, SchemaError
 from .model import caption_logits, encode_sample, make_step_fn
 from .training import (load_checkpoint, restore_snapshot, save_checkpoint,
                        train_scst, train_xe, write_curve)
@@ -150,15 +152,14 @@ def cmd_eval(args):
     t0 = time.time()
     refs_by_id = {s.id: [tokenize(c) for c in s.gt_captions] for s in read_jsonl(args.refs)}
     cands, refs = [], []
-    with open(args.pred) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if row["id"] not in refs_by_id:
-                raise InputError(f"prediction id {row['id']!r} not present in references")
-            cands.append(tokenize(row["caption"]))
-            refs.append(refs_by_id[row["id"]])
+    for lineno, row in read_json_objects(args.pred):
+        for key in ("id", "caption"):
+            if not isinstance(row.get(key), str):
+                raise SchemaError(f"line {lineno}: field {key!r} must be a string")
+        if row["id"] not in refs_by_id:
+            raise InputError(f"prediction id {row['id']!r} not present in references")
+        cands.append(tokenize(row["caption"]))
+        refs.append(refs_by_id[row["id"]])
     report = metrics.evaluate(cands, refs)
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
@@ -184,38 +185,39 @@ def cmd_dump_attention(args):
     os.makedirs(args.out, exist_ok=True)
     outputs = []
 
-    enc_trace = {}
-    branch = encode_sample(params, cfg, sample, vocab, trace=enc_trace)
+    with T.recording() as enc:
+        branch = encode_sample(params, cfg, sample, vocab)
+    # Only the maps a fusion base computes are recorded, so only those are written.
     for direction in ("fusion_vs", "fusion_sv"):
-        for cell_i, cell in enumerate(enc_trace.get(direction, []), start=1):
-            for kind in ("content", "geometry"):
+        for kind in ("content", "geometry"):
+            for cell_i, arr in enumerate(enc.get(f"{direction}.{kind}", []), start=1):
                 path = os.path.join(args.out, f"{direction}_cell{cell_i}_{kind}.csv")
-                _write_matrix_csv(path, cell[kind])
+                _write_matrix_csv(path, arr)
                 outputs.append(path)
 
-    for b, gate_list in sorted(enc_trace.get("gates", {}).items()):
+    for b in BRANCHES:
+        if f"{b}.gesa_gates" not in enc:
+            continue
         path = os.path.join(args.out, f"gesa_gates_{b}.csv")
         with open(path, "w") as f:
             f.write("layer,c1,c2,c3\n")
-            for li, gates in enumerate(gate_list, start=1):
+            for li, gates in enumerate(enc[f"{b}.gesa_gates"], start=1):
                 vals = [repr(float(v)) for v in np.ravel(gates)]
                 vals += [""] * (3 - len(vals))
                 f.write(f"{li}," + ",".join(vals) + "\n")
         outputs.append(path)
 
-    from .decoder import greedy_decode
     ids, _ = greedy_decode(make_step_fn(params, cfg, branch), max_len=cfg.max_len)
-    dec_trace = []
-    from .data import BOS_ID
-    caption_logits(params, cfg, branch, [BOS_ID] + ids[:-1], trace=dec_trace)
-    # dec_trace: one {branch: per-step mean gate} dict per decoder layer
-    branches = sorted(dec_trace[0]) if dec_trace else []
+    with T.recording() as dec:
+        caption_logits(params, cfg, branch, [BOS_ID] + ids[:-1])
+    # per branch: one [steps x d] gate per decoder layer, averaged over d, then layers
+    step_means = {b: [g.mean(axis=1) for g in dec[f"decoder_gates_{b}"]]
+                  for b in BRANCHES if f"decoder_gates_{b}" in dec}
     path = os.path.join(args.out, "decoder_gates.csv")
     with open(path, "w") as f:
-        f.write("step," + ",".join(branches) + "\n")
-        steps = len(ids)
-        for t in range(steps):
-            means = [np.mean([layer[b][t] for layer in dec_trace]) for b in branches]
+        f.write("step," + ",".join(step_means) + "\n")
+        for t in range(len(ids)):
+            means = [np.mean([layer[t] for layer in layers]) for layers in step_means.values()]
             f.write(f"{t+1}," + ",".join(repr(float(v)) for v in means) + "\n")
     outputs.append(path)
 
@@ -226,10 +228,13 @@ def cmd_dump_attention(args):
 
 def cmd_ablate(args):
     t0 = time.time()
+    raw = os.environ.get("GEVST_THREADS", "1")
     try:
-        workers = max(1, int(os.environ.get("GEVST_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        raise ConfigError(f"GEVST_THREADS must be an integer, got {os.environ['GEVST_THREADS']!r}") from None
+        raise ConfigError(f"GEVST_THREADS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"GEVST_THREADS must be at least 1, got {raw!r}")
     samples = read_jsonl(args.data)
     cfg = _load_config(args.config, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)

@@ -228,8 +228,8 @@ def sample_from_dict(obj, line=1):
     return Sample(sid, regions, (float(wh[0]), float(wh[1])), dense, list(gts))
 
 
-def read_jsonl(path):
-    samples = []
+def read_json_objects(path):
+    """Yield (line number, object) for each non-blank line of a JSONL file."""
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             if raw.strip() == "":
@@ -240,8 +240,11 @@ def read_jsonl(path):
                 raise ParseError(f"bad JSON ({e.msg})", line=lineno) from None
             if not isinstance(obj, dict):
                 raise SchemaError(f"line {lineno}: each line must be a JSON object")
-            samples.append(sample_from_dict(obj, lineno))
-    return samples
+            yield lineno, obj
+
+
+def read_jsonl(path):
+    return [sample_from_dict(obj, lineno) for lineno, obj in read_json_objects(path)]
 
 
 # -------------------------------------------------------------- vocabulary

@@ -88,9 +88,11 @@ def init_decoder_layer(rng, d, branches):
     )
 
 
-def modulated_multi_input(y, branch_outputs, layer: DecoderLayerParams, h,
-                          gate_mode="sigmoid", trace=None):
-    """Gated sum of per-branch cross-attention contexts."""
+def modulated_multi_input(y, branch_outputs, layer: DecoderLayerParams, h, gate_mode="sigmoid"):
+    """Gated sum of per-branch cross-attention contexts.
+
+    Records each branch's [T x d] gate as "decoder_gates_<branch>" (see `T.record`).
+    """
     if gate_mode not in ("sigmoid", "softmax"):
         raise ConfigError(f"gate_mode must be sigmoid or softmax, got {gate_mode!r}")
     branches = [b for b in ("ss", "sv", "vs", "vv") if b in branch_outputs]
@@ -112,16 +114,15 @@ def modulated_multi_input(y, branch_outputs, layer: DecoderLayerParams, h,
         back = T.transpose(sm, (2, 0, 1))
         gates = [T.reshape(T.narrow(back, 0, i, 1), (t_len, d)) for i in range(len(branches))]
 
+    for b, g in zip(branches, gates):
+        T.record(f"decoder_gates_{b}", g)
     out = T.mul(gates[0], contexts[0])
     for g, c in zip(gates[1:], contexts[1:]):
         out = T.add(out, T.mul(g, c))
-    if trace is not None:
-        trace.append({b: g.data.mean(axis=1).copy() for b, g in zip(branches, gates)})
     return out
 
 
-def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids,
-                    gate_mode="sigmoid", trace=None):
+def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids, gate_mode="sigmoid"):
     """Logits [T x V] for a BOS-led token id sequence (position t predicts t+1)."""
     ids = list(token_ids)
     if not ids or ids[0] != BOS_ID:
@@ -132,7 +133,7 @@ def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids,
     mask = causal_mask(h, t_len)
     for lp in layers:
         y = layer_norm(T.add(y, attend(y, y, lp.self_q, lp.self_k, lp.self_v, h, mask=mask)), lp.ln1)
-        att = modulated_multi_input(y, branch_outputs, lp, h, gate_mode=gate_mode, trace=trace)
+        att = modulated_multi_input(y, branch_outputs, lp, h, gate_mode=gate_mode)
         y = layer_norm(T.add(y, att), lp.ln2)
         y = layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
     return linear(y, out_proj)

@@ -109,35 +109,36 @@ def gesa_gates(x_prev, params: GesaLayerParams):
     return T.softmax(T.mean(linear(x_prev, params.gate), axis=0))
 
 
-def gesa_layer(x_prev, g_intra, g_inter, params: GesaLayerParams, h, trace=None):
+def gesa_layer(x_prev, g_intra, g_inter, params: GesaLayerParams, h):
+    """One GESA layer; records its map gates as "gesa_gates" (see `T.record`)."""
     maps = gesa_attention_maps(x_prev, g_intra, g_inter, params, h)
     gates = gesa_gates(x_prev, params)
+    T.record("gesa_gates", gates)
     combined = T.mul(maps[0], T.narrow(gates, 0, 0, 1))
     for i in range(1, len(maps)):
         combined = T.add(combined, T.mul(maps[i], T.narrow(gates, 0, i, 1)))
     attended = apply_attention(combined, linear(x_prev, params.v_c), h)
     a = layer_norm(T.add(x_prev, attended), params.ln1)
-    out = layer_norm(T.add(a, ffn(a, params.ffn)), params.ln2)
-    if trace is not None:
-        trace.append(gates.data.copy())
-    return out
+    return layer_norm(T.add(a, ffn(a, params.ffn)), params.ln2)
 
 
-def branch_forward(layers, h, content, g_intra, g_inter, trace=None):
+def branch_forward(layers, h, content, g_intra, g_inter):
     """Stack of GESA layers; geometry inputs repeat unchanged at every layer."""
     x = content
     for lp in layers:
-        x = gesa_layer(x, g_intra, g_inter, lp, h, trace=trace)
+        x = gesa_layer(x, g_intra, g_inter, lp, h)
     return x
 
 
 def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
-               h, er, active_branches=BRANCHES, renorm=False, trace=None):
+               h, er, active_branches=BRANCHES, renorm=False):
     """Run the needed fusions and every active branch.
 
     fusion_vs fuses semantic into visual (visual primary); fusion_sv the
     reverse. vv/ss reuse the matching fusion's inter-geometry but keep their
-    pure content. Returns {branch: Tensor}, in ss, sv, vs, vv order.
+    pure content. Returns {branch: Tensor}, in ss, sv, vs, vv order. Each
+    fusion stack records under the scope "fusion_vs"/"fusion_sv", each
+    branch under its own name.
     """
     active = [b for b in BRANCHES if b in active_branches]
     if not active:
@@ -148,15 +149,11 @@ def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
 
     vs_out = sv_out = None
     if "vv" in active or "vs" in active:
-        vs_trace = [] if trace is not None else None
-        vs_out = stack_fusion(fusion_vs, er, v_con, v_geo, s_con, s_geo, renorm=renorm, trace=vs_trace)
-        if trace is not None:
-            trace["fusion_vs"] = vs_trace
+        with T.scope("fusion_vs"):
+            vs_out = stack_fusion(fusion_vs, er, v_con, v_geo, s_con, s_geo, renorm=renorm)
     if "ss" in active or "sv" in active:
-        sv_trace = [] if trace is not None else None
-        sv_out = stack_fusion(fusion_sv, er, s_con, s_geo, v_con, v_geo, renorm=renorm, trace=sv_trace)
-        if trace is not None:
-            trace["fusion_sv"] = sv_trace
+        with T.scope("fusion_sv"):
+            sv_out = stack_fusion(fusion_sv, er, s_con, s_geo, v_con, v_geo, renorm=renorm)
 
     inputs = {}
     if "ss" in active:
@@ -170,9 +167,6 @@ def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
 
     outputs = {}
     for b in active:
-        gate_trace = [] if trace is not None else None
-        content, g_intra, g_inter = inputs[b]
-        outputs[b] = branch_forward(branch_layers[b], h, content, g_intra, g_inter, trace=gate_trace)
-        if trace is not None:
-            trace.setdefault("gates", {})[b] = gate_trace
+        with T.scope(b):
+            outputs[b] = branch_forward(branch_layers[b], h, *inputs[b])
     return outputs

@@ -112,8 +112,11 @@ def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k
 
 
 def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, secondary_geo,
-                 renorm=False, trace=None):
-    """Run m cells; only the primary content is threaded through."""
+                 renorm=False):
+    """Run m cells; only the primary content is threaded through.
+
+    Records each cell's maps as "content" and "geometry" (see `T.record`).
+    """
     if not cells:
         raise ConfigError("at least one fusion cell is required")
     x = primary_content
@@ -122,9 +125,6 @@ def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, sec
         x, alpha_con, alpha_geo, inter = fusion_cell(
             cell, er, x, primary_geo, secondary_content, secondary_geo, renorm=renorm
         )
-        if trace is not None:
-            trace.append({
-                "content": None if alpha_con is None else alpha_con.data.copy(),
-                "geometry": None if alpha_geo is None else alpha_geo.data.copy(),
-            })
+        T.record("content", alpha_con)
+        T.record("geometry", alpha_geo)
     return FusionOutput(x, inter, alpha_con, alpha_geo)

@@ -59,7 +59,7 @@ def init_model(cfg: TrainConfig, vocab_size, rng) -> ModelParams:
     )
 
 
-def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab, trace=None):
+def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab):
     """Branch outputs {name: Tensor[N_branch x d]} for one dataset sample."""
     if not sample.regions:
         raise InputError(f"sample {sample.id}: no regions")
@@ -81,15 +81,14 @@ def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab, trace=No
         cfg.heads, cfg.expand_ratio,
         active_branches=cfg.branches,
         renorm=cfg.renorm_fused_attention,
-        trace=trace,
     )
 
 
-def caption_logits(params: ModelParams, cfg: TrainConfig, branch_outputs, token_ids, trace=None):
+def caption_logits(params: ModelParams, cfg: TrainConfig, branch_outputs, token_ids):
     """Logits [T x V] for a BOS-led id sequence against fixed branch outputs."""
     return decoder_forward(
         params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out,
-        token_ids, gate_mode=cfg.gate_mode, trace=trace,
+        token_ids, gate_mode=cfg.gate_mode,
     )
 
 

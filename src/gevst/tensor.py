@@ -12,6 +12,15 @@ Design constraints, fixed for the whole package:
 
 Gradients accumulate into Tensor.grad (never mutated in place, so aliasing
 views returned by backward rules are safe).
+
+Recorder (diagnostics only; never part of the math or the tape):
+  * `recording()` is a context manager yielding `{scoped name: [array copy
+    per call]}`; it collects what `record` is given while it is live;
+  * `scope(name)` prefixes `name + "."` to every name recorded inside it;
+  * `record(name, t)` stores a copy of `t`'s data, or does nothing when no
+    recorder is live or `t` is None.
+Both slots live beside the active tape in the thread-local `_STATE`, and
+leaving either context restores the outer state, also on an exception.
 """
 
 from __future__ import annotations
@@ -137,6 +146,36 @@ def no_grad():
         yield
     finally:
         _STATE.tape = prev
+
+
+@contextmanager
+def recording():
+    """Collect every `record` call made inside; yields {scoped name: [copies]}."""
+    prev = getattr(_STATE, "records", None)
+    _STATE.records = records = {}
+    try:
+        yield records
+    finally:
+        _STATE.records = prev
+
+
+@contextmanager
+def scope(name):
+    """Prefix `name + "."` to the names recorded inside."""
+    prev = getattr(_STATE, "scope", "")
+    _STATE.scope = f"{prev}{name}."
+    try:
+        yield
+    finally:
+        _STATE.scope = prev
+
+
+def record(name, t):
+    """Append a copy of `t`'s data under the scoped name, if a recorder is live."""
+    records = getattr(_STATE, "records", None)
+    if records is None or t is None:
+        return
+    records.setdefault(getattr(_STATE, "scope", "") + name, []).append(t.data.copy())
 
 
 def _emit(data, inputs, bwd):

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from gevst import cli
+from gevst import ablation, cli
+from gevst.model import init_model
+from gevst.training import load_checkpoint, save_checkpoint
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:CIDEr-D over a single-document corpus")
@@ -153,6 +155,22 @@ def test_dump_attention_contents(workdir, tmp_path):
     assert len(manifest["outputs"]) == len(fusion_files) + 4 + 1
 
 
+@pytest.mark.parametrize("base", ["c", "g"])
+def test_dump_attention_single_map_base(workdir, tmp_path, base):
+    cfg, vocab, _, _ = load_checkpoint(workdir["ckpt"])
+    cfg = cfg.replaced(fusion_base=base)
+    ckpt = str(tmp_path / f"{base}.bin")
+    save_checkpoint(ckpt, cfg, vocab, init_model(cfg, len(vocab), np.random.default_rng(0)))
+    out = str(tmp_path / "attn")
+    assert cli.main(["dump-attention", "--ckpt", ckpt, "--data", workdir["data"],
+                     "--sample-id", "s00002", "--out", out]) == 0
+    kind = {"c": "content", "g": "geometry"}[base]
+    assert sorted(f for f in os.listdir(out) if f.startswith("fusion_")) == [
+        f"fusion_sv_cell1_{kind}.csv", f"fusion_vs_cell1_{kind}.csv"]
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert len(manifest["outputs"]) == 2 + 4 + 1
+
+
 def test_dump_attention_unknown_sample(workdir, tmp_path, capsys):
     code = cli.main(["dump-attention", "--ckpt", workdir["ckpt"], "--data",
                      workdir["data"], "--sample-id", "nope", "--out",
@@ -194,13 +212,44 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_ablate_rejects_non_integer_thread_count(workdir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GEVST_THREADS", "abc")
-    code = cli.main(["ablate", "--data", workdir["data"], "--axis", "gesa",
-                     "--config", workdir["cfg"], "--epochs", "1",
-                     "--out", str(tmp_path / "a")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "GEVST_THREADS" in err and "'abc'" in err
+    for value in ("abc", "0", "-2"):
+        monkeypatch.setenv("GEVST_THREADS", value)
+        code = cli.main(["ablate", "--data", workdir["data"], "--axis", "gesa",
+                         "--config", workdir["cfg"], "--epochs", "1",
+                         "--out", str(tmp_path / "a")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "GEVST_THREADS" in err and f"'{value}'" in err
+
+
+def test_ablate_pool_is_no_larger_than_its_grid(workdir, tmp_path, monkeypatch, capsys):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for the process pool: notes its size, runs jobs in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    def fake_run_config(label, cfg, samples, out_dir, epochs=None):
+        return {"config": label, "bleu4": 0.0, "rouge_l": 0.0, "cider_d": 0.0, "best_epoch": 1}
+
+    monkeypatch.setattr(ablation.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(ablation, "run_config", fake_run_config)
+    monkeypatch.setenv("GEVST_THREADS", "64")
+    assert cli.main(["ablate", "--data", workdir["data"], "--axis", "base",
+                     "--config", workdir["cfg"], "--out", str(tmp_path / "a")]) == 0
+    assert sizes == [3]
+    capsys.readouterr()
 
 
 def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
@@ -239,3 +288,20 @@ def test_wrongly_typed_config_exits_one(workdir, tmp_path, capsys):
         assert code == 1
         assert "error: config file" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{not json", "line 2: bad JSON"),
+    ("[1]", "line 2: each line must be a JSON object"),
+    ('{"id": "s00001"}', "line 2: field 'caption' must be a string"),
+    ('{"id": "s00001", "caption": 5}', "line 2: field 'caption' must be a string"),
+    ('{"caption": "a red cube"}', "line 2: field 'id' must be a string"),
+])
+def test_malformed_predictions_exit_one(workdir, tmp_path, capsys, line, message):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"id": "s00000", "caption": "a red cube"}\n' + line + "\n")
+    code = cli.main(["eval", "--pred", str(pred), "--refs", workdir["data"],
+                     "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -3,6 +3,7 @@ import pytest
 
 import oracles as O
 import util as U
+from gevst import tensor as T
 from gevst.data import BOS_ID, EOS_ID
 from gevst.decoder import (beam_search, decoder_forward, greedy_decode,
                            init_decoder_layer)
@@ -80,13 +81,15 @@ def test_matches_scalar_oracle(rng):
 
 def test_softmax_gate_mode_normalizes_across_branches(rng):
     layers, embed, out_proj, outs = small_model(rng, branches=("ss", "sv", "vv"))
-    trace = []
-    decoder_forward(layers, 2, outs, embed, out_proj, [BOS_ID, 4, 5],
-                    gate_mode="softmax", trace=trace)
-    assert len(trace) == len(layers)
-    for entry in trace:
-        total = sum(entry.values())  # per-token means summed over branches
-        assert np.allclose(total, 1.0, atol=1e-12)
+    with T.recording() as rec:
+        decoder_forward(layers, 2, outs, embed, out_proj, [BOS_ID, 4, 5], gate_mode="softmax")
+    assert sorted(rec) == ["decoder_gates_ss", "decoder_gates_sv", "decoder_gates_vv"]
+    assert all(len(gates) == len(layers) for gates in rec.values())
+    for i in range(len(layers)):
+        total = sum(gates[i] for gates in rec.values())  # [T x d], summed over branches
+        assert total.shape == (3, 8) and np.allclose(total, 1.0, atol=1e-12)
+        means = sum(gates[i].mean(axis=1) for gates in rec.values())  # per-token means
+        assert np.allclose(means, 1.0, atol=1e-12)
     with pytest.raises(ConfigError):
         decoder_forward(layers, 2, outs, embed, out_proj, [BOS_ID], gate_mode="mean")
 

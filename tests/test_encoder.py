@@ -92,22 +92,22 @@ def test_matches_scalar_oracle(rng):
     for _ in range(5):
         lp = rand_layer(rng, 8, 2)
         x, gi, ge = rand_xgg(rng, 4, 8)
-        trace = []
-        got = gesa_layer(x, gi, ge, lp, 2, trace=trace)
+        with T.recording() as rec:
+            got = gesa_layer(x, gi, ge, lp, 2)
         ref = O.gesa_layer_oracle(O.mat(x.data), O.mat(gi.data), O.mat(ge.data),
                                   U.gesa_oracle_params(lp), 2)
         worst = max(worst, U.max_abs_delta(got.data, ref["out"]),
-                    U.max_abs_delta(trace[0], ref["gates"]))
+                    U.max_abs_delta(rec["gesa_gates"][0], ref["gates"]))
     assert worst < 1e-12
 
 
 def test_branch_forward_traces_every_layer(rng):
     layers = [rand_layer(rng, 8, 2) for _ in range(3)]
     x, gi, ge = rand_xgg(rng, 4, 8)
-    trace = []
-    branch_forward(layers, 2, x, gi, ge, trace=trace)
-    assert len(trace) == 3
-    for g in trace:
+    with T.recording() as rec:
+        branch_forward(layers, 2, x, gi, ge)
+    assert list(rec) == ["gesa_gates"] and len(rec["gesa_gates"]) == 3
+    for g in rec["gesa_gates"]:
         assert g.shape == (3,) and abs(g.sum() - 1.0) < 1e-12
 
 
@@ -122,13 +122,17 @@ def make_encode_inputs(rng, d=8, nv=3, ns=2):
 
 def test_encode_all_shapes_and_trace(rng):
     vc, vg, sc, sg, f_vs, f_sv, layers = make_encode_inputs(rng)
-    trace = {}
-    outs = encode_all(vc, vg, sc, sg, f_vs, f_sv, layers, h=2, er=2, trace=trace)
+    with T.recording() as rec:
+        outs = encode_all(vc, vg, sc, sg, f_vs, f_sv, layers, h=2, er=2)
     assert list(outs) == ["ss", "sv", "vs", "vv"]
     assert outs["vv"].data.shape == (3, 8) and outs["ss"].data.shape == (2, 8)
-    assert len(trace["fusion_vs"]) == 1 and len(trace["fusion_sv"]) == 1
-    assert set(trace["gates"]) == set(BRANCHES)
-    assert all(len(trace["gates"][b]) == 2 for b in BRANCHES)
+    for direction, shape in (("fusion_vs", (3, 2)), ("fusion_sv", (2, 3))):
+        for kind in ("content", "geometry"):
+            maps = rec[f"{direction}.{kind}"]
+            assert len(maps) == 1 and maps[0].shape == shape
+    assert {k for k in rec if k.endswith(".gesa_gates")} == {f"{b}.gesa_gates" for b in BRANCHES}
+    assert all(len(rec[f"{b}.gesa_gates"]) == 2 for b in BRANCHES)
+    assert len(rec) == 4 + len(BRANCHES)
 
 
 def test_encode_all_branch_subsets(rng):

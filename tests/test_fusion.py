@@ -93,11 +93,12 @@ def test_matches_scalar_oracle(rng):
 def test_stack_trace_and_last_cell_maps(rng):
     cells = [rand_cell(rng, 4, 2) for _ in range(3)]
     cq, gq, ck, gk = rand_inputs(rng, 2, 3, 4)
-    trace = []
-    out = stack_fusion(cells, 2, cq, gq, ck, gk, trace=trace)
-    assert len(trace) == 3
-    assert np.array_equal(trace[-1]["content"], out.content_attention.data)
-    assert np.array_equal(trace[-1]["geometry"], out.geometry_attention.data)
+    with T.recording() as rec:
+        out = stack_fusion(cells, 2, cq, gq, ck, gk)
+    assert sorted(rec) == ["content", "geometry"]
+    assert len(rec["content"]) == 3 and len(rec["geometry"]) == 3
+    assert np.array_equal(rec["content"][-1], out.content_attention.data)
+    assert np.array_equal(rec["geometry"][-1], out.geometry_attention.data)
     assert out.fused_content.data.shape == (2, 4)
 
 

@@ -1,11 +1,13 @@
 """Engine-level checks: gradients against central differences, tape
-mechanics, and the no-implicit-broadcasting contract."""
+mechanics, the no-implicit-broadcasting contract, and the recorder."""
 
 import numpy as np
 import pytest
 
 from gevst import tensor as T
+from gevst.encoder import BRANCHES, encode_all, init_gesa_layer
 from gevst.errors import ShapeError
+from gevst.fusion import init_fusion_cell
 from gevst.tensor import Tape, Tensor, grad_check, no_grad
 
 RNG = np.random.default_rng(77)
@@ -183,3 +185,69 @@ def test_same_seed_same_numbers():
     a = np.random.default_rng(42).normal(size=5)
     b = np.random.default_rng(42).normal(size=5)
     assert np.array_equal(a, b)
+
+
+def test_record_outside_recording_stores_nothing():
+    t = Tensor(np.ones((2, 2)))
+    with T.recording() as closed:
+        pass
+    T.record("x", t)  # no recorder live: a no-op
+    with T.scope("s"):
+        T.record("x", t)
+    assert closed == {} and getattr(T._STATE, "records", None) is None
+    with T.recording() as rec:
+        T.record("y", t)
+        T.record("none", None)  # skipped, not stored
+        t.data[0, 0] = 5.0  # the record is a copy
+        T.record("y", t)
+    assert list(rec) == ["y"]
+    assert rec["y"][0][0, 0] == 1.0 and rec["y"][1][0, 0] == 5.0
+
+
+def test_recorder_adds_no_tape_nodes():
+    rng = np.random.default_rng(5)
+    d = 8
+    vc, vg = Tensor(rng.normal(size=(3, d))), Tensor(rng.normal(size=(3, d)))
+    sc, sg = Tensor(rng.normal(size=(2, d))), Tensor(rng.normal(size=(2, d)))
+    f_vs = [init_fusion_cell(rng, d, 2) for _ in range(2)]
+    f_sv = [init_fusion_cell(rng, d, 2) for _ in range(2)]
+    layers = {b: [init_gesa_layer(rng, d, 2) for _ in range(2)] for b in BRANCHES}
+
+    def forward():
+        with Tape() as tape:
+            outs = encode_all(vc, vg, sc, sg, f_vs, f_sv, layers, h=2, er=2)
+            T.total_sum(T.concat(list(outs.values()), axis=0))
+        return len(tape.nodes), {b: o.data for b, o in outs.items()}
+
+    plain_nodes, plain = forward()
+    with T.recording() as rec:
+        rec_nodes, recorded = forward()
+    assert rec_nodes == plain_nodes > 0
+    assert all(np.array_equal(plain[b], recorded[b]) for b in BRANCHES)
+    assert len(rec["fusion_vs.content"]) == 2 and len(rec["vv.gesa_gates"]) == 2
+
+
+def test_nested_recording_and_scope_restore_outer_state():
+    t = Tensor(np.zeros(1))
+    with T.recording() as outer:
+        with T.scope("a"):
+            T.record("x", t)
+            with T.recording() as inner:
+                with T.scope("b"):
+                    T.record("x", t)
+                T.record("y", t)
+            T.record("z", t)
+        T.record("w", t)
+    assert sorted(outer) == ["a.x", "a.z", "w"]
+    assert sorted(inner) == ["a.b.x", "a.y"]
+
+    with T.recording() as outer:
+        with pytest.raises(RuntimeError):
+            with T.scope("a"):
+                with T.recording():
+                    with T.scope("b"):
+                        raise RuntimeError("boom")
+        T.record("after", t)
+    assert list(outer) == ["after"]
+    T.record("gone", t)
+    assert list(outer) == ["after"]
