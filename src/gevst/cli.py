@@ -151,11 +151,14 @@ def cmd_caption(args):
 def cmd_eval(args):
     t0 = time.time()
     refs_by_id = {s.id: [tokenize(c) for c in s.gt_captions] for s in read_jsonl(args.refs)}
-    cands, refs = [], []
+    cands, refs, first_line = [], [], {}
     for lineno, row in read_json_objects(args.pred):
         for key in ("id", "caption"):
             if not isinstance(row.get(key), str):
                 raise SchemaError(f"line {lineno}: field {key!r} must be a string")
+        if row["id"] in first_line:
+            raise SchemaError(f"line {lineno}: prediction id {row['id']!r} repeats line {first_line[row['id']]}")
+        first_line[row["id"]] = lineno
         if row["id"] not in refs_by_id:
             raise InputError(f"prediction id {row['id']!r} not present in references")
         cands.append(tokenize(row["caption"]))

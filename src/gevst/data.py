@@ -244,7 +244,15 @@ def read_json_objects(path):
 
 
 def read_jsonl(path):
-    return [sample_from_dict(obj, lineno) for lineno, obj in read_json_objects(path)]
+    """Samples of a JSONL file, one per line; a repeated scene id is a SchemaError."""
+    samples, first_line = [], {}
+    for lineno, obj in read_json_objects(path):
+        s = sample_from_dict(obj, lineno)
+        if s.id in first_line:
+            raise SchemaError(f"line {lineno}: scene id {s.id!r} repeats line {first_line[s.id]}")
+        first_line[s.id] = lineno
+        samples.append(s)
+    return samples
 
 
 # -------------------------------------------------------------- vocabulary

@@ -15,13 +15,12 @@ import numpy as np
 from . import tensor as T
 from .caption_encoder import CaptionEncoderParams, encode_captions, init_caption_encoder
 from .config import TrainConfig
-from .decoder import DecoderLayerParams, decoder_forward, init_decoder_layer, _log_probs
+from .decoder import CachedDecoder, DecoderLayerParams, decoder_forward, init_decoder_layer
 from .encoder import encode_all, init_gesa_layer
 from .errors import InputError
 from .fusion import init_fusion_cell
 from .geometry import embed_geometry, init_geometry
 from .nn import Linear, Tensor, init_embedding, init_linear, linear
-from .tensor import no_grad
 
 
 @dataclass
@@ -93,11 +92,10 @@ def caption_logits(params: ModelParams, cfg: TrainConfig, branch_outputs, token_
 
 
 def make_step_fn(params: ModelParams, cfg: TrainConfig, branch_outputs):
-    """Tapeless `prefix ids -> last-position log-prob row` closure for decoding."""
-
-    def step(prefix_ids):
-        with no_grad():
-            logits = caption_logits(params, cfg, branch_outputs, prefix_ids)
-        return _log_probs(logits.data[-1])
-
-    return step
+    """Batched, stateful decoding step for one scene: `step(prefixes)` returns
+    the [len(prefixes) x V] log-probs of the next token after each prefix,
+    tapeless. The first call takes [BOS] prefixes; each later call takes
+    prefixes one token longer than some prefix of the call before (see
+    `decoder.CachedDecoder`)."""
+    return CachedDecoder(params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out,
+                         gate_mode=cfg.gate_mode)

@@ -180,11 +180,13 @@ def apply_attention(weights, v, h):
     return merge_heads(T.matmul(weights, split_heads(v, h)))
 
 
-def attend(x_q, x_kv, q: Linear, k: Linear, v: Linear, h, mask=None):
+def attend(x_q, x_kv, q: Linear, k: Linear, v: Linear, h, mask=None, kv=linear):
     """Multi-head attention of x_q over x_kv through the projections q, k, v
-    (no output projection): [..., n_q, d] over [..., n_k, d] -> [..., n_q, d]."""
-    w = attention_weights(linear(x_q, q), linear(x_kv, k), h, mask=mask)
-    return apply_attention(w, linear(x_kv, v), h)
+    (no output projection): [..., n_q, d] over [..., n_k, d] -> [..., n_q, d].
+    `kv(x_kv, p)` gives the keys (p = k) and values (p = v); a decoding cache
+    passes one that returns stored projections."""
+    w = attention_weights(linear(x_q, q), kv(x_kv, k), h, mask=mask)
+    return apply_attention(w, kv(x_kv, v), h)
 
 
 # --------------------------------------------------------------- positions

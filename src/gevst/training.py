@@ -289,20 +289,20 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
 
 
 def scst_rollouts(params, cfg, vocab, sample, rng):
-    """(sampled ids, greedy ids) from the current policy, tapeless."""
-    branch = encode_sample(params, cfg, sample, vocab)
+    """(sampled ids, greedy ids) from the current policy, tapeless. Both
+    captions advance through one batched step per token; only the sampled
+    one draws from `rng`, once per token, as a lone sampled decode would."""
+    with no_grad():
+        branch = encode_sample(params, cfg, sample, vocab)
     step_fn = make_step_fn(params, cfg, branch)
-    greedy_ids, _ = greedy_decode(step_fn, max_len=cfg.max_len)
-    ids = [BOS_ID]
-    sampled = []
+    sampled, greedy = [BOS_ID], [BOS_ID]
     for _ in range(cfg.max_len):
-        lp = step_fn(ids)
-        tok = int(rng.choice(len(lp), p=np.exp(lp)))
-        sampled.append(tok)
-        ids.append(tok)
-        if tok == EOS_ID:
+        live = [ids for ids in (sampled, greedy) if ids[-1] != EOS_ID]
+        if not live:
             break
-    return sampled, greedy_ids
+        for ids, lp in zip(live, step_fn(live)):
+            ids.append(int(rng.choice(len(lp), p=np.exp(lp))) if ids is sampled else int(np.argmax(lp)))
+    return sampled[1:], greedy[1:]
 
 
 def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step=0, log=None):

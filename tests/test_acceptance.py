@@ -282,15 +282,15 @@ def test_criterion_5_decoder_contracts(announce):
     beam1_ok = True
     for seed in range(50):
         step = rigged_step(seed, vocab=5, peak=3.0)
-        g_ids, g_total = greedy_decode(step, max_len=8)
-        b_ids, b_cum, _ = beam_search(step, beam=1, max_len=8)
+        g_ids, g_total = greedy_decode(U.batched(step), max_len=8)
+        b_ids, b_cum, _ = beam_search(U.batched(step), beam=1, max_len=8)
         beam1_ok = beam1_ok and b_ids == g_ids and b_cum == g_total
 
     beam2_ok = True
     for seed in range(20):
         step = rigged_step(seed, vocab=3, eos_by=3)
         want = O.enumerate_best(step, 3, EOS_ID, max_len=5)
-        got = beam_search(step, beam=2, max_len=5)
+        got = beam_search(U.batched(step), beam=2, max_len=5)
         beam2_ok = beam2_ok and list(got[0]) == want[0] and abs(got[2] - want[2]) < 1e-12
 
     ok = causal_ok and beam1_ok and beam2_ok

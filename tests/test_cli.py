@@ -202,6 +202,22 @@ def test_missing_file_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_repeated_scene_id_exits_one(workdir, tmp_path, capsys):
+    lines = open(workdir["data"]).read().splitlines()
+    data = tmp_path / "twice.jsonl"
+    data.write_text("\n".join(lines + lines[:1]) + "\n")
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"id": "s00000", "caption": "a red cube"}\n')
+    argvs = (["caption", "--ckpt", workdir["ckpt"], "--data", str(data), "--out", str(tmp_path / "p.jsonl")],
+             ["eval", "--pred", str(pred), "--refs", str(data), "--out", str(tmp_path / "m.json")],
+             ["dump-attention", "--ckpt", workdir["ckpt"], "--data", str(data), "--sample-id", "s00000",
+              "--out", str(tmp_path / "attn")])
+    for argv in argvs:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"line {len(lines) + 1}: scene id 's00000' repeats line 1" in err
+
+
 def test_usage_errors_exit_two(capsys):
     for argv in ([], ["train"], ["gen-data", "--seed", "1"],
                  ["ablate", "--data", "x", "--axis", "bogus", "--out", "y"]):
@@ -296,6 +312,7 @@ def test_wrongly_typed_config_exits_one(workdir, tmp_path, capsys):
     ('{"id": "s00001"}', "line 2: field 'caption' must be a string"),
     ('{"id": "s00001", "caption": 5}', "line 2: field 'caption' must be a string"),
     ('{"caption": "a red cube"}', "line 2: field 'id' must be a string"),
+    ('{"id": "s00000", "caption": "a blue cube"}', "line 2: prediction id 's00000' repeats line 1"),
 ])
 def test_malformed_predictions_exit_one(workdir, tmp_path, capsys, line, message):
     pred = tmp_path / "pred.jsonl"

@@ -146,7 +146,16 @@ def test_read_jsonl_error_taxonomy(tmp_path):
         obj["regions"] = []
         load(json.dumps(obj) + "\n")
     # blank lines are fine
-    assert len(load(ok + "\n\n" + ok + "\n")) == 2
+    other = json.dumps(D.sample_to_dict(D.generate_sample(1, 1)))
+    assert len(load(ok + "\n\n" + other + "\n")) == 2
+
+
+def test_read_jsonl_rejects_a_repeated_scene_id(tmp_path):
+    first, second = (json.dumps(D.sample_to_dict(D.generate_sample(1, i))) for i in (0, 1))
+    p = tmp_path / "x.jsonl"
+    p.write_text(first + "\n" + second + "\n\n" + first + "\n")
+    with pytest.raises(SchemaError, match="line 4: scene id 's00000' repeats line 1"):
+        D.read_jsonl(p)
 
 
 def test_vocab_encode_decode_and_ordering():

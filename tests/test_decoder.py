@@ -5,7 +5,7 @@ import oracles as O
 import util as U
 from gevst import tensor as T
 from gevst.data import BOS_ID, EOS_ID
-from gevst.decoder import (beam_search, decoder_forward, greedy_decode,
+from gevst.decoder import (CachedDecoder, beam_search, decoder_forward, greedy_decode,
                            init_decoder_layer)
 from gevst.errors import ConfigError, ContractError
 from gevst.nn import Tensor, init_embedding, init_linear
@@ -94,22 +94,81 @@ def test_softmax_gate_mode_normalizes_across_branches(rng):
         decoder_forward(layers, 2, outs, embed, out_proj, [BOS_ID], gate_mode="mean")
 
 
+CACHED_BRANCHES = [("vv",), ("ss", "vs"), ("ss", "sv", "vs", "vv")]
+CACHED_SHAPES = [("sigmoid", 2), ("softmax", 2), ("sigmoid", 5)]
+
+
+def cached_and_oracle(rng, branches, gate_mode, n_layers):
+    """A fresh cached step for a random model, and the full-prefix oracle:
+    the log softmax of decoder_forward's last row on the whole prefix."""
+    layers, embed, out_proj, outs = small_model(rng, n_layers=n_layers, branches=branches)
+
+    def oracle(prefix):
+        row = decoder_forward(layers, 2, outs, embed, out_proj, prefix, gate_mode=gate_mode).data[-1]
+        return row - row.max() - np.log(np.exp(row - row.max()).sum())
+
+    return CachedDecoder(layers, 2, outs, embed, out_proj, gate_mode=gate_mode), oracle
+
+
+@pytest.mark.parametrize("branches", CACHED_BRANCHES)
+@pytest.mark.parametrize("gate_mode, n_layers", CACHED_SHAPES)
+def test_cached_step_matches_full_prefix_on_a_forced_sequence(rng, branches, gate_mode, n_layers):
+    step, oracle = cached_and_oracle(rng, branches, gate_mode, n_layers)
+    ids = [BOS_ID, 4, 5, 3, 4, 0, 5, 2]
+    for k in range(1, len(ids) + 1):
+        got = step([ids[:k]])
+        assert got.shape == (1, 6)
+        assert U.max_abs_delta(got[0], oracle(ids[:k])) <= 1e-12
+
+
+@pytest.mark.parametrize("branches", CACHED_BRANCHES)
+@pytest.mark.parametrize("gate_mode, n_layers", CACHED_SHAPES)
+def test_cached_beam_steps_reorder_drop_and_duplicate_parents(rng, branches, gate_mode, n_layers):
+    step, oracle = cached_and_oracle(rng, branches, gate_mode, n_layers)
+    calls = [
+        [[BOS_ID]],
+        [[BOS_ID, 3], [BOS_ID, 4], [BOS_ID, 5]],
+        # (BOS, 4) dropped, (BOS, 5) moved first, (BOS, 3) with two children
+        [[BOS_ID, 5, 1], [BOS_ID, 3, 4], [BOS_ID, 3, 0]],
+        [[BOS_ID, 3, 0, 2], [BOS_ID, 5, 1, 1], [BOS_ID, 5, 1, 3], [BOS_ID, 3, 0, 5]],
+    ]
+    for prefixes in calls:
+        got = step(prefixes)
+        assert got.shape == (len(prefixes), 6)
+        for row, prefix in zip(got, prefixes):
+            assert U.max_abs_delta(row, oracle(prefix)) <= 1e-12
+
+
+def test_cached_step_rejects_a_prefix_that_extends_no_previous_row(rng):
+    layers, embed, out_proj, outs = small_model(rng)
+    step = CachedDecoder(layers, 2, outs, embed, out_proj)
+    for first in ([[BOS_ID, 4]], [[4]], [[]], []):
+        with pytest.raises(ContractError):
+            step(first)
+    step([[BOS_ID], [BOS_ID]])
+    for bad in ([[BOS_ID]], [[BOS_ID, 4, 5]], [[BOS_ID, 4], [BOS_ID, 4, 5]], [[3, 4]]):
+        with pytest.raises(ContractError):
+            step(bad)
+    # a rejected call leaves the cache as it was
+    assert step([[BOS_ID, 4]]).shape == (1, 6)
+
+
 def test_greedy_tie_breaks_to_lowest_id():
     def step(prefix):
         return np.array([-1.0, -1.0, -0.5]) if len(prefix) < 3 else np.array([-9.0, -9.0, 0.0])
 
-    ids, total = greedy_decode(step, max_len=10)
+    ids, total = greedy_decode(U.batched(step), max_len=10)
     assert ids == [2]  # token 2 is EOS and also the argmax
     step2 = lambda prefix: np.zeros(4)  # all tied -> lowest id wins
-    ids2, _ = greedy_decode(step2, max_len=3)
+    ids2, _ = greedy_decode(U.batched(step2), max_len=3)
     assert ids2 == [0, 0, 0]
 
 
 def test_beam_one_equals_greedy():
     for seed in range(50):
         step = rigged_step(seed, vocab=5, peak=3.0)
-        g_ids, g_total = greedy_decode(step, max_len=8)
-        b_ids, b_cum, _ = beam_search(step, beam=1, max_len=8)
+        g_ids, g_total = greedy_decode(U.batched(step), max_len=8)
+        b_ids, b_cum, _ = beam_search(U.batched(step), beam=1, max_len=8)
         assert b_ids == g_ids
         assert b_cum == g_total
 
@@ -118,7 +177,7 @@ def test_beam_two_matches_exhaustive_enumeration():
     for seed in range(20):
         step = rigged_step(seed, vocab=3, eos_by=3)
         want_ids, want_cum, want_norm = O.enumerate_best(step, 3, EOS_ID, max_len=5)
-        got_ids, got_cum, got_norm = beam_search(step, beam=2, max_len=5)
+        got_ids, got_cum, got_norm = beam_search(U.batched(step), beam=2, max_len=5)
         assert want_ids[-1] == EOS_ID  # the rig must terminate inside the limit
         assert got_ids == want_ids, f"seed {seed}: {got_ids} != {want_ids}"
         assert abs(got_cum - want_cum) < 1e-12
@@ -135,7 +194,7 @@ def test_beam_prefers_normalized_score():
     def step(prefix):
         return table.get(tuple(prefix), np.log([0.01, 0.01, 0.97, 0.01]))
 
-    ids, cum, norm = beam_search(step, beam=3, max_len=4)
+    ids, cum, norm = beam_search(U.batched(step), beam=3, max_len=4)
     # [3, EOS]: mean log-prob log(0.5*0.88)/2 beats [EOS]: log(0.4)
     assert ids == [3, EOS_ID]
     assert abs(norm - (np.log(0.5) + np.log(0.88)) / 2.0) < 1e-12
@@ -143,4 +202,4 @@ def test_beam_prefers_normalized_score():
 
 def test_beam_width_validation():
     with pytest.raises(ConfigError):
-        beam_search(lambda p: np.zeros(3), beam=0)
+        beam_search(U.batched(lambda p: np.zeros(3)), beam=0)

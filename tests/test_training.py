@@ -10,10 +10,12 @@ from gevst.config import TrainConfig, miniature_config
 from gevst.data import (BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts,
                         generate_dataset, split_train_val)
 from gevst.errors import ConfigError, ContractError, ParseError, SchemaError
-from gevst.model import caption_logits, encode_sample, init_model
+from gevst.decoder import greedy_decode
+from gevst.model import caption_logits, encode_sample, init_model, make_step_fn
 from gevst.nn import Tensor, flat_parameters, log_softmax, named_parameters, parameters
 
 import oracles as O
+import util as U
 
 # tiny datasets leave one-sample validation pools, which CIDEr rightly flags
 pytestmark = pytest.mark.filterwarnings(
@@ -305,6 +307,57 @@ def test_scst_rollouts_terminate():
     for ids in (sampled, greedy_ids):
         assert 1 <= len(ids) <= cfg.max_len
         assert ids[-1] == EOS_ID or len(ids) == cfg.max_len
+
+
+def test_scst_rollouts_equal_two_separate_decodes():
+    samples, cfg = tiny_setup(n=4)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    # at this init the greedy caption ends first on some scenes, the sampled one on others
+    params = init_model(cfg, len(vocab), np.random.default_rng(7))
+    for seed, s in enumerate(samples):
+        sampled, greedy_ids = TR.scst_rollouts(params, cfg, vocab, s, np.random.default_rng(seed))
+        branch = encode_sample(params, cfg, s, vocab)
+        want_greedy, _ = greedy_decode(make_step_fn(params, cfg, branch), max_len=cfg.max_len)
+        rng, step, ids = np.random.default_rng(seed), make_step_fn(params, cfg, branch), [BOS_ID]
+        while len(ids) <= cfg.max_len and ids[-1] != EOS_ID:
+            lp = step([ids])[0]
+            ids.append(int(rng.choice(len(lp), p=np.exp(lp))))
+        assert greedy_ids == want_greedy
+        assert sampled == ids[1:]
+
+
+def test_model_step_matches_caption_logits_last_row():
+    samples, cfg = tiny_setup(n=2, gate_mode="softmax")
+    vocab = build_vocab(corpus_texts(samples), 1)
+    params = init_model(cfg, len(vocab), np.random.default_rng(3))
+    branch = encode_sample(params, cfg, samples[0], vocab)
+    step = make_step_fn(params, cfg, branch)
+    ids = [BOS_ID] + vocab.encode(samples[0].gt_captions[0])
+    for k in range(1, len(ids) + 1):
+        want = log_softmax(caption_logits(params, cfg, branch, ids[:k])).data[-1]
+        assert U.max_abs_delta(step([ids[:k]])[0], want) <= 1e-12
+
+
+def test_beam_one_equals_greedy_bit_for_bit_through_the_model():
+    samples, cfg = tiny_setup(n=6)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    params = init_model(cfg, len(vocab), np.random.default_rng(2))
+    for s in samples:
+        assert TR.beam_caption(params, cfg, vocab, s, beam=1) == TR.greedy_caption(params, cfg, vocab, s)
+
+
+def test_desk_xe_sample_records_1165_tape_nodes():
+    """Pins the taped teacher-forced path at desk defaults: 1165 nodes per sample."""
+    cfg = TrainConfig()
+    samples = generate_dataset(0, 3)
+    vocab = build_vocab(corpus_texts(samples), cfg.min_count)
+    params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+    for s in samples:
+        with T.Tape() as tape:
+            branch = encode_sample(params, cfg, s, vocab)
+            inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
+            TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
+        assert len(tape.nodes) == 1165
 
 
 # ---------------------------------------------------------------- checkpoints

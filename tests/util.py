@@ -66,3 +66,9 @@ def randomize(params_obj, rng, scale=0.4):
 
 def max_abs_delta(a, b):
     return float(np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)).max())
+
+
+def batched(step):
+    """A per-prefix rig `step(prefix) -> log-prob row` as the batched
+    `step(prefixes) -> [len(prefixes) x V]` call that decoding makes."""
+    return lambda prefixes: np.stack([step(list(p)) for p in prefixes])
