@@ -32,8 +32,6 @@ from .nn import (
     Ffn,
     LayerNorm,
     Linear,
-    apply_attention,
-    attention_weights,
     ffn,
     init_ffn,
     init_layer_norm,
@@ -92,15 +90,15 @@ def gesa_attention_maps(x_prev, g_intra, g_inter, params: GesaLayerParams, h):
     """The active per-head maps, in (content, intra, inter) order."""
     if x_prev.data.shape[-1] % h != 0:
         raise ConfigError(f"width {x_prev.data.shape[-1]} not divisible by {h} heads")
-    maps = [attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h)]
+    maps = [T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h)]
     if params.q_intra is not None:
         if g_intra.data.shape != x_prev.data.shape:
             raise ShapeError(f"intra-geometry shape {g_intra.data.shape} != content shape {x_prev.data.shape}")
-        maps.append(attention_weights(linear(g_intra, params.q_intra), linear(g_intra, params.k_intra), h))
+        maps.append(T.attention_weights(linear(g_intra, params.q_intra), linear(g_intra, params.k_intra), h))
     if params.q_inter is not None:
         if g_inter.data.shape != x_prev.data.shape:
             raise ShapeError(f"inter-geometry shape {g_inter.data.shape} != content shape {x_prev.data.shape}")
-        maps.append(attention_weights(linear(g_inter, params.q_inter), linear(g_inter, params.k_inter), h))
+        maps.append(T.attention_weights(linear(g_inter, params.q_inter), linear(g_inter, params.k_inter), h))
     return maps
 
 
@@ -117,7 +115,7 @@ def gesa_layer(x_prev, g_intra, g_inter, params: GesaLayerParams, h):
     combined = T.mul(maps[0], T.narrow(gates, 0, 0, 1))
     for i in range(1, len(maps)):
         combined = T.add(combined, T.mul(maps[i], T.narrow(gates, 0, i, 1)))
-    attended = apply_attention(combined, linear(x_prev, params.v_c), h)
+    attended = T.apply_attention(combined, linear(x_prev, params.v_c), h)
     a = layer_norm(T.add(x_prev, attended), params.ln1)
     return layer_norm(T.add(a, ffn(a, params.ffn)), params.ln2)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
 from .tensor import Tensor
 
 # Constant tensors reused across calls (never written to).
@@ -134,50 +133,7 @@ def flat_parameters(obj):
     return flat
 
 
-# ------------------------------------------------------------- head helpers
-
-
-def split_heads(x, h):
-    """[..., n, d] -> [..., h, n, d/h]."""
-    shp = x.data.shape
-    n, d = shp[-2], shp[-1]
-    if d % h != 0:
-        raise ShapeError(f"width {d} not divisible by {h} heads")
-    dh = d // h
-    y = T.reshape(x, shp[:-2] + (n, h, dh))
-    perm = tuple(range(len(shp) - 2)) + (len(shp) - 1, len(shp) - 2, len(shp))
-    return T.transpose(y, perm)
-
-
-def merge_heads(x):
-    """[..., h, n, dh] -> [..., n, h*dh]."""
-    shp = x.data.shape
-    h, n, dh = shp[-3], shp[-2], shp[-1]
-    perm = tuple(range(len(shp) - 3)) + (len(shp) - 2, len(shp) - 3, len(shp) - 1)
-    y = T.transpose(x, perm)
-    return T.reshape(y, shp[:-3] + (n, h * dh))
-
-
-def attention_weights(q, k, h, mask=None):
-    """Per-head row-stochastic maps softmax(QK^T / sqrt(d_h)).
-
-    q: [..., n_q, d], k: [..., n_k, d]; returns [..., h, n_q, n_k].
-    mask (optional bool array of that shape) marks positions filled with -1e9
-    before the softmax.
-    """
-    dh = q.data.shape[-1] // h
-    qh = split_heads(q, h)
-    kh = split_heads(k, h)
-    ndim = len(kh.data.shape)
-    scores = T.mul(T.matmul(qh, T.transpose(kh, tuple(range(ndim - 2)) + (ndim - 1, ndim - 2))), 1.0 / np.sqrt(dh))
-    if mask is not None:
-        scores = T.masked_fill(scores, mask, -1e9)
-    return T.softmax(scores)
-
-
-def apply_attention(weights, v, h):
-    """weights: [..., h, n_q, n_k], v: [..., n_k, d] -> [..., n_q, d]."""
-    return merge_heads(T.matmul(weights, split_heads(v, h)))
+# ---------------------------------------------------------------- attention
 
 
 def attend(x_q, x_kv, q: Linear, k: Linear, v: Linear, h, mask=None, kv=linear):
@@ -185,8 +141,8 @@ def attend(x_q, x_kv, q: Linear, k: Linear, v: Linear, h, mask=None, kv=linear):
     (no output projection): [..., n_q, d] over [..., n_k, d] -> [..., n_q, d].
     `kv(x_kv, p)` gives the keys (p = k) and values (p = v); a decoding cache
     passes one that returns stored projections."""
-    w = attention_weights(linear(x_q, q), kv(x_kv, k), h, mask=mask)
-    return apply_attention(w, kv(x_kv, v), h)
+    w = T.attention_weights(linear(x_q, q), kv(x_kv, k), h, mask=mask)
+    return T.apply_attention(w, kv(x_kv, v), h)
 
 
 # --------------------------------------------------------------- positions

@@ -290,6 +290,76 @@ def pairwise_add(p, k):
     return _emit(out, (p, k), bwd)
 
 
+def _head_view(xd, h, opname):
+    """[..., n, d] data as the strided view [..., h, n, d/h] (h contiguous
+    column blocks), plus the axis swap that maps one layout to the other."""
+    nd = xd.ndim
+    if nd < 2 or xd.shape[-1] % h != 0:
+        raise ShapeError(f"{opname}: width of shape {xd.shape} not divisible by {h} heads")
+    perm = tuple(range(nd - 2)) + (nd - 1, nd - 2, nd)
+    return xd.reshape(xd.shape[:-1] + (h, xd.shape[-1] // h)).transpose(perm), perm
+
+
+def attention_weights(q, k, h, mask=None):
+    """Per-head row-stochastic maps softmax(Q K^T / sqrt(d/h)) as one op.
+
+    q: [..., n_q, d], k: [..., n_k, d] -> [..., h, n_q, n_k]. mask (optional
+    bool array of the output's shape) marks scores set to -1e9 before the
+    softmax.
+    """
+    qd, kd = q.data, k.data
+    qh, perm = _head_view(qd, h, "attention_weights")
+    if (kd.ndim != qd.ndim or kd.shape[:-2] != qd.shape[:-2] or kd.shape[-1] != qd.shape[-1]
+            or kd.shape[-2] == 0):
+        raise ShapeError(f"attention_weights: keys {kd.shape} do not match queries {qd.shape}")
+    kh, _ = _head_view(kd, h, "attention_weights")
+    scale = np.asarray(1.0 / np.sqrt(qd.shape[-1] // h))
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != scores.shape:
+            raise ShapeError(f"attention_weights: mask shape {mask.shape} != score shape {scores.shape}")
+        scores = np.where(mask, -1e9, scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gs = out * (g - (g * out).sum(axis=-1, keepdims=True))
+        if mask is not None:
+            gs = np.where(mask, 0.0, gs)
+        gs = gs * scale
+        gq = (gs @ kh).transpose(perm).reshape(qd.shape) if q.requires_grad else None
+        if k.requires_grad:
+            gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2).transpose(perm).reshape(kd.shape)
+        else:
+            gk = None
+        return gq, gk
+
+    return _emit(out, (q, k), bwd)
+
+
+def apply_attention(weights, v, h):
+    """Per-head maps applied to the values, heads merged back, as one op.
+
+    weights: [..., h, n_q, n_k], v: [..., n_k, d] -> [..., n_q, d].
+    """
+    wd, vd = weights.data, v.data
+    vh, perm = _head_view(vd, h, "apply_attention")
+    if (wd.ndim != vd.ndim + 1 or wd.shape[:-3] != vd.shape[:-2] or wd.shape[-3] != h
+            or wd.shape[-1] != vd.shape[-2]):
+        raise ShapeError(f"apply_attention: weights {wd.shape} do not fit {h} heads over values {vd.shape}")
+    merged = (wd @ vh).transpose(perm)
+    out = merged.reshape(merged.shape[:-2] + (vd.shape[-1],))
+
+    def bwd(g):
+        gh = g.reshape(merged.shape).transpose(perm)
+        gw = gh @ vh.swapaxes(-1, -2) if weights.requires_grad else None
+        gv = (wd.swapaxes(-1, -2) @ gh).transpose(perm).reshape(vd.shape) if v.requires_grad else None
+        return gw, gv
+
+    return _emit(out, (weights, v), bwd)
+
+
 # ----------------------------------------------------------------- unary ops
 
 
@@ -451,8 +521,7 @@ def transpose(x, axes=None):
     axes = tuple(a % xd.ndim for a in axes)
     if sorted(axes) != list(range(xd.ndim)):
         raise ShapeError(f"transpose: {axes} is not a permutation of axes of shape {xd.shape}")
-    inv = np.argsort(axes)
-    return _emit(xd.transpose(axes), (x,), lambda g: (g.transpose(inv),))
+    return _emit(xd.transpose(axes), (x,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def masked_fill(x, mask, value):
@@ -487,54 +556,3 @@ def embedding_lookup(table, ids):
         return (z,)
 
     return _emit(out, (table,), bwd)
-
-
-# ------------------------------------------------------------- verification
-
-
-def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8):
-    """Compare reverse-mode d f/d x against central differences.
-
-    f maps the Tensor x (and whatever it closes over) to a scalar Tensor.
-    Relative error per coordinate is |a - n| / max(|a|, |n|, floor); the max
-    over checked coordinates is returned. max_coords samples that many
-    coordinates with rng instead of sweeping all of them.
-
-    floor turns the ratio into an absolute comparison for coordinates whose
-    gradient is near zero (an attention key bias, say, cancels inside softmax
-    and backs an exactly-zero gradient): there the difference |a - n| is pure
-    finite-difference noise and dividing by it would measure nothing.
-    """
-    if not x.requires_grad:
-        raise ContractError("grad_check target must require grad")
-    x.grad = None
-    with Tape() as tape:
-        y = f(x)
-        if y.data.size != 1:
-            raise ContractError(f"grad_check needs a scalar-valued f, got shape {y.data.shape}")
-        tape.backward(y)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad
-    aflat = analytic.reshape(-1)
-    flat = x.data.reshape(-1)
-    n = flat.size
-    if max_coords is not None and max_coords < n:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        coords = rng.choice(n, size=max_coords, replace=False)
-    else:
-        coords = range(n)
-    worst = 0.0
-    with no_grad():
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = float(f(x).data)
-            flat[i] = orig - eps
-            fm = float(f(x).data)
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * eps)
-            a = aflat[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
-            if rel > worst:
-                worst = rel
-    return worst

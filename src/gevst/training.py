@@ -180,23 +180,6 @@ def corpus_cider(params, cfg, vocab, samples):
     return score
 
 
-def token_accuracy(params, cfg, vocab, samples):
-    """Teacher-forcing accuracy on the first gt caption, plus mean XE loss."""
-    hits = total = 0
-    loss_sum = 0.0
-    with no_grad():
-        for s in samples:
-            branch = encode_sample(params, cfg, s, vocab)
-            inputs, targets = teacher_pair(vocab, s.gt_captions[0])
-            logits = caption_logits(params, cfg, branch, inputs)
-            loss_sum += xe_loss(logits, targets).item()
-            pred = logits.data.argmax(axis=1)
-            live = np.asarray(targets) != PAD_ID
-            hits += int((pred[live] == np.asarray(targets)[live]).sum())
-            total += int(live.sum())
-    return hits / max(1, total), loss_sum / max(1, len(samples))
-
-
 # ---------------------------------------------------------------- training
 
 

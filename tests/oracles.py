@@ -14,9 +14,12 @@ square root.
 
 The last section is the exception: it keeps, as bit-exact references, the
 per-tensor numpy optimizer and checkpoint writer that the flat parameter
-vector replaced, and the kron-gather additive-attention map that the
-engine's pairwise_add replaced. They still import nothing from the package:
-the attention map takes the tensor engine as an argument.
+vector replaced, the kron-gather additive-attention map that the engine's
+pairwise_add replaced, and the multi-head attention built from the engine's
+reshape/transpose/matmul/mul/masked_fill/softmax ops that its fused
+attention_weights and apply_attention replaced. They still import nothing
+from the package: the attention functions take the tensor engine as an
+argument.
 """
 
 import json
@@ -473,3 +476,40 @@ def kron_attention_map(T, att, queries, keys):
     h = T.tanh(T.add(T.matmul(eq, p), T.matmul(ek, k)))
     scores = T.reshape(T.affine(h, att.out.w, att.out.b), (n, m))
     return T.softmax(scores)
+
+
+def split_heads(T, x, h):
+    """[..., n, d] -> [..., h, n, d/h] through the engine T."""
+    shp = x.data.shape
+    n, d = shp[-2], shp[-1]
+    if d % h != 0:
+        raise T.ShapeError(f"width {d} not divisible by {h} heads")
+    y = T.reshape(x, shp[:-2] + (n, h, d // h))
+    perm = tuple(range(len(shp) - 2)) + (len(shp) - 1, len(shp) - 2, len(shp))
+    return T.transpose(y, perm)
+
+
+def merge_heads(T, x):
+    """[..., h, n, dh] -> [..., n, h*dh] through the engine T."""
+    shp = x.data.shape
+    h, n, dh = shp[-3], shp[-2], shp[-1]
+    perm = tuple(range(len(shp) - 3)) + (len(shp) - 2, len(shp) - 3, len(shp) - 1)
+    return T.reshape(T.transpose(x, perm), shp[:-3] + (n, h * dh))
+
+
+def attention_weights(T, q, k, h, mask=None):
+    """softmax(Q K^T / sqrt(d_h)) per head, -1e9 where mask, one engine op per step."""
+    dh = q.data.shape[-1] // h
+    qh = split_heads(T, q, h)
+    kh = split_heads(T, k, h)
+    ndim = len(kh.data.shape)
+    kt = T.transpose(kh, tuple(range(ndim - 2)) + (ndim - 1, ndim - 2))
+    scores = T.mul(T.matmul(qh, kt), 1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = T.masked_fill(scores, mask, -1e9)
+    return T.softmax(scores)
+
+
+def apply_attention(T, weights, v, h):
+    """weights [..., h, n_q, n_k] over v [..., n_k, d] -> [..., n_q, d]."""
+    return merge_heads(T, T.matmul(weights, split_heads(T, v, h)))

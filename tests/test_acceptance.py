@@ -22,7 +22,7 @@ from gevst import ablation, cli, metrics
 from gevst import tensor as T
 from gevst import training as TR
 from gevst.config import TrainConfig, miniature_config
-from gevst.data import (BOS_ID, EOS_ID, DenseCaption, Region, Sample,
+from gevst.data import (BOS_ID, EOS_ID, PAD_ID, DenseCaption, Region, Sample,
                         build_vocab, corpus_texts, generate_dataset,
                         split_train_val)
 from gevst.decoder import beam_search, greedy_decode, init_decoder_layer
@@ -91,7 +91,7 @@ def test_criterion_1_full_model_gradients(announce):
         # eps=1e-6 keeps truncation negligible; floor=1e-5 makes near-zero
         # gradients (inert key biases, weakly-coupled inter projections at
         # init) an absolute comparison instead of a noise ratio
-        rel = T.grad_check(loss_fn, tensor, eps=1e-6, max_coords=2,
+        rel = U.grad_check(loss_fn, tensor, eps=1e-6, max_coords=2,
                            rng=np.random.default_rng(1000 + i), floor=1e-5)
         n_tensors += 1
         if rel > worst:
@@ -341,6 +341,23 @@ def test_criterion_6_metric_oracles(announce):
 # ----------------------------------------------------------- criteria 7 & 8
 
 
+def token_accuracy(params, cfg, vocab, samples):
+    """Teacher-forcing accuracy on the first gt caption, plus mean XE loss."""
+    hits = total = 0
+    loss_sum = 0.0
+    with T.no_grad():
+        for s in samples:
+            branch = encode_sample(params, cfg, s, vocab)
+            inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
+            logits = caption_logits(params, cfg, branch, inputs)
+            loss_sum += TR.xe_loss(logits, targets).item()
+            pred = logits.data.argmax(axis=1)
+            live = np.asarray(targets) != PAD_ID
+            hits += int((pred[live] == np.asarray(targets)[live]).sum())
+            total += int(live.sum())
+    return hits / max(1, total), loss_sum / max(1, len(samples))
+
+
 @pytest.fixture(scope="module")
 def desk_run():
     """50-sample desk-config XE training, shared by criteria 7 and 8.
@@ -357,13 +374,13 @@ def desk_run():
     def stop(epoch, loss):
         if loss >= 0.05:
             return False
-        acc, _ = TR.token_accuracy(params, cfg, vocab, train_split)
+        acc, _ = token_accuracy(params, cfg, vocab, train_split)
         return acc >= 0.99
 
     t0 = time.time()
     out = TR.train_xe(samples, cfg, epochs=500, params=params, vocab=vocab, stop_fn=stop)
     elapsed = time.time() - t0
-    acc, mean_loss = TR.token_accuracy(out.params, cfg, vocab, train_split)
+    acc, mean_loss = token_accuracy(out.params, cfg, vocab, train_split)
     cider = TR.corpus_cider(out.params, cfg, vocab, train_split)
     return {"samples": samples, "cfg": cfg, "vocab": vocab, "out": out,
             "train_split": train_split, "elapsed": elapsed, "acc": acc,

@@ -9,7 +9,7 @@ from gevst.encoder import (BRANCHES, VARIANTS, branch_forward, encode_all,
                            variant_map_count)
 from gevst.errors import ConfigError, ShapeError
 from gevst.fusion import init_fusion_cell
-from gevst.nn import Tensor, attention_weights, linear
+from gevst.nn import Tensor, linear
 
 
 def rand_layer(rng, d, h, variant="con_intra_inter"):
@@ -80,9 +80,9 @@ def test_geometry_maps_static_across_layers(rng):
     d, h = 8, 2
     lp = rand_layer(rng, d, h)
     x, gi, ge = rand_xgg(rng, 4, d)
-    m1 = attention_weights(linear(gi, lp.q_intra), linear(gi, lp.k_intra), h).data
+    m1 = T.attention_weights(linear(gi, lp.q_intra), linear(gi, lp.k_intra), h).data
     y = gesa_layer(x, gi, ge, lp, h)
-    m2 = attention_weights(linear(gi, lp.q_intra), linear(gi, lp.k_intra), h).data
+    m2 = T.attention_weights(linear(gi, lp.q_intra), linear(gi, lp.k_intra), h).data
     assert np.array_equal(m1, m2)
     assert y.data.shape == x.data.shape
 

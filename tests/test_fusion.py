@@ -112,10 +112,10 @@ def test_fusion_gradients(rng):
         up, _, _, inter = fusion_cell(cell, 2, t, gq, ck, gk)
         return T.total_sum(T.add(T.mul(up, up), inter))
 
-    rel = T.grad_check(f, Tensor(x0.copy(), requires_grad=True))
+    rel = U.grad_check(f, Tensor(x0.copy(), requires_grad=True))
     assert rel < 1e-6
     # and through a parameter tensor
-    relw = T.grad_check(
+    relw = U.grad_check(
         lambda w: f(Tensor(x0.copy())),
         cell.geometry.out.w,
     )

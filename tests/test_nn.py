@@ -1,6 +1,7 @@
 """Building-block checks: attention heads, log-softmax, parameter walking."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,30 +9,29 @@ import pytest
 import oracles as O
 from gevst import tensor as T
 from gevst.errors import ShapeError
-from gevst.nn import (LayerNorm, Tensor, apply_attention, attention_weights,
-                      ffn, flat_parameters, init_ffn, init_linear, layer_norm, linear,
-                      log_softmax, merge_heads, named_parameters,
-                      sinusoidal_positions, split_heads)
-from gevst.tensor import grad_check
+from gevst.nn import (LayerNorm, Tensor, ffn, flat_parameters, init_ffn, init_linear,
+                      layer_norm, linear, log_softmax, named_parameters,
+                      sinusoidal_positions)
+from util import grad_check
 
 RNG = np.random.default_rng(31)
 
 
 def test_split_merge_heads_round_trip():
     x = Tensor(RNG.normal(0, 1, (5, 8)))
-    back = merge_heads(split_heads(x, 2))
+    back = O.merge_heads(T, O.split_heads(T, x, 2))
     assert np.array_equal(back.data, x.data)
 
 
 def test_split_heads_rejects_indivisible_width():
     with pytest.raises(ShapeError):
-        split_heads(Tensor(np.ones((3, 7))), 2)
+        O.split_heads(T, Tensor(np.ones((3, 7))), 2)
 
 
 def test_attention_weights_rows_stochastic_per_head():
     q = Tensor(RNG.normal(0, 1, (4, 8)))
     k = Tensor(RNG.normal(0, 1, (6, 8)))
-    w = attention_weights(q, k, 4)
+    w = T.attention_weights(q, k, 4)
     assert w.data.shape == (4, 4, 6)
     assert np.allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -40,7 +40,7 @@ def test_attention_matches_scalar_oracle():
     q = Tensor(RNG.normal(0, 1, (3, 6)))
     k = Tensor(RNG.normal(0, 1, (5, 6)))
     v = Tensor(RNG.normal(0, 1, (5, 6)))
-    got = apply_attention(attention_weights(q, k, 2), v, 2)
+    got = T.apply_attention(T.attention_weights(q, k, 2), v, 2)
     maps = O.multi_head_maps(O.mat(q.data), O.mat(k.data), 2)
     want = O.apply_maps(maps, O.mat(v.data), 2)
     assert np.abs(got.data - np.array(want)).max() < 1e-13
@@ -50,11 +50,116 @@ def test_attention_mask_zeroes_and_grads():
     q = Tensor(RNG.normal(0, 1, (4, 4)), requires_grad=True)
     k = Tensor(RNG.normal(0, 1, (4, 4)))
     mask = np.broadcast_to(np.triu(np.ones((4, 4), dtype=bool), k=1), (2, 4, 4))
-    w = attention_weights(q, k, 2, mask=mask)
+    w = T.attention_weights(q, k, 2, mask=mask)
     assert (w.data[:, 0, 1:] == 0.0).all()
     probe = Tensor(RNG.normal(0, 1, (2, 4, 4)))
-    err = grad_check(lambda t: T.total_sum(T.mul(attention_weights(t, k, 2, mask=mask), probe)), q)
+    err = grad_check(lambda t: T.total_sum(T.mul(T.attention_weights(t, k, 2, mask=mask), probe)), q)
     assert err < 1e-6
+
+
+# The fused attention ops against the composite they replaced (the oracle):
+# same forward bits and same gradient bits for every input, in the shapes each
+# caller uses.
+
+FUSED = (T.attention_weights, T.apply_attention)
+COMPOSITE = (partial(O.attention_weights, T), partial(O.apply_attention, T))
+
+
+def _pad_key_mask(lens, h, n):
+    pad_key = np.arange(n)[None, :] >= np.array(lens)[:, None]
+    return np.broadcast_to(pad_key[:, None, None, :], (len(lens), h, n, n))
+
+
+def _attend(mask):
+    def build(weights_op, apply_op, q, k, v):
+        w = weights_op(q, k, 2, mask=mask)
+        return [w, apply_op(w, v, 2)]
+    return build
+
+
+def _gate_mixed(weights_op, apply_op, q, k, q2, k2, v, gate):
+    gates = T.softmax(gate)
+    combined = T.add(T.mul(weights_op(q, k, 2), T.narrow(gates, 0, 0, 1)),
+                     T.mul(weights_op(q2, k2, 2), T.narrow(gates, 0, 1, 1)))
+    return [combined, apply_op(combined, v, 2)]
+
+
+CAUSAL = np.broadcast_to(np.triu(np.ones((5, 5), dtype=bool), k=1), (2, 5, 5))
+ATTENTION_CASES = {
+    "gesa_2d": ({"q": (5, 8), "k": (5, 8), "v": (5, 8)}, _attend(None)),
+    "caption_pad_mask": ({"q": (3, 4, 8), "k": (3, 4, 8), "v": (3, 4, 8)},
+                         _attend(_pad_key_mask([4, 2, 3], 2, 4))),
+    "causal": ({"q": (5, 8), "k": (5, 8), "v": (5, 8)}, _attend(CAUSAL)),
+    "cached_step": ({"q": (3, 1, 8), "k": (3, 4, 8), "v": (3, 4, 8)}, _attend(None)),
+    "gate_mixed": ({"q": (4, 6), "k": (4, 6), "q2": (4, 6), "k2": (4, 6), "v": (4, 6), "gate": (2,)},
+                   _gate_mixed),
+}
+
+
+def _probed_loss(outs):
+    """Fixed random weighted sum of the map and the attended values."""
+    rng = np.random.default_rng(5)
+    w, attended = (T.total_sum(T.mul(o, Tensor(rng.normal(0, 1, o.data.shape)))) for o in outs)
+    return T.add(w, attended)
+
+
+def _run(ops, build, arrays, trainable):
+    tensors = {n: Tensor(a.copy(), requires_grad=n in trainable) for n, a in arrays.items()}
+    with T.Tape() as tape:
+        outs = build(*ops, **tensors)
+        tape.backward(_probed_loss(outs))
+    return [o.data for o in outs], {n: tensors[n].grad for n in trainable}
+
+
+@pytest.mark.parametrize("trainable", [None, ("q",), ("k",), ("v",)], ids=["all", "q", "k", "v"])
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_fused_attention_equals_composite_bit_for_bit(case, trainable):
+    shapes, build = ATTENTION_CASES[case]
+    rng = np.random.default_rng(11)
+    arrays = {n: rng.normal(0, 1, s) for n, s in shapes.items()}
+    trainable = tuple(shapes) if trainable is None else trainable
+    fused_outs, fused_grads = _run(FUSED, build, arrays, trainable)
+    ref_outs, ref_grads = _run(COMPOSITE, build, arrays, trainable)
+    for got, want in zip(fused_outs, ref_outs):
+        assert np.array_equal(got, want)
+    for n in trainable:
+        assert fused_grads[n] is not None and np.array_equal(fused_grads[n], ref_grads[n]), n
+
+    for n in trainable:
+        others = {m: Tensor(a) for m, a in arrays.items() if m != n}
+        err = grad_check(lambda t: _probed_loss(build(*FUSED, **others, **{n: t})),
+                         Tensor(arrays[n].copy(), requires_grad=True))
+        assert err < 1e-6, (n, err)
+
+
+def test_fused_attention_records_one_node_per_op():
+    q, k, v = (Tensor(RNG.normal(0, 1, (4, 8)), requires_grad=True) for _ in range(3))
+    with T.Tape() as tape:
+        T.apply_attention(T.attention_weights(q, k, 2), v, 2)
+    assert len(tape.nodes) == 2
+
+
+def test_fused_attention_shape_errors():
+    ones = lambda *s: Tensor(np.ones(s))  # noqa: E731
+    bad_weights = [
+        (ones(3, 7), ones(3, 7), 2, None),  # width not divisible by h
+        (ones(3, 8), ones(3, 6), 2, None),  # query and key widths differ
+        (ones(2, 3, 8), ones(3, 3, 8), 2, None),  # batch dims differ
+        (ones(3, 8), ones(0, 8), 2, None),  # no keys
+        (ones(3, 8), ones(4, 8), 2, np.zeros((2, 3, 3), dtype=bool)),  # mask shape
+    ]
+    for q, k, h, mask in bad_weights:
+        with pytest.raises(ShapeError):
+            T.attention_weights(q, k, h, mask=mask)
+    bad_apply = [
+        (ones(2, 3, 4), ones(4, 7), 2),  # width not divisible by h
+        (ones(2, 3, 4), ones(4, 8), 4),  # map has 2 heads, not 4
+        (ones(2, 3, 4), ones(5, 8), 2),  # map covers 4 keys, not 5
+        (ones(3, 4), ones(4, 8), 2),  # map without a head axis
+    ]
+    for w, v, h in bad_apply:
+        with pytest.raises(ShapeError):
+            T.apply_attention(w, v, h)
 
 
 def test_linear_ffn_layer_norm_grads():

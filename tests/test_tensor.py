@@ -8,7 +8,8 @@ from gevst import tensor as T
 from gevst.encoder import BRANCHES, encode_all, init_gesa_layer
 from gevst.errors import ShapeError
 from gevst.fusion import init_fusion_cell
-from gevst.tensor import Tape, Tensor, grad_check, no_grad
+from gevst.tensor import Tape, Tensor, no_grad
+from util import grad_check
 
 RNG = np.random.default_rng(77)
 
@@ -82,6 +83,9 @@ def test_shape_op_grads():
     check(lambda t: T.total_sum(T.sum_pool_stride(T.mul(t, t), 4)), x)
     check(lambda t: T.total_sum(T.mul(T.reshape(t, (4, 4)), 2.0)), x)
     check(lambda t: T.total_sum(T.tanh(T.transpose(t))), x)
+    x3 = Tensor(RNG.normal(0, 1, (2, 3, 4)), requires_grad=True)
+    w3 = Tensor(RNG.normal(0, 1, (3, 4, 2)))
+    check(lambda t: T.total_sum(T.mul(T.tanh(T.transpose(t, (1, 2, 0))), w3)), x3)
     check(lambda t: T.total_sum(T.narrow(t, 1, 2, 3)), x)
     check(lambda t: T.total_sum(T.mean(t, axis=0)), x)
     check(lambda t: T.total_sum(T.concat([t, t], axis=0)), x)

@@ -223,7 +223,7 @@ def test_scst_surrogate_gradient_with_frozen_sample():
         return TR.reinforce_loss(TR.sequence_logprob(logits, sampled), advantage)
 
     target = params.dec_layers[0].cross["vv"].q.w
-    rel = T.grad_check(loss_fn, target, max_coords=6, rng=np.random.default_rng(0))
+    rel = U.grad_check(loss_fn, target, max_coords=6, rng=np.random.default_rng(0))
     assert rel < 1e-5
 
 
@@ -346,8 +346,8 @@ def test_beam_one_equals_greedy_bit_for_bit_through_the_model():
         assert TR.beam_caption(params, cfg, vocab, s, beam=1) == TR.greedy_caption(params, cfg, vocab, s)
 
 
-def test_desk_xe_sample_records_1165_tape_nodes():
-    """Pins the taped teacher-forced path at desk defaults: 1165 nodes per sample."""
+def test_desk_xe_sample_records_661_tape_nodes():
+    """Pins the taped teacher-forced path at desk defaults: 661 nodes per sample."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 3)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
@@ -357,7 +357,7 @@ def test_desk_xe_sample_records_1165_tape_nodes():
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 1165
+        assert len(tape.nodes) == 661
 
 
 # ---------------------------------------------------------------- checkpoints

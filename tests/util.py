@@ -4,6 +4,8 @@ plus small helpers shared across test modules."""
 import numpy as np
 
 import oracles as O
+from gevst import tensor as T
+from gevst.errors import ContractError
 from gevst.nn import named_parameters
 
 
@@ -72,3 +74,51 @@ def batched(step):
     """A per-prefix rig `step(prefix) -> log-prob row` as the batched
     `step(prefixes) -> [len(prefixes) x V]` call that decoding makes."""
     return lambda prefixes: np.stack([step(list(p)) for p in prefixes])
+
+
+def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8):
+    """Compare reverse-mode d f/d x against central differences.
+
+    f maps the Tensor x (and whatever it closes over) to a scalar Tensor.
+    Relative error per coordinate is |a - n| / max(|a|, |n|, floor); the max
+    over checked coordinates is returned. max_coords samples that many
+    coordinates with rng instead of sweeping all of them.
+
+    floor turns the ratio into an absolute comparison for coordinates whose
+    gradient is near zero (an attention key bias, say, cancels inside softmax
+    and backs an exactly-zero gradient): there the difference |a - n| is pure
+    finite-difference noise and dividing by it would measure nothing.
+    """
+    if not x.requires_grad:
+        raise ContractError("grad_check target must require grad")
+    x.grad = None
+    with T.Tape() as tape:
+        y = f(x)
+        if y.data.size != 1:
+            raise ContractError(f"grad_check needs a scalar-valued f, got shape {y.data.shape}")
+        tape.backward(y)
+    analytic = np.zeros_like(x.data) if x.grad is None else x.grad
+    aflat = analytic.reshape(-1)
+    flat = x.data.reshape(-1)
+    n = flat.size
+    if max_coords is not None and max_coords < n:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        coords = rng.choice(n, size=max_coords, replace=False)
+    else:
+        coords = range(n)
+    worst = 0.0
+    with T.no_grad():
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = float(f(x).data)
+            flat[i] = orig - eps
+            fm = float(f(x).data)
+            flat[i] = orig
+            numeric = (fp - fm) / (2.0 * eps)
+            a = aflat[i]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+            if rel > worst:
+                worst = rel
+    return worst
