@@ -23,10 +23,9 @@ import numpy as np
 
 from . import ablation, metrics, training
 from . import tensor as T
-from .config import config_from_dict
+from .config import BRANCH_NAMES, config_from_dict
 from .data import BOS_ID, read_json_objects, read_jsonl, tokenize, write_jsonl
-from .decoder import beam_search, greedy_decode
-from .encoder import BRANCHES
+from .decoder import greedy_decode
 from .errors import ConfigError, GevstError, InputError, SchemaError
 from .model import caption_logits, encode_sample, make_step_fn
 from .training import (load_checkpoint, restore_snapshot, save_checkpoint,
@@ -131,15 +130,10 @@ def cmd_caption(args):
     t0 = time.time()
     cfg, vocab, params, _ = load_checkpoint(args.ckpt)
     samples = read_jsonl(args.data)
-    beam = args.beam if args.beam is not None else cfg.beam
     rows = []
     for s in samples:
-        branch = encode_sample(params, cfg, s, vocab)
-        ids, cum, _ = beam_search(make_step_fn(params, cfg, branch),
-                                  beam=beam, max_len=cfg.max_len)
-        rows.append({"id": s.id,
-                     "caption": " ".join(training.caption_tokens(vocab, ids)),
-                     "logprob": cum})
+        tokens, cum = training.beam_caption(params, cfg, vocab, s, beam=args.beam)
+        rows.append({"id": s.id, "caption": " ".join(tokens), "logprob": cum})
     with open(args.out, "w") as f:
         for row in rows:
             f.write(json.dumps(row, sort_keys=True) + "\n")
@@ -198,7 +192,7 @@ def cmd_dump_attention(args):
                 _write_matrix_csv(path, arr)
                 outputs.append(path)
 
-    for b in BRANCHES:
+    for b in BRANCH_NAMES:
         if f"{b}.gesa_gates" not in enc:
             continue
         path = os.path.join(args.out, f"gesa_gates_{b}.csv")
@@ -215,7 +209,7 @@ def cmd_dump_attention(args):
         caption_logits(params, cfg, branch, [BOS_ID] + ids[:-1])
     # per branch: one [steps x d] gate per decoder layer, averaged over d, then layers
     step_means = {b: [g.mean(axis=1) for g in dec[f"decoder_gates_{b}"]]
-                  for b in BRANCHES if f"decoder_gates_{b}" in dec}
+                  for b in BRANCH_NAMES if f"decoder_gates_{b}" in dec}
     path = os.path.join(args.out, "decoder_gates.csv")
     with open(path, "w") as f:
         f.write("step," + ",".join(step_means) + "\n")

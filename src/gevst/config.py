@@ -7,7 +7,7 @@ batch 40) stay reachable through overrides. Validation runs before any math.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ConfigError
 

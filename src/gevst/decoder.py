@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import BRANCH_NAMES
 from .data import BOS_ID, EOS_ID
 from .errors import ConfigError, ContractError
 from .nn import (
@@ -104,7 +105,7 @@ def modulated_multi_input(y, branch_outputs, layer: DecoderLayerParams, h, gate_
     """
     if gate_mode not in ("sigmoid", "softmax"):
         raise ConfigError(f"gate_mode must be sigmoid or softmax, got {gate_mode!r}")
-    branches = [b for b in ("ss", "sv", "vs", "vv") if b in branch_outputs]
+    branches = [b for b in BRANCH_NAMES if b in branch_outputs]
     if not branches:
         raise ConfigError("decoder needs at least one branch output")
     contexts, scores = [], []

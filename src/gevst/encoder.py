@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
+from .config import BRANCH_NAMES, GESA_VARIANTS
 from .errors import ConfigError, ShapeError
 from .fusion import stack_fusion
 from .nn import (
@@ -40,13 +41,10 @@ from .nn import (
     linear,
 )
 
-VARIANTS = ("con", "con_intra", "con_intra_inter")
-BRANCHES = ("ss", "sv", "vs", "vv")
-
 
 def variant_map_count(variant):
-    if variant not in VARIANTS:
-        raise ConfigError(f"gesa variant must be one of {VARIANTS}, got {variant!r}")
+    if variant not in GESA_VARIANTS:
+        raise ConfigError(f"gesa variant must be one of {GESA_VARIANTS}, got {variant!r}")
     return 1 + variant.count("_")
 
 
@@ -128,8 +126,14 @@ def branch_forward(layers, h, content, g_intra, g_inter):
     return x
 
 
+def needs_fusion(branches):
+    """(fusion_vs needed, fusion_sv needed): vv/vs read the visual-primary
+    fusion, ss/sv the semantic-primary one."""
+    return ("vv" in branches or "vs" in branches, "ss" in branches or "sv" in branches)
+
+
 def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
-               h, er, active_branches=BRANCHES, renorm=False):
+               h, er, active_branches=BRANCH_NAMES, renorm=False):
     """Run the needed fusions and every active branch.
 
     fusion_vs fuses semantic into visual (visual primary); fusion_sv the
@@ -138,18 +142,19 @@ def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
     fusion stack records under the scope "fusion_vs"/"fusion_sv", each
     branch under its own name.
     """
-    active = [b for b in BRANCHES if b in active_branches]
+    active = [b for b in BRANCH_NAMES if b in active_branches]
     if not active:
         raise ConfigError("at least one encoder branch must be active")
-    unknown = set(active_branches) - set(BRANCHES)
+    unknown = set(active_branches) - set(BRANCH_NAMES)
     if unknown:
         raise ConfigError(f"unknown branches {sorted(unknown)}")
 
+    need_vs, need_sv = needs_fusion(active)
     vs_out = sv_out = None
-    if "vv" in active or "vs" in active:
+    if need_vs:
         with T.scope("fusion_vs"):
             vs_out = stack_fusion(fusion_vs, er, v_con, v_geo, s_con, s_geo, renorm=renorm)
-    if "ss" in active or "sv" in active:
+    if need_sv:
         with T.scope("fusion_sv"):
             sv_out = stack_fusion(fusion_sv, er, s_con, s_geo, v_con, v_geo, renorm=renorm)
 

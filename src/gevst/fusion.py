@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import FUSION_BASES
 from .errors import ConfigError, InputError, ShapeError
 from .nn import Linear, Tensor, init_linear, linear
 
-BASES = ("c", "g", "cg")
 
 @dataclass
 class AdditiveAttention:
@@ -61,8 +61,8 @@ def _init_additive(rng, d):
 
 
 def init_fusion_cell(rng, d, er, base="cg"):
-    if base not in BASES:
-        raise ConfigError(f"fusion base must be one of {BASES}, got {base!r}")
+    if base not in FUSION_BASES:
+        raise ConfigError(f"fusion base must be one of {FUSION_BASES}, got {base!r}")
     return FusionCellParams(
         content=_init_additive(rng, d) if "c" in base else None,
         geometry=_init_additive(rng, d) if "g" in base else None,

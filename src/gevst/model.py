@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .caption_encoder import CaptionEncoderParams, encode_captions, init_caption_encoder
-from .config import TrainConfig
-from .decoder import CachedDecoder, DecoderLayerParams, decoder_forward, init_decoder_layer
-from .encoder import encode_all, init_gesa_layer
+from .config import BRANCH_NAMES, TrainConfig
+from .decoder import CachedDecoder, decoder_forward, init_decoder_layer
+from .encoder import encode_all, init_gesa_layer, needs_fusion
 from .errors import InputError
 from .fusion import init_fusion_cell
 from .geometry import embed_geometry, init_geometry
@@ -37,13 +36,10 @@ class ModelParams:
     out: Linear  # d_model -> vocab
 
 
-def needs_fusion(branches):
-    return ("vv" in branches or "vs" in branches, "ss" in branches or "sv" in branches)
-
-
 def init_model(cfg: TrainConfig, vocab_size, rng) -> ModelParams:
     d = cfg.d_model
     need_vs, need_sv = needs_fusion(cfg.branches)
+    active = [b for b in BRANCH_NAMES if b in cfg.branches]
     return ModelParams(
         vis_in=init_linear(rng, cfg.raw_feat_dim, d),
         geo_visual=init_geometry(rng, d),
@@ -51,9 +47,9 @@ def init_model(cfg: TrainConfig, vocab_size, rng) -> ModelParams:
         captions=init_caption_encoder(rng, vocab_size, cfg.enc_width, cfg.enc_layers, d),
         fusion_vs=[init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_vs else None,
         fusion_sv=[init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_sv else None,
-        branches={b: [init_gesa_layer(rng, d, cfg.heads, cfg.gesa_variant) for _ in range(cfg.layers)] for b in ("ss", "sv", "vs", "vv") if b in cfg.branches},
+        branches={b: [init_gesa_layer(rng, d, cfg.heads, cfg.gesa_variant) for _ in range(cfg.layers)] for b in active},
         dec_embed=init_embedding(rng, vocab_size, d),
-        dec_layers=[init_decoder_layer(rng, d, [b for b in ("ss", "sv", "vs", "vv") if b in cfg.branches]) for _ in range(cfg.layers)],
+        dec_layers=[init_decoder_layer(rng, d, active) for _ in range(cfg.layers)],
         out=init_linear(rng, d, vocab_size),
     )
 

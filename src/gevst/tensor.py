@@ -524,17 +524,6 @@ def transpose(x, axes=None):
     return _emit(xd.transpose(axes), (x,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
-def masked_fill(x, mask, value):
-    """Replace entries where mask is True with a constant. Mask is a plain bool array."""
-    xd = x.data
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != xd.shape:
-        raise ShapeError(f"masked_fill: mask shape {m.shape} != tensor shape {xd.shape}")
-    v = float(value)
-    out = np.where(m, v, xd)
-    return _emit(out, (x,), lambda g: (np.where(m, 0.0, g),))
-
-
 def embedding_lookup(table, ids):
     """Rows of a [V x d] table selected by integer ids; grads scatter-add."""
     td = table.data

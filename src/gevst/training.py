@@ -11,10 +11,14 @@ XE follows the Noam learning rate d^-0.5 * min(step^-0.5, step*warmup^-1.5)
 (warmup = warmup_epochs in steps); SCST instead runs at the small constant
 scst_lr — policy-gradient updates at the warmup schedule's rate wreck a
 converged model — while resuming the step count stored in the checkpoint.
-Both phases share Adam(beta2=0.98, eps=1e-9, bias-corrected), global-norm
-gradient clipping at 5.0, batch-mean losses, a fixed shuffle stream per
-epoch, and best-checkpoint selection by validation CIDEr-D every val_every
-epochs.
+Both phases run one loop (`_optimize`) and differ only in their per-sample
+loss, learning-rate rule and stream tags. The loop holds Adam(beta2=0.98,
+eps=1e-9, bias-corrected), global-norm gradient clipping at 5.0, batch-mean
+losses, a fixed shuffle stream per epoch, and best-checkpoint selection by
+validation CIDEr-D every val_every epochs. A non-finite batch loss or
+gradient norm raises TrainingDiverged before the optimizer step, so the
+parameters keep their last finite values; so do non-finite log-probs in an
+SCST rollout.
 
 All parameters live in one float64 vector (nn.flat_parameters), each Tensor
 a view into it: Adam, clipping and best snapshots work on whole vectors.
@@ -164,7 +168,7 @@ def greedy_caption(params, cfg, vocab, sample):
 
 def beam_caption(params, cfg, vocab, sample, beam=None):
     branch = encode_sample(params, cfg, sample, vocab)
-    ids, logprob, _ = beam_search(make_step_fn(params, cfg, branch), beam=beam or cfg.beam, max_len=cfg.max_len)
+    ids, logprob, _ = beam_search(make_step_fn(params, cfg, branch), beam=cfg.beam if beam is None else beam, max_len=cfg.max_len)
     return caption_tokens(vocab, ids), logprob
 
 
@@ -210,56 +214,54 @@ def _batches(order, size):
         yield order[i : i + size]
 
 
-def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
-             start_step=0, log=None, stop_fn=None):
-    """Cross-entropy phase. `epochs` overrides cfg.xe_epochs; `stop_fn(epoch,
-    loss)` may end training early (used by convergence-style experiments)."""
-    train, val = split_train_val(samples)
-    if vocab is None:
-        vocab = build_vocab(corpus_texts(train), cfg.min_count)
-    if params is None:
-        params = init_model(cfg, len(vocab), np.random.default_rng(np.random.SeedSequence([cfg.seed, 11])))
-    epochs = cfg.xe_epochs if epochs is None else epochs
-
-    steps_per_epoch = max(1, math.ceil(len(train) / cfg.batch_size))
-    warmup_steps = cfg.warmup_epochs * steps_per_epoch
+def _optimize(phase, train, val, cfg, params, vocab, epochs, step, sample_loss, lr_at,
+              tags, report, log=None, stop_fn=None):
+    """The loop both phases share. Each epoch shuffles `train` with stream
+    tags[0]; `sample_loss(sample, rng)` gives (loss on the live tape or None,
+    reward or None) with `rng` the epoch's stream tags[1] (None without one).
+    A batch with no loss takes no step; otherwise its mean loss is
+    backpropagated, clipped and stepped at `lr_at(step)`. The curve holds the
+    mean reward when samples report one, else the mean loss, logged by `report`."""
     opt = Adam(params)
-    step = start_step
-
     curve = []
     best_snapshot, best_epoch, best_val = opt.params.copy(), 0, -1.0
     clip_events = 0
 
     for epoch in range(1, epochs + 1):
-        order = _epoch_rng(cfg.seed, 101, epoch).permutation(len(train))
-        loss_total = 0.0
+        order = _epoch_rng(cfg.seed, tags[0], epoch).permutation(len(train))
+        rng = None if tags[1] is None else _epoch_rng(cfg.seed, tags[1], epoch)
+        loss_total, reward_total = 0.0, None
         for batch in _batches(order, cfg.batch_size):
             opt.zero_grads()
             with Tape() as tape:
                 acc = None
                 for idx in batch:
-                    s = train[int(idx)]
-                    branch = encode_sample(params, cfg, s, vocab)
-                    inputs, targets = teacher_pair(vocab, s.gt_captions[0])
-                    loss = xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-                    acc = loss if acc is None else T.add(acc, loss)
+                    loss, reward = sample_loss(train[int(idx)], rng)
+                    if reward is not None:
+                        reward_total = reward if reward_total is None else reward_total + reward
+                    if loss is not None:
+                        acc = loss if acc is None else T.add(acc, loss)
+                if acc is None:
+                    continue
                 batch_loss = T.mul(acc, 1.0 / len(batch))
                 tape.backward(batch_loss)
             del tape  # free the graph before the optimizer's full-size vectors
             value = batch_loss.item()
             if not math.isfinite(value):
-                raise TrainingDiverged(f"XE loss became {value} at epoch {epoch}")
+                raise TrainingDiverged(f"{phase} loss became {value} at epoch {epoch}")
             loss_total += value * len(batch)
-            if clip_gradients(opt, cfg.grad_clip) > cfg.grad_clip:
-                clip_events += 1
+            norm = clip_gradients(opt, cfg.grad_clip)
+            if not math.isfinite(norm):
+                raise TrainingDiverged(f"{phase} gradient norm became {norm} at epoch {epoch}")
+            clip_events += norm > cfg.grad_clip
             step += 1
-            opt.step(noam_lr(step, cfg.d_model, warmup_steps) * cfg.lr_scale)
-        epoch_loss = loss_total / len(train)
-        curve.append((epoch, epoch_loss))
+            opt.step(lr_at(step))
+        value = (loss_total if reward_total is None else reward_total) / len(train)
+        curve.append((epoch, value))
         if log:
-            log(f"epoch {epoch}: loss {epoch_loss:.6f}")
+            log(report.format(epoch, value))
 
-        stop = stop_fn is not None and stop_fn(epoch, epoch_loss)
+        stop = stop_fn is not None and stop_fn(epoch, value)
         if epoch % cfg.val_every == 0 or epoch == epochs or stop:
             score = corpus_cider(params, cfg, vocab, val or train)
             if score > best_val:
@@ -271,10 +273,35 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
                         trained_steps=step, diagnostics={"clip_events": clip_events})
 
 
+def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
+             start_step=0, log=None, stop_fn=None):
+    """Cross-entropy phase. `epochs` overrides cfg.xe_epochs; `stop_fn(epoch,
+    loss)` may end training early (used by convergence-style experiments)."""
+    train, val = split_train_val(samples)
+    if vocab is None:
+        vocab = build_vocab(corpus_texts(train), cfg.min_count)
+    if params is None:
+        params = init_model(cfg, len(vocab), np.random.default_rng(np.random.SeedSequence([cfg.seed, 11])))
+    epochs = cfg.xe_epochs if epochs is None else epochs
+    warmup_steps = cfg.warmup_epochs * max(1, math.ceil(len(train) / cfg.batch_size))
+
+    def sample_loss(s, _rng):
+        branch = encode_sample(params, cfg, s, vocab)
+        inputs, targets = teacher_pair(vocab, s.gt_captions[0])
+        return xe_loss(caption_logits(params, cfg, branch, inputs), targets), None
+
+    def lr_at(step):
+        return noam_lr(step, cfg.d_model, warmup_steps) * cfg.lr_scale
+
+    return _optimize("XE", train, val, cfg, params, vocab, epochs, start_step, sample_loss, lr_at,
+                     tags=(101, None), report="epoch {}: loss {:.6f}", log=log, stop_fn=stop_fn)
+
+
 def scst_rollouts(params, cfg, vocab, sample, rng):
     """(sampled ids, greedy ids) from the current policy, tapeless. Both
     captions advance through one batched step per token; only the sampled
-    one draws from `rng`, once per token, as a lone sampled decode would."""
+    one draws from `rng`, once per token, as a lone sampled decode would.
+    Non-finite log-probs raise TrainingDiverged before anything is drawn."""
     with no_grad():
         branch = encode_sample(params, cfg, sample, vocab)
     step_fn = make_step_fn(params, cfg, branch)
@@ -283,7 +310,10 @@ def scst_rollouts(params, cfg, vocab, sample, rng):
         live = [ids for ids in (sampled, greedy) if ids[-1] != EOS_ID]
         if not live:
             break
-        for ids, lp in zip(live, step_fn(live)):
+        logprobs = step_fn(live)
+        if not np.isfinite(logprobs).all():
+            raise TrainingDiverged(f"SCST policy log-probs became non-finite on sample {sample.id}")
+        for ids, lp in zip(live, logprobs):
             ids.append(int(rng.choice(len(lp), p=np.exp(lp))) if ids is sampled else int(np.argmax(lp)))
     return sampled[1:], greedy[1:]
 
@@ -296,61 +326,20 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
     scorer = metrics.CiderScorer(refs)
     ref_by_id = {s.id: r for s, r in zip(train, refs)}
 
-    opt = Adam(params)
-    step = start_step
+    def sample_loss(s, rng):
+        sampled, greedy_ids = scst_rollouts(params, cfg, vocab, s, rng)
+        r_s = scorer.sentence(caption_tokens(vocab, sampled), ref_by_id[s.id])
+        advantage = r_s - scorer.sentence(caption_tokens(vocab, greedy_ids), ref_by_id[s.id])
+        if advantage == 0.0:
+            return None, r_s
+        logits = caption_logits(params, cfg, encode_sample(params, cfg, s, vocab), [BOS_ID] + sampled[:-1])
+        return reinforce_loss(sequence_logprob(logits, sampled), advantage), r_s
 
-    curve = []
-    best_snapshot, best_epoch, best_val = opt.params.copy(), 0, -1.0
-    zero_reward_epochs = 0
-
-    for epoch in range(1, epochs + 1):
-        order = _epoch_rng(cfg.seed, 202, epoch).permutation(len(train))
-        sample_rng = _epoch_rng(cfg.seed, 303, epoch)
-        reward_total = 0.0
-        for batch in _batches(order, cfg.batch_size):
-            opt.zero_grads()
-            with Tape() as tape:
-                acc = None
-                for idx in batch:
-                    s = train[int(idx)]
-                    sampled, greedy_ids = scst_rollouts(params, cfg, vocab, s, sample_rng)
-                    r_s = scorer.sentence(caption_tokens(vocab, sampled), ref_by_id[s.id])
-                    r_g = scorer.sentence(caption_tokens(vocab, greedy_ids), ref_by_id[s.id])
-                    reward_total += r_s
-                    advantage = r_s - r_g
-                    if advantage == 0.0:
-                        continue
-                    branch = encode_sample(params, cfg, s, vocab)
-                    logits = caption_logits(params, cfg, branch, [BOS_ID] + sampled[:-1])
-                    loss = reinforce_loss(sequence_logprob(logits, sampled), advantage)
-                    acc = loss if acc is None else T.add(acc, loss)
-                if acc is None:
-                    continue
-                batch_loss = T.mul(acc, 1.0 / len(batch))
-                tape.backward(batch_loss)
-            del tape  # free the graph before the optimizer's full-size vectors
-            if not math.isfinite(batch_loss.item()):
-                raise TrainingDiverged(f"SCST loss became non-finite at epoch {epoch}")
-            clip_gradients(opt, cfg.grad_clip)
-            step += 1
-            opt.step(cfg.scst_lr)
-        mean_reward = reward_total / len(train)
-        curve.append((epoch, mean_reward))
-        if mean_reward == 0.0:
-            zero_reward_epochs += 1
-        if log:
-            log(f"epoch {epoch}: mean sampled reward {mean_reward:.4f}")
-
-        if epoch % cfg.val_every == 0 or epoch == epochs:
-            score = corpus_cider(params, cfg, vocab, val or train)
-            if score > best_val:
-                best_snapshot, best_epoch, best_val = opt.params.copy(), epoch, score
-
-    diagnostics = {}
-    if zero_reward_epochs == epochs and epochs > 0:
-        diagnostics["warning"] = "reward was identically zero for every epoch"
-    return TrainOutcome(params, vocab, cfg, curve, best_snapshot, best_epoch, best_val,
-                        trained_steps=step, diagnostics=diagnostics)
+    out = _optimize("SCST", train, val, cfg, params, vocab, epochs, start_step, sample_loss,
+                    lambda step: cfg.scst_lr, tags=(202, 303), report="epoch {}: mean sampled reward {:.4f}", log=log)
+    if epochs > 0 and all(reward == 0.0 for _, reward in out.curve):
+        out.diagnostics["warning"] = "reward was identically zero for every epoch"
+    return out
 
 
 # ------------------------------------------------------------- checkpoints

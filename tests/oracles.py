@@ -16,10 +16,10 @@ The last section is the exception: it keeps, as bit-exact references, the
 per-tensor numpy optimizer and checkpoint writer that the flat parameter
 vector replaced, the kron-gather additive-attention map that the engine's
 pairwise_add replaced, and the multi-head attention built from the engine's
-reshape/transpose/matmul/mul/masked_fill/softmax ops that its fused
-attention_weights and apply_attention replaced. They still import nothing
-from the package: the attention functions take the tensor engine as an
-argument.
+reshape/transpose/matmul/mul/softmax ops (plus masked_fill, kept here since
+the engine has no other use for it) that its fused attention_weights and
+apply_attention replaced. They still import nothing from the package: the
+attention functions and masked_fill take the tensor engine as an argument.
 """
 
 import json
@@ -497,6 +497,16 @@ def merge_heads(T, x):
     return T.reshape(T.transpose(x, perm), shp[:-3] + (n, h * dh))
 
 
+def masked_fill(T, x, mask, value):
+    """Entries of x where the bool array mask is True replaced by a constant,
+    as one engine node whose backward zeroes the masked entries."""
+    xd = x.data
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != xd.shape:
+        raise T.ShapeError(f"masked_fill: mask shape {m.shape} != tensor shape {xd.shape}")
+    return T._emit(np.where(m, float(value), xd), (x,), lambda g: (np.where(m, 0.0, g),))
+
+
 def attention_weights(T, q, k, h, mask=None):
     """softmax(Q K^T / sqrt(d_h)) per head, -1e9 where mask, one engine op per step."""
     dh = q.data.shape[-1] // h
@@ -506,7 +516,7 @@ def attention_weights(T, q, k, h, mask=None):
     kt = T.transpose(kh, tuple(range(ndim - 2)) + (ndim - 1, ndim - 2))
     scores = T.mul(T.matmul(qh, kt), 1.0 / np.sqrt(dh))
     if mask is not None:
-        scores = T.masked_fill(scores, mask, -1e9)
+        scores = masked_fill(T, scores, mask, -1e9)
     return T.softmax(scores)
 
 

@@ -97,6 +97,13 @@ def test_caption_and_eval_flow(workdir, tmp_path):
     assert report["n"] == 6
 
 
+def test_caption_beam_zero_exits_one(workdir, tmp_path, capsys):
+    code = cli.main(["caption", "--ckpt", workdir["ckpt"], "--data", workdir["data"],
+                     "--beam", "0", "--out", str(tmp_path / "pred.jsonl")])
+    assert code == 1
+    assert "beam width must be >= 1" in capsys.readouterr().err
+
+
 def test_eval_unknown_id_fails(workdir, tmp_path, capsys):
     pred = tmp_path / "bad.jsonl"
     pred.write_text(json.dumps({"id": "zzz", "caption": "a thing"}) + "\n")

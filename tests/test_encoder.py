@@ -4,9 +4,9 @@ import pytest
 import oracles as O
 import util as U
 from gevst import tensor as T
-from gevst.encoder import (BRANCHES, VARIANTS, branch_forward, encode_all,
-                           gesa_gates, gesa_layer, init_gesa_layer,
-                           variant_map_count)
+from gevst.config import BRANCH_NAMES, GESA_VARIANTS
+from gevst.encoder import (branch_forward, encode_all, gesa_gates, gesa_layer,
+                           init_gesa_layer, variant_map_count)
 from gevst.errors import ConfigError, ShapeError
 from gevst.fusion import init_fusion_cell
 from gevst.nn import Tensor, linear
@@ -24,13 +24,13 @@ def rand_xgg(rng, n, d):
 
 
 def test_variant_map_counts():
-    assert [variant_map_count(v) for v in VARIANTS] == [1, 2, 3]
+    assert [variant_map_count(v) for v in GESA_VARIANTS] == [1, 2, 3]
     with pytest.raises(ConfigError):
         variant_map_count("intra")
 
 
 def test_gates_are_probability_vectors(rng):
-    for variant, k in zip(VARIANTS, (1, 2, 3)):
+    for variant, k in zip(GESA_VARIANTS, (1, 2, 3)):
         for _ in range(7):
             lp = rand_layer(rng, 8, 2, variant)
             x = Tensor(rng.normal(size=(4, 8)))
@@ -63,7 +63,7 @@ def test_variant_containment_exact(rng):
             rich.gate.b.data[keep:] = -1e9
         out_rich = gesa_layer(x, gi, ge, rich, h).data
 
-        poorer = init_gesa_layer(np.random.default_rng(0), d, h, VARIANTS[keep - 1])
+        poorer = init_gesa_layer(np.random.default_rng(0), d, h, GESA_VARIANTS[keep - 1])
         poorer.q_c, poorer.k_c, poorer.v_c = rich.q_c, rich.k_c, rich.v_c
         if keep >= 2:
             poorer.q_intra, poorer.k_intra = rich.q_intra, rich.k_intra
@@ -116,7 +116,7 @@ def make_encode_inputs(rng, d=8, nv=3, ns=2):
     sc, sg = Tensor(rng.normal(size=(ns, d))), Tensor(rng.normal(size=(ns, d)))
     f_vs = [init_fusion_cell(rng, d, 2)]
     f_sv = [init_fusion_cell(rng, d, 2)]
-    layers = {b: [init_gesa_layer(rng, d, 2) for _ in range(2)] for b in BRANCHES}
+    layers = {b: [init_gesa_layer(rng, d, 2) for _ in range(2)] for b in BRANCH_NAMES}
     return vc, vg, sc, sg, f_vs, f_sv, layers
 
 
@@ -130,9 +130,9 @@ def test_encode_all_shapes_and_trace(rng):
         for kind in ("content", "geometry"):
             maps = rec[f"{direction}.{kind}"]
             assert len(maps) == 1 and maps[0].shape == shape
-    assert {k for k in rec if k.endswith(".gesa_gates")} == {f"{b}.gesa_gates" for b in BRANCHES}
-    assert all(len(rec[f"{b}.gesa_gates"]) == 2 for b in BRANCHES)
-    assert len(rec) == 4 + len(BRANCHES)
+    assert {k for k in rec if k.endswith(".gesa_gates")} == {f"{b}.gesa_gates" for b in BRANCH_NAMES}
+    assert all(len(rec[f"{b}.gesa_gates"]) == 2 for b in BRANCH_NAMES)
+    assert len(rec) == 4 + len(BRANCH_NAMES)
 
 
 def test_encode_all_branch_subsets(rng):

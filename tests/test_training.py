@@ -9,7 +9,8 @@ from gevst import training as TR
 from gevst.config import TrainConfig, miniature_config
 from gevst.data import (BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts,
                         generate_dataset, split_train_val)
-from gevst.errors import ConfigError, ContractError, ParseError, SchemaError
+from gevst.errors import (ConfigError, ContractError, ParseError, SchemaError,
+                          TrainingDiverged)
 from gevst.decoder import greedy_decode
 from gevst.model import caption_logits, encode_sample, init_model, make_step_fn
 from gevst.nn import Tensor, flat_parameters, log_softmax, named_parameters, parameters
@@ -299,6 +300,104 @@ def test_train_scst_runs_from_xe_model():
     assert math.isfinite(out.curve[0][1]) and out.curve[0][1] >= 0.0
 
 
+def assert_same_outcome(got, want):
+    assert np.array_equal(flat_parameters(got.params), flat_parameters(want.params))
+    assert np.array_equal(got.best_snapshot, want.best_snapshot)
+    assert got.curve == want.curve
+    assert (got.best_epoch, got.best_val, got.trained_steps) == (want.best_epoch, want.best_val, want.trained_steps)
+
+
+def test_shared_loop_matches_reference_xe():
+    samples, cfg = tiny_setup(val_every=2)
+    got = TR.train_xe(samples, cfg, epochs=2)
+    want = U.reference_train_xe(samples, cfg, epochs=2)
+    assert_same_outcome(got, want)
+    assert got.diagnostics["clip_events"] == want.diagnostics["clip_events"]
+
+
+def test_shared_loop_matches_reference_xe_with_stop_fn():
+    # the stop at epoch 2 forces the validation that val_every=3 would skip
+    samples, cfg = tiny_setup(val_every=3)
+    logs = [[], []]
+    got = TR.train_xe(samples, cfg, epochs=5, stop_fn=lambda e, loss: e >= 2, log=logs[0].append)
+    want = U.reference_train_xe(samples, cfg, epochs=5, stop_fn=lambda e, loss: e >= 2, log=logs[1].append)
+    assert_same_outcome(got, want)
+    assert got.diagnostics["clip_events"] == want.diagnostics["clip_events"]
+    assert got.best_epoch == 2 and logs[0] == logs[1] and len(logs[0]) == 2
+
+
+def scst_pair(samples, cfg):
+    """SCST through the shared loop, then through the reference loop, each from
+    its own copy of one XE model: two (outcome, log lines, start step) runs."""
+    runs = []
+    for train in (TR.train_scst, U.reference_train_scst):
+        xe = TR.train_xe(samples, cfg)
+        lines = []
+        out = train(samples, cfg, xe.params, xe.vocab, epochs=2, start_step=xe.trained_steps, log=lines.append)
+        runs.append((out, lines, xe.trained_steps))
+    return runs
+
+
+def test_shared_loop_matches_reference_scst():
+    samples, cfg = tiny_setup(n=8)
+    (got, got_log, start), (want, want_log, _) = scst_pair(samples, cfg)
+    assert_same_outcome(got, want)
+    assert got_log == want_log
+    assert got.trained_steps > start
+
+
+def test_shared_loop_matches_reference_scst_without_advantage(monkeypatch):
+    # sampled == greedy == an empty caption: zero reward, zero advantage, no step
+    monkeypatch.setattr(TR, "scst_rollouts", lambda params, cfg, vocab, s, rng: ([EOS_ID], [EOS_ID]))
+    samples, cfg = tiny_setup(n=8)
+    (got, _, start), (want, _, _) = scst_pair(samples, cfg)
+    assert_same_outcome(got, want)
+    assert got.trained_steps == start
+    assert np.array_equal(got.best_snapshot, flat_parameters(got.params))
+    assert got.diagnostics["warning"] == want.diagnostics["warning"]
+
+
+def plant_inf_gradient(monkeypatch):
+    clip = TR.clip_gradients
+
+    def clip_after_inf(opt, max_norm):
+        opt.collect_grads()[0] = np.inf
+        return clip(opt, max_norm)
+
+    monkeypatch.setattr(TR, "clip_gradients", clip_after_inf)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # 0 * inf in the clip
+def test_non_finite_gradient_norm_stops_xe_before_the_step(monkeypatch):
+    samples, cfg = tiny_setup()
+    vocab = build_vocab(corpus_texts(split_train_val(samples)[0]), cfg.min_count)
+    params = init_model(cfg, len(vocab), np.random.default_rng(3))
+    before = flat_parameters(params).copy()
+    plant_inf_gradient(monkeypatch)
+    with pytest.raises(TrainingDiverged, match="XE gradient norm became inf at epoch 1"):
+        TR.train_xe(samples, cfg, params=params, vocab=vocab)
+    assert np.array_equal(flat_parameters(params), before)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # 0 * inf in the clip
+def test_non_finite_gradient_norm_stops_scst_before_the_step(monkeypatch):
+    samples, cfg = tiny_setup(n=8)
+    xe = TR.train_xe(samples, cfg)
+    before = flat_parameters(xe.params).copy()
+    plant_inf_gradient(monkeypatch)
+    with pytest.raises(TrainingDiverged, match="SCST gradient norm became inf at epoch 1"):
+        TR.train_scst(samples, cfg, xe.params, xe.vocab, epochs=1)
+    assert np.array_equal(flat_parameters(xe.params), before)
+
+
+def test_scst_on_a_non_finite_policy_diverges():
+    samples, cfg = tiny_setup()
+    xe = TR.train_xe(samples, cfg, epochs=1)
+    xe.params.out.w.data[0, 0] = np.nan
+    with pytest.raises(TrainingDiverged, match="SCST policy log-probs became non-finite"):
+        TR.train_scst(samples, cfg, xe.params, xe.vocab, epochs=1)
+
+
 def test_scst_rollouts_terminate():
     samples, cfg = tiny_setup(n=2)
     vocab = build_vocab(corpus_texts(samples), 1)
@@ -344,6 +443,14 @@ def test_beam_one_equals_greedy_bit_for_bit_through_the_model():
     params = init_model(cfg, len(vocab), np.random.default_rng(2))
     for s in samples:
         assert TR.beam_caption(params, cfg, vocab, s, beam=1) == TR.greedy_caption(params, cfg, vocab, s)
+
+
+def test_beam_caption_rejects_beam_zero():
+    samples, cfg = tiny_setup(n=2)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    params = init_model(cfg, len(vocab), np.random.default_rng(1))
+    with pytest.raises(ConfigError, match="beam width must be >= 1, got 0"):
+        TR.beam_caption(params, cfg, vocab, samples[0], beam=0)
 
 
 def test_desk_xe_sample_records_661_tape_nodes():

@@ -1,11 +1,18 @@
 """Converters from parameter dataclasses to the plain-list oracle inputs,
-plus small helpers shared across test modules."""
+small helpers shared across test modules, and the two separate XE and SCST
+training loops that `training._optimize` replaced, kept as references."""
+
+import math
 
 import numpy as np
 
 import oracles as O
+from gevst import metrics
 from gevst import tensor as T
-from gevst.errors import ContractError
+from gevst import training as TR
+from gevst.data import BOS_ID, build_vocab, corpus_texts, split_train_val
+from gevst.errors import ContractError, TrainingDiverged
+from gevst.model import caption_logits, init_model
 from gevst.nn import named_parameters
 
 
@@ -122,3 +129,133 @@ def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8):
             if rel > worst:
                 worst = rel
     return worst
+
+
+# ------------------------------------------------ reference training loops
+#
+# The XE and SCST loops as they stood before they shared `training._optimize`.
+# Every package function is looked up on its module at call time, so a test
+# that monkeypatches `training` changes both these loops and the package's.
+
+
+def reference_train_xe(samples, cfg, epochs=None, params=None, vocab=None,
+                       start_step=0, log=None, stop_fn=None):
+    train, val = split_train_val(samples)
+    if vocab is None:
+        vocab = build_vocab(corpus_texts(train), cfg.min_count)
+    if params is None:
+        params = init_model(cfg, len(vocab), np.random.default_rng(np.random.SeedSequence([cfg.seed, 11])))
+    epochs = cfg.xe_epochs if epochs is None else epochs
+
+    steps_per_epoch = max(1, math.ceil(len(train) / cfg.batch_size))
+    warmup_steps = cfg.warmup_epochs * steps_per_epoch
+    opt = TR.Adam(params)
+    step = start_step
+
+    curve = []
+    best_snapshot, best_epoch, best_val = opt.params.copy(), 0, -1.0
+    clip_events = 0
+
+    for epoch in range(1, epochs + 1):
+        order = TR._epoch_rng(cfg.seed, 101, epoch).permutation(len(train))
+        loss_total = 0.0
+        for batch in TR._batches(order, cfg.batch_size):
+            opt.zero_grads()
+            with T.Tape() as tape:
+                acc = None
+                for idx in batch:
+                    s = train[int(idx)]
+                    branch = TR.encode_sample(params, cfg, s, vocab)
+                    inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
+                    loss = TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
+                    acc = loss if acc is None else T.add(acc, loss)
+                batch_loss = T.mul(acc, 1.0 / len(batch))
+                tape.backward(batch_loss)
+            del tape
+            value = batch_loss.item()
+            if not math.isfinite(value):
+                raise TrainingDiverged(f"XE loss became {value} at epoch {epoch}")
+            loss_total += value * len(batch)
+            if TR.clip_gradients(opt, cfg.grad_clip) > cfg.grad_clip:
+                clip_events += 1
+            step += 1
+            opt.step(TR.noam_lr(step, cfg.d_model, warmup_steps) * cfg.lr_scale)
+        epoch_loss = loss_total / len(train)
+        curve.append((epoch, epoch_loss))
+        if log:
+            log(f"epoch {epoch}: loss {epoch_loss:.6f}")
+
+        stop = stop_fn is not None and stop_fn(epoch, epoch_loss)
+        if epoch % cfg.val_every == 0 or epoch == epochs or stop:
+            score = TR.corpus_cider(params, cfg, vocab, val or train)
+            if score > best_val:
+                best_snapshot, best_epoch, best_val = opt.params.copy(), epoch, score
+        if stop:
+            break
+
+    return TR.TrainOutcome(params, vocab, cfg, curve, best_snapshot, best_epoch, best_val,
+                           trained_steps=step, diagnostics={"clip_events": clip_events})
+
+
+def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0, log=None):
+    train, val = split_train_val(samples)
+    epochs = cfg.scst_epochs if epochs is None else epochs
+    refs = TR.references_of(train)
+    scorer = metrics.CiderScorer(refs)
+    ref_by_id = {s.id: r for s, r in zip(train, refs)}
+
+    opt = TR.Adam(params)
+    step = start_step
+
+    curve = []
+    best_snapshot, best_epoch, best_val = opt.params.copy(), 0, -1.0
+    zero_reward_epochs = 0
+
+    for epoch in range(1, epochs + 1):
+        order = TR._epoch_rng(cfg.seed, 202, epoch).permutation(len(train))
+        sample_rng = TR._epoch_rng(cfg.seed, 303, epoch)
+        reward_total = 0.0
+        for batch in TR._batches(order, cfg.batch_size):
+            opt.zero_grads()
+            with T.Tape() as tape:
+                acc = None
+                for idx in batch:
+                    s = train[int(idx)]
+                    sampled, greedy_ids = TR.scst_rollouts(params, cfg, vocab, s, sample_rng)
+                    r_s = scorer.sentence(TR.caption_tokens(vocab, sampled), ref_by_id[s.id])
+                    r_g = scorer.sentence(TR.caption_tokens(vocab, greedy_ids), ref_by_id[s.id])
+                    reward_total += r_s
+                    advantage = r_s - r_g
+                    if advantage == 0.0:
+                        continue
+                    branch = TR.encode_sample(params, cfg, s, vocab)
+                    logits = caption_logits(params, cfg, branch, [BOS_ID] + sampled[:-1])
+                    loss = TR.reinforce_loss(TR.sequence_logprob(logits, sampled), advantage)
+                    acc = loss if acc is None else T.add(acc, loss)
+                if acc is None:
+                    continue
+                batch_loss = T.mul(acc, 1.0 / len(batch))
+                tape.backward(batch_loss)
+            del tape
+            if not math.isfinite(batch_loss.item()):
+                raise TrainingDiverged(f"SCST loss became non-finite at epoch {epoch}")
+            TR.clip_gradients(opt, cfg.grad_clip)
+            step += 1
+            opt.step(cfg.scst_lr)
+        mean_reward = reward_total / len(train)
+        curve.append((epoch, mean_reward))
+        if mean_reward == 0.0:
+            zero_reward_epochs += 1
+        if log:
+            log(f"epoch {epoch}: mean sampled reward {mean_reward:.4f}")
+
+        if epoch % cfg.val_every == 0 or epoch == epochs:
+            score = TR.corpus_cider(params, cfg, vocab, val or train)
+            if score > best_val:
+                best_snapshot, best_epoch, best_val = opt.params.copy(), epoch, score
+
+    diagnostics = {}
+    if zero_reward_epochs == epochs and epochs > 0:
+        diagnostics["warning"] = "reward was identically zero for every epoch"
+    return TR.TrainOutcome(params, vocab, cfg, curve, best_snapshot, best_epoch, best_val,
+                           trained_steps=step, diagnostics=diagnostics)
