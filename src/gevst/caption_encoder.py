@@ -90,7 +90,7 @@ def encode_captions(params: CaptionEncoderParams, heads, id_seqs):
     attn_mask = np.broadcast_to(pad_key[:, None, None, :], (b, heads, n, n))
 
     for lp in params.layers:
-        att = linear(attend(x, x, lp.q, lp.k, lp.v, heads, mask=attn_mask), lp.o)
+        att = linear(attend(linear(x, lp.q), linear(x, lp.k), linear(x, lp.v), heads, mask=attn_mask), lp.o)
         x = layer_norm(T.add(x, att), lp.ln1)
         x = layer_norm(T.add(x, ffn(x, lp.ffn)), lp.ln2)
 

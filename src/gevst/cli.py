@@ -65,10 +65,13 @@ def _read_config_file(path):
     return d
 
 
-def _load_config(path, **overrides):
-    base = _read_config_file(path) if path else {}
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    return config_from_dict(base)
+def _load_config(path, seed, base=()):
+    """The config `base` updated by the JSON file at `path`, then by `seed`, each when given."""
+    merged = dict(base)
+    merged.update(_read_config_file(path) if path else {})
+    if seed is not None:
+        merged["seed"] = seed
+    return config_from_dict(merged)
 
 
 # ---------------------------------------------------------------- commands
@@ -91,7 +94,7 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
 
     if args.phase == "xe":
-        cfg = _load_config(args.config, seed=args.seed)
+        cfg = _load_config(args.config, args.seed)
         if args.init:
             _, vocab, params, steps = load_checkpoint(args.init)
             out = train_xe(samples, cfg, params=params, vocab=vocab, start_step=steps)
@@ -103,13 +106,7 @@ def cmd_train(args):
         if not args.init:
             raise InputError("--phase scst requires --init with an XE checkpoint")
         cfg, vocab, params, steps = load_checkpoint(args.init)
-        if args.config or args.seed is not None:
-            merged = cfg.to_dict()
-            if args.config:
-                merged.update(_read_config_file(args.config))
-            if args.seed is not None:
-                merged["seed"] = args.seed
-            cfg = config_from_dict(merged)
+        cfg = _load_config(args.config, args.seed, cfg.to_dict())
         out = train_scst(samples, cfg, params, vocab, start_step=steps)
         curve_path = os.path.join(args.out, "reward_curve.csv")
         write_curve(curve_path, out.curve, "reward")
@@ -233,7 +230,7 @@ def cmd_ablate(args):
     if workers < 1:
         raise ConfigError(f"GEVST_THREADS must be at least 1, got {raw!r}")
     samples = read_jsonl(args.data)
-    cfg = _load_config(args.config, seed=args.seed)
+    cfg = _load_config(args.config, args.seed)
     os.makedirs(args.out, exist_ok=True)
     rows, notes = ablation.run_axis(args.axis, samples, cfg, out_dir=args.out,
                                     epochs=args.epochs, workers=workers)

@@ -17,6 +17,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -192,10 +193,16 @@ def _field(obj, name, typ, line):
     return v
 
 
-def _box_from(vals, line):
-    if not isinstance(vals, list) or len(vals) != 4:
-        raise SchemaError(f"line {line}: field 'box' should be a list of 4 numbers")
-    return BoundingBox(*[float(v) for v in vals])
+def _numbers(obj, name, line, n=None):
+    """Field `name` as a list of floats: it must hold finite JSON numbers (not
+    bools), `n` of them when given."""
+    vals = _field(obj, name, list, line)
+    try:
+        if n in (None, len(vals)) and set(map(type, vals)) <= {int, float} and all(map(math.isfinite, vals)):
+            return list(map(float, vals))
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise SchemaError(f"line {line}: field {name!r} should be a list of {n or 'only'} finite numbers")
 
 
 def sample_from_dict(obj, line=1):
@@ -208,24 +215,22 @@ def sample_from_dict(obj, line=1):
     for r in raw_regions:
         if not isinstance(r, dict):
             raise SchemaError(f"line {line}: region entries must be objects")
-        feat = _field(r, "feat", list, line)
+        feat = _numbers(r, "feat", line)
         if feat_len is None:
             feat_len = len(feat)
         elif len(feat) != feat_len:
             raise SchemaError(f"line {line}: ragged region feature lengths ({feat_len} vs {len(feat)})")
-        regions.append(Region(np.array([float(v) for v in feat]), _box_from(_field(r, "box", list, line), line)))
-    wh = _field(obj, "image_wh", list, line)
-    if len(wh) != 2:
-        raise SchemaError(f"line {line}: field 'image_wh' should be a list of 2 numbers")
+        regions.append(Region(np.array(feat), BoundingBox(*_numbers(r, "box", line, 4))))
+    wh = _numbers(obj, "image_wh", line, 2)
     dense = []
     for d in _field(obj, "dense_captions", list, line):
         if not isinstance(d, dict):
             raise SchemaError(f"line {line}: dense caption entries must be objects")
-        dense.append(DenseCaption(_field(d, "text", str, line), _box_from(_field(d, "box", list, line), line)))
+        dense.append(DenseCaption(_field(d, "text", str, line), BoundingBox(*_numbers(d, "box", line, 4))))
     gts = _field(obj, "gt_captions", list, line)
     if not all(isinstance(c, str) for c in gts):
         raise SchemaError(f"line {line}: field 'gt_captions' should be a list of strings")
-    return Sample(sid, regions, (float(wh[0]), float(wh[1])), dense, list(gts))
+    return Sample(sid, regions, tuple(wh), dense, list(gts))
 
 
 def read_json_objects(path):

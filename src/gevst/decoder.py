@@ -4,16 +4,19 @@ Each decoder layer runs three post-norm sublayers: causal masked self
 attention, a modulated multi-input cross-attention, and the 4x FFN. The cross
 sublayer attends the self-attended states over EVERY active encoder branch
 separately (per-branch Q/K/V, multi-head, no output projection), gates each
-result elementwise with sigmoid(W [Y; C_b] + b), and sums the gated results —
-a plain sum, not an average. A softmax-across-branches gate exists behind
-`gate_mode="softmax"` for ablations.
+result elementwise with the sigmoid of W [Y; C_b] + b, and sums the gated
+results — a plain sum, not an average. A softmax-across-branches gate exists
+behind `gate_mode="softmax"` for ablations.
 
-One layer body (`decoder_layer`) serves both uses of the decoder. Teacher
-forcing (`decoder_forward`) runs it over a whole sequence with causal self
-attention. Decoding (`CachedDecoder`) runs it over one new row per prefix,
-whose self attention reads the keys and values cached for the rest of the
-prefix, and reuses each branch's cross-attention keys and values, projected
-once per scene. The decoder is causal, so the two agree to rounding.
+Teacher forcing (`decoder_forward`) and decoding (`CachedDecoder`) share the
+layer body (`decoder_layer`) and the cross-attention keys and values
+(`cross_keys_values`: each branch output projected once per layer, plain
+tensors). Only the self-attention context they hand the layer differs.
+Teacher forcing computes it with causal self attention over the whole
+sequence. Decoding projects the cross keys and values once per scene and
+computes one new row per prefix, whose self attention reads the keys and
+values kept for the rest of the prefix. The decoder is causal, so the two
+agree to rounding.
 
 Decoding works through a batched `step_fn(prefixes) -> [len(prefixes) x V]`
 log-prob matrix, one row per prefix, so the strategies are testable against
@@ -98,33 +101,41 @@ def init_decoder_layer(rng, d, branches):
     )
 
 
-def modulated_multi_input(y, branch_outputs, layer: DecoderLayerParams, h, gate_mode="sigmoid", kv=linear):
-    """Gated sum of per-branch cross-attention contexts; `kv` as in `nn.attend`.
+def cross_keys_values(layers, branch_outputs):
+    """Per layer, {branch: (keys, values)}: each active branch output [N x d]
+    projected through that layer's cross-attention k and v, in BRANCH_NAMES
+    order. They depend only on the scene, not on the decoded rows."""
+    branches = [b for b in BRANCH_NAMES if b in branch_outputs]
+    if not branches:
+        raise ConfigError("decoder needs at least one branch output")
+    return [{b: (linear(branch_outputs[b], lp.cross[b].k), linear(branch_outputs[b], lp.cross[b].v))
+             for b in branches} for lp in layers]
+
+
+def modulated_multi_input(y, cross, layer: DecoderLayerParams, h, gate_mode):
+    """Gated sum of per-branch cross-attention contexts of y over `cross`,
+    one layer's entry of `cross_keys_values`.
 
     Records each branch's [T x d] gate as "decoder_gates_<branch>" (see `T.record`).
     """
     if gate_mode not in ("sigmoid", "softmax"):
         raise ConfigError(f"gate_mode must be sigmoid or softmax, got {gate_mode!r}")
-    branches = [b for b in BRANCH_NAMES if b in branch_outputs]
-    if not branches:
-        raise ConfigError("decoder needs at least one branch output")
     contexts, scores = [], []
-    for b in branches:
-        p = layer.cross[b]
-        c = attend(y, branch_outputs[b], p.q, p.k, p.v, h, kv=kv)
+    for b, (k, v) in cross.items():
+        c = attend(linear(y, layer.cross[b].q), k, v, h)
         contexts.append(c)
         scores.append(linear(T.concat([y, c], axis=1), layer.mod[b]))
 
     if gate_mode == "sigmoid":
-        gates = [T.sigmoid(z) for z in scores]
+        gates = list(map(T.sigmoid, scores))
     else:
         t_len, d = y.data.shape
         stacked = T.concat([T.reshape(z, (1, t_len, d)) for z in scores], axis=0)
         sm = T.softmax(T.transpose(stacked, (1, 2, 0)))  # [t x d x B], softmax over branches
         back = T.transpose(sm, (2, 0, 1))
-        gates = [T.reshape(T.narrow(back, 0, i, 1), (t_len, d)) for i in range(len(branches))]
+        gates = [T.reshape(T.narrow(back, 0, i, 1), (t_len, d)) for i in range(len(cross))]
 
-    for b, g in zip(branches, gates):
+    for b, g in zip(cross, gates):
         T.record(f"decoder_gates_{b}", g)
     out = T.mul(gates[0], contexts[0])
     for g, c in zip(gates[1:], contexts[1:]):
@@ -132,16 +143,11 @@ def modulated_multi_input(y, branch_outputs, layer: DecoderLayerParams, h, gate_
     return out
 
 
-def decoder_layer(y, lp: DecoderLayerParams, h, branch_outputs, self_attention, gate_mode="sigmoid", cross_kv=linear):
-    """One decoder layer over the rows of y [n x d].
-
-    `self_attention(y, lp)` gives each row's self-attended context; it is the
-    only part that differs between teacher forcing and cached decoding.
-    `cross_kv` projects the branch outputs to keys and values, as in `nn.attend`.
-    """
-    y = layer_norm(T.add(y, self_attention(y, lp)), lp.ln1)
-    att = modulated_multi_input(y, branch_outputs, lp, h, gate_mode=gate_mode, kv=cross_kv)
-    y = layer_norm(T.add(y, att), lp.ln2)
+def decoder_layer(y, self_context, lp: DecoderLayerParams, h, cross, gate_mode):
+    """One decoder layer over the rows of y [n x d], given each row's
+    self-attended context [n x d] and the layer's `cross_keys_values` entry."""
+    y = layer_norm(T.add(y, self_context), lp.ln1)
+    y = layer_norm(T.add(y, modulated_multi_input(y, cross, lp, h, gate_mode)), lp.ln2)
     return layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
 
 
@@ -158,12 +164,9 @@ def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids, gate_
     d = embed.data.shape[1]
     y = T.add(T.embedding_lookup(embed, ids), Tensor(sinusoidal_positions(t_len, d).data))
     mask = causal_mask(h, t_len)
-
-    def causal_self_attention(y, lp):
-        return attend(y, y, lp.self_q, lp.self_k, lp.self_v, h, mask=mask)
-
-    for lp in layers:
-        y = decoder_layer(y, lp, h, branch_outputs, causal_self_attention, gate_mode=gate_mode)
+    for lp, cross in zip(layers, cross_keys_values(layers, branch_outputs)):
+        context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, mask=mask)
+        y = decoder_layer(y, context, lp, h, cross, gate_mode)
     return linear(y, out_proj)
 
 
@@ -181,25 +184,21 @@ class CachedDecoder:
 
     On the first call every prefix must be [BOS]; on each later call every
     prefix must extend some prefix of the previous call by one token. Anything
-    else raises ContractError. A call computes one new row per prefix: its
-    self attention reads the keys and values kept for the parent prefix, and
-    the cross attention reads each branch's keys and values, projected on
-    first use and kept for the life of the decoder. The call then keeps the
-    keys and values of its own prefixes for the next one. It runs tapeless.
+    else raises ContractError. The cross-attention keys and values are
+    projected once, when the decoder is made. A call computes one new row per
+    prefix: its self attention reads the keys and values kept for the parent
+    prefix, and the call keeps those of its own prefixes for the next one. It
+    runs tapeless.
     """
 
     def __init__(self, layers, h, branch_outputs, embed, out_proj, gate_mode="sigmoid"):
-        self.layers, self.h, self.branch_outputs = layers, h, branch_outputs
+        self.layers, self.h = layers, h
         self.embed, self.out_proj, self.gate_mode = embed, out_proj, gate_mode
+        with no_grad():
+            self.cross = cross_keys_values(layers, branch_outputs)
         self.rows = {(): 0}  # each prefix of the previous call -> its row in `self_kv`
-        self.self_kv = {}  # id(self_k or self_v Linear) -> [rows x prefix length x d]
-        self.cross_kv = {}  # id(cross k or v Linear) -> projected branch output
-
-    def _cross(self, x, p):
-        kv = self.cross_kv.get(id(p))
-        if kv is None:
-            kv = self.cross_kv[id(p)] = linear(x, p)
-        return kv
+        empty = np.zeros((1, 0, embed.data.shape[1]))
+        self.self_kv = [(empty, empty)] * len(layers)  # per layer: [rows x prefix length x d] keys, values
 
     def __call__(self, prefixes):
         prefixes = [tuple(p) for p in prefixes]
@@ -213,24 +212,17 @@ class CachedDecoder:
                                     f"nor one token longer than a prefix of the previous step")
             parents.append(self.rows[p[:-1]])
         n, t, d = len(prefixes), len(prefixes[0]), self.embed.data.shape[1]
-        grown = {}
-
-        def cached_kv(x, p):
-            past = self.self_kv.get(id(p), np.zeros((1, 0, d)))[parents]
-            full = T.concat([Tensor(past), linear(x, p)], axis=1)
-            grown[id(p)] = full.data
-            return full
-
-        def cached_self_attention(y, lp):
-            y1 = T.reshape(y, (n, 1, d))
-            return T.reshape(attend(y1, y1, lp.self_q, lp.self_k, lp.self_v, self.h, kv=cached_kv), (n, d))
-
+        grown = []
         with no_grad():
             pos = np.broadcast_to(sinusoidal_positions(t, d).data[t - 1], (n, d))
             y = T.add(T.embedding_lookup(self.embed, [p[-1] for p in prefixes]), Tensor(pos))
-            for lp in self.layers:
-                y = decoder_layer(y, lp, self.h, self.branch_outputs, cached_self_attention,
-                                  gate_mode=self.gate_mode, cross_kv=self._cross)
+            for lp, cross, (keys, values) in zip(self.layers, self.cross, self.self_kv):
+                y1 = T.reshape(y, (n, 1, d))
+                k = T.concat([Tensor(keys[parents]), linear(y1, lp.self_k)], axis=1)
+                v = T.concat([Tensor(values[parents]), linear(y1, lp.self_v)], axis=1)
+                grown.append((k.data, v.data))
+                context = T.reshape(attend(linear(y1, lp.self_q), k, v, self.h), (n, d))
+                y = decoder_layer(y, context, lp, self.h, cross, self.gate_mode)
             logits = linear(y, self.out_proj).data
         self.self_kv = grown
         self.rows = {p: i for i, p in enumerate(prefixes)}

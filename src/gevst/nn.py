@@ -136,13 +136,10 @@ def flat_parameters(obj):
 # ---------------------------------------------------------------- attention
 
 
-def attend(x_q, x_kv, q: Linear, k: Linear, v: Linear, h, mask=None, kv=linear):
-    """Multi-head attention of x_q over x_kv through the projections q, k, v
-    (no output projection): [..., n_q, d] over [..., n_k, d] -> [..., n_q, d].
-    `kv(x_kv, p)` gives the keys (p = k) and values (p = v); a decoding cache
-    passes one that returns stored projections."""
-    w = T.attention_weights(linear(x_q, q), kv(x_kv, k), h, mask=mask)
-    return T.apply_attention(w, kv(x_kv, v), h)
+def attend(q, k, v, h, mask=None):
+    """Multi-head attention of projected queries q [..., n_q, d] over projected
+    keys k and values v [..., n_k, d], with no output projection -> [..., n_q, d]."""
+    return T.apply_attention(T.attention_weights(q, k, h, mask=mask), v, h)
 
 
 # --------------------------------------------------------------- positions

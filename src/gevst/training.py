@@ -40,7 +40,7 @@ import numpy as np
 
 from . import metrics
 from .config import TrainConfig, config_from_dict
-from .data import BOS_ID, EOS_ID, PAD_ID, Vocabulary, build_vocab, corpus_texts, split_train_val, tokenize
+from .data import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vocab, corpus_texts, split_train_val, tokenize
 from .decoder import beam_search, greedy_decode
 from .errors import ConfigError, ContractError, ParseError, SchemaError, TrainingDiverged
 from .model import caption_logits, encode_sample, init_model, make_step_fn
@@ -121,9 +121,16 @@ def teacher_pair(vocab: Vocabulary, caption):
     return [BOS_ID] + ids, ids + [EOS_ID]
 
 
+def _log_likelihood(logits, ids, row_weights):
+    """sum over rows t of row_weights[t] * log softmax(logits)[t, ids[t]]."""
+    weight = np.zeros(logits.data.shape)
+    weight[np.arange(len(ids)), ids] = row_weights
+    return T.total_sum(T.mul(log_softmax(logits), Tensor(weight)))
+
+
 def xe_loss(logits, target_ids):
     """Mean over non-pad positions of -log softmax probability of the target."""
-    t_len, v = logits.data.shape
+    t_len = logits.data.shape[0]
     targets = np.asarray(target_ids, dtype=np.int64)
     if targets.shape != (t_len,):
         raise ContractError(f"{t_len} logit rows vs targets shape {targets.shape}")
@@ -131,20 +138,16 @@ def xe_loss(logits, target_ids):
     count = int(live.sum())
     if count == 0:
         raise ContractError("all-pad target sequence")
-    weight = np.zeros((t_len, v))
-    weight[np.arange(t_len)[live], targets[live]] = 1.0 / count
-    return T.mul(T.total_sum(T.mul(log_softmax(logits), Tensor(weight))), -1.0)
+    return T.mul(_log_likelihood(logits, targets, live / count), -1.0)
 
 
 def sequence_logprob(logits, ids):
     """Summed log-probability of `ids` under rows of `logits` (row t -> ids[t])."""
-    t_len, v = logits.data.shape
+    t_len = logits.data.shape[0]
     idx = np.asarray(ids, dtype=np.int64)
     if idx.shape != (t_len,):
         raise ContractError(f"{t_len} logit rows vs {idx.shape} ids")
-    weight = np.zeros((t_len, v))
-    weight[np.arange(t_len), idx] = 1.0
-    return T.total_sum(T.mul(log_softmax(logits), Tensor(weight)))
+    return _log_likelihood(logits, idx, 1.0)
 
 
 def reinforce_loss(logp_sum, advantage):
@@ -401,8 +404,14 @@ def load_checkpoint(path):
         for key, kind in (("config", dict), ("vocab", list), ("params", list)):
             if not isinstance(header.get(key), kind):
                 raise SchemaError(f"checkpoint header missing field {key!r} of type {kind.__name__}")
+        tokens, steps = header["vocab"], header.get("trained_steps", 0)
+        if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens) \
+                or tokens[:len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
+            raise SchemaError(f"checkpoint vocab must be distinct strings led by {list(RESERVED_TOKENS)}")
+        if type(steps) is not int or steps < 0:
+            raise SchemaError(f"checkpoint trained_steps must be an integer >= 0, got {steps!r}")
         cfg = config_from_dict(header["config"])
-        vocab = Vocabulary(header["vocab"])
+        vocab = Vocabulary(tokens)
         params = init_model(cfg, len(vocab), np.random.default_rng(0))
         expected = _manifest(params)
         if header["params"] != expected:
@@ -419,7 +428,7 @@ def load_checkpoint(path):
         flat.byteswap(inplace=True)
     if not np.isfinite(flat).all():
         raise ParseError("checkpoint holds non-finite parameter values")
-    return cfg, vocab, params, int(header.get("trained_steps", 0))
+    return cfg, vocab, params, steps
 
 
 def write_curve(path, rows, value_name="value"):

@@ -130,6 +130,17 @@ def test_scst_from_checkpoint(workdir, tmp_path):
     assert manifest["command"] == "train-scst"
 
 
+def test_scst_config_is_checkpoint_then_file_then_seed(workdir, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"scst_lr": 1e-6, "seed": 5}))
+    run = str(tmp_path / "scst")
+    assert cli.main(["train", "--data", workdir["data"], "--phase", "scst", "--init", workdir["ckpt"],
+                     "--config", str(cfg), "--seed", "9", "--out", run]) == 0
+    manifest = json.load(open(os.path.join(run, "manifest.json")))
+    assert manifest["config"] == dict(load_checkpoint(workdir["ckpt"])[0].to_dict(), scst_lr=1e-6, seed=9)
+    assert manifest["seed"] == 9
+
+
 def test_dump_attention_contents(workdir, tmp_path):
     out = str(tmp_path / "attn")
     assert cli.main(["dump-attention", "--ckpt", workdir["ckpt"], "--data",
@@ -281,8 +292,12 @@ def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
     header = json.loads(header_line)
     header["config"]["renorm_fused_attention"] = "no"  # truthy, so once accepted as on
     typed = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
+    header = json.loads(header_line)
+    header["vocab"] = [t for t in header["vocab"] if t != "<unk>"] + ["unk"]  # once a KeyError
+    no_unk = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
     for blob, message in ((raw + b"\0" * 8, "trailing bytes"),
-                          (typed, "'renorm_fused_attention' must be true or false")):
+                          (typed, "'renorm_fused_attention' must be true or false"),
+                          (no_unk, "checkpoint vocab must be distinct strings")):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(blob)
         code = cli.main(["caption", "--ckpt", str(bad), "--data", workdir["data"],

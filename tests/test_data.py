@@ -145,6 +145,15 @@ def test_read_jsonl_error_taxonomy(tmp_path):
         obj = json.loads(ok)
         obj["regions"] = []
         load(json.dumps(obj) + "\n")
+    # every coordinate, feature and image size is a finite JSON number
+    places = [("feat", lambda o: o["regions"][0]["feat"]), ("box", lambda o: o["regions"][1]["box"]),
+              ("box", lambda o: o["dense_captions"][0]["box"]), ("image_wh", lambda o: o["image_wh"])]
+    for name, where in places:
+        for bad in ("1.5", True, "a", None, float("nan"), float("inf"), 10 ** 400):
+            obj = json.loads(ok)
+            where(obj)[0] = bad
+            with pytest.raises(SchemaError, match=f"line 1: field '{name}'"):
+                load(json.dumps(obj) + "\n")
     # blank lines are fine
     other = json.dumps(D.sample_to_dict(D.generate_sample(1, 1)))
     assert len(load(ok + "\n\n" + other + "\n")) == 2

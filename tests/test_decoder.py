@@ -8,7 +8,7 @@ from gevst.data import BOS_ID, EOS_ID
 from gevst.decoder import (CachedDecoder, beam_search, decoder_forward, greedy_decode,
                            init_decoder_layer)
 from gevst.errors import ConfigError, ContractError
-from gevst.nn import Tensor, init_embedding, init_linear
+from gevst.nn import Tensor, init_embedding, init_linear, named_parameters
 
 
 def rigged_step(seed, vocab, peak=6.0, eos_by=None):
@@ -92,6 +92,30 @@ def test_softmax_gate_mode_normalizes_across_branches(rng):
         assert np.allclose(means, 1.0, atol=1e-12)
     with pytest.raises(ConfigError):
         decoder_forward(layers, 2, outs, embed, out_proj, [BOS_ID], gate_mode="mean")
+
+
+@pytest.mark.parametrize("branches", [("vv",), ("ss", "sv", "vs", "vv")])
+@pytest.mark.parametrize("gate_mode", ["sigmoid", "softmax"])
+def test_teacher_forcing_matches_callback_reference_bit_for_bit(rng, branches, gate_mode):
+    """Cross keys and values projected up front, as plain tensors, leave the
+    logits and every gradient exactly as the callback-based decoder had them."""
+    layers, embed, out_proj, outs = small_model(rng, branches=branches)
+    for t in outs.values():
+        t.requires_grad = True
+    ids = [BOS_ID, 4, 5, 3, 4]
+    probe = Tensor(rng.normal(size=(len(ids), 6)))
+    tensors = [t for _, t in named_parameters((layers, embed, out_proj))] + list(outs.values())
+    runs = []
+    for forward in (decoder_forward, U.reference_decoder_forward):
+        with T.Tape() as tape:
+            logits = forward(layers, 2, outs, embed, out_proj, ids, gate_mode=gate_mode)
+            tape.backward(T.total_sum(T.mul(logits, probe)))
+        runs.append([logits.data] + [t.grad for t in tensors])
+        for t in tensors:
+            t.grad = None
+    assert all(g is not None for g in runs[0])
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
 CACHED_BRANCHES = [("vv",), ("ss", "vs"), ("ss", "sv", "vs", "vv")]

@@ -581,8 +581,20 @@ def test_checkpoint_error_taxonomy(tmp_path):
     with pytest.raises(ParseError, match="non-finite"):
         rewrite(json.loads(header_line), body=bytes(nan_blob))
 
-    # the unmodified header and body still load
+    for steps in ("abc", None, -4, 2.7, True):
+        with pytest.raises(SchemaError, match="trained_steps"):
+            rewrite(dict(header, trained_steps=steps))
+
+    vocab = header["vocab"]
+    for tokens in (vocab[1:], ["unk" if t == "<unk>" else t for t in vocab], vocab + [vocab[-1]],
+                   vocab[:-1] + [7], [vocab[1], vocab[0]] + vocab[2:]):
+        with pytest.raises(SchemaError, match="vocab must be distinct strings"):
+            rewrite(dict(header, vocab=tokens))
+
+    # the unmodified header and body still load; a missing step count reads 0
     rewrite(json.loads(header_line))
+    assert rewrite(dict(header, trained_steps=7))[3] == 7
+    assert rewrite({k: v for k, v in header.items() if k != "trained_steps"})[3] == 0
 
 
 def test_write_curve_round_trips_floats(tmp_path):

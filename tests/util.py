@@ -1,6 +1,7 @@
 """Converters from parameter dataclasses to the plain-list oracle inputs,
-small helpers shared across test modules, and the two separate XE and SCST
-training loops that `training._optimize` replaced, kept as references."""
+small helpers shared across test modules, and two earlier forms kept as
+references: the separate XE and SCST training loops that `training._optimize`
+replaced, and the decoder that passed projections in as callbacks."""
 
 import math
 
@@ -10,10 +11,12 @@ import oracles as O
 from gevst import metrics
 from gevst import tensor as T
 from gevst import training as TR
+from gevst.config import BRANCH_NAMES
 from gevst.data import BOS_ID, build_vocab, corpus_texts, split_train_val
+from gevst.decoder import causal_mask
 from gevst.errors import ContractError, TrainingDiverged
 from gevst.model import caption_logits, init_model
-from gevst.nn import named_parameters
+from gevst.nn import Tensor, ffn, layer_norm, linear, named_parameters, sinusoidal_positions
 
 
 def lin(p):
@@ -259,3 +262,55 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
         diagnostics["warning"] = "reward was identically zero for every epoch"
     return TR.TrainOutcome(params, vocab, cfg, curve, best_snapshot, best_epoch, best_val,
                            trained_steps=step, diagnostics=diagnostics)
+
+
+# The decoder as it stood when attention took callbacks for its key and value
+# projections: cross keys and values are projected inside each layer, after
+# the queries, and the self attention is a closure over the layer's input.
+
+
+def reference_attend(x_q, x_kv, q, k, v, h, mask=None, kv=linear):
+    w = T.attention_weights(linear(x_q, q), kv(x_kv, k), h, mask=mask)
+    return T.apply_attention(w, kv(x_kv, v), h)
+
+
+def reference_modulated_multi_input(y, branch_outputs, layer, h, gate_mode="sigmoid", kv=linear):
+    branches = [b for b in BRANCH_NAMES if b in branch_outputs]
+    contexts, scores = [], []
+    for b in branches:
+        p = layer.cross[b]
+        c = reference_attend(y, branch_outputs[b], p.q, p.k, p.v, h, kv=kv)
+        contexts.append(c)
+        scores.append(linear(T.concat([y, c], axis=1), layer.mod[b]))
+    if gate_mode == "sigmoid":
+        gates = [T.sigmoid(z) for z in scores]
+    else:
+        t_len, d = y.data.shape
+        stacked = T.concat([T.reshape(z, (1, t_len, d)) for z in scores], axis=0)
+        back = T.transpose(T.softmax(T.transpose(stacked, (1, 2, 0))), (2, 0, 1))
+        gates = [T.reshape(T.narrow(back, 0, i, 1), (t_len, d)) for i in range(len(branches))]
+    out = T.mul(gates[0], contexts[0])
+    for g, c in zip(gates[1:], contexts[1:]):
+        out = T.add(out, T.mul(g, c))
+    return out
+
+
+def reference_decoder_layer(y, lp, h, branch_outputs, self_attention, gate_mode="sigmoid", cross_kv=linear):
+    y = layer_norm(T.add(y, self_attention(y, lp)), lp.ln1)
+    att = reference_modulated_multi_input(y, branch_outputs, lp, h, gate_mode=gate_mode, kv=cross_kv)
+    y = layer_norm(T.add(y, att), lp.ln2)
+    return layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
+
+
+def reference_decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids, gate_mode="sigmoid"):
+    ids = list(token_ids)
+    t_len, d = len(ids), embed.data.shape[1]
+    y = T.add(T.embedding_lookup(embed, ids), Tensor(sinusoidal_positions(t_len, d).data))
+    mask = causal_mask(h, t_len)
+
+    def causal_self_attention(y, lp):
+        return reference_attend(y, y, lp.self_q, lp.self_k, lp.self_v, h, mask=mask)
+
+    for lp in layers:
+        y = reference_decoder_layer(y, lp, h, branch_outputs, causal_self_attention, gate_mode=gate_mode)
+    return linear(y, out_proj)
