@@ -152,6 +152,8 @@ def cmd_eval(args):
         first_line[row["id"]] = lineno
         if row["id"] not in refs_by_id:
             raise InputError(f"prediction id {row['id']!r} not present in references")
+        if not refs_by_id[row["id"]]:
+            raise InputError(f"prediction id {row['id']!r} has no reference captions")
         cands.append(tokenize(row["caption"]))
         refs.append(refs_by_id[row["id"]])
     report = metrics.evaluate(cands, refs)

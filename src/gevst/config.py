@@ -6,6 +6,7 @@ batch 40) stay reachable through overrides. Validation runs before any math.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -29,10 +30,8 @@ class TrainConfig:
     enc_heads: int = 4
     enc_layers: int = 3
     fusion_base: str = "cg"
-    renorm_fused_attention: bool = False
     gesa_variant: str = "con_intra_inter"
     branches: tuple = BRANCH_NAMES
-    gate_mode: str = "sigmoid"
     max_len: int = 20
     # training schedule
     batch_size: int = 8  # 40 at full scale
@@ -78,8 +77,6 @@ class TrainConfig:
             raise ConfigError(f"branches must be a non-empty subset of {BRANCH_NAMES}, got {c.branches}")
         if len(set(c.branches)) != len(c.branches):
             raise ConfigError(f"duplicate branches in {c.branches}")
-        if c.gate_mode not in ("sigmoid", "softmax"):
-            raise ConfigError(f"gate_mode must be sigmoid or softmax, got {c.gate_mode!r}")
         for name in ("max_len", "batch_size", "warmup_epochs", "beam", "val_every", "min_count"):
             if getattr(c, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(c, name)}")
@@ -102,21 +99,28 @@ class TrainConfig:
 _FIELDS = {f.name: f.type for f in fields(TrainConfig)}
 
 # What each field annotation means for a decoded JSON value.
-_WANTED = {"bool": "true or false", "int": "an integer", "float": "a number",
-           "str": "a string", "tuple": "a list of strings"}
+_WANTED = {"int": "an integer", "float": "a number", "str": "a string", "tuple": "a list of strings"}
+
+# Retired keys that configs and checkpoints written before may still name,
+# each with the one value the model still computes.
+_RETIRED = {"renorm_fused_attention": False, "gate_mode": "sigmoid"}
 
 
 def _accepts(kind, value):
     if kind == "tuple":
         return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
-    if isinstance(value, bool):  # bool subclasses int: numeric fields refuse it
-        return kind == "bool"
-    return isinstance(value, {"bool": bool, "int": int, "float": (int, float), "str": str}[kind])
+    # bool subclasses int: numeric fields refuse it
+    return not isinstance(value, bool) and isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
 
 
 def config_from_dict(d):
     if not isinstance(d, dict):
         raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
+    d = dict(d)
+    for name, meant in _RETIRED.items():
+        value = d.pop(name, meant)
+        if type(value) is not type(meant) or value != meant:
+            raise ConfigError(f"config {name!r} is retired and loads only as {json.dumps(meant)}, got {value!r}")
     unknown = d.keys() - _FIELDS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -124,14 +128,3 @@ def config_from_dict(d):
         if not _accepts(_FIELDS[name], value):
             raise ConfigError(f"config {name!r} must be {_WANTED[_FIELDS[name]]}, got {value!r}")
     return TrainConfig(**d)
-
-
-def miniature_config(**overrides):
-    """The smallest legal end-to-end setting, used by gradient checks."""
-    base = dict(
-        d_model=16, heads=2, expand_ratio=2, fusion_cells=1, layers=2,
-        raw_feat_dim=8, enc_width=16, enc_heads=2, enc_layers=3,
-        batch_size=2, val_every=1,
-    )
-    base.update(overrides)
-    return TrainConfig(**base)

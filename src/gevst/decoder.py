@@ -5,8 +5,7 @@ attention, a modulated multi-input cross-attention, and the 4x FFN. The cross
 sublayer attends the self-attended states over EVERY active encoder branch
 separately (per-branch Q/K/V, multi-head, no output projection), gates each
 result elementwise with the sigmoid of W [Y; C_b] + b, and sums the gated
-results — a plain sum, not an average. A softmax-across-branches gate exists
-behind `gate_mode="softmax"` for ablations.
+results — a plain sum, not an average.
 
 Teacher forcing (`decoder_forward`) and decoding (`CachedDecoder`) share the
 layer body (`decoder_layer`) and the cross-attention keys and values
@@ -112,29 +111,18 @@ def cross_keys_values(layers, branch_outputs):
              for b in branches} for lp in layers]
 
 
-def modulated_multi_input(y, cross, layer: DecoderLayerParams, h, gate_mode):
+def modulated_multi_input(y, cross, layer: DecoderLayerParams, h):
     """Gated sum of per-branch cross-attention contexts of y over `cross`,
     one layer's entry of `cross_keys_values`.
 
     Records each branch's [T x d] gate as "decoder_gates_<branch>" (see `T.record`).
     """
-    if gate_mode not in ("sigmoid", "softmax"):
-        raise ConfigError(f"gate_mode must be sigmoid or softmax, got {gate_mode!r}")
     contexts, scores = [], []
     for b, (k, v) in cross.items():
         c = attend(linear(y, layer.cross[b].q), k, v, h)
         contexts.append(c)
         scores.append(linear(T.concat([y, c], axis=1), layer.mod[b]))
-
-    if gate_mode == "sigmoid":
-        gates = list(map(T.sigmoid, scores))
-    else:
-        t_len, d = y.data.shape
-        stacked = T.concat([T.reshape(z, (1, t_len, d)) for z in scores], axis=0)
-        sm = T.softmax(T.transpose(stacked, (1, 2, 0)))  # [t x d x B], softmax over branches
-        back = T.transpose(sm, (2, 0, 1))
-        gates = [T.reshape(T.narrow(back, 0, i, 1), (t_len, d)) for i in range(len(cross))]
-
+    gates = list(map(T.sigmoid, scores))
     for b, g in zip(cross, gates):
         T.record(f"decoder_gates_{b}", g)
     out = T.mul(gates[0], contexts[0])
@@ -143,11 +131,11 @@ def modulated_multi_input(y, cross, layer: DecoderLayerParams, h, gate_mode):
     return out
 
 
-def decoder_layer(y, self_context, lp: DecoderLayerParams, h, cross, gate_mode):
+def decoder_layer(y, self_context, lp: DecoderLayerParams, h, cross):
     """One decoder layer over the rows of y [n x d], given each row's
     self-attended context [n x d] and the layer's `cross_keys_values` entry."""
     y = layer_norm(T.add(y, self_context), lp.ln1)
-    y = layer_norm(T.add(y, modulated_multi_input(y, cross, lp, h, gate_mode)), lp.ln2)
+    y = layer_norm(T.add(y, modulated_multi_input(y, cross, lp, h)), lp.ln2)
     return layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
 
 
@@ -156,7 +144,7 @@ def _check_bos(ids):
         raise ContractError(f"decoder input must start with BOS, got {list(ids[:3])}")
 
 
-def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids, gate_mode="sigmoid"):
+def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
     """Logits [T x V] for a BOS-led token id sequence (position t predicts t+1)."""
     ids = list(token_ids)
     _check_bos(ids)
@@ -166,7 +154,7 @@ def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids, gate_
     mask = causal_mask(h, t_len)
     for lp, cross in zip(layers, cross_keys_values(layers, branch_outputs)):
         context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, mask=mask)
-        y = decoder_layer(y, context, lp, h, cross, gate_mode)
+        y = decoder_layer(y, context, lp, h, cross)
     return linear(y, out_proj)
 
 
@@ -191,9 +179,8 @@ class CachedDecoder:
     runs tapeless.
     """
 
-    def __init__(self, layers, h, branch_outputs, embed, out_proj, gate_mode="sigmoid"):
-        self.layers, self.h = layers, h
-        self.embed, self.out_proj, self.gate_mode = embed, out_proj, gate_mode
+    def __init__(self, layers, h, branch_outputs, embed, out_proj):
+        self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
         with no_grad():
             self.cross = cross_keys_values(layers, branch_outputs)
         self.rows = {(): 0}  # each prefix of the previous call -> its row in `self_kv`
@@ -222,7 +209,7 @@ class CachedDecoder:
                 v = T.concat([Tensor(values[parents]), linear(y1, lp.self_v)], axis=1)
                 grown.append((k.data, v.data))
                 context = T.reshape(attend(linear(y1, lp.self_q), k, v, self.h), (n, d))
-                y = decoder_layer(y, context, lp, self.h, cross, self.gate_mode)
+                y = decoder_layer(y, context, lp, self.h, cross)
             logits = linear(y, self.out_proj).data
         self.self_kv = grown
         self.rows = {p: i for i, p in enumerate(prefixes)}

@@ -133,7 +133,7 @@ def needs_fusion(branches):
 
 
 def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
-               h, er, active_branches=BRANCH_NAMES, renorm=False):
+               h, er, active_branches=BRANCH_NAMES):
     """Run the needed fusions and every active branch.
 
     fusion_vs fuses semantic into visual (visual primary); fusion_sv the
@@ -153,10 +153,10 @@ def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
     vs_out = sv_out = None
     if need_vs:
         with T.scope("fusion_vs"):
-            vs_out = stack_fusion(fusion_vs, er, v_con, v_geo, s_con, s_geo, renorm=renorm)
+            vs_out = stack_fusion(fusion_vs, er, v_con, v_geo, s_con, s_geo)
     if need_sv:
         with T.scope("fusion_sv"):
-            sv_out = stack_fusion(fusion_sv, er, s_con, s_geo, v_con, v_geo, renorm=renorm)
+            sv_out = stack_fusion(fusion_sv, er, s_con, s_geo, v_con, v_geo)
 
     inputs = {}
     if "ss" in active:

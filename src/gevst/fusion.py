@@ -3,13 +3,12 @@
 A cell attends from primary (query-side) features over secondary (key-side)
 features twice — once scoring content against content, once geometry against
 geometry — then sums the two row-stochastic maps to weight the secondary
-CONTENT. The summed map's rows total 2 by construction; `renorm` averages the
-two maps instead (off by default). The weighted content is blown up Er-fold,
-multiplied elementwise against an equally blown-up copy of the primary
-content, and sum-pooled back down with stride Er; the result updates the
-primary content through a skip connection. Secondary features are never
-updated. The geometry map alone also aggregates secondary GEOMETRY into
-inter-geometry features.
+CONTENT. The summed map's rows total 2 by construction. The weighted
+content is blown up Er-fold, multiplied elementwise against an equally
+blown-up copy of the primary content, and sum-pooled back down with stride
+Er; the result updates the primary content through a skip connection.
+Secondary features are never updated. The geometry map alone also
+aggregates secondary GEOMETRY into inter-geometry features.
 
 Base variants: "cg" runs both maps (the full cell); "c" drops the geometry
 map (output independent of every geometry input, inter-geometry is zero);
@@ -81,7 +80,7 @@ def attention_map(att: AdditiveAttention, queries, keys):
     return T.softmax(scores)
 
 
-def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k, renorm=False):
+def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k):
     """One cell pass. Returns (updated content, content map, geometry map, inter)."""
     n, d = content_q.data.shape
     m = content_k.data.shape[0]
@@ -93,8 +92,6 @@ def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k
 
     if alpha_con is not None and alpha_geo is not None:
         weights = T.add(alpha_con, alpha_geo)
-        if renorm:
-            weights = T.mul(weights, 0.5)
     else:
         weights = alpha_con if alpha_con is not None else alpha_geo
 
@@ -111,8 +108,7 @@ def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k
     return updated, alpha_con, alpha_geo, inter
 
 
-def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, secondary_geo,
-                 renorm=False):
+def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, secondary_geo):
     """Run m cells; only the primary content is threaded through.
 
     Records each cell's maps as "content" and "geometry" (see `T.record`).
@@ -122,9 +118,7 @@ def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, sec
     x = primary_content
     alpha_con = alpha_geo = inter = None
     for cell in cells:
-        x, alpha_con, alpha_geo, inter = fusion_cell(
-            cell, er, x, primary_geo, secondary_content, secondary_geo, renorm=renorm
-        )
+        x, alpha_con, alpha_geo, inter = fusion_cell(cell, er, x, primary_geo, secondary_content, secondary_geo)
         T.record("content", alpha_con)
         T.record("geometry", alpha_geo)
     return FusionOutput(x, inter, alpha_con, alpha_geo)

@@ -70,21 +70,13 @@ def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab):
     s_con = encode_captions(params.captions, cfg.enc_heads, id_seqs)
     s_geo = embed_geometry([dc.box for dc in sample.dense_captions], sample.image_wh, params.geo_semantic)
 
-    return encode_all(
-        v_con, v_geo, s_con, s_geo,
-        params.fusion_vs, params.fusion_sv, params.branches,
-        cfg.heads, cfg.expand_ratio,
-        active_branches=cfg.branches,
-        renorm=cfg.renorm_fused_attention,
-    )
+    return encode_all(v_con, v_geo, s_con, s_geo, params.fusion_vs, params.fusion_sv, params.branches,
+                      cfg.heads, cfg.expand_ratio, active_branches=cfg.branches)
 
 
 def caption_logits(params: ModelParams, cfg: TrainConfig, branch_outputs, token_ids):
     """Logits [T x V] for a BOS-led id sequence against fixed branch outputs."""
-    return decoder_forward(
-        params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out,
-        token_ids, gate_mode=cfg.gate_mode,
-    )
+    return decoder_forward(params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out, token_ids)
 
 
 def make_step_fn(params: ModelParams, cfg: TrainConfig, branch_outputs):
@@ -93,5 +85,4 @@ def make_step_fn(params: ModelParams, cfg: TrainConfig, branch_outputs):
     tapeless. The first call takes [BOS] prefixes; each later call takes
     prefixes one token longer than some prefix of the call before (see
     `decoder.CachedDecoder`)."""
-    return CachedDecoder(params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out,
-                         gate_mode=cfg.gate_mode)
+    return CachedDecoder(params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out)

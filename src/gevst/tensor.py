@@ -58,14 +58,6 @@ class Tensor:
         t.grad = None
         return t
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise ContractError(f"item() needs a scalar, got shape {self.data.shape}")
@@ -73,29 +65,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.data.shape)}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all dispatch to module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(mul(self, -1.0), -float(other)) if not isinstance(other, Tensor) else sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -510,18 +479,6 @@ def reshape(x, shape):
     xd = x.data
     out = xd.reshape(shape)
     return _emit(out, (x,), lambda g: (g.reshape(xd.shape),))
-
-
-def transpose(x, axes=None):
-    xd = x.data
-    if axes is None:
-        if xd.ndim != 2:
-            raise ShapeError(f"transpose without axes needs a 2-d tensor, got shape {xd.shape}")
-        axes = (1, 0)
-    axes = tuple(a % xd.ndim for a in axes)
-    if sorted(axes) != list(range(xd.ndim)):
-        raise ShapeError(f"transpose: {axes} is not a permutation of axes of shape {xd.shape}")
-    return _emit(xd.transpose(axes), (x,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def embedding_lookup(table, ids):

@@ -42,7 +42,7 @@ from . import metrics
 from .config import TrainConfig, config_from_dict
 from .data import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vocab, corpus_texts, split_train_val, tokenize
 from .decoder import beam_search, greedy_decode
-from .errors import ConfigError, ContractError, ParseError, SchemaError, TrainingDiverged
+from .errors import ConfigError, ContractError, InputError, ParseError, SchemaError, TrainingDiverged
 from .model import caption_logits, encode_sample, init_model, make_step_fn
 from .nn import (Tensor, flat_offsets, flat_parameters, flat_views, log_softmax,
                  named_parameters, parameters)
@@ -212,6 +212,13 @@ def _epoch_rng(seed, tag, epoch):
     return np.random.default_rng(np.random.SeedSequence([seed, tag, epoch]))
 
 
+def _captioned(samples):
+    for s in samples:
+        if not s.gt_captions:  # XE's teacher and every CIDEr-D reference need one
+            raise InputError(f"scene {s.id!r} has no ground-truth caption to train or validate on")
+    return samples
+
+
 def _batches(order, size):
     for i in range(0, len(order), size):
         yield order[i : i + size]
@@ -280,7 +287,7 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
              start_step=0, log=None, stop_fn=None):
     """Cross-entropy phase. `epochs` overrides cfg.xe_epochs; `stop_fn(epoch,
     loss)` may end training early (used by convergence-style experiments)."""
-    train, val = split_train_val(samples)
+    train, val = split_train_val(_captioned(samples))
     if vocab is None:
         vocab = build_vocab(corpus_texts(train), cfg.min_count)
     if params is None:
@@ -323,7 +330,7 @@ def scst_rollouts(params, cfg, vocab, sample, rng):
 
 def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step=0, log=None):
     """Self-critical phase from an XE-trained model."""
-    train, val = split_train_val(samples)
+    train, val = split_train_val(_captioned(samples))
     epochs = cfg.scst_epochs if epochs is None else epochs
     refs = references_of(train)
     scorer = metrics.CiderScorer(refs)

@@ -16,10 +16,11 @@ The last section is the exception: it keeps, as bit-exact references, the
 per-tensor numpy optimizer and checkpoint writer that the flat parameter
 vector replaced, the kron-gather additive-attention map that the engine's
 pairwise_add replaced, and the multi-head attention built from the engine's
-reshape/transpose/matmul/mul/softmax ops (plus masked_fill, kept here since
-the engine has no other use for it) that its fused attention_weights and
-apply_attention replaced. They still import nothing from the package: the
-attention functions and masked_fill take the tensor engine as an argument.
+reshape/matmul/mul/softmax ops (plus transpose and masked_fill, kept here
+since the engine has no other use for them) that its fused attention_weights
+and apply_attention replaced. They still import nothing from the package: the
+attention functions, transpose and masked_fill take the tensor engine as an
+argument.
 """
 
 import json
@@ -143,7 +144,7 @@ def additive_map(q, k, wq, bq, wk, bk, wo, bo):
     return rows
 
 
-def fusion_cell_oracle(content_q, geo_q, content_k, geo_k, p, er, renorm=False):
+def fusion_cell_oracle(content_q, geo_q, content_k, geo_k, p, er):
     """One fusion cell, scalar.
 
     `p` is a dict: optional "content"/"geometry" -> (wq, bq, wk, bk, wo, bo),
@@ -159,8 +160,6 @@ def fusion_cell_oracle(content_q, geo_q, content_k, geo_k, p, er, renorm=False):
 
     if alpha_con is not None and alpha_geo is not None:
         weights = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(alpha_con, alpha_geo)]
-        if renorm:
-            weights = [[0.5 * v for v in row] for row in weights]
     else:
         weights = alpha_con if alpha_con is not None else alpha_geo
 
@@ -478,6 +477,20 @@ def kron_attention_map(T, att, queries, keys):
     return T.softmax(scores)
 
 
+def transpose(T, x, axes=None):
+    """x with its axes permuted (a 2-d x swapped when axes is None), as one
+    engine node whose backward applies the inverse permutation."""
+    xd = x.data
+    if axes is None:
+        if xd.ndim != 2:
+            raise T.ShapeError(f"transpose without axes needs a 2-d tensor, got shape {xd.shape}")
+        axes = (1, 0)
+    axes = tuple(a % xd.ndim for a in axes)
+    if sorted(axes) != list(range(xd.ndim)):
+        raise T.ShapeError(f"transpose: {axes} is not a permutation of axes of shape {xd.shape}")
+    return T._emit(xd.transpose(axes), (x,), lambda g: (g.transpose(np.argsort(axes)),))
+
+
 def split_heads(T, x, h):
     """[..., n, d] -> [..., h, n, d/h] through the engine T."""
     shp = x.data.shape
@@ -486,7 +499,7 @@ def split_heads(T, x, h):
         raise T.ShapeError(f"width {d} not divisible by {h} heads")
     y = T.reshape(x, shp[:-2] + (n, h, d // h))
     perm = tuple(range(len(shp) - 2)) + (len(shp) - 1, len(shp) - 2, len(shp))
-    return T.transpose(y, perm)
+    return transpose(T, y, perm)
 
 
 def merge_heads(T, x):
@@ -494,7 +507,7 @@ def merge_heads(T, x):
     shp = x.data.shape
     h, n, dh = shp[-3], shp[-2], shp[-1]
     perm = tuple(range(len(shp) - 3)) + (len(shp) - 2, len(shp) - 3, len(shp) - 1)
-    return T.reshape(T.transpose(x, perm), shp[:-3] + (n, h * dh))
+    return T.reshape(transpose(T, x, perm), shp[:-3] + (n, h * dh))
 
 
 def masked_fill(T, x, mask, value):
@@ -513,7 +526,7 @@ def attention_weights(T, q, k, h, mask=None):
     qh = split_heads(T, q, h)
     kh = split_heads(T, k, h)
     ndim = len(kh.data.shape)
-    kt = T.transpose(kh, tuple(range(ndim - 2)) + (ndim - 1, ndim - 2))
+    kt = transpose(T, kh, tuple(range(ndim - 2)) + (ndim - 1, ndim - 2))
     scores = T.mul(T.matmul(qh, kt), 1.0 / np.sqrt(dh))
     if mask is not None:
         scores = masked_fill(T, scores, mask, -1e9)

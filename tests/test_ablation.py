@@ -1,9 +1,10 @@
 import pytest
 
 from gevst import ablation as A
-from gevst.config import TrainConfig, miniature_config
+from gevst.config import TrainConfig
 from gevst.data import generate_dataset
 from gevst.errors import ConfigError
+from util import miniature_config
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:CIDEr-D over a single-document corpus")

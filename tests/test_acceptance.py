@@ -21,7 +21,7 @@ import util as U
 from gevst import ablation, cli, metrics
 from gevst import tensor as T
 from gevst import training as TR
-from gevst.config import TrainConfig, miniature_config
+from gevst.config import TrainConfig
 from gevst.data import (BOS_ID, EOS_ID, PAD_ID, DenseCaption, Region, Sample,
                         build_vocab, corpus_texts, generate_dataset,
                         split_train_val)
@@ -70,7 +70,7 @@ def miniature_instance():
              DenseCaption("circle left of square", BoundingBox(5, 5, 70, 45))]
     sample = Sample("g0", regions, (100.0, 100.0), dense,
                     ["red circle here", "the red circle here"])
-    cfg = miniature_config()
+    cfg = U.miniature_config()
     vocab = build_vocab(corpus_texts([sample]), min_count=1)
     return sample, cfg, vocab
 

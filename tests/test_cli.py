@@ -236,6 +236,28 @@ def test_repeated_scene_id_exits_one(workdir, tmp_path, capsys):
         assert err.startswith("error: ") and f"line {len(lines) + 1}: scene id 's00000' repeats line 1" in err
 
 
+def test_scene_without_captions_exits_one(workdir, tmp_path, capsys):
+    """A scene with no ground-truth caption can be captioned, but training on
+    it, validating on it or scoring against it exits 1 and names it."""
+    rows = [json.loads(line) for line in open(workdir["data"]).read().splitlines()]
+    pred = tmp_path / "pred.jsonl"
+    for bare in ("s00002", "s00005"):  # a training scene, then the validation scene
+        data = tmp_path / f"no_caption_{bare}.jsonl"
+        data.write_text("".join(json.dumps(dict(r, gt_captions=[] if r["id"] == bare else r["gt_captions"])) + "\n"
+                                for r in rows))
+        assert cli.main(["caption", "--ckpt", workdir["ckpt"], "--data", str(data), "--out", str(pred)]) == 0
+        capsys.readouterr()
+        argvs = (["train", "--data", str(data), "--config", workdir["cfg"], "--out", str(tmp_path / "xe")],
+                 ["train", "--data", str(data), "--phase", "scst", "--init", workdir["ckpt"],
+                  "--out", str(tmp_path / "scst")],
+                 ["eval", "--pred", str(pred), "--refs", str(data), "--out", str(tmp_path / "m.json")])
+        for argv in argvs:
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(bare) in err, (argv, err)
+    assert not (tmp_path / "xe" / "checkpoint.bin").exists() and not (tmp_path / "scst" / "checkpoint.bin").exists()
+
+
 def test_usage_errors_exit_two(capsys):
     for argv in ([], ["train"], ["gen-data", "--seed", "1"],
                  ["ablate", "--data", "x", "--axis", "bogus", "--out", "y"]):
@@ -290,13 +312,17 @@ def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
     raw = open(workdir["ckpt"], "rb").read()
     header_line, _, body = raw.partition(b"\n")
     header = json.loads(header_line)
-    header["config"]["renorm_fused_attention"] = "no"  # truthy, so once accepted as on
+    header["config"]["d_model"] = "abc"
     typed = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
+    header = json.loads(header_line)
+    header["config"]["gate_mode"] = "softmax"  # a model this code cannot compute
+    retired = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
     header = json.loads(header_line)
     header["vocab"] = [t for t in header["vocab"] if t != "<unk>"] + ["unk"]  # once a KeyError
     no_unk = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
     for blob, message in ((raw + b"\0" * 8, "trailing bytes"),
-                          (typed, "'renorm_fused_attention' must be true or false"),
+                          (typed, "'d_model' must be an integer"),
+                          (retired, "'gate_mode' is retired"),
                           (no_unk, "checkpoint vocab must be distinct strings")):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(blob)

@@ -79,24 +79,10 @@ def test_matches_scalar_oracle(rng):
     assert U.max_abs_delta(got, ref) < 1e-12
 
 
-def test_softmax_gate_mode_normalizes_across_branches(rng):
-    layers, embed, out_proj, outs = small_model(rng, branches=("ss", "sv", "vv"))
-    with T.recording() as rec:
-        decoder_forward(layers, 2, outs, embed, out_proj, [BOS_ID, 4, 5], gate_mode="softmax")
-    assert sorted(rec) == ["decoder_gates_ss", "decoder_gates_sv", "decoder_gates_vv"]
-    assert all(len(gates) == len(layers) for gates in rec.values())
-    for i in range(len(layers)):
-        total = sum(gates[i] for gates in rec.values())  # [T x d], summed over branches
-        assert total.shape == (3, 8) and np.allclose(total, 1.0, atol=1e-12)
-        means = sum(gates[i].mean(axis=1) for gates in rec.values())  # per-token means
-        assert np.allclose(means, 1.0, atol=1e-12)
-    with pytest.raises(ConfigError):
-        decoder_forward(layers, 2, outs, embed, out_proj, [BOS_ID], gate_mode="mean")
-
-
-@pytest.mark.parametrize("branches", [("vv",), ("ss", "sv", "vs", "vv")])
-@pytest.mark.parametrize("gate_mode", ["sigmoid", "softmax"])
-def test_teacher_forcing_matches_callback_reference_bit_for_bit(rng, branches, gate_mode):
+# The "sigmoid" in these ids names the decoder gate, once a parameter of the cases.
+@pytest.mark.parametrize("branches", [("vv",), ("ss", "sv", "vs", "vv")],
+                         ids=["sigmoid-branches0", "sigmoid-branches1"])
+def test_teacher_forcing_matches_callback_reference_bit_for_bit(rng, branches):
     """Cross keys and values projected up front, as plain tensors, leave the
     logits and every gradient exactly as the callback-based decoder had them."""
     layers, embed, out_proj, outs = small_model(rng, branches=branches)
@@ -108,7 +94,7 @@ def test_teacher_forcing_matches_callback_reference_bit_for_bit(rng, branches, g
     runs = []
     for forward in (decoder_forward, U.reference_decoder_forward):
         with T.Tape() as tape:
-            logits = forward(layers, 2, outs, embed, out_proj, ids, gate_mode=gate_mode)
+            logits = forward(layers, 2, outs, embed, out_proj, ids)
             tape.backward(T.total_sum(T.mul(logits, probe)))
         runs.append([logits.data] + [t.grad for t in tensors])
         for t in tensors:
@@ -119,25 +105,26 @@ def test_teacher_forcing_matches_callback_reference_bit_for_bit(rng, branches, g
 
 
 CACHED_BRANCHES = [("vv",), ("ss", "vs"), ("ss", "sv", "vs", "vv")]
-CACHED_SHAPES = [("sigmoid", 2), ("softmax", 2), ("sigmoid", 5)]
+# ids as for the teacher-forcing cases above
+CACHED_LAYERS = [pytest.param(2, id="sigmoid-2"), pytest.param(5, id="sigmoid-5")]
 
 
-def cached_and_oracle(rng, branches, gate_mode, n_layers):
+def cached_and_oracle(rng, branches, n_layers):
     """A fresh cached step for a random model, and the full-prefix oracle:
     the log softmax of decoder_forward's last row on the whole prefix."""
     layers, embed, out_proj, outs = small_model(rng, n_layers=n_layers, branches=branches)
 
     def oracle(prefix):
-        row = decoder_forward(layers, 2, outs, embed, out_proj, prefix, gate_mode=gate_mode).data[-1]
+        row = decoder_forward(layers, 2, outs, embed, out_proj, prefix).data[-1]
         return row - row.max() - np.log(np.exp(row - row.max()).sum())
 
-    return CachedDecoder(layers, 2, outs, embed, out_proj, gate_mode=gate_mode), oracle
+    return CachedDecoder(layers, 2, outs, embed, out_proj), oracle
 
 
 @pytest.mark.parametrize("branches", CACHED_BRANCHES)
-@pytest.mark.parametrize("gate_mode, n_layers", CACHED_SHAPES)
-def test_cached_step_matches_full_prefix_on_a_forced_sequence(rng, branches, gate_mode, n_layers):
-    step, oracle = cached_and_oracle(rng, branches, gate_mode, n_layers)
+@pytest.mark.parametrize("n_layers", CACHED_LAYERS)
+def test_cached_step_matches_full_prefix_on_a_forced_sequence(rng, branches, n_layers):
+    step, oracle = cached_and_oracle(rng, branches, n_layers)
     ids = [BOS_ID, 4, 5, 3, 4, 0, 5, 2]
     for k in range(1, len(ids) + 1):
         got = step([ids[:k]])
@@ -146,9 +133,9 @@ def test_cached_step_matches_full_prefix_on_a_forced_sequence(rng, branches, gat
 
 
 @pytest.mark.parametrize("branches", CACHED_BRANCHES)
-@pytest.mark.parametrize("gate_mode, n_layers", CACHED_SHAPES)
-def test_cached_beam_steps_reorder_drop_and_duplicate_parents(rng, branches, gate_mode, n_layers):
-    step, oracle = cached_and_oracle(rng, branches, gate_mode, n_layers)
+@pytest.mark.parametrize("n_layers", CACHED_LAYERS)
+def test_cached_beam_steps_reorder_drop_and_duplicate_parents(rng, branches, n_layers):
+    step, oracle = cached_and_oracle(rng, branches, n_layers)
     calls = [
         [[BOS_ID]],
         [[BOS_ID, 3], [BOS_ID, 4], [BOS_ID, 5]],

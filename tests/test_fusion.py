@@ -32,15 +32,6 @@ def test_attention_rows_sum_to_one(rng):
         assert np.allclose((a_con.data + a_geo.data).sum(axis=1), 2.0, atol=1e-9)
 
 
-def test_renorm_halves_the_summed_map(rng):
-    cell = rand_cell(rng, 4, 2)
-    cq, gq, ck, gk = rand_inputs(rng, 3, 5, 4)
-    out = O.fusion_cell_oracle(O.mat(cq.data), O.mat(gq.data), O.mat(ck.data),
-                               O.mat(gk.data), U.fusion_oracle_params(cell), 2, renorm=True)
-    for row in out["weights"]:
-        assert abs(sum(row) - 1.0) < 1e-9
-
-
 def test_inter_geometry_in_convex_hull(rng):
     for _ in range(25):
         n, m, d = rng.integers(1, 5), rng.integers(1, 5), 6

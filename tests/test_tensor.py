@@ -1,6 +1,10 @@
 """Engine-level checks: gradients against central differences, tape
 mechanics, the no-implicit-broadcasting contract, and the recorder."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,10 +88,10 @@ def test_shape_op_grads():
     x = Tensor(RNG.normal(0, 1, (2, 8)), requires_grad=True)
     check(lambda t: T.total_sum(T.sum_pool_stride(T.mul(t, t), 4)), x)
     check(lambda t: T.total_sum(T.mul(T.reshape(t, (4, 4)), 2.0)), x)
-    check(lambda t: T.total_sum(T.tanh(T.transpose(t))), x)
+    check(lambda t: T.total_sum(T.tanh(O.transpose(T, t))), x)
     x3 = Tensor(RNG.normal(0, 1, (2, 3, 4)), requires_grad=True)
     w3 = Tensor(RNG.normal(0, 1, (3, 4, 2)))
-    check(lambda t: T.total_sum(T.mul(T.tanh(T.transpose(t, (1, 2, 0))), w3)), x3)
+    check(lambda t: T.total_sum(T.mul(T.tanh(O.transpose(T, t, (1, 2, 0))), w3)), x3)
     check(lambda t: T.total_sum(T.narrow(t, 1, 2, 3)), x)
     check(lambda t: T.total_sum(T.mean(t, axis=0)), x)
     check(lambda t: T.total_sum(T.concat([t, t], axis=0)), x)
@@ -120,6 +124,29 @@ def test_masked_fill_underflows_to_exact_zero():
     assert out.data[0, 2] == 0.0
     assert out.data[1, 4] == 0.0
     assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_every_engine_function_has_a_caller_in_the_package():
+    """Each public function of the engine is used by another package module,
+    as `T.<name>` on the module (also uncalled, as in `map(T.sigmoid, ...)`)
+    or imported by name; one only the tests use belongs with them."""
+    public = {name for name, f in vars(T).items()
+              if inspect.isfunction(f) and f.__module__ == T.__name__ and not name.startswith("_")}
+    used = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tensor":
+                used.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+                aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+        used.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases)
+    assert sorted(public - used) == []
 
 
 def test_no_implicit_broadcasting():

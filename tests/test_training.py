@@ -6,7 +6,7 @@ import pytest
 
 from gevst import tensor as T
 from gevst import training as TR
-from gevst.config import TrainConfig, miniature_config
+from gevst.config import TrainConfig, config_from_dict
 from gevst.data import (BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts,
                         generate_dataset, split_train_val)
 from gevst.errors import (ConfigError, ContractError, ParseError, SchemaError,
@@ -27,7 +27,7 @@ def tiny_cfg(**kw):
     base = dict(raw_feat_dim=32, min_count=1, batch_size=4, xe_epochs=2,
                 scst_epochs=1, val_every=1, max_len=12, enc_layers=1)
     base.update(kw)
-    return miniature_config(**base)
+    return U.miniature_config(**base)
 
 
 def tiny_setup(n=6, seed=5, **kw):
@@ -426,7 +426,7 @@ def test_scst_rollouts_equal_two_separate_decodes():
 
 
 def test_model_step_matches_caption_logits_last_row():
-    samples, cfg = tiny_setup(n=2, gate_mode="softmax")
+    samples, cfg = tiny_setup(n=2)
     vocab = build_vocab(corpus_texts(samples), 1)
     params = init_model(cfg, len(vocab), np.random.default_rng(3))
     branch = encode_sample(params, cfg, samples[0], vocab)
@@ -590,6 +590,24 @@ def test_checkpoint_error_taxonomy(tmp_path):
                    vocab[:-1] + [7], [vocab[1], vocab[0]] + vocab[2:]):
         with pytest.raises(SchemaError, match="vocab must be distinct strings"):
             rewrite(dict(header, vocab=tokens))
+
+    # a header from before the gate and fusion-map variants were retired names
+    # both keys; each loads only at the one value the model still computes
+    retired = dict(header, config=dict(header["config"], renorm_fused_attention=False, gate_mode="sigmoid"))
+    sample = generate_dataset(5, 1)[0]
+    loaded = []
+    for h in (header, retired):
+        cfg, vocab, params, _ = rewrite(h)
+        ids = [BOS_ID] + vocab.encode(sample.gt_captions[0])
+        loaded.append((cfg, caption_logits(params, cfg, encode_sample(params, cfg, sample, vocab), ids).data))
+    assert loaded[0][0] == loaded[1][0] == config_from_dict(header["config"])
+    assert np.array_equal(loaded[0][1], loaded[1][1])
+    for key, value in (("gate_mode", "softmax"), ("gate_mode", "Sigmoid"), ("gate_mode", True),
+                       ("gate_mode", None), ("renorm_fused_attention", True),
+                       ("renorm_fused_attention", 0), ("renorm_fused_attention", "no"),
+                       ("renorm_fused_attention", "false"), ("renorm_fused_attention", None)):
+        with pytest.raises(ConfigError, match=f"'{key}' is retired"):
+            rewrite(dict(header, config=dict(header["config"], **{key: value})))
 
     # the unmodified header and body still load; a missing step count reads 0
     rewrite(json.loads(header_line))

@@ -1,5 +1,6 @@
 """Converters from parameter dataclasses to the plain-list oracle inputs,
-small helpers shared across test modules, and two earlier forms kept as
+small helpers shared across test modules (among them `miniature_config`,
+the smallest legal end-to-end setting), and two earlier forms kept as
 references: the separate XE and SCST training loops that `training._optimize`
 replaced, and the decoder that passed projections in as callbacks."""
 
@@ -11,12 +12,23 @@ import oracles as O
 from gevst import metrics
 from gevst import tensor as T
 from gevst import training as TR
-from gevst.config import BRANCH_NAMES
+from gevst.config import BRANCH_NAMES, TrainConfig
 from gevst.data import BOS_ID, build_vocab, corpus_texts, split_train_val
 from gevst.decoder import causal_mask
 from gevst.errors import ContractError, TrainingDiverged
 from gevst.model import caption_logits, init_model
 from gevst.nn import Tensor, ffn, layer_norm, linear, named_parameters, sinusoidal_positions
+
+
+def miniature_config(**overrides):
+    """The smallest legal end-to-end setting, used by gradient checks."""
+    base = dict(
+        d_model=16, heads=2, expand_ratio=2, fusion_cells=1, layers=2,
+        raw_feat_dim=8, enc_width=16, enc_heads=2, enc_layers=3,
+        batch_size=2, val_every=1,
+    )
+    base.update(overrides)
+    return TrainConfig(**base)
 
 
 def lin(p):
@@ -274,7 +286,7 @@ def reference_attend(x_q, x_kv, q, k, v, h, mask=None, kv=linear):
     return T.apply_attention(w, kv(x_kv, v), h)
 
 
-def reference_modulated_multi_input(y, branch_outputs, layer, h, gate_mode="sigmoid", kv=linear):
+def reference_modulated_multi_input(y, branch_outputs, layer, h, kv=linear):
     branches = [b for b in BRANCH_NAMES if b in branch_outputs]
     contexts, scores = [], []
     for b in branches:
@@ -282,27 +294,21 @@ def reference_modulated_multi_input(y, branch_outputs, layer, h, gate_mode="sigm
         c = reference_attend(y, branch_outputs[b], p.q, p.k, p.v, h, kv=kv)
         contexts.append(c)
         scores.append(linear(T.concat([y, c], axis=1), layer.mod[b]))
-    if gate_mode == "sigmoid":
-        gates = [T.sigmoid(z) for z in scores]
-    else:
-        t_len, d = y.data.shape
-        stacked = T.concat([T.reshape(z, (1, t_len, d)) for z in scores], axis=0)
-        back = T.transpose(T.softmax(T.transpose(stacked, (1, 2, 0))), (2, 0, 1))
-        gates = [T.reshape(T.narrow(back, 0, i, 1), (t_len, d)) for i in range(len(branches))]
+    gates = [T.sigmoid(z) for z in scores]
     out = T.mul(gates[0], contexts[0])
     for g, c in zip(gates[1:], contexts[1:]):
         out = T.add(out, T.mul(g, c))
     return out
 
 
-def reference_decoder_layer(y, lp, h, branch_outputs, self_attention, gate_mode="sigmoid", cross_kv=linear):
+def reference_decoder_layer(y, lp, h, branch_outputs, self_attention, cross_kv=linear):
     y = layer_norm(T.add(y, self_attention(y, lp)), lp.ln1)
-    att = reference_modulated_multi_input(y, branch_outputs, lp, h, gate_mode=gate_mode, kv=cross_kv)
+    att = reference_modulated_multi_input(y, branch_outputs, lp, h, kv=cross_kv)
     y = layer_norm(T.add(y, att), lp.ln2)
     return layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
 
 
-def reference_decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids, gate_mode="sigmoid"):
+def reference_decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
     ids = list(token_ids)
     t_len, d = len(ids), embed.data.shape[1]
     y = T.add(T.embedding_lookup(embed, ids), Tensor(sinusoidal_positions(t_len, d).data))
@@ -312,5 +318,5 @@ def reference_decoder_forward(layers, h, branch_outputs, embed, out_proj, token_
         return reference_attend(y, y, lp.self_q, lp.self_k, lp.self_v, h, mask=mask)
 
     for lp in layers:
-        y = reference_decoder_layer(y, lp, h, branch_outputs, causal_self_attention, gate_mode=gate_mode)
+        y = reference_decoder_layer(y, lp, h, branch_outputs, causal_self_attention)
     return linear(y, out_proj)
