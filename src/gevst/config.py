@@ -54,6 +54,10 @@ class TrainConfig:
 
     def validate(self):
         c = self
+        for name in ("heads", "enc_heads", "max_len", "batch_size", "warmup_epochs", "beam",
+                     "val_every", "min_count"):
+            if getattr(c, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(c, name)}")
         if c.d_model < 2 or c.d_model % c.heads != 0:
             raise ConfigError(f"d_model {c.d_model} must be >= 2 and divisible by heads {c.heads}")
         if c.enc_width < 2 or c.enc_width % c.enc_heads != 0:
@@ -77,10 +81,7 @@ class TrainConfig:
             raise ConfigError(f"branches must be a non-empty subset of {BRANCH_NAMES}, got {c.branches}")
         if len(set(c.branches)) != len(c.branches):
             raise ConfigError(f"duplicate branches in {c.branches}")
-        for name in ("max_len", "batch_size", "warmup_epochs", "beam", "val_every", "min_count"):
-            if getattr(c, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(c, name)}")
-        for name in ("xe_epochs", "scst_epochs"):
+        for name in ("seed", "xe_epochs", "scst_epochs"):
             if getattr(c, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(c, name)}")
         for name in ("lr_scale", "grad_clip", "scst_lr"):

@@ -152,6 +152,8 @@ def generate_sample(seed, index):
 
 
 def generate_dataset(seed, n):
+    if seed < 0:
+        raise ConfigError(f"dataset seed must be >= 0, got {seed}")
     if n < 1:
         raise ConfigError(f"dataset size must be >= 1, got {n}")
     return [generate_sample(seed, i) for i in range(n)]

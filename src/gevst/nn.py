@@ -3,6 +3,8 @@
 Parameter containers are small dataclasses of Tensors; `named_parameters`
 walks any nesting of dataclasses / lists / dicts in declaration order, which
 fixes a deterministic global parameter order for init, Adam and checkpoints.
+The operations themselves, the vocabulary log-softmax among them, are the
+engine's (`tensor`); this module composes them into layers.
 """
 
 from __future__ import annotations
@@ -17,15 +19,6 @@ from .tensor import Tensor
 
 # Constant tensors reused across calls (never written to).
 _CONST_CACHE = {}
-
-
-def ones_const(rows, cols=1):
-    key = ("ones", rows, cols)
-    t = _CONST_CACHE.get(key)
-    if t is None:
-        t = Tensor(np.ones((rows, cols)))
-        _CONST_CACHE[key] = t
-    return t
 
 
 # ------------------------------------------------------------------- params
@@ -158,28 +151,3 @@ def sinusoidal_positions(n, d):
         _CONST_CACHE[key] = t
     return t
 
-
-# ------------------------------------------------------------ log softmax
-
-
-def log_softmax(x):
-    """Row-wise log softmax for [..., V]; exact and stable.
-
-    The row max is subtracted as a stop-gradient constant; the gradient of
-    log-sum-exp is invariant to that shift, so the result is exact.
-    """
-    shp = x.data.shape
-    v = shp[-1]
-    if len(shp) != 2:
-        x = T.reshape(x, (-1, v))
-    xd = x.data
-    m = T.Tensor(np.broadcast_to(xd.max(axis=-1, keepdims=True), xd.shape).copy())
-    xs = T.sub(x, m)
-    e = T.exp(xs)
-    row_sum = T.mul(T.mean(e, axis=-1), float(v))
-    log_z = T.log(row_sum)
-    tiled = T.matmul(T.reshape(log_z, (-1, 1)), ones_const(1, v))
-    out = T.sub(xs, tiled)
-    if len(shp) != 2:
-        out = T.reshape(out, shp)
-    return out

@@ -201,7 +201,7 @@ def affine(x, w, b):
 
 
 def _operands(a, b, opname):
-    """The one elementwise rule of add/sub/mul: equal shapes pair up entry by
+    """The one elementwise rule of add and mul: equal shapes pair up entry by
     entry; otherwise a size-1 operand (a size-1 tensor or a python number)
     acts as a scalar. Returns b as a tensor and the two arrays to combine."""
     if not isinstance(b, Tensor):
@@ -230,11 +230,6 @@ def _sum_to(t, g, factor=None):
 def add(a, b):
     b, ad, bd = _operands(a, b, "add")
     return _emit(ad + bd, (a, b), lambda g: (_sum_to(a, g), _sum_to(b, g)))
-
-
-def sub(a, b):
-    b, ad, bd = _operands(a, b, "sub")
-    return _emit(ad - bd, (a, b), lambda g: (_sum_to(a, g), _sum_to(b, g, -1.0)))
 
 
 def mul(a, b):
@@ -347,16 +342,6 @@ def relu(x):
     return _emit(np.where(keep, x.data, 0.0), (x,), lambda g: (np.where(keep, g, 0.0),))
 
 
-def log(x):
-    xd = x.data
-    return _emit(np.log(xd), (x,), lambda g: (g / xd,))
-
-
-def exp(x):
-    out = np.exp(x.data)
-    return _emit(out, (x,), lambda g: (g * out,))
-
-
 # ------------------------------------------------------------ softmax / norm
 
 
@@ -372,6 +357,35 @@ def softmax(x):
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
+
+    return _emit(out, (x,), bwd)
+
+
+def log_softmax(x):
+    """Log softmax over the last axis, max-subtracted for stability.
+
+    Forward and backward repeat, in order, the NumPy arithmetic of the
+    engine-op composite that tests/oracles.py keeps as the reference, so the
+    two agree bit for bit.
+    """
+    xd = x.data
+    if xd.ndim < 1 or xd.shape[-1] == 0:
+        raise ShapeError(f"log_softmax needs a non-empty last axis, got shape {xd.shape}")
+    v = xd.shape[-1]
+    x2 = xd.reshape(-1, v)
+    xs = x2 - x2.max(axis=-1, keepdims=True)
+    e = np.exp(xs)
+    row_sum = e.mean(axis=-1) * float(v)
+    out = (xs - np.log(row_sum)[:, None]).reshape(xd.shape)
+
+    def bwd(g):
+        g2 = g.reshape(-1, v)
+        # Each step rounds as the composite's did: the row sums of g come from
+        # a product with ones (g2.sum(-1) rounds differently and would change
+        # training), and `* v / v` is its mul and mean, left unsimplified.
+        gz = ((g2 * -1.0) @ np.ones((v, 1))).reshape(-1)
+        ge = ((gz / row_sum) * float(v)) / v
+        return ((g2 + ge[:, None] * e).reshape(xd.shape),)
 
     return _emit(out, (x,), bwd)
 
@@ -423,11 +437,8 @@ def sum_pool_stride(x, stride):
     return _emit(out, (x,), lambda g: (np.repeat(g, stride, axis=-1),))
 
 
-def mean(x, axis=None):
+def mean(x, axis):
     xd = x.data
-    if axis is None:
-        n = xd.size
-        return _emit(xd.mean(), (x,), lambda g: (np.broadcast_to(g / n, xd.shape),))
     if not -xd.ndim <= axis < xd.ndim:
         raise ShapeError(f"mean: axis {axis} out of range for shape {xd.shape}")
     ax = axis % xd.ndim

@@ -44,8 +44,7 @@ from .data import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_voc
 from .decoder import beam_search, greedy_decode
 from .errors import ConfigError, ContractError, InputError, ParseError, SchemaError, TrainingDiverged
 from .model import caption_logits, encode_sample, init_model, make_step_fn
-from .nn import (Tensor, flat_offsets, flat_parameters, flat_views, log_softmax,
-                 named_parameters, parameters)
+from .nn import Tensor, flat_offsets, flat_parameters, flat_views, named_parameters, parameters
 from .tensor import Tape, no_grad
 from . import tensor as T
 
@@ -125,7 +124,7 @@ def _log_likelihood(logits, ids, row_weights):
     """sum over rows t of row_weights[t] * log softmax(logits)[t, ids[t]]."""
     weight = np.zeros(logits.data.shape)
     weight[np.arange(len(ids)), ids] = row_weights
-    return T.total_sum(T.mul(log_softmax(logits), Tensor(weight)))
+    return T.total_sum(T.mul(T.log_softmax(logits), Tensor(weight)))
 
 
 def xe_loss(logits, target_ids):
@@ -232,6 +231,8 @@ def _optimize(phase, train, val, cfg, params, vocab, epochs, step, sample_loss, 
     A batch with no loss takes no step; otherwise its mean loss is
     backpropagated, clipped and stepped at `lr_at(step)`. The curve holds the
     mean reward when samples report one, else the mean loss, logged by `report`."""
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
     opt = Adam(params)
     curve = []
     best_snapshot, best_epoch, best_val = opt.params.copy(), 0, -1.0

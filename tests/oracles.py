@@ -15,12 +15,13 @@ square root.
 The last section is the exception: it keeps, as bit-exact references, the
 per-tensor numpy optimizer and checkpoint writer that the flat parameter
 vector replaced, the kron-gather additive-attention map that the engine's
-pairwise_add replaced, and the multi-head attention built from the engine's
+pairwise_add replaced, the multi-head attention built from the engine's
 reshape/matmul/mul/softmax ops (plus transpose and masked_fill, kept here
 since the engine has no other use for them) that its fused attention_weights
-and apply_attention replaced. They still import nothing from the package: the
-attention functions, transpose and masked_fill take the tensor engine as an
-argument.
+and apply_attention replaced, and the log softmax built from engine ops (plus
+sub, exp and log, kept here for the same reason) that its fused log_softmax
+replaced. They still import nothing from the package: these functions take the
+tensor engine as an argument.
 """
 
 import json
@@ -536,3 +537,42 @@ def attention_weights(T, q, k, h, mask=None):
 def apply_attention(T, weights, v, h):
     """weights [..., h, n_q, n_k] over v [..., n_k, d] -> [..., n_q, d]."""
     return merge_heads(T, T.matmul(weights, split_heads(T, v, h)))
+
+
+def sub(T, a, b):
+    """a - b under the engine's add/mul operand rule, as one engine node."""
+    b, ad, bd = T._operands(a, b, "sub")
+    return T._emit(ad - bd, (a, b), lambda g: (T._sum_to(a, g), T._sum_to(b, g, -1.0)))
+
+
+def exp(T, x):
+    """Elementwise exp of x, as one engine node."""
+    out = np.exp(x.data)
+    return T._emit(out, (x,), lambda g: (g * out,))
+
+
+def log(T, x):
+    """Elementwise natural log of x, as one engine node."""
+    xd = x.data
+    return T._emit(np.log(xd), (x,), lambda g: (g / xd,))
+
+
+def log_softmax(T, x):
+    """Row-wise log softmax of [..., V] from engine ops: the row max is
+    subtracted as a constant, and the row log-normaliser is tiled across the
+    row by a product with a [1 x V] row of ones."""
+    shp = x.data.shape
+    v = shp[-1]
+    if len(shp) != 2:
+        x = T.reshape(x, (-1, v))
+    xd = x.data
+    m = T.Tensor(np.broadcast_to(xd.max(axis=-1, keepdims=True), xd.shape).copy())
+    xs = sub(T, x, m)
+    e = exp(T, xs)
+    row_sum = T.mul(T.mean(e, axis=-1), float(v))
+    log_z = log(T, row_sum)
+    tiled = T.matmul(T.reshape(log_z, (-1, 1)), T.Tensor(np.ones((1, v))))
+    out = sub(T, xs, tiled)
+    if len(shp) != 2:
+        out = T.reshape(out, shp)
+    return out

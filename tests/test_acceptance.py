@@ -30,7 +30,7 @@ from gevst.encoder import gesa_layer, init_gesa_layer
 from gevst.fusion import fusion_cell, init_fusion_cell
 from gevst.geometry import BoundingBox
 from gevst.model import caption_logits, encode_sample, init_model
-from gevst.nn import Tensor, init_embedding, init_linear, log_softmax, named_parameters
+from gevst.nn import Tensor, init_embedding, init_linear, named_parameters
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:CIDEr-D over a single-document corpus")
@@ -408,7 +408,7 @@ def run_bandit(high_token=1, steps=200, lr=0.1, seed=0):
     reward = lambda tok: 10.0 if tok == high_token else 0.0
     first_above = None
     for step in range(1, steps + 1):
-        lp = log_softmax(logits).data[0]
+        lp = T.log_softmax(logits).data[0]
         sampled = int(rng.choice(2, p=np.exp(lp)))
         greedy = int(np.argmax(lp))
         advantage = reward(sampled) - reward(greedy)
@@ -419,7 +419,7 @@ def run_bandit(high_token=1, steps=200, lr=0.1, seed=0):
                     TR.sequence_logprob(logits, [sampled]), advantage)
                 tape.backward(loss)
             opt.step(lr)
-        p_high = float(np.exp(log_softmax(logits).data[0, high_token]))
+        p_high = float(np.exp(T.log_softmax(logits).data[0, high_token]))
         if first_above is None and p_high > 0.9:
             first_above = step
     return p_high, first_above

@@ -320,7 +320,11 @@ def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
     header = json.loads(header_line)
     header["vocab"] = [t for t in header["vocab"] if t != "<unk>"] + ["unk"]  # once a KeyError
     no_unk = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
+    header = json.loads(header_line)
+    header["config"]["seed"] = -1  # once loaded, to die at the first seeded draw
+    negative_seed = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
     for blob, message in ((raw + b"\0" * 8, "trailing bytes"),
+                          (negative_seed, "seed must be >= 0, got -1"),
                           (typed, "'d_model' must be an integer"),
                           (retired, "'gate_mode' is retired"),
                           (no_unk, "checkpoint vocab must be distinct strings")):
@@ -352,6 +356,32 @@ def test_wrongly_typed_config_exits_one(workdir, tmp_path, capsys):
         assert code == 1
         assert "error: config file" in capsys.readouterr().err
 
+
+
+def test_out_of_range_heads_seed_and_epochs_exit_one(workdir, tmp_path, capsys):
+    """Head counts below 1 (once a ZeroDivisionError, or for negative counts a
+    failure deep in the attention), negative seeds (once numpy's ValueError)
+    and negative ablate epochs (once an empty sweep that exited 0) exit 1
+    naming the field and write nothing."""
+    argvs = []
+    for i, bad in enumerate(({"heads": 0}, {"enc_heads": 0}, {"heads": -8}, {"enc_heads": -4}, {"seed": -1})):
+        cfg = tmp_path / f"range{i}.json"
+        cfg.write_text(json.dumps(dict(TINY, **bad)))
+        argvs.append((["train", "--data", workdir["data"], "--config", str(cfg)], next(iter(bad))))
+    argvs += [(["train", "--data", workdir["data"], "--config", workdir["cfg"], "--seed", "-1"], "seed"),
+              (["train", "--data", workdir["data"], "--phase", "scst", "--init", workdir["ckpt"],
+                "--seed", "-1"], "seed"),
+              (["ablate", "--data", workdir["data"], "--axis", "gesa", "--config", workdir["cfg"],
+                "--seed", "-1"], "seed"),
+              (["ablate", "--data", workdir["data"], "--axis", "gesa", "--config", workdir["cfg"],
+                "--epochs", "-3"], "epochs must be >= 0, got -3"),
+              (["gen-data", "--seed", "-1", "--n", "2"], "seed must be >= 0, got -1")]
+    for i, (argv, field) in enumerate(argvs):
+        out = tmp_path / f"out{i}"
+        assert cli.main(argv + ["--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, (argv, err)
+        assert not out.is_file() and not any(p.is_file() for p in out.rglob("*")), argv
 
 
 @pytest.mark.parametrize("line, message", [

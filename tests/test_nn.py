@@ -10,7 +10,7 @@ import oracles as O
 from gevst import tensor as T
 from gevst.errors import ShapeError
 from gevst.nn import (LayerNorm, Tensor, ffn, flat_parameters, init_ffn, init_linear,
-                      layer_norm, linear, log_softmax, named_parameters,
+                      layer_norm, linear, named_parameters,
                       sinusoidal_positions)
 from util import grad_check
 
@@ -172,19 +172,19 @@ def test_linear_ffn_layer_norm_grads():
 
 def test_log_softmax_valid_distribution_and_grad():
     x = Tensor(RNG.normal(0, 3, (4, 9)), requires_grad=True)
-    lp = log_softmax(x)
+    lp = T.log_softmax(x)
     assert np.allclose(np.exp(lp.data).sum(axis=-1), 1.0, atol=1e-12)
     manual = x.data - x.data.max(axis=-1, keepdims=True)
     manual = manual - np.log(np.exp(manual).sum(axis=-1, keepdims=True))
     assert np.abs(lp.data - manual).max() < 1e-12
 
     w = Tensor(RNG.normal(0, 1, (4, 9)))
-    assert grad_check(lambda t: T.total_sum(T.mul(log_softmax(t), w)), x) < 1e-6
+    assert grad_check(lambda t: T.total_sum(T.mul(T.log_softmax(t), w)), x) < 1e-6
 
 
 def test_log_softmax_3d():
     x = Tensor(RNG.normal(0, 1, (2, 3, 5)))
-    lp = log_softmax(x)
+    lp = T.log_softmax(x)
     assert lp.data.shape == (2, 3, 5)
     assert np.allclose(np.exp(lp.data).sum(axis=-1), 1.0, atol=1e-12)
 

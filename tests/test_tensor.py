@@ -28,17 +28,18 @@ def check(f, x, tol=1e-6):
 def test_add_mul_sub_chain_grads():
     a = Tensor(RNG.normal(0, 1, (3, 4)), requires_grad=True)
     b = Tensor(RNG.normal(0, 1, (3, 4)))
-    check(lambda t: T.total_sum(T.mul(T.sub(T.add(t, b), T.mul(t, 0.3)), t)), a)
+    check(lambda t: T.total_sum(T.mul(O.sub(T, T.add(t, b), T.mul(t, 0.3)), t)), a)
 
 
 def test_scalar_tensor_mul_grad():
-    # gates are size-1 tensors multiplied against whole maps; add, sub and
-    # mul share one rule for a size-1 operand on either side or equal shapes
+    # gates are size-1 tensors multiplied against whole maps; add and mul
+    # (and the oracle sub) share one rule for a size-1 operand on either side
+    # or equal shapes
     g = Tensor(np.array([0.7]), requires_grad=True)
     m = Tensor(RNG.normal(0, 1, (4, 4)), requires_grad=True)
     m2 = Tensor(RNG.normal(0, 1, (4, 4)), requires_grad=True)
     w = Tensor(RNG.normal(0, 1, (4, 4)))
-    for op in (T.add, T.sub, T.mul):
+    for op in (T.add, lambda a, b: O.sub(T, a, b), T.mul):
         for a, b in ((m, g), (g, m), (m, m2)):
             check(lambda t: T.total_sum(T.mul(op(t, b), w)), a)
             check(lambda t: T.total_sum(T.mul(op(a, t), w)), b)
@@ -66,7 +67,7 @@ def test_affine_grads_all_inputs():
 
 def test_unary_grads():
     x = Tensor(RNG.uniform(0.2, 2.0, (3, 3)), requires_grad=True)
-    for op in (T.tanh, T.sigmoid, T.exp, T.log):
+    for op in (T.tanh, T.sigmoid, lambda t: O.exp(T, t), lambda t: O.log(T, t)):
         check(lambda t, op=op: T.total_sum(op(t)), x)
     xr = Tensor(RNG.normal(0, 1, (6,)) + 0.05, requires_grad=True)  # keep off the relu kink
     check(lambda t: T.total_sum(T.relu(t)), xr)
@@ -82,6 +83,48 @@ def test_softmax_layer_norm_grads():
     check(lambda t: T.total_sum(T.tanh(T.layer_norm(t, gain, bias))), x)
     check(lambda t: T.total_sum(T.layer_norm(x, t, bias)), gain)
     check(lambda t: T.total_sum(T.layer_norm(x, gain, t)), bias)
+
+
+def _fused_and_composite_log_softmax(xd, gd):
+    """[(output, input gradient)] of T.log_softmax and of the engine-op
+    composite it replaced, each backpropagated from sum(out * gd)."""
+    runs = []
+    for f in (T.log_softmax, lambda t: O.log_softmax(T, t)):
+        x = Tensor(xd, requires_grad=True)
+        with Tape() as tape:
+            out = f(x)
+            tape.backward(T.total_sum(T.mul(out, Tensor(gd))))
+        runs.append((out.data, x.grad))
+    return runs
+
+
+def test_log_softmax_matches_the_composite_bit_for_bit():
+    one_hot = np.zeros((9, 19))
+    one_hot[np.arange(9), RNG.integers(0, 19, 9)] = RNG.normal(0, 1, 9)  # the XE loss's weights
+    ties = np.array([[2.0, 2.0, 2.0, -1.0], [0.0] * 4, [1e4, 1e4, -1e4, 3.0],
+                     [-745.0, 745.0, 1e-300, -1e-300], [1e15, -1e15, 1e15 + 1.0, 0.5]])
+    cases = ((RNG.normal(0, 3, (9, 19)), RNG.normal(0, 1, (9, 19))),
+             (RNG.normal(0, 3, (9, 19)), one_hot),
+             (RNG.normal(0, 2, (2, 3, 7)), RNG.normal(0, 1, (2, 3, 7))),
+             (RNG.normal(0, 1, (5, 1)), RNG.normal(0, 1, (5, 1))),
+             (ties, RNG.normal(0, 1, ties.shape)))
+    for xd, gd in cases:
+        (out, gx), (want_out, want_gx) = _fused_and_composite_log_softmax(xd, gd)
+        assert out.shape == xd.shape and gx.shape == xd.shape
+        assert np.array_equal(out, want_out) and np.array_equal(gx, want_gx), xd.shape
+        assert np.isfinite(out).all() and np.allclose(np.exp(out).sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_log_softmax_is_one_node_and_rejects_an_empty_last_axis():
+    x = Tensor(RNG.normal(0, 1, (2, 4, 19)), requires_grad=True)
+    with Tape() as tape:
+        T.log_softmax(x)
+    assert len(tape.nodes) == 1
+    for bad in (np.zeros((3, 0)), np.zeros((0,)), np.array(1.0)):
+        with pytest.raises(ShapeError):
+            T.log_softmax(Tensor(bad))
+    w = Tensor(RNG.normal(0, 1, (2, 4, 19)))
+    check(lambda t: T.total_sum(T.mul(T.log_softmax(t), w)), x)
 
 
 def test_shape_op_grads():

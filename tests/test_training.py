@@ -13,7 +13,7 @@ from gevst.errors import (ConfigError, ContractError, ParseError, SchemaError,
                           TrainingDiverged)
 from gevst.decoder import greedy_decode
 from gevst.model import caption_logits, encode_sample, init_model, make_step_fn
-from gevst.nn import Tensor, flat_parameters, log_softmax, named_parameters, parameters
+from gevst.nn import Tensor, flat_parameters, named_parameters, parameters
 
 import oracles as O
 import util as U
@@ -196,7 +196,7 @@ def test_sequence_logprob_matches_manual(rng):
     rows = rng.normal(size=(5, 8))
     ids = [2, 0, 7, 3, 3]
     got = TR.sequence_logprob(Tensor(rows), ids).item()
-    lp = log_softmax(Tensor(rows)).data
+    lp = T.log_softmax(Tensor(rows)).data
     want = sum(lp[t, ids[t]] for t in range(5))
     assert abs(got - want) < 1e-12
 
@@ -433,7 +433,7 @@ def test_model_step_matches_caption_logits_last_row():
     step = make_step_fn(params, cfg, branch)
     ids = [BOS_ID] + vocab.encode(samples[0].gt_captions[0])
     for k in range(1, len(ids) + 1):
-        want = log_softmax(caption_logits(params, cfg, branch, ids[:k])).data[-1]
+        want = T.log_softmax(caption_logits(params, cfg, branch, ids[:k])).data[-1]
         assert U.max_abs_delta(step([ids[:k]])[0], want) <= 1e-12
 
 
@@ -453,8 +453,8 @@ def test_beam_caption_rejects_beam_zero():
         TR.beam_caption(params, cfg, vocab, samples[0], beam=0)
 
 
-def test_desk_xe_sample_records_661_tape_nodes():
-    """Pins the taped teacher-forced path at desk defaults: 661 nodes per sample."""
+def test_desk_xe_sample_records_654_tape_nodes():
+    """Pins the taped teacher-forced path at desk defaults: 654 nodes per sample."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 3)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
@@ -464,7 +464,7 @@ def test_desk_xe_sample_records_661_tape_nodes():
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 661
+        assert len(tape.nodes) == 654
 
 
 # ---------------------------------------------------------------- checkpoints
