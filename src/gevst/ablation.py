@@ -20,7 +20,7 @@ import os
 
 from . import metrics
 from .errors import ConfigError
-from .training import (greedy_caption, references_of, restore_snapshot,
+from .training import (greedy_captions, references_of, restore_snapshot,
                        save_checkpoint, split_train_val, train_xe, write_curve)
 
 AXES = ("m", "base", "layers", "gesa", "branches")
@@ -64,8 +64,7 @@ def run_config(label, cfg, samples, out_dir, epochs=None):
     restore_snapshot(outcome.params, outcome.best_snapshot)
     _, val = split_train_val(samples)
     pool = val if val else list(samples)
-    cands = [greedy_caption(outcome.params, cfg, outcome.vocab, s)[0] for s in pool]
-    report = metrics.evaluate(cands, references_of(pool))
+    report = metrics.evaluate(greedy_captions(outcome.params, cfg, outcome.vocab, pool), references_of(pool))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), cfg, outcome.vocab,

@@ -91,22 +91,21 @@ def cmd_gen_data(args):
 def cmd_train(args):
     t0 = time.time()
     samples = read_jsonl(args.data)
-    os.makedirs(args.out, exist_ok=True)
-
     if args.phase == "xe":
         cfg = _load_config(args.config, args.seed)
-        if args.init:
-            _, vocab, params, steps = load_checkpoint(args.init)
-            out = train_xe(samples, cfg, params=params, vocab=vocab, start_step=steps)
-        else:
-            out = train_xe(samples, cfg)
-        curve_path = os.path.join(args.out, "loss_curve.csv")
-        write_curve(curve_path, out.curve, "loss")
+        _, vocab, params, steps = load_checkpoint(args.init) if args.init else (None, None, None, 0)
     else:
         if not args.init:
             raise InputError("--phase scst requires --init with an XE checkpoint")
-        cfg, vocab, params, steps = load_checkpoint(args.init)
-        cfg = _load_config(args.config, args.seed, cfg.to_dict())
+        base, vocab, params, steps = load_checkpoint(args.init)
+        cfg = _load_config(args.config, args.seed, base.to_dict())
+    os.makedirs(args.out, exist_ok=True)  # only once the config and checkpoint are accepted
+
+    if args.phase == "xe":
+        out = train_xe(samples, cfg, params=params, vocab=vocab, start_step=steps)
+        curve_path = os.path.join(args.out, "loss_curve.csv")
+        write_curve(curve_path, out.curve, "loss")
+    else:
         out = train_scst(samples, cfg, params, vocab, start_step=steps)
         curve_path = os.path.join(args.out, "reward_curve.csv")
         write_curve(curve_path, out.curve, "reward")

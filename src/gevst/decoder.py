@@ -12,10 +12,11 @@ layer body (`decoder_layer`) and the cross-attention keys and values
 (`cross_keys_values`: each branch output projected once per layer, plain
 tensors). Only the self-attention context they hand the layer differs.
 Teacher forcing computes it with causal self attention over the whole
-sequence. Decoding projects the cross keys and values once per scene and
-computes one new row per prefix, whose self attention reads the keys and
-values kept for the rest of the prefix. The decoder is causal, so the two
-agree to rounding.
+sequence. Decoding projects the cross keys and values once, for one scene or
+many, and computes one new row per (scene, prefix), whose self attention
+reads the keys and values kept for the rest of the prefix and whose cross
+attention reads its own scene's keys and values. The decoder is causal, so
+the two agree to rounding.
 
 Decoding works through a batched `step_fn(prefixes) -> [len(prefixes) x V]`
 log-prob matrix, one row per prefix, so the strategies are testable against
@@ -111,15 +112,28 @@ def cross_keys_values(layers, branch_outputs):
              for b in branches} for lp in layers]
 
 
+def _cross_context(q, entry, h):
+    """Attention of the queries q [n x d] over one branch's `entry`: (keys,
+    values) [N x d] that every row shares, or (keys, values, padding) with
+    each row's own keys and values [n x N x d] and the bool [n x h x 1 x N]
+    padding the row must not attend to."""
+    if len(entry) == 2:
+        return attend(q, *entry, h)
+    k, v, padding = entry
+    n, d = q.data.shape
+    return T.reshape(attend(T.reshape(q, (n, 1, d)), k, v, h, mask=padding), (n, d))
+
+
 def modulated_multi_input(y, cross, layer: DecoderLayerParams, h):
     """Gated sum of per-branch cross-attention contexts of y over `cross`,
-    one layer's entry of `cross_keys_values`.
+    one layer's {branch: entry} (see `_cross_context`), as `cross_keys_values`
+    or `CachedDecoder` gives it.
 
     Records each branch's [T x d] gate as "decoder_gates_<branch>" (see `T.record`).
     """
     contexts, scores = [], []
-    for b, (k, v) in cross.items():
-        c = attend(linear(y, layer.cross[b].q), k, v, h)
+    for b, entry in cross.items():
+        c = _cross_context(linear(y, layer.cross[b].q), entry, h)
         contexts.append(c)
         scores.append(linear(T.concat([y, c], axis=1), layer.mod[b]))
     gates = list(map(T.sigmoid, scores))
@@ -133,7 +147,7 @@ def modulated_multi_input(y, cross, layer: DecoderLayerParams, h):
 
 def decoder_layer(y, self_context, lp: DecoderLayerParams, h, cross):
     """One decoder layer over the rows of y [n x d], given each row's
-    self-attended context [n x d] and the layer's `cross_keys_values` entry."""
+    self-attended context [n x d] and the layer's cross-attention entry."""
     y = layer_norm(T.add(y, self_context), lp.ln1)
     y = layer_norm(T.add(y, modulated_multi_input(y, cross, lp, h)), lp.ln2)
     return layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
@@ -165,45 +179,87 @@ def _log_probs(logits):
 
 
 class CachedDecoder:
-    """Incremental decoding of one scene: `step(prefixes)` returns the
-    [len(prefixes) x V] log-probs of the token after each prefix, row i equal
-    to rounding to the log softmax of the last row of
-    `decoder_forward(prefixes[i])`.
+    """Incremental decoding of one or more scenes in lockstep: `step(rows)`
+    takes (scene, prefix) pairs, scene an index into the list of branch
+    outputs the decoder was made with, and returns the [len(rows) x V]
+    log-probs of the token after each prefix, row i equal to rounding to the
+    log softmax of the last row of `decoder_forward(prefix_i)` over scene i's
+    branch outputs.
 
     On the first call every prefix must be [BOS]; on each later call every
-    prefix must extend some prefix of the previous call by one token. Anything
-    else raises ContractError. The cross-attention keys and values are
-    projected once, when the decoder is made. A call computes one new row per
-    prefix: its self attention reads the keys and values kept for the parent
-    prefix, and the call keeps those of its own prefixes for the next one. It
-    runs tapeless.
+    prefix must extend some prefix of the previous call by one token, for the
+    same scene. Anything else raises ContractError. The cross-attention keys
+    and values are projected once, when the decoder is made. With one scene
+    every row attends to them as teacher forcing does. With many, each
+    scene's keys and values are padded to the longest scene's count and each
+    row gathers its own scene's, with the padding masked, so a step costs in
+    proportion to its rows, however many scenes there are. A call computes
+    one new row per prefix: its self attention reads the keys and values
+    kept for the parent prefix, and the call keeps those of its own prefixes
+    for the next one. It runs tapeless, on the data of the branch outputs.
     """
 
-    def __init__(self, layers, h, branch_outputs, embed, out_proj):
+    def __init__(self, layers, h, scenes, embed, out_proj):
+        if not scenes:
+            raise ContractError("a decoder needs the branch outputs of at least one scene")
+        if any(set(s) != set(scenes[0]) for s in scenes):
+            raise ContractError("every scene must have the same branch outputs")
+        if any(len(out.data) == 0 for s in scenes for out in s.values()):
+            raise ContractError("every branch output of every scene needs at least one row to attend to")
         self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
+        self.scenes = len(scenes)
+        self.padding = None  # per branch, [scenes x longest key count] bool: True past a scene's keys
         with no_grad():
-            self.cross = cross_keys_values(layers, branch_outputs)
-        self.rows = {(): 0}  # each prefix of the previous call -> its row in `self_kv`
+            if self.scenes == 1:
+                self.cross = cross_keys_values(layers, scenes[0])
+            else:
+                laid = {b: Tensor(np.concatenate([s[b].data for s in scenes])) for b in scenes[0]}
+                counts = {b: np.array([s[b].data.shape[0] for s in scenes]) for b in laid}
+                self.padding = {b: np.arange(c.max())[None, :] >= c[:, None] for b, c in counts.items()}
+                self.cross = [{b: (self._padded(k.data, self.padding[b]), self._padded(v.data, self.padding[b]))
+                               for b, (k, v) in entry.items()} for entry in cross_keys_values(layers, laid)]
+        # each (scene, prefix) of the previous call -> its row in `self_kv`
+        self.rows = {(i, ()): 0 for i in range(self.scenes)}
         empty = np.zeros((1, 0, embed.data.shape[1]))
         self.self_kv = [(empty, empty)] * len(layers)  # per layer: [rows x prefix length x d] keys, values
 
-    def __call__(self, prefixes):
-        prefixes = [tuple(p) for p in prefixes]
-        if not prefixes:
+    @staticmethod
+    def _padded(laid, padding):
+        """[scenes x longest x d] zeros holding each scene's rows of `laid` first."""
+        out = np.zeros(padding.shape + laid.shape[1:])
+        out[~padding] = laid
+        return out
+
+    def _row_cross(self, rows):
+        """Each layer's cross-attention entry for the given (scene, prefix) rows."""
+        if self.padding is None:
+            return self.cross
+        scenes, n = np.array([scene for scene, _ in rows]), len(rows)
+        masks = {b: np.broadcast_to(p[scenes][:, None, None, :], (n, self.h, 1, p.shape[1]))
+                 for b, p in self.padding.items()}
+        return [{b: (Tensor(k[scenes]), Tensor(v[scenes]), masks[b]) for b, (k, v) in entry.items()}
+                for entry in self.cross]
+
+    def __call__(self, rows):
+        rows = [(scene, tuple(p)) for scene, p in rows]
+        if not rows:
             raise ContractError("a decoding step needs at least one prefix")
         parents = []
-        for p in prefixes:
+        for scene, p in rows:
+            if scene not in range(self.scenes):
+                raise ContractError(f"row names scene {scene!r}, but the decoder holds {self.scenes} scenes")
             _check_bos(p)
-            if p[:-1] not in self.rows:
-                raise ContractError(f"prefix {list(p)} is neither [BOS] on the first step "
-                                    f"nor one token longer than a prefix of the previous step")
-            parents.append(self.rows[p[:-1]])
-        n, t, d = len(prefixes), len(prefixes[0]), self.embed.data.shape[1]
+            if (scene, p[:-1]) not in self.rows:
+                raise ContractError(f"prefix {list(p)} of scene {scene} is neither [BOS] on the first step "
+                                    f"nor one token longer than a prefix of that scene on the previous step")
+            parents.append(self.rows[scene, p[:-1]])
+        n, t, d = len(rows), len(rows[0][1]), self.embed.data.shape[1]
         grown = []
         with no_grad():
+            crosses = self._row_cross(rows)
             pos = np.broadcast_to(sinusoidal_positions(t, d).data[t - 1], (n, d))
-            y = T.add(T.embedding_lookup(self.embed, [p[-1] for p in prefixes]), Tensor(pos))
-            for lp, cross, (keys, values) in zip(self.layers, self.cross, self.self_kv):
+            y = T.add(T.embedding_lookup(self.embed, [p[-1] for _, p in rows]), Tensor(pos))
+            for lp, cross, (keys, values) in zip(self.layers, crosses, self.self_kv):
                 y1 = T.reshape(y, (n, 1, d))
                 k = T.concat([Tensor(keys[parents]), linear(y1, lp.self_k)], axis=1)
                 v = T.concat([Tensor(values[parents]), linear(y1, lp.self_v)], axis=1)
@@ -212,7 +268,7 @@ class CachedDecoder:
                 y = decoder_layer(y, context, lp, self.h, cross)
             logits = linear(y, self.out_proj).data
         self.self_kv = grown
-        self.rows = {p: i for i, p in enumerate(prefixes)}
+        self.rows = {row: i for i, row in enumerate(rows)}
         return _log_probs(logits)
 
 

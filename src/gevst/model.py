@@ -84,5 +84,6 @@ def make_step_fn(params: ModelParams, cfg: TrainConfig, branch_outputs):
     the [len(prefixes) x V] log-probs of the next token after each prefix,
     tapeless. The first call takes [BOS] prefixes; each later call takes
     prefixes one token longer than some prefix of the call before (see
-    `decoder.CachedDecoder`)."""
-    return CachedDecoder(params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out)
+    `decoder.CachedDecoder`, here over the one scene)."""
+    decoder = CachedDecoder(params.dec_layers, cfg.heads, [branch_outputs], params.dec_embed, params.out)
+    return lambda prefixes: decoder([(0, p) for p in prefixes])

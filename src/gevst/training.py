@@ -11,14 +11,15 @@ XE follows the Noam learning rate d^-0.5 * min(step^-0.5, step*warmup^-1.5)
 (warmup = warmup_epochs in steps); SCST instead runs at the small constant
 scst_lr — policy-gradient updates at the warmup schedule's rate wreck a
 converged model — while resuming the step count stored in the checkpoint.
-Both phases run one loop (`_optimize`) and differ only in their per-sample
-loss, learning-rate rule and stream tags. The loop holds Adam(beta2=0.98,
-eps=1e-9, bias-corrected), global-norm gradient clipping at 5.0, batch-mean
-losses, a fixed shuffle stream per epoch, and best-checkpoint selection by
-validation CIDEr-D every val_every epochs. A non-finite batch loss or
-gradient norm raises TrainingDiverged before the optimizer step, so the
-parameters keep their last finite values; so do non-finite log-probs in an
-SCST rollout.
+Both phases run one loop (`_optimize`) and differ only in their batch
+loss, learning-rate rule and streams; SCST rolls a whole batch out in one
+lockstep decode, each sample drawing from its own stream. The loop holds
+Adam(beta2=0.98, eps=1e-9, bias-corrected), global-norm gradient clipping
+at 5.0, batch-mean losses, a fixed shuffle stream per epoch, and
+best-checkpoint selection by validation CIDEr-D every val_every epochs. A
+non-finite batch loss or gradient norm raises TrainingDiverged before the
+optimizer step, so the parameters keep their last finite values; so do
+non-finite log-probs in an SCST rollout.
 
 All parameters live in one float64 vector (nn.flat_parameters), each Tensor
 a view into it: Adam, clipping and best snapshots work on whole vectors.
@@ -41,7 +42,7 @@ import numpy as np
 from . import metrics
 from .config import TrainConfig, config_from_dict
 from .data import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vocab, corpus_texts, split_train_val, tokenize
-from .decoder import beam_search, greedy_decode
+from .decoder import CachedDecoder, beam_search, greedy_decode
 from .errors import ConfigError, ContractError, InputError, ParseError, SchemaError, TrainingDiverged
 from .model import caption_logits, encode_sample, init_model, make_step_fn
 from .nn import Tensor, flat_offsets, flat_parameters, flat_views, named_parameters, parameters
@@ -178,11 +179,19 @@ def references_of(samples):
     return [[tokenize(c) for c in s.gt_captions] for s in samples]
 
 
+def greedy_captions(params, cfg, vocab, samples):
+    """Greedy caption tokens of every sample: the scenes are encoded tapeless
+    and decoded in one lockstep. Each caption is that of `greedy_caption` on
+    its scene alone unless two tokens tie to rounding (see `lockstep_decode`)."""
+    with no_grad():
+        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+    return [caption_tokens(vocab, ids) for ids in lockstep_decode(params, cfg, samples, branches)[1]]
+
+
 def corpus_cider(params, cfg, vocab, samples):
     if not samples:
         return 0.0
-    cands = [greedy_caption(params, cfg, vocab, s)[0] for s in samples]
-    score, _ = metrics.cider_d(cands, references_of(samples))
+    score, _ = metrics.cider_d(greedy_captions(params, cfg, vocab, samples), references_of(samples))
     return score
 
 
@@ -207,8 +216,8 @@ def restore_snapshot(params_obj, snap):
     flat_parameters(params_obj)[...] = snap
 
 
-def _epoch_rng(seed, tag, epoch):
-    return np.random.default_rng(np.random.SeedSequence([seed, tag, epoch]))
+def _epoch_rng(seed, tag, epoch, *index):
+    return np.random.default_rng(np.random.SeedSequence([seed, tag, epoch, *index]))
 
 
 def _captioned(samples):
@@ -223,14 +232,15 @@ def _batches(order, size):
         yield order[i : i + size]
 
 
-def _optimize(phase, train, val, cfg, params, vocab, epochs, step, sample_loss, lr_at,
-              tags, report, log=None, stop_fn=None):
+def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_losses, lr_at,
+              shuffle_tag, report, log=None, stop_fn=None):
     """The loop both phases share. Each epoch shuffles `train` with stream
-    tags[0]; `sample_loss(sample, rng)` gives (loss on the live tape or None,
-    reward or None) with `rng` the epoch's stream tags[1] (None without one).
-    A batch with no loss takes no step; otherwise its mean loss is
-    backpropagated, clipped and stepped at `lr_at(step)`. The curve holds the
-    mean reward when samples report one, else the mean loss, logged by `report`."""
+    shuffle_tag; `batch_losses(samples, indices, epoch)` gives, for the samples
+    of one batch (their indices into `train`), (a loss on the live tape or
+    None per sample, a reward per sample or None). A batch with no loss takes
+    no step; otherwise its mean loss is backpropagated, clipped and stepped
+    at `lr_at(step)`. The curve holds the mean reward when the phase reports
+    rewards, else the mean loss, logged by `report`."""
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     opt = Adam(params)
@@ -239,17 +249,16 @@ def _optimize(phase, train, val, cfg, params, vocab, epochs, step, sample_loss, 
     clip_events = 0
 
     for epoch in range(1, epochs + 1):
-        order = _epoch_rng(cfg.seed, tags[0], epoch).permutation(len(train))
-        rng = None if tags[1] is None else _epoch_rng(cfg.seed, tags[1], epoch)
+        order = _epoch_rng(cfg.seed, shuffle_tag, epoch).permutation(len(train))
         loss_total, reward_total = 0.0, None
         for batch in _batches(order, cfg.batch_size):
             opt.zero_grads()
             with Tape() as tape:
+                losses, rewards = batch_losses([train[int(i)] for i in batch], batch, epoch)
+                for reward in rewards or ():
+                    reward_total = reward if reward_total is None else reward_total + reward
                 acc = None
-                for idx in batch:
-                    loss, reward = sample_loss(train[int(idx)], rng)
-                    if reward is not None:
-                        reward_total = reward if reward_total is None else reward_total + reward
+                for loss in losses:
                     if loss is not None:
                         acc = loss if acc is None else T.add(acc, loss)
                 if acc is None:
@@ -296,58 +305,92 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
     epochs = cfg.xe_epochs if epochs is None else epochs
     warmup_steps = cfg.warmup_epochs * max(1, math.ceil(len(train) / cfg.batch_size))
 
-    def sample_loss(s, _rng):
+    def sample_loss(s):
         branch = encode_sample(params, cfg, s, vocab)
         inputs, targets = teacher_pair(vocab, s.gt_captions[0])
-        return xe_loss(caption_logits(params, cfg, branch, inputs), targets), None
+        return xe_loss(caption_logits(params, cfg, branch, inputs), targets)
 
     def lr_at(step):
         return noam_lr(step, cfg.d_model, warmup_steps) * cfg.lr_scale
 
-    return _optimize("XE", train, val, cfg, params, vocab, epochs, start_step, sample_loss, lr_at,
-                     tags=(101, None), report="epoch {}: loss {:.6f}", log=log, stop_fn=stop_fn)
+    return _optimize("XE", train, val, cfg, params, vocab, epochs, start_step,
+                     lambda batch, _indices, _epoch: (list(map(sample_loss, batch)), None), lr_at,
+                     shuffle_tag=101, report="epoch {}: loss {:.6f}", log=log, stop_fn=stop_fn)
+
+
+def lockstep_decode(params, cfg, samples, branch_outputs, rngs=()):
+    """Captions of many scenes advanced together through one CachedDecoder,
+    tapeless: scene i is `samples[i]` with its branch outputs
+    `branch_outputs[i]` (taped or not; only their data is read).
+
+    Each of the first len(rngs) scenes gets a caption sampled from its own
+    stream rngs[i], one draw per token; every scene gets its greedy caption.
+    A caption leaves the step rows once it ends. A row's log-probs are those
+    of a lone decode of its scene to rounding (within 1e-12), whatever the
+    other scenes are, so a token can differ from a lone decode's only where
+    two candidates tie to that rounding, or a draw falls that close to an
+    edge of its stream's cumulative distribution. Returns (sampled ids per
+    stream, greedy ids per scene). When sampling, non-finite log-probs in
+    any row raise TrainingDiverged, naming that row's sample, before the
+    step draws anything."""
+    decoder = CachedDecoder(params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out)
+    sampled, greedy = [[BOS_ID] for _ in rngs], [[BOS_ID] for _ in branch_outputs]
+    rows = ([(i, ids, rng) for i, (ids, rng) in enumerate(zip(sampled, rngs))]
+            + [(i, ids, None) for i, ids in enumerate(greedy)])
+    for _ in range(cfg.max_len):
+        rows = [row for row in rows if row[1][-1] != EOS_ID]
+        if not rows:
+            break
+        logprobs = decoder([(scene, ids) for scene, ids, _ in rows])
+        finite = np.isfinite(logprobs).all(axis=1)
+        if rngs and not finite.all():
+            bad = samples[rows[int(np.argmin(finite))][0]]
+            raise TrainingDiverged(f"SCST policy log-probs became non-finite on sample {bad.id}")
+        for (_, ids, rng), lp in zip(rows, logprobs):
+            ids.append(int(np.argmax(lp)) if rng is None else int(rng.choice(len(lp), p=np.exp(lp))))
+    return [ids[1:] for ids in sampled], [ids[1:] for ids in greedy]
 
 
 def scst_rollouts(params, cfg, vocab, sample, rng):
-    """(sampled ids, greedy ids) from the current policy, tapeless. Both
-    captions advance through one batched step per token; only the sampled
-    one draws from `rng`, once per token, as a lone sampled decode would.
-    Non-finite log-probs raise TrainingDiverged before anything is drawn."""
+    """(sampled ids, greedy ids) of one scene from the current policy,
+    tapeless: `lockstep_decode` over that scene alone."""
     with no_grad():
         branch = encode_sample(params, cfg, sample, vocab)
-    step_fn = make_step_fn(params, cfg, branch)
-    sampled, greedy = [BOS_ID], [BOS_ID]
-    for _ in range(cfg.max_len):
-        live = [ids for ids in (sampled, greedy) if ids[-1] != EOS_ID]
-        if not live:
-            break
-        logprobs = step_fn(live)
-        if not np.isfinite(logprobs).all():
-            raise TrainingDiverged(f"SCST policy log-probs became non-finite on sample {sample.id}")
-        for ids, lp in zip(live, logprobs):
-            ids.append(int(rng.choice(len(lp), p=np.exp(lp))) if ids is sampled else int(np.argmax(lp)))
-    return sampled[1:], greedy[1:]
+    sampled, greedy = lockstep_decode(params, cfg, [sample], [branch], [rng])
+    return sampled[0], greedy[0]
 
 
 def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step=0, log=None):
-    """Self-critical phase from an XE-trained model."""
+    """Self-critical phase from an XE-trained model. Each batch is encoded
+    once, on the tape; its sampled and greedy captions are rolled out in one
+    `lockstep_decode` from those branch outputs, and the loss is taught
+    through them. Sample `train[i]` draws from its own stream (seed, 303,
+    epoch, i), so a rollout depends on neither the batch nor its order, to
+    the rounding `lockstep_decode` allows."""
     train, val = split_train_val(_captioned(samples))
     epochs = cfg.scst_epochs if epochs is None else epochs
     refs = references_of(train)
     scorer = metrics.CiderScorer(refs)
     ref_by_id = {s.id: r for s, r in zip(train, refs)}
 
-    def sample_loss(s, rng):
-        sampled, greedy_ids = scst_rollouts(params, cfg, vocab, s, rng)
-        r_s = scorer.sentence(caption_tokens(vocab, sampled), ref_by_id[s.id])
-        advantage = r_s - scorer.sentence(caption_tokens(vocab, greedy_ids), ref_by_id[s.id])
-        if advantage == 0.0:
-            return None, r_s
-        logits = caption_logits(params, cfg, encode_sample(params, cfg, s, vocab), [BOS_ID] + sampled[:-1])
-        return reinforce_loss(sequence_logprob(logits, sampled), advantage), r_s
+    def batch_losses(batch, indices, epoch):
+        branches = [encode_sample(params, cfg, s, vocab) for s in batch]
+        rngs = [_epoch_rng(cfg.seed, 303, epoch, int(i)) for i in indices]
+        losses, rewards = [], []
+        rollouts = lockstep_decode(params, cfg, batch, branches, rngs)
+        for s, branch, sampled, greedy_ids in zip(batch, branches, *rollouts):
+            r_s = scorer.sentence(caption_tokens(vocab, sampled), ref_by_id[s.id])
+            advantage = r_s - scorer.sentence(caption_tokens(vocab, greedy_ids), ref_by_id[s.id])
+            rewards.append(r_s)
+            if advantage == 0.0:  # its encode nodes get no gradient, and backward skips them
+                losses.append(None)
+                continue
+            logits = caption_logits(params, cfg, branch, [BOS_ID] + sampled[:-1])
+            losses.append(reinforce_loss(sequence_logprob(logits, sampled), advantage))
+        return losses, rewards
 
-    out = _optimize("SCST", train, val, cfg, params, vocab, epochs, start_step, sample_loss,
-                    lambda step: cfg.scst_lr, tags=(202, 303), report="epoch {}: mean sampled reward {:.4f}", log=log)
+    out = _optimize("SCST", train, val, cfg, params, vocab, epochs, start_step, batch_losses,
+                    lambda step: cfg.scst_lr, shuffle_tag=202, report="epoch {}: mean sampled reward {:.4f}", log=log)
     if epochs > 0 and all(reward == 0.0 for _, reward in out.curve):
         out.diagnostics["warning"] = "reward was identically zero for every epoch"
     return out

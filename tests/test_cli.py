@@ -120,6 +120,22 @@ def test_scst_requires_init(workdir, tmp_path, capsys):
     assert "requires --init" in capsys.readouterr().err
 
 
+def test_rejected_config_leaves_no_output_directory(workdir, tmp_path, capsys):
+    cfg = tmp_path / "heads0.json"
+    cfg.write_text(json.dumps(dict(TINY, heads=0)))
+    out = tmp_path / "runx"
+    assert cli.main(["train", "--data", workdir["data"], "--config", str(cfg), "--out", str(out)]) == 1
+    assert "heads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scst_without_init_leaves_no_output_directory(workdir, tmp_path, capsys):
+    out = tmp_path / "runx"
+    assert cli.main(["train", "--data", workdir["data"], "--phase", "scst", "--out", str(out)]) == 1
+    assert "requires --init" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scst_from_checkpoint(workdir, tmp_path):
     run = str(tmp_path / "scst")
     assert cli.main(["train", "--data", workdir["data"], "--phase", "scst",

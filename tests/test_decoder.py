@@ -118,7 +118,12 @@ def cached_and_oracle(rng, branches, n_layers):
         row = decoder_forward(layers, 2, outs, embed, out_proj, prefix).data[-1]
         return row - row.max() - np.log(np.exp(row - row.max()).sum())
 
-    return CachedDecoder(layers, 2, outs, embed, out_proj), oracle
+    return one_scene(CachedDecoder(layers, 2, [outs], embed, out_proj)), oracle
+
+
+def one_scene(decoder):
+    """A one-scene decoder as the plain-prefix step that decoding calls."""
+    return lambda prefixes: decoder([(0, p) for p in prefixes])
 
 
 @pytest.mark.parametrize("branches", CACHED_BRANCHES)
@@ -132,18 +137,20 @@ def test_cached_step_matches_full_prefix_on_a_forced_sequence(rng, branches, n_l
         assert U.max_abs_delta(got[0], oracle(ids[:k])) <= 1e-12
 
 
+BEAM_CALLS = [
+    [[BOS_ID]],
+    [[BOS_ID, 3], [BOS_ID, 4], [BOS_ID, 5]],
+    # (BOS, 4) dropped, (BOS, 5) moved first, (BOS, 3) with two children
+    [[BOS_ID, 5, 1], [BOS_ID, 3, 4], [BOS_ID, 3, 0]],
+    [[BOS_ID, 3, 0, 2], [BOS_ID, 5, 1, 1], [BOS_ID, 5, 1, 3], [BOS_ID, 3, 0, 5]],
+]
+
+
 @pytest.mark.parametrize("branches", CACHED_BRANCHES)
 @pytest.mark.parametrize("n_layers", CACHED_LAYERS)
 def test_cached_beam_steps_reorder_drop_and_duplicate_parents(rng, branches, n_layers):
     step, oracle = cached_and_oracle(rng, branches, n_layers)
-    calls = [
-        [[BOS_ID]],
-        [[BOS_ID, 3], [BOS_ID, 4], [BOS_ID, 5]],
-        # (BOS, 4) dropped, (BOS, 5) moved first, (BOS, 3) with two children
-        [[BOS_ID, 5, 1], [BOS_ID, 3, 4], [BOS_ID, 3, 0]],
-        [[BOS_ID, 3, 0, 2], [BOS_ID, 5, 1, 1], [BOS_ID, 5, 1, 3], [BOS_ID, 3, 0, 5]],
-    ]
-    for prefixes in calls:
+    for prefixes in BEAM_CALLS:
         got = step(prefixes)
         assert got.shape == (len(prefixes), 6)
         for row, prefix in zip(got, prefixes):
@@ -152,7 +159,7 @@ def test_cached_beam_steps_reorder_drop_and_duplicate_parents(rng, branches, n_l
 
 def test_cached_step_rejects_a_prefix_that_extends_no_previous_row(rng):
     layers, embed, out_proj, outs = small_model(rng)
-    step = CachedDecoder(layers, 2, outs, embed, out_proj)
+    step = one_scene(CachedDecoder(layers, 2, [outs], embed, out_proj))
     for first in ([[BOS_ID, 4]], [[4]], [[]], []):
         with pytest.raises(ContractError):
             step(first)
@@ -162,6 +169,90 @@ def test_cached_step_rejects_a_prefix_that_extends_no_previous_row(rng):
             step(bad)
     # a rejected call leaves the cache as it was
     assert step([[BOS_ID, 4]]).shape == (1, 6)
+
+
+@pytest.mark.parametrize("branches", CACHED_BRANCHES)
+def test_one_scene_step_equals_the_one_scene_decoder_bit_for_bit(rng, branches):
+    """With one scene every row attends to the shared keys, as before."""
+    layers, embed, out_proj, outs = small_model(rng, branches=branches)
+    got = one_scene(CachedDecoder(layers, 2, [outs], embed, out_proj))
+    want = U.ReferenceCachedDecoder(layers, 2, outs, embed, out_proj)
+    for prefixes in BEAM_CALLS:
+        assert np.array_equal(got(prefixes), want(prefixes))
+
+
+# Desk scenes hold 2 to 5 regions and 3 to 9 dense captions: the vv and vs
+# branches have one key per region, ss and sv one per dense caption.
+DESK_KEY_COUNTS = [(2, 3), (3, 5), (4, 7), (5, 9)]
+
+
+def desk_shaped_scenes(rng, d=8):
+    return [{b: Tensor(rng.normal(size=(n_v if b[0] == "v" else n_s, d))) for b in ("ss", "sv", "vs", "vv")}
+            for n_v, n_s in DESK_KEY_COUNTS]
+
+
+@pytest.mark.parametrize("n_layers", [2, 3])
+def test_many_scene_steps_match_per_scene_steps(rng, n_layers):
+    layers, embed, out_proj, _ = small_model(rng, n_layers=n_layers, branches=("ss", "sv", "vs", "vv"))
+    scenes = desk_shaped_scenes(rng)
+    shared = [4, 5, 3, 4, 0, 2]
+    # (scene, caption) rows: scenes 0 and 1 decode the same tokens; each row
+    # drops out once its caption is spent, scene 2 before the others
+    captions = [(0, shared), (1, shared), (2, [3, 3]), (3, [5, 1, 2]), (3, [5, 0, 1, 1, 3, 2, 4]), (0, [2])]
+    many = CachedDecoder(layers, 2, scenes, embed, out_proj)
+    alone = [CachedDecoder(layers, 2, [s], embed, out_proj) for s in scenes]
+    for t in range(max(len(c) for _, c in captions) + 1):
+        rows = [(scene, [BOS_ID] + c[:t]) for scene, c in captions if len(c) >= t]
+        got = many(rows)
+        assert got.shape == (len(rows), 6)
+        for scene, decoder in enumerate(alone):
+            mine = [i for i, (s, _) in enumerate(rows) if s == scene]
+            if mine:
+                want = decoder([(0, rows[i][1]) for i in mine])
+                assert U.max_abs_delta(got[mine], want) <= 1e-12
+        if t <= len(shared):  # equal prefixes, each attending to its own scene
+            assert not np.allclose(got[0], got[1])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_non_finite_scene_spoils_only_its_own_rows(rng):
+    layers, embed, out_proj, _ = small_model(rng, branches=("ss", "sv", "vs", "vv"))
+    scenes = desk_shaped_scenes(rng)
+    scenes[1]["vv"].data[0, 0] = np.inf
+    many = CachedDecoder(layers, 2, scenes, embed, out_proj)
+    rows = [(scene, [BOS_ID]) for scene in range(4)]
+    got = many(rows)
+    assert not np.isfinite(got[1]).any()
+    for scene in (0, 2, 3):
+        want = CachedDecoder(layers, 2, [scenes[scene]], embed, out_proj)([(0, [BOS_ID])])
+        assert U.max_abs_delta(got[scene], want[0]) <= 1e-12
+
+
+def test_many_scene_step_rejects_rows_outside_their_scene(rng):
+    layers, embed, out_proj, _ = small_model(rng, branches=("ss", "sv", "vs", "vv"))
+    step = CachedDecoder(layers, 2, desk_shaped_scenes(rng)[:2], embed, out_proj)
+    for bad in ([(2, [BOS_ID])], [(-1, [BOS_ID])], [(0, [BOS_ID]), (5, [BOS_ID])]):
+        with pytest.raises(ContractError, match="scene"):
+            step(bad)
+    step([(0, [BOS_ID]), (0, [BOS_ID])])
+    step([(0, [BOS_ID, 4])])
+    # (BOS, 4) exists for scene 0 only: scene 1 cannot extend it, nor start over
+    for bad in ([(1, [BOS_ID, 4, 5])], [(1, [BOS_ID])], [(0, [BOS_ID, 4, 5]), (1, [BOS_ID, 4, 5])]):
+        with pytest.raises(ContractError, match="of scene 1"):
+            step(bad)
+    # a rejected call leaves the cache as it was
+    assert step([(0, [BOS_ID, 4, 5]), (0, [BOS_ID, 4, 1])]).shape == (2, 6)
+
+
+def test_decoder_needs_scenes_with_the_same_branches(rng):
+    layers, embed, out_proj, outs = small_model(rng)
+    with pytest.raises(ContractError):
+        CachedDecoder(layers, 2, [], embed, out_proj)
+    with pytest.raises(ContractError):
+        CachedDecoder(layers, 2, [outs, {"ss": outs["ss"]}], embed, out_proj)
+    no_keys = {b: Tensor(out.data[:0]) for b, out in outs.items()}
+    with pytest.raises(ContractError, match="at least one row"):
+        CachedDecoder(layers, 2, [outs, no_keys], embed, out_proj)
 
 
 def test_greedy_tie_breaks_to_lowest_id():

@@ -347,8 +347,16 @@ def test_shared_loop_matches_reference_scst():
 
 
 def test_shared_loop_matches_reference_scst_without_advantage(monkeypatch):
-    # sampled == greedy == an empty caption: zero reward, zero advantage, no step
-    monkeypatch.setattr(TR, "scst_rollouts", lambda params, cfg, vocab, s, rng: ([EOS_ID], [EOS_ID]))
+    # sampled == greedy == an empty caption: zero reward, zero advantage, no step.
+    # The reference's per-scene scst_rollouts call the same lockstep_decode; validation decodes as usual.
+    decode = TR.lockstep_decode
+
+    def empty_rollouts(params, cfg, batch, branches, rngs=()):
+        if not rngs:
+            return decode(params, cfg, batch, branches)
+        return [[EOS_ID]] * len(rngs), [[EOS_ID]] * len(branches)
+
+    monkeypatch.setattr(TR, "lockstep_decode", empty_rollouts)
     samples, cfg = tiny_setup(n=8)
     (got, _, start), (want, _, _) = scst_pair(samples, cfg)
     assert_same_outcome(got, want)
@@ -423,6 +431,59 @@ def test_scst_rollouts_equal_two_separate_decodes():
             ids.append(int(rng.choice(len(lp), p=np.exp(lp))))
         assert greedy_ids == want_greedy
         assert sampled == ids[1:]
+
+
+def desk_rollout_setup(n=8):
+    """Desk-config model at init and n desk scenes, each encoded tapeless."""
+    cfg = TrainConfig()
+    samples = generate_dataset(0, n)
+    vocab = build_vocab(corpus_texts(samples), cfg.min_count)
+    params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+    with T.no_grad():
+        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+    return cfg, samples, vocab, params, branches
+
+
+def test_batched_rollouts_equal_per_scene_rollouts():
+    cfg, samples, vocab, params, branches = desk_rollout_setup()
+
+    def streams(order):
+        return [TR._epoch_rng(cfg.seed, 303, 1, i) for i in order]
+
+    sampled, greedy_ids = TR.lockstep_decode(params, cfg, samples, branches, streams(range(8)))
+    for i, s in enumerate(samples):
+        assert TR.scst_rollouts(params, cfg, vocab, s, streams([i])[0]) == (sampled[i], greedy_ids[i])
+    # rows leave the step at different lengths
+    assert len({len(ids) for ids in sampled + greedy_ids}) > 2
+    # neither the batch's composition nor its order moves a rollout
+    back = list(range(7, 2, -1))
+    got = TR.lockstep_decode(params, cfg, [samples[i] for i in back], [branches[i] for i in back], streams(back))
+    assert got == ([sampled[i] for i in back], [greedy_ids[i] for i in back])
+
+
+def test_lockstep_greedy_captions_equal_per_scene_greedy():
+    cfg, samples, vocab, params, _ = desk_rollout_setup(n=7)
+    want = [TR.greedy_caption(params, cfg, vocab, s)[0] for s in samples]
+    assert TR.greedy_captions(params, cfg, vocab, samples) == want
+
+
+def test_batched_rollouts_name_the_sample_with_non_finite_log_probs(monkeypatch):
+    cfg, samples, vocab, params, branches = desk_rollout_setup(n=3)
+
+    class PoisonedDecoder(TR.CachedDecoder):
+        def __call__(self, rows):
+            lp = super().__call__(rows)
+            lp[[scene == 1 for scene, _ in rows], 0] = np.nan
+            return lp
+
+    monkeypatch.setattr(TR, "CachedDecoder", PoisonedDecoder)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    with pytest.raises(TrainingDiverged, match=f"non-finite on sample {samples[1].id}$"):
+        TR.lockstep_decode(params, cfg, samples, branches, rngs)
+    # nothing was drawn
+    assert [r.bit_generator.state for r in rngs] == [np.random.default_rng(i).bit_generator.state for i in range(3)]
+    # greedy-only decoding draws nothing and, like greedy_decode, checks nothing
+    assert len(TR.lockstep_decode(params, cfg, samples, branches)[1]) == 3
 
 
 def test_model_step_matches_caption_logits_last_row():

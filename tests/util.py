@@ -1,8 +1,9 @@
 """Converters from parameter dataclasses to the plain-list oracle inputs,
 small helpers shared across test modules (among them `miniature_config`,
-the smallest legal end-to-end setting), and two earlier forms kept as
+the smallest legal end-to-end setting), and earlier forms kept as
 references: the separate XE and SCST training loops that `training._optimize`
-replaced, and the decoder that passed projections in as callbacks."""
+replaced, the decoder that passed projections in as callbacks, and the
+one-scene `CachedDecoder` that the many-scene one replaced."""
 
 import math
 
@@ -14,10 +15,10 @@ from gevst import tensor as T
 from gevst import training as TR
 from gevst.config import BRANCH_NAMES, TrainConfig
 from gevst.data import BOS_ID, build_vocab, corpus_texts, split_train_val
-from gevst.decoder import causal_mask
+from gevst.decoder import _check_bos, _log_probs, causal_mask, cross_keys_values, decoder_layer
 from gevst.errors import ContractError, TrainingDiverged
 from gevst.model import caption_logits, init_model
-from gevst.nn import Tensor, ffn, layer_norm, linear, named_parameters, sinusoidal_positions
+from gevst.nn import Tensor, attend, ffn, layer_norm, linear, named_parameters, sinusoidal_positions
 
 
 def miniature_config(**overrides):
@@ -228,7 +229,6 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
 
     for epoch in range(1, epochs + 1):
         order = TR._epoch_rng(cfg.seed, 202, epoch).permutation(len(train))
-        sample_rng = TR._epoch_rng(cfg.seed, 303, epoch)
         reward_total = 0.0
         for batch in TR._batches(order, cfg.batch_size):
             opt.zero_grads()
@@ -236,6 +236,7 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
                 acc = None
                 for idx in batch:
                     s = train[int(idx)]
+                    sample_rng = TR._epoch_rng(cfg.seed, 303, epoch, int(idx))
                     sampled, greedy_ids = TR.scst_rollouts(params, cfg, vocab, s, sample_rng)
                     r_s = scorer.sentence(TR.caption_tokens(vocab, sampled), ref_by_id[s.id])
                     r_g = scorer.sentence(TR.caption_tokens(vocab, greedy_ids), ref_by_id[s.id])
@@ -320,3 +321,44 @@ def reference_decoder_forward(layers, h, branch_outputs, embed, out_proj, token_
     for lp in layers:
         y = reference_decoder_layer(y, lp, h, branch_outputs, causal_self_attention)
     return linear(y, out_proj)
+
+
+# The cached decoder as it stood before it took many scenes: one scene's
+# branch outputs, plain prefixes, no cross-attention mask.
+
+
+class ReferenceCachedDecoder:
+    def __init__(self, layers, h, branch_outputs, embed, out_proj):
+        self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
+        with T.no_grad():
+            self.cross = cross_keys_values(layers, branch_outputs)
+        self.rows = {(): 0}
+        empty = np.zeros((1, 0, embed.data.shape[1]))
+        self.self_kv = [(empty, empty)] * len(layers)
+
+    def __call__(self, prefixes):
+        prefixes = [tuple(p) for p in prefixes]
+        if not prefixes:
+            raise ContractError("a decoding step needs at least one prefix")
+        parents = []
+        for p in prefixes:
+            _check_bos(p)
+            if p[:-1] not in self.rows:
+                raise ContractError(f"prefix {list(p)} extends no prefix of the previous step")
+            parents.append(self.rows[p[:-1]])
+        n, t, d = len(prefixes), len(prefixes[0]), self.embed.data.shape[1]
+        grown = []
+        with T.no_grad():
+            pos = np.broadcast_to(sinusoidal_positions(t, d).data[t - 1], (n, d))
+            y = T.add(T.embedding_lookup(self.embed, [p[-1] for p in prefixes]), Tensor(pos))
+            for lp, cross, (keys, values) in zip(self.layers, self.cross, self.self_kv):
+                y1 = T.reshape(y, (n, 1, d))
+                k = T.concat([Tensor(keys[parents]), linear(y1, lp.self_k)], axis=1)
+                v = T.concat([Tensor(values[parents]), linear(y1, lp.self_v)], axis=1)
+                grown.append((k.data, v.data))
+                context = T.reshape(attend(linear(y1, lp.self_q), k, v, self.h), (n, d))
+                y = decoder_layer(y, context, lp, self.h, cross)
+            logits = linear(y, self.out_proj).data
+        self.self_kv = grown
+        self.rows = {p: i for i, p in enumerate(prefixes)}
+        return _log_probs(logits)
