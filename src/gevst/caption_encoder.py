@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import PAD_ID
+from .data import pad_ids
 from .errors import InputError
 from .nn import (
     Ffn,
@@ -78,11 +78,7 @@ def encode_captions(params: CaptionEncoderParams, heads, id_seqs):
     b, n = len(id_seqs), max(lens)
     width = params.embed.data.shape[1]
 
-    padded = np.full((b, n), PAD_ID, dtype=np.int64)
-    for i, seq in enumerate(id_seqs):
-        padded[i, : lens[i]] = seq
-
-    x = T.reshape(T.embedding_lookup(params.embed, padded.reshape(-1)), (b, n, width))
+    x = T.reshape(T.embedding_lookup(params.embed, pad_ids(id_seqs).reshape(-1)), (b, n, width))
     pe = sinusoidal_positions(n, width).data
     x = T.add(x, Tensor(np.broadcast_to(pe, (b, n, width)).copy()))
 

@@ -273,6 +273,14 @@ def detokenize(tokens):
     return " ".join(tokens)
 
 
+def pad_ids(seqs):
+    """Id sequences as one int64 array [len(seqs) x longest], PAD after each."""
+    out = np.full((len(seqs), max(map(len, seqs))), PAD_ID, dtype=np.int64)
+    for row, seq in zip(out, seqs):
+        row[:len(seq)] = seq
+    return out
+
+
 @dataclass
 class Vocabulary:
     id_to_token: list

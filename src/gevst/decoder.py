@@ -8,15 +8,18 @@ result elementwise with the sigmoid of W [Y; C_b] + b, and sums the gated
 results — a plain sum, not an average.
 
 Teacher forcing (`decoder_forward`) and decoding (`CachedDecoder`) share the
-layer body (`decoder_layer`) and the cross-attention keys and values
-(`cross_keys_values`: each branch output projected once per layer, plain
-tensors). Only the self-attention context they hand the layer differs.
+layer body (`decoder_layer`, rank-agnostic) and the cross-attention keys and
+values (`cross_keys_values`: each branch output projected once per layer,
+plain tensors). Only the self-attention context they hand the layer differs.
 Teacher forcing computes it with causal self attention over the whole
-sequence. Decoding projects the cross keys and values once, for one scene or
-many, and computes one new row per (scene, prefix), whose self attention
-reads the keys and values kept for the rest of the prefix and whose cross
-attention reads its own scene's keys and values. The decoder is causal, so
-the two agree to rounding.
+sequence, for one scene at rank 2 or for a training batch at rank 3: the
+batch's id sequences padded with PAD and each branch's outputs padded to the
+longest scene by `pad_scenes`, on the tape, with the padded keys masked.
+Decoding projects the cross keys and values once, for one scene or many
+(padded by the same `pad_scenes`), and computes one new row per (scene,
+prefix), whose self attention reads the keys and values kept for the rest
+of the prefix and whose cross attention reads its own scene's keys and
+values. The decoder is causal, so the two agree to rounding.
 
 Decoding works through a batched `step_fn(prefixes) -> [len(prefixes) x V]`
 log-prob matrix, one row per prefix, so the strategies are testable against
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import BRANCH_NAMES
-from .data import BOS_ID, EOS_ID
+from .data import BOS_ID, EOS_ID, pad_ids
 from .errors import ConfigError, ContractError
 from .nn import (
     Ffn,
@@ -101,27 +104,56 @@ def init_decoder_layer(rng, d, branches):
     )
 
 
-def cross_keys_values(layers, branch_outputs):
-    """Per layer, {branch: (keys, values)}: each active branch output [N x d]
-    projected through that layer's cross-attention k and v, in BRANCH_NAMES
-    order. They depend only on the scene, not on the decoded rows."""
+def _check_scenes(scenes):
+    if not scenes:
+        raise ContractError("a decoder needs the branch outputs of at least one scene")
+    if any(set(s) != set(scenes[0]) for s in scenes):
+        raise ContractError("every scene must have the same branch outputs")
+    if any(len(out.data) == 0 for s in scenes for out in s.values()):
+        raise ContractError("every branch output of every scene needs at least one row to attend to")
+
+
+def pad_scenes(scenes):
+    """Many scenes' branch outputs laid side by side: ({branch: [S x longest
+    x d]}, {branch: bool [S x longest]}), scene i's rows first in row i, zero
+    rows after them, and the padding True at those zero rows. Recorded on the
+    tape when the outputs are: one concat and one row gather per branch."""
+    _check_scenes(scenes)
+    padded, padding = {}, {}
+    for b in scenes[0]:
+        outs = [s[b] for s in scenes]
+        counts = np.array([len(out.data) for out in outs])
+        padding[b] = np.arange(counts.max())[None, :] >= counts[:, None]
+        rows = np.full(padding[b].shape, counts.sum())  # the zero row appended below
+        rows[~padding[b]] = np.arange(counts.sum())
+        zero = Tensor(np.zeros((1, outs[0].data.shape[1])))
+        padded[b] = T.embedding_lookup(T.concat(outs + [zero]), rows)
+    return padded, padding
+
+
+def cross_keys_values(layers, branch_outputs, masks=None):
+    """Per layer, {branch: (keys, values, mask)}: each active branch output
+    [..., N x d] projected through that layer's cross-attention k and v, in
+    BRANCH_NAMES order, with masks[branch] (or None) as the mask. They depend
+    only on the scenes, not on the decoded rows."""
     branches = [b for b in BRANCH_NAMES if b in branch_outputs]
     if not branches:
         raise ConfigError("decoder needs at least one branch output")
-    return [{b: (linear(branch_outputs[b], lp.cross[b].k), linear(branch_outputs[b], lp.cross[b].v))
+    masks = masks or {}
+    return [{b: (linear(branch_outputs[b], lp.cross[b].k), linear(branch_outputs[b], lp.cross[b].v), masks.get(b))
              for b in branches} for lp in layers]
 
 
 def _cross_context(q, entry, h):
-    """Attention of the queries q [n x d] over one branch's `entry`: (keys,
-    values) [N x d] that every row shares, or (keys, values, padding) with
-    each row's own keys and values [n x N x d] and the bool [n x h x 1 x N]
-    padding the row must not attend to."""
-    if len(entry) == 2:
-        return attend(q, *entry, h)
-    k, v, padding = entry
+    """Attention of the queries q over one branch's (keys, values, mask):
+    keys and values of q's rank, which q's rows share, or, for q [n x d], one
+    [N x d] block of keys and values per row ([n x N x d]). The mask (None,
+    or a bool array of the score shape) marks the keys a row must not attend to."""
+    k, v, mask = entry
+    if k.data.ndim == q.data.ndim:
+        return attend(q, k, v, h, mask=mask)
     n, d = q.data.shape
-    return T.reshape(attend(T.reshape(q, (n, 1, d)), k, v, h, mask=padding), (n, d))
+    return T.reshape(attend(T.reshape(q, (n, 1, d)), k, v, h, mask=mask), (n, d))
 
 
 def modulated_multi_input(y, cross, layer: DecoderLayerParams, h):
@@ -135,7 +167,7 @@ def modulated_multi_input(y, cross, layer: DecoderLayerParams, h):
     for b, entry in cross.items():
         c = _cross_context(linear(y, layer.cross[b].q), entry, h)
         contexts.append(c)
-        scores.append(linear(T.concat([y, c], axis=1), layer.mod[b]))
+        scores.append(linear(T.concat([y, c], axis=-1), layer.mod[b]))
     gates = list(map(T.sigmoid, scores))
     for b, g in zip(cross, gates):
         T.record(f"decoder_gates_{b}", g)
@@ -146,8 +178,8 @@ def modulated_multi_input(y, cross, layer: DecoderLayerParams, h):
 
 
 def decoder_layer(y, self_context, lp: DecoderLayerParams, h, cross):
-    """One decoder layer over the rows of y [n x d], given each row's
-    self-attended context [n x d] and the layer's cross-attention entry."""
+    """One decoder layer over the rows of y [..., n x d], given each row's
+    self-attended context (shaped like y) and the layer's cross-attention entry."""
     y = layer_norm(T.add(y, self_context), lp.ln1)
     y = layer_norm(T.add(y, modulated_multi_input(y, cross, lp, h)), lp.ln2)
     return layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
@@ -159,15 +191,35 @@ def _check_bos(ids):
 
 
 def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
-    """Logits [T x V] for a BOS-led token id sequence (position t predicts t+1)."""
-    ids = list(token_ids)
-    _check_bos(ids)
-    t_len = len(ids)
-    d = embed.data.shape[1]
-    y = T.add(T.embedding_lookup(embed, ids), Tensor(sinusoidal_positions(t_len, d).data))
-    mask = causal_mask(h, t_len)
-    for lp, cross in zip(layers, cross_keys_values(layers, branch_outputs)):
-        context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, mask=mask)
+    """Teacher-forced logits; position t predicts token t+1.
+
+    One scene: `branch_outputs` is its {branch: [N x d]} and `token_ids` one
+    BOS-led id sequence; returns [T x V]. A batch: a list of B scenes' branch
+    outputs and a list of B BOS-led sequences; returns [B x T x V], T the
+    longest sequence. Shorter sequences are padded with PAD, and their rows
+    past the end mean nothing (a loss weights them 0). Each branch's outputs
+    are padded to the longest scene (`pad_scenes`), with the padded keys
+    masked, so row b equals scene b's own forward to rounding.
+    """
+    one = isinstance(branch_outputs, dict)
+    seqs = [token_ids] if one else list(token_ids)
+    if not one and len(seqs) != len(branch_outputs):
+        raise ContractError(f"{len(branch_outputs)} scenes vs {len(seqs)} id sequences")
+    for seq in seqs:
+        _check_bos(list(seq))
+    ids = pad_ids(seqs)
+    t_len, d = ids.shape[1], embed.data.shape[1]
+    if one:
+        ids, causal, masks = ids[0], causal_mask(h, t_len), None
+    else:
+        branch_outputs, padding = pad_scenes(branch_outputs)
+        lead = (len(seqs), h, t_len)
+        causal = np.broadcast_to(causal_mask(h, t_len), lead + (t_len,))
+        masks = {b: np.broadcast_to(p[:, None, None, :], lead + p.shape[1:]) for b, p in padding.items()}
+    positions = np.broadcast_to(sinusoidal_positions(t_len, d).data, ids.shape + (d,))
+    y = T.add(T.embedding_lookup(embed, ids), Tensor(positions))
+    for lp, cross in zip(layers, cross_keys_values(layers, branch_outputs, masks)):
+        context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, mask=causal)
         y = decoder_layer(y, context, lp, h, cross)
     return linear(y, out_proj)
 
@@ -190,9 +242,10 @@ class CachedDecoder:
     prefix must extend some prefix of the previous call by one token, for the
     same scene. Anything else raises ContractError. The cross-attention keys
     and values are projected once, when the decoder is made. With one scene
-    every row attends to them as teacher forcing does. With many, each
-    scene's keys and values are padded to the longest scene's count and each
-    row gathers its own scene's, with the padding masked, so a step costs in
+    every row attends to them as teacher forcing does. With many, the
+    scenes' branch outputs are padded to the longest scene's (`pad_scenes`,
+    as a teacher-forced batch pads them) and each row gathers its own
+    scene's keys and values, with the padding masked, so a step costs in
     proportion to its rows, however many scenes there are. A call computes
     one new row per prefix: its self attention reads the keys and values
     kept for the parent prefix, and the call keeps those of its own prefixes
@@ -200,12 +253,7 @@ class CachedDecoder:
     """
 
     def __init__(self, layers, h, scenes, embed, out_proj):
-        if not scenes:
-            raise ContractError("a decoder needs the branch outputs of at least one scene")
-        if any(set(s) != set(scenes[0]) for s in scenes):
-            raise ContractError("every scene must have the same branch outputs")
-        if any(len(out.data) == 0 for s in scenes for out in s.values()):
-            raise ContractError("every branch output of every scene needs at least one row to attend to")
+        _check_scenes(scenes)
         self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
         self.scenes = len(scenes)
         self.padding = None  # per branch, [scenes x longest key count] bool: True past a scene's keys
@@ -213,22 +261,13 @@ class CachedDecoder:
             if self.scenes == 1:
                 self.cross = cross_keys_values(layers, scenes[0])
             else:
-                laid = {b: Tensor(np.concatenate([s[b].data for s in scenes])) for b in scenes[0]}
-                counts = {b: np.array([s[b].data.shape[0] for s in scenes]) for b in laid}
-                self.padding = {b: np.arange(c.max())[None, :] >= c[:, None] for b, c in counts.items()}
-                self.cross = [{b: (self._padded(k.data, self.padding[b]), self._padded(v.data, self.padding[b]))
-                               for b, (k, v) in entry.items()} for entry in cross_keys_values(layers, laid)]
+                padded, self.padding = pad_scenes(scenes)
+                self.cross = [{b: (k.data, v.data) for b, (k, v, _) in entry.items()}
+                              for entry in cross_keys_values(layers, padded)]
         # each (scene, prefix) of the previous call -> its row in `self_kv`
         self.rows = {(i, ()): 0 for i in range(self.scenes)}
         empty = np.zeros((1, 0, embed.data.shape[1]))
         self.self_kv = [(empty, empty)] * len(layers)  # per layer: [rows x prefix length x d] keys, values
-
-    @staticmethod
-    def _padded(laid, padding):
-        """[scenes x longest x d] zeros holding each scene's rows of `laid` first."""
-        out = np.zeros(padding.shape + laid.shape[1:])
-        out[~padding] = laid
-        return out
 
     def _row_cross(self, rows):
         """Each layer's cross-attention entry for the given (scene, prefix) rows."""

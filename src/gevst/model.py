@@ -75,7 +75,9 @@ def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab):
 
 
 def caption_logits(params: ModelParams, cfg: TrainConfig, branch_outputs, token_ids):
-    """Logits [T x V] for a BOS-led id sequence against fixed branch outputs."""
+    """Teacher-forced logits: [T x V] for one scene's branch outputs and one
+    BOS-led id sequence, or [B x T x V] for a list of B scenes' branch outputs
+    and a list of B sequences, padded as `decoder.decoder_forward` says."""
     return decoder_forward(params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out, token_ids)
 
 

@@ -11,7 +11,8 @@ Design constraints, fixed for the whole package:
     recording order is execution order.
 
 Gradients accumulate into Tensor.grad (never mutated in place, so aliasing
-views returned by backward rules are safe).
+views returned by backward rules are safe), or, for the tensors a backward
+call is given sinks for, in place into those caller-owned arrays.
 
 Recorder (diagnostics only; never part of the math or the tape):
   * `recording()` is a context manager yielding `{scoped name: [array copy
@@ -89,13 +90,17 @@ class Tape:
         _STATE.tape = self._prev
         return False
 
-    def backward(self, loss):
+    def backward(self, loss, sinks=None):
+        """Accumulate d loss / d t into every tensor t on the tape. `sinks`
+        maps id(t) to a writable array shaped like t: such a t has its
+        gradient added into that array in place, and its .grad is left alone."""
         if not isinstance(loss, Tensor):
             raise ContractError("backward target must be a Tensor")
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         seed = np.ones_like(loss.data)
         loss.grad = seed if loss.grad is None else loss.grad + seed
+        sinks = sinks or {}
         for out, inputs, bwd in reversed(self.nodes):
             g = out.grad
             if g is None:
@@ -104,7 +109,11 @@ class Tape:
             for t, gt in zip(inputs, grads):
                 if gt is None or not t.requires_grad:
                     continue
-                t.grad = gt if t.grad is None else t.grad + gt
+                sink = sinks.get(id(t))
+                if sink is not None:
+                    sink += gt
+                else:
+                    t.grad = gt if t.grad is None else t.grad + gt
 
 
 @contextmanager
@@ -375,7 +384,7 @@ def log_softmax(x):
     x2 = xd.reshape(-1, v)
     xs = x2 - x2.max(axis=-1, keepdims=True)
     e = np.exp(xs)
-    row_sum = e.mean(axis=-1) * float(v)
+    row_sum = np.add.reduce(e, -1) / v * float(v)
     out = (xs - np.log(row_sum)[:, None]).reshape(xd.shape)
 
     def bwd(g):
@@ -390,6 +399,12 @@ def log_softmax(x):
     return _emit(out, (x,), bwd)
 
 
+def _mean_last(a):
+    """a.mean(axis=-1, keepdims=True), bit for bit (for float64, ndarray.mean
+    is this sum and division), without NumPy's Python-level wrapper."""
+    return np.add.reduce(a, -1, keepdims=True) / a.shape[-1]
+
+
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then gain*x + bias.
 
@@ -402,9 +417,9 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise ShapeError(f"layer_norm needs a feature axis of length >= 2, got shape {xd.shape}")
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must be [{d}], got {gain.data.shape}, {bias.data.shape}")
-    mu = xd.mean(axis=-1, keepdims=True)
+    mu = _mean_last(xd)
     xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -415,7 +430,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
         gbias = flat_g.sum(axis=0) if bias.requires_grad else None
         if x.requires_grad:
             dxhat = g * gain.data
-            gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+            gx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
         else:
             gx = None
         return gx, ggain, gbias
@@ -443,7 +458,7 @@ def mean(x, axis):
         raise ShapeError(f"mean: axis {axis} out of range for shape {xd.shape}")
     ax = axis % xd.ndim
     n = xd.shape[ax]
-    out = xd.mean(axis=ax)
+    out = np.add.reduce(xd, ax) / n  # xd.mean(axis=ax), bit for bit
     return _emit(out, (x,), lambda g: (np.broadcast_to(np.expand_dims(g / n, ax), xd.shape),))
 
 
@@ -493,13 +508,14 @@ def reshape(x, shape):
 
 
 def embedding_lookup(table, ids):
-    """Rows of a [V x d] table selected by integer ids; grads scatter-add."""
+    """Rows of a [V x d] table selected by an integer id array of any shape
+    (the result has shape ids.shape + [d]); grads scatter-add."""
     td = table.data
     if td.ndim != 2:
         raise ShapeError(f"embedding table must be 2-d, got shape {td.shape}")
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"embedding ids must be 1-d, got shape {idx.shape}")
+    if idx.ndim < 1:
+        raise ShapeError(f"embedding ids need at least one axis, got shape {idx.shape}")
     v = td.shape[0]
     bad = (idx < 0) | (idx >= v)
     if bad.any():

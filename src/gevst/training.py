@@ -12,8 +12,14 @@ XE follows the Noam learning rate d^-0.5 * min(step^-0.5, step*warmup^-1.5)
 scst_lr — policy-gradient updates at the warmup schedule's rate wreck a
 converged model — while resuming the step count stored in the checkpoint.
 Both phases run one loop (`_optimize`) and differ only in their batch
-loss, learning-rate rule and streams; SCST rolls a whole batch out in one
-lockstep decode, each sample drawing from its own stream. The loop holds
+loss, learning-rate rule and streams. Each batch's samples are encoded one
+by one on the tape, and its loss comes from one padded, masked
+teacher-forced decoder pass over the whole batch (`decoder_forward` on
+lists): XE over the first ground-truth captions, SCST over the sampled
+captions with a non-zero advantage. SCST rolls a whole batch out in one
+lockstep decode, each sample drawing from its own stream. The backward
+adds every parameter's gradient straight into Adam's flat gradient
+vector (`Adam.sinks`). The loop holds
 Adam(beta2=0.98, eps=1e-9, bias-corrected), global-norm gradient clipping
 at 5.0, batch-mean losses, a fixed shuffle stream per epoch, and
 best-checkpoint selection by validation CIDEr-D every val_every epochs. A
@@ -41,7 +47,8 @@ import numpy as np
 
 from . import metrics
 from .config import TrainConfig, config_from_dict
-from .data import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vocab, corpus_texts, split_train_val, tokenize
+from .data import (BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vocab, corpus_texts, pad_ids,
+                   split_train_val, tokenize)
 from .decoder import CachedDecoder, beam_search, greedy_decode
 from .errors import ConfigError, ContractError, InputError, ParseError, SchemaError, TrainingDiverged
 from .model import caption_logits, encode_sample, init_model, make_step_fn
@@ -61,18 +68,22 @@ def noam_lr(step, d_model, warmup_steps):
 
 class Adam:
     """Bias-corrected Adam on the flat parameter vector of `params_obj`. A
-    missing gradient counts as zero: a parameter that never gets one never moves."""
+    missing gradient counts as zero: a parameter that never gets one never moves.
+    `sinks` hands `Tape.backward` each parameter's view of `grad`, so a
+    backward adds the gradients straight into that vector."""
 
     def __init__(self, params_obj, beta1=0.9, beta2=0.98, eps=1e-9):
         self.params = flat_parameters(params_obj)
         self.tensors = parameters(params_obj)
         self.grad, self.m, self.v = (np.zeros_like(self.params) for _ in range(3))
         self.grad_views = flat_views(self.grad, self.tensors)
+        self.sinks = {id(t): g for t, g in zip(self.tensors, self.grad_views)}
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def collect_grads(self):
-        """Add each Tensor.grad into `grad` and clear it; returns `grad`."""
+        """Add each Tensor.grad (one set outside a backward given `sinks`) into
+        `grad` and clear it; returns `grad`."""
         for t, g in zip(self.tensors, self.grad_views):
             if t.grad is not None:
                 g += t.grad
@@ -121,22 +132,24 @@ def teacher_pair(vocab: Vocabulary, caption):
     return [BOS_ID] + ids, ids + [EOS_ID]
 
 
-def _log_likelihood(logits, ids, row_weights):
-    """sum over rows t of row_weights[t] * log softmax(logits)[t, ids[t]]."""
+def _log_likelihood(logits, ids, weights):
+    """sum over logit rows r of weights[r] * log softmax(logits)[r, ids[r]]:
+    ids (and weights, unless a scalar) shaped like the logits' rows."""
     weight = np.zeros(logits.data.shape)
-    weight[np.arange(len(ids)), ids] = row_weights
+    np.put_along_axis(weight, ids[..., None], np.broadcast_to(weights, ids.shape)[..., None], axis=-1)
     return T.total_sum(T.mul(T.log_softmax(logits), Tensor(weight)))
 
 
 def xe_loss(logits, target_ids):
-    """Mean over non-pad positions of -log softmax probability of the target."""
-    t_len = logits.data.shape[0]
+    """Mean over non-pad positions of -log softmax probability of the target,
+    for logits [T x V] and targets [T]; for logits [B x T x V] and targets
+    [B x T], the sum over the B sequences of each one's own mean."""
     targets = np.asarray(target_ids, dtype=np.int64)
-    if targets.shape != (t_len,):
-        raise ContractError(f"{t_len} logit rows vs targets shape {targets.shape}")
+    if targets.shape != logits.data.shape[:-1]:
+        raise ContractError(f"logit rows {logits.data.shape[:-1]} vs targets shape {targets.shape}")
     live = targets != PAD_ID
-    count = int(live.sum())
-    if count == 0:
+    count = live.sum(axis=-1, keepdims=True)
+    if (count == 0).any():
         raise ContractError("all-pad target sequence")
     return T.mul(_log_likelihood(logits, targets, live / count), -1.0)
 
@@ -150,9 +163,16 @@ def sequence_logprob(logits, ids):
     return _log_likelihood(logits, idx, 1.0)
 
 
-def reinforce_loss(logp_sum, advantage):
-    """Self-critical surrogate: -(advantage) * log-prob; zero advantage, zero grad."""
-    return T.mul(logp_sum, -float(advantage))
+def reinforce_loss(logits, sampled, advantages):
+    """Self-critical surrogate of a batch, -sum_i advantages[i] * log
+    p(sampled[i]), from the [B x T x V] logits teacher-forced on the sampled
+    captions (row t of caption i predicts sampled[i][t]; rows past a caption's
+    end weigh 0). A zero advantage gives its caption zero gradient."""
+    ids = pad_ids(sampled)
+    if ids.shape != logits.data.shape[:-1]:
+        raise ContractError(f"logit rows {logits.data.shape[:-1]} vs sampled ids {ids.shape}")
+    inside = np.arange(ids.shape[1]) < np.array([len(s) for s in sampled])[:, None]
+    return _log_likelihood(logits, ids, np.where(inside, -np.asarray(advantages, dtype=np.float64)[:, None], 0.0))
 
 
 # ------------------------------------------------------------- evaluation
@@ -232,14 +252,15 @@ def _batches(order, size):
         yield order[i : i + size]
 
 
-def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_losses, lr_at,
+def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_loss, lr_at,
               shuffle_tag, report, log=None, stop_fn=None):
     """The loop both phases share. Each epoch shuffles `train` with stream
-    shuffle_tag; `batch_losses(samples, indices, epoch)` gives, for the samples
-    of one batch (their indices into `train`), (a loss on the live tape or
-    None per sample, a reward per sample or None). A batch with no loss takes
-    no step; otherwise its mean loss is backpropagated, clipped and stepped
-    at `lr_at(step)`. The curve holds the mean reward when the phase reports
+    shuffle_tag; `batch_loss(samples, indices, epoch)` gives, for the samples
+    of one batch (their indices into `train`), (the batch's summed loss on
+    the live tape or None, a reward per sample or None). A batch with no loss
+    takes no step; otherwise its mean over the batch is backpropagated
+    straight into the optimizer's gradient vector, clipped and stepped at
+    `lr_at(step)`. The curve holds the mean reward when the phase reports
     rewards, else the mean loss, logged by `report`."""
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -254,19 +275,15 @@ def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_losses,
         for batch in _batches(order, cfg.batch_size):
             opt.zero_grads()
             with Tape() as tape:
-                losses, rewards = batch_losses([train[int(i)] for i in batch], batch, epoch)
+                loss, rewards = batch_loss([train[int(i)] for i in batch], batch, epoch)
                 for reward in rewards or ():
                     reward_total = reward if reward_total is None else reward_total + reward
-                acc = None
-                for loss in losses:
-                    if loss is not None:
-                        acc = loss if acc is None else T.add(acc, loss)
-                if acc is None:
+                if loss is None:
                     continue
-                batch_loss = T.mul(acc, 1.0 / len(batch))
-                tape.backward(batch_loss)
+                loss = T.mul(loss, 1.0 / len(batch))
+                tape.backward(loss, opt.sinks)
             del tape  # free the graph before the optimizer's full-size vectors
-            value = batch_loss.item()
+            value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(f"{phase} loss became {value} at epoch {epoch}")
             loss_total += value * len(batch)
@@ -305,16 +322,15 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
     epochs = cfg.xe_epochs if epochs is None else epochs
     warmup_steps = cfg.warmup_epochs * max(1, math.ceil(len(train) / cfg.batch_size))
 
-    def sample_loss(s):
-        branch = encode_sample(params, cfg, s, vocab)
-        inputs, targets = teacher_pair(vocab, s.gt_captions[0])
-        return xe_loss(caption_logits(params, cfg, branch, inputs), targets)
+    def batch_loss(batch, _indices, _epoch):
+        branches = [encode_sample(params, cfg, s, vocab) for s in batch]
+        inputs, targets = zip(*(teacher_pair(vocab, s.gt_captions[0]) for s in batch))
+        return xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets)), None
 
     def lr_at(step):
         return noam_lr(step, cfg.d_model, warmup_steps) * cfg.lr_scale
 
-    return _optimize("XE", train, val, cfg, params, vocab, epochs, start_step,
-                     lambda batch, _indices, _epoch: (list(map(sample_loss, batch)), None), lr_at,
+    return _optimize("XE", train, val, cfg, params, vocab, epochs, start_step, batch_loss, lr_at,
                      shuffle_tag=101, report="epoch {}: loss {:.6f}", log=log, stop_fn=stop_fn)
 
 
@@ -364,32 +380,34 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
     """Self-critical phase from an XE-trained model. Each batch is encoded
     once, on the tape; its sampled and greedy captions are rolled out in one
     `lockstep_decode` from those branch outputs, and the loss is taught
-    through them. Sample `train[i]` draws from its own stream (seed, 303,
-    epoch, i), so a rollout depends on neither the batch nor its order, to
-    the rounding `lockstep_decode` allows."""
+    through them, in one teacher-forced pass over the sampled captions with a
+    non-zero advantage. Sample `train[i]` draws from its own stream (seed,
+    303, epoch, i), so a rollout depends on neither the batch nor its order,
+    to the rounding `lockstep_decode` allows."""
     train, val = split_train_val(_captioned(samples))
     epochs = cfg.scst_epochs if epochs is None else epochs
     refs = references_of(train)
     scorer = metrics.CiderScorer(refs)
     ref_by_id = {s.id: r for s, r in zip(train, refs)}
 
-    def batch_losses(batch, indices, epoch):
+    def batch_loss(batch, indices, epoch):
         branches = [encode_sample(params, cfg, s, vocab) for s in batch]
         rngs = [_epoch_rng(cfg.seed, 303, epoch, int(i)) for i in indices]
-        losses, rewards = [], []
+        taught, rewards = [], []  # taught: (branch outputs, sampled ids, advantage)
         rollouts = lockstep_decode(params, cfg, batch, branches, rngs)
         for s, branch, sampled, greedy_ids in zip(batch, branches, *rollouts):
             r_s = scorer.sentence(caption_tokens(vocab, sampled), ref_by_id[s.id])
             advantage = r_s - scorer.sentence(caption_tokens(vocab, greedy_ids), ref_by_id[s.id])
             rewards.append(r_s)
-            if advantage == 0.0:  # its encode nodes get no gradient, and backward skips them
-                losses.append(None)
-                continue
-            logits = caption_logits(params, cfg, branch, [BOS_ID] + sampled[:-1])
-            losses.append(reinforce_loss(sequence_logprob(logits, sampled), advantage))
-        return losses, rewards
+            if advantage != 0.0:  # otherwise its encode nodes get no gradient, and backward skips them
+                taught.append((branch, sampled, advantage))
+        if not taught:
+            return None, rewards
+        branches, sampled, advantages = zip(*taught)
+        logits = caption_logits(params, cfg, list(branches), [[BOS_ID] + ids[:-1] for ids in sampled])
+        return reinforce_loss(logits, sampled, advantages), rewards
 
-    out = _optimize("SCST", train, val, cfg, params, vocab, epochs, start_step, batch_losses,
+    out = _optimize("SCST", train, val, cfg, params, vocab, epochs, start_step, batch_loss,
                     lambda step: cfg.scst_lr, shuffle_tag=202, report="epoch {}: mean sampled reward {:.4f}", log=log)
     if epochs > 0 and all(reward == 0.0 for _, reward in out.curve):
         out.diagnostics["warning"] = "reward was identically zero for every epoch"

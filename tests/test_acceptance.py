@@ -415,8 +415,7 @@ def run_bandit(high_token=1, steps=200, lr=0.1, seed=0):
         opt.zero_grads()
         if advantage != 0.0:
             with T.Tape() as tape:
-                loss = TR.reinforce_loss(
-                    TR.sequence_logprob(logits, [sampled]), advantage)
+                loss = TR.reinforce_loss(T.reshape(logits, (1, 1, 2)), [[sampled]], [advantage])
                 tape.backward(loss)
             opt.step(lr)
         p_high = float(np.exp(T.log_softmax(logits).data[0, high_token]))

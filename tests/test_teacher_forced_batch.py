@@ -1,0 +1,194 @@
+"""The padded, masked teacher-forced pass over a whole batch against the
+one-scene pass it replaced in training: one sample at a time, summed.
+
+Desk batches mix region counts, dense-caption counts and caption lengths, so
+every branch output and every id sequence is padded somewhere in the batch.
+"""
+
+import numpy as np
+import pytest
+
+import util as U
+from gevst import tensor as T
+from gevst import training as TR
+from gevst.config import TrainConfig
+from gevst.data import BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts, generate_dataset, pad_ids
+from gevst.decoder import decoder_forward, pad_scenes
+from gevst.errors import ContractError
+from gevst.model import caption_logits, encode_sample, init_model
+from gevst.nn import Tensor, parameters
+
+BRANCH_SETS = [("vv",), ("ss", "vs"), ("ss", "sv", "vs", "vv")]
+TOL = 1e-12
+
+
+def desk_batch(branches, n=6, seed=0):
+    cfg = TrainConfig(branches=branches)
+    samples = generate_dataset(seed, n)
+    vocab = build_vocab(corpus_texts(samples), cfg.min_count)
+    params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+    return cfg, samples, vocab, params
+
+
+def sampled_captions(vocab, n, seed=1):
+    """Rollout-like captions of different lengths; one ends without EOS and
+    one holds PAD inside, which a length-based weight must still count."""
+    rng = np.random.default_rng(seed)
+    caps = [[int(t) for t in rng.integers(3, len(vocab), size=k)] + [EOS_ID]
+            for k in rng.integers(1, 9, size=n)]
+    caps[0] = caps[0][:-1] + [7]
+    caps[-1] = [PAD_ID] + caps[-1]
+    return caps
+
+
+def xe_batch(params, cfg, vocab, samples, branches):
+    inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
+    return TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
+
+
+def xe_loop(params, cfg, vocab, samples, branches):
+    total = None
+    for s, branch in zip(samples, branches):
+        inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
+        loss = TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
+        total = loss if total is None else T.add(total, loss)
+    return total
+
+
+def scst_batch(params, cfg, caps, advantages, branches):
+    logits = caption_logits(params, cfg, branches, [[BOS_ID] + c[:-1] for c in caps])
+    return TR.reinforce_loss(logits, caps, advantages)
+
+
+def scst_loop(params, cfg, caps, advantages, branches):
+    total = None
+    for c, a, branch in zip(caps, advantages, branches):
+        logits = caption_logits(params, cfg, branch, [BOS_ID] + c[:-1])
+        loss = T.mul(TR.sequence_logprob(logits, c), -a)
+        total = loss if total is None else T.add(total, loss)
+    return total
+
+
+def loss_and_grads(params, cfg, vocab, samples, loss_fn):
+    """(loss, every parameter's gradient, every branch output's gradient) of
+    loss_fn(branch outputs) with the samples encoded on the same tape."""
+    tensors = parameters(params)
+    for t in tensors:
+        t.grad = None
+    with T.Tape() as tape:
+        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+        loss = loss_fn(branches)
+        tape.backward(loss)
+    grads = [t.grad for t in tensors]
+    outs = [out.grad for branch in branches for out in branch.values()]
+    for t in tensors:
+        t.grad = None
+    return loss.item(), grads, outs
+
+
+def assert_close_runs(got, want):
+    assert abs(got[0] - want[0]) <= TOL * max(1.0, abs(want[0]))
+    for g, w in zip(got[1] + got[2], want[1] + want[2]):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert U.max_abs_delta(g, w) <= TOL
+
+
+@pytest.mark.parametrize("branches", BRANCH_SETS, ids="-".join)
+def test_batched_xe_matches_the_per_sample_loop(branches):
+    cfg, samples, vocab, params = desk_batch(branches)
+    assert len({len(s.regions) for s in samples}) > 1 and len({len(s.dense_captions) for s in samples}) > 1
+    assert len({len(s.gt_captions[0].split()) for s in samples}) > 1
+    got = loss_and_grads(params, cfg, vocab, samples, lambda b: xe_batch(params, cfg, vocab, samples, b))
+    want = loss_and_grads(params, cfg, vocab, samples, lambda b: xe_loop(params, cfg, vocab, samples, b))
+    assert all(g is not None for g in got[2])
+    assert_close_runs(got, want)
+
+
+@pytest.mark.parametrize("branches", BRANCH_SETS, ids="-".join)
+def test_batched_scst_matches_the_per_sample_loop(branches):
+    cfg, samples, vocab, params = desk_batch(branches)
+    caps = sampled_captions(vocab, len(samples))
+    advantages = [0.8, -1.3, 0.25, 2.0, -0.5, 1.1]
+    got = loss_and_grads(params, cfg, vocab, samples, lambda b: scst_batch(params, cfg, caps, advantages, b))
+    want = loss_and_grads(params, cfg, vocab, samples, lambda b: scst_loop(params, cfg, caps, advantages, b))
+    assert_close_runs(got, want)
+
+
+def test_a_sample_does_not_depend_on_its_batch():
+    """Sample 2 in two batches of other scenes (longer and shorter ones, at
+    another position): its logits, XE loss and gradients agree."""
+    cfg, samples, vocab, params = desk_batch(BRANCH_SETS[-1], n=9)
+    caps = sampled_captions(vocab, 9)
+    runs = []
+    for members in ([0, 1, 2, 3], [8, 2, 5]):
+        batch = [samples[i] for i in members]
+        at = members.index(2)
+        inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in batch))
+        t_len = len(inputs[at])
+        logits = []
+
+        def xe_of_sample(branches):
+            full = caption_logits(params, cfg, branches, inputs)
+            logits.append(full.data[at, :t_len].copy())
+            row = T.narrow(T.narrow(full, 0, at, 1), 1, 0, t_len)
+            return TR.xe_loss(row, [targets[at]])
+
+        def scst_of_sample(branches):
+            advantages = [0.9 if i == at else 0.0 for i in range(len(batch))]
+            return scst_batch(params, cfg, [caps[i] for i in members], advantages, branches)
+
+        xe = loss_and_grads(params, cfg, vocab, batch, xe_of_sample)
+        scst = loss_and_grads(params, cfg, vocab, batch, scst_of_sample)
+        own = slice(at * len(cfg.branches), (at + 1) * len(cfg.branches))
+        runs.append((logits[0], (xe[0], xe[1], xe[2][own]), (scst[0], scst[1], scst[2][own])))
+    (logits_a, xe_a, scst_a), (logits_b, xe_b, scst_b) = runs
+    assert U.max_abs_delta(logits_a, logits_b) <= TOL
+    assert_close_runs(xe_a, xe_b)
+    assert_close_runs(scst_a, scst_b)
+
+
+def test_batched_pass_grad_check_on_the_miniature_config():
+    cfg = U.miniature_config(raw_feat_dim=32, min_count=1, enc_layers=1)
+    samples = generate_dataset(4, 3)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    params = init_model(cfg, len(vocab), np.random.default_rng(2))
+    caps = sampled_captions(vocab, 3, seed=4)
+
+    def loss(_):
+        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+        return T.add(xe_batch(params, cfg, vocab, samples, branches),
+                     scst_batch(params, cfg, caps, [0.6, -0.4, 1.5], branches))
+
+    # eps and floor as in criterion 1: near-zero gradients compare absolutely
+    layer = params.dec_layers[0]
+    for target in (layer.cross["vv"].k.w, layer.cross["ss"].v.b, layer.mod["sv"].w, layer.self_q.w,
+                   params.dec_embed, params.vis_in.w):
+        rel = U.grad_check(loss, target, eps=1e-6, max_coords=6, rng=np.random.default_rng(5), floor=1e-5)
+        assert rel < 1e-4
+
+
+def test_pad_scenes_lays_each_scene_first_then_zero_rows(rng):
+    scenes = [{"vv": Tensor(rng.normal(size=(n, 4)))} for n in (2, 4, 1)]
+    padded, padding = pad_scenes(scenes)
+    assert padded["vv"].data.shape == (3, 4, 4)
+    assert padding["vv"].tolist() == [[False, False, True, True], [False] * 4, [False, True, True, True]]
+    for i, s in enumerate(scenes):
+        n = len(s["vv"].data)
+        assert np.array_equal(padded["vv"].data[i, :n], s["vv"].data)
+        assert not padded["vv"].data[i, n:].any()
+
+
+def test_batched_forward_contracts():
+    cfg, samples, vocab, params = desk_batch(("vv",), n=2)
+    with T.no_grad():
+        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+    layers, embed, out = params.dec_layers, params.dec_embed, params.out
+    with pytest.raises(ContractError, match="2 scenes vs 1 id sequences"):
+        decoder_forward(layers, cfg.heads, branches, embed, out, [[BOS_ID, 4]])
+    with pytest.raises(ContractError, match="must start with BOS"):
+        decoder_forward(layers, cfg.heads, branches, embed, out, [[BOS_ID, 4], [4, 5]])
+    with pytest.raises(ContractError, match="same branch outputs"):
+        decoder_forward(layers, cfg.heads, [branches[0], {}], embed, out, [[BOS_ID], [BOS_ID]])
+    with pytest.raises(ContractError, match="logit rows"):
+        TR.reinforce_loss(caption_logits(params, cfg, branches, [[BOS_ID, 4], [BOS_ID]]), [[4], [5]], [1.0, 1.0])

@@ -237,6 +237,46 @@ def test_backward_leaves_forward_values_intact():
     assert np.array_equal(x.grad, expected)
 
 
+def test_backward_adds_into_sinks_in_place_as_grad_would_sum():
+    """A tensor given a sink gets its gradient summed into that array in
+    place, bit for bit what .grad plus a final add into zeros would hold, and
+    no array a backward rule returned is written (add returns g for both)."""
+    w, u = (Tensor(RNG.normal(0, 1, shape), requires_grad=True) for shape in ((3, 4), (5, 4)))
+    x = Tensor(RNG.normal(0, 1, (5, 3)))
+
+    def loss():
+        h = T.add(T.tanh(T.matmul(x, w)), u)
+        return T.total_sum(T.mul(T.add(h, T.matmul(T.relu(x), w)), h))
+
+    with Tape() as tape:
+        tape.backward(loss())
+    want = [np.zeros((3, 4)) + w.grad, np.zeros((5, 4)) + u.grad]
+    w.grad = u.grad = None
+    sinks = [np.zeros((3, 4)), np.zeros((5, 4))]
+    with Tape() as tape:
+        out = loss()
+        tape.backward(out, {id(w): sinks[0], id(u): sinks[1]})
+    assert w.grad is None and u.grad is None
+    assert all(np.array_equal(got, exp) for got, exp in zip(sinks, want))
+    a, b = (Tensor(np.zeros((2, 2)), requires_grad=True) for _ in range(2))
+    sink = np.full((2, 2), 5.0)
+    with Tape() as tape:
+        s = T.add(a, b)
+        tape.backward(T.total_sum(s), {id(a): sink})
+    assert np.array_equal(sink, np.full((2, 2), 6.0))
+    assert np.array_equal(b.grad, np.ones((2, 2))) and np.array_equal(s.grad, np.ones((2, 2)))
+
+
+def test_means_equal_ndarray_mean_bit_for_bit():
+    """layer_norm, mean and log_softmax sum and divide (np.add.reduce / n)
+    instead of calling ndarray.mean, which computes exactly that."""
+    for shape in ((7,), (3, 64), (2, 5, 19), (4, 257)):
+        x = RNG.normal(0, 3, shape)
+        assert np.array_equal(T._mean_last(x), x.mean(axis=-1, keepdims=True))
+        for axis in range(len(shape)):
+            assert np.array_equal(T.mean(Tensor(x), axis).data, x.mean(axis=axis))
+
+
 def test_grad_check_samples_coordinates():
     x = Tensor(RNG.normal(0, 1, (10, 10)), requires_grad=True)
     err = grad_check(lambda t: T.total_sum(T.tanh(t)), x, max_coords=7,

@@ -202,12 +202,14 @@ def test_sequence_logprob_matches_manual(rng):
 
 
 def test_reinforce_zero_advantage_zero_gradient(rng):
-    rows = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    rows = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
     with T.Tape() as tape:
-        loss = TR.reinforce_loss(TR.sequence_logprob(rows, [1, 2, 0]), 0.0)
+        loss = TR.reinforce_loss(rows, [[1, 2, 0], [4, 3]], [0.0, 0.7])
         tape.backward(loss)
-    assert loss.item() == 0.0
-    assert np.array_equal(rows.grad, np.zeros((3, 5)))
+    assert abs(loss.item() + 0.7 * TR.sequence_logprob(Tensor(rows.data[1, :2]), [4, 3]).item()) < 1e-12
+    assert np.array_equal(rows.grad[0], np.zeros((3, 5)))
+    assert np.array_equal(rows.grad[1, 2], np.zeros(5))  # past the second caption's end
+    assert np.abs(rows.grad[1, :2]).min() > 0.0
 
 
 def test_scst_surrogate_gradient_with_frozen_sample():
@@ -220,8 +222,8 @@ def test_scst_surrogate_gradient_with_frozen_sample():
 
     def loss_fn(_):
         branch = encode_sample(params, cfg, samples[0], vocab)
-        logits = caption_logits(params, cfg, branch, [BOS_ID] + sampled[:-1])
-        return TR.reinforce_loss(TR.sequence_logprob(logits, sampled), advantage)
+        logits = caption_logits(params, cfg, [branch], [[BOS_ID] + sampled[:-1]])
+        return TR.reinforce_loss(logits, [sampled], [advantage])
 
     target = params.dec_layers[0].cross["vv"].q.w
     rel = U.grad_check(loss_fn, target, max_coords=6, rng=np.random.default_rng(0))

@@ -14,7 +14,7 @@ from gevst import metrics
 from gevst import tensor as T
 from gevst import training as TR
 from gevst.config import BRANCH_NAMES, TrainConfig
-from gevst.data import BOS_ID, build_vocab, corpus_texts, split_train_val
+from gevst.data import BOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
 from gevst.decoder import _check_bos, _log_probs, causal_mask, cross_keys_values, decoder_layer
 from gevst.errors import ContractError, TrainingDiverged
 from gevst.model import caption_logits, init_model
@@ -149,9 +149,13 @@ def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8):
 
 # ------------------------------------------------ reference training loops
 #
-# The XE and SCST loops as they stood before they shared `training._optimize`.
-# Every package function is looked up on its module at call time, so a test
-# that monkeypatches `training` changes both these loops and the package's.
+# The XE and SCST loops as they stood before they shared `training._optimize`,
+# except that each takes its batch loss from the package: one teacher-forced
+# pass over the batch (`caption_logits` on lists of scenes), scored by
+# `xe_loss` or `reinforce_loss`. They backpropagate into Tensor.grad, where the
+# package adds gradients straight into the optimizer's vector. Every package
+# function is looked up on its module at call time, so a test that
+# monkeypatches `training` changes both these loops and the package's.
 
 
 def reference_train_xe(samples, cfg, epochs=None, params=None, vocab=None,
@@ -178,14 +182,15 @@ def reference_train_xe(samples, cfg, epochs=None, params=None, vocab=None,
         for batch in TR._batches(order, cfg.batch_size):
             opt.zero_grads()
             with T.Tape() as tape:
-                acc = None
+                branches, inputs, targets = [], [], []
                 for idx in batch:
                     s = train[int(idx)]
-                    branch = TR.encode_sample(params, cfg, s, vocab)
-                    inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
-                    loss = TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-                    acc = loss if acc is None else T.add(acc, loss)
-                batch_loss = T.mul(acc, 1.0 / len(batch))
+                    branches.append(TR.encode_sample(params, cfg, s, vocab))
+                    pair = TR.teacher_pair(vocab, s.gt_captions[0])
+                    inputs.append(pair[0])
+                    targets.append(pair[1])
+                loss = TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
+                batch_loss = T.mul(loss, 1.0 / len(batch))
                 tape.backward(batch_loss)
             del tape
             value = batch_loss.item()
@@ -233,7 +238,7 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
         for batch in TR._batches(order, cfg.batch_size):
             opt.zero_grads()
             with T.Tape() as tape:
-                acc = None
+                taught = []
                 for idx in batch:
                     s = train[int(idx)]
                     sample_rng = TR._epoch_rng(cfg.seed, 303, epoch, int(idx))
@@ -244,13 +249,12 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
                     advantage = r_s - r_g
                     if advantage == 0.0:
                         continue
-                    branch = TR.encode_sample(params, cfg, s, vocab)
-                    logits = caption_logits(params, cfg, branch, [BOS_ID] + sampled[:-1])
-                    loss = TR.reinforce_loss(TR.sequence_logprob(logits, sampled), advantage)
-                    acc = loss if acc is None else T.add(acc, loss)
-                if acc is None:
+                    taught.append((TR.encode_sample(params, cfg, s, vocab), sampled, advantage))
+                if not taught:
                     continue
-                batch_loss = T.mul(acc, 1.0 / len(batch))
+                branches, sampled, advantages = zip(*taught)
+                logits = caption_logits(params, cfg, list(branches), [[BOS_ID] + ids[:-1] for ids in sampled])
+                batch_loss = T.mul(TR.reinforce_loss(logits, sampled, advantages), 1.0 / len(batch))
                 tape.backward(batch_loss)
             del tape
             if not math.isfinite(batch_loss.item()):
