@@ -94,23 +94,19 @@ def cmd_train(args):
     if args.phase == "xe":
         cfg = _load_config(args.config, args.seed)
         _, vocab, params, steps = load_checkpoint(args.init) if args.init else (None, None, None, 0)
+        out = train_xe(samples, cfg, params=params, vocab=vocab, start_step=steps)
     else:
         if not args.init:
             raise InputError("--phase scst requires --init with an XE checkpoint")
         base, vocab, params, steps = load_checkpoint(args.init)
         cfg = _load_config(args.config, args.seed, base.to_dict())
-    os.makedirs(args.out, exist_ok=True)  # only once the config and checkpoint are accepted
-
-    if args.phase == "xe":
-        out = train_xe(samples, cfg, params=params, vocab=vocab, start_step=steps)
-        curve_path = os.path.join(args.out, "loss_curve.csv")
-        write_curve(curve_path, out.curve, "loss")
-    else:
         out = train_scst(samples, cfg, params, vocab, start_step=steps)
-        curve_path = os.path.join(args.out, "reward_curve.csv")
-        write_curve(curve_path, out.curve, "reward")
         if "warning" in out.diagnostics:
             print(f"warning: {out.diagnostics['warning']}", file=sys.stderr)
+    os.makedirs(args.out, exist_ok=True)  # only once training has run: a rejected run leaves no --out
+    value_name = "loss" if args.phase == "xe" else "reward"
+    curve_path = os.path.join(args.out, f"{value_name}_curve.csv")
+    write_curve(curve_path, out.curve, value_name)
 
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
     restore_snapshot(out.params, out.best_snapshot)
@@ -205,8 +201,8 @@ def cmd_dump_attention(args):
     ids, _ = greedy_decode(make_step_fn(params, cfg, branch), max_len=cfg.max_len)
     with T.recording() as dec:
         caption_logits(params, cfg, branch, [BOS_ID] + ids[:-1])
-    # per branch: one [steps x d] gate per decoder layer, averaged over d, then layers
-    step_means = {b: [g.mean(axis=1) for g in dec[f"decoder_gates_{b}"]]
+    # per branch: one [1 x steps x d] gate per decoder layer, averaged over d, then layers
+    step_means = {b: [g[0].mean(axis=1) for g in dec[f"decoder_gates_{b}"]]
                   for b in BRANCH_NAMES if f"decoder_gates_{b}" in dec}
     path = os.path.join(args.out, "decoder_gates.csv")
     with open(path, "w") as f:
@@ -232,7 +228,6 @@ def cmd_ablate(args):
         raise ConfigError(f"GEVST_THREADS must be at least 1, got {raw!r}")
     samples = read_jsonl(args.data)
     cfg = _load_config(args.config, args.seed)
-    os.makedirs(args.out, exist_ok=True)
     rows, notes = ablation.run_axis(args.axis, samples, cfg, out_dir=args.out,
                                     epochs=args.epochs, workers=workers)
     outputs = [os.path.join(args.out, "table.csv"), os.path.join(args.out, "table.md")]

@@ -12,7 +12,7 @@ layer body (`decoder_layer`, rank-agnostic) and the cross-attention keys and
 values (`cross_keys_values`: each branch output projected once per layer,
 plain tensors). Only the self-attention context they hand the layer differs.
 Teacher forcing computes it with causal self attention over the whole
-sequence, for one scene at rank 2 or for a training batch at rank 3: the
+sequence, always for a batch at rank 3 (one scene is a batch of one): the
 batch's id sequences padded with PAD and each branch's outputs padded to the
 longest scene by `pad_scenes`, on the tape, with the padded keys masked.
 Decoding projects the cross keys and values once, for one scene or many
@@ -161,8 +161,8 @@ def modulated_multi_input(y, cross, layer: DecoderLayerParams, h):
     one layer's {branch: entry} (see `_cross_context`), as `cross_keys_values`
     or `CachedDecoder` gives it.
 
-    Records each branch's [T x d] gate as "decoder_gates_<branch>" (see `T.record`).
-    """
+    Records each branch's gate, shaped like y, as "decoder_gates_<branch>"
+    (see `T.record`)."""
     contexts, scores = [], []
     for b, entry in cross.items():
         c = _cross_context(linear(y, layer.cross[b].q), entry, h)
@@ -193,41 +193,33 @@ def _check_bos(ids):
 def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
     """Teacher-forced logits; position t predicts token t+1.
 
-    One scene: `branch_outputs` is its {branch: [N x d]} and `token_ids` one
-    BOS-led id sequence; returns [T x V]. A batch: a list of B scenes' branch
-    outputs and a list of B BOS-led sequences; returns [B x T x V], T the
-    longest sequence. Shorter sequences are padded with PAD, and their rows
-    past the end mean nothing (a loss weights them 0). Each branch's outputs
-    are padded to the longest scene (`pad_scenes`), with the padded keys
-    masked, so row b equals scene b's own forward to rounding.
+    A list of B scenes' branch outputs and a list of B BOS-led id sequences
+    give [B x T x V], T the longest sequence. Shorter sequences are padded
+    with PAD, and their rows past the end mean nothing (a loss weights them
+    0). Each branch's outputs are padded to the longest scene (`pad_scenes`),
+    with the padded keys masked, so row b equals scene b's own forward to
+    rounding. One scene's {branch: [N x d]} and one id sequence run as a
+    batch of one and give [T x V].
     """
     one = isinstance(branch_outputs, dict)
-    seqs = [token_ids] if one else list(token_ids)
-    if not one and len(seqs) != len(branch_outputs):
-        raise ContractError(f"{len(branch_outputs)} scenes vs {len(seqs)} id sequences")
+    scenes, seqs = ([branch_outputs], [token_ids]) if one else (branch_outputs, list(token_ids))
+    if len(seqs) != len(scenes):
+        raise ContractError(f"{len(scenes)} scenes vs {len(seqs)} id sequences")
     for seq in seqs:
         _check_bos(list(seq))
     ids = pad_ids(seqs)
     t_len, d = ids.shape[1], embed.data.shape[1]
-    if one:
-        ids, causal, masks = ids[0], causal_mask(h, t_len), None
-    else:
-        branch_outputs, padding = pad_scenes(branch_outputs)
-        lead = (len(seqs), h, t_len)
-        causal = np.broadcast_to(causal_mask(h, t_len), lead + (t_len,))
-        masks = {b: np.broadcast_to(p[:, None, None, :], lead + p.shape[1:]) for b, p in padding.items()}
+    padded, padding = pad_scenes(scenes)
+    lead = (len(seqs), h, t_len)
+    causal = np.broadcast_to(causal_mask(h, t_len), lead + (t_len,))
+    masks = {b: np.broadcast_to(p[:, None, None, :], lead + p.shape[1:]) for b, p in padding.items()}
     positions = np.broadcast_to(sinusoidal_positions(t_len, d).data, ids.shape + (d,))
     y = T.add(T.embedding_lookup(embed, ids), Tensor(positions))
-    for lp, cross in zip(layers, cross_keys_values(layers, branch_outputs, masks)):
+    for lp, cross in zip(layers, cross_keys_values(layers, padded, masks)):
         context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, mask=causal)
         y = decoder_layer(y, context, lp, h, cross)
-    return linear(y, out_proj)
-
-
-def _log_probs(logits):
-    """Row-wise log softmax of a [n x V] array."""
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
+    logits = linear(y, out_proj)
+    return T.reshape(logits, logits.data.shape[1:]) if one else logits
 
 
 class CachedDecoder:
@@ -305,10 +297,10 @@ class CachedDecoder:
                 grown.append((k.data, v.data))
                 context = T.reshape(attend(linear(y1, lp.self_q), k, v, self.h), (n, d))
                 y = decoder_layer(y, context, lp, self.h, cross)
-            logits = linear(y, self.out_proj).data
+            logprobs = T.log_softmax(linear(y, self.out_proj)).data
         self.self_kv = grown
         self.rows = {row: i for i, row in enumerate(rows)}
-        return _log_probs(logits)
+        return logprobs
 
 
 # ----------------------------------------------------------------- decoding

@@ -18,8 +18,9 @@ teacher-forced decoder pass over the whole batch (`decoder_forward` on
 lists): XE over the first ground-truth captions, SCST over the sampled
 captions with a non-zero advantage. SCST rolls a whole batch out in one
 lockstep decode, each sample drawing from its own stream. The backward
-adds every parameter's gradient straight into Adam's flat gradient
-vector (`Adam.sinks`). The loop holds
+adds every parameter's gradient straight into Adam's flat gradient vector
+(`Adam.sinks`), the one way gradients reach the optimizer; the optimizer
+step zeroes that vector again. The loop holds
 Adam(beta2=0.98, eps=1e-9, bias-corrected), global-norm gradient clipping
 at 5.0, batch-mean losses, a fixed shuffle stream per epoch, and
 best-checkpoint selection by validation CIDEr-D every val_every epochs. A
@@ -67,31 +68,23 @@ def noam_lr(step, d_model, warmup_steps):
 
 
 class Adam:
-    """Bias-corrected Adam on the flat parameter vector of `params_obj`. A
-    missing gradient counts as zero: a parameter that never gets one never moves.
-    `sinks` hands `Tape.backward` each parameter's view of `grad`, so a
-    backward adds the gradients straight into that vector."""
+    """Bias-corrected Adam on the flat parameter vector of `params_obj`.
+    Gradients reach it one way: `Tape.backward(loss, opt.sinks)` adds each
+    parameter's gradient in place into that parameter's view of `grad`.
+    `step` updates from `grad` and zeroes it, so a parameter that never gets
+    a gradient never moves."""
 
     def __init__(self, params_obj, beta1=0.9, beta2=0.98, eps=1e-9):
         self.params = flat_parameters(params_obj)
-        self.tensors = parameters(params_obj)
+        tensors = parameters(params_obj)
         self.grad, self.m, self.v = (np.zeros_like(self.params) for _ in range(3))
-        self.grad_views = flat_views(self.grad, self.tensors)
-        self.sinks = {id(t): g for t, g in zip(self.tensors, self.grad_views)}
+        self.grad_views = flat_views(self.grad, tensors)
+        self.sinks = {id(t): g for t, g in zip(tensors, self.grad_views)}
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
-    def collect_grads(self):
-        """Add each Tensor.grad (one set outside a backward given `sinks`) into
-        `grad` and clear it; returns `grad`."""
-        for t, g in zip(self.tensors, self.grad_views):
-            if t.grad is not None:
-                g += t.grad
-                t.grad = None
-        return self.grad
-
     def step(self, lr):
-        g = self.collect_grads()
+        g = self.grad
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         self.m *= b1
@@ -106,17 +99,11 @@ class Adam:
         self.params -= update
         g.fill(0.0)
 
-    def zero_grads(self):
-        for t in self.tensors:
-            t.grad = None
-        self.grad.fill(0.0)
-
 
 def clip_gradients(opt, max_norm):
     """Scale `opt.grad` to global norm <= max_norm; returns the norm before.
     The squared norm is summed per tensor in parameter order: one dot product
     over the whole vector rounds differently and would change training."""
-    opt.collect_grads()
     total = math.sqrt(sum(float((g * g).sum()) for g in opt.grad_views))
     if total > max_norm and total > 0.0:
         opt.grad *= max_norm / total
@@ -241,6 +228,8 @@ def _epoch_rng(seed, tag, epoch, *index):
 
 
 def _captioned(samples):
+    if not samples:
+        raise InputError("no scenes to train on")
     for s in samples:
         if not s.gt_captions:  # XE's teacher and every CIDEr-D reference need one
             raise InputError(f"scene {s.id!r} has no ground-truth caption to train or validate on")
@@ -273,7 +262,6 @@ def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_loss, l
         order = _epoch_rng(cfg.seed, shuffle_tag, epoch).permutation(len(train))
         loss_total, reward_total = 0.0, None
         for batch in _batches(order, cfg.batch_size):
-            opt.zero_grads()
             with Tape() as tape:
                 loss, rewards = batch_loss([train[int(i)] for i in batch], batch, epoch)
                 for reward in rewards or ():

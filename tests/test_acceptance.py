@@ -412,11 +412,10 @@ def run_bandit(high_token=1, steps=200, lr=0.1, seed=0):
         sampled = int(rng.choice(2, p=np.exp(lp)))
         greedy = int(np.argmax(lp))
         advantage = reward(sampled) - reward(greedy)
-        opt.zero_grads()
         if advantage != 0.0:
             with T.Tape() as tape:
                 loss = TR.reinforce_loss(T.reshape(logits, (1, 1, 2)), [[sampled]], [advantage])
-                tape.backward(loss)
+                tape.backward(loss, opt.sinks)
             opt.step(lr)
         p_high = float(np.exp(T.log_softmax(logits).data[0, high_token]))
         if first_above is None and p_high > 0.9:

@@ -136,6 +136,30 @@ def test_scst_without_init_leaves_no_output_directory(workdir, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_empty_scene_file_exits_one_and_leaves_no_output_directory(workdir, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    argvs = (["train", "--data", str(empty), "--config", workdir["cfg"], "--out", str(tmp_path / "xe")],
+             ["train", "--data", str(empty), "--phase", "scst", "--init", workdir["ckpt"],
+              "--out", str(tmp_path / "scst")])
+    for argv in argvs:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no scenes to train on" in err, (argv, err)
+    assert not (tmp_path / "xe").exists() and not (tmp_path / "scst").exists()
+
+
+def test_ablate_on_empty_scene_file_exits_one_and_leaves_no_output_directory(workdir, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "abl"
+    assert cli.main(["ablate", "--data", str(empty), "--axis", "gesa", "--config", workdir["cfg"],
+                     "--epochs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no scenes to train on" in err
+    assert not out.exists()
+
+
 def test_scst_from_checkpoint(workdir, tmp_path):
     run = str(tmp_path / "scst")
     assert cli.main(["train", "--data", workdir["data"], "--phase", "scst",

@@ -8,7 +8,7 @@ from gevst import tensor as T
 from gevst import training as TR
 from gevst.config import TrainConfig, config_from_dict
 from gevst.data import (BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts,
-                        generate_dataset, split_train_val)
+                        generate_dataset, pad_ids, split_train_val)
 from gevst.errors import (ConfigError, ContractError, ParseError, SchemaError,
                           TrainingDiverged)
 from gevst.decoder import greedy_decode
@@ -57,9 +57,8 @@ def test_adam_minimizes_quadratic():
     x = Tensor(np.array([5.0]), requires_grad=True)
     opt = TR.Adam({"x": x})
     for _ in range(500):
-        opt.zero_grads()
         with T.Tape() as tape:
-            tape.backward(T.mul(x, x))
+            tape.backward(T.mul(x, x), opt.sinks)
         opt.step(0.1)
         if abs(float(x.data[0])) < 0.1:
             break
@@ -70,7 +69,7 @@ def test_adam_skips_gradless_params():
     x = Tensor(np.array([1.0]), requires_grad=True)
     y = Tensor(np.array([2.0]), requires_grad=True)
     opt = TR.Adam({"x": x, "y": y})
-    x.grad = np.array([1.0])
+    opt.grad[0] = 1.0  # x's view; y's stays zero
     opt.step(0.5)
     assert float(y.data[0]) == 2.0 and float(x.data[0]) != 1.0
 
@@ -80,16 +79,15 @@ def test_clip_gradients():
     b = Tensor(np.zeros(4), requires_grad=True)
     opt = TR.Adam({"a": a, "b": b})
     assert TR.clip_gradients(opt, 1.0) == 0.0
-    a.grad, b.grad = np.full(3, 3.0), np.full(4, 4.0)
+    opt.grad[:] = [3.0] * 3 + [4.0] * 4  # a's view, then b's
     norm = math.sqrt(27 + 64)
     got = TR.clip_gradients(opt, 1.0)
     assert abs(got - norm) < 1e-12
-    # the gradients moved into the optimizer's vector, which was scaled
+    # the optimizer's vector was scaled; the tensors hold no gradient of their own
     assert a.grad is None and b.grad is None
     assert abs(math.sqrt(float((opt.grad ** 2).sum())) - 1.0) < 1e-12
     # already under the limit: untouched
-    opt.zero_grads()
-    a.grad, b.grad = np.full(3, 0.1), np.full(4, 0.1)
+    opt.grad[:] = 0.1
     TR.clip_gradients(opt, 1.0)
     assert np.array_equal(opt.grad, np.full(7, 0.1))
 
@@ -101,7 +99,7 @@ def test_clip_gradients_scales_aliased_gradients_once():
     b = Tensor(np.full(3, 1.0), requires_grad=True)
     opt = TR.Adam({"a": a, "b": b})
     with T.Tape() as tape:
-        tape.backward(T.total_sum(T.mul(T.add(a, b), Tensor(np.array([4.0, 3.0, 2.0])))))
+        tape.backward(T.total_sum(T.mul(T.add(a, b), Tensor(np.array([4.0, 3.0, 2.0])))), opt.sinks)
     norm = math.sqrt(2 * (16 + 9 + 4))
     assert abs(TR.clip_gradients(opt, 5.0) - norm) < 1e-12
     assert abs(math.sqrt(float((opt.grad ** 2).sum())) - 5.0) < 1e-12
@@ -113,11 +111,20 @@ def test_clip_gradients_accepts_read_only_gradients():
     c = Tensor(np.arange(4.0), requires_grad=True)
     opt = TR.Adam({"c": c})
     with T.Tape() as tape:
-        tape.backward(T.mul(T.total_sum(c), 3.0))
+        tape.backward(T.mul(T.total_sum(c), 3.0), opt.sinks)
     assert TR.clip_gradients(opt, 1.0) == 6.0
     assert np.allclose(opt.grad, 0.5)
     opt.step(0.1)
     assert np.all(c.data < np.arange(4.0))
+
+
+def test_training_leaves_no_parameter_gradient():
+    """Gradients reach the optimizer only through `opt.sinks`: after an XE
+    epoch and an SCST epoch no parameter holds a Tensor.grad of its own."""
+    samples, cfg = tiny_setup(n=8)
+    out = TR.train_xe(samples, cfg, epochs=1)
+    TR.train_scst(samples, cfg, out.params, out.vocab, epochs=1, start_step=out.trained_steps)
+    assert [n for n, t in named_parameters(out.params) if t.grad is not None] == []
 
 
 def test_flat_adam_matches_per_tensor_reference():
@@ -132,7 +139,7 @@ def test_flat_adam_matches_per_tensor_reference():
         return {"model": init_model(cfg, len(vocab), rng),
                 "frozen": Tensor(rng.normal(size=(2, 3)), requires_grad=True)}
 
-    def backward(obj, batch):
+    def backward(obj, batch, sinks=None):
         with T.Tape() as tape:
             acc = None
             for s in batch:
@@ -140,7 +147,7 @@ def test_flat_adam_matches_per_tensor_reference():
                 branch = encode_sample(obj["model"], cfg, s, vocab)
                 loss = TR.xe_loss(caption_logits(obj["model"], cfg, branch, inputs), targets)
                 acc = loss if acc is None else T.add(acc, loss)
-            tape.backward(T.mul(acc, 1.0 / len(batch)))
+            tape.backward(T.mul(acc, 1.0 / len(batch)), sinks)
 
     ref_obj, flat_obj = fresh(), fresh()
     ref_named = list(named_parameters(ref_obj))
@@ -151,9 +158,8 @@ def test_flat_adam_matches_per_tensor_reference():
         batch = samples[step % 2 :: 2]
         for _, t in ref_named:
             t.grad = None
-        opt.zero_grads()
         backward(ref_obj, batch)
-        backward(flat_obj, batch)
+        backward(flat_obj, batch, opt.sinks)
         ref_norm = O.clip_per_tensor(ref_named, 1.0)
         assert TR.clip_gradients(opt, 1.0) == ref_norm
         clipped += ref_norm > 1.0
@@ -371,7 +377,7 @@ def plant_inf_gradient(monkeypatch):
     clip = TR.clip_gradients
 
     def clip_after_inf(opt, max_norm):
-        opt.collect_grads()[0] = np.inf
+        opt.grad[0] = np.inf
         return clip(opt, max_norm)
 
     monkeypatch.setattr(TR, "clip_gradients", clip_after_inf)
@@ -516,18 +522,26 @@ def test_beam_caption_rejects_beam_zero():
         TR.beam_caption(params, cfg, vocab, samples[0], beam=0)
 
 
-def test_desk_xe_sample_records_654_tape_nodes():
-    """Pins the taped teacher-forced path at desk defaults: 654 nodes per sample."""
+def test_desk_xe_batch_records_4078_tape_nodes():
+    """Pins the taped teacher-forced path at desk defaults: the batched XE
+    loss of 8 scenes, as training runs it, records 4078 nodes; one scene's
+    call, run as a batch of one, records 663 (the per-branch concat and row
+    gather of `pad_scenes`, and the reshape of its [1 x T x V] logits)."""
     cfg = TrainConfig()
-    samples = generate_dataset(0, 3)
+    samples = generate_dataset(0, 8)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
     params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
-    for s in samples:
+    with T.Tape() as tape:
+        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+        inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
+        TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
+    assert len(tape.nodes) == 4078
+    for s in samples[:3]:
         with T.Tape() as tape:
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 654
+        assert len(tape.nodes) == 663
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -15,10 +15,10 @@ from gevst import tensor as T
 from gevst import training as TR
 from gevst.config import BRANCH_NAMES, TrainConfig
 from gevst.data import BOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
-from gevst.decoder import _check_bos, _log_probs, causal_mask, cross_keys_values, decoder_layer
+from gevst.decoder import _check_bos, causal_mask, cross_keys_values, decoder_layer
 from gevst.errors import ContractError, TrainingDiverged
 from gevst.model import caption_logits, init_model
-from gevst.nn import Tensor, attend, ffn, layer_norm, linear, named_parameters, sinusoidal_positions
+from gevst.nn import Tensor, attend, ffn, layer_norm, linear, named_parameters, parameters, sinusoidal_positions
 
 
 def miniature_config(**overrides):
@@ -152,10 +152,19 @@ def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8):
 # The XE and SCST loops as they stood before they shared `training._optimize`,
 # except that each takes its batch loss from the package: one teacher-forced
 # pass over the batch (`caption_logits` on lists of scenes), scored by
-# `xe_loss` or `reinforce_loss`. They backpropagate into Tensor.grad, where the
-# package adds gradients straight into the optimizer's vector. Every package
+# `xe_loss` or `reinforce_loss`. They backpropagate into Tensor.grad and move
+# it into the optimizer's vector (`move_grads`), where the package's backward
+# adds gradients straight into that vector. Every package
 # function is looked up on its module at call time, so a test that
 # monkeypatches `training` changes both these loops and the package's.
+
+
+def move_grads(opt, params):
+    """Add each parameter's Tensor.grad into its view of `opt.grad` and clear it."""
+    for t, g in zip(parameters(params), opt.grad_views):
+        if t.grad is not None:
+            g += t.grad
+            t.grad = None
 
 
 def reference_train_xe(samples, cfg, epochs=None, params=None, vocab=None,
@@ -180,7 +189,6 @@ def reference_train_xe(samples, cfg, epochs=None, params=None, vocab=None,
         order = TR._epoch_rng(cfg.seed, 101, epoch).permutation(len(train))
         loss_total = 0.0
         for batch in TR._batches(order, cfg.batch_size):
-            opt.zero_grads()
             with T.Tape() as tape:
                 branches, inputs, targets = [], [], []
                 for idx in batch:
@@ -193,6 +201,7 @@ def reference_train_xe(samples, cfg, epochs=None, params=None, vocab=None,
                 batch_loss = T.mul(loss, 1.0 / len(batch))
                 tape.backward(batch_loss)
             del tape
+            move_grads(opt, params)
             value = batch_loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(f"XE loss became {value} at epoch {epoch}")
@@ -236,7 +245,6 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
         order = TR._epoch_rng(cfg.seed, 202, epoch).permutation(len(train))
         reward_total = 0.0
         for batch in TR._batches(order, cfg.batch_size):
-            opt.zero_grads()
             with T.Tape() as tape:
                 taught = []
                 for idx in batch:
@@ -257,6 +265,7 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
                 batch_loss = T.mul(TR.reinforce_loss(logits, sampled, advantages), 1.0 / len(batch))
                 tape.backward(batch_loss)
             del tape
+            move_grads(opt, params)
             if not math.isfinite(batch_loss.item()):
                 raise TrainingDiverged(f"SCST loss became non-finite at epoch {epoch}")
             TR.clip_gradients(opt, cfg.grad_clip)
@@ -362,7 +371,7 @@ class ReferenceCachedDecoder:
                 grown.append((k.data, v.data))
                 context = T.reshape(attend(linear(y1, lp.self_q), k, v, self.h), (n, d))
                 y = decoder_layer(y, context, lp, self.h, cross)
-            logits = linear(y, self.out_proj).data
+            logprobs = T.log_softmax(linear(y, self.out_proj)).data
         self.self_kv = grown
         self.rows = {p: i for i, p in enumerate(prefixes)}
-        return _log_probs(logits)
+        return logprobs
