@@ -297,10 +297,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except GevstError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (GevstError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -110,10 +110,7 @@ def gesa_layer(x_prev, g_intra, g_inter, params: GesaLayerParams, h):
     maps = gesa_attention_maps(x_prev, g_intra, g_inter, params, h)
     gates = gesa_gates(x_prev, params)
     T.record("gesa_gates", gates)
-    combined = T.mul(maps[0], T.narrow(gates, 0, 0, 1))
-    for i in range(1, len(maps)):
-        combined = T.add(combined, T.mul(maps[i], T.narrow(gates, 0, i, 1)))
-    attended = T.apply_attention(combined, linear(x_prev, params.v_c), h)
+    attended = T.apply_attention(T.mix_maps(maps, gates), linear(x_prev, params.v_c), h)
     a = layer_norm(T.add(x_prev, attended), params.ln1)
     return layer_norm(T.add(a, ffn(a, params.ffn)), params.ln2)
 

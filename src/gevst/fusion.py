@@ -15,7 +15,8 @@ map (output independent of every geometry input, inter-geometry is zero);
 "g" drops the content map (attention independent of content).
 
 Stacked cells have independent parameters; the primary content flows through,
-and the reported attention maps / inter-geometry come from the LAST cell.
+and the inter-geometry comes from the LAST cell. Every cell's maps leave only
+through the recorder (`T.record`).
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ class FusionCellParams:
 class FusionOutput:
     fused_content: Tensor  # [N x d]
     inter_geometry: Tensor  # [N x d]
-    content_attention: Tensor  # [N x M] or None under base "g"
-    geometry_attention: Tensor  # [N x M] or None under base "c"
 
 
 def _init_additive(rng, d):
@@ -116,9 +115,8 @@ def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, sec
     if not cells:
         raise ConfigError("at least one fusion cell is required")
     x = primary_content
-    alpha_con = alpha_geo = inter = None
     for cell in cells:
         x, alpha_con, alpha_geo, inter = fusion_cell(cell, er, x, primary_geo, secondary_content, secondary_geo)
         T.record("content", alpha_con)
         T.record("geometry", alpha_geo)
-    return FusionOutput(x, inter, alpha_con, alpha_geo)
+    return FusionOutput(x, inter)

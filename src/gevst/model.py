@@ -16,7 +16,7 @@ from .caption_encoder import CaptionEncoderParams, encode_captions, init_caption
 from .config import BRANCH_NAMES, TrainConfig
 from .decoder import CachedDecoder, decoder_forward, init_decoder_layer
 from .encoder import encode_all, init_gesa_layer, needs_fusion
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .fusion import init_fusion_cell
 from .geometry import embed_geometry, init_geometry
 from .nn import Linear, Tensor, init_embedding, init_linear, linear
@@ -40,18 +40,21 @@ def init_model(cfg: TrainConfig, vocab_size, rng) -> ModelParams:
     d = cfg.d_model
     need_vs, need_sv = needs_fusion(cfg.branches)
     active = [b for b in BRANCH_NAMES if b in cfg.branches]
-    return ModelParams(
-        vis_in=init_linear(rng, cfg.raw_feat_dim, d),
-        geo_visual=init_geometry(rng, d),
-        geo_semantic=init_geometry(rng, d),
-        captions=init_caption_encoder(rng, vocab_size, cfg.enc_width, cfg.enc_layers, d),
-        fusion_vs=[init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_vs else None,
-        fusion_sv=[init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_sv else None,
-        branches={b: [init_gesa_layer(rng, d, cfg.heads, cfg.gesa_variant) for _ in range(cfg.layers)] for b in active},
-        dec_embed=init_embedding(rng, vocab_size, d),
-        dec_layers=[init_decoder_layer(rng, d, active) for _ in range(cfg.layers)],
-        out=init_linear(rng, d, vocab_size),
-    )
+    try:
+        return ModelParams(
+            vis_in=init_linear(rng, cfg.raw_feat_dim, d),
+            geo_visual=init_geometry(rng, d),
+            geo_semantic=init_geometry(rng, d),
+            captions=init_caption_encoder(rng, vocab_size, cfg.enc_width, cfg.enc_layers, d),
+            fusion_vs=[init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_vs else None,
+            fusion_sv=[init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_sv else None,
+            branches={b: [init_gesa_layer(rng, d, cfg.heads, cfg.gesa_variant) for _ in range(cfg.layers)] for b in active},
+            dec_embed=init_embedding(rng, vocab_size, d),
+            dec_layers=[init_decoder_layer(rng, d, active) for _ in range(cfg.layers)],
+            out=init_linear(rng, d, vocab_size),
+        )
+    except MemoryError as e:
+        raise ConfigError(f"config with d_model {d} asks for a model too large to allocate: {e}") from None
 
 
 def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab):

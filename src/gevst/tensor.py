@@ -4,7 +4,8 @@ Design constraints, fixed for the whole package:
   * every value is float64, stored row-major (C order) in a numpy array;
   * no implicit broadcasting between tensors except scalars (size-1 tensors
     and python numbers); row-wise broadcast exists only INSIDE the fused
-    affine and layer_norm kernels and the pairwise_add grid;
+    affine and layer_norm kernels, the pairwise_add grid and the per-map
+    gates of mix_maps;
   * forward ops execute eagerly; when a Tape is active and an input requires
     grad, the op appends one node to the tape. Backward replays nodes in exact
     reverse recording order, which is a valid reverse topological order because
@@ -482,23 +483,26 @@ def concat(tensors, axis=0):
     return _emit(out, tuple(tensors), bwd)
 
 
-def narrow(x, axis, start, size):
-    """Contiguous slice [start, start+size) along one axis."""
-    xd = x.data
-    if not -xd.ndim <= axis < xd.ndim:
-        raise ShapeError(f"narrow: axis {axis} out of range for shape {xd.shape}")
-    ax = axis % xd.ndim
-    if start < 0 or size < 0 or start + size > xd.shape[ax]:
-        raise ShapeError(f"narrow: [{start}, {start + size}) outside axis {ax} of shape {xd.shape}")
-    idx = tuple(slice(None) if i != ax else slice(start, start + size) for i in range(xd.ndim))
-    out = xd[idx]
+def mix_maps(maps, gates):
+    """sum_i gates[i] * maps[i] for k maps of one shape and a [k] gate vector,
+    as one op (GESA's convex map mix). Forward and backward repeat, in order,
+    the NumPy arithmetic of the narrow/mul/add composite that tests/oracles.py
+    keeps as the reference, so the two agree bit for bit."""
+    maps = tuple(maps)
+    gd = gates.data
+    if not maps or gd.shape != (len(maps),):
+        raise ShapeError(f"mix_maps: gates of shape {gd.shape} do not weight {len(maps)} maps")
+    if any(m.data.shape != maps[0].data.shape for m in maps):
+        raise ShapeError(f"mix_maps: map shapes differ: {[m.data.shape for m in maps]}")
+    out = maps[0].data * gd[0]
+    for m, gi in zip(maps[1:], gd[1:]):
+        out = out + m.data * gi
 
     def bwd(g):
-        z = np.zeros_like(xd)
-        z[idx] = g
-        return (z,)
+        return (*[g * gi if m.requires_grad else None for m, gi in zip(maps, gd)],
+                np.array([(g * m.data).sum() for m in maps]) if gates.requires_grad else None)
 
-    return _emit(out, (x,), bwd)
+    return _emit(out, maps + (gates,), bwd)
 
 
 def reshape(x, shape):

@@ -18,10 +18,12 @@ vector replaced, the kron-gather additive-attention map that the engine's
 pairwise_add replaced, the multi-head attention built from the engine's
 reshape/matmul/mul/softmax ops (plus transpose and masked_fill, kept here
 since the engine has no other use for them) that its fused attention_weights
-and apply_attention replaced, and the log softmax built from engine ops (plus
+and apply_attention replaced, the log softmax built from engine ops (plus
 sub, exp and log, kept here for the same reason) that its fused log_softmax
-replaced. They still import nothing from the package: these functions take the
-tensor engine as an argument.
+replaced, and the gate-weighted map sum built from narrow (kept here for the
+same reason), mul and add that its fused mix_maps replaced. They still import
+nothing from the package: these functions take the tensor engine as an
+argument.
 """
 
 import json
@@ -490,6 +492,34 @@ def transpose(T, x, axes=None):
     if sorted(axes) != list(range(xd.ndim)):
         raise T.ShapeError(f"transpose: {axes} is not a permutation of axes of shape {xd.shape}")
     return T._emit(xd.transpose(axes), (x,), lambda g: (g.transpose(np.argsort(axes)),))
+
+
+def narrow(T, x, axis, start, size):
+    """The contiguous slice [start, start+size) of x along one axis, as one
+    engine node whose backward scatters into zeros."""
+    xd = x.data
+    if not -xd.ndim <= axis < xd.ndim:
+        raise T.ShapeError(f"narrow: axis {axis} out of range for shape {xd.shape}")
+    ax = axis % xd.ndim
+    if start < 0 or size < 0 or start + size > xd.shape[ax]:
+        raise T.ShapeError(f"narrow: [{start}, {start + size}) outside axis {ax} of shape {xd.shape}")
+    idx = tuple(slice(None) if i != ax else slice(start, start + size) for i in range(xd.ndim))
+
+    def bwd(g):
+        z = np.zeros_like(xd)
+        z[idx] = g
+        return (z,)
+
+    return T._emit(xd[idx], (x,), bwd)
+
+
+def mix_maps(T, maps, gates):
+    """sum_i gates[i] * maps[i] from engine ops: each gate entry sliced out by
+    narrow, then scalar products and a running sum."""
+    combined = T.mul(maps[0], narrow(T, gates, 0, 0, 1))
+    for i in range(1, len(maps)):
+        combined = T.add(combined, T.mul(maps[i], narrow(T, gates, 0, i, 1)))
+    return combined
 
 
 def split_heads(T, x, h):

@@ -160,6 +160,37 @@ def test_ablate_on_empty_scene_file_exits_one_and_leaves_no_output_directory(wor
     assert not out.exists()
 
 
+def test_train_with_too_large_a_model_exits_one_and_leaves_no_output_directory(tmp_path, workdir, capsys):
+    # The first parameter asks for 32 x 2**30 doubles (256 GiB): refused at
+    # once, so nothing is allocated.
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"d_model": 1 << 30}))
+    out = tmp_path / "xe"
+    assert cli.main(["train", "--data", workdir["data"], "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config with d_model 1073741824 asks for a model too large to allocate")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["caption", "dump-attention"])
+def test_checkpoint_of_too_large_a_model_exits_one_and_leaves_no_output(tmp_path, workdir, capsys, command):
+    # A header naming a model whose first parameter is [4194304 x 4194304]
+    # (128 TiB): refused at once, so nothing is allocated.
+    with open(workdir["ckpt"], "rb") as f:
+        header = json.loads(f.readline())
+    header["config"].update(d_model=1 << 22, raw_feat_dim=1 << 22)
+    ckpt = tmp_path / "huge.bin"
+    ckpt.write_text(json.dumps(header) + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--ckpt", str(ckpt), "--data", workdir["data"], "--out", str(out)]
+    assert cli.main(argv + (["--sample-id", "s00002"] if command == "dump-attention" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config with d_model 4194304 asks for a model too large to allocate")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_scst_from_checkpoint(workdir, tmp_path):
     run = str(tmp_path / "scst")
     assert cli.main(["train", "--data", workdir["data"], "--phase", "scst",

@@ -88,8 +88,13 @@ def test_stack_trace_and_last_cell_maps(rng):
         out = stack_fusion(cells, 2, cq, gq, ck, gk)
     assert sorted(rec) == ["content", "geometry"]
     assert len(rec["content"]) == 3 and len(rec["geometry"]) == 3
-    assert np.array_equal(rec["content"][-1], out.content_attention.data)
-    assert np.array_equal(rec["geometry"][-1], out.geometry_attention.data)
+    x = cq
+    for cell in cells:
+        x, a_con, a_geo, inter = fusion_cell(cell, 2, x, gq, ck, gk)
+    assert np.array_equal(rec["content"][-1], a_con.data)
+    assert np.array_equal(rec["geometry"][-1], a_geo.data)
+    assert np.array_equal(out.fused_content.data, x.data)
+    assert np.array_equal(out.inter_geometry.data, inter.data)
     assert out.fused_content.data.shape == (2, 4)
 
 

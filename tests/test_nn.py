@@ -79,8 +79,7 @@ def _attend(mask):
 
 def _gate_mixed(weights_op, apply_op, q, k, q2, k2, v, gate):
     gates = T.softmax(gate)
-    combined = T.add(T.mul(weights_op(q, k, 2), T.narrow(gates, 0, 0, 1)),
-                     T.mul(weights_op(q2, k2, 2), T.narrow(gates, 0, 1, 1)))
+    combined = O.mix_maps(T, [weights_op(q, k, 2), weights_op(q2, k2, 2)], gates)
     return [combined, apply_op(combined, v, 2)]
 
 

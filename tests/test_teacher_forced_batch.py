@@ -8,6 +8,7 @@ every branch output and every id sequence is padded somewhere in the batch.
 import numpy as np
 import pytest
 
+import oracles as O
 import util as U
 from gevst import tensor as T
 from gevst import training as TR
@@ -131,7 +132,7 @@ def test_a_sample_does_not_depend_on_its_batch():
         def xe_of_sample(branches):
             full = caption_logits(params, cfg, branches, inputs)
             logits.append(full.data[at, :t_len].copy())
-            row = T.narrow(T.narrow(full, 0, at, 1), 1, 0, t_len)
+            row = O.narrow(T, O.narrow(T, full, 0, at, 1), 1, 0, t_len)
             return TR.xe_loss(row, [targets[at]])
 
         def scst_of_sample(branches):

@@ -522,11 +522,12 @@ def test_beam_caption_rejects_beam_zero():
         TR.beam_caption(params, cfg, vocab, samples[0], beam=0)
 
 
-def test_desk_xe_batch_records_4078_tape_nodes():
-    """Pins the taped teacher-forced path at desk defaults: the batched XE
-    loss of 8 scenes, as training runs it, records 4078 nodes; one scene's
-    call, run as a batch of one, records 663 (the per-branch concat and row
-    gather of `pad_scenes`, and the reshape of its [1 x T x V] logits)."""
+def test_desk_xe_tape_node_counts():
+    """Pins the taped path at desk defaults: the batched XE loss of 8 scenes,
+    as training runs it, records 3406 nodes; one scene's call, run as a batch
+    of one, records 579 (the per-branch concat and row gather of
+    `pad_scenes`, and the reshape of its [1 x T x V] logits). Each GESA layer
+    records one `mix_maps` node for its gated map mix."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 8)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
@@ -535,13 +536,13 @@ def test_desk_xe_batch_records_4078_tape_nodes():
         branches = [encode_sample(params, cfg, s, vocab) for s in samples]
         inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
         TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
-    assert len(tape.nodes) == 4078
+    assert len(tape.nodes) == 3406
     for s in samples[:3]:
         with T.Tape() as tape:
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 663
+        assert len(tape.nodes) == 579
 
 
 # ---------------------------------------------------------------- checkpoints
