@@ -78,7 +78,7 @@ def encode_captions(params: CaptionEncoderParams, heads, id_seqs):
     b, n = len(id_seqs), max(lens)
     width = params.embed.data.shape[1]
 
-    x = T.reshape(T.embedding_lookup(params.embed, pad_ids(id_seqs).reshape(-1)), (b, n, width))
+    x = T.embedding_lookup(params.embed, pad_ids(id_seqs))
     pe = sinusoidal_positions(n, width).data
     x = T.add(x, Tensor(np.broadcast_to(pe, (b, n, width)).copy()))
 

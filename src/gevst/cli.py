@@ -24,10 +24,9 @@ import numpy as np
 from . import ablation, metrics, training
 from . import tensor as T
 from .config import BRANCH_NAMES, config_from_dict
-from .data import BOS_ID, read_json_objects, read_jsonl, tokenize, write_jsonl
-from .decoder import greedy_decode
-from .errors import ConfigError, GevstError, InputError, SchemaError
-from .model import caption_logits, encode_sample, make_step_fn
+from .data import BOS_ID, parse_json, read_json_objects, read_jsonl, tokenize, write_jsonl
+from .errors import ConfigError, GevstError, InputError, ParseError, SchemaError
+from .model import caption_logits, encode_sample
 from .training import (load_checkpoint, restore_snapshot, save_checkpoint,
                        train_scst, train_xe, write_curve)
 
@@ -55,10 +54,10 @@ def _write_manifest(path, command, cfg, seed, data_path, outputs, timings):
 
 
 def _read_config_file(path):
-    with open(path) as f:
+    with open(path, "rb") as f:
         try:
-            d = json.load(f)
-        except json.JSONDecodeError as e:
+            d = parse_json(f.read())
+        except ParseError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(d, dict):
         raise ConfigError(f"config file {path} must hold a JSON object, got {type(d).__name__}")
@@ -198,7 +197,7 @@ def cmd_dump_attention(args):
                 f.write(f"{li}," + ",".join(vals) + "\n")
         outputs.append(path)
 
-    ids, _ = greedy_decode(make_step_fn(params, cfg, branch), max_len=cfg.max_len)
+    ids = training.lockstep_decode(params, cfg, [sample], [branch])[1][0]
     with T.recording() as dec:
         caption_logits(params, cfg, branch, [BOS_ID] + ids[:-1])
     # per branch: one [1 x steps x d] gate per decoder layer, averaged over d, then layers

@@ -55,7 +55,7 @@ class TrainConfig:
     def validate(self):
         c = self
         for name in ("heads", "enc_heads", "max_len", "batch_size", "warmup_epochs", "beam",
-                     "val_every", "min_count"):
+                     "val_every", "min_count", "expand_ratio", "enc_layers", "raw_feat_dim"):
             if getattr(c, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(c, name)}")
         if c.d_model < 2 or c.d_model % c.heads != 0:
@@ -66,12 +66,6 @@ class TrainConfig:
             raise ConfigError(f"layers must be in 2..5, got {c.layers}")
         if c.fusion_cells not in (1, 2, 3):
             raise ConfigError(f"fusion_cells must be in 1..3, got {c.fusion_cells}")
-        if c.expand_ratio < 1:
-            raise ConfigError(f"expand_ratio must be >= 1, got {c.expand_ratio}")
-        if c.enc_layers < 1:
-            raise ConfigError(f"enc_layers must be >= 1, got {c.enc_layers}")
-        if c.raw_feat_dim < 1:
-            raise ConfigError(f"raw_feat_dim must be >= 1, got {c.raw_feat_dim}")
         if c.fusion_base not in FUSION_BASES:
             raise ConfigError(f"fusion_base must be one of {FUSION_BASES}, got {c.fusion_base!r}")
         if c.gesa_variant not in GESA_VARIANTS:

@@ -41,10 +41,6 @@ PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 
-def round_sig(x, digits=9):
-    return float(f"{x:.{digits}g}")
-
-
 @dataclass
 class Region:
     feat: np.ndarray
@@ -122,7 +118,7 @@ def generate_sample(seed, index):
     regions = []
     for shape, color, box in objs:
         noise = rng.normal(0.0, NOISE_SIGMA, FEAT_DIM)
-        feat = np.array([round_sig(v) for v in base_code(shape, color) + noise])
+        feat = np.array([float(f"{v:.9g}") for v in base_code(shape, color) + noise])
         regions.append(Region(feat, box))
 
     dense = []
@@ -235,16 +231,27 @@ def sample_from_dict(obj, line=1):
     return Sample(sid, regions, tuple(wh), dense, list(gts))
 
 
+def parse_json(raw):
+    """The value JSON bytes hold, decoded as UTF-8 whatever the locale; a ParseError
+    for bytes that are not UTF-8, text that is not JSON, or nesting too deep to decode."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{e.msg} at char {e.pos}") from None
+    except (UnicodeDecodeError, RecursionError) as e:
+        raise ParseError(str(e)) from None
+
+
 def read_json_objects(path):
     """Yield (line number, object) for each non-blank line of a JSONL file."""
-    with open(path) as f:
+    with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
-            if raw.strip() == "":
+            if raw.strip() == b"":
                 continue
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"bad JSON ({e.msg})", line=lineno) from None
+                obj = parse_json(raw)
+            except ParseError as e:
+                raise ParseError(f"bad JSON ({e})", line=lineno) from None
             if not isinstance(obj, dict):
                 raise SchemaError(f"line {lineno}: each line must be a JSON object")
             yield lineno, obj
@@ -267,10 +274,6 @@ def read_jsonl(path):
 
 def tokenize(text):
     return text.lower().split()
-
-
-def detokenize(tokens):
-    return " ".join(tokens)
 
 
 def pad_ids(seqs):
@@ -306,7 +309,7 @@ class Vocabulary:
             if not 0 <= i < len(self.id_to_token):
                 raise SchemaError(f"id {i} outside vocabulary of size {len(self.id_to_token)}")
             toks.append(self.id_to_token[i])
-        return detokenize(toks)
+        return " ".join(toks)
 
 
 def build_vocab(texts, min_count=5):

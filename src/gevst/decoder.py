@@ -32,6 +32,7 @@ when nothing completed). Generation stops at EOS or `max_len` tokens.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +57,10 @@ from .nn import (
 )
 from .tensor import no_grad
 
-MAX_LEN = 20
 
-_MASK_CACHE = {}
-
-
+@functools.cache
 def causal_mask(h, t):
-    key = (h, t)
-    m = _MASK_CACHE.get(key)
-    if m is None:
-        m = np.broadcast_to(np.triu(np.ones((t, t), dtype=bool), k=1), (h, t, t))
-        _MASK_CACHE[key] = m
-    return m
+    return np.broadcast_to(np.triu(np.ones((t, t), dtype=bool), k=1), (h, t, t))
 
 
 @dataclass
@@ -306,7 +299,7 @@ class CachedDecoder:
 # ----------------------------------------------------------------- decoding
 
 
-def greedy_decode(step_fn, max_len=MAX_LEN):
+def greedy_decode(step_fn, max_len):
     """Argmax decoding; returns (generated ids, summed log-prob)."""
     ids = [BOS_ID]
     total = 0.0
@@ -320,7 +313,7 @@ def greedy_decode(step_fn, max_len=MAX_LEN):
     return ids[1:], total
 
 
-def beam_search(step_fn, beam=5, max_len=MAX_LEN):
+def beam_search(step_fn, beam, max_len):
     """Length-normalized beam search; returns (generated ids, sum log-prob, normalized score)."""
     if beam < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam}")

@@ -89,14 +89,13 @@ def gesa_attention_maps(x_prev, g_intra, g_inter, params: GesaLayerParams, h):
     if x_prev.data.shape[-1] % h != 0:
         raise ConfigError(f"width {x_prev.data.shape[-1]} not divisible by {h} heads")
     maps = [T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h)]
-    if params.q_intra is not None:
-        if g_intra.data.shape != x_prev.data.shape:
-            raise ShapeError(f"intra-geometry shape {g_intra.data.shape} != content shape {x_prev.data.shape}")
-        maps.append(T.attention_weights(linear(g_intra, params.q_intra), linear(g_intra, params.k_intra), h))
-    if params.q_inter is not None:
-        if g_inter.data.shape != x_prev.data.shape:
-            raise ShapeError(f"inter-geometry shape {g_inter.data.shape} != content shape {x_prev.data.shape}")
-        maps.append(T.attention_weights(linear(g_inter, params.q_inter), linear(g_inter, params.k_inter), h))
+    for kind, g, q, k in (("intra", g_intra, params.q_intra, params.k_intra),
+                          ("inter", g_inter, params.q_inter, params.k_inter)):
+        if q is None:
+            continue
+        if g.data.shape != x_prev.data.shape:
+            raise ShapeError(f"{kind}-geometry shape {g.data.shape} != content shape {x_prev.data.shape}")
+        maps.append(T.attention_weights(linear(g, q), linear(g, k), h))
     return maps
 
 

@@ -22,6 +22,8 @@ from collections import Counter
 
 from .errors import InputError
 
+BLEU_N, ROUGE_BETA_SQ = 4, 1.2
+
 
 def ngram_counts(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
@@ -37,18 +39,18 @@ def _check_pairs(candidates, references):
             raise InputError("every candidate needs at least one reference")
 
 
-def bleu(candidates, references, max_n=4):
-    """Corpus BLEU-1..max_n as a list; no smoothing (zero precision -> 0)."""
+def bleu(candidates, references):
+    """Corpus BLEU-1..4 as a list; no smoothing (zero precision -> 0)."""
     _check_pairs(candidates, references)
-    clipped = [0] * max_n
-    totals = [0] * max_n
+    clipped = [0] * BLEU_N
+    totals = [0] * BLEU_N
     cand_len = 0
     ref_len = 0
     for cand, refs in zip(candidates, references):
         c = len(cand)
         cand_len += c
         ref_len += min((abs(len(r) - c), len(r)) for r in refs)[1]
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_N + 1):
             counts = ngram_counts(cand, n)
             if not counts:
                 continue
@@ -60,11 +62,11 @@ def bleu(candidates, references, max_n=4):
             totals[n - 1] += sum(counts.values())
             clipped[n - 1] += sum(min(k, max_ref[gram]) for gram, k in counts.items())
     if cand_len == 0:
-        return [0.0] * max_n
+        return [0.0] * BLEU_N
     bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
-    precisions = [clipped[i] / totals[i] if totals[i] else 0.0 for i in range(max_n)]
+    precisions = [clipped[i] / totals[i] if totals[i] else 0.0 for i in range(BLEU_N)]
     scores = []
-    for k in range(1, max_n + 1):
+    for k in range(1, BLEU_N + 1):
         if any(p == 0.0 for p in precisions[:k]):
             scores.append(0.0)
         else:
@@ -85,7 +87,7 @@ def lcs_length(a, b):
     return prev[lb]
 
 
-def rouge_l(candidates, references, beta_sq=1.2):
+def rouge_l(candidates, references):
     """(corpus mean, per-sentence scores); per sentence the max over references."""
     _check_pairs(candidates, references)
     per = []
@@ -99,7 +101,7 @@ def rouge_l(candidates, references, beta_sq=1.2):
                 continue
             p = lcs / len(cand)
             rec = lcs / len(r)
-            f = (1.0 + beta_sq) * p * rec / (rec + beta_sq * p)
+            f = (1.0 + ROUGE_BETA_SQ) * p * rec / (rec + ROUGE_BETA_SQ * p)
             if f > best:
                 best = f
         per.append(best)
@@ -108,12 +110,11 @@ def rouge_l(candidates, references, beta_sq=1.2):
 
 class CiderScorer:
     """CIDEr-D with IDF built once from a reference corpus."""
+    n, sigma = 4, 6.0  # n-gram orders, length-penalty width
 
-    def __init__(self, references, n=4, sigma=6.0):
+    def __init__(self, references):
         if not references:
             raise InputError("empty reference corpus")
-        self.n = n
-        self.sigma = sigma
         self.num_docs = len(references)
         if self.num_docs < 2:
             warnings.warn("CIDEr-D over a single-document corpus: IDF degenerates to log(1) = 0")
@@ -122,7 +123,7 @@ class CiderScorer:
         for refs in references:
             seen = set()
             for r in refs:
-                for k in range(1, n + 1):
+                for k in range(1, self.n + 1):
                     seen.update(ngram_counts(r, k))
             df.update(seen)
         self.df = df
@@ -164,10 +165,10 @@ class CiderScorer:
         return sum(per) / len(per), per
 
 
-def cider_d(candidates, references, n=4, sigma=6.0):
+def cider_d(candidates, references):
     """(corpus score, per-sentence scores) with IDF from `references` itself."""
     _check_pairs(candidates, references)
-    return CiderScorer(references, n=n, sigma=sigma).corpus(candidates, references)
+    return CiderScorer(references).corpus(candidates, references)
 
 
 def evaluate(candidates, references):

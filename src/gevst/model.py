@@ -16,7 +16,7 @@ from .caption_encoder import CaptionEncoderParams, encode_captions, init_caption
 from .config import BRANCH_NAMES, TrainConfig
 from .decoder import CachedDecoder, decoder_forward, init_decoder_layer
 from .encoder import encode_all, init_gesa_layer, needs_fusion
-from .errors import ConfigError, InputError
+from .errors import ConfigError, GevstError, InputError
 from .fusion import init_fusion_cell
 from .geometry import embed_geometry, init_geometry
 from .nn import Linear, Tensor, init_embedding, init_linear, linear
@@ -53,7 +53,9 @@ def init_model(cfg: TrainConfig, vocab_size, rng) -> ModelParams:
             dec_layers=[init_decoder_layer(rng, d, active) for _ in range(cfg.layers)],
             out=init_linear(rng, d, vocab_size),
         )
-    except MemoryError as e:
+    except GevstError:
+        raise
+    except (MemoryError, OverflowError, ValueError) as e:  # a refused allocation, or a width NumPy cannot shape
         raise ConfigError(f"config with d_model {d} asks for a model too large to allocate: {e}") from None
 
 

@@ -10,15 +10,13 @@ engine's (`tensor`); this module composes them into layers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-
-# Constant tensors reused across calls (never written to).
-_CONST_CACHE = {}
 
 
 # ------------------------------------------------------------------- params
@@ -55,9 +53,8 @@ def init_layer_norm(d):
     return LayerNorm(Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True))
 
 
-def init_ffn(rng, d, hidden=None):
-    hidden = 4 * d if hidden is None else hidden
-    return Ffn(init_linear(rng, d, hidden), init_linear(rng, hidden, d))
+def init_ffn(rng, d):
+    return Ffn(init_linear(rng, d, 4 * d), init_linear(rng, 4 * d, d))
 
 
 def init_embedding(rng, vocab, d):
@@ -138,16 +135,11 @@ def attend(q, k, v, h, mask=None):
 # --------------------------------------------------------------- positions
 
 
+@functools.cache
 def sinusoidal_positions(n, d):
-    """Fixed sin/cos position table [n x d], cached as a constant tensor."""
-    key = ("pe", n, d)
-    t = _CONST_CACHE.get(key)
-    if t is None:
-        pos = np.arange(n, dtype=np.float64)[:, None]
-        i = np.arange(d, dtype=np.float64)[None, :]
-        angles = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / d)
-        pe = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
-        t = Tensor(pe)
-        _CONST_CACHE[key] = t
-    return t
+    """Fixed sin/cos position table [n x d], cached as a constant tensor (never written to)."""
+    pos = np.arange(n, dtype=np.float64)[:, None]
+    i = np.arange(d, dtype=np.float64)[None, :]
+    angles = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / d)
+    return Tensor(np.where(i % 2 == 0, np.sin(angles), np.cos(angles)))
 

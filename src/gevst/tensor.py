@@ -34,11 +34,13 @@ import numpy as np
 
 from .errors import ContractError, ShapeError, VocabularyError
 
-_STATE = threading.local()
+
+class _State(threading.local):
+    tape, records, scope = None, None, ""  # the active Tape, the live recorder, the name prefix
 
 
-def _tape():
-    return getattr(_STATE, "tape", None)
+_STATE = _State()
+LN_EPS = 1e-5  # added to layer_norm's variance inside the square root
 
 
 class Tensor:
@@ -83,7 +85,7 @@ class Tape:
         self._prev = None
 
     def __enter__(self):
-        self._prev = _tape()
+        self._prev = _STATE.tape
         _STATE.tape = self
         return self
 
@@ -118,48 +120,39 @@ class Tape:
 
 
 @contextmanager
-def no_grad():
-    prev = _tape()
-    _STATE.tape = None
+def _swapped(slot, value):
+    """Set the state slot to `value` inside the block (yielded), and back after."""
+    prev = getattr(_STATE, slot)
+    setattr(_STATE, slot, value)
     try:
-        yield
+        yield value
     finally:
-        _STATE.tape = prev
+        setattr(_STATE, slot, prev)
 
 
-@contextmanager
+def no_grad():
+    return _swapped("tape", None)
+
+
 def recording():
     """Collect every `record` call made inside; yields {scoped name: [copies]}."""
-    prev = getattr(_STATE, "records", None)
-    _STATE.records = records = {}
-    try:
-        yield records
-    finally:
-        _STATE.records = prev
+    return _swapped("records", {})
 
 
-@contextmanager
 def scope(name):
     """Prefix `name + "."` to the names recorded inside."""
-    prev = getattr(_STATE, "scope", "")
-    _STATE.scope = f"{prev}{name}."
-    try:
-        yield
-    finally:
-        _STATE.scope = prev
+    return _swapped("scope", f"{_STATE.scope}{name}.")
 
 
 def record(name, t):
     """Append a copy of `t`'s data under the scoped name, if a recorder is live."""
-    records = getattr(_STATE, "records", None)
-    if records is None or t is None:
-        return
-    records.setdefault(getattr(_STATE, "scope", "") + name, []).append(t.data.copy())
+    if _STATE.records is not None and t is not None:
+        _STATE.records.setdefault(_STATE.scope + name, []).append(t.data.copy())
 
 
 def _emit(data, inputs, bwd):
     """Wrap data; record a node when a tape is live and some input needs grad."""
-    tape = _tape()
+    tape = _STATE.tape
     if tape is not None and any(t.requires_grad for t in inputs):
         out = Tensor._wrap(data, True)
         tape.nodes.append((out, inputs, bwd))
@@ -406,10 +399,10 @@ def _mean_last(a):
     return np.add.reduce(a, -1, keepdims=True) / a.shape[-1]
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then gain*x + bias.
 
-    Population variance; eps sits inside the square root. Feature axis must
+    Population variance; LN_EPS sits inside the square root. Feature axis must
     have length >= 2 so the variance is defined.
     """
     xd = x.data
@@ -421,7 +414,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     mu = _mean_last(xd)
     xc = xd - mu
     var = _mean_last(xc * xc)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 

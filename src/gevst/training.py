@@ -49,7 +49,7 @@ import numpy as np
 from . import metrics
 from .config import TrainConfig, config_from_dict
 from .data import (BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vocab, corpus_texts, pad_ids,
-                   split_train_val, tokenize)
+                   parse_json, split_train_val, tokenize)
 from .decoder import CachedDecoder, beam_search, greedy_decode
 from .errors import ConfigError, ContractError, InputError, ParseError, SchemaError, TrainingDiverged
 from .model import caption_logits, encode_sample, init_model, make_step_fn
@@ -74,13 +74,14 @@ class Adam:
     `step` updates from `grad` and zeroes it, so a parameter that never gets
     a gradient never moves."""
 
-    def __init__(self, params_obj, beta1=0.9, beta2=0.98, eps=1e-9):
+    beta1, beta2, eps = 0.9, 0.98, 1e-9
+
+    def __init__(self, params_obj):
         self.params = flat_parameters(params_obj)
         tensors = parameters(params_obj)
         self.grad, self.m, self.v = (np.zeros_like(self.params) for _ in range(3))
         self.grad_views = flat_views(self.grad, tensors)
         self.sinks = {id(t): g for t, g in zip(tensors, self.grad_views)}
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def step(self, lr):
@@ -138,7 +139,7 @@ def xe_loss(logits, target_ids):
     count = live.sum(axis=-1, keepdims=True)
     if (count == 0).any():
         raise ContractError("all-pad target sequence")
-    return T.mul(_log_likelihood(logits, targets, live / count), -1.0)
+    return _log_likelihood(logits, targets, -(live / count))
 
 
 def sequence_logprob(logits, ids):
@@ -447,13 +448,19 @@ def _layout_mismatch(entries, expected):
     return "checkpoint manifest order or offsets differ from the model layout"
 
 
+class _Undrawn:
+    """Stands in for init's generator where the file sets every value: its
+    draws are `np.empty`, so no weight is written before the manifest check."""
+    uniform = normal = staticmethod(lambda low, high, size: np.empty(size))
+
+
 def load_checkpoint(path):
     """Returns (cfg, vocab, params, trained_steps); forward passes reproduce
     the saved model bit-identically."""
     with open(path, "rb") as f:
         try:
-            header = json.loads(f.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            header = parse_json(f.readline())
+        except ParseError:
             raise ParseError("checkpoint header is not valid JSON", line=1) from None
         header = header if isinstance(header, dict) else {}
         if header.get("format") != CHECKPOINT_FORMAT:
@@ -469,7 +476,7 @@ def load_checkpoint(path):
             raise SchemaError(f"checkpoint trained_steps must be an integer >= 0, got {steps!r}")
         cfg = config_from_dict(header["config"])
         vocab = Vocabulary(tokens)
-        params = init_model(cfg, len(vocab), np.random.default_rng(0))
+        params = init_model(cfg, len(vocab), _Undrawn)
         expected = _manifest(params)
         if header["params"] != expected:
             raise SchemaError(_layout_mismatch(header["params"], expected))

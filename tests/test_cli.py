@@ -191,6 +191,60 @@ def test_checkpoint_of_too_large_a_model_exits_one_and_leaves_no_output(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["d_model", "raw_feat_dim", "enc_width"])
+def test_width_numpy_cannot_shape_exits_one(tmp_path, workdir, capsys, field):
+    # Wider than any NumPy dimension: once a ValueError traceback from the
+    # first draw (train) or the model build (caption).
+    wide = 8000000000000000000000
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({field: wide}))
+    with open(workdir["ckpt"], "rb") as f:
+        header = json.loads(f.readline())
+    header["config"][field] = wide
+    ckpt = tmp_path / "wide.bin"
+    ckpt.write_text(json.dumps(header) + "\n")
+    out = tmp_path / "out"
+    for argv in (["train", "--data", workdir["data"], "--config", str(cfg)],
+                 ["caption", "--ckpt", str(ckpt), "--data", workdir["data"]]):
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config with d_model ") and "asks for a model too large to allocate" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+NESTED = b"[" * 200000 + b"]" * 200000
+NOT_UTF8 = b"\xff\xfe\xfa"
+
+
+@pytest.mark.parametrize("bad", [NESTED, NOT_UTF8], ids=["nested", "not-utf8"])
+@pytest.mark.parametrize("reader", ["train-data", "eval-pred", "train-config", "caption-ckpt"])
+def test_unreadable_json_exits_one_with_one_error_line(tmp_path, workdir, capsys, reader, bad):
+    """JSON nested too deeply to decode (once a RecursionError traceback) and
+    bytes that are not UTF-8 (once a UnicodeDecodeError traceback) exit 1
+    with each reader's own wording."""
+    path, out = tmp_path / "bad", tmp_path / "out"
+    with open(workdir["data"], "rb") as f:
+        scene = f.readline()
+    if reader == "train-data":
+        path.write_bytes(scene + bad + b"\n")
+        argv, message = ["train", "--data", str(path), "--config", workdir["cfg"]], "line 2: bad JSON"
+    elif reader == "eval-pred":
+        path.write_bytes(b'{"id": "s00000", "caption": "a red cube"}\n' + bad + b"\n")
+        argv, message = ["eval", "--pred", str(path), "--refs", workdir["data"]], "line 2: bad JSON"
+    elif reader == "train-config":
+        path.write_bytes(bad)
+        argv, message = ["train", "--data", workdir["data"], "--config", str(path)], f"config file {path}"
+    else:
+        path.write_bytes(bad + b"\n")
+        argv, message = ["caption", "--ckpt", str(path), "--data", workdir["data"]], \
+            "line 1: checkpoint header is not valid JSON"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_scst_from_checkpoint(workdir, tmp_path):
     run = str(tmp_path / "scst")
     assert cli.main(["train", "--data", workdir["data"], "--phase", "scst",

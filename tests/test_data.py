@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gevst import data as D
-from gevst.errors import ConfigError, ParseError, SchemaError
+from gevst.errors import ConfigError, GevstError, ParseError, SchemaError
 from gevst.geometry import BoundingBox, iou
 
 
@@ -165,6 +165,30 @@ def test_read_jsonl_rejects_a_repeated_scene_id(tmp_path):
     p.write_text(first + "\n" + second + "\n\n" + first + "\n")
     with pytest.raises(SchemaError, match="line 4: scene id 's00000' repeats line 1"):
         D.read_jsonl(p)
+
+
+def _scene_line(index):
+    return json.dumps(D.sample_to_dict(D.generate_sample(1, index))).encode()
+
+
+@given(st.lists(st.one_of(
+    st.binary(max_size=40),
+    st.recursive(st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=8),
+                 lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+                 max_leaves=12).map(lambda v: json.dumps(v).encode()),
+    st.tuples(st.integers(0, 3), st.integers(0, 600), st.binary(max_size=3)).map(
+        lambda t: _scene_line(t[0])[:t[1]] + t[2] + _scene_line(t[0])[t[1] + len(t[2]):]),
+    st.integers(0, 3).map(_scene_line),
+), max_size=4))
+def test_read_jsonl_returns_samples_or_raises_a_typed_error(tmp_path_factory, lines):
+    """Any bytes, split into lines: read_jsonl gives samples or a GevstError."""
+    path = tmp_path_factory.mktemp("fuzz") / "x.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        samples = D.read_jsonl(path)
+    except GevstError:
+        return
+    assert all(isinstance(s, D.Sample) for s in samples)
 
 
 def test_vocab_encode_decode_and_ordering():

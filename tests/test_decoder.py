@@ -304,4 +304,4 @@ def test_beam_prefers_normalized_score():
 
 def test_beam_width_validation():
     with pytest.raises(ConfigError):
-        beam_search(U.batched(lambda p: np.zeros(3)), beam=0)
+        beam_search(U.batched(lambda p: np.zeros(3)), beam=0, max_len=5)

@@ -218,7 +218,7 @@ def test_masked_fill_underflows_to_exact_zero():
 # the package; delete a name with its last such caller.
 KEPT_FOR_OUTSIDE_CALLERS = {
     ("training", "greedy_caption"): "perfbench/workloads.py calls it by name",
-    ("training", "scst_rollouts"): "perfbench/workloads.py calls it by name",
+    ("training", "scst_rollouts"): "perfbench/tracer.py wraps it and tests/util.py::reference_train_scst calls it",
     ("training", "sequence_logprob"): "perfbench/workloads.py calls it by name",
 }
 

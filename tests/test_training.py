@@ -524,10 +524,12 @@ def test_beam_caption_rejects_beam_zero():
 
 def test_desk_xe_tape_node_counts():
     """Pins the taped path at desk defaults: the batched XE loss of 8 scenes,
-    as training runs it, records 3406 nodes; one scene's call, run as a batch
-    of one, records 579 (the per-branch concat and row gather of
+    as training runs it, records 3397 nodes; one scene's call, run as a batch
+    of one, records 577 (the per-branch concat and row gather of
     `pad_scenes`, and the reshape of its [1 x T x V] logits). Each GESA layer
-    records one `mix_maps` node for its gated map mix."""
+    records one `mix_maps` node for its gated map mix, the caption encoder
+    looks its [b x n] ids up in one node, and the XE loss carries its sign in
+    its weights."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 8)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
@@ -536,13 +538,13 @@ def test_desk_xe_tape_node_counts():
         branches = [encode_sample(params, cfg, s, vocab) for s in samples]
         inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
         TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
-    assert len(tape.nodes) == 3406
+    assert len(tape.nodes) == 3397
     for s in samples[:3]:
         with T.Tape() as tape:
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 579
+        assert len(tape.nodes) == 577
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -590,6 +592,32 @@ def test_checkpoint_matches_per_tensor_v1_writer(tmp_path):
     assert (cfg2, vocab2.id_to_token, steps) == (cfg, vocab.id_to_token, 7)
     for (n1, t1), (n2, t2) in zip(named_parameters(params), named_parameters(params2)):
         assert n1 == n2 and t1.data.tobytes() == t2.data.tobytes()
+
+
+def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    """The file sets every parameter, so loading builds the model from no
+    random generator and gives the same bytes; a header naming a larger
+    model than its body fails the manifest check, also without drawing."""
+    samples, cfg = tiny_setup(n=2)
+    out = TR.train_xe(samples, cfg, epochs=1)
+    path = tmp_path / "m.ckpt"
+    TR.save_checkpoint(path, cfg, out.vocab, out.params)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew from a random generator")
+
+    class NoDraws:
+        uniform = normal = staticmethod(draw)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+    got = flat_parameters(TR.load_checkpoint(path)[2])
+    assert got.tobytes() == flat_parameters(out.params).tobytes()
+    header_line, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header["config"]["d_model"] *= 2
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    with pytest.raises(SchemaError, match="checkpoint shape"):
+        TR.load_checkpoint(path)
 
 
 def checkpoint_bytes(tmp_path):
