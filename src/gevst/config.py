@@ -54,6 +54,9 @@ class TrainConfig:
 
     def validate(self):
         c = self
+        for f in fields(c):
+            if f.type in ("int", "float") and not _finite(getattr(c, f.name)):
+                raise ConfigError(f"{f.name} must be a finite number, got a value beyond float range")
         for name in ("heads", "enc_heads", "max_len", "batch_size", "warmup_epochs", "beam",
                      "val_every", "min_count", "expand_ratio", "enc_layers", "raw_feat_dim"):
             if getattr(c, name) < 1:
@@ -89,6 +92,13 @@ class TrainConfig:
 
     def replaced(self, **kw):
         return replace(self, **kw)
+
+
+def _finite(value):
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 _FIELDS = {f.name: f.type for f in fields(TrainConfig)}

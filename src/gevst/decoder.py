@@ -3,23 +3,26 @@
 Each decoder layer runs three post-norm sublayers: causal masked self
 attention, a modulated multi-input cross-attention, and the 4x FFN. The cross
 sublayer attends the self-attended states over EVERY active encoder branch
-separately (per-branch Q/K/V, multi-head, no output projection), gates each
-result elementwise with the sigmoid of W [Y; C_b] + b, and sums the gated
-results — a plain sum, not an average.
+(per-branch Q/K/V, multi-head, no output projection), gates each branch's
+context elementwise with the sigmoid of W [Y; C_b] + b, and sums the gated
+contexts — a plain sum, not an average.
+
+The branches share one leading axis (`CrossInputs`), every branch output
+padded to the longest of any scene, so one masked attention, one gate
+affine and one sum serve them all. The parameters stay per branch and are
+stacked per call (`cross_keys_values`).
 
 Teacher forcing (`decoder_forward`) and decoding (`CachedDecoder`) share the
-layer body (`decoder_layer`, rank-agnostic) and the cross-attention keys and
-values (`cross_keys_values`: each branch output projected once per layer,
-plain tensors). Only the self-attention context they hand the layer differs.
-Teacher forcing computes it with causal self attention over the whole
-sequence, always for a batch at rank 3 (one scene is a batch of one): the
-batch's id sequences padded with PAD and each branch's outputs padded to the
-longest scene by `pad_scenes`, on the tape, with the padded keys masked.
-Decoding projects the cross keys and values once, for one scene or many
-(padded by the same `pad_scenes`), and computes one new row per (scene,
-prefix), whose self attention reads the keys and values kept for the rest
-of the prefix and whose cross attention reads its own scene's keys and
-values. The decoder is causal, so the two agree to rounding.
+layer body (`decoder_layer`, rank-agnostic) and the cross-attention inputs
+(`cross_keys_values`: the branch outputs projected once per layer). Only
+the self-attention context they hand the layer differs. Teacher forcing
+computes it with causal self attention over the whole sequence, always for
+a batch at rank 3 (one scene is a batch of one), the batch's id sequences
+padded with PAD, on the tape. Decoding projects the cross keys and values
+once, for one scene or many, and computes one new row per (scene, prefix),
+whose self attention reads the keys and values kept for the rest of the
+prefix and whose cross attention reads its own scene's keys and values.
+The decoder is causal, so the two agree to rounding.
 
 Decoding works through a batched `step_fn(prefixes) -> [len(prefixes) x V]`
 log-prob matrix, one row per prefix, so the strategies are testable against
@@ -27,13 +30,16 @@ rigged models. Greedy takes the argmax (ties -> lowest token id); beam search
 advances all live hypotheses in one step call, ranks them by cumulative
 log-prob, completes them at EOS, and returns the completed hypothesis with
 the best sum-logprob/length score (truncated live hypotheses compete only
-when nothing completed). Generation stops at EOS or `max_len` tokens.
+when nothing completed). Generation stops at EOS or `max_len` tokens. Beam
+search also stops, with the same result, once no live hypothesis can
+complete above the best completed one (see LOGPROB_SLACK; the
+optimal-stopping bound of Huang et al. 2017, arXiv 1709.07349).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,6 +62,14 @@ from .nn import (
     sinusoidal_positions,
 )
 from .tensor import no_grad
+
+
+# The most a token's log-prob is taken to lie above 0: `T.log_softmax` returns
+# about +1.1e-16 for a near-certain token, because its `(s / v) * v` can round
+# below s. With every log-prob at most this slack, a live hypothesis of sum
+# `cum` with r tokens still to go completes with a mean log-prob of at most
+# (cum + r * slack) / max_len, which is what beam search's stop rule bounds.
+LOGPROB_SLACK = 1e-15
 
 
 @functools.cache
@@ -97,6 +111,19 @@ def init_decoder_layer(rng, d, branches):
     )
 
 
+@dataclass
+class CrossInputs:
+    """One layer's cross-attention inputs on the branch axis: the k active
+    branches, in BRANCH_NAMES order, stacked on a leading axis."""
+
+    branches: tuple  # the k branch names
+    q: Linear  # the branches' query projections, stacked: w [k x d x d], b [k x d]
+    mod: Linear  # the branches' gate affines, stacked: w [k x 2d x d], b [k x d]
+    keys: Tensor  # [k x ... x N x d]
+    values: Tensor  # [k x ... x N x d]
+    padding: np.ndarray  # bool, shaped like keys without d: True at a padded key
+
+
 def _check_scenes(scenes):
     if not scenes:
         raise ContractError("a decoder needs the branch outputs of at least one scene")
@@ -107,74 +134,75 @@ def _check_scenes(scenes):
 
 
 def pad_scenes(scenes):
-    """Many scenes' branch outputs laid side by side: ({branch: [S x longest
-    x d]}, {branch: bool [S x longest]}), scene i's rows first in row i, zero
-    rows after them, and the padding True at those zero rows. Recorded on the
-    tape when the outputs are: one concat and one row gather per branch."""
+    """Many scenes' branch outputs on one branch axis: (branches, [k x S x N x
+    d], bool [k x S x N]), the k active branches in BRANCH_NAMES order and N
+    the longest branch output of any scene. Entry [i, s] holds branch i of
+    scene s, its rows first, zero rows after them, and the padding is True at
+    those zero rows. Recorded on the tape when the outputs are: one concat and
+    one row gather."""
     _check_scenes(scenes)
-    padded, padding = {}, {}
-    for b in scenes[0]:
-        outs = [s[b] for s in scenes]
-        counts = np.array([len(out.data) for out in outs])
-        padding[b] = np.arange(counts.max())[None, :] >= counts[:, None]
-        rows = np.full(padding[b].shape, counts.sum())  # the zero row appended below
-        rows[~padding[b]] = np.arange(counts.sum())
-        zero = Tensor(np.zeros((1, outs[0].data.shape[1])))
-        padded[b] = T.embedding_lookup(T.concat(outs + [zero]), rows)
-    return padded, padding
-
-
-def cross_keys_values(layers, branch_outputs, masks=None):
-    """Per layer, {branch: (keys, values, mask)}: each active branch output
-    [..., N x d] projected through that layer's cross-attention k and v, in
-    BRANCH_NAMES order, with masks[branch] (or None) as the mask. They depend
-    only on the scenes, not on the decoded rows."""
-    branches = [b for b in BRANCH_NAMES if b in branch_outputs]
+    branches = tuple(b for b in BRANCH_NAMES if b in scenes[0])
     if not branches:
         raise ConfigError("decoder needs at least one branch output")
-    masks = masks or {}
-    return [{b: (linear(branch_outputs[b], lp.cross[b].k), linear(branch_outputs[b], lp.cross[b].v), masks.get(b))
-             for b in branches} for lp in layers]
+    outs = [s[b] for b in branches for s in scenes]
+    counts = np.array([len(out.data) for out in outs]).reshape(len(branches), len(scenes))
+    padding = np.arange(counts.max()) >= counts[..., None]
+    rows = np.full(padding.shape, counts.sum())  # the zero row appended below
+    rows[~padding] = np.arange(counts.sum())
+    zero = Tensor(np.zeros((1, outs[0].data.shape[1])))
+    return branches, T.embedding_lookup(T.concat(outs + [zero]), rows), padding
 
 
-def _cross_context(q, entry, h):
-    """Attention of the queries q over one branch's (keys, values, mask):
-    keys and values of q's rank, which q's rows share, or, for q [n x d], one
-    [N x d] block of keys and values per row ([n x N x d]). The mask (None,
-    or a bool array of the score shape) marks the keys a row must not attend to."""
-    k, v, mask = entry
-    if k.data.ndim == q.data.ndim:
-        return attend(q, k, v, h, mask=mask)
-    n, d = q.data.shape
-    return T.reshape(attend(T.reshape(q, (n, 1, d)), k, v, h, mask=mask), (n, d))
+def stacked(linears):
+    """Per-branch Linears as one on the branch axis: w [k x in x out], b [k x out]."""
+    return Linear(T.stack([p.w for p in linears]), T.stack([p.b for p in linears]))
 
 
-def modulated_multi_input(y, cross, layer: DecoderLayerParams, h):
-    """Gated sum of per-branch cross-attention contexts of y over `cross`,
-    one layer's {branch: entry} (see `_cross_context`), as `cross_keys_values`
-    or `CachedDecoder` gives it.
+def cross_keys_values(layers, scenes):
+    """Per layer, the CrossInputs of many scenes' branch outputs (`pad_scenes`):
+    the keys and values [k x S x N x d] are each branch projected through that
+    layer's cross-attention k and v. They depend only on the scenes, not on
+    the decoded rows. Each call stacks the per-branch weights anew."""
+    branches, padded, padding = pad_scenes(scenes)
+    out = []
+    for lp in layers:
+        cross = [lp.cross[b] for b in branches]
+        out.append(CrossInputs(branches, stacked([c.q for c in cross]), stacked([lp.mod[b] for b in branches]),
+                               linear(padded, stacked([c.k for c in cross])),
+                               linear(padded, stacked([c.v for c in cross])), padding))
+    return out
+
+
+def modulated_multi_input(y, cross: CrossInputs, h):
+    """Gated sum over the branch axis of the cross-attention contexts of y
+    [..., n x d]. The keys and values of `cross` are of y's rank plus the
+    branch axis, which y's rows share, or, for y [n x d], hold one [N x d]
+    block per row ([k x n x N x d]). Each branch attends with its own q, and
+    gates its context c elementwise with the sigmoid of its W [y; c] + b.
 
     Records each branch's gate, shaped like y, as "decoder_gates_<branch>"
     (see `T.record`)."""
-    contexts, scores = [], []
-    for b, entry in cross.items():
-        c = _cross_context(linear(y, layer.cross[b].q), entry, h)
-        contexts.append(c)
-        scores.append(linear(T.concat([y, c], axis=-1), layer.mod[b]))
-    gates = list(map(T.sigmoid, scores))
-    for b, g in zip(cross, gates):
-        T.record(f"decoder_gates_{b}", g)
-    out = T.mul(gates[0], contexts[0])
-    for g, c in zip(gates[1:], contexts[1:]):
-        out = T.add(out, T.mul(g, c))
-    return out
+    shape = y.data.shape
+    keys = cross.keys.data
+    per_row = keys.ndim > y.data.ndim + 1
+    if per_row:
+        y = T.reshape(y, (shape[0], 1, shape[1]))
+    ys = T.concat([T.reshape(y, (1,) + y.data.shape)] * len(cross.branches))  # y once per branch
+    q = linear(ys, cross.q)
+    mask = np.broadcast_to(cross.padding[..., None, None, :], keys.shape[:-2] + (h, q.data.shape[-2], keys.shape[-2]))
+    c = attend(q, cross.keys, cross.values, h, mask=mask)
+    gates = T.sigmoid(linear(T.concat([ys, c], axis=-1), cross.mod))
+    for b, g in zip(cross.branches, gates.data):
+        T.record(f"decoder_gates_{b}", Tensor(g.reshape(shape)))
+    out = T.sum_axis(T.mul(gates, c), 0)
+    return T.reshape(out, shape) if per_row else out
 
 
 def decoder_layer(y, self_context, lp: DecoderLayerParams, h, cross):
     """One decoder layer over the rows of y [..., n x d], given each row's
-    self-attended context (shaped like y) and the layer's cross-attention entry."""
+    self-attended context (shaped like y) and the layer's CrossInputs."""
     y = layer_norm(T.add(y, self_context), lp.ln1)
-    y = layer_norm(T.add(y, modulated_multi_input(y, cross, lp, h)), lp.ln2)
+    y = layer_norm(T.add(y, modulated_multi_input(y, cross, h)), lp.ln2)
     return layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
 
 
@@ -189,10 +217,10 @@ def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
     A list of B scenes' branch outputs and a list of B BOS-led id sequences
     give [B x T x V], T the longest sequence. Shorter sequences are padded
     with PAD, and their rows past the end mean nothing (a loss weights them
-    0). Each branch's outputs are padded to the longest scene (`pad_scenes`),
-    with the padded keys masked, so row b equals scene b's own forward to
-    rounding. One scene's {branch: [N x d]} and one id sequence run as a
-    batch of one and give [T x V].
+    0). Every branch output is padded to the longest of any scene
+    (`pad_scenes`), with the padded keys masked, so row b equals scene b's
+    own forward to rounding. One scene's {branch: [N x d]} and one id
+    sequence run as a batch of one and give [T x V].
     """
     one = isinstance(branch_outputs, dict)
     scenes, seqs = ([branch_outputs], [token_ids]) if one else (branch_outputs, list(token_ids))
@@ -202,13 +230,10 @@ def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
         _check_bos(list(seq))
     ids = pad_ids(seqs)
     t_len, d = ids.shape[1], embed.data.shape[1]
-    padded, padding = pad_scenes(scenes)
-    lead = (len(seqs), h, t_len)
-    causal = np.broadcast_to(causal_mask(h, t_len), lead + (t_len,))
-    masks = {b: np.broadcast_to(p[:, None, None, :], lead + p.shape[1:]) for b, p in padding.items()}
+    causal = np.broadcast_to(causal_mask(h, t_len), (len(seqs), h, t_len, t_len))
     positions = np.broadcast_to(sinusoidal_positions(t_len, d).data, ids.shape + (d,))
     y = T.add(T.embedding_lookup(embed, ids), Tensor(positions))
-    for lp, cross in zip(layers, cross_keys_values(layers, padded, masks)):
+    for lp, cross in zip(layers, cross_keys_values(layers, scenes)):
         context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, mask=causal)
         y = decoder_layer(y, context, lp, h, cross)
     logits = linear(y, out_proj)
@@ -226,43 +251,43 @@ class CachedDecoder:
     On the first call every prefix must be [BOS]; on each later call every
     prefix must extend some prefix of the previous call by one token, for the
     same scene. Anything else raises ContractError. The cross-attention keys
-    and values are projected once, when the decoder is made. With one scene
-    every row attends to them as teacher forcing does. With many, the
-    scenes' branch outputs are padded to the longest scene's (`pad_scenes`,
-    as a teacher-forced batch pads them) and each row gathers its own
-    scene's keys and values, with the padding masked, so a step costs in
-    proportion to its rows, however many scenes there are. A call computes
-    one new row per prefix: its self attention reads the keys and values
-    kept for the parent prefix, and the call keeps those of its own prefixes
-    for the next one. It runs tapeless, on the data of the branch outputs.
+    and values are projected, and the per-branch weights stacked, once, when
+    the decoder is made, with every branch of every scene padded to the
+    longest (`pad_scenes`, as a teacher-forced batch pads them). With one
+    scene every row attends to its [k x N x d] keys. With many, each row
+    gathers its own scene's keys and values, with the padding masked, so a
+    step costs in proportion to its rows, however many scenes there are. A
+    call computes one new row per prefix: its self attention reads the keys
+    and values kept for the parent prefix, and the call keeps those of its
+    own prefixes for the next one. It runs tapeless, on the data of the
+    branch outputs.
     """
 
     def __init__(self, layers, h, scenes, embed, out_proj):
-        _check_scenes(scenes)
         self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
         self.scenes = len(scenes)
-        self.padding = None  # per branch, [scenes x longest key count] bool: True past a scene's keys
         with no_grad():
-            if self.scenes == 1:
-                self.cross = cross_keys_values(layers, scenes[0])
-            else:
-                padded, self.padding = pad_scenes(scenes)
-                self.cross = [{b: (k.data, v.data) for b, (k, v, _) in entry.items()}
-                              for entry in cross_keys_values(layers, padded)]
+            self.cross = cross_keys_values(layers, scenes)
+        if self.scenes == 1:  # every row attends to the one scene's keys
+            self.cross = [self._of_scenes(cross, 0) for cross in self.cross]
         # each (scene, prefix) of the previous call -> its row in `self_kv`
         self.rows = {(i, ()): 0 for i in range(self.scenes)}
         empty = np.zeros((1, 0, embed.data.shape[1]))
         self.self_kv = [(empty, empty)] * len(layers)  # per layer: [rows x prefix length x d] keys, values
 
+    @staticmethod
+    def _of_scenes(cross, scenes):
+        """`cross` with the keys, values and padding of the given scene index
+        (or index array) along the scene axis."""
+        return replace(cross, keys=Tensor(cross.keys.data[:, scenes]), values=Tensor(cross.values.data[:, scenes]),
+                       padding=cross.padding[:, scenes])
+
     def _row_cross(self, rows):
-        """Each layer's cross-attention entry for the given (scene, prefix) rows."""
-        if self.padding is None:
+        """Each layer's CrossInputs for the given (scene, prefix) rows."""
+        if self.scenes == 1:
             return self.cross
-        scenes, n = np.array([scene for scene, _ in rows]), len(rows)
-        masks = {b: np.broadcast_to(p[scenes][:, None, None, :], (n, self.h, 1, p.shape[1]))
-                 for b, p in self.padding.items()}
-        return [{b: (Tensor(k[scenes]), Tensor(v[scenes]), masks[b]) for b, (k, v) in entry.items()}
-                for entry in self.cross]
+        scenes = np.array([scene for scene, _ in rows])
+        return [self._of_scenes(cross, scenes) for cross in self.cross]
 
     def __call__(self, rows):
         rows = [(scene, tuple(p)) for scene, p in rows]
@@ -333,6 +358,10 @@ def beam_search(step_fn, beam, max_len):
                 completed.append((ids, cum))
             else:
                 live.append((ids, cum))
+        if completed:  # stop once no live hypothesis can complete above the best completed one
+            best = max(cum / (len(ids) - 1) for ids, cum in completed)
+            if all(best > (cum + (max_len + 1 - len(ids)) * LOGPROB_SLACK) / max_len for ids, cum in live):
+                break
     pool = completed if completed else live
     scored = [(ids, cum, cum / (len(ids) - 1)) for ids, cum in pool]
     scored.sort(key=lambda c: (-c[2], c[0]))

@@ -22,6 +22,11 @@ from .geometry import embed_geometry, init_geometry
 from .nn import Linear, Tensor, init_embedding, init_linear, linear
 
 
+# The config fields that size a parameter, in the order a too-large model's
+# error names them when equal.
+WIDTHS = ("d_model", "raw_feat_dim", "enc_width", "expand_ratio")
+
+
 @dataclass
 class ModelParams:
     vis_in: Linear  # raw region features -> d_model
@@ -56,7 +61,8 @@ def init_model(cfg: TrainConfig, vocab_size, rng) -> ModelParams:
     except GevstError:
         raise
     except (MemoryError, OverflowError, ValueError) as e:  # a refused allocation, or a width NumPy cannot shape
-        raise ConfigError(f"config with d_model {d} asks for a model too large to allocate: {e}") from None
+        width = max(WIDTHS, key=lambda name: getattr(cfg, name))  # the widest is the one at fault
+        raise ConfigError(f"config with {width} {getattr(cfg, width)} asks for a model too large to allocate: {e}") from None
 
 
 def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab):

@@ -182,8 +182,11 @@ def matmul(a, b):
 def affine(x, w, b):
     """x @ w + b with the bias broadcast over rows, as one fused op.
 
-    x: [..., K], w: [K, N], b: [N].
+    x: [..., K], w: [K, N], b: [N]. Stacked on a leading slice axis, x: [k, ..., K],
+    w: [k, K, N], b: [k, N], slice i of the result being x[i] @ w[i] + b[i].
     """
+    if w.data.ndim == 3:
+        return _stacked_affine(x, w, b)
     xd, wd, bb = x.data, w.data, b.data
     if xd.ndim < 2 or wd.ndim != 2 or bb.ndim != 1:
         raise ShapeError(f"affine needs x[...,K], w[K,N], b[N]; got {xd.shape}, {wd.shape}, {bb.shape}")
@@ -198,6 +201,24 @@ def affine(x, w, b):
         else:
             gw = None
         gb = g.reshape(-1, g.shape[-1]).sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _emit(out, (x, w, b), bwd)
+
+
+def _stacked_affine(x, w, b):
+    xd, wd, bb = x.data, w.data, b.data
+    k, n_in, n_out = wd.shape
+    if xd.ndim < 3 or xd.shape[0] != k or xd.shape[-1] != n_in or bb.shape != (k, n_out):
+        raise ShapeError(f"stacked affine needs x[k,...,K], w[k,K,N], b[k,N]; got {xd.shape}, {wd.shape}, {bb.shape}")
+    x3 = xd.reshape(k, -1, n_in)
+    out = (x3 @ wd + bb[:, None, :]).reshape(xd.shape[:-1] + (n_out,))
+
+    def bwd(g):
+        g3 = g.reshape(k, -1, n_out)
+        gx = (g3 @ wd.swapaxes(1, 2)).reshape(xd.shape) if x.requires_grad else None
+        gw = x3.swapaxes(1, 2) @ g3 if w.requires_grad else None
+        gb = g3.sum(axis=1) if b.requires_grad else None
         return gx, gw, gb
 
     return _emit(out, (x, w, b), bwd)
@@ -456,6 +477,14 @@ def mean(x, axis):
     return _emit(out, (x,), lambda g: (np.broadcast_to(np.expand_dims(g / n, ax), xd.shape),))
 
 
+def sum_axis(x, axis):
+    xd = x.data
+    if not -xd.ndim <= axis < xd.ndim:
+        raise ShapeError(f"sum_axis: axis {axis} out of range for shape {xd.shape}")
+    ax = axis % xd.ndim
+    return _emit(np.add.reduce(xd, ax), (x,), lambda g: (np.broadcast_to(np.expand_dims(g, ax), xd.shape),))
+
+
 def total_sum(x):
     xd = x.data
     return _emit(xd.sum(), (x,), lambda g: (np.broadcast_to(g, xd.shape),))
@@ -467,13 +496,19 @@ def concat(tensors, axis=0):
         raise ShapeError("concat of an empty list")
     datas = [t.data for t in tensors]
     out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return tuple(np.split(g, offsets, axis=axis))
+        return tuple(np.split(g, np.cumsum([d.shape[axis] for d in datas])[:-1], axis=axis))
 
     return _emit(out, tuple(tensors), bwd)
+
+
+def stack(tensors):
+    """Tensors of one shape stacked on a new leading axis, as one op."""
+    tensors = tuple(tensors)
+    if not tensors or any(t.data.shape != tensors[0].data.shape for t in tensors):
+        raise ShapeError(f"stack needs tensors of one shape, got {[t.data.shape for t in tensors]}")
+    return _emit(np.stack([t.data for t in tensors]), tensors, tuple)
 
 
 def mix_maps(maps, gates):

@@ -208,7 +208,7 @@ def test_width_numpy_cannot_shape_exits_one(tmp_path, workdir, capsys, field):
                  ["caption", "--ckpt", str(ckpt), "--data", workdir["data"]]):
         assert cli.main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config with d_model ") and "asks for a model too large to allocate" in err
+        assert err.startswith(f"error: config with {field} {wide} asks for a model too large to allocate")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -464,7 +464,8 @@ def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
 def test_wrongly_typed_config_exits_one(workdir, tmp_path, capsys):
     cases = ({"d_model": "abc"}, {"renorm_fused_attention": "no"}, {"seed": "1"},
              {"lr_scale": True}, {"branches": ["ss", 1]}, {"lr_scale": float("nan")},
-             {"grad_clip": float("inf")})
+             {"grad_clip": float("inf")}, {"lr_scale": 10 ** 400}, {"scst_lr": 10 ** 400},
+             {"warmup_epochs": 10 ** 400})
     for i, bad in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
         cfg.write_text(json.dumps(dict(TINY, **bad)))

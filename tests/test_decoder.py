@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ import oracles as O
 import util as U
 from gevst import tensor as T
 from gevst.data import BOS_ID, EOS_ID
-from gevst.decoder import (CachedDecoder, beam_search, decoder_forward, greedy_decode,
-                           init_decoder_layer)
+from gevst.decoder import (CachedDecoder, beam_search, cross_keys_values, decoder_forward, greedy_decode,
+                           init_decoder_layer, modulated_multi_input)
 from gevst.errors import ConfigError, ContractError
-from gevst.nn import Tensor, init_embedding, init_linear, named_parameters
+from gevst.nn import Linear, Tensor, init_embedding, init_linear, named_parameters
 
 
 def rigged_step(seed, vocab, peak=6.0, eos_by=None):
@@ -82,9 +84,10 @@ def test_matches_scalar_oracle(rng):
 # The "sigmoid" in these ids names the decoder gate, once a parameter of the cases.
 @pytest.mark.parametrize("branches", [("vv",), ("ss", "sv", "vs", "vv")],
                          ids=["sigmoid-branches0", "sigmoid-branches1"])
-def test_teacher_forcing_matches_callback_reference_bit_for_bit(rng, branches):
-    """Cross keys and values projected up front, as plain tensors, leave the
-    logits and every gradient exactly as the callback-based decoder had them."""
+def test_teacher_forcing_matches_callback_reference_to_rounding(rng, branches):
+    """Cross keys and values projected up front on the branch axis leave the
+    logits and every gradient as the callback-based decoder had them, to
+    rounding: padded softmax sums and stacked products round differently."""
     layers, embed, out_proj, outs = small_model(rng, branches=branches)
     for t in outs.values():
         t.requires_grad = True
@@ -101,10 +104,82 @@ def test_teacher_forcing_matches_callback_reference_bit_for_bit(rng, branches):
             t.grad = None
     assert all(g is not None for g in runs[0])
     for got, want in zip(*runs):
-        assert np.array_equal(got, want)
+        assert U.max_abs_delta(got, want) <= 1e-12
 
 
 CACHED_BRANCHES = [("vv",), ("ss", "vs"), ("ss", "sv", "vs", "vv")]
+ALL_BRANCHES = CACHED_BRANCHES[-1]
+
+
+def scenes_around_eight_keys(rng, branches, d=8):
+    """Three scenes whose visual (v*) and semantic (s*) branches hold 2 to 12
+    keys, on both sides of 8, each branch output requiring grad."""
+    return [{b: Tensor(rng.normal(size=(n_v if b[0] == "v" else n_s, d)), requires_grad=True) for b in branches}
+            for n_v, n_s in [(3, 11), (9, 5), (12, 2)]]
+
+
+@pytest.mark.parametrize("branches", CACHED_BRANCHES, ids="-".join)
+def test_branch_axis_matches_the_branch_loop(rng, branches):
+    """The stacked, padded cross-attention against the per-branch loop it
+    replaced (kept in tests/util.py): logits, every parameter gradient and
+    every branch output gradient, over a batch whose key counts differ."""
+    layers, embed, out_proj, _ = small_model(rng, branches=branches)
+    scenes = scenes_around_eight_keys(rng, branches)
+    seqs = [[BOS_ID, 4, 5, 3], [BOS_ID, 2], [BOS_ID, 5, 5, 1, 0]]
+    probe = Tensor(rng.normal(size=(3, 5, 6)))
+    tensors = [t for _, t in named_parameters((layers, embed, out_proj))] + [o for s in scenes for o in s.values()]
+    runs = []
+    for forward in (decoder_forward, U.branch_loop_decoder_forward):
+        with T.Tape() as tape:
+            logits = forward(layers, 2, scenes, embed, out_proj, seqs)
+            tape.backward(T.total_sum(T.mul(logits, probe)))
+        runs.append([logits.data] + [t.grad for t in tensors])
+        for t in tensors:
+            t.grad = None
+    assert all(g is not None for g in runs[0])
+    for got, want in zip(*runs):
+        assert U.max_abs_delta(got, want) <= 1e-12
+
+    def loss(_):
+        return T.total_sum(T.mul(decoder_forward(layers, 2, scenes, embed, out_proj, seqs), probe))
+
+    b = branches[-1]
+    for target in (layers[0].cross[b].q.w, layers[1].cross[b].k.w, layers[0].cross[b].v.b, layers[1].mod[b].w,
+                   layers[0].mod[b].b, scenes[2][b]):
+        assert U.grad_check(loss, target, eps=1e-6, max_coords=8, rng=np.random.default_rng(3), floor=1e-5) < 1e-5
+
+
+@pytest.mark.parametrize("layout", ["batch", "rows", "one_scene"])
+def test_garbage_in_padded_keys_and_values_changes_no_real_row(rng, layout):
+    """Large finite garbage in the padded key and value rows leaves every
+    output, every gradient of y and of the stacked weights, and the gradient
+    of every real key and value row exactly as zero padding does; the padded
+    rows get no gradient. Layouts: a teacher-forced batch (y [S x T x d]),
+    one decoded row per scene (y [S x d]), and one scene's shared keys."""
+    layers, _, _, _ = small_model(rng, branches=ALL_BRANCHES)
+    with T.no_grad():
+        cross = cross_keys_values(layers, scenes_around_eight_keys(rng, ALL_BRANCHES))[0]
+    keys, values, padding = cross.keys.data, cross.values.data, cross.padding
+    y_shape = {"batch": (3, 4, 8), "rows": (3, 8), "one_scene": (4, 8)}[layout]
+    if layout == "one_scene":
+        keys, values, padding = keys[:, 1], values[:, 1], padding[:, 1]
+    assert padding.any() and not padding.all(axis=-1).any()
+    y = Tensor(rng.normal(size=y_shape), requires_grad=True)
+    probe = Tensor(rng.normal(size=y_shape))
+    runs = []
+    for fill in (0.0, 1e8 * rng.normal(size=keys.shape)):
+        weights = [Tensor(t.data.copy(), requires_grad=True) for t in (cross.q.w, cross.q.b, cross.mod.w, cross.mod.b)]
+        k = Tensor(np.where(padding[..., None], fill, keys), requires_grad=True)
+        v = Tensor(np.where(padding[..., None], -fill, values), requires_grad=True)
+        entry = replace(cross, q=Linear(*weights[:2]), mod=Linear(*weights[2:]), keys=k, values=v, padding=padding)
+        y.grad = None
+        with T.Tape() as tape:
+            out = modulated_multi_input(y, entry, 2)
+            tape.backward(T.total_sum(T.mul(out, probe)))
+        assert not k.grad[padding].any() and not v.grad[padding].any()
+        runs.append([out.data, y.grad, k.grad, v.grad] + [w.grad for w in weights])
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 # ids as for the teacher-forcing cases above
 CACHED_LAYERS = [pytest.param(2, id="sigmoid-2"), pytest.param(5, id="sigmoid-5")]
 
@@ -305,3 +380,37 @@ def test_beam_prefers_normalized_score():
 def test_beam_width_validation():
     with pytest.raises(ConfigError):
         beam_search(U.batched(lambda p: np.zeros(3)), beam=0, max_len=5)
+
+
+def rigged_table(seed, vocab, values):
+    """A prefix -> log-prob row table drawing each entry from `values`: exact
+    ties everywhere, and with 0.0 and 1.1e-16 among them tokens whose
+    log-prob is exactly 0 or rounds just above it, as `T.log_softmax` can
+    give a near-certain token."""
+
+    def step(prefix_ids):
+        r = np.random.default_rng(np.random.SeedSequence([seed, *prefix_ids]))
+        return r.choice(values, size=vocab)
+
+    return step
+
+
+TABLE_VALUES = [(-0.5, -1.0, -1.5, -2.0), (0.0, -0.5, -1.0, -1.5), (0.0, 1.1e-16, -0.5, -1.0), (0.0, 1.1e-16)]
+
+
+def test_beam_stop_matches_the_search_without_it():
+    """The stop rule leaves (ids, sum, score) exactly as running every
+    hypothesis to EOS or max_len does, and saves step calls."""
+    calls = [0, 0]
+    for seed in range(800):
+        r = np.random.default_rng(seed)
+        vocab, beam, max_len = int(r.integers(3, 7)), int(r.integers(1, 6)), int(r.integers(2, 9))
+        step = U.batched(rigged_table(seed, vocab, TABLE_VALUES[seed % len(TABLE_VALUES)]))
+        runs = []
+        for i, search in enumerate((beam_search, U.reference_beam_search)):
+            def counted(prefixes, i=i):
+                calls[i] += 1
+                return step(prefixes)
+            runs.append(search(counted, beam, max_len))
+        assert runs[0] == runs[1], f"seed {seed}"
+    assert calls[0] < calls[1]

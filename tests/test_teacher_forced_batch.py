@@ -170,14 +170,20 @@ def test_batched_pass_grad_check_on_the_miniature_config():
 
 
 def test_pad_scenes_lays_each_scene_first_then_zero_rows(rng):
-    scenes = [{"vv": Tensor(rng.normal(size=(n, 4)))} for n in (2, 4, 1)]
-    padded, padding = pad_scenes(scenes)
-    assert padded["vv"].data.shape == (3, 4, 4)
-    assert padding["vv"].tolist() == [[False, False, True, True], [False] * 4, [False, True, True, True]]
-    for i, s in enumerate(scenes):
-        n = len(s["vv"].data)
-        assert np.array_equal(padded["vv"].data[i, :n], s["vv"].data)
-        assert not padded["vv"].data[i, n:].any()
+    """Every branch of every scene is padded to the longest of them all, on a
+    branch axis in BRANCH_NAMES order, whatever order the scenes name them in."""
+    counts = {"vv": (2, 4, 1), "ss": (3, 1, 2)}
+    scenes = [{b: Tensor(rng.normal(size=(counts[b][i], 4))) for b in ("vv", "ss")} for i in range(3)]
+    branches, padded, padding = pad_scenes(scenes)
+    assert branches == ("ss", "vv")
+    assert padded.data.shape == (2, 3, 4, 4)
+    assert padding.tolist() == [[[False] * 3 + [True], [False] + [True] * 3, [False] * 2 + [True] * 2],
+                                [[False] * 2 + [True] * 2, [False] * 4, [False] + [True] * 3]]
+    for i, b in enumerate(branches):
+        for j, s in enumerate(scenes):
+            n = counts[b][j]
+            assert np.array_equal(padded.data[i, j, :n], s[b].data)
+            assert not padded.data[i, j, n:].any()
 
 
 def test_batched_forward_contracts():

@@ -67,6 +67,64 @@ def test_affine_grads_all_inputs():
     check(lambda t: T.total_sum(T.tanh(T.affine(x, w, t))), b)
 
 
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=["rank3", "rank5"])
+def test_stacked_affine_matches_per_slice_affines(lead):
+    """T.affine over [k x ... x K] inputs, [k x K x N] weights and [k x N]
+    biases against one affine per slice: outputs and the gradients of every
+    slice's input, weight and bias, through `T.stack`."""
+    k, n_in, n_out = 3, 5, 4
+    data = [(RNG.normal(0, 1, lead + (6, n_in)), RNG.normal(0, 1, (n_in, n_out)), RNG.normal(0, 1, n_out))
+            for _ in range(k)]
+    probe = Tensor(RNG.normal(0, 1, (k,) + lead + (6, n_out)))
+    runs = []
+    for stacked in (True, False):
+        leaves = [[Tensor(a, requires_grad=True) for a in slice_data] for slice_data in data]
+        with Tape() as tape:
+            if stacked:
+                out = T.affine(*(T.stack(column) for column in zip(*leaves)))
+            else:
+                out = T.stack([T.affine(x, w, b) for x, w, b in leaves])
+            tape.backward(T.total_sum(T.mul(out, probe)))
+        runs.append([out.data] + [t.grad for slice_leaves in leaves for t in slice_leaves])
+    for got, want in zip(*runs):
+        assert np.abs(got - want).max() <= 1e-12
+    x, w, b = (Tensor(np.stack(column), requires_grad=True) for column in zip(*data))
+    with Tape() as tape:
+        T.affine(x, w, b)
+    assert len(tape.nodes) == 1
+    for t in (x, w, b):
+        check(lambda _: T.total_sum(T.mul(T.affine(x, w, b), probe)), t)
+    for bad in ((x, w, Tensor(np.ones((k + 1, n_out)))), (Tensor(np.ones((k + 1, 6, n_in))), w, b),
+                (Tensor(np.ones((k, 6, n_in + 1))), w, b), (Tensor(np.ones((k, n_in))), w, b)):
+        with pytest.raises(ShapeError, match="stacked affine"):
+            T.affine(*bad)
+
+
+def test_stack_and_sum_axis_are_one_node_each():
+    parts = [Tensor(RNG.normal(0, 1, (2, 3)), requires_grad=True) for _ in range(4)]
+    with Tape() as tape:
+        stacked = T.stack(parts)
+        summed = T.sum_axis(stacked, 0)
+    assert len(tape.nodes) == 2 and stacked.data.shape == (4, 2, 3)
+    # the sum over the leading axis adds the slices in order, as a chain of T.add does
+    chain = parts[0].data
+    for p in parts[1:]:
+        chain = chain + p.data
+    assert np.array_equal(summed.data, chain)
+    probe = Tensor(RNG.normal(0, 1, (4, 2, 3)))
+    check(lambda t: T.total_sum(T.mul(T.stack([parts[0], t, parts[2], t]), probe)), parts[1])
+    x = Tensor(RNG.normal(0, 1, (4, 2, 3)), requires_grad=True)
+    for axis, shape in ((0, (2, 3)), (1, (4, 3)), (-1, (4, 2))):
+        w = Tensor(RNG.normal(0, 1, shape))
+        check(lambda t: T.total_sum(T.mul(T.sum_axis(t, axis), w)), x)
+    with pytest.raises(ShapeError, match="one shape"):
+        T.stack([parts[0], Tensor(np.ones((3, 2)))])
+    with pytest.raises(ShapeError, match="one shape"):
+        T.stack([])
+    with pytest.raises(ShapeError, match="out of range"):
+        T.sum_axis(x, 3)
+
+
 def test_unary_grads():
     x = Tensor(RNG.uniform(0.2, 2.0, (3, 3)), requires_grad=True)
     for op in (T.tanh, T.sigmoid, lambda t: O.exp(T, t), lambda t: O.log(T, t)):

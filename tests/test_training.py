@@ -524,12 +524,14 @@ def test_beam_caption_rejects_beam_zero():
 
 def test_desk_xe_tape_node_counts():
     """Pins the taped path at desk defaults: the batched XE loss of 8 scenes,
-    as training runs it, records 3397 nodes; one scene's call, run as a batch
-    of one, records 577 (the per-branch concat and row gather of
-    `pad_scenes`, and the reshape of its [1 x T x V] logits). Each GESA layer
-    records one `mix_maps` node for its gated map mix, the caption encoder
-    looks its [b x n] ids up in one node, and the XE loss carries its sign in
-    its weights."""
+    as training runs it, records 3334 nodes; one scene's call, run as a batch
+    of one, records 514 (the concat and row gather of `pad_scenes`, and the
+    reshape of its [1 x T x V] logits). Each GESA layer records one
+    `mix_maps` node for its gated map mix, the caption encoder looks its
+    [b x n] ids up in one node, the XE loss carries its sign in its weights,
+    and each decoder layer's cross-attention records 20 nodes for all four
+    branches: 8 weight stacks, the key and value projections, and 10 on the
+    branch axis."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 8)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
@@ -538,13 +540,30 @@ def test_desk_xe_tape_node_counts():
         branches = [encode_sample(params, cfg, s, vocab) for s in samples]
         inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
         TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
-    assert len(tape.nodes) == 3397
+    assert len(tape.nodes) == 3334
     for s in samples[:3]:
         with T.Tape() as tape:
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 577
+        assert len(tape.nodes) == 514
+
+
+def test_desk_decode_step_op_count():
+    """Pins a one-row decode step of one desk scene at 88 engine ops, the
+    first step and a later one alike: per decoder layer 9 ops of self
+    attention, 10 of the branch-axis cross-attention, 9 for the norms, the
+    FFN and the residual adds, plus the embedding, the positions, the output
+    projection and the log softmax (151 with one cross-attention per branch)."""
+    cfg = TrainConfig()
+    samples = generate_dataset(0, 2)
+    vocab = build_vocab(corpus_texts(samples), cfg.min_count)
+    params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+    with T.no_grad():
+        step = make_step_fn(params, cfg, encode_sample(params, cfg, samples[0], vocab))
+    for prefix in ([BOS_ID], [BOS_ID, 5], [BOS_ID, 5, 6]):
+        _, ops = U.engine_ops(step, [prefix])
+        assert ops == 88
 
 
 # ---------------------------------------------------------------- checkpoints

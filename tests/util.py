@@ -1,9 +1,11 @@
 """Converters from parameter dataclasses to the plain-list oracle inputs,
 small helpers shared across test modules (among them `miniature_config`,
-the smallest legal end-to-end setting), and earlier forms kept as
-references: the separate XE and SCST training loops that `training._optimize`
-replaced, the decoder that passed projections in as callbacks, and the
-one-scene `CachedDecoder` that the many-scene one replaced."""
+the smallest legal end-to-end setting, and `engine_ops`, which counts the
+engine ops a call runs), and earlier forms kept as references: the separate
+XE and SCST training loops that `training._optimize` replaced, the decoder
+that passed projections in as callbacks, the per-branch cross-attention loop
+that the branch axis replaced, the one-scene `CachedDecoder` that the
+many-scene one replaced, and beam search without its stop rule."""
 
 import math
 
@@ -14,8 +16,8 @@ from gevst import metrics
 from gevst import tensor as T
 from gevst import training as TR
 from gevst.config import BRANCH_NAMES, TrainConfig
-from gevst.data import BOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
-from gevst.decoder import _check_bos, causal_mask, cross_keys_values, decoder_layer
+from gevst.data import BOS_ID, EOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
+from gevst.decoder import _check_bos, _check_scenes, causal_mask
 from gevst.errors import ContractError, TrainingDiverged
 from gevst.model import caption_logits, init_model
 from gevst.nn import Tensor, attend, ffn, layer_norm, linear, named_parameters, parameters, sinusoidal_positions
@@ -336,15 +338,128 @@ def reference_decoder_forward(layers, h, branch_outputs, embed, out_proj, token_
     return linear(y, out_proj)
 
 
+# The decoder's cross-attention as it stood before the branch axis: one
+# attention, one gate and one product per branch, in a loop, each branch's
+# outputs padded to that branch's longest scene.
+
+
+def branch_loop_pad_scenes(scenes):
+    """({branch: [S x longest x d]}, {branch: bool [S x longest]})."""
+    _check_scenes(scenes)
+    padded, padding = {}, {}
+    for b in scenes[0]:
+        outs = [s[b] for s in scenes]
+        counts = np.array([len(out.data) for out in outs])
+        padding[b] = np.arange(counts.max())[None, :] >= counts[:, None]
+        rows = np.full(padding[b].shape, counts.sum())
+        rows[~padding[b]] = np.arange(counts.sum())
+        zero = Tensor(np.zeros((1, outs[0].data.shape[1])))
+        padded[b] = T.embedding_lookup(T.concat(outs + [zero]), rows)
+    return padded, padding
+
+
+def branch_loop_keys_values(layers, branch_outputs, masks=None):
+    """Per layer, {branch: (keys, values, mask)}."""
+    branches = [b for b in BRANCH_NAMES if b in branch_outputs]
+    masks = masks or {}
+    return [{b: (linear(branch_outputs[b], lp.cross[b].k), linear(branch_outputs[b], lp.cross[b].v), masks.get(b))
+             for b in branches} for lp in layers]
+
+
+def branch_loop_context(q, entry, h):
+    k, v, mask = entry
+    if k.data.ndim == q.data.ndim:
+        return attend(q, k, v, h, mask=mask)
+    n, d = q.data.shape
+    return T.reshape(attend(T.reshape(q, (n, 1, d)), k, v, h, mask=mask), (n, d))
+
+
+def branch_loop_modulated_multi_input(y, cross, layer, h):
+    contexts, scores = [], []
+    for b, entry in cross.items():
+        c = branch_loop_context(linear(y, layer.cross[b].q), entry, h)
+        contexts.append(c)
+        scores.append(linear(T.concat([y, c], axis=-1), layer.mod[b]))
+    gates = list(map(T.sigmoid, scores))
+    out = T.mul(gates[0], contexts[0])
+    for g, c in zip(gates[1:], contexts[1:]):
+        out = T.add(out, T.mul(g, c))
+    return out
+
+
+def branch_loop_decoder_layer(y, self_context, lp, h, cross):
+    y = layer_norm(T.add(y, self_context), lp.ln1)
+    y = layer_norm(T.add(y, branch_loop_modulated_multi_input(y, cross, lp, h)), lp.ln2)
+    return layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
+
+
+def branch_loop_decoder_forward(layers, h, scenes, embed, out_proj, seqs):
+    """Teacher-forced [B x T x V] logits of B scenes and B BOS-led id sequences."""
+    ids = pad_ids(seqs)
+    t_len, d = ids.shape[1], embed.data.shape[1]
+    padded, padding = branch_loop_pad_scenes(scenes)
+    lead = (len(seqs), h, t_len)
+    causal = np.broadcast_to(causal_mask(h, t_len), lead + (t_len,))
+    masks = {b: np.broadcast_to(p[:, None, None, :], lead + p.shape[1:]) for b, p in padding.items()}
+    positions = np.broadcast_to(sinusoidal_positions(t_len, d).data, ids.shape + (d,))
+    y = T.add(T.embedding_lookup(embed, ids), Tensor(positions))
+    for lp, cross in zip(layers, branch_loop_keys_values(layers, padded, masks)):
+        context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, mask=causal)
+        y = branch_loop_decoder_layer(y, context, lp, h, cross)
+    return linear(y, out_proj)
+
+
+def reference_beam_search(step_fn, beam, max_len):
+    """`decoder.beam_search` as it stood before its stop rule: it runs until
+    every hypothesis completed or max_len tokens were generated."""
+    live = [((BOS_ID,), 0.0)]
+    completed = []
+    for _ in range(max_len):
+        if not live:
+            break
+        candidates = []
+        for (ids, cum), lp in zip(live, step_fn([ids for ids, _ in live])):
+            for tok in range(len(lp)):
+                candidates.append((ids + (tok,), cum + float(lp[tok])))
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        live = []
+        for ids, cum in candidates[:beam]:
+            if ids[-1] == EOS_ID:
+                completed.append((ids, cum))
+            else:
+                live.append((ids, cum))
+    pool = completed if completed else live
+    scored = [(ids, cum, cum / (len(ids) - 1)) for ids, cum in pool]
+    scored.sort(key=lambda c: (-c[2], c[0]))
+    ids, cum, norm = scored[0]
+    return list(ids[1:]), cum, norm
+
+
+def engine_ops(fn, *args):
+    """(fn(*args), the number of engine ops it ran): calls of `T._emit`,
+    with or without a tape."""
+    emit, count = T._emit, [0]
+
+    def counted(*a):
+        count[0] += 1
+        return emit(*a)
+
+    T._emit = counted
+    try:
+        return fn(*args), count[0]
+    finally:
+        T._emit = emit
+
+
 # The cached decoder as it stood before it took many scenes: one scene's
-# branch outputs, plain prefixes, no cross-attention mask.
+# branch outputs, plain prefixes, no cross-attention mask, and the branch loop.
 
 
 class ReferenceCachedDecoder:
     def __init__(self, layers, h, branch_outputs, embed, out_proj):
         self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
         with T.no_grad():
-            self.cross = cross_keys_values(layers, branch_outputs)
+            self.cross = branch_loop_keys_values(layers, branch_outputs)
         self.rows = {(): 0}
         empty = np.zeros((1, 0, embed.data.shape[1]))
         self.self_kv = [(empty, empty)] * len(layers)
@@ -370,7 +485,7 @@ class ReferenceCachedDecoder:
                 v = T.concat([Tensor(values[parents]), linear(y1, lp.self_v)], axis=1)
                 grown.append((k.data, v.data))
                 context = T.reshape(attend(linear(y1, lp.self_q), k, v, self.h), (n, d))
-                y = decoder_layer(y, context, lp, self.h, cross)
+                y = branch_loop_decoder_layer(y, context, lp, self.h, cross)
             logprobs = T.log_softmax(linear(y, self.out_proj)).data
         self.self_kv = grown
         self.rows = {p: i for i, p in enumerate(prefixes)}
