@@ -9,7 +9,11 @@ Design constraints, fixed for the whole package:
   * forward ops execute eagerly; when a Tape is active and an input requires
     grad, the op appends one node to the tape. Backward replays nodes in exact
     reverse recording order, which is a valid reverse topological order because
-    recording order is execution order.
+    recording order is execution order;
+  * backward consumes the tape once: it drops each node as soon as that
+    node's rule has run, so activations, the arrays a rule kept and
+    intermediate gradients are freed mid-walk unless the caller holds the
+    tensor, and a walked tape refuses a second backward.
 
 Gradients accumulate into Tensor.grad (never mutated in place, so aliasing
 views returned by backward rules are safe), or, for the tensors a backward
@@ -78,11 +82,12 @@ class Tape:
     concurrently recording callers (the active-tape slot is thread-local).
     """
 
-    __slots__ = ("nodes", "_prev")
+    __slots__ = ("nodes", "_prev", "_walked")
 
     def __init__(self):
         self.nodes = []
         self._prev = None
+        self._walked = False
 
     def __enter__(self):
         self._prev = _STATE.tape
@@ -96,15 +101,26 @@ class Tape:
     def backward(self, loss, sinks=None):
         """Accumulate d loss / d t into every tensor t on the tape. `sinks`
         maps id(t) to a writable array shaped like t: such a t has its
-        gradient added into that array in place, and its .grad is left alone."""
+        gradient added into that array in place, and its .grad is left alone.
+
+        Consumes the tape: each node's slot becomes None once its rule has
+        run, so a node output the caller does not hold is freed, with its
+        gradient and the forward arrays its rule kept, as the walk goes on.
+        The list keeps its length. A second backward raises ContractError."""
         if not isinstance(loss, Tensor):
             raise ContractError("backward target must be a Tensor")
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        if self._walked:
+            raise ContractError("this tape was already walked by backward; record the graph again")
+        self._walked = True
+        nodes = self.nodes
         seed = np.ones_like(loss.data)
         loss.grad = seed if loss.grad is None else loss.grad + seed
         sinks = sinks or {}
-        for out, inputs, bwd in reversed(self.nodes):
+        for i in range(len(nodes) - 1, -1, -1):
+            out, inputs, bwd = nodes[i]
+            nodes[i] = None
             g = out.grad
             if g is None:
                 continue

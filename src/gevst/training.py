@@ -20,7 +20,10 @@ captions with a non-zero advantage. SCST rolls a whole batch out in one
 lockstep decode, each sample drawing from its own stream. The backward
 adds every parameter's gradient straight into Adam's flat gradient vector
 (`Adam.sinks`), the one way gradients reach the optimizer; the optimizer
-step zeroes that vector again. The loop holds
+step zeroes that vector again. Memory follows the forward's live set: the
+backward frees the batch's graph as it walks it, and the Adam step runs
+over the flat vectors in blocks of ADAM_BLOCK entries, so neither makes a
+full-length temporary. The loop holds
 Adam(beta2=0.98, eps=1e-9, bias-corrected), global-norm gradient clipping
 at 5.0, batch-mean losses, a fixed shuffle stream per epoch, and
 best-checkpoint selection by validation CIDEr-D every val_every epochs. A
@@ -29,7 +32,10 @@ optimizer step, so the parameters keep their last finite values; so do
 non-finite log-probs in an SCST rollout.
 
 All parameters live in one float64 vector (nn.flat_parameters), each Tensor
-a view into it: Adam, clipping and best snapshots work on whole vectors.
+a view into it: Adam, clipping and best snapshots work on that vector.
+The best snapshot is copied only at a validation that raises the best
+CIDEr-D; a run that validates nothing (epochs=0) returns a copy of the
+untouched vector.
 
 Checkpoints are one compact JSON header line (config, vocabulary, trained
 step count, parameter manifest of name/shape/offset, data_bytes) followed
@@ -67,6 +73,9 @@ def noam_lr(step, d_model, warmup_steps):
     return d_model ** -0.5 * min(step ** -0.5, step * warmup_steps ** -1.5)
 
 
+ADAM_BLOCK = 32768  # entries per block of Adam.step: 256 KiB of each vector, so a block's arrays fit in L2
+
+
 class Adam:
     """Bias-corrected Adam on the flat parameter vector of `params_obj`.
     Gradients reach it one way: `Tape.backward(loss, opt.sinks)` adds each
@@ -85,20 +94,27 @@ class Adam:
         self.t = 0
 
     def step(self, lr):
-        g = self.grad
+        """One update, run block by block over the flat vectors: every entry
+        goes through the same NumPy calls in the same order as a whole-vector
+        step would (tests/util.py keeps it as the reference), so the result
+        is bit for bit the same, while no temporary outgrows a block."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        self.m *= b1
-        self.m += (1.0 - b1) * g
-        self.v *= b2
-        self.v += (1.0 - b2) * g * g
-        # params -= lr * (m / c1) / (sqrt(v / c2) + eps), one temporary at a time
-        update = lr * (self.m / (1.0 - b1 ** self.t))
-        np.sqrt(np.divide(self.v, 1.0 - b2 ** self.t, out=g), out=g)
-        g += self.eps
-        update /= g
-        self.params -= update
-        g.fill(0.0)
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for lo in range(0, self.params.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)
+            g, m, v = self.grad[block], self.m[block], self.v[block]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            # params -= lr * (m / c1) / (sqrt(v / c2) + eps), one temporary at a time
+            update = lr * (m / c1)
+            np.sqrt(np.divide(v, c2, out=g), out=g)
+            g += self.eps
+            update /= g
+            self.params[block] -= update
+            g.fill(0.0)
 
 
 def clip_gradients(opt, max_norm):
@@ -251,12 +267,13 @@ def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_loss, l
     takes no step; otherwise its mean over the batch is backpropagated
     straight into the optimizer's gradient vector, clipped and stepped at
     `lr_at(step)`. The curve holds the mean reward when the phase reports
-    rewards, else the mean loss, logged by `report`."""
+    rewards, else the mean loss, logged by `report`. The best snapshot is
+    copied at each validation that improves on the best score so far."""
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     opt = Adam(params)
     curve = []
-    best_snapshot, best_epoch, best_val = opt.params.copy(), 0, -1.0
+    best_snapshot, best_epoch, best_val = None, 0, -1.0
     clip_events = 0
 
     for epoch in range(1, epochs + 1):
@@ -271,7 +288,6 @@ def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_loss, l
                     continue
                 loss = T.mul(loss, 1.0 / len(batch))
                 tape.backward(loss, opt.sinks)
-            del tape  # free the graph before the optimizer's full-size vectors
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(f"{phase} loss became {value} at epoch {epoch}")
@@ -295,6 +311,8 @@ def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_loss, l
         if stop:
             break
 
+    if best_snapshot is None:  # no validation ran: the vector is untouched
+        best_snapshot = opt.params.copy()
     return TrainOutcome(params, vocab, cfg, curve, best_snapshot, best_epoch, best_val,
                         trained_steps=step, diagnostics={"clip_events": clip_events})
 

@@ -4,6 +4,7 @@ mechanics, the no-implicit-broadcasting contract, and the recorder."""
 import ast
 import importlib
 import inspect
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import oracles as O
 from gevst import tensor as T
 from gevst.config import BRANCH_NAMES
 from gevst.encoder import encode_all, init_gesa_layer
-from gevst.errors import ShapeError
+from gevst.errors import ContractError, ShapeError
 from gevst.fusion import init_fusion_cell
 from gevst.tensor import Tape, Tensor, no_grad
 from util import grad_check
@@ -356,6 +357,55 @@ def test_backward_leaves_forward_values_intact():
     assert np.array_equal(top.data, keep)
     expected = np.array([[1.5] * 4, [3.0] * 4, [1.5] * 4])
     assert np.array_equal(x.grad, expected)
+
+
+def test_a_walked_tape_refuses_a_second_backward():
+    """Walking a tape again would re-propagate the intermediate gradients
+    the first walk left, inflating x.grad; it raises before touching
+    anything, and a freshly recorded tape gives the gradient again."""
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+
+    def loss():
+        return T.total_sum(T.mul(T.mul(x, x), 3.0))
+
+    with Tape() as tape:
+        y = loss()
+        tape.backward(y)
+    assert np.array_equal(x.grad, [6.0, -12.0])
+    with pytest.raises(ContractError, match="already walked"):
+        tape.backward(y)
+    assert np.array_equal(x.grad, [6.0, -12.0]) and np.array_equal(y.grad, 1.0)
+    x.grad = None
+    with Tape() as tape:
+        tape.backward(loss())
+    assert np.array_equal(x.grad, [6.0, -12.0])
+
+
+def test_backward_frees_what_the_caller_dropped_as_it_walks():
+    """Each node is dropped once its rule has run: an intermediate the
+    caller let go is already freed when the first node's rule runs, and
+    stays freed, while the list keeps its length and an intermediate the
+    caller holds keeps its .grad."""
+    x = Tensor(RNG.normal(0, 1, (4, 3)), requires_grad=True)
+    freed_in_walk = []
+
+    def first_rule(g):
+        freed_in_walk.append(dropped() is None)
+        return (g,)
+
+    with Tape() as tape:
+        probe = T._emit(x.data.copy(), (x,), first_rule)
+        held = T.tanh(probe)
+        mid = T.relu(T.mul(held, 2.0))
+        dropped = weakref.ref(mid.data)
+        y = T.total_sum(T.mul(mid, mid))
+        del mid
+        recorded = len(tape.nodes)
+        tape.backward(y)
+    assert freed_in_walk == [True] and dropped() is None
+    assert len(tape.nodes) == recorded == 6
+    assert np.array_equal(held.grad, np.where(held.data > 0.0, 8.0 * held.data, 0.0))
+    assert x.grad is not None
 
 
 def test_backward_adds_into_sinks_in_place_as_grad_would_sum():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,72 @@ def test_flat_adam_matches_per_tensor_reference():
     assert np.array_equal(flat_obj["frozen"].data, frozen)
 
 
+@pytest.mark.parametrize("size", [1, TR.ADAM_BLOCK - 1, TR.ADAM_BLOCK, TR.ADAM_BLOCK + 1, "desk"])
+def test_blocked_adam_matches_the_whole_vector_step(size):
+    """Five blocked steps against `util.reference_adam_step`, on vectors
+    around one block and on the desk model's: the parameters and both
+    moments agree bit for bit, and the gradient vector ends zeroed."""
+    def fresh():
+        if size == "desk":
+            return init_model(TrainConfig(), 40, np.random.default_rng(0))
+        return {"x": Tensor(np.random.default_rng(4).normal(size=size), requires_grad=True)}
+
+    blocked, whole = TR.Adam(fresh()), TR.Adam(fresh())
+    start = blocked.params.copy()
+    rng = np.random.default_rng(3)
+    for step in range(5):
+        g = rng.normal(0.0, 10.0 ** -step, blocked.params.size)
+        g[1::7] = 0.0
+        blocked.grad[:] = g
+        whole.grad[:] = g
+        lr = 1e-3 * (step + 1)
+        blocked.step(lr)
+        U.reference_adam_step(whole, lr)
+        for got, want in ((blocked.params, whole.params), (blocked.m, whole.m), (blocked.v, whole.v)):
+            assert np.array_equal(got, want)
+        assert not blocked.grad.any()
+    assert blocked.t == whole.t == 5 and not np.array_equal(blocked.params, start)
+
+
+def desk_batch_loss(params, cfg, vocab, samples):
+    """One desk batch's mean XE loss on the live tape, as `train_xe` builds it."""
+    branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+    inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
+    return T.mul(TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets)), 1.0 / len(samples))
+
+
+def test_desk_xe_step_memory_stays_at_the_forward_live_set():
+    """tracemalloc, which sees NumPy's allocations, over one desk XE batch of
+    8. Backward peaks within 5% of what the forward left live, because it
+    frees each node once walked (keeping the whole graph plus its gradients
+    peaked 1.76x). Clipping plus Adam allocate under 2 MB, because Adam runs
+    in blocks (one full-length temporary of the 1.5 M-entry vector is 12 MB)."""
+    cfg = TrainConfig()
+    samples = generate_dataset(0, 8)
+    vocab = build_vocab(corpus_texts(samples), cfg.min_count)
+    params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+    opt = TR.Adam(params)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with T.Tape() as tape:
+            loss = desk_batch_loss(params, cfg, vocab, samples)
+            forward = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.backward(loss, opt.sinks)
+            backward = tracemalloc.get_traced_memory()[1] - base
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        TR.clip_gradients(opt, cfg.grad_clip)
+        opt.step(1e-3)
+        update = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert forward > 20e6
+    assert backward <= 1.05 * forward, (backward, forward)
+    assert update < 2e6, update
+
+
 # ------------------------------------------------------------------- losses
 
 
@@ -251,6 +318,17 @@ def test_train_xe_runs_and_is_deterministic():
     assert out1.trained_steps == 2 * math.ceil(len(split_train_val(samples)[0]) / cfg.batch_size)
     assert out1.best_epoch >= 1
     assert out1.best_snapshot.shape == flat_parameters(out1.params).shape
+
+
+def test_train_xe_without_epochs_returns_the_untouched_vector():
+    samples, cfg = tiny_setup()
+    vocab = build_vocab(corpus_texts(split_train_val(samples)[0]), cfg.min_count)
+    params = init_model(cfg, len(vocab), np.random.default_rng(9))
+    initial = flat_parameters(params).copy()
+    out = TR.train_xe(samples, cfg, epochs=0, params=params, vocab=vocab)
+    assert np.array_equal(out.best_snapshot, initial)
+    assert not np.shares_memory(out.best_snapshot, flat_parameters(out.params))
+    assert (out.curve, out.best_epoch, out.best_val, out.trained_steps) == ([], 0, -1.0, 0)
 
 
 def test_train_xe_stop_fn_halts_early():

@@ -5,7 +5,8 @@ engine ops a call runs), and earlier forms kept as references: the separate
 XE and SCST training loops that `training._optimize` replaced, the decoder
 that passed projections in as callbacks, the per-branch cross-attention loop
 that the branch axis replaced, the one-scene `CachedDecoder` that the
-many-scene one replaced, and beam search without its stop rule."""
+many-scene one replaced, beam search without its stop rule, and the
+whole-vector Adam step that the blocked `Adam.step` replaced."""
 
 import math
 
@@ -159,6 +160,24 @@ def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8):
 # adds gradients straight into that vector. Every package
 # function is looked up on its module at call time, so a test that
 # monkeypatches `training` changes both these loops and the package's.
+
+
+def reference_adam_step(opt, lr):
+    """`TR.Adam.step` as one pass over the whole flat vectors: the same NumPy
+    calls in the same order, each making full-length temporaries."""
+    g = opt.grad
+    opt.t += 1
+    b1, b2 = opt.beta1, opt.beta2
+    opt.m *= b1
+    opt.m += (1.0 - b1) * g
+    opt.v *= b2
+    opt.v += (1.0 - b2) * g * g
+    update = lr * (opt.m / (1.0 - b1 ** opt.t))
+    np.sqrt(np.divide(opt.v, 1.0 - b2 ** opt.t, out=g), out=g)
+    g += opt.eps
+    update /= g
+    opt.params -= update
+    g.fill(0.0)
 
 
 def move_grads(opt, params):
