@@ -4,8 +4,10 @@ Token embeddings + sinusoidal positions run through a small stack of standard
 post-norm transformer encoder layers (multi-head attention WITH an output
 projection, then the 4x feed-forward). Each caption is summarized by the mean
 of its real-token outputs and projected to model width. All captions of one
-sample are padded to a common length and processed as one batch; pad keys are
-masked before the softmax and pad rows never reach the mean.
+call (one sample's, or a whole training batch's) are padded to a common
+length and processed as one batch; pad keys are masked before the softmax
+and pad rows never reach the mean, which is an exact masked sum over the
+caption's real tokens divided by its length.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def init_caption_encoder(rng, vocab_size, width, n_layers, d_out):
 
 
 def encode_captions(params: CaptionEncoderParams, heads, id_seqs):
-    """Encode a sample's captions together; returns [n_captions x d_o]."""
+    """Encode captions together (a sample's, or a batch's); returns [n_captions x d_o]."""
     if not id_seqs:
         raise InputError("no captions to encode")
     lens = [len(seq) for seq in id_seqs]
@@ -92,7 +94,7 @@ def encode_captions(params: CaptionEncoderParams, heads, id_seqs):
 
     keep = (~pad_key)[:, :, None].astype(np.float64)
     x = T.mul(x, Tensor(np.broadcast_to(keep, (b, n, width)).copy()))
-    summed = T.mul(T.mean(x, axis=1), float(n))
+    summed = T.sum_axis(x, 1)  # the pad rows add exact zeros, so n does not round into it
     inv = np.repeat(1.0 / np.array(lens, dtype=np.float64)[:, None], width, axis=1)
     pooled = T.mul(summed, Tensor(inv))
     return linear(pooled, params.out)

@@ -10,7 +10,8 @@ contexts — a plain sum, not an average.
 The branches share one leading axis (`CrossInputs`), every branch output
 padded to the longest of any scene, so one masked attention, one gate
 affine and one sum serve them all. The parameters stay per branch and are
-stacked per call (`cross_keys_values`).
+stacked per call (`cross_keys_values`), as views of the flat parameter
+vector.
 
 Teacher forcing (`decoder_forward`) and decoding (`CachedDecoder`) share the
 layer body (`decoder_layer`, rank-agnostic) and the cross-attention inputs
@@ -60,6 +61,7 @@ from .nn import (
     layer_norm,
     linear,
     sinusoidal_positions,
+    stacked,
 )
 from .tensor import no_grad
 
@@ -153,16 +155,12 @@ def pad_scenes(scenes):
     return branches, T.embedding_lookup(T.concat(outs + [zero]), rows), padding
 
 
-def stacked(linears):
-    """Per-branch Linears as one on the branch axis: w [k x in x out], b [k x out]."""
-    return Linear(T.stack([p.w for p in linears]), T.stack([p.b for p in linears]))
-
-
 def cross_keys_values(layers, scenes):
     """Per layer, the CrossInputs of many scenes' branch outputs (`pad_scenes`):
     the keys and values [k x S x N x d] are each branch projected through that
     layer's cross-attention k and v. They depend only on the scenes, not on
-    the decoded rows. Each call stacks the per-branch weights anew."""
+    the decoded rows. The per-branch weights are stacked with `nn.stacked`:
+    views of the flat parameter vector, recorded once per tape."""
     branches, padded, padding = pad_scenes(scenes)
     out = []
     for lp in layers:
@@ -192,8 +190,7 @@ def modulated_multi_input(y, cross: CrossInputs, h):
     mask = np.broadcast_to(cross.padding[..., None, None, :], keys.shape[:-2] + (h, q.data.shape[-2], keys.shape[-2]))
     c = attend(q, cross.keys, cross.values, h, mask=mask)
     gates = T.sigmoid(linear(T.concat([ys, c], axis=-1), cross.mod))
-    for b, g in zip(cross.branches, gates.data):
-        T.record(f"decoder_gates_{b}", Tensor(g.reshape(shape)))
+    T.record_each((f"decoder_gates_{b}" for b in cross.branches), gates, shape)
     out = T.sum_axis(T.mul(gates, c), 0)
     return T.reshape(out, shape) if per_row else out
 

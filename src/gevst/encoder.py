@@ -19,6 +19,16 @@ fused into visual), sv (visual fused into semantic), ss (pure semantic).
 Visual-side branches take visual intra-geometry and the inter-geometry of the
 visual-primary fusion; semantic-side branches are symmetric. The geometry
 inputs are identical at every layer; only content evolves.
+
+The branches of one side attend over the same tokens with the same geometry,
+so each side's active branches (a group of one or two, GROUPS) run together
+on a leading branch axis: every layer's parameters are stacked on that axis
+(views of the flat parameter vector, `T.stack`), and every layer's geometry
+maps come from one stacked pass (`geometry_maps`). Each slice computes what
+its branch alone would, with the same NumPy arithmetic; tests/util.py keeps
+the per-branch loop as the reference. Samples are still encoded one at a
+time: fusion and GESA across the samples of a batch need padding and masks
+that they do not have yet.
 """
 
 from __future__ import annotations
@@ -39,7 +49,15 @@ from .nn import (
     init_linear,
     layer_norm,
     linear,
+    stacked,
 )
+
+# The branches that attend over one token set, each group run on one leading
+# axis: the semantic pair over the dense captions, the visual pair over the
+# regions. Branch outputs come out in BRANCH_NAMES order.
+GROUPS = (("ss", "sv"), ("vs", "vv"))
+# The fields of a GESA layer that act on the evolving content.
+CONTENT_FIELDS = ("q_c", "k_c", "v_c", "gate", "ln1", "ffn", "ln2")
 
 
 def variant_map_count(variant):
@@ -84,41 +102,71 @@ def init_gesa_layer(rng, d, h, variant="con_intra_inter"):
     )
 
 
-def gesa_attention_maps(x_prev, g_intra, g_inter, params: GesaLayerParams, h):
-    """The active per-head maps, in (content, intra, inter) order."""
-    if x_prev.data.shape[-1] % h != 0:
-        raise ConfigError(f"width {x_prev.data.shape[-1]} not divisible by {h} heads")
-    maps = [T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h)]
-    for kind, g, q, k in (("intra", g_intra, params.q_intra, params.k_intra),
-                          ("inter", g_inter, params.q_inter, params.k_inter)):
-        if q is None:
+def geometry_maps(layer_lists, h, g_intra, g_inter):
+    """Per layer, the geometry maps [k x h x N x N] of a group of k branches
+    over one token set, in (intra, inter) order, those the variant uses.
+
+    The geometry inputs g_intra and g_inter [N x d] are the group's own, the
+    same at every layer, so no map depends on content: each kind is one
+    stacked pass over every (branch, layer) pair, branch-major, which is the
+    order the projections lie in the flat parameter vector, so their stacks
+    are views of it.
+    """
+    pairs = [lp for layers in layer_lists for lp in layers]
+    n_layers = len(layer_lists[0])
+    per_layer = [[] for _ in range(n_layers)]
+    for kind, g in (("intra", g_intra), ("inter", g_inter)):
+        if getattr(pairs[0], f"q_{kind}") is None:
             continue
-        if g.data.shape != x_prev.data.shape:
-            raise ShapeError(f"{kind}-geometry shape {g.data.shape} != content shape {x_prev.data.shape}")
-        maps.append(T.attention_weights(linear(g, q), linear(g, k), h))
-    return maps
+        shared = T.stack([g] * len(pairs))  # a zero-copy view: every pair reads the same rows
+        maps = T.attention_weights(linear(shared, stacked([getattr(lp, f"q_{kind}") for lp in pairs])),
+                                   linear(shared, stacked([getattr(lp, f"k_{kind}") for lp in pairs])), h)
+        for i, layer_maps in enumerate(per_layer):
+            layer_maps.append(T.index(maps, slice(i, None, n_layers)))
+    return per_layer
 
 
 def gesa_gates(x_prev, params: GesaLayerParams):
-    """Convex gate over the active maps: softmax(mean over tokens of x W + b)."""
-    return T.softmax(T.mean(linear(x_prev, params.gate), axis=0))
+    """Convex gate over the active maps: softmax(mean over tokens of x W + b),
+    [m] for x [N x d], or [k x m] for a group's x [k x N x d] and stacked params."""
+    return T.softmax(T.mean(linear(x_prev, params.gate), axis=-2))
 
 
-def gesa_layer(x_prev, g_intra, g_inter, params: GesaLayerParams, h):
-    """One GESA layer; records its map gates as "gesa_gates" (see `T.record`)."""
-    maps = gesa_attention_maps(x_prev, g_intra, g_inter, params, h)
+def gesa_layer(x_prev, geometry, params: GesaLayerParams, h, gate_names):
+    """One GESA layer of a group of k branches: x_prev [k x N x d], `params`
+    the branches' layer parameters stacked (`stacked_layer`), `geometry`
+    that layer's maps (`geometry_maps`). Records branch i's map gates [m]
+    under gate_names[i] (see `T.record_each`)."""
+    if x_prev.data.shape[-1] % h != 0:
+        raise ConfigError(f"width {x_prev.data.shape[-1]} not divisible by {h} heads")
+    content = T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h)
+    if any(m.data.shape != content.data.shape for m in geometry):
+        raise ShapeError(f"geometry map shapes {[m.data.shape for m in geometry]} != content map shape "
+                         f"{content.data.shape}")
     gates = gesa_gates(x_prev, params)
-    T.record("gesa_gates", gates)
-    attended = T.apply_attention(T.mix_maps(maps, gates), linear(x_prev, params.v_c), h)
+    T.record_each(gate_names, gates)
+    attended = T.apply_attention(T.mix_maps([content, *geometry], gates), linear(x_prev, params.v_c), h)
     a = layer_norm(T.add(x_prev, attended), params.ln1)
     return layer_norm(T.add(a, ffn(a, params.ffn)), params.ln2)
 
 
-def branch_forward(layers, h, content, g_intra, g_inter):
-    """Stack of GESA layers; geometry inputs repeat unchanged at every layer."""
+def stacked_layer(lps):
+    """The content-side parameters of one layer of k branches, stacked on the
+    branch axis (`nn.stacked`); the geometry projections go to `geometry_maps`."""
+    return GesaLayerParams(**{f: stacked([getattr(lp, f) for lp in lps]) for f in CONTENT_FIELDS},
+                           q_intra=None, k_intra=None, q_inter=None, k_inter=None)
+
+
+def branch_forward(layer_lists, h, content, g_intra, g_inter, gate_names):
+    """A group of k branches that share one token set, on one leading axis:
+    content [k x N x d], layer_lists[i] branch i's layers, the geometry
+    inputs [N x d] shared by the group and repeated unchanged at every
+    layer. Returns [k x N x d]."""
+    if len({len(layers) for layers in layer_lists}) != 1:
+        raise ConfigError("every branch of a group needs the same number of layers")
     x = content
-    for lp in layers:
-        x = gesa_layer(x, g_intra, g_inter, lp, h)
+    for lps, maps in zip(zip(*layer_lists), geometry_maps(layer_lists, h, g_intra, g_inter)):
+        x = gesa_layer(x, maps, stacked_layer(lps), h, gate_names)
     return x
 
 
@@ -134,9 +182,10 @@ def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
 
     fusion_vs fuses semantic into visual (visual primary); fusion_sv the
     reverse. vv/ss reuse the matching fusion's inter-geometry but keep their
-    pure content. Returns {branch: Tensor}, in ss, sv, vs, vv order. Each
-    fusion stack records under the scope "fusion_vs"/"fusion_sv", each
-    branch under its own name.
+    pure content. Each group of active branches (GROUPS) runs on one branch
+    axis (`branch_forward`). Returns {branch: Tensor}, in ss, sv, vs, vv
+    order. Each fusion stack records under the scope "fusion_vs"/"fusion_sv",
+    each branch's gates as "<branch>.gesa_gates".
     """
     active = [b for b in BRANCH_NAMES if b in active_branches]
     if not active:
@@ -165,7 +214,13 @@ def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
         inputs["vv"] = (v_con, v_geo, vs_out.inter_geometry)
 
     outputs = {}
-    for b in active:
-        with T.scope(b):
-            outputs[b] = branch_forward(branch_layers[b], h, *inputs[b])
+    for group in GROUPS:
+        members = [b for b in group if b in active]
+        if not members:
+            continue
+        _, g_intra, g_inter = inputs[members[0]]
+        out = branch_forward([branch_layers[b] for b in members], h, T.stack([inputs[b][0] for b in members]),
+                             g_intra, g_inter, [f"{b}.gesa_gates" for b in members])
+        for i, b in enumerate(members):
+            outputs[b] = T.index(out, i)
     return outputs

@@ -1,5 +1,9 @@
 """Full model assembly: inputs -> four-branch encoding -> caption logits.
 
+A sample is encoded on its own (`encode_sample`), except that a batch's
+dense captions can go through the caption encoder together first
+(`encode_batch_captions`), each sample then taking its own rows.
+
 Parameter layout (and with it the checkpoint manifest order) is fixed by the
 declaration order of ModelParams and the deterministic walker in nn. Only the
 branches named in the config get parameters, and fusion stacks exist only
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .caption_encoder import CaptionEncoderParams, encode_captions, init_caption_encoder
 from .config import BRANCH_NAMES, TrainConfig
 from .decoder import CachedDecoder, decoder_forward, init_decoder_layer
@@ -65,8 +70,29 @@ def init_model(cfg: TrainConfig, vocab_size, rng) -> ModelParams:
         raise ConfigError(f"config with {width} {getattr(cfg, width)} asks for a model too large to allocate: {e}") from None
 
 
-def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab):
-    """Branch outputs {name: Tensor[N_branch x d]} for one dataset sample."""
+def caption_ids(sample, vocab):
+    """The id sequences of a sample's dense captions."""
+    if not sample.dense_captions:
+        raise InputError(f"sample {sample.id}: no dense captions")
+    return [vocab.encode(dc.text) for dc in sample.dense_captions]
+
+
+def encode_batch_captions(params: ModelParams, cfg: TrainConfig, samples, vocab):
+    """Every dense caption of the samples through `encode_captions` in one
+    padded, masked pass; returns each sample's own rows, [n_i x d]. Pooling is
+    an exact masked sum, so with captions shorter than 8 tokens a sample's
+    rows carry the bits of its own pass, and otherwise agree to rounding."""
+    per_sample = [caption_ids(s, vocab) for s in samples]
+    encoded = encode_captions(params.captions, cfg.enc_heads, [ids for seqs in per_sample for ids in seqs])
+    bounds = np.cumsum([0] + [len(seqs) for seqs in per_sample]).tolist()
+    return [T.index(encoded, slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab, captions=None):
+    """Branch outputs {name: Tensor[N_branch x d]} for one dataset sample.
+    `captions` are its dense captions' encodings, [n x d], when the caller
+    encoded them with others (`encode_batch_captions`); without them the
+    sample encodes its own."""
     if not sample.regions:
         raise InputError(f"sample {sample.id}: no regions")
     feats = np.stack([r.feat for r in sample.regions])
@@ -75,13 +101,14 @@ def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab):
     v_con = linear(Tensor(feats), params.vis_in)
     v_geo = embed_geometry([r.box for r in sample.regions], sample.image_wh, params.geo_visual)
 
-    if not sample.dense_captions:
-        raise InputError(f"sample {sample.id}: no dense captions")
-    id_seqs = [vocab.encode(dc.text) for dc in sample.dense_captions]
-    s_con = encode_captions(params.captions, cfg.enc_heads, id_seqs)
+    if captions is None:
+        captions = encode_captions(params.captions, cfg.enc_heads, caption_ids(sample, vocab))
+    elif captions.data.shape[0] != len(sample.dense_captions):
+        raise InputError(f"sample {sample.id}: {captions.data.shape[0]} caption encodings for "
+                         f"{len(sample.dense_captions)} dense captions")
     s_geo = embed_geometry([dc.box for dc in sample.dense_captions], sample.image_wh, params.geo_semantic)
 
-    return encode_all(v_con, v_geo, s_con, s_geo, params.fusion_vs, params.fusion_sv, params.branches,
+    return encode_all(v_con, v_geo, captions, s_geo, params.fusion_vs, params.fusion_sv, params.branches,
                       cfg.heads, cfg.expand_ratio, active_branches=cfg.branches)
 
 

@@ -1,11 +1,14 @@
 """Minimal reverse-mode differentiable tensor engine.
 
 Design constraints, fixed for the whole package:
-  * every value is float64, stored row-major (C order) in a numpy array;
+  * every value is float64 in a numpy array, row-major (C order) except the
+    strided views that `stack` and `index` return;
   * no implicit broadcasting between tensors except scalars (size-1 tensors
     and python numbers); row-wise broadcast exists only INSIDE the fused
-    affine and layer_norm kernels, the pairwise_add grid and the per-map
-    gates of mix_maps;
+    affine and layer_norm kernels (per slice, when stacked), the pairwise_add
+    grid and the per-map gates of mix_maps;
+  * `stack` of equally spaced, same-shape views of one buffer (parameters in
+    the flat vector are) is a strided view of that buffer, not a copy;
   * forward ops execute eagerly; when a Tape is active and an input requires
     grad, the op appends one node to the tape. Backward replays nodes in exact
     reverse recording order, which is a valid reverse topological order because
@@ -24,7 +27,9 @@ Recorder (diagnostics only; never part of the math or the tape):
     per call]}`; it collects what `record` is given while it is live;
   * `scope(name)` prefixes `name + "."` to every name recorded inside it;
   * `record(name, t)` stores a copy of `t`'s data, or does nothing when no
-    recorder is live or `t` is None.
+    recorder is live or `t` is None; `record_each(names, t)` stores slice i
+    of `t`'s leading axis under names[i], and slices nothing when no
+    recorder is live.
 Both slots live beside the active tape in the thread-local `_STATE`, and
 leaving either context restores the outer state, also on an exception.
 """
@@ -82,10 +87,11 @@ class Tape:
     concurrently recording callers (the active-tape slot is thread-local).
     """
 
-    __slots__ = ("nodes", "_prev", "_walked")
+    __slots__ = ("nodes", "memo", "_prev", "_walked")
 
     def __init__(self):
         self.nodes = []
+        self.memo = {}  # values derived once per recording (see `tape_memo`)
         self._prev = None
         self._walked = False
 
@@ -114,6 +120,7 @@ class Tape:
         if self._walked:
             raise ContractError("this tape was already walked by backward; record the graph again")
         self._walked = True
+        self.memo = {}
         nodes = self.nodes
         seed = np.ones_like(loss.data)
         loss.grad = seed if loss.grad is None else loss.grad + seed
@@ -150,6 +157,14 @@ def no_grad():
     return _swapped("tape", None)
 
 
+def tape_memo():
+    """The live tape's memo dict, or None with no tape: a caller keeps there
+    tensors it derives once per recording (`nn.stacked` keeps its parameter
+    stacks). Backward empties it."""
+    tape = _STATE.tape
+    return None if tape is None else tape.memo
+
+
 def recording():
     """Collect every `record` call made inside; yields {scoped name: [copies]}."""
     return _swapped("records", {})
@@ -164,6 +179,14 @@ def record(name, t):
     """Append a copy of `t`'s data under the scoped name, if a recorder is live."""
     if _STATE.records is not None and t is not None:
         _STATE.records.setdefault(_STATE.scope + name, []).append(t.data.copy())
+
+
+def record_each(names, t, shape=None):
+    """`record(names[i], slice i of t's leading axis)`, each slice reshaped to
+    `shape` if given; nothing is sliced when no recorder is live."""
+    if _STATE.records is not None:
+        for name, row in zip(names, t.data):
+            _STATE.records.setdefault(_STATE.scope + name, []).append(row.reshape(shape or row.shape).copy())
 
 
 def _emit(data, inputs, bwd):
@@ -440,27 +463,36 @@ def layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then gain*x + bias.
 
     Population variance; LN_EPS sits inside the square root. Feature axis must
-    have length >= 2 so the variance is defined.
+    have length >= 2 so the variance is defined. gain and bias are [d], or,
+    stacked on a leading slice axis, [k x d] for x [k x ... x d], slice i of
+    x taking gain[i] and bias[i].
     """
     xd = x.data
     d = xd.shape[-1] if xd.ndim else 0
     if d < 2:
         raise ShapeError(f"layer_norm needs a feature axis of length >= 2, got shape {xd.shape}")
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeError(f"layer_norm gain/bias must be [{d}], got {gain.data.shape}, {bias.data.shape}")
+    gd, bd = gain.data, bias.data
+    stacked = gd.ndim == 2
+    if (gd.shape != bd.shape or gd.shape[-1] != d or gd.ndim > 2
+            or (stacked and (xd.ndim < 3 or xd.shape[0] != gd.shape[0]))):
+        raise ShapeError(f"layer_norm gain/bias must be [{d}], or [k x {d}] for x [k x ... x {d}]; "
+                         f"got {gd.shape}, {bd.shape} for x {xd.shape}")
+    if stacked:  # each slice's row broadcast over that slice's rows
+        lead = (gd.shape[0],) + (1,) * (xd.ndim - 2) + (d,)
+        gd, bd = gd.reshape(lead), bd.reshape(lead)
     mu = _mean_last(xd)
     xc = xd - mu
     var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    out = xhat * gd + bd
 
     def bwd(g):
-        flat_g = g.reshape(-1, d)
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None
-        gbias = flat_g.sum(axis=0) if bias.requires_grad else None
+        rows = (gain.data.shape[0], -1, d) if stacked else (-1, d)  # summed over axis 1 or 0: the rows of one slice
+        ggain = (g * xhat).reshape(rows).sum(axis=-2) if gain.requires_grad else None
+        gbias = g.reshape(rows).sum(axis=-2) if bias.requires_grad else None
         if x.requires_grad:
-            dxhat = g * gain.data
+            dxhat = g * gd
             gx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
         else:
             gx = None
@@ -519,34 +551,95 @@ def concat(tensors, axis=0):
     return _emit(out, tuple(tensors), bwd)
 
 
+def _strided_stack(datas):
+    """The arrays as one [k x ...] view of the buffer they share, when they are
+    same-shape, C-contiguous views of it at equally spaced addresses (the
+    parameters in the flat vector are, as is one array repeated); else None."""
+    first = datas[0]
+    if len(datas) == 1:
+        view = first[None]
+    elif not first.flags.c_contiguous:
+        return None
+    elif all(d is first for d in datas):  # one array repeated: a zero stride over it
+        view = np.ndarray((len(datas),) + first.shape, first.dtype, first, 0, (0,) + first.strides)
+    else:
+        buf = first.base
+        if not isinstance(buf, np.ndarray) or not buf.flags.c_contiguous:
+            return None
+        if any(d.base is not buf or d.shape != first.shape or not d.flags.c_contiguous for d in datas):
+            return None
+        addresses = [d.ctypes.data for d in datas]
+        step = addresses[1] - addresses[0]
+        if step < 0 or any(b - a != step for a, b in zip(addresses[1:], addresses[2:])):
+            return None
+        view = np.ndarray((len(datas),) + first.shape, first.dtype, buf, addresses[0] - buf.ctypes.data,
+                          (step,) + first.strides)
+    view.flags.writeable = False
+    return view
+
+
 def stack(tensors):
-    """Tensors of one shape stacked on a new leading axis, as one op."""
+    """Tensors of one shape stacked on a new leading axis, as one op. Same-shape
+    views of one buffer at equally spaced addresses stack to a strided view
+    of it (zero-copy); other tensors are copied. Either way the backward
+    hands each member its slice."""
     tensors = tuple(tensors)
     if not tensors or any(t.data.shape != tensors[0].data.shape for t in tensors):
         raise ShapeError(f"stack needs tensors of one shape, got {[t.data.shape for t in tensors]}")
-    return _emit(np.stack([t.data for t in tensors]), tensors, tuple)
+    datas = [t.data for t in tensors]
+    out = _strided_stack(datas)
+    return _emit(np.stack(datas) if out is None else out, tensors, tuple)
 
 
 def mix_maps(maps, gates):
-    """sum_i gates[i] * maps[i] for k maps of one shape and a [k] gate vector,
-    as one op (GESA's convex map mix). Forward and backward repeat, in order,
-    the NumPy arithmetic of the narrow/mul/add composite that tests/oracles.py
-    keeps as the reference, so the two agree bit for bit."""
+    """sum_i gates[..., i] * maps[i] for m maps of one shape and gates [m], or,
+    stacked on a leading slice axis, [k x m] for maps [k x ...], slice j of
+    the result mixed by gates[j] (GESA's convex map mix), as one op. Forward
+    and backward repeat, in order, the NumPy arithmetic of the
+    narrow/mul/add composite that tests/oracles.py keeps as the reference,
+    so the two agree bit for bit."""
     maps = tuple(maps)
     gd = gates.data
-    if not maps or gd.shape != (len(maps),):
+    lead = gd.shape[:-1]
+    if (not maps or gd.ndim not in (1, 2) or gd.shape[-1] != len(maps)
+            or maps[0].data.shape[:len(lead)] != lead or maps[0].data.ndim <= len(lead)):
         raise ShapeError(f"mix_maps: gates of shape {gd.shape} do not weight {len(maps)} maps")
     if any(m.data.shape != maps[0].data.shape for m in maps):
         raise ShapeError(f"mix_maps: map shapes differ: {[m.data.shape for m in maps]}")
-    out = maps[0].data * gd[0]
-    for m, gi in zip(maps[1:], gd[1:]):
+    # column i of the gates, broadcast over each map slice (a scalar when unstacked)
+    weights = gd.T.reshape((len(maps),) + lead + (1,) * (maps[0].data.ndim - len(lead))) if lead else gd
+    out = maps[0].data * weights[0]
+    for m, gi in zip(maps[1:], weights[1:]):
         out = out + m.data * gi
 
     def bwd(g):
-        return (*[g * gi if m.requires_grad else None for m, gi in zip(maps, gd)],
-                np.array([(g * m.data).sum() for m in maps]) if gates.requires_grad else None)
+        if gates.requires_grad:
+            ggates = np.stack([(g * m.data).reshape(lead + (-1,)).sum(axis=-1) for m in maps], axis=-1)
+        else:
+            ggates = None
+        return (*[g * gi if m.requires_grad else None for m, gi in zip(maps, weights)], ggates)
 
     return _emit(out, maps + (gates,), bwd)
+
+
+def index(x, key):
+    """x.data[key] for a basic index (an int, a slice or a tuple of them), as
+    one op: a view, whose backward scatters g into zeros shaped like x."""
+    keys = key if isinstance(key, tuple) else (key,)
+    if not all(isinstance(k, (int, np.integer, slice)) for k in keys):
+        raise ShapeError(f"index takes ints and slices, got {key!r}")
+    xd = x.data
+    try:
+        out = xd[key]
+    except IndexError as e:
+        raise ShapeError(f"index {key!r} does not fit shape {xd.shape}: {e}") from None
+
+    def bwd(g):
+        z = np.zeros(xd.shape)
+        z[key] = g
+        return (z,)
+
+    return _emit(out, (x,), bwd)
 
 
 def reshape(x, shape):

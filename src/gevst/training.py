@@ -12,8 +12,13 @@ XE follows the Noam learning rate d^-0.5 * min(step^-0.5, step*warmup^-1.5)
 scst_lr — policy-gradient updates at the warmup schedule's rate wreck a
 converged model — while resuming the step count stored in the checkpoint.
 Both phases run one loop (`_optimize`) and differ only in their batch
-loss, learning-rate rule and streams. Each batch's samples are encoded one
-by one on the tape, and its loss comes from one padded, masked
+loss, learning-rate rule and streams. A batch is encoded on the tape by
+`encode_batch`: every dense caption of the batch in one padded, masked
+caption-encoder pass, then each sample through its own `encode_sample`
+call, whose GESA branches run in groups on one branch axis (`encoder`).
+The per-sample calls stay because the benchmark's tracer counts trained
+samples from them; fusion and GESA across samples wait on that count
+moving to the batch. The loss comes from one padded, masked
 teacher-forced decoder pass over the whole batch (`decoder_forward` on
 lists): XE over the first ground-truth captions, SCST over the sampled
 captions with a non-zero advantage. SCST rolls a whole batch out in one
@@ -58,7 +63,7 @@ from .data import (BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vo
                    parse_json, split_train_val, tokenize)
 from .decoder import CachedDecoder, beam_search, greedy_decode
 from .errors import ConfigError, ContractError, InputError, ParseError, SchemaError, TrainingDiverged
-from .model import caption_logits, encode_sample, init_model, make_step_fn
+from .model import caption_logits, encode_batch_captions, encode_sample, init_model, make_step_fn
 from .nn import Tensor, flat_offsets, flat_parameters, flat_views, named_parameters, parameters
 from .tensor import Tape, no_grad
 from . import tensor as T
@@ -91,29 +96,32 @@ class Adam:
         self.grad, self.m, self.v = (np.zeros_like(self.params) for _ in range(3))
         self.grad_views = flat_views(self.grad, tensors)
         self.sinks = {id(t): g for t, g in zip(tensors, self.grad_views)}
+        self.scratch = np.empty(min(ADAM_BLOCK, self.params.size))
         self.t = 0
 
     def step(self, lr):
         """One update, run block by block over the flat vectors: every entry
         goes through the same NumPy calls in the same order as a whole-vector
         step would (tests/util.py keeps it as the reference), so the result
-        is bit for bit the same, while no temporary outgrows a block."""
+        is bit for bit the same, while every temporary lives in one reused
+        block-sized scratch buffer or in the block of `grad` it consumes."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for lo in range(0, self.params.size, ADAM_BLOCK):
             block = slice(lo, lo + ADAM_BLOCK)
             g, m, v = self.grad[block], self.m[block], self.v[block]
+            tmp = self.scratch[:g.size]
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=tmp)
             v *= b2
-            v += (1.0 - b2) * g * g
-            # params -= lr * (m / c1) / (sqrt(v / c2) + eps), one temporary at a time
-            update = lr * (m / c1)
+            v += np.multiply(np.multiply(1.0 - b2, g, out=tmp), g, out=tmp)
+            # params -= lr * (m / c1) / (sqrt(v / c2) + eps): the update in tmp, the denominator in g
+            np.multiply(lr, np.divide(m, c1, out=tmp), out=tmp)
             np.sqrt(np.divide(v, c2, out=g), out=g)
             g += self.eps
-            update /= g
-            self.params[block] -= update
+            tmp /= g
+            self.params[block] -= tmp
             g.fill(0.0)
 
 
@@ -203,12 +211,21 @@ def references_of(samples):
     return [[tokenize(c) for c in s.gt_captions] for s in samples]
 
 
+def encode_batch(params, cfg, samples, vocab):
+    """Each sample's branch outputs: the batch's dense captions go through the
+    caption encoder in one pass (`model.encode_batch_captions`), then each
+    sample through its own `encode_sample` call with its rows of that pass."""
+    captions = encode_batch_captions(params, cfg, samples, vocab)
+    return [encode_sample(params, cfg, s, vocab, c) for s, c in zip(samples, captions)]
+
+
 def greedy_captions(params, cfg, vocab, samples):
     """Greedy caption tokens of every sample: the scenes are encoded tapeless
-    and decoded in one lockstep. Each caption is that of `greedy_caption` on
-    its scene alone unless two tokens tie to rounding (see `lockstep_decode`)."""
+    (`encode_batch`) and decoded in one lockstep. Each caption is that of
+    `greedy_caption` on its scene alone unless two tokens tie to rounding
+    (see `lockstep_decode` and `model.encode_batch_captions`)."""
     with no_grad():
-        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+        branches = encode_batch(params, cfg, samples, vocab)
     return [caption_tokens(vocab, ids) for ids in lockstep_decode(params, cfg, samples, branches)[1]]
 
 
@@ -330,7 +347,7 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
     warmup_steps = cfg.warmup_epochs * max(1, math.ceil(len(train) / cfg.batch_size))
 
     def batch_loss(batch, _indices, _epoch):
-        branches = [encode_sample(params, cfg, s, vocab) for s in batch]
+        branches = encode_batch(params, cfg, batch, vocab)
         inputs, targets = zip(*(teacher_pair(vocab, s.gt_captions[0]) for s in batch))
         return xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets)), None
 
@@ -385,7 +402,7 @@ def scst_rollouts(params, cfg, vocab, sample, rng):
 
 def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step=0, log=None):
     """Self-critical phase from an XE-trained model. Each batch is encoded
-    once, on the tape; its sampled and greedy captions are rolled out in one
+    once, on the tape (`encode_batch`); its sampled and greedy captions are rolled out in one
     `lockstep_decode` from those branch outputs, and the loss is taught
     through them, in one teacher-forced pass over the sampled captions with a
     non-zero advantage. Sample `train[i]` draws from its own stream (seed,
@@ -398,7 +415,7 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
     ref_by_id = {s.id: r for s, r in zip(train, refs)}
 
     def batch_loss(batch, indices, epoch):
-        branches = [encode_sample(params, cfg, s, vocab) for s in batch]
+        branches = encode_batch(params, cfg, batch, vocab)
         rngs = [_epoch_rng(cfg.seed, 303, epoch, int(i)) for i in indices]
         taught, rewards = [], []  # taught: (branch outputs, sampled ids, advantage)
         rollouts = lockstep_decode(params, cfg, batch, branches, rngs)

@@ -26,7 +26,7 @@ from gevst.data import (BOS_ID, EOS_ID, PAD_ID, DenseCaption, Region, Sample,
                         build_vocab, corpus_texts, generate_dataset,
                         split_train_val)
 from gevst.decoder import beam_search, greedy_decode, init_decoder_layer
-from gevst.encoder import gesa_layer, init_gesa_layer
+from gevst.encoder import init_gesa_layer
 from gevst.fusion import fusion_cell, init_fusion_cell
 from gevst.geometry import BoundingBox
 from gevst.model import caption_logits, encode_sample, init_model
@@ -163,7 +163,7 @@ def test_criterion_3_gesa_invariants(announce):
             saved_w, saved_b = lp.gate.w.data.copy(), lp.gate.b.data.copy()
             lp.gate.w.data[:, keep:] = 0.0
             lp.gate.b.data[keep:] = -1e9
-            rich = gesa_layer(x, gi, ge, lp, h).data
+            rich = U.gesa_layer(x, gi, ge, lp, h).data
 
             poor = init_gesa_layer(np.random.default_rng(0), d, h,
                                    ("con", "con_intra")[keep - 1])
@@ -174,7 +174,7 @@ def test_criterion_3_gesa_invariants(announce):
             poor.gate.w.data = lp.gate.w.data[:, :keep].copy()
             poor.gate.b.data = lp.gate.b.data[:keep].copy()
             containment_ok = containment_ok and bool(
-                np.array_equal(rich, gesa_layer(x, gi, ge, poor, h).data))
+                np.array_equal(rich, U.gesa_layer(x, gi, ge, poor, h).data))
             lp.gate.w.data, lp.gate.b.data = saved_w, saved_b
 
     ok = worst_gate < 1e-12 and worst_row < 1e-9 and containment_ok
@@ -211,7 +211,7 @@ def test_criterion_4_scalar_oracles(announce):
         lp = init_gesa_layer(rng, d, h)
         U.randomize(lp, rng)
         x, gi, ge = (Tensor(rng.normal(size=(n, d))) for _ in range(3))
-        got = gesa_layer(x, gi, ge, lp, h)
+        got = U.gesa_layer(x, gi, ge, lp, h)
         ref = O.gesa_layer_oracle(O.mat(x.data), O.mat(gi.data), O.mat(ge.data),
                                   U.gesa_oracle_params(lp), h)
         worst["gesa"] = max(worst["gesa"], U.max_abs_delta(got.data, ref["out"]))

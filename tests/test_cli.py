@@ -1,9 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gevst import ablation, cli
 from gevst.model import init_model
@@ -526,3 +532,46 @@ def test_malformed_predictions_exit_one(workdir, tmp_path, capsys, line, message
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=6)
+
+
+def prediction_lines(ids):
+    """Lines of a predictions file: well-formed rows with known, unknown and
+    repeated ids, rows with wrongly typed fields, other JSON and raw bytes."""
+    row = st.fixed_dictionaries(
+        {"id": st.sampled_from(ids) | st.text(max_size=5) | JSON_SCALARS,
+         "caption": st.text(max_size=30) | JSON_VALUES},
+        optional={"logprob": JSON_SCALARS, "extra": JSON_VALUES})
+    as_json = (row | JSON_VALUES).map(lambda obj: json.dumps(obj).encode())
+    return st.lists(as_json | st.binary(max_size=20) | st.just(b"") | st.just(b"NaN"), max_size=6)
+
+
+@pytest.fixture(scope="module")
+def reference_ids(workdir):
+    return [json.loads(line)["id"] for line in open(workdir["data"])]
+
+
+@given(data=st.data())
+def test_eval_on_any_predictions_file_reports_or_exits_one(workdir, reference_ids, data):
+    """Whatever the --pred file holds, `gevst eval` either writes a report or
+    exits 1 with one `error:` line, never a traceback. (Warnings, such as
+    CIDEr-D's over a one-scene corpus, are silenced: they are not the subject.)"""
+    lines = data.draw(prediction_lines(reference_ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        pred, out = os.path.join(tmp, "pred.jsonl"), os.path.join(tmp, "report.json")
+        with open(pred, "wb") as f:
+            f.write(b"\n".join(lines))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(["eval", "--pred", pred, "--refs", workdir["data"], "--out", out])
+        if code == 0:
+            assert err.getvalue() == ""
+            assert {"bleu4", "cider_d", "n"} <= set(json.load(open(out)))
+        else:
+            assert code == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

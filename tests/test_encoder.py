@@ -4,12 +4,12 @@ import pytest
 import oracles as O
 import util as U
 from gevst import tensor as T
-from gevst.config import BRANCH_NAMES, GESA_VARIANTS
-from gevst.encoder import (branch_forward, encode_all, gesa_gates, gesa_layer,
-                           init_gesa_layer, variant_map_count)
+from gevst.ablation import axis_configs
+from gevst.config import BRANCH_NAMES, GESA_VARIANTS, TrainConfig
+from gevst.encoder import branch_forward, encode_all, gesa_gates, init_gesa_layer, variant_map_count
 from gevst.errors import ConfigError, ShapeError
 from gevst.fusion import init_fusion_cell
-from gevst.nn import Tensor, linear
+from gevst.nn import Tensor, flat_parameters, linear, parameters
 
 
 def rand_layer(rng, d, h, variant="con_intra_inter"):
@@ -61,7 +61,7 @@ def test_variant_containment_exact(rng):
         with T.no_grad():
             rich.gate.w.data[:, keep:] = 0.0
             rich.gate.b.data[keep:] = -1e9
-        out_rich = gesa_layer(x, gi, ge, rich, h).data
+        out_rich = U.gesa_layer(x, gi, ge, rich, h).data
 
         poorer = init_gesa_layer(np.random.default_rng(0), d, h, GESA_VARIANTS[keep - 1])
         poorer.q_c, poorer.k_c, poorer.v_c = rich.q_c, rich.k_c, rich.v_c
@@ -70,7 +70,7 @@ def test_variant_containment_exact(rng):
         poorer.ln1, poorer.ffn, poorer.ln2 = rich.ln1, rich.ffn, rich.ln2
         poorer.gate.w.data = rich.gate.w.data[:, :keep].copy()
         poorer.gate.b.data = rich.gate.b.data[:keep].copy()
-        out_poor = gesa_layer(x, gi, ge, poorer, h).data
+        out_poor = U.gesa_layer(x, gi, ge, poorer, h).data
         assert np.array_equal(out_rich, out_poor)
 
 
@@ -81,7 +81,7 @@ def test_geometry_maps_static_across_layers(rng):
     lp = rand_layer(rng, d, h)
     x, gi, ge = rand_xgg(rng, 4, d)
     m1 = T.attention_weights(linear(gi, lp.q_intra), linear(gi, lp.k_intra), h).data
-    y = gesa_layer(x, gi, ge, lp, h)
+    y = U.gesa_layer(x, gi, ge, lp, h)
     m2 = T.attention_weights(linear(gi, lp.q_intra), linear(gi, lp.k_intra), h).data
     assert np.array_equal(m1, m2)
     assert y.data.shape == x.data.shape
@@ -93,7 +93,7 @@ def test_matches_scalar_oracle(rng):
         lp = rand_layer(rng, 8, 2)
         x, gi, ge = rand_xgg(rng, 4, 8)
         with T.recording() as rec:
-            got = gesa_layer(x, gi, ge, lp, 2)
+            got = U.gesa_layer(x, gi, ge, lp, 2)
         ref = O.gesa_layer_oracle(O.mat(x.data), O.mat(gi.data), O.mat(ge.data),
                                   U.gesa_oracle_params(lp), 2)
         worst = max(worst, U.max_abs_delta(got.data, ref["out"]),
@@ -105,7 +105,7 @@ def test_branch_forward_traces_every_layer(rng):
     layers = [rand_layer(rng, 8, 2) for _ in range(3)]
     x, gi, ge = rand_xgg(rng, 4, 8)
     with T.recording() as rec:
-        branch_forward(layers, 2, x, gi, ge)
+        branch_forward([layers], 2, T.stack([x]), gi, ge, ["gesa_gates"])
     assert list(rec) == ["gesa_gates"] and len(rec["gesa_gates"]) == 3
     for g in rec["gesa_gates"]:
         assert g.shape == (3,) and abs(g.sum() - 1.0) < 1e-12
@@ -152,6 +152,48 @@ def test_shape_errors(rng):
     x = Tensor(rng.normal(size=(4, 8)))
     bad = Tensor(rng.normal(size=(3, 8)))
     with pytest.raises(ShapeError):
-        gesa_layer(x, bad, x, lp, 2)
+        U.gesa_layer(x, bad, x, lp, 2)
     with pytest.raises(ConfigError):
         init_gesa_layer(rng, 9, 2)
+
+
+BRANCH_ROWS = [cfg.branches for _, cfg in axis_configs("branches", TrainConfig())]
+
+
+@pytest.mark.parametrize("variant", GESA_VARIANTS)
+@pytest.mark.parametrize("flat", [True, False], ids=["views", "copies"])
+def test_branch_groups_match_the_per_branch_loop(variant, flat):
+    """encode_all's groups on one branch axis against the per-branch loop it
+    replaced (tests/util.py), for every ablation branch row: the same bits in
+    every output and every recorded gate, gradients within 1e-12, whether
+    the weight stacks are views of a flat vector or copies."""
+    rng = np.random.default_rng(8)
+    d, h = 8, 2
+    vc, vg, sc, sg = (Tensor(rng.normal(size=(n, d)), requires_grad=True) for n in (3, 3, 5, 5))
+    f_vs, f_sv = [init_fusion_cell(rng, d, 2)], [init_fusion_cell(rng, d, 2)]
+    layers = {b: [init_gesa_layer(rng, d, h, variant) for _ in range(2)] for b in BRANCH_NAMES}
+    model = (f_vs, f_sv, layers)
+    U.randomize(model, rng)
+    if flat:
+        flat_parameters(model)
+    leaves = parameters(model) + [vc, vg, sc, sg]
+    probes = {b: Tensor(rng.normal(size=(3 if b[0] == "v" else 5, d))) for b in BRANCH_NAMES}
+    for row in BRANCH_ROWS:
+        runs = []
+        for encode in (encode_all, U.branch_loop_encode_all):
+            for t in leaves:
+                t.grad = None
+            with T.recording() as rec, T.Tape() as tape:
+                outs = encode(vc, vg, sc, sg, f_vs, f_sv, layers, h, 2, active_branches=row)
+                loss = T.total_sum(T.concat([T.mul(outs[b], probes[b]) for b in outs], axis=0))
+                tape.backward(loss)
+            runs.append((outs, rec, [t.grad for t in leaves]))
+        (outs, rec, grads), (want_outs, want_rec, want_grads) = runs
+        assert list(outs) == list(want_outs)
+        assert all(np.array_equal(outs[b].data, want_outs[b].data) for b in outs)
+        assert list(rec) == list(want_rec)
+        assert all(len(rec[k]) == len(want_rec[k]) and all(map(np.array_equal, rec[k], want_rec[k])) for k in rec)
+        for g, w in zip(grads, want_grads):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert U.max_abs_delta(g, w) <= 1e-12

@@ -1,9 +1,14 @@
 """The padded, masked teacher-forced pass over a whole batch against the
-one-scene pass it replaced in training: one sample at a time, summed.
+one-scene pass it replaced in training: one sample at a time, summed; and
+the batch encode (`training.encode_batch`: one caption-encoder pass for the
+batch, GESA branch groups on one axis) against each sample encoded alone
+with the per-branch loop.
 
 Desk batches mix region counts, dense-caption counts and caption lengths, so
 every branch output and every id sequence is padded somewhere in the batch.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,12 +17,13 @@ import oracles as O
 import util as U
 from gevst import tensor as T
 from gevst import training as TR
-from gevst.config import TrainConfig
+from gevst.ablation import axis_configs
+from gevst.config import GESA_VARIANTS, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts, generate_dataset, pad_ids
 from gevst.decoder import decoder_forward, pad_scenes
 from gevst.errors import ContractError
 from gevst.model import caption_logits, encode_sample, init_model
-from gevst.nn import Tensor, parameters
+from gevst.nn import Tensor, flat_parameters, parameters
 
 BRANCH_SETS = [("vv",), ("ss", "vs"), ("ss", "sv", "vs", "vv")]
 TOL = 1e-12
@@ -199,3 +205,65 @@ def test_batched_forward_contracts():
         decoder_forward(layers, cfg.heads, [branches[0], {}], embed, out, [[BOS_ID], [BOS_ID]])
     with pytest.raises(ContractError, match="logit rows"):
         TR.reinforce_loss(caption_logits(params, cfg, branches, [[BOS_ID, 4], [BOS_ID]]), [[4], [5]], [1.0, 1.0])
+
+
+def lengthened(samples, vocab):
+    """The samples with some dense captions made 8 to 12 tokens long, so the
+    batch's caption pass pads past 8 and rounds its attention sums differently."""
+    out = []
+    for i, s in enumerate(samples):
+        dense = list(s.dense_captions)
+        for j in range(0, len(dense), 3 + i % 2):
+            words = (dense[j].text + " ") * 4
+            dense[j] = dataclasses.replace(dense[j], text=" ".join(words.split()[:8 + (i + j) % 5]))
+        out.append(dataclasses.replace(s, dense_captions=dense))
+    assert max(len(vocab.encode(dc.text)) for s in out for dc in s.dense_captions) >= 8
+    return out
+
+
+@pytest.mark.parametrize("variant", GESA_VARIANTS)
+@pytest.mark.parametrize("row", [cfg.branches for _, cfg in axis_configs("branches", TrainConfig())], ids="+".join)
+def test_batch_encode_matches_the_per_sample_oracle(row, variant):
+    """The XE batch loss of `encode_batch` and every parameter gradient
+    against the sum over samples each encoded alone (own caption pass,
+    per-branch GESA loop) and decoded alone, within 1e-12, for every
+    ablation branch row and GESA variant, on a batch mixing region counts,
+    dense-caption counts and caption lengths (some 8 tokens or longer)."""
+    cfg = TrainConfig(branches=row, gesa_variant=variant, d_model=16, heads=2, enc_width=16, layers=2)
+    samples = generate_dataset(3, 5)
+    vocab = build_vocab(corpus_texts(samples), cfg.min_count)
+    samples = lengthened(samples, vocab)
+    assert len({len(s.regions) for s in samples}) > 1 and len({len(s.dense_captions) for s in samples}) > 1
+    params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+    flat_parameters(params)
+    tensors = parameters(params)
+    runs = []
+    for batched in (True, False):
+        for t in tensors:
+            t.grad = None
+        with T.Tape() as tape:
+            if batched:
+                loss = xe_batch(params, cfg, vocab, samples, TR.encode_batch(params, cfg, samples, vocab))
+            else:
+                loss = xe_loop(params, cfg, vocab, samples,
+                               [U.branch_loop_encode_sample(params, cfg, s, vocab) for s in samples])
+            tape.backward(loss)
+        runs.append((loss.item(), [t.grad for t in tensors]))
+    (loss, grads), (want_loss, want_grads) = runs
+    assert abs(loss - want_loss) <= TOL * abs(want_loss)
+    for g, w in zip(grads, want_grads):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert U.max_abs_delta(g, w) <= TOL
+
+
+def test_batch_encode_is_bit_identical_to_per_sample_encodes_at_desk():
+    """With desk captions (all under 8 tokens), every sample's branch outputs
+    from the batch encode carry the bits of its own encode."""
+    cfg, samples, vocab, params = desk_batch(("ss", "sv", "vs", "vv"), n=8)
+    flat_parameters(params)
+    with T.no_grad():
+        batch = TR.encode_batch(params, cfg, samples, vocab)
+        alone = [U.branch_loop_encode_sample(params, cfg, s, vocab) for s in samples]
+    for got, want in zip(batch, alone):
+        assert all(got[b].data.tobytes() == want[b].data.tobytes() for b in want)

@@ -126,6 +126,124 @@ def test_stack_and_sum_axis_are_one_node_each():
         T.sum_axis(x, 3)
 
 
+def test_stack_is_a_view_exactly_when_members_are_equally_strided_in_one_buffer():
+    """Equally spaced, same-shape, C-contiguous views of one buffer (and one
+    array repeated, and a single tensor) stack to a read-only view of that
+    buffer; anything else is copied. Either way every member gets its slice
+    of the gradient, summed where a member repeats."""
+    buf = RNG.normal(0, 1, 100)
+    view = lambda lo: Tensor._wrap(buf[lo : lo + 6].reshape(2, 3), True)
+    owned = Tensor(RNG.normal(0, 1, (2, 3)), requires_grad=True)
+    transposed = Tensor._wrap(buf[40:46].reshape(3, 2).T, True)
+    cases = [
+        ([view(0), view(10), view(20)], True),  # equally spaced
+        ([view(20), view(10)], False),  # spaced backwards
+        ([view(0), view(10), view(30)], False),  # unequally spaced
+        ([view(0), view(3)], True),  # adjacent: one contiguous run
+        ([view(0), owned], False),  # another buffer
+        ([transposed, transposed], False),  # not C-contiguous
+        ([owned, owned, owned], True),  # one array repeated
+        ([owned], True),
+    ]
+    for members, is_view in cases:
+        probe = RNG.normal(0, 1, (len(members), 2, 3))
+        for t in members:
+            t.grad = None
+        with Tape() as tape:
+            out = T.stack(members)
+            tape.backward(T.total_sum(T.mul(out, Tensor(probe))))
+        assert np.array_equal(out.data, np.stack([t.data for t in members]))
+        assert np.shares_memory(out.data, members[0].data) == is_view
+        assert not (is_view and out.data.flags.writeable)
+        want = {}
+        for t, p in zip(members, probe):
+            want[id(t)] = want.get(id(t), 0.0) + p
+        assert all(np.array_equal(t.grad, want[id(t)]) for t in members)
+    stacked = T.stack(cases[0][0])
+    buf[3] = 7.5  # a view reads the members' current values
+    assert stacked.data[0, 1, 0] == 7.5
+    check(lambda t: T.total_sum(T.tanh(T.stack([t, t]))), owned)
+
+
+def test_stacked_layer_norm_matches_per_slice_layer_norms():
+    """layer_norm with [k x d] gain and bias over x [k x ... x d] against one
+    layer_norm per slice: the same bits forward, gradients within 1e-12."""
+    k, d = 3, 5
+    data = [(RNG.normal(0, 1, (2, 4, d)), RNG.normal(0, 1, d), RNG.normal(0, 1, d)) for _ in range(k)]
+    probe = Tensor(RNG.normal(0, 1, (k, 2, 4, d)))
+    runs = []
+    for together in (True, False):
+        leaves = [[Tensor(a, requires_grad=True) for a in slice_data] for slice_data in data]
+        with Tape() as tape:
+            if together:
+                out = T.layer_norm(*(T.stack(column) for column in zip(*leaves)))
+            else:
+                out = T.stack([T.layer_norm(x, g, b) for x, g, b in leaves])
+            tape.backward(T.total_sum(T.mul(out, probe)))
+        runs.append([out.data] + [t.grad for slice_leaves in leaves for t in slice_leaves])
+    assert np.array_equal(runs[0][0], runs[1][0])
+    for got, want in zip(runs[0][1:], runs[1][1:]):
+        assert np.abs(got - want).max() <= 1e-12
+    x, g, b = (Tensor(np.stack(column), requires_grad=True) for column in zip(*data))
+    for t in (x, g, b):
+        check(lambda _: T.total_sum(T.mul(T.layer_norm(x, g, b), probe)), t)
+    for bad in ((x, Tensor(np.ones((k + 1, d))), Tensor(np.ones((k + 1, d)))), (x, g, Tensor(np.ones(d))),
+                (Tensor(np.ones((k, d))), g, b), (x, Tensor(np.ones((k, 1, d))), Tensor(np.ones((k, 1, d))))):
+        with pytest.raises(ShapeError, match="gain/bias"):
+            T.layer_norm(*bad)
+
+
+def test_mix_maps_with_per_slice_gates_matches_per_slice_mixes():
+    """[k x m] gates over maps [k x ...] against one unstacked mix per slice:
+    the same bits forward and in every gradient."""
+    k, m = 2, 3
+    maps_data = [RNG.random((k, 2, 4, 4)) for _ in range(m)]
+    gates_data = RNG.dirichlet(np.ones(m), size=k)
+    probe = RNG.normal(0, 1, (k, 2, 4, 4))
+    maps = [Tensor(a, requires_grad=True) for a in maps_data]
+    gates = Tensor(gates_data, requires_grad=True)
+    with Tape() as tape:
+        out = T.mix_maps(maps, gates)
+        tape.backward(T.total_sum(T.mul(out, Tensor(probe))))
+    for j in range(k):
+        slice_maps = [Tensor(a[j], requires_grad=True) for a in maps_data]
+        slice_gates = Tensor(gates_data[j], requires_grad=True)
+        with Tape() as tape:
+            want = T.mix_maps(slice_maps, slice_gates)
+            tape.backward(T.total_sum(T.mul(want, Tensor(probe[j]))))
+        assert np.array_equal(out.data[j], want.data)
+        assert np.array_equal(gates.grad[j], slice_gates.grad)
+        assert all(np.array_equal(t.grad[j], s.grad) for t, s in zip(maps, slice_maps))
+    with pytest.raises(ShapeError, match="do not weight 3 maps"):
+        T.mix_maps(maps, Tensor(np.ones((k + 1, m))))
+    check(lambda t: T.total_sum(T.mul(T.mix_maps(maps, t), Tensor(probe))), gates)
+
+
+def test_index_is_a_view_whose_backward_scatters():
+    x = Tensor(RNG.normal(0, 1, (6, 2, 3)), requires_grad=True)
+    with Tape() as tape:
+        out = T.index(x, slice(1, None, 3))
+    assert len(tape.nodes) == 1 and np.shares_memory(out.data, x.data)
+    assert np.array_equal(out.data, x.data[1::3])
+    w = Tensor(RNG.normal(0, 1, (2, 2, 3)))
+    check(lambda t: T.total_sum(T.mul(T.index(t, slice(1, None, 3)), w)), x)
+    check(lambda t: T.total_sum(T.tanh(T.index(t, (4, 1)))), x)
+    for bad in (7, [0, 1], (0, 0, 0, 0)):
+        with pytest.raises(ShapeError, match="index"):
+            T.index(x, bad)
+
+
+def test_record_each_stores_one_slice_per_name_only_when_recording():
+    t = Tensor(RNG.normal(0, 1, (2, 6)))
+    T.record_each(("a", "b"), t)  # no recorder live: nothing
+    with T.recording() as rec:
+        with T.scope("s"):
+            T.record_each(("a", "b"), t, (2, 3))
+    assert list(rec) == ["s.a", "s.b"]
+    assert [r.shape for r in rec["s.a"] + rec["s.b"]] == [(2, 3), (2, 3)]
+    assert np.array_equal(rec["s.b"][0].ravel(), t.data[1]) and not np.shares_memory(rec["s.b"][0], t.data)
+
+
 def test_unary_grads():
     x = Tensor(RNG.uniform(0.2, 2.0, (3, 3)), requires_grad=True)
     for op in (T.tanh, T.sigmoid, lambda t: O.exp(T, t), lambda t: O.log(T, t)):

@@ -602,29 +602,31 @@ def test_beam_caption_rejects_beam_zero():
 
 def test_desk_xe_tape_node_counts():
     """Pins the taped path at desk defaults: the batched XE loss of 8 scenes,
-    as training runs it, records 3334 nodes; one scene's call, run as a batch
-    of one, records 514 (the concat and row gather of `pad_scenes`, and the
-    reshape of its [1 x T x V] logits). Each GESA layer records one
-    `mix_maps` node for its gated map mix, the caption encoder looks its
-    [b x n] ids up in one node, the XE loss carries its sign in its weights,
-    and each decoder layer's cross-attention records 20 nodes for all four
-    branches: 8 weight stacks, the key and value projections, and 10 on the
-    branch axis."""
+    as training runs it (`encode_batch`), records 2059 nodes (3334 with each
+    sample's own caption pass and one GESA pass per branch); one scene's
+    call, run as a batch of one, records 491 (514 per branch). The caption
+    encoder runs once for the batch and hands each sample its rows (one
+    `index` node each). Each GESA group (ss+sv, vs+vv) runs on one branch
+    axis: per layer one stacked pass over its content and one `mix_maps`
+    node, per geometry kind one stacked pass over all its layers, sliced
+    per layer, and its weight stacks are recorded once per tape. Each
+    decoder layer's cross-attention records the key and value projections
+    and 10 nodes on the branch axis, its weight stacks also once per tape."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 8)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
     params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
     with T.Tape() as tape:
-        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+        branches = TR.encode_batch(params, cfg, samples, vocab)
         inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
         TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
-    assert len(tape.nodes) == 3334
+    assert len(tape.nodes) == 2059
     for s in samples[:3]:
         with T.Tape() as tape:
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 514
+        assert len(tape.nodes) == 491
 
 
 def test_desk_decode_step_op_count():

@@ -5,8 +5,10 @@ engine ops a call runs), and earlier forms kept as references: the separate
 XE and SCST training loops that `training._optimize` replaced, the decoder
 that passed projections in as callbacks, the per-branch cross-attention loop
 that the branch axis replaced, the one-scene `CachedDecoder` that the
-many-scene one replaced, beam search without its stop rule, and the
-whole-vector Adam step that the blocked `Adam.step` replaced."""
+many-scene one replaced, beam search without its stop rule, the
+whole-vector Adam step that the blocked `Adam.step` replaced, and the
+per-branch GESA loop and per-sample caption pass that the branch groups and
+the batch's one caption-encoder pass replaced."""
 
 import math
 
@@ -16,11 +18,15 @@ import oracles as O
 from gevst import metrics
 from gevst import tensor as T
 from gevst import training as TR
+from gevst.caption_encoder import encode_captions
 from gevst.config import BRANCH_NAMES, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
 from gevst.decoder import _check_bos, _check_scenes, causal_mask
-from gevst.errors import ContractError, TrainingDiverged
-from gevst.model import caption_logits, init_model
+from gevst.encoder import branch_forward, needs_fusion
+from gevst.errors import ContractError, ShapeError, TrainingDiverged
+from gevst.fusion import stack_fusion
+from gevst.geometry import embed_geometry
+from gevst.model import caption_ids, caption_logits, init_model
 from gevst.nn import Tensor, attend, ffn, layer_norm, linear, named_parameters, parameters, sinusoidal_positions
 
 
@@ -153,9 +159,10 @@ def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8):
 # ------------------------------------------------ reference training loops
 #
 # The XE and SCST loops as they stood before they shared `training._optimize`,
-# except that each takes its batch loss from the package: one teacher-forced
-# pass over the batch (`caption_logits` on lists of scenes), scored by
-# `xe_loss` or `reinforce_loss`. They backpropagate into Tensor.grad and move
+# except that each takes its batch loss from the package: the batch encoded
+# by `training.encode_batch`, then one teacher-forced pass over the batch
+# (`caption_logits` on lists of scenes), scored by `xe_loss` or
+# `reinforce_loss`. They backpropagate into Tensor.grad and move
 # it into the optimizer's vector (`move_grads`), where the package's backward
 # adds gradients straight into that vector. Every package
 # function is looked up on its module at call time, so a test that
@@ -211,10 +218,10 @@ def reference_train_xe(samples, cfg, epochs=None, params=None, vocab=None,
         loss_total = 0.0
         for batch in TR._batches(order, cfg.batch_size):
             with T.Tape() as tape:
-                branches, inputs, targets = [], [], []
-                for idx in batch:
-                    s = train[int(idx)]
-                    branches.append(TR.encode_sample(params, cfg, s, vocab))
+                samples_of_batch = [train[int(idx)] for idx in batch]
+                branches = TR.encode_batch(params, cfg, samples_of_batch, vocab)
+                inputs, targets = [], []
+                for s in samples_of_batch:
                     pair = TR.teacher_pair(vocab, s.gt_captions[0])
                     inputs.append(pair[0])
                     targets.append(pair[1])
@@ -267,8 +274,9 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
         reward_total = 0.0
         for batch in TR._batches(order, cfg.batch_size):
             with T.Tape() as tape:
+                encoded = TR.encode_batch(params, cfg, [train[int(idx)] for idx in batch], vocab)
                 taught = []
-                for idx in batch:
+                for idx, branch in zip(batch, encoded):
                     s = train[int(idx)]
                     sample_rng = TR._epoch_rng(cfg.seed, 303, epoch, int(idx))
                     sampled, greedy_ids = TR.scst_rollouts(params, cfg, vocab, s, sample_rng)
@@ -278,7 +286,7 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
                     advantage = r_s - r_g
                     if advantage == 0.0:
                         continue
-                    taught.append((TR.encode_sample(params, cfg, s, vocab), sampled, advantage))
+                    taught.append((branch, sampled, advantage))
                 if not taught:
                     continue
                 branches, sampled, advantages = zip(*taught)
@@ -509,3 +517,67 @@ class ReferenceCachedDecoder:
         self.self_kv = grown
         self.rows = {p: i for i, p in enumerate(prefixes)}
         return logprobs
+
+
+# The GESA encoder as it stood before branch groups: each branch on its own,
+# its geometry maps projected layer by layer, and each sample's dense
+# captions encoded in a pass of their own.
+
+
+def branch_loop_gesa_layer(x_prev, g_intra, g_inter, params, h):
+    maps = [T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h)]
+    for kind, g, q, k in (("intra", g_intra, params.q_intra, params.k_intra),
+                          ("inter", g_inter, params.q_inter, params.k_inter)):
+        if q is None:
+            continue
+        if g.data.shape != x_prev.data.shape:
+            raise ShapeError(f"{kind}-geometry shape {g.data.shape} != content shape {x_prev.data.shape}")
+        maps.append(T.attention_weights(linear(g, q), linear(g, k), h))
+    gates = T.softmax(T.mean(linear(x_prev, params.gate), axis=0))
+    T.record("gesa_gates", gates)
+    attended = T.apply_attention(T.mix_maps(maps, gates), linear(x_prev, params.v_c), h)
+    a = layer_norm(T.add(x_prev, attended), params.ln1)
+    return layer_norm(T.add(a, ffn(a, params.ffn)), params.ln2)
+
+
+def branch_loop_encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
+                           h, er, active_branches=BRANCH_NAMES):
+    active = [b for b in BRANCH_NAMES if b in active_branches]
+    need_vs, need_sv = needs_fusion(active)
+    vs_out = sv_out = None
+    if need_vs:
+        with T.scope("fusion_vs"):
+            vs_out = stack_fusion(fusion_vs, er, v_con, v_geo, s_con, s_geo)
+    if need_sv:
+        with T.scope("fusion_sv"):
+            sv_out = stack_fusion(fusion_sv, er, s_con, s_geo, v_con, v_geo)
+    inputs = {
+        "ss": lambda: (s_con, s_geo, sv_out.inter_geometry),
+        "sv": lambda: (sv_out.fused_content, s_geo, sv_out.inter_geometry),
+        "vs": lambda: (vs_out.fused_content, v_geo, vs_out.inter_geometry),
+        "vv": lambda: (v_con, v_geo, vs_out.inter_geometry),
+    }
+    outputs = {}
+    for b in active:
+        x, g_intra, g_inter = inputs[b]()
+        with T.scope(b):
+            for lp in branch_layers[b]:
+                x = branch_loop_gesa_layer(x, g_intra, g_inter, lp, h)
+        outputs[b] = x
+    return outputs
+
+
+def branch_loop_encode_sample(params, cfg, sample, vocab):
+    """`model.encode_sample` with the sample's own caption pass and the per-branch loop."""
+    v_con = linear(Tensor(np.stack([r.feat for r in sample.regions])), params.vis_in)
+    v_geo = embed_geometry([r.box for r in sample.regions], sample.image_wh, params.geo_visual)
+    s_con = encode_captions(params.captions, cfg.enc_heads, caption_ids(sample, vocab))
+    s_geo = embed_geometry([dc.box for dc in sample.dense_captions], sample.image_wh, params.geo_semantic)
+    return branch_loop_encode_all(v_con, v_geo, s_con, s_geo, params.fusion_vs, params.fusion_sv,
+                                  params.branches, cfg.heads, cfg.expand_ratio, active_branches=cfg.branches)
+
+
+def gesa_layer(x, g_intra, g_inter, lp, h):
+    """The package's GESA layer for one branch [N x d]: a group of one, one
+    layer deep (`encoder.branch_forward`); records its gates as "gesa_gates"."""
+    return T.index(branch_forward([[lp]], h, T.stack([x]), g_intra, g_inter, ["gesa_gates"]), 0)
