@@ -9,9 +9,9 @@ contexts — a plain sum, not an average.
 
 The branches share one leading axis (`CrossInputs`), every branch output
 padded to the longest of any scene, so one masked attention, one gate
-affine and one sum serve them all. The parameters stay per branch and are
-stacked per call (`cross_keys_values`), as views of the flat parameter
-vector.
+affine and one sum serve them all. Each layer stores its per-branch cross
+q, k, v and gate affines on that axis, as [k x ...] tensors, in
+BRANCH_NAMES order.
 
 Teacher forcing (`decoder_forward`) and decoding (`CachedDecoder`) share the
 layer body (`decoder_layer`, rank-agnostic) and the cross-attention inputs
@@ -61,7 +61,7 @@ from .nn import (
     layer_norm,
     linear,
     sinusoidal_positions,
-    stacked,
+    stack_params,
 )
 from .tensor import no_grad
 
@@ -81,7 +81,7 @@ def causal_mask(h, t):
 
 @dataclass
 class CrossAttentionParams:
-    q: Linear
+    q: Linear  # w [k x d x d], b [k x d]: one projection per branch
     k: Linear
     v: Linear
 
@@ -92,21 +92,23 @@ class DecoderLayerParams:
     self_k: Linear
     self_v: Linear
     ln1: LayerNorm
-    cross: dict  # branch -> CrossAttentionParams
-    mod: dict  # branch -> Linear [2d -> d]
+    cross: CrossAttentionParams
+    mod: Linear  # the branches' gate affines: w [k x 2d x d], b [k x d]
     ln2: LayerNorm
     ffn: Ffn
     ln3: LayerNorm
 
 
 def init_decoder_layer(rng, d, branches):
+    """A layer over the k named branches; each branch's cross q, k, v and then
+    each branch's gate affine are drawn in turn, then stacked."""
     return DecoderLayerParams(
         self_q=init_linear(rng, d, d),
         self_k=init_linear(rng, d, d),
         self_v=init_linear(rng, d, d),
         ln1=init_layer_norm(d),
-        cross={b: CrossAttentionParams(init_linear(rng, d, d), init_linear(rng, d, d), init_linear(rng, d, d)) for b in branches},
-        mod={b: init_linear(rng, 2 * d, d) for b in branches},
+        cross=stack_params([CrossAttentionParams(*(init_linear(rng, d, d) for _ in range(3))) for _ in branches]),
+        mod=stack_params([init_linear(rng, 2 * d, d) for _ in branches]),
         ln2=init_layer_norm(d),
         ffn=init_ffn(rng, d),
         ln3=init_layer_norm(d),
@@ -119,8 +121,6 @@ class CrossInputs:
     branches, in BRANCH_NAMES order, stacked on a leading axis."""
 
     branches: tuple  # the k branch names
-    q: Linear  # the branches' query projections, stacked: w [k x d x d], b [k x d]
-    mod: Linear  # the branches' gate affines, stacked: w [k x 2d x d], b [k x d]
     keys: Tensor  # [k x ... x N x d]
     values: Tensor  # [k x ... x N x d]
     padding: np.ndarray  # bool, shaped like keys without d: True at a padded key
@@ -159,24 +159,18 @@ def cross_keys_values(layers, scenes):
     """Per layer, the CrossInputs of many scenes' branch outputs (`pad_scenes`):
     the keys and values [k x S x N x d] are each branch projected through that
     layer's cross-attention k and v. They depend only on the scenes, not on
-    the decoded rows. The per-branch weights are stacked with `nn.stacked`:
-    views of the flat parameter vector, recorded once per tape."""
+    the decoded rows."""
     branches, padded, padding = pad_scenes(scenes)
-    out = []
-    for lp in layers:
-        cross = [lp.cross[b] for b in branches]
-        out.append(CrossInputs(branches, stacked([c.q for c in cross]), stacked([lp.mod[b] for b in branches]),
-                               linear(padded, stacked([c.k for c in cross])),
-                               linear(padded, stacked([c.v for c in cross])), padding))
-    return out
+    return [CrossInputs(branches, linear(padded, lp.cross.k), linear(padded, lp.cross.v), padding) for lp in layers]
 
 
-def modulated_multi_input(y, cross: CrossInputs, h):
+def modulated_multi_input(y, cross: CrossInputs, lp: DecoderLayerParams, h):
     """Gated sum over the branch axis of the cross-attention contexts of y
     [..., n x d]. The keys and values of `cross` are of y's rank plus the
     branch axis, which y's rows share, or, for y [n x d], hold one [N x d]
-    block per row ([k x n x N x d]). Each branch attends with its own q, and
-    gates its context c elementwise with the sigmoid of its W [y; c] + b.
+    block per row ([k x n x N x d]). Each branch attends with its own q of
+    layer `lp`, and gates its context c elementwise with the sigmoid of its
+    W [y; c] + b (`lp.mod`).
 
     Records each branch's gate, shaped like y, as "decoder_gates_<branch>"
     (see `T.record`)."""
@@ -186,10 +180,10 @@ def modulated_multi_input(y, cross: CrossInputs, h):
     if per_row:
         y = T.reshape(y, (shape[0], 1, shape[1]))
     ys = T.concat([T.reshape(y, (1,) + y.data.shape)] * len(cross.branches))  # y once per branch
-    q = linear(ys, cross.q)
+    q = linear(ys, lp.cross.q)
     mask = np.broadcast_to(cross.padding[..., None, None, :], keys.shape[:-2] + (h, q.data.shape[-2], keys.shape[-2]))
     c = attend(q, cross.keys, cross.values, h, mask=mask)
-    gates = T.sigmoid(linear(T.concat([ys, c], axis=-1), cross.mod))
+    gates = T.sigmoid(linear(T.concat([ys, c], axis=-1), lp.mod))
     T.record_each((f"decoder_gates_{b}" for b in cross.branches), gates, shape)
     out = T.sum_axis(T.mul(gates, c), 0)
     return T.reshape(out, shape) if per_row else out
@@ -199,7 +193,7 @@ def decoder_layer(y, self_context, lp: DecoderLayerParams, h, cross):
     """One decoder layer over the rows of y [..., n x d], given each row's
     self-attended context (shaped like y) and the layer's CrossInputs."""
     y = layer_norm(T.add(y, self_context), lp.ln1)
-    y = layer_norm(T.add(y, modulated_multi_input(y, cross, h)), lp.ln2)
+    y = layer_norm(T.add(y, modulated_multi_input(y, cross, lp, h)), lp.ln2)
     return layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
 
 
@@ -248,16 +242,15 @@ class CachedDecoder:
     On the first call every prefix must be [BOS]; on each later call every
     prefix must extend some prefix of the previous call by one token, for the
     same scene. Anything else raises ContractError. The cross-attention keys
-    and values are projected, and the per-branch weights stacked, once, when
-    the decoder is made, with every branch of every scene padded to the
-    longest (`pad_scenes`, as a teacher-forced batch pads them). With one
-    scene every row attends to its [k x N x d] keys. With many, each row
-    gathers its own scene's keys and values, with the padding masked, so a
-    step costs in proportion to its rows, however many scenes there are. A
-    call computes one new row per prefix: its self attention reads the keys
-    and values kept for the parent prefix, and the call keeps those of its
-    own prefixes for the next one. It runs tapeless, on the data of the
-    branch outputs.
+    and values are projected once, when the decoder is made, with every
+    branch of every scene padded to the longest (`pad_scenes`, as a
+    teacher-forced batch pads them). With one scene every row attends to its
+    [k x N x d] keys. With many, each row gathers its own scene's keys and
+    values, with the padding masked, so a step costs in proportion to its
+    rows, however many scenes there are. A call computes one new row per
+    prefix: its self attention reads the keys and values kept for the parent
+    prefix, and the call keeps those of its own prefixes for the next one.
+    It runs tapeless, on the data of the branch outputs.
     """
 
     def __init__(self, layers, h, scenes, embed, out_proj):

@@ -22,11 +22,13 @@ inputs are identical at every layer; only content evolves.
 
 The branches of one side attend over the same tokens with the same geometry,
 so each side's active branches (a group of one or two, GROUPS) run together
-on a leading branch axis: every layer's parameters are stacked on that axis
-(views of the flat parameter vector, `T.stack`), and every layer's geometry
-maps come from one stacked pass (`geometry_maps`). Each slice computes what
-its branch alone would, with the same NumPy arithmetic; tests/util.py keeps
-the per-branch loop as the reference. Samples are still encoded one at a
+on a leading branch axis, and their parameters are stored that way
+(`GesaGroupParams`): each layer's content weights as [k x ...] tensors, and
+each geometry projection as one [L*k x ...] tensor over every (branch,
+layer) pair, which one stacked pass reads whole (`geometry_maps`). Each
+slice computes what its branch alone would, with the same NumPy
+arithmetic; tests/util.py keeps the per-branch loop as the reference, with
+the per-branch view of these tensors. Samples are still encoded one at a
 time: fusion and GESA across the samples of a batch need padding and masks
 that they do not have yet.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .config import BRANCH_NAMES, GESA_VARIANTS
+from .config import GESA_VARIANTS
 from .errors import ConfigError, ShapeError
 from .fusion import stack_fusion
 from .nn import (
@@ -49,15 +51,19 @@ from .nn import (
     init_linear,
     layer_norm,
     linear,
-    stacked,
+    stack_params,
 )
 
 # The branches that attend over one token set, each group run on one leading
 # axis: the semantic pair over the dense captions, the visual pair over the
 # regions. Branch outputs come out in BRANCH_NAMES order.
 GROUPS = (("ss", "sv"), ("vs", "vv"))
-# The fields of a GESA layer that act on the evolving content.
-CONTENT_FIELDS = ("q_c", "k_c", "v_c", "gate", "ln1", "ffn", "ln2")
+
+
+def active_groups(branches):
+    """{key: active members} of each group with any, in GROUPS order; the key
+    ("ss+sv", or one branch's name) names the group in `ModelParams.branches`."""
+    return {"+".join(members): members for members in ([b for b in g if b in branches] for g in GROUPS) if members}
 
 
 def variant_map_count(variant):
@@ -68,59 +74,67 @@ def variant_map_count(variant):
 
 @dataclass
 class GesaLayerParams:
+    """The content weights of one GESA layer, each [k x ...] for a group of k."""
+
     q_c: Linear
     k_c: Linear
     v_c: Linear
-    q_intra: Linear  # None under "con"
-    k_intra: Linear
-    q_inter: Linear  # None unless "con_intra_inter"
-    k_inter: Linear
     gate: Linear  # [d -> number of active maps]
     ln1: LayerNorm
     ffn: Ffn
     ln2: LayerNorm
 
 
-def init_gesa_layer(rng, d, h, variant="con_intra_inter"):
-    k = variant_map_count(variant)
+@dataclass
+class GeometryProjections:
+    """A group's geometry projections, each [L*k x d x d]: pair i*L + l is
+    branch i's layer l."""
+
+    q_intra: Linear  # None under "con"
+    k_intra: Linear
+    q_inter: Linear  # None unless "con_intra_inter"
+    k_inter: Linear
+
+
+@dataclass
+class GesaGroupParams:
+    layers: list  # per layer, GesaLayerParams
+    geometry: GeometryProjections
+
+
+def init_gesa_group(rng, d, h, variant, branches, layers):
+    """A group of `branches` branches, `layers` deep. Each branch's layers are
+    drawn in turn, each in the order q_c, k_c, v_c, the geometry projections,
+    gate, ln1, ffn, ln2, and then stacked (`nn.stack_params`)."""
+    maps = variant_map_count(variant)
     if d % h != 0:
         raise ConfigError(f"model width {d} not divisible by {h} heads")
-    with_intra = k >= 2
-    with_inter = k >= 3
-    return GesaLayerParams(
-        q_c=init_linear(rng, d, d),
-        k_c=init_linear(rng, d, d),
-        v_c=init_linear(rng, d, d),
-        q_intra=init_linear(rng, d, d) if with_intra else None,
-        k_intra=init_linear(rng, d, d) if with_intra else None,
-        q_inter=init_linear(rng, d, d) if with_inter else None,
-        k_inter=init_linear(rng, d, d) if with_inter else None,
-        gate=init_linear(rng, d, k),
-        ln1=init_layer_norm(d),
-        ffn=init_ffn(rng, d),
-        ln2=init_layer_norm(d),
-    )
+    content, geometry = [], []  # per (branch, layer), branch-major
+    for _ in range(branches * layers):
+        q_c, k_c, v_c = (init_linear(rng, d, d) for _ in range(3))
+        geometry.append(GeometryProjections(*(init_linear(rng, d, d) if i < 2 * (maps - 1) else None for i in range(4))))
+        content.append(GesaLayerParams(q_c, k_c, v_c, init_linear(rng, d, maps), init_layer_norm(d), init_ffn(rng, d),
+                                       init_layer_norm(d)))
+    return GesaGroupParams([stack_params(content[i::layers]) for i in range(layers)], stack_params(geometry))
 
 
-def geometry_maps(layer_lists, h, g_intra, g_inter):
+def geometry_maps(group: GesaGroupParams, h, g_intra, g_inter):
     """Per layer, the geometry maps [k x h x N x N] of a group of k branches
     over one token set, in (intra, inter) order, those the variant uses.
 
     The geometry inputs g_intra and g_inter [N x d] are the group's own, the
     same at every layer, so no map depends on content: each kind is one
-    stacked pass over every (branch, layer) pair, branch-major, which is the
-    order the projections lie in the flat parameter vector, so their stacks
-    are views of it.
+    stacked pass over every (branch, layer) pair, branch-major, as the
+    projections are stored.
     """
-    pairs = [lp for layers in layer_lists for lp in layers]
-    n_layers = len(layer_lists[0])
+    n_layers = len(group.layers)
     per_layer = [[] for _ in range(n_layers)]
-    for kind, g in (("intra", g_intra), ("inter", g_inter)):
-        if getattr(pairs[0], f"q_{kind}") is None:
+    geometry = group.geometry
+    for g, q, k in ((g_intra, geometry.q_intra, geometry.k_intra), (g_inter, geometry.q_inter, geometry.k_inter)):
+        if q is None:
             continue
-        shared = T.stack([g] * len(pairs))  # a zero-copy view: every pair reads the same rows
-        maps = T.attention_weights(linear(shared, stacked([getattr(lp, f"q_{kind}") for lp in pairs])),
-                                   linear(shared, stacked([getattr(lp, f"k_{kind}") for lp in pairs])), h)
+        shared = T.stack([g] * len(q.w.data))  # a zero-copy view: every pair reads the same rows
+        maps = T.attention_weights(linear(shared, q), linear(shared, k), h)
         for i, layer_maps in enumerate(per_layer):
             layer_maps.append(T.index(maps, slice(i, None, n_layers)))
     return per_layer
@@ -128,15 +142,16 @@ def geometry_maps(layer_lists, h, g_intra, g_inter):
 
 def gesa_gates(x_prev, params: GesaLayerParams):
     """Convex gate over the active maps: softmax(mean over tokens of x W + b),
-    [m] for x [N x d], or [k x m] for a group's x [k x N x d] and stacked params."""
+    [m] for x [N x d] and one branch's gate, or [k x m] for a group's x
+    [k x N x d] and layer params."""
     return T.softmax(T.mean(linear(x_prev, params.gate), axis=-2))
 
 
 def gesa_layer(x_prev, geometry, params: GesaLayerParams, h, gate_names):
     """One GESA layer of a group of k branches: x_prev [k x N x d], `params`
-    the branches' layer parameters stacked (`stacked_layer`), `geometry`
-    that layer's maps (`geometry_maps`). Records branch i's map gates [m]
-    under gate_names[i] (see `T.record_each`)."""
+    the group's weights of that layer, `geometry` that layer's maps
+    (`geometry_maps`). Records branch i's map gates [m] under gate_names[i]
+    (see `T.record_each`)."""
     if x_prev.data.shape[-1] % h != 0:
         raise ConfigError(f"width {x_prev.data.shape[-1]} not divisible by {h} heads")
     content = T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h)
@@ -150,23 +165,13 @@ def gesa_layer(x_prev, geometry, params: GesaLayerParams, h, gate_names):
     return layer_norm(T.add(a, ffn(a, params.ffn)), params.ln2)
 
 
-def stacked_layer(lps):
-    """The content-side parameters of one layer of k branches, stacked on the
-    branch axis (`nn.stacked`); the geometry projections go to `geometry_maps`."""
-    return GesaLayerParams(**{f: stacked([getattr(lp, f) for lp in lps]) for f in CONTENT_FIELDS},
-                           q_intra=None, k_intra=None, q_inter=None, k_inter=None)
-
-
-def branch_forward(layer_lists, h, content, g_intra, g_inter, gate_names):
+def branch_forward(group: GesaGroupParams, h, content, g_intra, g_inter, gate_names):
     """A group of k branches that share one token set, on one leading axis:
-    content [k x N x d], layer_lists[i] branch i's layers, the geometry
-    inputs [N x d] shared by the group and repeated unchanged at every
-    layer. Returns [k x N x d]."""
-    if len({len(layers) for layers in layer_lists}) != 1:
-        raise ConfigError("every branch of a group needs the same number of layers")
+    content [k x N x d], the geometry inputs [N x d] shared by the group and
+    repeated unchanged at every layer. Returns [k x N x d]."""
     x = content
-    for lps, maps in zip(zip(*layer_lists), geometry_maps(layer_lists, h, g_intra, g_inter)):
-        x = gesa_layer(x, maps, stacked_layer(lps), h, gate_names)
+    for params, maps in zip(group.layers, geometry_maps(group, h, g_intra, g_inter)):
+        x = gesa_layer(x, maps, params, h, gate_names)
     return x
 
 
@@ -176,23 +181,22 @@ def needs_fusion(branches):
     return ("vv" in branches or "vs" in branches, "ss" in branches or "sv" in branches)
 
 
-def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
-               h, er, active_branches=BRANCH_NAMES):
+def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, groups, h, er):
     """Run the needed fusions and every active branch.
 
-    fusion_vs fuses semantic into visual (visual primary); fusion_sv the
-    reverse. vv/ss reuse the matching fusion's inter-geometry but keep their
-    pure content. Each group of active branches (GROUPS) runs on one branch
+    `groups` maps the key of each group with active branches to its
+    GesaGroupParams, as `active_groups` orders and names them; their members
+    are the active branches. fusion_vs fuses semantic into visual (visual
+    primary); fusion_sv the reverse. A side's branches take its geometry
+    embeddings and its fusion's inter-geometry; vv/ss keep their pure
+    content, vs/sv take the fused content. Each group runs on one branch
     axis (`branch_forward`). Returns {branch: Tensor}, in ss, sv, vs, vv
     order. Each fusion stack records under the scope "fusion_vs"/"fusion_sv",
     each branch's gates as "<branch>.gesa_gates".
     """
-    active = [b for b in BRANCH_NAMES if b in active_branches]
-    if not active:
-        raise ConfigError("at least one encoder branch must be active")
-    unknown = set(active_branches) - set(BRANCH_NAMES)
-    if unknown:
-        raise ConfigError(f"unknown branches {sorted(unknown)}")
+    active = [b for key in groups for b in key.split("+")]
+    if not active or list(groups) != list(active_groups(active)):
+        raise ConfigError(f"encoder branch groups {list(groups)} must be the active members of some of {GROUPS}")
 
     need_vs, need_sv = needs_fusion(active)
     vs_out = sv_out = None
@@ -203,24 +207,13 @@ def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
         with T.scope("fusion_sv"):
             sv_out = stack_fusion(fusion_sv, er, s_con, s_geo, v_con, v_geo)
 
-    inputs = {}
-    if "ss" in active:
-        inputs["ss"] = (s_con, s_geo, sv_out.inter_geometry)
-    if "sv" in active:
-        inputs["sv"] = (sv_out.fused_content, s_geo, sv_out.inter_geometry)
-    if "vs" in active:
-        inputs["vs"] = (vs_out.fused_content, v_geo, vs_out.inter_geometry)
-    if "vv" in active:
-        inputs["vv"] = (v_con, v_geo, vs_out.inter_geometry)
-
+    sides, pure = {"s": (s_geo, sv_out), "v": (v_geo, vs_out)}, {"ss": s_con, "vv": v_con}
     outputs = {}
-    for group in GROUPS:
-        members = [b for b in group if b in active]
-        if not members:
-            continue
-        _, g_intra, g_inter = inputs[members[0]]
-        out = branch_forward([branch_layers[b] for b in members], h, T.stack([inputs[b][0] for b in members]),
-                             g_intra, g_inter, [f"{b}.gesa_gates" for b in members])
+    for key, group in groups.items():
+        members = key.split("+")
+        g_intra, fusion = sides[key[0]]
+        content = T.stack([pure[b] if b in pure else fusion.fused_content for b in members])
+        out = branch_forward(group, h, content, g_intra, fusion.inter_geometry, [f"{b}.gesa_gates" for b in members])
         for i, b in enumerate(members):
             outputs[b] = T.index(out, i)
     return outputs

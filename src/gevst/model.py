@@ -7,7 +7,10 @@ dense captions can go through the caption encoder together first
 Parameter layout (and with it the checkpoint manifest order) is fixed by the
 declaration order of ModelParams and the deterministic walker in nn. Only the
 branches named in the config get parameters, and fusion stacks exist only
-when some active branch consumes them.
+when some active branch consumes them. The GESA branches are stored by
+group, and the decoder's per-branch weights on one branch axis, as they are
+computed (`encoder`, `decoder`); init draws them branch by branch, in the
+order of the per-branch layout it replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import tensor as T
 from .caption_encoder import CaptionEncoderParams, encode_captions, init_caption_encoder
 from .config import BRANCH_NAMES, TrainConfig
 from .decoder import CachedDecoder, decoder_forward, init_decoder_layer
-from .encoder import encode_all, init_gesa_layer, needs_fusion
+from .encoder import active_groups, encode_all, init_gesa_group, needs_fusion
 from .errors import ConfigError, GevstError, InputError
 from .fusion import init_fusion_cell
 from .geometry import embed_geometry, init_geometry
@@ -40,7 +43,7 @@ class ModelParams:
     captions: CaptionEncoderParams
     fusion_vs: list  # semantic fused into visual; None when unused
     fusion_sv: list
-    branches: dict  # branch name -> list of GESA layers
+    branches: dict  # group key ("ss+sv", "vs+vv", or one branch's name) -> GesaGroupParams
     dec_embed: Tensor
     dec_layers: list
     out: Linear  # d_model -> vocab
@@ -58,7 +61,8 @@ def init_model(cfg: TrainConfig, vocab_size, rng) -> ModelParams:
             captions=init_caption_encoder(rng, vocab_size, cfg.enc_width, cfg.enc_layers, d),
             fusion_vs=[init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_vs else None,
             fusion_sv=[init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_sv else None,
-            branches={b: [init_gesa_layer(rng, d, cfg.heads, cfg.gesa_variant) for _ in range(cfg.layers)] for b in active},
+            branches={key: init_gesa_group(rng, d, cfg.heads, cfg.gesa_variant, len(members), cfg.layers)
+                      for key, members in active_groups(active).items()},
             dec_embed=init_embedding(rng, vocab_size, d),
             dec_layers=[init_decoder_layer(rng, d, active) for _ in range(cfg.layers)],
             out=init_linear(rng, d, vocab_size),
@@ -109,7 +113,7 @@ def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab, captions
     s_geo = embed_geometry([dc.box for dc in sample.dense_captions], sample.image_wh, params.geo_semantic)
 
     return encode_all(v_con, v_geo, captions, s_geo, params.fusion_vs, params.fusion_sv, params.branches,
-                      cfg.heads, cfg.expand_ratio, active_branches=cfg.branches)
+                      cfg.heads, cfg.expand_ratio)
 
 
 def caption_logits(params: ModelParams, cfg: TrainConfig, branch_outputs, token_ids):

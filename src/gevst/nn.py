@@ -3,6 +3,9 @@
 Parameter containers are small dataclasses of Tensors; `named_parameters`
 walks any nesting of dataclasses / lists / dicts in declaration order, which
 fixes a deterministic global parameter order for init, Adam and checkpoints.
+A weight that several branches use side by side is stored stacked, one
+`[k x ...]` tensor on a leading branch axis (`stack_params` builds it at
+init), so the engine's stacked kernels read it as it lies.
 The operations themselves, the vocabulary log-softmax among them, are the
 engine's (`tensor`); this module composes them into layers.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,45 +76,16 @@ def layer_norm(x, p: LayerNorm):
     return T.layer_norm(x, p.gain, p.bias)
 
 
-# id(first member) -> {member ids: memo entry}: the tapeless stacks that are
-# views, each dropped with its first member (see `stacked`).
-_VIEW_STACKS = {}
-
-
-def _stack_fields(objs):
+def stack_params(objs):
+    """Same-structured parameter dataclasses (or Tensors) as one of that
+    structure, each Tensor a new trainable one holding the members' values
+    stacked on a leading axis; a field that is None in the members stays None."""
     first = objs[0]
+    if first is None:
+        return None
     if isinstance(first, Tensor):
-        return T.stack(objs)
-    return type(first)(*(_stack_fields([getattr(o, f.name) for o in objs]) for f in dataclasses.fields(first)))
-
-
-def stacked(objs):
-    """Same-structured parameter dataclasses as one of that structure, each
-    Tensor the members' `T.stack` on a leading axis: a view of the flat
-    parameter vector when the members lie equally spaced in it.
-
-    The result is memoized while every member parameter keeps its data
-    array: on a live tape for that recording (`T.tape_memo`), so each stack
-    is one node however many samples read it; without a tape for the life
-    of the first member, when every stack is a view (a view reads the
-    members' current values, where a copy could go stale)."""
-    objs = tuple(objs)
-    key = tuple(map(id, objs))
-    memo = T.tape_memo()
-    hit = (_VIEW_STACKS.get(key[0], {}) if memo is None else memo).get(key)
-    if hit is not None and all(t.data is d for t, d in zip(hit[1], hit[2])):
-        return hit[0]
-    out = _stack_fields(objs)
-    members = parameters(list(objs))
-    entry = (out, members, [t.data for t in members])
-    if memo is not None:
-        memo[key] = entry
-    elif all(t.data.base is not None for t in parameters(out)):
-        if key[0] not in _VIEW_STACKS:
-            _VIEW_STACKS[key[0]] = {}
-            weakref.finalize(objs[0], _VIEW_STACKS.pop, key[0], None)
-        _VIEW_STACKS[key[0]][key] = entry
-    return out
+        return Tensor(np.stack([o.data for o in objs]), requires_grad=True)
+    return type(first)(*(stack_params([getattr(o, f.name) for o in objs]) for f in dataclasses.fields(first)))
 
 
 def named_parameters(obj, prefix=""):

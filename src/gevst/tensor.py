@@ -2,13 +2,15 @@
 
 Design constraints, fixed for the whole package:
   * every value is float64 in a numpy array, row-major (C order) except the
-    strided views that `stack` and `index` return;
+    views that `index` returns and the broadcast view that `stack` returns
+    for one tensor repeated;
   * no implicit broadcasting between tensors except scalars (size-1 tensors
     and python numbers); row-wise broadcast exists only INSIDE the fused
     affine and layer_norm kernels (per slice, when stacked), the pairwise_add
     grid and the per-map gates of mix_maps;
-  * `stack` of equally spaced, same-shape views of one buffer (parameters in
-    the flat vector are) is a strided view of that buffer, not a copy;
+  * `stack` copies its members, or broadcasts one tensor repeated; weights
+    never pass through it, as each is stored in the stacked layout its
+    kernel reads (see `nn`);
   * forward ops execute eagerly; when a Tape is active and an input requires
     grad, the op appends one node to the tape. Backward replays nodes in exact
     reverse recording order, which is a valid reverse topological order because
@@ -87,11 +89,10 @@ class Tape:
     concurrently recording callers (the active-tape slot is thread-local).
     """
 
-    __slots__ = ("nodes", "memo", "_prev", "_walked")
+    __slots__ = ("nodes", "_prev", "_walked")
 
     def __init__(self):
         self.nodes = []
-        self.memo = {}  # values derived once per recording (see `tape_memo`)
         self._prev = None
         self._walked = False
 
@@ -120,7 +121,6 @@ class Tape:
         if self._walked:
             raise ContractError("this tape was already walked by backward; record the graph again")
         self._walked = True
-        self.memo = {}
         nodes = self.nodes
         seed = np.ones_like(loss.data)
         loss.grad = seed if loss.grad is None else loss.grad + seed
@@ -155,14 +155,6 @@ def _swapped(slot, value):
 
 def no_grad():
     return _swapped("tape", None)
-
-
-def tape_memo():
-    """The live tape's memo dict, or None with no tape: a caller keeps there
-    tensors it derives once per recording (`nn.stacked` keeps its parameter
-    stacks). Backward empties it."""
-    tape = _STATE.tape
-    return None if tape is None else tape.memo
 
 
 def recording():
@@ -472,12 +464,12 @@ def layer_norm(x, gain, bias):
     if d < 2:
         raise ShapeError(f"layer_norm needs a feature axis of length >= 2, got shape {xd.shape}")
     gd, bd = gain.data, bias.data
-    stacked = gd.ndim == 2
+    per_slice = gd.ndim == 2
     if (gd.shape != bd.shape or gd.shape[-1] != d or gd.ndim > 2
-            or (stacked and (xd.ndim < 3 or xd.shape[0] != gd.shape[0]))):
+            or (per_slice and (xd.ndim < 3 or xd.shape[0] != gd.shape[0]))):
         raise ShapeError(f"layer_norm gain/bias must be [{d}], or [k x {d}] for x [k x ... x {d}]; "
                          f"got {gd.shape}, {bd.shape} for x {xd.shape}")
-    if stacked:  # each slice's row broadcast over that slice's rows
+    if per_slice:  # each slice's row broadcast over that slice's rows
         lead = (gd.shape[0],) + (1,) * (xd.ndim - 2) + (d,)
         gd, bd = gd.reshape(lead), bd.reshape(lead)
     mu = _mean_last(xd)
@@ -488,7 +480,7 @@ def layer_norm(x, gain, bias):
     out = xhat * gd + bd
 
     def bwd(g):
-        rows = (gain.data.shape[0], -1, d) if stacked else (-1, d)  # summed over axis 1 or 0: the rows of one slice
+        rows = (gain.data.shape[0], -1, d) if per_slice else (-1, d)  # summed over axis 1 or 0: the rows of one slice
         ggain = (g * xhat).reshape(rows).sum(axis=-2) if gain.requires_grad else None
         gbias = g.reshape(rows).sum(axis=-2) if bias.requires_grad else None
         if x.requires_grad:
@@ -551,44 +543,17 @@ def concat(tensors, axis=0):
     return _emit(out, tuple(tensors), bwd)
 
 
-def _strided_stack(datas):
-    """The arrays as one [k x ...] view of the buffer they share, when they are
-    same-shape, C-contiguous views of it at equally spaced addresses (the
-    parameters in the flat vector are, as is one array repeated); else None."""
-    first = datas[0]
-    if len(datas) == 1:
-        view = first[None]
-    elif not first.flags.c_contiguous:
-        return None
-    elif all(d is first for d in datas):  # one array repeated: a zero stride over it
-        view = np.ndarray((len(datas),) + first.shape, first.dtype, first, 0, (0,) + first.strides)
-    else:
-        buf = first.base
-        if not isinstance(buf, np.ndarray) or not buf.flags.c_contiguous:
-            return None
-        if any(d.base is not buf or d.shape != first.shape or not d.flags.c_contiguous for d in datas):
-            return None
-        addresses = [d.ctypes.data for d in datas]
-        step = addresses[1] - addresses[0]
-        if step < 0 or any(b - a != step for a, b in zip(addresses[1:], addresses[2:])):
-            return None
-        view = np.ndarray((len(datas),) + first.shape, first.dtype, buf, addresses[0] - buf.ctypes.data,
-                          (step,) + first.strides)
-    view.flags.writeable = False
-    return view
-
-
 def stack(tensors):
-    """Tensors of one shape stacked on a new leading axis, as one op. Same-shape
-    views of one buffer at equally spaced addresses stack to a strided view
-    of it (zero-copy); other tensors are copied. Either way the backward
-    hands each member its slice."""
+    """Tensors of one shape stacked on a new leading axis, as one op: a copy,
+    or, when every member is one tensor, a read-only broadcast view of it.
+    Either way the backward hands each member its slice."""
     tensors = tuple(tensors)
     if not tensors or any(t.data.shape != tensors[0].data.shape for t in tensors):
         raise ShapeError(f"stack needs tensors of one shape, got {[t.data.shape for t in tensors]}")
-    datas = [t.data for t in tensors]
-    out = _strided_stack(datas)
-    return _emit(np.stack(datas) if out is None else out, tensors, tuple)
+    first = tensors[0].data
+    repeated = all(t is tensors[0] for t in tensors)
+    out = np.broadcast_to(first, (len(tensors),) + first.shape) if repeated else np.stack([t.data for t in tensors])
+    return _emit(out, tensors, tuple)
 
 
 def mix_maps(maps, gates):

@@ -440,7 +440,7 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_FORMAT = "gevst-checkpoint-v1"
+CHECKPOINT_FORMAT = "gevst-checkpoint-v2"
 
 
 def _manifest(params):
@@ -499,7 +499,7 @@ def load_checkpoint(path):
             raise ParseError("checkpoint header is not valid JSON", line=1) from None
         header = header if isinstance(header, dict) else {}
         if header.get("format") != CHECKPOINT_FORMAT:
-            raise SchemaError(f"unrecognized checkpoint format {header.get('format')!r}")
+            raise SchemaError(f"unrecognized checkpoint format {header.get('format')!r}, not {CHECKPOINT_FORMAT!r}")
         for key, kind in (("config", dict), ("vocab", list), ("params", list)):
             if not isinstance(header.get(key), kind):
                 raise SchemaError(f"checkpoint header missing field {key!r} of type {kind.__name__}")

@@ -445,9 +445,11 @@ def clip_per_tensor(named, max_norm):
     return total
 
 
-def checkpoint_v1_bytes(config, vocab_tokens, named_arrays, trained_steps=0):
-    """A gevst-checkpoint-v1 file: one compact JSON header line, then one
-    little-endian float64 tobytes() per parameter in manifest order."""
+def checkpoint_v2_bytes(config, vocab_tokens, named_arrays, trained_steps=0, fmt="gevst-checkpoint-v2"):
+    """A gevst-checkpoint-v2 file: one compact JSON header line, then one
+    little-endian float64 tobytes() per parameter in manifest order. The v1
+    format framed its per-branch tensors the same way, under `fmt`
+    "gevst-checkpoint-v1"."""
     manifest, chunks, offset = [], [], 0
     for name, values in named_arrays:
         arr = np.ascontiguousarray(values, dtype="<f8")
@@ -455,7 +457,7 @@ def checkpoint_v1_bytes(config, vocab_tokens, named_arrays, trained_steps=0):
         chunks.append(arr.tobytes())
         offset += arr.nbytes
     header = {
-        "format": "gevst-checkpoint-v1",
+        "format": fmt,
         "config": config,
         "vocab": vocab_tokens,
         "trained_steps": int(trained_steps),

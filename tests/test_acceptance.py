@@ -26,11 +26,11 @@ from gevst.data import (BOS_ID, EOS_ID, PAD_ID, DenseCaption, Region, Sample,
                         build_vocab, corpus_texts, generate_dataset,
                         split_train_val)
 from gevst.decoder import beam_search, greedy_decode, init_decoder_layer
-from gevst.encoder import init_gesa_layer
+from gevst.encoder import init_gesa_group
 from gevst.fusion import fusion_cell, init_fusion_cell
 from gevst.geometry import BoundingBox
 from gevst.model import caption_logits, encode_sample, init_model
-from gevst.nn import Tensor, init_embedding, init_linear, named_parameters
+from gevst.nn import Tensor, init_embedding, init_linear
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:CIDEr-D over a single-document corpus")
@@ -87,12 +87,14 @@ def test_criterion_1_full_model_gradients(announce):
 
     t0 = time.time()
     worst, worst_name, n_tensors = 0.0, "", 0
-    for i, (name, tensor) in enumerate(named_parameters(params)):
+    # each tensor of the per-branch layout: one branch's slice of a stored one
+    for i, name in enumerate(U.name_map(params)):
+        tensor, part = U.stored_slice(params, name)
         # eps=1e-6 keeps truncation negligible; floor=1e-5 makes near-zero
         # gradients (inert key biases, weakly-coupled inter projections at
         # init) an absolute comparison instead of a noise ratio
         rel = U.grad_check(loss_fn, tensor, eps=1e-6, max_coords=2,
-                           rng=np.random.default_rng(1000 + i), floor=1e-5)
+                           rng=np.random.default_rng(1000 + i), floor=1e-5, part=part)
         n_tensors += 1
         if rel > worst:
             worst, worst_name = rel, name
@@ -142,7 +144,8 @@ def test_criterion_3_gesa_invariants(announce):
     containment_ok = True
     for _ in range(20):
         d, h, n = 8, 2, int(rng.integers(2, 6))
-        lp = init_gesa_layer(rng, d, h)
+        group = init_gesa_group(rng, d, h, "con_intra_inter", 1, 1)
+        lp = U.per_branch(group)[0][0]
         U.randomize(lp, rng)
         x = Tensor(rng.normal(size=(n, d)))
         gi = Tensor(rng.normal(size=(n, d)))
@@ -163,19 +166,18 @@ def test_criterion_3_gesa_invariants(announce):
             saved_w, saved_b = lp.gate.w.data.copy(), lp.gate.b.data.copy()
             lp.gate.w.data[:, keep:] = 0.0
             lp.gate.b.data[keep:] = -1e9
-            rich = U.gesa_layer(x, gi, ge, lp, h).data
+            rich = U.gesa_layer(x, gi, ge, group, h).data
 
-            poor = init_gesa_layer(np.random.default_rng(0), d, h,
-                                   ("con", "con_intra")[keep - 1])
-            poor.q_c, poor.k_c, poor.v_c = lp.q_c, lp.k_c, lp.v_c
-            if keep == 2:
-                poor.q_intra, poor.k_intra = lp.q_intra, lp.k_intra
-            poor.ln1, poor.ffn, poor.ln2 = lp.ln1, lp.ffn, lp.ln2
-            poor.gate.w.data = lp.gate.w.data[:, :keep].copy()
-            poor.gate.b.data = lp.gate.b.data[:keep].copy()
+            poor_group = init_gesa_group(np.random.default_rng(0), d, h,
+                                         ("con", "con_intra")[keep - 1], 1, 1)
+            poor = U.per_branch(poor_group)[0][0]
+            shared = ("q_c", "k_c", "v_c", "ln1", "ffn", "ln2") + (("q_intra", "k_intra") if keep == 2 else ())
+            U.copy_values([getattr(poor, f) for f in shared], [getattr(lp, f) for f in shared])
+            poor.gate.w.data[...] = lp.gate.w.data[:, :keep]
+            poor.gate.b.data[...] = lp.gate.b.data[:keep]
             containment_ok = containment_ok and bool(
-                np.array_equal(rich, U.gesa_layer(x, gi, ge, poor, h).data))
-            lp.gate.w.data, lp.gate.b.data = saved_w, saved_b
+                np.array_equal(rich, U.gesa_layer(x, gi, ge, poor_group, h).data))
+            lp.gate.w.data[...], lp.gate.b.data[...] = saved_w, saved_b
 
     ok = worst_gate < 1e-12 and worst_row < 1e-9 and containment_ok
     verdict(announce, 3, ok,
@@ -208,10 +210,11 @@ def test_criterion_4_scalar_oracles(announce):
 
     for _ in range(20):
         d, h, n = 8, 2, int(rng.integers(2, 6))
-        lp = init_gesa_layer(rng, d, h)
+        group = init_gesa_group(rng, d, h, "con_intra_inter", 1, 1)
+        lp = U.per_branch(group)[0][0]
         U.randomize(lp, rng)
         x, gi, ge = (Tensor(rng.normal(size=(n, d))) for _ in range(3))
-        got = U.gesa_layer(x, gi, ge, lp, h)
+        got = U.gesa_layer(x, gi, ge, group, h)
         ref = O.gesa_layer_oracle(O.mat(x.data), O.mat(gi.data), O.mat(ge.data),
                                   U.gesa_oracle_params(lp), h)
         worst["gesa"] = max(worst["gesa"], U.max_abs_delta(got.data, ref["out"]))
@@ -230,7 +233,7 @@ def test_criterion_4_scalar_oracles(announce):
         got = decoder_forward(layers, h, outs, embed, out_proj, ids).data
         ref = O.decoder_forward_oracle(
             ids, {b: O.mat(t.data) for b, t in outs.items()},
-            U.decoder_oracle_layers(layers), O.mat(embed.data),
+            U.decoder_oracle_layers(layers, branches), O.mat(embed.data),
             (O.mat(out_proj.w.data), O.vec(out_proj.b.data)), h)
         worst["decoder"] = max(worst["decoder"], U.max_abs_delta(got, ref))
 

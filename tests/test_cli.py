@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles as O
+import util as U
 from gevst import ablation, cli
+from gevst.errors import GevstError
 from gevst.model import init_model
+from gevst.nn import named_parameters
 from gevst.training import load_checkpoint, save_checkpoint
 
 pytestmark = pytest.mark.filterwarnings(
@@ -575,3 +579,70 @@ def test_eval_on_any_predictions_file_reports_or_exits_one(workdir, reference_id
         else:
             assert code == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_caption_from_a_v1_checkpoint_exits_one(workdir, tmp_path, capsys):
+    """A checkpoint in the per-branch v1 layout exits 1 with one `error:` line
+    that names its format."""
+    cfg, vocab, params, steps = load_checkpoint(workdir["ckpt"])
+    v1 = [(n, t.data) for n, t in named_parameters(U.per_branch(params))]
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(O.checkpoint_v2_bytes(cfg.to_dict(), vocab.id_to_token, v1, steps, fmt="gevst-checkpoint-v1"))
+    code = cli.main(["caption", "--ckpt", str(path), "--data", workdir["data"], "--out", str(tmp_path / "p.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'gevst-checkpoint-v1'" in err
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+def mutated_header(header, data):
+    """The header with one field, or one manifest entry's name, shape or
+    offset, set to a drawn value: another type, or a near miss of its own."""
+    header = json.loads(json.dumps(header))
+    entries = header["params"]
+    kind = data.draw(st.sampled_from(["field", "entry", "manifest", "data_bytes", "trained_steps"]))
+    if kind == "field":
+        header[data.draw(st.sampled_from(sorted(header)))] = data.draw(JSON_VALUES)
+    elif kind == "entry":
+        entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+        key = data.draw(st.sampled_from(["name", "shape", "offset"]))
+        near = {"name": st.sampled_from([e["name"] for e in entries]) | st.text(max_size=12),
+                "shape": st.lists(st.integers(-2, 130), max_size=3),
+                "offset": st.integers(-8, 2 ** 40)}[key]
+        if data.draw(st.booleans()):
+            entry[key] = data.draw(near | JSON_VALUES)
+        else:
+            del entry[key]
+    elif kind == "manifest":  # entries dropped, repeated or swapped
+        i, j = data.draw(st.integers(0, len(entries) - 1)), data.draw(st.integers(0, len(entries) - 1))
+        edit = data.draw(st.sampled_from(["drop", "repeat", "swap"]))
+        if edit == "drop":
+            del entries[i]
+        elif edit == "repeat":
+            entries.insert(j, dict(entries[i]))
+        else:
+            entries[i], entries[j] = entries[j], entries[i]
+    else:
+        own = header[kind]
+        header[kind] = data.draw(st.integers(-1, own + 16) | st.just(float(own)) | st.just(2 ** 70) | JSON_VALUES)
+    return header
+
+
+@given(data=st.data())
+def test_load_checkpoint_on_any_mutated_file_raises_a_gevst_error(workdir, data):
+    """A v2 checkpoint with a mutated header and a truncated or extended body
+    either loads (when the mutation left what is checked intact) or raises a
+    GevstError, never anything else."""
+    raw = open(workdir["ckpt"], "rb").read()
+    header_line, _, body = raw.partition(b"\n")
+    header = mutated_header(json.loads(header_line), data)
+    cut = data.draw(st.integers(0, len(body)))
+    body = data.draw(st.sampled_from([body, body[:cut], body + data.draw(st.binary(min_size=1, max_size=16))]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        with open(path, "wb") as f:
+            f.write(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
+        try:
+            load_checkpoint(path)
+        except GevstError:
+            pass

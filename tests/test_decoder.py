@@ -76,7 +76,7 @@ def test_matches_scalar_oracle(rng):
     got = decoder_forward(layers, 2, outs, embed, out_proj, ids).data
     ref = O.decoder_forward_oracle(
         ids, {b: O.mat(t.data) for b, t in outs.items()},
-        U.decoder_oracle_layers(layers), O.mat(embed.data),
+        U.decoder_oracle_layers(layers, ("ss", "sv", "vs", "vv")), O.mat(embed.data),
         (O.mat(out_proj.w.data), O.vec(out_proj.b.data)), 2)
     assert U.max_abs_delta(got, ref) < 1e-12
 
@@ -144,9 +144,11 @@ def test_branch_axis_matches_the_branch_loop(rng, branches):
         return T.total_sum(T.mul(decoder_forward(layers, 2, scenes, embed, out_proj, seqs), probe))
 
     b = branches[-1]
-    for target in (layers[0].cross[b].q.w, layers[1].cross[b].k.w, layers[0].cross[b].v.b, layers[1].mod[b].w,
-                   layers[0].mod[b].b, scenes[2][b]):
-        assert U.grad_check(loss, target, eps=1e-6, max_coords=8, rng=np.random.default_rng(3), floor=1e-5) < 1e-5
+    targets = [U.stored_slice(layers, name, branches)
+               for name in (f"0.cross.{b}.q.w", f"1.cross.{b}.k.w", f"0.cross.{b}.v.b", f"1.mod.{b}.w", f"0.mod.{b}.b")]
+    for target, part in targets + [(scenes[2][b], None)]:
+        assert U.grad_check(loss, target, eps=1e-6, max_coords=8, rng=np.random.default_rng(3), floor=1e-5,
+                            part=part) < 1e-5
 
 
 @pytest.mark.parametrize("layout", ["batch", "rows", "one_scene"])
@@ -159,6 +161,7 @@ def test_garbage_in_padded_keys_and_values_changes_no_real_row(rng, layout):
     layers, _, _, _ = small_model(rng, branches=ALL_BRANCHES)
     with T.no_grad():
         cross = cross_keys_values(layers, scenes_around_eight_keys(rng, ALL_BRANCHES))[0]
+    lp = layers[0]
     keys, values, padding = cross.keys.data, cross.values.data, cross.padding
     y_shape = {"batch": (3, 4, 8), "rows": (3, 8), "one_scene": (4, 8)}[layout]
     if layout == "one_scene":
@@ -168,13 +171,14 @@ def test_garbage_in_padded_keys_and_values_changes_no_real_row(rng, layout):
     probe = Tensor(rng.normal(size=y_shape))
     runs = []
     for fill in (0.0, 1e8 * rng.normal(size=keys.shape)):
-        weights = [Tensor(t.data.copy(), requires_grad=True) for t in (cross.q.w, cross.q.b, cross.mod.w, cross.mod.b)]
+        weights = [Tensor(t.data.copy(), requires_grad=True) for t in (lp.cross.q.w, lp.cross.q.b, lp.mod.w, lp.mod.b)]
+        layer = replace(lp, cross=replace(lp.cross, q=Linear(*weights[:2])), mod=Linear(*weights[2:]))
         k = Tensor(np.where(padding[..., None], fill, keys), requires_grad=True)
         v = Tensor(np.where(padding[..., None], -fill, values), requires_grad=True)
-        entry = replace(cross, q=Linear(*weights[:2]), mod=Linear(*weights[2:]), keys=k, values=v, padding=padding)
+        entry = replace(cross, keys=k, values=v, padding=padding)
         y.grad = None
         with T.Tape() as tape:
-            out = modulated_multi_input(y, entry, 2)
+            out = modulated_multi_input(y, entry, layer, 2)
             tape.backward(T.total_sum(T.mul(out, probe)))
         assert not k.grad[padding].any() and not v.grad[padding].any()
         runs.append([out.data, y.grad, k.grad, v.grad] + [w.grad for w in weights])

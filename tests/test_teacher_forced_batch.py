@@ -2,7 +2,8 @@
 one-scene pass it replaced in training: one sample at a time, summed; and
 the batch encode (`training.encode_batch`: one caption-encoder pass for the
 batch, GESA branch groups on one axis) against each sample encoded alone
-with the per-branch loop.
+with the per-branch loop; and the weights stored on branch axes against the
+per-branch layout they replaced.
 
 Desk batches mix region counts, dense-caption counts and caption lengths, so
 every branch output and every id sequence is padded somewhere in the batch.
@@ -23,7 +24,7 @@ from gevst.data import BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts, genera
 from gevst.decoder import decoder_forward, pad_scenes
 from gevst.errors import ContractError
 from gevst.model import caption_logits, encode_sample, init_model
-from gevst.nn import Tensor, flat_parameters, parameters
+from gevst.nn import Tensor, flat_parameters, named_parameters, parameters
 
 BRANCH_SETS = [("vv",), ("ss", "vs"), ("ss", "sv", "vs", "vv")]
 TOL = 1e-12
@@ -168,10 +169,11 @@ def test_batched_pass_grad_check_on_the_miniature_config():
                      scst_batch(params, cfg, caps, [0.6, -0.4, 1.5], branches))
 
     # eps and floor as in criterion 1: near-zero gradients compare absolutely
-    layer = params.dec_layers[0]
-    for target in (layer.cross["vv"].k.w, layer.cross["ss"].v.b, layer.mod["sv"].w, layer.self_q.w,
-                   params.dec_embed, params.vis_in.w):
-        rel = U.grad_check(loss, target, eps=1e-6, max_coords=6, rng=np.random.default_rng(5), floor=1e-5)
+    names = ("dec_layers.0.cross.vv.k.w", "dec_layers.0.cross.ss.v.b", "dec_layers.0.mod.sv.w",
+             "dec_layers.0.self_q.w", "dec_embed", "vis_in.w")
+    for name in names:
+        target, part = U.stored_slice(params, name)
+        rel = U.grad_check(loss, target, eps=1e-6, max_coords=6, rng=np.random.default_rng(5), floor=1e-5, part=part)
         assert rel < 1e-4
 
 
@@ -267,3 +269,38 @@ def test_batch_encode_is_bit_identical_to_per_sample_encodes_at_desk():
         alone = [U.branch_loop_encode_sample(params, cfg, s, vocab) for s in samples]
     for got, want in zip(batch, alone):
         assert all(got[b].data.tobytes() == want[b].data.tobytes() for b in want)
+
+
+@pytest.mark.parametrize("variant", GESA_VARIANTS)
+@pytest.mark.parametrize("branches", BRANCH_SETS, ids="+".join)
+def test_stored_layout_matches_the_per_branch_layout(branches, variant):
+    """A model stored on branch axes against the same seed drawn in the
+    per-branch layout (tests/util.py) and run as that layout ran, its branch
+    weights stacked per call: the same values under the name map, the same
+    bits in a desk batch's XE loss and in every recorded gate, and every
+    per-branch gradient within 1e-12 of its slice of the stored one."""
+    cfg, samples, vocab, stored = desk_batch(branches, n=8)
+    assert len({len(s.regions) for s in samples}) > 1 and len({len(s.dense_captions) for s in samples}) > 1
+    model = U.per_branch_init(cfg, len(vocab), np.random.default_rng(cfg.seed))
+    names = U.name_map(stored)
+    assert list(names) == [name for name, _ in named_parameters(model)]
+    tensors = dict(named_parameters(stored))
+    for (new, i), (_, t) in zip(names.values(), named_parameters(model)):
+        assert (tensors[new].data if i is None else tensors[new].data[i]).tobytes() == t.data.tobytes()
+    runs = []
+    for params in (stored, model):
+        with T.recording() as rec, T.Tape() as tape:
+            if params is model:
+                params = U.restacked(model)
+            loss = xe_batch(params, cfg, vocab, samples, TR.encode_batch(params, cfg, samples, vocab))
+            tape.backward(loss)
+        runs.append((loss.item(), rec))
+    (loss, rec), (want_loss, want_rec) = runs
+    assert loss.hex() == want_loss.hex()
+    assert list(rec) == list(want_rec) and any(k.startswith("decoder_gates_") for k in rec)
+    assert all(len(rec[k]) == len(want_rec[k]) and all(map(np.array_equal, rec[k], want_rec[k])) for k in rec)
+    grads = U.mapped_grads(stored)
+    for name, t in named_parameters(model):
+        assert (grads[name] is None) == (t.grad is None)
+        if t.grad is not None:
+            assert U.max_abs_delta(grads[name], t.grad) <= TOL

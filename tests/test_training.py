@@ -298,8 +298,8 @@ def test_scst_surrogate_gradient_with_frozen_sample():
         logits = caption_logits(params, cfg, [branch], [[BOS_ID] + sampled[:-1]])
         return TR.reinforce_loss(logits, [sampled], [advantage])
 
-    target = params.dec_layers[0].cross["vv"].q.w
-    rel = U.grad_check(loss_fn, target, max_coords=6, rng=np.random.default_rng(0))
+    target, part = U.stored_slice(params, "dec_layers.0.cross.vv.q.w")
+    rel = U.grad_check(loss_fn, target, max_coords=6, rng=np.random.default_rng(0), part=part)
     assert rel < 1e-5
 
 
@@ -602,31 +602,40 @@ def test_beam_caption_rejects_beam_zero():
 
 def test_desk_xe_tape_node_counts():
     """Pins the taped path at desk defaults: the batched XE loss of 8 scenes,
-    as training runs it (`encode_batch`), records 2059 nodes (3334 with each
+    as training runs it (`encode_batch`), records 1923 nodes (3334 with each
     sample's own caption pass and one GESA pass per branch); one scene's
-    call, run as a batch of one, records 491 (514 per branch). The caption
+    call, run as a batch of one, records 355 (514 per branch). The caption
     encoder runs once for the batch and hands each sample its rows (one
     `index` node each). Each GESA group (ss+sv, vs+vv) runs on one branch
-    axis: per layer one stacked pass over its content and one `mix_maps`
-    node, per geometry kind one stacked pass over all its layers, sliced
-    per layer, and its weight stacks are recorded once per tape. Each
-    decoder layer's cross-attention records the key and value projections
-    and 10 nodes on the branch axis, its weight stacks also once per tape."""
+    axis: per layer one pass over its content, with the group's stored
+    [k x ...] weights, and one `mix_maps` node; per geometry kind one pass
+    over all its (branch, layer) pairs, with the stored [L*k x ...]
+    projections, sliced per layer. Each decoder layer's cross-attention
+    records the key and value projections and 10 nodes on the branch axis.
+    Weights reach their nodes as stored: no `T.stack` node (the one op whose
+    backward is `tuple`), `index` or `reshape` node takes a parameter; the
+    48 stacks left stack each group's contents and its repeated geometry
+    inputs."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 8)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
     params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+    weights = {id(t) for t in parameters(params)}
     with T.Tape() as tape:
         branches = TR.encode_batch(params, cfg, samples, vocab)
         inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
         TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
-    assert len(tape.nodes) == 2059
+    assert len(tape.nodes) == 1923
+    stacks = [node_inputs for _, node_inputs, bwd in tape.nodes if bwd is tuple]
+    assert len(stacks) == 48 and not any(id(t) in weights for node_inputs in stacks for t in node_inputs)
+    views = [node_inputs for _, node_inputs, bwd in tape.nodes if bwd.__qualname__.split(".")[0] in ("index", "reshape")]
+    assert not any(id(t) in weights for node_inputs in views for t in node_inputs)
     for s in samples[:3]:
         with T.Tape() as tape:
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 491
+        assert len(tape.nodes) == 355
 
 
 def test_desk_decode_step_op_count():
@@ -677,13 +686,13 @@ def test_checkpoint_saves_snapshot_values(tmp_path):
     assert np.array_equal(flat_parameters(params2), snap)
 
 
-def test_checkpoint_matches_per_tensor_v1_writer(tmp_path):
+def test_checkpoint_matches_per_tensor_v2_writer(tmp_path):
     samples, cfg = tiny_setup(n=2)
     vocab = build_vocab(corpus_texts(samples), 1)
     params = init_model(cfg, len(vocab), np.random.default_rng(4))
-    expected = O.checkpoint_v1_bytes(cfg.to_dict(), vocab.id_to_token,
+    expected = O.checkpoint_v2_bytes(cfg.to_dict(), vocab.id_to_token,
                                      [(n, t.data) for n, t in named_parameters(params)], 7)
-    path = tmp_path / "v1.ckpt"
+    path = tmp_path / "v2.ckpt"
     TR.save_checkpoint(path, cfg, vocab, params, trained_steps=7)
     assert path.read_bytes() == expected
     path.write_bytes(expected)
@@ -691,6 +700,19 @@ def test_checkpoint_matches_per_tensor_v1_writer(tmp_path):
     assert (cfg2, vocab2.id_to_token, steps) == (cfg, vocab.id_to_token, 7)
     for (n1, t1), (n2, t2) in zip(named_parameters(params), named_parameters(params2)):
         assert n1 == n2 and t1.data.tobytes() == t2.data.tobytes()
+
+
+def test_a_v1_checkpoint_fails_naming_its_format(tmp_path):
+    """A file in the per-branch v1 layout, as that format wrote it, is
+    refused before its manifest is read."""
+    samples, cfg = tiny_setup(n=2)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    params = init_model(cfg, len(vocab), np.random.default_rng(4))
+    v1 = [(n, t.data) for n, t in named_parameters(U.per_branch(params))]
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(O.checkpoint_v2_bytes(cfg.to_dict(), vocab.id_to_token, v1, 7, fmt="gevst-checkpoint-v1"))
+    with pytest.raises(SchemaError, match="'gevst-checkpoint-v1'"):
+        TR.load_checkpoint(path)
 
 
 def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):

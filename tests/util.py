@@ -6,11 +6,16 @@ XE and SCST training loops that `training._optimize` replaced, the decoder
 that passed projections in as callbacks, the per-branch cross-attention loop
 that the branch axis replaced, the one-scene `CachedDecoder` that the
 many-scene one replaced, beam search without its stop rule, the
-whole-vector Adam step that the blocked `Adam.step` replaced, and the
+whole-vector Adam step that the blocked `Adam.step` replaced, the
 per-branch GESA loop and per-sample caption pass that the branch groups and
-the batch's one caption-encoder pass replaced."""
+the batch's one caption-encoder pass replaced, and the per-branch parameter
+layout that the stored branch axes replaced: its init, a view of a stored
+model in it (`per_branch`), the name map between the two (`name_map`) and
+the per-call stacking that ran it (`restacked`)."""
 
+import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +23,18 @@ import oracles as O
 from gevst import metrics
 from gevst import tensor as T
 from gevst import training as TR
-from gevst.caption_encoder import encode_captions
+from gevst.caption_encoder import encode_captions, init_caption_encoder
 from gevst.config import BRANCH_NAMES, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
-from gevst.decoder import _check_bos, _check_scenes, causal_mask
-from gevst.encoder import branch_forward, needs_fusion
+from gevst.decoder import CrossAttentionParams, DecoderLayerParams, _check_bos, _check_scenes, causal_mask
+from gevst.encoder import (GeometryProjections, GesaGroupParams, GesaLayerParams, active_groups, branch_forward,
+                           needs_fusion, variant_map_count)
 from gevst.errors import ContractError, ShapeError, TrainingDiverged
-from gevst.fusion import stack_fusion
-from gevst.geometry import embed_geometry
-from gevst.model import caption_ids, caption_logits, init_model
-from gevst.nn import Tensor, attend, ffn, layer_norm, linear, named_parameters, parameters, sinusoidal_positions
+from gevst.fusion import init_fusion_cell, stack_fusion
+from gevst.geometry import embed_geometry, init_geometry
+from gevst.model import ModelParams, caption_ids, caption_logits, init_model
+from gevst.nn import (Ffn, LayerNorm, Linear, Tensor, attend, ffn, init_embedding, init_ffn, init_layer_norm,
+                      init_linear, layer_norm, linear, named_parameters, parameters, sinusoidal_positions)
 
 
 def miniature_config(**overrides):
@@ -79,9 +86,9 @@ def gesa_oracle_params(lp):
     }
 
 
-def decoder_oracle_layers(layers):
+def decoder_oracle_layers(layers, branches):
     out = []
-    for lp in layers:
+    for lp in per_branch(layers, branches):
         out.append({
             "self_q": lin(lp.self_q), "self_k": lin(lp.self_k), "self_v": lin(lp.self_v),
             "ln1": ln2(lp.ln1), "ln2": ln2(lp.ln2), "ln3": ln2(lp.ln3), "ffn": ffn4(lp.ffn),
@@ -92,10 +99,18 @@ def decoder_oracle_layers(layers):
 
 
 def randomize(params_obj, rng, scale=0.4):
-    """Replace every parameter (biases included) with random values so the
-    zero-init biases don't mask missing terms in a comparison."""
-    for _, t in named_parameters(params_obj):
-        t.data = rng.normal(0.0, scale, size=t.data.shape)
+    """Write random values into every parameter (biases included), in place,
+    so the zero-init biases don't mask missing terms in a comparison. They
+    are drawn in the per-branch layout's order (`per_branch`), so a model
+    gets the values its per-branch form got."""
+    for t in parameters(per_branch(params_obj)):
+        t.data[...] = rng.normal(0.0, scale, size=t.data.shape)
+
+
+def copy_values(dst, src):
+    """Write each parameter of src into the matching one of dst, in place."""
+    for d, s in zip(parameters(dst), parameters(src), strict=True):
+        d.data[...] = s.data
 
 
 def max_abs_delta(a, b):
@@ -108,13 +123,15 @@ def batched(step):
     return lambda prefixes: np.stack([step(list(p)) for p in prefixes])
 
 
-def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8):
+def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8, part=None):
     """Compare reverse-mode d f/d x against central differences.
 
     f maps the Tensor x (and whatever it closes over) to a scalar Tensor.
     Relative error per coordinate is |a - n| / max(|a|, |n|, floor); the max
     over checked coordinates is returned. max_coords samples that many
-    coordinates with rng instead of sweeping all of them.
+    coordinates with rng instead of sweeping all of them. `part`, an index
+    into x's leading axis, checks only the coordinates of that slice (one
+    branch's share of a stored [k x ...] tensor, see `stored_slice`).
 
     floor turns the ratio into an absolute comparison for coordinates whose
     gradient is near zero (an attention key bias, say, cancels inside softmax
@@ -130,8 +147,12 @@ def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8):
             raise ContractError(f"grad_check needs a scalar-valued f, got shape {y.data.shape}")
         tape.backward(y)
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad
+    data = x.data
+    if part is not None:
+        analytic, data = analytic[part], data[part]
     aflat = analytic.reshape(-1)
-    flat = x.data.reshape(-1)
+    flat = data.reshape(-1)
+    assert np.shares_memory(flat, x.data)
     n = flat.size
     if max_coords is not None and max_coords < n:
         if rng is None:
@@ -322,6 +343,8 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
 # The decoder as it stood when attention took callbacks for its key and value
 # projections: cross keys and values are projected inside each layer, after
 # the queries, and the self attention is a closure over the layer's input.
+# It reads the stored layers in the per-branch layout (`per_branch`), as do
+# the branch loop and the one-scene cached decoder below.
 
 
 def reference_attend(x_q, x_kv, q, k, v, h, mask=None, kv=linear):
@@ -352,6 +375,7 @@ def reference_decoder_layer(y, lp, h, branch_outputs, self_attention, cross_kv=l
 
 
 def reference_decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
+    layers = per_branch(layers, [b for b in BRANCH_NAMES if b in branch_outputs])
     ids = list(token_ids)
     t_len, d = len(ids), embed.data.shape[1]
     y = T.add(T.embedding_lookup(embed, ids), Tensor(sinusoidal_positions(t_len, d).data))
@@ -422,6 +446,7 @@ def branch_loop_decoder_layer(y, self_context, lp, h, cross):
 
 def branch_loop_decoder_forward(layers, h, scenes, embed, out_proj, seqs):
     """Teacher-forced [B x T x V] logits of B scenes and B BOS-led id sequences."""
+    layers = per_branch(layers, [b for b in BRANCH_NAMES if b in scenes[0]])
     ids = pad_ids(seqs)
     t_len, d = ids.shape[1], embed.data.shape[1]
     padded, padding = branch_loop_pad_scenes(scenes)
@@ -484,9 +509,10 @@ def engine_ops(fn, *args):
 
 class ReferenceCachedDecoder:
     def __init__(self, layers, h, branch_outputs, embed, out_proj):
-        self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
         with T.no_grad():
+            layers = per_branch(layers, [b for b in BRANCH_NAMES if b in branch_outputs])
             self.cross = branch_loop_keys_values(layers, branch_outputs)
+        self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
         self.rows = {(): 0}
         empty = np.zeros((1, 0, embed.data.shape[1]))
         self.self_kv = [(empty, empty)] * len(layers)
@@ -519,9 +545,10 @@ class ReferenceCachedDecoder:
         return logprobs
 
 
-# The GESA encoder as it stood before branch groups: each branch on its own,
-# its geometry maps projected layer by layer, and each sample's dense
-# captions encoded in a pass of their own.
+# The GESA encoder as it stood before branch groups: each branch on its own
+# (with its layers in the per-branch layout, `per_branch`), its geometry maps
+# projected layer by layer, and each sample's dense captions encoded in a
+# pass of their own.
 
 
 def branch_loop_gesa_layer(x_prev, g_intra, g_inter, params, h):
@@ -540,9 +567,9 @@ def branch_loop_gesa_layer(x_prev, g_intra, g_inter, params, h):
     return layer_norm(T.add(a, ffn(a, params.ffn)), params.ln2)
 
 
-def branch_loop_encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, branch_layers,
-                           h, er, active_branches=BRANCH_NAMES):
-    active = [b for b in BRANCH_NAMES if b in active_branches]
+def branch_loop_encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, groups, h, er):
+    branch_layers = per_branch(groups)
+    active = list(branch_layers)
     need_vs, need_sv = needs_fusion(active)
     vs_out = sv_out = None
     if need_vs:
@@ -574,10 +601,211 @@ def branch_loop_encode_sample(params, cfg, sample, vocab):
     s_con = encode_captions(params.captions, cfg.enc_heads, caption_ids(sample, vocab))
     s_geo = embed_geometry([dc.box for dc in sample.dense_captions], sample.image_wh, params.geo_semantic)
     return branch_loop_encode_all(v_con, v_geo, s_con, s_geo, params.fusion_vs, params.fusion_sv,
-                                  params.branches, cfg.heads, cfg.expand_ratio, active_branches=cfg.branches)
+                                  params.branches, cfg.heads, cfg.expand_ratio)
 
 
-def gesa_layer(x, g_intra, g_inter, lp, h):
-    """The package's GESA layer for one branch [N x d]: a group of one, one
-    layer deep (`encoder.branch_forward`); records its gates as "gesa_gates"."""
-    return T.index(branch_forward([[lp]], h, T.stack([x]), g_intra, g_inter, ["gesa_gates"]), 0)
+def gesa_layer(x, g_intra, g_inter, group, h):
+    """The package's GESA layer for one branch [N x d]: `group` a group of
+    one, one layer deep (`encoder.branch_forward`); records its gates as
+    "gesa_gates"."""
+    return T.index(branch_forward(group, h, T.stack([x]), g_intra, g_inter, ["gesa_gates"]), 0)
+
+
+# The per-branch parameter layout, before the branch axes were stored: each
+# GESA branch held its own layers (`BranchLayer`, geometry projections
+# included), each decoder layer a {branch: weights} dict of cross-attention
+# and gate affines, and every call stacked them on the branch axis.
+
+
+@dataclass
+class BranchLayer:
+    """One branch's GESA layer in the per-branch layout."""
+
+    q_c: Linear
+    k_c: Linear
+    v_c: Linear
+    q_intra: Linear  # None under "con"
+    k_intra: Linear
+    q_inter: Linear  # None unless "con_intra_inter"
+    k_inter: Linear
+    gate: Linear
+    ln1: LayerNorm
+    ffn: Ffn
+    ln2: LayerNorm
+
+
+BRANCH_FIELDS = [f.name for f in dataclasses.fields(BranchLayer)]
+CONTENT_FIELDS = [f.name for f in dataclasses.fields(GesaLayerParams)]
+GEOMETRY_FIELDS = [f.name for f in dataclasses.fields(GeometryProjections)]
+
+
+def _join(prefix, name):
+    return f"{prefix}.{name}" if prefix else str(name)
+
+
+def _sliced(obj, index, old, new, pairs):
+    """obj (a parameter dataclass or None) with each Tensor t replaced by
+    `T.index(t, index)`: a view of that slice, through which a live tape
+    sends gradients on to t. Appends (old name, new name, index) per Tensor."""
+    if obj is None:
+        return None
+    if isinstance(obj, Tensor):
+        pairs.append((old, new, index))
+        return T.index(obj, index)
+    return type(obj)(*(_sliced(getattr(obj, f.name), index, _join(old, f.name), _join(new, f.name), pairs)
+                       for f in dataclasses.fields(obj)))
+
+
+def _group_layout(group, names, prefix, key, pairs):
+    """{name: [BranchLayer per layer]} of a stored group whose slices are the
+    named branches: branch i's content weights are slice i of each layer's,
+    its geometry projections of layer l slice i*L + l of the group's."""
+    n_layers = len(group.layers)
+    out = {}
+    for i, b in enumerate(names):
+        out[b] = []
+        for l, lp in enumerate(group.layers):
+            fields = {}
+            for f in BRANCH_FIELDS:
+                old = _join(prefix, f"{b}.{l}.{f}")
+                if f in CONTENT_FIELDS:
+                    fields[f] = _sliced(getattr(lp, f), i, old, _join(key, f"layers.{l}.{f}"), pairs)
+                else:
+                    fields[f] = _sliced(getattr(group.geometry, f), i * n_layers + l, old,
+                                        _join(key, f"geometry.{f}"), pairs)
+            out[b].append(BranchLayer(**fields))
+    return out
+
+
+def _layout(obj, branches, prefix, pairs):
+    if obj is None:
+        return None
+    if isinstance(obj, Tensor):
+        pairs.append((prefix, prefix, None))
+        return obj
+    if isinstance(obj, GesaGroupParams):  # a lone group, its branches named by index
+        return list(_group_layout(obj, range(len(obj.layers[0].gate.w.data)), prefix, prefix, pairs).values())
+    if isinstance(obj, dict) and obj and all(isinstance(g, GesaGroupParams) for g in obj.values()):
+        out = {}
+        for key, group in obj.items():
+            out.update(_group_layout(group, key.split("+"), prefix, _join(prefix, key), pairs))
+        return out
+    if isinstance(obj, DecoderLayerParams):
+        names = branches or range(len(obj.mod.w.data))
+        fields = {}
+        for f in dataclasses.fields(obj):
+            child, at = getattr(obj, f.name), _join(prefix, f.name)
+            if f.name in ("cross", "mod"):
+                fields[f.name] = {b: _sliced(child, i, _join(at, b), at, pairs) for i, b in enumerate(names)}
+            else:
+                fields[f.name] = _layout(child, branches, at, pairs)
+        return DecoderLayerParams(**fields)
+    if isinstance(obj, ModelParams):
+        branches = [b for key in obj.branches for b in key.split("+")]
+    if dataclasses.is_dataclass(obj):
+        return type(obj)(**{f.name: _layout(getattr(obj, f.name), branches, _join(prefix, f.name), pairs)
+                            for f in dataclasses.fields(obj)})
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_layout(child, branches, _join(prefix, i), pairs) for i, child in enumerate(obj))
+    if isinstance(obj, dict):
+        return {k: _layout(child, branches, _join(prefix, k), pairs) for k, child in obj.items()}
+    raise TypeError(f"cannot lay out {type(obj)!r} at {prefix!r}")
+
+
+def per_branch(obj, branches=None):
+    """obj (a model, GESA groups, decoder layers, or any nesting of them) in
+    the per-branch layout, each per-branch tensor a view of its slice of the
+    stored one (`T.index`, so a live tape sends its gradients on to the
+    stored tensor) and every other tensor the stored one itself. A model
+    names its decoder's branch slices; otherwise `branches` does, or their
+    indices. A lone group comes out as a list of per-branch layer lists."""
+    return _layout(obj, branches, "", [])
+
+
+def name_map(obj, branches=None):
+    """{per-branch name: (stored name, index into the stored tensor's leading
+    axis, or None where the tensor is stored as it was)}, in the per-branch
+    layout's walk order."""
+    pairs = []
+    with T.no_grad():
+        _layout(obj, branches, "", pairs)
+    return {old: (new, i) for old, new, i in pairs}
+
+
+def stored_slice(obj, name, branches=None):
+    """(stored Tensor, index or None) holding the per-branch parameter `name`."""
+    new, i = name_map(obj, branches)[name]
+    return dict(named_parameters(obj))[new], i
+
+
+def mapped_grads(obj, branches=None):
+    """{per-branch name: the stored gradient's slice under the name map, or None}."""
+    stored = dict(named_parameters(obj))
+    out = {}
+    for old, (new, i) in name_map(obj, branches).items():
+        g = stored[new].grad
+        out[old] = g if g is None or i is None else g[i]
+    return out
+
+
+def per_branch_init(cfg, vocab_size, rng):
+    """A model in the per-branch layout, drawn as its init drew it: each GESA
+    branch's layers in turn, each decoder layer's cross-attention and then
+    gate affines branch by branch."""
+    d, maps = cfg.d_model, variant_map_count(cfg.gesa_variant)
+    need_vs, need_sv = needs_fusion(cfg.branches)
+    active = [b for b in BRANCH_NAMES if b in cfg.branches]
+
+    def branch_layer():
+        linears = [init_linear(rng, d, d) if i < 1 + 2 * maps else None for i in range(7)]
+        return BranchLayer(*linears, init_linear(rng, d, maps), init_layer_norm(d), init_ffn(rng, d), init_layer_norm(d))
+
+    def decoder_layer():
+        return DecoderLayerParams(
+            *(init_linear(rng, d, d) for _ in range(3)), init_layer_norm(d),
+            {b: CrossAttentionParams(*(init_linear(rng, d, d) for _ in range(3))) for b in active},
+            {b: init_linear(rng, 2 * d, d) for b in active}, init_layer_norm(d), init_ffn(rng, d), init_layer_norm(d))
+
+    def fusion():
+        return [init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)]
+
+    return ModelParams(
+        vis_in=init_linear(rng, cfg.raw_feat_dim, d),
+        geo_visual=init_geometry(rng, d),
+        geo_semantic=init_geometry(rng, d),
+        captions=init_caption_encoder(rng, vocab_size, cfg.enc_width, cfg.enc_layers, d),
+        fusion_vs=fusion() if need_vs else None,
+        fusion_sv=fusion() if need_sv else None,
+        branches={b: [branch_layer() for _ in range(cfg.layers)] for b in active},
+        dec_embed=init_embedding(rng, vocab_size, d),
+        dec_layers=[decoder_layer() for _ in range(cfg.layers)],
+        out=init_linear(rng, d, vocab_size),
+    )
+
+
+def _stacked(objs):
+    """Same-structured parameter dataclasses as one, each Tensor the members'
+    `T.stack`."""
+    first = objs[0]
+    if first is None:
+        return None
+    if isinstance(first, Tensor):
+        return T.stack(objs)
+    return type(first)(*(_stacked([getattr(o, f.name) for o in objs]) for f in dataclasses.fields(first)))
+
+
+def restacked(model):
+    """A model in the per-branch layout as the stored layout, each stored
+    tensor the `T.stack` of its per-branch tensors, as that layout ran every
+    call: on a live tape, gradients reach the per-branch tensors."""
+    groups = {}
+    for key, members in active_groups(list(model.branches)).items():
+        layer_lists = [model.branches[b] for b in members]
+        groups[key] = GesaGroupParams(
+            [GesaLayerParams(**{f: _stacked([getattr(bl, f) for bl in lps]) for f in CONTENT_FIELDS})
+             for lps in zip(*layer_lists)],
+            GeometryProjections(**{f: _stacked([getattr(bl, f) for layers in layer_lists for bl in layers])
+                                   for f in GEOMETRY_FIELDS}))
+    return dataclasses.replace(model, branches=groups, dec_layers=[
+        dataclasses.replace(lp, cross=_stacked(list(lp.cross.values())), mod=_stacked(list(lp.mod.values())))
+        for lp in model.dec_layers])
