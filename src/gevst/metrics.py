@@ -11,7 +11,8 @@ standard recipe: per n in 1..4 a tf-idf vector cosine with candidate counts
 clipped to the reference's, a Gaussian length penalty (sigma = 6), average
 over references then over n, times 10; corpus = mean of per-sentence scores.
 IDF statistics build once per reference corpus (document = one reference set)
-and can be reused across calls via CiderScorer.
+and can be reused across calls via CiderScorer, which also vectorizes each
+distinct reference once.
 """
 
 from __future__ import annotations
@@ -127,6 +128,14 @@ class CiderScorer:
                     seen.update(ngram_counts(r, k))
             df.update(seen)
         self.df = df
+        self._ref_vecs = {}  # tuple(reference) -> its _vec, made on the reference's first use
+
+    def _ref_vec(self, tokens):
+        key = tuple(tokens)
+        vecs = self._ref_vecs.get(key)
+        if vecs is None:
+            vecs = self._ref_vecs[key] = self._vec(tokens)
+        return vecs
 
     def _vec(self, tokens):
         """Per n: (tf-idf dict, norm). Unseen n-grams get df = 1."""
@@ -146,7 +155,7 @@ class CiderScorer:
         cand_vecs = self._vec(cand)
         acc = [0.0] * self.n
         for r in refs:
-            ref_vecs = self._vec(r)
+            ref_vecs = self._ref_vec(r)
             delta = float(len(cand) - len(r))
             penalty = math.exp(-(delta * delta) / (2.0 * self.sigma * self.sigma))
             for k in range(self.n):

@@ -12,17 +12,28 @@ Design constraints, fixed for the whole package:
     never pass through it, as each is stored in the stacked layout its
     kernel reads (see `nn`);
   * forward ops execute eagerly; when a Tape is active and an input requires
-    grad, the op appends one node to the tape. Backward replays nodes in exact
-    reverse recording order, which is a valid reverse topological order because
-    recording order is execution order;
+    grad, the op appends one node to the tape: the output's gradient slot, its
+    inputs' slots (None for an input that needs no gradient) and its backward
+    rule. A slot (`Tensor.slot`) holds a gradient, never data, and a rule
+    closes over only the arrays, shapes and requires-grad flags it reads,
+    never a Tensor. So an activation no rule reads (a pre-ReLU hidden, a
+    residual sum a layer norm consumes) is freed in the forward, as soon as
+    the caller drops it. (`mean`, `sum_axis`, `total_sum`, `index` and
+    `reshape` still keep their input array, of which they read only the
+    shape.) Backward replays nodes in exact reverse recording order, which is
+    a valid reverse topological order because recording order is execution
+    order;
   * backward consumes the tape once: it drops each node as soon as that
-    node's rule has run, so activations, the arrays a rule kept and
-    intermediate gradients are freed mid-walk unless the caller holds the
-    tensor, and a walked tape refuses a second backward.
+    node's rule has run, so the arrays a rule kept and intermediate
+    gradients are freed mid-walk unless the caller holds the tensor, and a
+    walked tape refuses a second backward.
 
-Gradients accumulate into Tensor.grad (never mutated in place, so aliasing
-views returned by backward rules are safe), or, for the tensors a backward
-call is given sinks for, in place into those caller-owned arrays.
+Gradients accumulate into each slot, read as Tensor.grad (never mutated in
+place, so aliasing views returned by backward rules are safe), or, for the
+tensors a backward call is given sinks for, in place into those
+caller-owned arrays. Sinks are keyed by tensor and matched by its slot,
+which the tape holds, so a tensor made after the forward cannot take the
+gradient of a freed one that had its id().
 
 Recorder (diagnostics only; never part of the math or the tape):
   * `recording()` is a context manager yielding `{scoped name: [array copy
@@ -54,8 +65,18 @@ _STATE = _State()
 LN_EPS = 1e-5  # added to layer_norm's variance inside the square root
 
 
+class _Slot:
+    """What the tape keeps of a tensor that needs a gradient: the gradient
+    backward accumulates for it. Never the tensor's data."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "slot")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -63,15 +84,25 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self.slot = _Slot() if requires_grad else None
 
     @staticmethod
     def _wrap(arr, requires_grad=False):
         t = Tensor.__new__(Tensor)
         t.data = arr
         t.requires_grad = requires_grad
-        t.grad = None
+        t.slot = _Slot() if requires_grad else None
         return t
+
+    @property
+    def grad(self):
+        return None if self.slot is None else self.slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self.slot is None:
+            self.slot = _Slot()
+        self.slot.grad = value
 
     def item(self):
         if self.data.size != 1:
@@ -106,14 +137,17 @@ class Tape:
         return False
 
     def backward(self, loss, sinks=None):
-        """Accumulate d loss / d t into every tensor t on the tape. `sinks`
-        maps id(t) to a writable array shaped like t: such a t has its
-        gradient added into that array in place, and its .grad is left alone.
+        """Accumulate d loss / d t into the slot of every tensor t on the tape.
+        `sinks` maps a tensor to a writable array shaped like it: that
+        tensor's gradient is added into the array in place, and its .grad is
+        left alone. Sinks are matched by the tensor's slot, which the tape
+        holds, so a tensor made after the forward never receives a gradient
+        recorded for a freed one, whatever its id().
 
-        Consumes the tape: each node's slot becomes None once its rule has
-        run, so a node output the caller does not hold is freed, with its
-        gradient and the forward arrays its rule kept, as the walk goes on.
-        The list keeps its length. A second backward raises ContractError."""
+        Consumes the tape: each node becomes None once its rule has run, so
+        the slot of a tensor the caller does not hold is freed, with its
+        gradient and the arrays its rule kept, as the walk goes on. The list
+        keeps its length. A second backward raises ContractError."""
         if not isinstance(loss, Tensor):
             raise ContractError("backward target must be a Tensor")
         if loss.data.size != 1:
@@ -124,7 +158,7 @@ class Tape:
         nodes = self.nodes
         seed = np.ones_like(loss.data)
         loss.grad = seed if loss.grad is None else loss.grad + seed
-        sinks = sinks or {}
+        owned = {_slot(t): sink for t, sink in sinks.items()} if sinks else {}
         for i in range(len(nodes) - 1, -1, -1):
             out, inputs, bwd = nodes[i]
             nodes[i] = None
@@ -132,14 +166,14 @@ class Tape:
             if g is None:
                 continue
             grads = bwd(g)
-            for t, gt in zip(inputs, grads):
-                if gt is None or not t.requires_grad:
+            for s, gs in zip(inputs, grads):
+                if gs is None or s is None:
                     continue
-                sink = sinks.get(id(t))
+                sink = owned.get(s)
                 if sink is not None:
-                    sink += gt
+                    sink += gs
                 else:
-                    t.grad = gt if t.grad is None else t.grad + gt
+                    s.grad = gs if s.grad is None else s.grad + gs
 
 
 @contextmanager
@@ -181,12 +215,21 @@ def record_each(names, t, shape=None):
             _STATE.records.setdefault(_STATE.scope + name, []).append(row.reshape(shape or row.shape).copy())
 
 
+def _slot(t):
+    """t's gradient slot, made on first need; None if t needs no gradient."""
+    if not t.requires_grad:
+        return None
+    if t.slot is None:
+        t.slot = _Slot()
+    return t.slot
+
+
 def _emit(data, inputs, bwd):
     """Wrap data; record a node when a tape is live and some input needs grad."""
     tape = _STATE.tape
     if tape is not None and any(t.requires_grad for t in inputs):
         out = Tensor._wrap(data, True)
-        tape.nodes.append((out, inputs, bwd))
+        tape.nodes.append((out.slot, tuple([_slot(t) for t in inputs]), bwd))
         return out
     return Tensor._wrap(data)
 
@@ -201,10 +244,12 @@ def matmul(a, b):
     if ad.shape[-1] != bd.shape[-2] or ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul shapes incompatible: {ad.shape} @ {bd.shape}")
     out = ad @ bd
+    ra, rb = a.requires_grad, b.requires_grad
+    ad, bd = (ad if rb else None), (bd if ra else None)  # each operand only for the other's gradient
 
     def bwd(g):
-        ga = g @ bd.swapaxes(-1, -2) if a.requires_grad else None
-        gb = ad.swapaxes(-1, -2) @ g if b.requires_grad else None
+        ga = g @ bd.swapaxes(-1, -2) if ra else None
+        gb = ad.swapaxes(-1, -2) @ g if rb else None
         return ga, gb
 
     return _emit(out, (a, b), bwd)
@@ -224,14 +269,13 @@ def affine(x, w, b):
     if xd.shape[-1] != wd.shape[0] or wd.shape[1] != bb.shape[0]:
         raise ShapeError(f"affine shapes incompatible: {xd.shape} @ {wd.shape} + {bb.shape}")
     out = xd @ wd + bb
+    rx, rw, rb = x.requires_grad, w.requires_grad, b.requires_grad
+    xd, wd = (xd if rw else None), (wd if rx else None)
 
     def bwd(g):
-        gx = g @ wd.T if x.requires_grad else None
-        if w.requires_grad:
-            gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gw = None
-        gb = g.reshape(-1, g.shape[-1]).sum(axis=0) if b.requires_grad else None
+        gx = g @ wd.T if rx else None
+        gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if rw else None
+        gb = g.reshape(-1, g.shape[-1]).sum(axis=0) if rb else None
         return gx, gw, gb
 
     return _emit(out, (x, w, b), bwd)
@@ -244,12 +288,14 @@ def _stacked_affine(x, w, b):
         raise ShapeError(f"stacked affine needs x[k,...,K], w[k,K,N], b[k,N]; got {xd.shape}, {wd.shape}, {bb.shape}")
     x3 = xd.reshape(k, -1, n_in)
     out = (x3 @ wd + bb[:, None, :]).reshape(xd.shape[:-1] + (n_out,))
+    rx, rw, rb, x_shape = x.requires_grad, w.requires_grad, b.requires_grad, xd.shape
+    x3, wd = (x3 if rw else None), (wd if rx else None)
 
     def bwd(g):
         g3 = g.reshape(k, -1, n_out)
-        gx = (g3 @ wd.swapaxes(1, 2)).reshape(xd.shape) if x.requires_grad else None
-        gw = x3.swapaxes(1, 2) @ g3 if w.requires_grad else None
-        gb = g3.sum(axis=1) if b.requires_grad else None
+        gx = (g3 @ wd.swapaxes(1, 2)).reshape(x_shape) if rx else None
+        gw = x3.swapaxes(1, 2) @ g3 if rw else None
+        gb = g3.sum(axis=1) if rb else None
         return gx, gw, gb
 
     return _emit(out, (x, w, b), bwd)
@@ -272,24 +318,28 @@ def _operands(a, b, opname):
     return b, ad, bd
 
 
-def _sum_to(t, g, factor=None):
-    """Operand t's gradient: g (times `factor`), summed down to one entry if t
-    acted as a scalar; None if t needs no gradient."""
-    if not t.requires_grad:
+def _sum_to(g, shape, factor=None):
+    """An operand's gradient: g (times `factor`), summed down to one entry if
+    the operand acted as a scalar (shape being the operand's own); None if
+    shape is None, the operand needing no gradient."""
+    if shape is None:
         return None
     if factor is not None:
         g = g * factor
-    return g if g.shape == t.data.shape else g.sum().reshape(t.data.shape)
+    return g if g.shape == shape else g.sum().reshape(shape)
 
 
 def add(a, b):
     b, ad, bd = _operands(a, b, "add")
-    return _emit(ad + bd, (a, b), lambda g: (_sum_to(a, g), _sum_to(b, g)))
+    sa, sb = (a.data.shape if a.requires_grad else None), (b.data.shape if b.requires_grad else None)
+    return _emit(ad + bd, (a, b), lambda g: (_sum_to(g, sa), _sum_to(g, sb)))
 
 
 def mul(a, b):
     b, ad, bd = _operands(a, b, "mul")
-    return _emit(ad * bd, (a, b), lambda g: (_sum_to(a, g, bd), _sum_to(b, g, ad)))
+    sa, sb = (a.data.shape if a.requires_grad else None), (b.data.shape if b.requires_grad else None)
+    fa, fb = (None if sa is None else bd), (None if sb is None else ad)  # each factor only for the other's gradient
+    return _emit(ad * bd, (a, b), lambda g: (_sum_to(g, sa, fa), _sum_to(g, sb, fb)))
 
 
 def pairwise_add(p, k):
@@ -300,11 +350,11 @@ def pairwise_add(p, k):
         raise ShapeError(f"pairwise_add needs [N x d] and [M x d], got {pd.shape} and {kd.shape}")
     n, m, d = pd.shape[0], kd.shape[0], pd.shape[1]
     out = (pd[:, None, :] + kd[None, :, :]).reshape(n * m, d)
+    rp, rk = p.requires_grad, k.requires_grad
 
     def bwd(g):
         g3 = g.reshape(n, m, d)
-        return (g3.sum(axis=1) if p.requires_grad else None,
-                g3.sum(axis=0) if k.requires_grad else None)
+        return g3.sum(axis=1) if rp else None, g3.sum(axis=0) if rk else None
 
     return _emit(out, (p, k), bwd)
 
@@ -341,17 +391,16 @@ def attention_weights(q, k, h, mask=None):
         scores = np.where(mask, -1e9, scores)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     out = e / e.sum(axis=-1, keepdims=True)
+    rq, rk, q_shape, k_shape = q.requires_grad, k.requires_grad, qd.shape, kd.shape
+    qh, kh = (qh if rk else None), (kh if rq else None)
 
     def bwd(g):
         gs = out * (g - (g * out).sum(axis=-1, keepdims=True))
         if mask is not None:
             gs = np.where(mask, 0.0, gs)
         gs = gs * scale
-        gq = (gs @ kh).transpose(perm).reshape(qd.shape) if q.requires_grad else None
-        if k.requires_grad:
-            gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2).transpose(perm).reshape(kd.shape)
-        else:
-            gk = None
+        gq = (gs @ kh).transpose(perm).reshape(q_shape) if rq else None
+        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2).transpose(perm).reshape(k_shape) if rk else None
         return gq, gk
 
     return _emit(out, (q, k), bwd)
@@ -369,11 +418,13 @@ def apply_attention(weights, v, h):
         raise ShapeError(f"apply_attention: weights {wd.shape} do not fit {h} heads over values {vd.shape}")
     merged = (wd @ vh).transpose(perm)
     out = merged.reshape(merged.shape[:-2] + (vd.shape[-1],))
+    rw, rv, merged_shape, v_shape = weights.requires_grad, v.requires_grad, merged.shape, vd.shape
+    wd, vh = (wd if rv else None), (vh if rw else None)
 
     def bwd(g):
-        gh = g.reshape(merged.shape).transpose(perm)
-        gw = gh @ vh.swapaxes(-1, -2) if weights.requires_grad else None
-        gv = (wd.swapaxes(-1, -2) @ gh).transpose(perm).reshape(vd.shape) if v.requires_grad else None
+        gh = g.reshape(merged_shape).transpose(perm)
+        gw = gh @ vh.swapaxes(-1, -2) if rw else None
+        gv = (wd.swapaxes(-1, -2) @ gh).transpose(perm).reshape(v_shape) if rv else None
         return gw, gv
 
     return _emit(out, (weights, v), bwd)
@@ -469,6 +520,7 @@ def layer_norm(x, gain, bias):
             or (per_slice and (xd.ndim < 3 or xd.shape[0] != gd.shape[0]))):
         raise ShapeError(f"layer_norm gain/bias must be [{d}], or [k x {d}] for x [k x ... x {d}]; "
                          f"got {gd.shape}, {bd.shape} for x {xd.shape}")
+    rows = (gd.shape[0], -1, d) if per_slice else (-1, d)  # what the gain and bias gradients sum over
     if per_slice:  # each slice's row broadcast over that slice's rows
         lead = (gd.shape[0],) + (1,) * (xd.ndim - 2) + (d,)
         gd, bd = gd.reshape(lead), bd.reshape(lead)
@@ -478,12 +530,12 @@ def layer_norm(x, gain, bias):
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = xhat * gd + bd
+    rx, rgain, rbias = x.requires_grad, gain.requires_grad, bias.requires_grad
 
     def bwd(g):
-        rows = (gain.data.shape[0], -1, d) if per_slice else (-1, d)  # summed over axis 1 or 0: the rows of one slice
-        ggain = (g * xhat).reshape(rows).sum(axis=-2) if gain.requires_grad else None
-        gbias = g.reshape(rows).sum(axis=-2) if bias.requires_grad else None
-        if x.requires_grad:
+        ggain = (g * xhat).reshape(rows).sum(axis=-2) if rgain else None
+        gbias = g.reshape(rows).sum(axis=-2) if rbias else None
+        if rx:
             dxhat = g * gd
             gx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
         else:
@@ -534,11 +586,11 @@ def concat(tensors, axis=0):
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat of an empty list")
-    datas = [t.data for t in tensors]
-    out = np.concatenate(datas, axis=axis)
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.data.shape[axis] for t in tensors]
 
     def bwd(g):
-        return tuple(np.split(g, np.cumsum([d.shape[axis] for d in datas])[:-1], axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _emit(out, tuple(tensors), bwd)
 
@@ -576,13 +628,15 @@ def mix_maps(maps, gates):
     out = maps[0].data * weights[0]
     for m, gi in zip(maps[1:], weights[1:]):
         out = out + m.data * gi
+    wanted = [m.requires_grad for m in maps]
+    datas = [m.data for m in maps] if gates.requires_grad else None  # read only by the gates' gradient
 
     def bwd(g):
-        if gates.requires_grad:
-            ggates = np.stack([(g * m.data).reshape(lead + (-1,)).sum(axis=-1) for m in maps], axis=-1)
+        if datas is not None:
+            ggates = np.stack([(g * md).reshape(lead + (-1,)).sum(axis=-1) for md in datas], axis=-1)
         else:
             ggates = None
-        return (*[g * gi if m.requires_grad else None for m, gi in zip(maps, weights)], ggates)
+        return (*[g * gi if r else None for r, gi in zip(wanted, weights)], ggates)
 
     return _emit(out, maps + (gates,), bwd)
 

@@ -16,25 +16,25 @@ loss, learning-rate rule and streams. A batch is encoded on the tape by
 `encode_batch`: every dense caption of the batch in one padded, masked
 caption-encoder pass, then each sample through its own `encode_sample`
 call, whose GESA branches run in groups on one branch axis (`encoder`).
-The per-sample calls stay because the benchmark's tracer counts trained
-samples from them; fusion and GESA across samples wait on that count
-moving to the batch. The loss comes from one padded, masked
-teacher-forced decoder pass over the whole batch (`decoder_forward` on
-lists): XE over the first ground-truth captions, SCST over the sampled
-captions with a non-zero advantage. SCST rolls a whole batch out in one
-lockstep decode, each sample drawing from its own stream. The backward
-adds every parameter's gradient straight into Adam's flat gradient vector
-(`Adam.sinks`), the one way gradients reach the optimizer; the optimizer
-step zeroes that vector again. Memory follows the forward's live set: the
+The loss comes from one padded, masked teacher-forced decoder pass over
+the whole batch (`decoder_forward` on lists): XE over the first
+ground-truth captions, SCST over the sampled captions with a non-zero
+advantage. SCST rolls a whole batch out in one lockstep decode, each
+sample drawing from its own stream. The backward adds every parameter's
+gradient straight into Adam's flat gradient vector (`Adam.sinks`), the one
+way gradients reach the optimizer; the optimizer step zeroes that vector
+again. Memory follows the forward's live set, which holds only what
+backward rules read (the tape keeps gradient slots, not activations): the
 backward frees the batch's graph as it walks it, and the Adam step runs
 over the flat vectors in blocks of ADAM_BLOCK entries, so neither makes a
-full-length temporary. The loop holds
-Adam(beta2=0.98, eps=1e-9, bias-corrected), global-norm gradient clipping
-at 5.0, batch-mean losses, a fixed shuffle stream per epoch, and
-best-checkpoint selection by validation CIDEr-D every val_every epochs. A
-non-finite batch loss or gradient norm raises TrainingDiverged before the
-optimizer step, so the parameters keep their last finite values; so do
-non-finite log-probs in an SCST rollout.
+full-length temporary. Once the last step is taken, Adam's gradient and
+moment vectors are freed, before the last validation and its snapshot
+copy. The loop holds Adam(beta2=0.98, eps=1e-9, bias-corrected),
+global-norm gradient clipping at 5.0, batch-mean losses, a fixed shuffle
+stream per epoch, and best-checkpoint selection by validation CIDEr-D
+every val_every epochs. A non-finite batch loss or gradient norm raises
+TrainingDiverged before the optimizer step, so the parameters keep their
+last finite values; so do non-finite log-probs in an SCST rollout.
 
 All parameters live in one float64 vector (nn.flat_parameters), each Tensor
 a view into it: Adam, clipping and best snapshots work on that vector.
@@ -95,7 +95,7 @@ class Adam:
         tensors = parameters(params_obj)
         self.grad, self.m, self.v = (np.zeros_like(self.params) for _ in range(3))
         self.grad_views = flat_views(self.grad, tensors)
-        self.sinks = {id(t): g for t, g in zip(tensors, self.grad_views)}
+        self.sinks = dict(zip(tensors, self.grad_views))
         self.scratch = np.empty(min(ADAM_BLOCK, self.params.size))
         self.t = 0
 
@@ -123,6 +123,11 @@ class Adam:
             tmp /= g
             self.params[block] -= tmp
             g.fill(0.0)
+
+    def free(self):
+        """Drop `grad`, `m` and `v` (with the views and sinks into `grad`)
+        once the last step is taken; no step follows."""
+        self.grad = self.m = self.v = self.grad_views = self.sinks = self.scratch = None
 
 
 def clip_gradients(opt, max_norm):
@@ -285,7 +290,8 @@ def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_loss, l
     straight into the optimizer's gradient vector, clipped and stepped at
     `lr_at(step)`. The curve holds the mean reward when the phase reports
     rewards, else the mean loss, logged by `report`. The best snapshot is
-    copied at each validation that improves on the best score so far."""
+    copied at each validation that improves on the best score so far. The
+    optimizer's vectors are freed before the last validation."""
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     opt = Adam(params)
@@ -321,6 +327,8 @@ def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_loss, l
             log(report.format(epoch, value))
 
         stop = stop_fn is not None and stop_fn(epoch, value)
+        if epoch == epochs or stop:  # the last step is taken: only the parameters are read from here on
+            opt.free()
         if epoch % cfg.val_every == 0 or epoch == epochs or stop:
             score = corpus_cider(params, cfg, vocab, val or train)
             if score > best_val:

@@ -574,7 +574,8 @@ def apply_attention(T, weights, v, h):
 def sub(T, a, b):
     """a - b under the engine's add/mul operand rule, as one engine node."""
     b, ad, bd = T._operands(a, b, "sub")
-    return T._emit(ad - bd, (a, b), lambda g: (T._sum_to(a, g), T._sum_to(b, g, -1.0)))
+    sa, sb = (a.data.shape if a.requires_grad else None), (b.data.shape if b.requires_grad else None)
+    return T._emit(ad - bd, (a, b), lambda g: (T._sum_to(g, sa), T._sum_to(g, sb, -1.0)))
 
 
 def exp(T, x):

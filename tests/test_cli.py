@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,13 +9,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
 import util as U
 from gevst import ablation, cli
-from gevst.errors import GevstError
+from gevst.config import TrainConfig, config_from_dict
+from gevst.errors import ConfigError, GevstError
 from gevst.model import init_model
 from gevst.nn import named_parameters
 from gevst.training import load_checkpoint, save_checkpoint
@@ -492,6 +494,76 @@ def test_wrongly_typed_config_exits_one(workdir, tmp_path, capsys):
         assert code == 1
         assert "error: config file" in capsys.readouterr().err
 
+
+
+CONFIG_FIELDS = sorted(f.name for f in dataclasses.fields(TrainConfig))
+ODD_NUMBERS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 2 ** 70, -2 ** 63, 10 ** 400,
+                               0, -1, 0.5, 1e308, True, False])
+
+
+def mutated_config(data):
+    """TINY with one to three fields set to another type, a bool, a
+    non-finite or huge number or a near miss; or with an unknown or retired
+    key added, or a key dropped; or other JSON in place of the object."""
+    cfg = dict(TINY)
+    kind = data.draw(st.sampled_from(["field", "field", "field", "unknown", "retired", "drop", "whole"]))
+    if kind == "field":
+        branch_lists = st.lists(st.sampled_from(["ss", "sv", "vs", "vv", "x"]))
+        value = ODD_NUMBERS | st.integers(-3, 600) | JSON_VALUES | branch_lists
+        for _ in range(data.draw(st.integers(1, 3))):
+            cfg[data.draw(st.sampled_from(CONFIG_FIELDS))] = data.draw(value)
+    elif kind == "unknown":
+        cfg[data.draw(st.text(max_size=8).filter(lambda k: k not in CONFIG_FIELDS))] = data.draw(JSON_VALUES)
+    elif kind == "retired":
+        value = st.sampled_from(["sigmoid", "softmax", False, True, 0]) | JSON_VALUES
+        cfg[data.draw(st.sampled_from(["gate_mode", "renorm_fused_attention"]))] = data.draw(value)
+    elif kind == "drop":
+        del cfg[data.draw(st.sampled_from(sorted(cfg)))]
+    else:
+        return data.draw(JSON_VALUES)
+    return cfg
+
+
+def config_file(folder, obj):
+    path = os.path.join(folder, "c.json")
+    with open(path, "w") as f:
+        json.dump(obj, f)  # NaN and Infinity as JSON's usual extension tokens
+    return path
+
+
+@given(data=st.data())
+def test_config_reader_on_any_mutated_object_gives_a_config_or_config_error(data):
+    """Whatever a --config file holds, reading it (`_read_config_file`, then
+    `config_from_dict`) gives a valid TrainConfig, one that round-trips
+    through its dict, or raises ConfigError, never anything else."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = config_file(tmp, mutated_config(data))
+        try:
+            cfg = config_from_dict(cli._read_config_file(path))
+        except ConfigError:
+            return
+    assert isinstance(cfg, TrainConfig) and config_from_dict(cfg.to_dict()) == cfg
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_train_with_a_rejected_mutated_config_exits_one(workdir, data):
+    """A --config file that the reader rejects makes `gevst train` exit 1
+    with one `error:` line and no output directory (a file it accepts would
+    train, and is left to the test above)."""
+    obj = mutated_config(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = config_file(tmp, obj)
+        try:
+            config_from_dict(cli._read_config_file(path))
+            return
+        except ConfigError:
+            pass
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["train", "--data", workdir["data"], "--config", path, "--out", os.path.join(tmp, "run")])
+        assert code == 1 and not os.path.exists(os.path.join(tmp, "run"))
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_out_of_range_heads_seed_and_epochs_exit_one(workdir, tmp_path, capsys):

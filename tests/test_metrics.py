@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles as O
+import util as U
 from gevst.errors import InputError
 from gevst.metrics import (CiderScorer, bleu, cider_d, evaluate, lcs_length,
                            rouge_l)
@@ -124,3 +125,24 @@ def test_evaluate_report_shape(rng):
     assert set(rep) == {"bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "cider_d", "n"}
     assert rep["n"] == 3
     assert rep["bleu4"] <= rep["bleu1"]
+
+
+def test_cider_scorer_vectorizes_each_reference_once(rng):
+    """SCST scores every sample against the same references each step: the
+    scorer vectorizes each distinct reference once, and its scores over
+    repeated calls stay bit-identical to vectorizing every reference on every
+    call (tests/util.py keeps that as the reference, here on a second scorer
+    of the same corpus), also for references outside its IDF corpus."""
+    _, refss = rand_corpus(rng, n_sent=5)
+    scorer, plain = CiderScorer(refss), CiderScorer(refss)
+    vectorized, vec = [], scorer._vec
+    scorer._vec = lambda tokens: vectorized.append(tuple(tokens)) or vec(tokens)
+    refss = refss + [[[WORDS[i] for i in rng.integers(0, len(WORDS), 6)]]]
+    calls = 0
+    for _ in range(4):
+        cands, _ = rand_corpus(rng, n_sent=len(refss))
+        for cand, refs in zip(cands, refss):
+            assert scorer.sentence(cand, refs) == U.reference_cider_sentence(plain, cand, refs)
+            calls += 1
+    distinct = {tuple(r) for refs in refss for r in refs}
+    assert len(vectorized) == calls + len(distinct)

@@ -541,16 +541,116 @@ def test_backward_adds_into_sinks_in_place_as_grad_would_sum():
     sinks = [np.zeros((3, 4)), np.zeros((5, 4))]
     with Tape() as tape:
         out = loss()
-        tape.backward(out, {id(w): sinks[0], id(u): sinks[1]})
+        tape.backward(out, {w: sinks[0], u: sinks[1]})
     assert w.grad is None and u.grad is None
     assert all(np.array_equal(got, exp) for got, exp in zip(sinks, want))
     a, b = (Tensor(np.zeros((2, 2)), requires_grad=True) for _ in range(2))
     sink = np.full((2, 2), 5.0)
     with Tape() as tape:
         s = T.add(a, b)
-        tape.backward(T.total_sum(s), {id(a): sink})
+        tape.backward(T.total_sum(s), {a: sink})
     assert np.array_equal(sink, np.full((2, 2), 6.0))
     assert np.array_equal(b.grad, np.ones((2, 2))) and np.array_equal(s.grad, np.ones((2, 2)))
+
+
+def test_a_sink_never_takes_a_freed_tensors_gradient():
+    """The tape keeps slots, not tensors, so an intermediate the caller drops
+    is freed during the forward and a tensor made afterwards may reuse its
+    id(). Sinks are matched by slot: that tensor's sink stays untouched while
+    the weight's sink gets exactly the gradient .grad would hold."""
+    w = Tensor(RNG.normal(0, 1, (3, 3)), requires_grad=True)
+    x = Tensor(RNG.normal(0, 1, (4, 3)))
+
+    def loss():
+        mid = T.tanh(T.matmul(x, w))
+        return T.total_sum(T.mul(mid, mid)), id(mid)
+
+    with Tape() as tape:
+        out, _ = loss()
+        tape.backward(out)
+    want = w.grad
+    w.grad = None
+    zeros = np.zeros((4, 3))
+    with Tape() as tape:
+        out, freed_id = loss()
+        made = [Tensor._wrap(zeros, True)]  # the allocator reuses the freed address once its pool's turn comes
+        while id(made[-1]) != freed_id and len(made) < 100_000:
+            made.append(Tensor._wrap(zeros, True))
+        impostor = made[-1]
+        assert id(impostor) == freed_id
+        sinks = {w: np.zeros((3, 3)), impostor: np.zeros((4, 3))}
+        tape.backward(out, sinks)
+    assert np.array_equal(sinks[w], np.zeros((3, 3)) + want)
+    assert not sinks[impostor].any() and impostor.grad is None and w.grad is None
+
+
+def test_an_activation_no_rule_reads_dies_in_the_forward(monkeypatch):
+    """A node keeps only what its rule reads: relu keeps its mask, not its
+    input, so an FFN's pre-ReLU hidden is freed as soon as the forward drops
+    it, before backward starts, while the same hidden held by the caller
+    stays alive; the gradients agree either way."""
+    from gevst.nn import ffn, init_ffn
+
+    p = init_ffn(np.random.default_rng(3), 6)
+    x = Tensor(RNG.normal(0, 1, (5, 6)), requires_grad=True)
+    hidden = []
+    relu = T.relu
+
+    def spying_relu(h):
+        hidden.append(weakref.ref(h.data))
+        return relu(h)
+
+    monkeypatch.setattr(T, "relu", spying_relu)
+    with Tape() as tape:
+        y = T.total_sum(ffn(x, p))
+        dropped_before_backward = hidden[0]() is None
+        tape.backward(y)
+    monkeypatch.undo()
+    assert dropped_before_backward
+    grads = [x.grad, p.inner.w.grad, p.outer.w.grad]
+    for t in (x, p.inner.w, p.inner.b, p.outer.w, p.outer.b):
+        t.grad = None
+    with Tape() as tape:
+        held = T.affine(x, p.inner.w, p.inner.b)
+        y = T.total_sum(T.affine(T.relu(held), p.outer.w, p.outer.b))
+        kept = weakref.ref(held.data)
+        tape.backward(y)
+        assert kept() is not None
+    assert all(np.array_equal(a, b) for a, b in zip(grads, [x.grad, p.inner.w.grad, p.outer.w.grad]))
+
+
+def test_no_backward_rule_keeps_a_tensor():
+    """Every op's rule closes over arrays, shapes and flags, never a Tensor
+    or a list of them, so recording a node keeps no activation alive through
+    its Tensor."""
+    def leaf(*shape):
+        return Tensor(RNG.normal(0, 1, shape), requires_grad=True)
+
+    x, w, b = leaf(4, 3), leaf(3, 5), leaf(5)
+    ws, bs, xs = leaf(2, 3, 5), leaf(2, 5), leaf(2, 4, 3)
+    q, k, v, att = leaf(4, 6), leaf(5, 6), leaf(5, 6), leaf(2, 4, 5)
+    gains = leaf(2, 3)
+    ops = [lambda: T.matmul(x, w), lambda: T.affine(x, w, b), lambda: T.affine(xs, ws, bs),
+           lambda: T.add(x, x), lambda: T.mul(x, 2.0), lambda: T.pairwise_add(x, x),
+           lambda: T.attention_weights(q, k, 2), lambda: T.apply_attention(att, v, 2),
+           lambda: T.tanh(x), lambda: T.sigmoid(x), lambda: T.relu(x), lambda: T.softmax(x),
+           lambda: T.log_softmax(x), lambda: T.layer_norm(x, leaf(3), leaf(3)),
+           lambda: T.layer_norm(xs, gains, leaf(2, 3)), lambda: T.sum_pool_stride(x, 3),
+           lambda: T.mean(x, 0), lambda: T.sum_axis(x, 1), lambda: T.total_sum(x), lambda: T.concat([x, x]),
+           lambda: T.stack([x, x]), lambda: T.mix_maps([x, x], leaf(2)), lambda: T.index(x, 1),
+           lambda: T.reshape(x, (12,)), lambda: T.embedding_lookup(w, [0, 2])]
+
+    def tensors_in(value):
+        if isinstance(value, Tensor):
+            return 1
+        return sum(map(tensors_in, value)) if isinstance(value, (list, tuple)) else 0
+
+    for op in ops:
+        with Tape() as tape:
+            op()
+        (_, _, bwd), = tape.nodes
+        cells = [c.cell_contents for c in getattr(bwd, "__closure__", None) or ()]
+        assert tensors_in(cells) == 0, (op, bwd.__qualname__)
 
 
 def test_means_equal_ndarray_mean_bit_for_bit():

@@ -190,6 +190,26 @@ def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8, part=None)
 # monkeypatches `training` changes both these loops and the package's.
 
 
+def reference_cider_sentence(scorer, cand, refs):
+    """`CiderScorer.sentence` vectorizing every reference on every call, as it
+    did before the scorer kept each reference's vectors."""
+    cand_vecs = scorer._vec(cand)
+    acc = [0.0] * scorer.n
+    for r in refs:
+        ref_vecs = scorer._vec(r)
+        delta = float(len(cand) - len(r))
+        penalty = math.exp(-(delta * delta) / (2.0 * scorer.sigma * scorer.sigma))
+        for k in range(scorer.n):
+            cv, cn = cand_vecs[k]
+            rv, rn = ref_vecs[k]
+            if cn == 0.0 or rn == 0.0:
+                continue
+            num = sum(min(val, rv[gram]) * rv[gram] for gram, val in cv.items() if gram in rv)
+            acc[k] += penalty * num / (cn * rn)
+    per_n = [10.0 * a / len(refs) for a in acc]
+    return sum(per_n) / scorer.n
+
+
 def reference_adam_step(opt, lr):
     """`TR.Adam.step` as one pass over the whole flat vectors: the same NumPy
     calls in the same order, each making full-length temporaries."""
