@@ -60,6 +60,7 @@ from .nn import (
     init_linear,
     layer_norm,
     linear,
+    pad_rows,
     sinusoidal_positions,
     stack_params,
 )
@@ -140,19 +141,14 @@ def pad_scenes(scenes):
     d], bool [k x S x N]), the k active branches in BRANCH_NAMES order and N
     the longest branch output of any scene. Entry [i, s] holds branch i of
     scene s, its rows first, zero rows after them, and the padding is True at
-    those zero rows. Recorded on the tape when the outputs are: one concat and
-    one row gather."""
+    those zero rows (`nn.pad_rows`)."""
     _check_scenes(scenes)
     branches = tuple(b for b in BRANCH_NAMES if b in scenes[0])
     if not branches:
         raise ConfigError("decoder needs at least one branch output")
     outs = [s[b] for b in branches for s in scenes]
     counts = np.array([len(out.data) for out in outs]).reshape(len(branches), len(scenes))
-    padding = np.arange(counts.max()) >= counts[..., None]
-    rows = np.full(padding.shape, counts.sum())  # the zero row appended below
-    rows[~padding] = np.arange(counts.sum())
-    zero = Tensor(np.zeros((1, outs[0].data.shape[1])))
-    return branches, T.embedding_lookup(T.concat(outs + [zero]), rows), padding
+    return (branches, *pad_rows(outs, counts))
 
 
 def cross_keys_values(layers, scenes):

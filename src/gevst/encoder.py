@@ -28,14 +28,22 @@ each geometry projection as one [L*k x ...] tensor over every (branch,
 layer) pair, which one stacked pass reads whole (`geometry_maps`). Each
 slice computes what its branch alone would, with the same NumPy
 arithmetic; tests/util.py keeps the per-branch loop as the reference, with
-the per-branch view of these tensors. Samples are still encoded one at a
-time: fusion and GESA across the samples of a batch need padding and masks
-that they do not have yet.
+the per-branch view of these tensors.
+
+A batch of scenes runs as one: every input gains a batch axis, [B x N x d],
+each scene's tokens padded to the batch's most, and a bool [B x N] padding
+per side marks the padded tokens. Every map (fusion's additive maps, the
+content and geometry maps here) scores padded keys -1e9 before its softmax,
+and the gate's token mean runs over each scene's real tokens only, so no
+padded row reaches a real one; padded rows compute values nobody reads.
+One scene runs at [N x d], with no batch axis and no mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import tensor as T
 from .config import GESA_VARIANTS
@@ -53,6 +61,7 @@ from .nn import (
     linear,
     stack_params,
 )
+from .tensor import Tensor
 
 # The branches that attend over one token set, each group run on one leading
 # axis: the semantic pair over the dense captions, the visual pair over the
@@ -118,14 +127,24 @@ def init_gesa_group(rng, d, h, variant, branches, layers):
     return GesaGroupParams([stack_params(content[i::layers]) for i in range(layers)], stack_params(geometry))
 
 
-def geometry_maps(group: GesaGroupParams, h, g_intra, g_inter):
-    """Per layer, the geometry maps [k x h x N x N] of a group of k branches
-    over one token set, in (intra, inter) order, those the variant uses.
+def key_mask(padding, lead, h):
+    """The padded-key mask of maps [*lead x ... x h x N x N] over the tokens of
+    `padding` (bool [... x N], True at a padded token), or None without one."""
+    if padding is None:
+        return None
+    n = padding.shape[-1]
+    return np.broadcast_to(padding[..., None, None, :], lead + padding.shape[:-1] + (h, n, n))
 
-    The geometry inputs g_intra and g_inter [N x d] are the group's own, the
-    same at every layer, so no map depends on content: each kind is one
+
+def geometry_maps(group: GesaGroupParams, h, g_intra, g_inter, padding=None):
+    """Per layer, the geometry maps [k x ... x h x N x N] of a group of k
+    branches over one token set, in (intra, inter) order, those the variant
+    uses.
+
+    The geometry inputs g_intra and g_inter [... x N x d] are the group's own,
+    the same at every layer, so no map depends on content: each kind is one
     stacked pass over every (branch, layer) pair, branch-major, as the
-    projections are stored.
+    projections are stored. Padded keys (`padding`) are masked.
     """
     n_layers = len(group.layers)
     per_layer = [[] for _ in range(n_layers)]
@@ -133,45 +152,58 @@ def geometry_maps(group: GesaGroupParams, h, g_intra, g_inter):
     for g, q, k in ((g_intra, geometry.q_intra, geometry.k_intra), (g_inter, geometry.q_inter, geometry.k_inter)):
         if q is None:
             continue
-        shared = T.stack([g] * len(q.w.data))  # a zero-copy view: every pair reads the same rows
-        maps = T.attention_weights(linear(shared, q), linear(shared, k), h)
+        pairs = len(q.w.data)
+        shared = T.stack([g] * pairs)  # a zero-copy view: every pair reads the same rows
+        maps = T.attention_weights(linear(shared, q), linear(shared, k), h, mask=key_mask(padding, (pairs,), h))
         for i, layer_maps in enumerate(per_layer):
             layer_maps.append(T.index(maps, slice(i, None, n_layers)))
     return per_layer
 
 
-def gesa_gates(x_prev, params: GesaLayerParams):
+def gesa_gates(x_prev, params: GesaLayerParams, padding=None):
     """Convex gate over the active maps: softmax(mean over tokens of x W + b),
-    [m] for x [N x d] and one branch's gate, or [k x m] for a group's x
-    [k x N x d] and layer params."""
-    return T.softmax(T.mean(linear(x_prev, params.gate), axis=-2))
+    [m] for x [N x d] and one branch's gate, or [k x ... x m] for a group's x
+    [k x ... x N x d] and layer params. With `padding` (bool [... x N]) the
+    mean runs over each scene's real tokens only: a masked sum times one
+    over the count."""
+    logits = linear(x_prev, params.gate)
+    if padding is None:
+        return T.softmax(T.mean(logits, axis=-2))
+    shape = logits.data.shape
+    keep = np.broadcast_to((~padding)[..., None].astype(np.float64), shape)
+    inv = np.broadcast_to(1.0 / (~padding).sum(axis=-1, keepdims=True), shape[:-2] + shape[-1:])
+    return T.softmax(T.mul(T.sum_axis(T.mul(logits, Tensor(keep)), -2), Tensor(inv)))
 
 
-def gesa_layer(x_prev, geometry, params: GesaLayerParams, h, gate_names):
-    """One GESA layer of a group of k branches: x_prev [k x N x d], `params`
-    the group's weights of that layer, `geometry` that layer's maps
-    (`geometry_maps`). Records branch i's map gates [m] under gate_names[i]
-    (see `T.record_each`)."""
+def gesa_layer(x_prev, geometry, params: GesaLayerParams, h, gate_names, padding=None):
+    """One GESA layer of a group of k branches: x_prev [k x ... x N x d],
+    `params` the group's weights of that layer, `geometry` that layer's maps
+    (`geometry_maps`), `padding` the tokens' padding (bool [... x N]) or
+    None. Records branch i's map gates [... x m] under gate_names[i] (see
+    `T.record_each`)."""
     if x_prev.data.shape[-1] % h != 0:
         raise ConfigError(f"width {x_prev.data.shape[-1]} not divisible by {h} heads")
-    content = T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h)
+    content = T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h,
+                                  mask=key_mask(padding, x_prev.data.shape[:1], h))
     if any(m.data.shape != content.data.shape for m in geometry):
         raise ShapeError(f"geometry map shapes {[m.data.shape for m in geometry]} != content map shape "
                          f"{content.data.shape}")
-    gates = gesa_gates(x_prev, params)
+    gates = gesa_gates(x_prev, params, padding)
     T.record_each(gate_names, gates)
     attended = T.apply_attention(T.mix_maps([content, *geometry], gates), linear(x_prev, params.v_c), h)
     a = layer_norm(T.add(x_prev, attended), params.ln1)
     return layer_norm(T.add(a, ffn(a, params.ffn)), params.ln2)
 
 
-def branch_forward(group: GesaGroupParams, h, content, g_intra, g_inter, gate_names):
+def branch_forward(group: GesaGroupParams, h, content, g_intra, g_inter, gate_names, padding=None):
     """A group of k branches that share one token set, on one leading axis:
-    content [k x N x d], the geometry inputs [N x d] shared by the group and
-    repeated unchanged at every layer. Returns [k x N x d]."""
+    content [k x ... x N x d], the geometry inputs [... x N x d] shared by the
+    group and repeated unchanged at every layer, the leading axes those of
+    one scene (none) or of a padded batch ([B], with `padding` bool [B x N]).
+    Returns [k x ... x N x d]."""
     x = content
-    for params, maps in zip(group.layers, geometry_maps(group, h, g_intra, g_inter)):
-        x = gesa_layer(x, maps, params, h, gate_names)
+    for params, maps in zip(group.layers, geometry_maps(group, h, g_intra, g_inter, padding)):
+        x = gesa_layer(x, maps, params, h, gate_names, padding)
     return x
 
 
@@ -181,8 +213,11 @@ def needs_fusion(branches):
     return ("vv" in branches or "vs" in branches, "ss" in branches or "sv" in branches)
 
 
-def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, groups, h, er):
-    """Run the needed fusions and every active branch.
+def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, groups, h, er, v_padding=None, s_padding=None):
+    """Run the needed fusions and every active branch, over one scene (inputs
+    [N x d]) or a padded batch of scenes (inputs [B x N x d], with the bool
+    [B x N] paddings of the regions and dense captions; None when nothing is
+    padded).
 
     `groups` maps the key of each group with active branches to its
     GesaGroupParams, as `active_groups` orders and names them; their members
@@ -191,8 +226,9 @@ def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, groups, h, er):
     embeddings and its fusion's inter-geometry; vv/ss keep their pure
     content, vs/sv take the fused content. Each group runs on one branch
     axis (`branch_forward`). Returns {branch: Tensor}, in ss, sv, vs, vv
-    order. Each fusion stack records under the scope "fusion_vs"/"fusion_sv",
-    each branch's gates as "<branch>.gesa_gates".
+    order, each shaped like its side's content. Each fusion stack records
+    under the scope "fusion_vs"/"fusion_sv", each branch's gates as
+    "<branch>.gesa_gates".
     """
     active = [b for key in groups for b in key.split("+")]
     if not active or list(groups) != list(active_groups(active)):
@@ -202,18 +238,20 @@ def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, groups, h, er):
     vs_out = sv_out = None
     if need_vs:
         with T.scope("fusion_vs"):
-            vs_out = stack_fusion(fusion_vs, er, v_con, v_geo, s_con, s_geo)
+            vs_out = stack_fusion(fusion_vs, er, v_con, v_geo, s_con, s_geo, s_padding)
     if need_sv:
         with T.scope("fusion_sv"):
-            sv_out = stack_fusion(fusion_sv, er, s_con, s_geo, v_con, v_geo)
+            sv_out = stack_fusion(fusion_sv, er, s_con, s_geo, v_con, v_geo, v_padding)
 
-    sides, pure = {"s": (s_geo, sv_out), "v": (v_geo, vs_out)}, {"ss": s_con, "vv": v_con}
+    sides = {"s": (s_geo, sv_out, s_padding), "v": (v_geo, vs_out, v_padding)}
+    pure = {"ss": s_con, "vv": v_con}
     outputs = {}
     for key, group in groups.items():
         members = key.split("+")
-        g_intra, fusion = sides[key[0]]
+        g_intra, fusion, padding = sides[key[0]]
         content = T.stack([pure[b] if b in pure else fusion.fused_content for b in members])
-        out = branch_forward(group, h, content, g_intra, fusion.inter_geometry, [f"{b}.gesa_gates" for b in members])
+        out = branch_forward(group, h, content, g_intra, fusion.inter_geometry, [f"{b}.gesa_gates" for b in members],
+                             padding)
         for i, b in enumerate(members):
             outputs[b] = T.index(out, i)
     return outputs

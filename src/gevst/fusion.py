@@ -17,6 +17,11 @@ map (output independent of every geometry input, inter-geometry is zero);
 Stacked cells have independent parameters; the primary content flows through,
 and the inter-geometry comes from the LAST cell. Every cell's maps leave only
 through the recorder (`T.record`).
+
+A cell runs on one scene or on a batch of scenes padded to [B x N x d] and
+[B x M x d]: each map is batched, and the padded keys of each scene score
+-1e9 before the softmax, so they take no weight and a padded row never
+reaches a real one. Padded query rows compute values nobody reads.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ class FusionCellParams:
 
 @dataclass
 class FusionOutput:
-    fused_content: Tensor  # [N x d]
-    inter_geometry: Tensor  # [N x d]
+    fused_content: Tensor  # [N x d], or [B x N x d] for a batch
+    inter_geometry: Tensor  # [N x d], or [B x N x d] for a batch
 
 
 def _init_additive(rng, d):
@@ -69,25 +74,29 @@ def init_fusion_cell(rng, d, er, base="cg"):
     )
 
 
-def attention_map(att: AdditiveAttention, queries, keys):
-    """Row-stochastic [N x M] additive-attention map."""
-    n, m = queries.data.shape[0], keys.data.shape[0]
-    if queries.data.shape[1] != keys.data.shape[1]:
+def attention_map(att: AdditiveAttention, queries, keys, key_padding=None):
+    """Row-stochastic additive-attention map [..., N x M] of queries [..., N x
+    d] over keys [..., M x d]. key_padding (bool [..., M], optional) marks the
+    padded keys, whose scores are set to -1e9 before the softmax."""
+    lead, n, m = queries.data.shape[:-2], queries.data.shape[-2], keys.data.shape[-2]
+    if queries.data.shape[-1] != keys.data.shape[-1]:
         raise ShapeError(f"query width {queries.data.shape} != key width {keys.data.shape}")
     h = T.tanh(T.pairwise_add(linear(queries, att.v_proj), linear(keys, att.s_proj)))
-    scores = T.reshape(linear(h, att.out), (n, m))
-    return T.softmax(scores)
+    scores = T.reshape(linear(h, att.out), lead + (n, m))
+    mask = None if key_padding is None else np.broadcast_to(key_padding[..., None, :], scores.data.shape)
+    return T.softmax(scores, mask)
 
 
-def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k):
-    """One cell pass. Returns (updated content, content map, geometry map, inter)."""
-    n, d = content_q.data.shape
-    m = content_k.data.shape[0]
+def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k, key_padding=None):
+    """One cell pass over one scene ([N x d] queries, [M x d] keys) or a padded
+    batch ([B x N x d], [B x M x d], key_padding bool [B x M]). Returns
+    (updated content, content map, geometry map, inter)."""
+    n, m = content_q.data.shape[-2], content_k.data.shape[-2]
     if n < 1 or m < 1:
         raise InputError("fusion needs at least one row on each side")
 
-    alpha_con = attention_map(params.content, content_q, content_k) if params.content is not None else None
-    alpha_geo = attention_map(params.geometry, geo_q, geo_k) if params.geometry is not None else None
+    alpha_con = attention_map(params.content, content_q, content_k, key_padding) if params.content is not None else None
+    alpha_geo = attention_map(params.geometry, geo_q, geo_k, key_padding) if params.geometry is not None else None
 
     if alpha_con is not None and alpha_geo is not None:
         weights = T.add(alpha_con, alpha_geo)
@@ -103,12 +112,14 @@ def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k
     if alpha_geo is not None:
         inter = T.matmul(alpha_geo, geo_k)
     else:
-        inter = Tensor(np.zeros((n, d)))
+        inter = Tensor(np.zeros(content_q.data.shape))
     return updated, alpha_con, alpha_geo, inter
 
 
-def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, secondary_geo):
-    """Run m cells; only the primary content is threaded through.
+def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, secondary_geo, key_padding=None):
+    """Run m cells; only the primary content is threaded through. Inputs are
+    one scene's or a padded batch's, the secondary side's padding given as
+    key_padding (`fusion_cell`).
 
     Records each cell's maps as "content" and "geometry" (see `T.record`).
     """
@@ -116,7 +127,8 @@ def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, sec
         raise ConfigError("at least one fusion cell is required")
     x = primary_content
     for cell in cells:
-        x, alpha_con, alpha_geo, inter = fusion_cell(cell, er, x, primary_geo, secondary_content, secondary_geo)
+        x, alpha_con, alpha_geo, inter = fusion_cell(cell, er, x, primary_geo, secondary_content, secondary_geo,
+                                                     key_padding)
         T.record("content", alpha_con)
         T.record("geometry", alpha_geo)
     return FusionOutput(x, inter)

@@ -1,8 +1,9 @@
 """Bounding boxes and their embedding into model space.
 
 A box is normalized to [cx/W, cy/H, w/W, h/H] (all in (0, 1]) and embedded by
-relu(affine). Visual regions and dense-caption regions use separate embedding
-parameters; both live in the model, this module only defines the math.
+relu(affine), row by row, so a padded batch of scenes embeds in one call.
+Visual regions and dense-caption regions use separate embedding parameters;
+both live in the model, this module only defines the math.
 """
 
 from __future__ import annotations
@@ -78,10 +79,15 @@ def init_geometry(rng, d_out) -> Linear:
     return init_linear(rng, 4, d_out)
 
 
-def embed_geometry(boxes, image_wh, params: Linear):
-    """Stack of normalized boxes -> relu(affine) rows, [N x d_out]."""
+def normalize_boxes(boxes, image_wh):
+    """A scene's boxes as the rows [N x 4] that `embed_geometry` takes."""
     if not boxes:
         raise GeometryError("empty box list")
     w, h = image_wh
-    rows = np.stack([normalize_box(b, w, h) for b in boxes])
+    return np.stack([normalize_box(b, w, h) for b in boxes])
+
+
+def embed_geometry(rows, params: Linear):
+    """Normalized boxes [..., 4] (`normalize_boxes`; one scene's, or a padded
+    batch's [B x N x 4]) -> relu(affine) rows [..., d_out]."""
     return T.relu(T.affine(T.Tensor(rows), params.w, params.b))

@@ -1,8 +1,11 @@
 """Full model assembly: inputs -> four-branch encoding -> caption logits.
 
-A sample is encoded on its own (`encode_sample`), except that a batch's
-dense captions can go through the caption encoder together first
-(`encode_batch_captions`), each sample then taking its own rows.
+A batch of scenes is encoded in one pass (`encode_scenes`): every region,
+box and dense caption of the batch goes through its embedding or encoder
+at once, and fusion and GESA run over the scenes padded to [B x N x d],
+their padded keys masked. Each scene then takes its real rows
+(`encode_sample` with the batch). One scene alone (`encode_sample`) runs
+the same code at [N x d], with no batch axis, padding or mask.
 
 Parameter layout (and with it the checkpoint manifest order) is fixed by the
 declaration order of ModelParams and the deterministic walker in nn. Only the
@@ -26,8 +29,8 @@ from .decoder import CachedDecoder, decoder_forward, init_decoder_layer
 from .encoder import active_groups, encode_all, init_gesa_group, needs_fusion
 from .errors import ConfigError, GevstError, InputError
 from .fusion import init_fusion_cell
-from .geometry import embed_geometry, init_geometry
-from .nn import Linear, Tensor, init_embedding, init_linear, linear
+from .geometry import embed_geometry, init_geometry, normalize_boxes
+from .nn import Linear, Tensor, init_embedding, init_linear, linear, pad_rows
 
 
 # The config fields that size a parameter, in the order a too-large model's
@@ -81,39 +84,80 @@ def caption_ids(sample, vocab):
     return [vocab.encode(dc.text) for dc in sample.dense_captions]
 
 
-def encode_batch_captions(params: ModelParams, cfg: TrainConfig, samples, vocab):
-    """Every dense caption of the samples through `encode_captions` in one
-    padded, masked pass; returns each sample's own rows, [n_i x d]. Pooling is
-    an exact masked sum, so with captions shorter than 8 tokens a sample's
-    rows carry the bits of its own pass, and otherwise agree to rounding."""
-    per_sample = [caption_ids(s, vocab) for s in samples]
-    encoded = encode_captions(params.captions, cfg.enc_heads, [ids for seqs in per_sample for ids in seqs])
-    bounds = np.cumsum([0] + [len(seqs) for seqs in per_sample]).tolist()
-    return [T.index(encoded, slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+@dataclass
+class SceneBatch:
+    """Branch outputs of B scenes from one padded pass (`encode_scenes`)."""
+
+    outputs: dict  # branch -> [B x N x d], N the most regions (vs, vv) or dense captions (ss, sv) of any scene
+    regions: list  # the region count of each scene
+    captions: list  # the dense-caption count of each scene
 
 
-def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab, captions=None):
-    """Branch outputs {name: Tensor[N_branch x d]} for one dataset sample.
-    `captions` are its dense captions' encodings, [n x d], when the caller
-    encoded them with others (`encode_batch_captions`); without them the
-    sample encodes its own."""
+def _padded(arrays):
+    """Scenes' row arrays [n_i x w] as one zero-padded [B x N x w] array, and
+    its padding (bool [B x N], True at a padded row; None if none is)."""
+    counts = np.array([len(a) for a in arrays])
+    out = np.zeros((len(arrays), counts.max(), arrays[0].shape[1]))
+    padding = np.arange(counts.max()) >= counts[:, None]
+    out[~padding] = np.concatenate(arrays)
+    return out, (padding if padding.any() else None)
+
+
+def _region_rows(cfg, sample):
     if not sample.regions:
         raise InputError(f"sample {sample.id}: no regions")
     feats = np.stack([r.feat for r in sample.regions])
     if feats.shape[1] != cfg.raw_feat_dim:
         raise InputError(f"sample {sample.id}: feature width {feats.shape[1]} != configured {cfg.raw_feat_dim}")
+    return feats, normalize_boxes([r.box for r in sample.regions], sample.image_wh)
+
+
+def _encode(params, cfg, samples, vocab, one):
+    """encode_all over the samples, padded to [B x N x d] with masks; `one`
+    (one sample) runs it at [N x d], with no batch axis, padding or mask."""
+    feats, v_boxes = zip(*(_region_rows(cfg, s) for s in samples))
+    ids = [caption_ids(s, vocab) for s in samples]
+    s_boxes = [normalize_boxes([dc.box for dc in s.dense_captions], s.image_wh) for s in samples]
+    if one:
+        (feats,), (v_boxes,), (s_boxes,) = feats, v_boxes, s_boxes
+        v_padding = s_padding = None
+    else:
+        (feats, v_padding), (v_boxes, _), (s_boxes, s_padding) = _padded(feats), _padded(v_boxes), _padded(s_boxes)
     v_con = linear(Tensor(feats), params.vis_in)
-    v_geo = embed_geometry([r.box for r in sample.regions], sample.image_wh, params.geo_visual)
-
-    if captions is None:
-        captions = encode_captions(params.captions, cfg.enc_heads, caption_ids(sample, vocab))
-    elif captions.data.shape[0] != len(sample.dense_captions):
-        raise InputError(f"sample {sample.id}: {captions.data.shape[0]} caption encodings for "
-                         f"{len(sample.dense_captions)} dense captions")
-    s_geo = embed_geometry([dc.box for dc in sample.dense_captions], sample.image_wh, params.geo_semantic)
-
+    v_geo = embed_geometry(v_boxes, params.geo_visual)
+    captions = encode_captions(params.captions, cfg.enc_heads, [seq for seqs in ids for seq in seqs])
+    if not one:
+        captions = pad_rows([captions], [len(seqs) for seqs in ids])[0]
+    s_geo = embed_geometry(s_boxes, params.geo_semantic)
     return encode_all(v_con, v_geo, captions, s_geo, params.fusion_vs, params.fusion_sv, params.branches,
-                      cfg.heads, cfg.expand_ratio)
+                      cfg.heads, cfg.expand_ratio, v_padding, s_padding)
+
+
+def encode_scenes(params: ModelParams, cfg: TrainConfig, samples, vocab):
+    """Every sample encoded in one pass: the regions' features and boxes and
+    the dense captions' boxes padded to the batch's most, every dense caption
+    through `encode_captions` at once and its rows gathered per scene
+    (`nn.pad_rows`), then fusion and GESA over the padded batch with its
+    padded keys masked (`encoder.encode_all`). Each real row equals that of
+    the sample's own encode to rounding. Returns a SceneBatch."""
+    return SceneBatch(_encode(params, cfg, samples, vocab, one=False),
+                      [len(s.regions) for s in samples], [len(s.dense_captions) for s in samples])
+
+
+def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab, encoded=None):
+    """Branch outputs {name: Tensor[N_branch x d]} for one dataset sample.
+    Without `encoded` the sample is encoded alone, at [N x d], with no batch
+    axis, padding or mask. With `encoded` = (a SceneBatch, i), the sample
+    being scene i of that batch, its real rows are taken from the batch's
+    outputs, one `index` per branch."""
+    if encoded is None:
+        return _encode(params, cfg, [sample], vocab, one=True)
+    scenes, i = encoded
+    if (scenes.regions[i], scenes.captions[i]) != (len(sample.regions), len(sample.dense_captions)):
+        raise InputError(f"sample {sample.id}: {len(sample.regions)} regions and {len(sample.dense_captions)} dense "
+                         f"captions, but scene {i} of the batch has {scenes.regions[i]} and {scenes.captions[i]}")
+    rows = {"v": scenes.regions[i], "s": scenes.captions[i]}
+    return {b: T.index(out, (i, slice(0, rows[b[0]]))) for b, out in scenes.outputs.items()}
 
 
 def caption_logits(params: ModelParams, cfg: TrainConfig, branch_outputs, token_ids):

@@ -138,6 +138,24 @@ def flat_parameters(obj):
     return flat
 
 
+# ------------------------------------------------------------------ padding
+
+
+def pad_rows(parts, counts):
+    """Rows laid out per entry and padded: `parts` are [n x d] tensors whose
+    rows, end to end, are entry after entry of `counts` (an int array of any
+    shape), counts[e] rows each. Returns ([*counts.shape x N x d], bool
+    [*counts.shape x N]), N the largest count: entry e's rows first, zero rows
+    after them, and the padding True at those zero rows. Recorded on the tape
+    when the parts are: one concat and one row gather."""
+    counts = np.asarray(counts)
+    padding = np.arange(counts.max()) >= counts[..., None]
+    rows = np.full(padding.shape, counts.sum())  # the zero row appended below
+    rows[~padding] = np.arange(counts.sum())
+    zero = Tensor(np.zeros((1, parts[0].data.shape[1])))
+    return T.embedding_lookup(T.concat(list(parts) + [zero]), rows), padding
+
+
 # ---------------------------------------------------------------- attention
 
 

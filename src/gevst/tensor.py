@@ -8,6 +8,9 @@ Design constraints, fixed for the whole package:
     and python numbers); row-wise broadcast exists only INSIDE the fused
     affine and layer_norm kernels (per slice, when stacked), the pairwise_add
     grid and the per-map gates of mix_maps;
+  * ops work on any leading axes (a branch axis, a batch of scenes) unless
+    they say otherwise, and padding is the caller's: attention_weights and
+    softmax take a mask of entries set to -1e9 before the softmax;
   * `stack` copies its members, or broadcasts one tensor repeated; weights
     never pass through it, as each is stored in the stacked layout its
     kernel reads (see `nn`);
@@ -18,11 +21,11 @@ Design constraints, fixed for the whole package:
     closes over only the arrays, shapes and requires-grad flags it reads,
     never a Tensor. So an activation no rule reads (a pre-ReLU hidden, a
     residual sum a layer norm consumes) is freed in the forward, as soon as
-    the caller drops it. (`mean`, `sum_axis`, `total_sum`, `index` and
-    `reshape` still keep their input array, of which they read only the
-    shape.) Backward replays nodes in exact reverse recording order, which is
-    a valid reverse topological order because recording order is execution
-    order;
+    the caller drops it; a rule that reads only an input's shape (`mean`,
+    `sum_axis`, `total_sum`, `index`, `reshape`, the table of
+    `embedding_lookup`, the logits of `log_softmax`) keeps just the shape.
+    Backward replays nodes in exact reverse recording order, which is a valid
+    reverse topological order because recording order is execution order;
   * backward consumes the tape once: it drops each node as soon as that
     node's rule has run, so the arrays a rule kept and intermediate
     gradients are freed mid-walk unless the caller holds the tensor, and a
@@ -343,18 +346,19 @@ def mul(a, b):
 
 
 def pairwise_add(p, k):
-    """Every row of p plus every row of k: [N x d], [M x d] -> [N*M x d], row
-    i*M + j holding p[i] + k[j] (the score grid of additive attention)."""
+    """Every row of p plus every row of k: [..., N, d], [..., M, d] ->
+    [..., N*M, d], row i*M + j holding p[..., i, :] + k[..., j, :] (the
+    score grid of additive attention, per scene of a batch)."""
     pd, kd = p.data, k.data
-    if pd.ndim != 2 or kd.ndim != 2 or pd.shape[1] != kd.shape[1]:
-        raise ShapeError(f"pairwise_add needs [N x d] and [M x d], got {pd.shape} and {kd.shape}")
-    n, m, d = pd.shape[0], kd.shape[0], pd.shape[1]
-    out = (pd[:, None, :] + kd[None, :, :]).reshape(n * m, d)
+    if pd.ndim < 2 or pd.ndim != kd.ndim or pd.shape[:-2] != kd.shape[:-2] or pd.shape[-1] != kd.shape[-1]:
+        raise ShapeError(f"pairwise_add needs [..., N x d] and [..., M x d], got {pd.shape} and {kd.shape}")
+    lead, n, m, d = pd.shape[:-2], pd.shape[-2], kd.shape[-2], pd.shape[-1]
+    out = (pd[..., :, None, :] + kd[..., None, :, :]).reshape(lead + (n * m, d))
     rp, rk = p.requires_grad, k.requires_grad
 
     def bwd(g):
-        g3 = g.reshape(n, m, d)
-        return g3.sum(axis=1) if rp else None, g3.sum(axis=0) if rk else None
+        g4 = g.reshape(lead + (n, m, d))
+        return g4.sum(axis=-2) if rp else None, g4.sum(axis=-3) if rk else None
 
     return _emit(out, (p, k), bwd)
 
@@ -451,11 +455,16 @@ def relu(x):
 # ------------------------------------------------------------ softmax / norm
 
 
-def softmax(x):
-    """Softmax over the last axis, max-subtracted for stability."""
+def softmax(x, mask=None):
+    """Softmax over the last axis, max-subtracted for stability. mask
+    (optional bool array of x's shape) marks entries set to -1e9 first."""
     xd = x.data
     if xd.ndim < 1 or xd.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {xd.shape}")
+    if mask is not None:
+        if mask.shape != xd.shape:
+            raise ShapeError(f"softmax: mask shape {mask.shape} != input shape {xd.shape}")
+        xd = np.where(mask, -1e9, xd)
     m = xd.max(axis=-1, keepdims=True)
     e = np.exp(xd - m)
     out = e / e.sum(axis=-1, keepdims=True)
@@ -477,7 +486,7 @@ def log_softmax(x):
     xd = x.data
     if xd.ndim < 1 or xd.shape[-1] == 0:
         raise ShapeError(f"log_softmax needs a non-empty last axis, got shape {xd.shape}")
-    v = xd.shape[-1]
+    shape, v = xd.shape, xd.shape[-1]
     x2 = xd.reshape(-1, v)
     xs = x2 - x2.max(axis=-1, keepdims=True)
     e = np.exp(xs)
@@ -491,7 +500,7 @@ def log_softmax(x):
         # training), and `* v / v` is its mul and mean, left unsimplified.
         gz = ((g2 * -1.0) @ np.ones((v, 1))).reshape(-1)
         ge = ((gz / row_sum) * float(v)) / v
-        return ((g2 + ge[:, None] * e).reshape(xd.shape),)
+        return ((g2 + ge[:, None] * e).reshape(shape),)
 
     return _emit(out, (x,), bwd)
 
@@ -563,23 +572,24 @@ def mean(x, axis):
     xd = x.data
     if not -xd.ndim <= axis < xd.ndim:
         raise ShapeError(f"mean: axis {axis} out of range for shape {xd.shape}")
-    ax = axis % xd.ndim
-    n = xd.shape[ax]
+    ax, shape = axis % xd.ndim, xd.shape
+    n = shape[ax]
     out = np.add.reduce(xd, ax) / n  # xd.mean(axis=ax), bit for bit
-    return _emit(out, (x,), lambda g: (np.broadcast_to(np.expand_dims(g / n, ax), xd.shape),))
+    return _emit(out, (x,), lambda g: (np.broadcast_to(np.expand_dims(g / n, ax), shape),))
 
 
 def sum_axis(x, axis):
     xd = x.data
     if not -xd.ndim <= axis < xd.ndim:
         raise ShapeError(f"sum_axis: axis {axis} out of range for shape {xd.shape}")
-    ax = axis % xd.ndim
-    return _emit(np.add.reduce(xd, ax), (x,), lambda g: (np.broadcast_to(np.expand_dims(g, ax), xd.shape),))
+    ax, shape = axis % xd.ndim, xd.shape
+    return _emit(np.add.reduce(xd, ax), (x,), lambda g: (np.broadcast_to(np.expand_dims(g, ax), shape),))
 
 
 def total_sum(x):
     xd = x.data
-    return _emit(xd.sum(), (x,), lambda g: (np.broadcast_to(g, xd.shape),))
+    shape = xd.shape
+    return _emit(xd.sum(), (x,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def concat(tensors, axis=0):
@@ -610,21 +620,24 @@ def stack(tensors):
 
 def mix_maps(maps, gates):
     """sum_i gates[..., i] * maps[i] for m maps of one shape and gates [m], or,
-    stacked on a leading slice axis, [k x m] for maps [k x ...], slice j of
-    the result mixed by gates[j] (GESA's convex map mix), as one op. Forward
-    and backward repeat, in order, the NumPy arithmetic of the
+    with leading axes, gates [... x m] for maps [... x rest], each map slice
+    mixed by its own gates (GESA's convex map mix, per branch and scene), as
+    one op. Forward and backward repeat, in order, the NumPy arithmetic of the
     narrow/mul/add composite that tests/oracles.py keeps as the reference,
     so the two agree bit for bit."""
     maps = tuple(maps)
     gd = gates.data
     lead = gd.shape[:-1]
-    if (not maps or gd.ndim not in (1, 2) or gd.shape[-1] != len(maps)
+    if (not maps or gd.ndim < 1 or gd.shape[-1] != len(maps)
             or maps[0].data.shape[:len(lead)] != lead or maps[0].data.ndim <= len(lead)):
         raise ShapeError(f"mix_maps: gates of shape {gd.shape} do not weight {len(maps)} maps")
     if any(m.data.shape != maps[0].data.shape for m in maps):
         raise ShapeError(f"mix_maps: map shapes differ: {[m.data.shape for m in maps]}")
     # column i of the gates, broadcast over each map slice (a scalar when unstacked)
-    weights = gd.T.reshape((len(maps),) + lead + (1,) * (maps[0].data.ndim - len(lead))) if lead else gd
+    if lead:
+        weights = np.moveaxis(gd, -1, 0).reshape((len(maps),) + lead + (1,) * (maps[0].data.ndim - len(lead)))
+    else:
+        weights = gd
     out = maps[0].data * weights[0]
     for m, gi in zip(maps[1:], weights[1:]):
         out = out + m.data * gi
@@ -653,8 +666,10 @@ def index(x, key):
     except IndexError as e:
         raise ShapeError(f"index {key!r} does not fit shape {xd.shape}: {e}") from None
 
+    shape = xd.shape
+
     def bwd(g):
-        z = np.zeros(xd.shape)
+        z = np.zeros(shape)
         z[key] = g
         return (z,)
 
@@ -662,9 +677,8 @@ def index(x, key):
 
 
 def reshape(x, shape):
-    xd = x.data
-    out = xd.reshape(shape)
-    return _emit(out, (x,), lambda g: (g.reshape(xd.shape),))
+    in_shape = x.data.shape
+    return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(in_shape),))
 
 
 def embedding_lookup(table, ids):
@@ -681,10 +695,10 @@ def embedding_lookup(table, ids):
     if bad.any():
         offender = int(idx[bad][0])
         raise VocabularyError(f"token id {offender} outside vocabulary of size {v}")
-    out = td[idx]
+    out, shape = td[idx], td.shape
 
     def bwd(g):
-        z = np.zeros_like(td)
+        z = np.zeros(shape)
         np.add.at(z, idx, g)
         return (z,)
 

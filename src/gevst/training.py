@@ -13,10 +13,10 @@ scst_lr — policy-gradient updates at the warmup schedule's rate wreck a
 converged model — while resuming the step count stored in the checkpoint.
 Both phases run one loop (`_optimize`) and differ only in their batch
 loss, learning-rate rule and streams. A batch is encoded on the tape by
-`encode_batch`: every dense caption of the batch in one padded, masked
-caption-encoder pass, then each sample through its own `encode_sample`
-call, whose GESA branches run in groups on one branch axis (`encoder`).
-The loss comes from one padded, masked teacher-forced decoder pass over
+`encode_batch`: its scenes in one padded, masked pass (`model.encode_scenes`:
+the caption encoder, both fusion stacks and each GESA group run once over
+the batch), then each sample takes its real rows in its own `encode_sample`
+call. The loss comes from one padded, masked teacher-forced decoder pass over
 the whole batch (`decoder_forward` on lists): XE over the first
 ground-truth captions, SCST over the sampled captions with a non-zero
 advantage. SCST rolls a whole batch out in one lockstep decode, each
@@ -63,7 +63,7 @@ from .data import (BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vo
                    parse_json, split_train_val, tokenize)
 from .decoder import CachedDecoder, beam_search, greedy_decode
 from .errors import ConfigError, ContractError, InputError, ParseError, SchemaError, TrainingDiverged
-from .model import caption_logits, encode_batch_captions, encode_sample, init_model, make_step_fn
+from .model import caption_logits, encode_sample, encode_scenes, init_model, make_step_fn
 from .nn import Tensor, flat_offsets, flat_parameters, flat_views, named_parameters, parameters
 from .tensor import Tape, no_grad
 from . import tensor as T
@@ -217,18 +217,18 @@ def references_of(samples):
 
 
 def encode_batch(params, cfg, samples, vocab):
-    """Each sample's branch outputs: the batch's dense captions go through the
-    caption encoder in one pass (`model.encode_batch_captions`), then each
-    sample through its own `encode_sample` call with its rows of that pass."""
-    captions = encode_batch_captions(params, cfg, samples, vocab)
-    return [encode_sample(params, cfg, s, vocab, c) for s, c in zip(samples, captions)]
+    """Each sample's branch outputs from one padded, masked pass over the
+    batch (`model.encode_scenes`), handed out by one `encode_sample` call per
+    sample with its row of that pass."""
+    scenes = encode_scenes(params, cfg, samples, vocab)
+    return [encode_sample(params, cfg, s, vocab, (scenes, i)) for i, s in enumerate(samples)]
 
 
 def greedy_captions(params, cfg, vocab, samples):
     """Greedy caption tokens of every sample: the scenes are encoded tapeless
     (`encode_batch`) and decoded in one lockstep. Each caption is that of
     `greedy_caption` on its scene alone unless two tokens tie to rounding
-    (see `lockstep_decode` and `model.encode_batch_captions`)."""
+    (see `lockstep_decode` and `model.encode_scenes`)."""
     with no_grad():
         branches = encode_batch(params, cfg, samples, vocab)
     return [caption_tokens(vocab, ids) for ids in lockstep_decode(params, cfg, samples, branches)[1]]

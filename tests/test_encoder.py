@@ -198,3 +198,91 @@ def test_branch_groups_match_the_per_branch_loop(variant, flat):
             assert (g is None) == (w is None)
             if w is not None:
                 assert U.max_abs_delta(g, w) <= 1e-12
+
+
+
+def garbage(shape):
+    return np.random.default_rng(99).normal(0.0, 1e3, shape) + 3e2
+
+
+def padded_leaf(seed, counts, d, fill, lead=()):
+    """A leaf [*lead x B x N x d] of random rows for scenes of `counts` real
+    rows, each padded row `fill`ed."""
+    padding = np.arange(max(counts)) >= np.array(counts)[:, None]
+    x = np.random.default_rng(seed).normal(size=lead + (len(counts), max(counts), d))
+    x[..., padding, :] = fill(x[..., padding, :].shape)
+    return Tensor(x, requires_grad=True)
+
+
+def padded_runs(run, inputs, out_counts, params):
+    """`run(leaves)` -> (outputs [... x B x N x d], records), with the leaves
+    made from `inputs` ((seed, counts, lead axes) each) once with zero padded
+    rows and once with garbage in them. A loss reads every real output row
+    (scene b's first out_counts[i][b] rows of output i). Returns, per run,
+    the bytes of every real output row, of every real leaf row's gradient,
+    of every parameter gradient and of every record's real block."""
+    runs = []
+    for fill in (np.zeros, garbage):
+        leaves = [padded_leaf(seed, counts, 8, fill, lead) for seed, counts, lead in inputs]
+        with T.Tape() as tape:
+            outs, rec = run(leaves)
+            probe_rng, loss = np.random.default_rng(3), None
+            for out, counts in zip(outs, out_counts):
+                probe = probe_rng.normal(size=out.data.shape)
+                probe[..., np.arange(out.data.shape[-2]) >= np.array(counts)[:, None], :] = 0.0
+                term = T.total_sum(T.mul(out, Tensor(probe)))
+                loss = term if loss is None else T.add(loss, term)
+            tape.backward(loss)
+
+        def real(a, counts):  # None for an input no output depends on
+            return None if a is None else b"".join(a[..., b, :n, :].tobytes() for b, n in enumerate(counts))
+
+        runs.append(([real(o.data, c) for o, c in zip(outs, out_counts)],
+                     [real(t.grad, c) for t, (_, c, _) in zip(leaves, inputs)],
+                     [t.grad.tobytes() for t in params], rec))
+        for t in params:
+            t.grad = None
+    return runs
+
+
+@pytest.mark.parametrize("base", ["c", "g", "cg"])
+@pytest.mark.parametrize("variant", GESA_VARIANTS)
+def test_padded_rows_never_reach_a_real_row(variant, base):
+    """Large finite garbage in every padded row, and so every padded key, of
+    the fusion inputs (`encode_all`), and then of the GESA inputs
+    (`branch_forward`), changes no byte of any real row's output, of the
+    gradient of any real input row or parameter, or of any recorded gate or
+    real block of a fusion map."""
+    rng = np.random.default_rng(12)
+    h, v_counts, s_counts = 2, (1, 3, 5), (4, 1, 2)
+    v_pad, s_pad = (np.arange(max(c)) >= np.array(c)[:, None] for c in (v_counts, s_counts))
+    f_vs, f_sv = ([init_fusion_cell(rng, 8, 2, base) for _ in range(2)] for _ in range(2))
+    groups = {key: init_gesa_group(rng, 8, h, variant, len(members), 2)
+              for key, members in active_groups(BRANCH_NAMES).items()}
+    U.randomize((f_vs, f_sv, groups), rng)
+
+    def encode(leaves):
+        with T.recording() as rec:
+            outs = encode_all(*leaves, f_vs, f_sv, groups, h, 2, v_pad, s_pad)
+        gates = {k: [a.tobytes() for a in v] for k, v in rec.items() if k.endswith("gesa_gates")}
+        maps = [b"".join(a[b, :n, :m].tobytes() for b, (n, m) in enumerate(zip(*counts)))
+                for k, v in rec.items() if k.startswith("fusion")
+                for a, counts in zip(v, [(v_counts, s_counts) if "_vs." in k else (s_counts, v_counts)] * len(v))]
+        assert len(maps) == 2 * 2 * len(base)
+        return [outs[b] for b in BRANCH_NAMES], (gates, maps)
+
+    inputs = [(1, v_counts, ()), (2, v_counts, ()), (3, s_counts, ()), (4, s_counts, ())]
+    zero, junk = padded_runs(encode, inputs, [s_counts, s_counts, v_counts, v_counts], parameters((f_vs, f_sv, groups)))
+    assert zero == junk
+
+    group = groups["vs+vv"]
+
+    def gesa(leaves):
+        content, g_intra, g_inter = leaves
+        with T.recording() as rec:
+            out = branch_forward(group, h, content, g_intra, g_inter, ["vs", "vv"], v_pad)
+        return [out], {k: [a.tobytes() for a in v] for k, v in rec.items()}
+
+    inputs = [(5, v_counts, (2,)), (6, v_counts, ()), (7, v_counts, ())]
+    zero, junk = padded_runs(gesa, inputs, [v_counts], parameters(group))
+    assert zero == junk

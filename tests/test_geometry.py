@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gevst.errors import GeometryError
 from gevst.geometry import (BoundingBox, embed_geometry, init_geometry, iou,
-                            normalize_box, union_box)
+                            normalize_box, normalize_boxes, union_box)
 
 coord = st.floats(min_value=0.0, max_value=500.0, allow_nan=False)
 side = st.floats(min_value=0.5, max_value=200.0, allow_nan=False)
@@ -61,6 +61,8 @@ def test_embed_geometry_shape_and_nonnegativity():
     rng = np.random.default_rng(4)
     p = init_geometry(rng, 8)
     boxes = [box(0, 0, 10, 10), box(30, 40, 20, 10), box(5, 70, 15, 25)]
-    out = embed_geometry(boxes, (100, 100), p)
+    out = embed_geometry(normalize_boxes(boxes, (100, 100)), p)
     assert out.data.shape == (3, 8)
     assert (out.data >= 0.0).all()  # relu output
+    with pytest.raises(GeometryError, match="empty box list"):
+        normalize_boxes([], (100, 100))

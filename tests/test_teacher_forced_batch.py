@@ -1,9 +1,10 @@
 """The padded, masked teacher-forced pass over a whole batch against the
 one-scene pass it replaced in training: one sample at a time, summed; and
-the batch encode (`training.encode_batch`: one caption-encoder pass for the
-batch, GESA branch groups on one axis) against each sample encoded alone
-with the per-branch loop; and the weights stored on branch axes against the
-per-branch layout they replaced.
+the batch encode (`training.encode_batch`: one padded, masked pass over
+the batch's scenes, GESA branch groups on one axis) against each sample
+encoded alone, at [N x d], with the per-branch loop or the branch groups;
+and the weights stored on branch axes against the per-branch layout they
+replaced.
 
 Desk batches mix region counts, dense-caption counts and caption lengths, so
 every branch output and every id sequence is padded somewhere in the batch.
@@ -19,11 +20,11 @@ import util as U
 from gevst import tensor as T
 from gevst import training as TR
 from gevst.ablation import axis_configs
-from gevst.config import GESA_VARIANTS, TrainConfig
+from gevst.config import FUSION_BASES, GESA_VARIANTS, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts, generate_dataset, pad_ids
 from gevst.decoder import decoder_forward, pad_scenes
-from gevst.errors import ContractError
-from gevst.model import caption_logits, encode_sample, init_model
+from gevst.errors import ContractError, InputError
+from gevst.model import caption_logits, encode_sample, encode_scenes, init_model
 from gevst.nn import Tensor, flat_parameters, named_parameters, parameters
 
 BRANCH_SETS = [("vv",), ("ss", "vs"), ("ss", "sv", "vs", "vv")]
@@ -259,16 +260,81 @@ def test_batch_encode_matches_the_per_sample_oracle(row, variant):
             assert U.max_abs_delta(g, w) <= TOL
 
 
-def test_batch_encode_is_bit_identical_to_per_sample_encodes_at_desk():
-    """With desk captions (all under 8 tokens), every sample's branch outputs
-    from the batch encode carry the bits of its own encode."""
+def mixed_scenes(samples):
+    """The samples cut to 1 to 5 regions and to dense-caption counts that do
+    not follow the region counts, so both sides of every fusion and GESA
+    group are padded somewhere in the batch, differently for each scene."""
+    out = [dataclasses.replace(s, regions=s.regions[:n_regions], dense_captions=s.dense_captions[:n_dense])
+           for s, n_regions, n_dense in zip(samples, (5, 4, 3, 2, 1), (2, 9, 1, 5, 3))]
+    assert [len(s.regions) for s in out] == [5, 4, 3, 2, 1] and [len(s.dense_captions) for s in out] == [2, 9, 1, 5, 3]
+    return out
+
+
+@pytest.mark.parametrize("base", FUSION_BASES)
+@pytest.mark.parametrize("variant", GESA_VARIANTS)
+@pytest.mark.parametrize("row", [cfg.branches for _, cfg in axis_configs("branches", TrainConfig())], ids="+".join)
+def test_padded_batch_matches_the_per_sample_encode(row, variant, base):
+    """The padded, masked batch encode (`training.encode_batch`) against each
+    sample encoded on its own at [N x d] (tests/util.py), both under one XE
+    plus SCST batch loss: the loss and every parameter gradient within
+    1e-12, for every ablation branch row, GESA variant and fusion base, on a
+    batch mixing 1 to 5 regions, dense-caption counts and caption lengths."""
+    cfg = TrainConfig(branches=row, gesa_variant=variant, fusion_base=base, d_model=16, heads=2, enc_width=16,
+                      layers=2)
+    samples = generate_dataset(3, 5)
+    vocab = build_vocab(corpus_texts(samples), cfg.min_count)
+    samples = mixed_scenes(lengthened(samples, vocab))
+    caps = sampled_captions(vocab, len(samples))
+    params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+    flat_parameters(params)
+    tensors = parameters(params)
+    runs = []
+    for encode in (TR.encode_batch, U.per_sample_encode_batch):
+        for t in tensors:
+            t.grad = None
+        with T.Tape() as tape:
+            branches = encode(params, cfg, samples, vocab)
+            loss = T.add(xe_batch(params, cfg, vocab, samples, branches),
+                         scst_batch(params, cfg, caps, [0.8, -1.3, 0.25, 2.0, -0.5], branches))
+            tape.backward(loss)
+        runs.append((loss.item(), [t.grad for t in tensors]))
+    (loss, grads), (want_loss, want_grads) = runs
+    assert abs(loss - want_loss) <= TOL * abs(want_loss)
+    for g, w in zip(grads, want_grads):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert U.max_abs_delta(g, w) <= TOL
+
+
+def test_a_batch_of_one_is_bit_identical_to_the_one_scene_encode():
+    """Each desk scene encoded alone (`model.encode_sample`, no padding and
+    no mask) carries the bits of the per-branch, per-sample encode of
+    tests/util.py in every branch output, fusion map and GESA gate, and so
+    does that scene run as a batch of one (`training.encode_batch`)."""
     cfg, samples, vocab, params = desk_batch(("ss", "sv", "vs", "vv"), n=8)
     flat_parameters(params)
-    with T.no_grad():
-        batch = TR.encode_batch(params, cfg, samples, vocab)
-        alone = [U.branch_loop_encode_sample(params, cfg, s, vocab) for s in samples]
-    for got, want in zip(batch, alone):
-        assert all(got[b].data.tobytes() == want[b].data.tobytes() for b in want)
+    for s in samples:
+        runs = []
+        for encode in (lambda: encode_sample(params, cfg, s, vocab),
+                       lambda: TR.encode_batch(params, cfg, [s], vocab)[0],
+                       lambda: U.branch_loop_encode_sample(params, cfg, s, vocab)):
+            with T.no_grad(), T.recording() as rec:
+                outs = encode()
+            runs.append(({b: out.data.tobytes() for b, out in outs.items()},
+                         {k: [a.tobytes() for a in v] for k, v in rec.items()}))
+        assert runs[0] == runs[1] == runs[2]
+        assert {k.split(".")[-1] for k in runs[0][1]} == {"content", "geometry", "gesa_gates"}
+
+
+def test_encode_sample_checks_its_row_of_the_batch():
+    cfg, samples, vocab, params = desk_batch(("vv", "ss"), n=3)
+    scenes = encode_scenes(params, cfg, samples, vocab)
+    assert len({len(s.regions) for s in samples}) > 1
+    with pytest.raises(InputError, match="scene 1 of the batch"):
+        encode_sample(params, cfg, samples[0], vocab, (scenes, 1))
+    rows = encode_sample(params, cfg, samples[1], vocab, (scenes, 1))
+    assert rows["vv"].data.shape[0] == len(samples[1].regions)
+    assert rows["ss"].data.shape[0] == len(samples[1].dense_captions)
 
 
 @pytest.mark.parametrize("variant", GESA_VARIANTS)

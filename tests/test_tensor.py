@@ -372,6 +372,61 @@ def test_pairwise_add_grads_and_shapes():
             T.pairwise_add(Tensor(np.ones(bad_p)), Tensor(np.ones(bad_k)))
 
 
+def test_batched_pairwise_add_is_each_scene_grid():
+    """[B x N x d] and [B x M x d] give each scene's own [N*M x d] grid, bit
+    for bit, forward and backward."""
+    p = Tensor(RNG.normal(0, 1, (2, 3, 4)), requires_grad=True)
+    k = Tensor(RNG.normal(0, 1, (2, 5, 4)), requires_grad=True)
+    w = RNG.normal(0, 1, (2, 15, 4))
+    with Tape() as tape:
+        out = T.pairwise_add(p, k)
+        tape.backward(T.total_sum(T.mul(out, Tensor(w))))
+    for b in range(2):
+        pb, kb = Tensor(p.data[b], requires_grad=True), Tensor(k.data[b], requires_grad=True)
+        with Tape() as tape:
+            want = T.pairwise_add(pb, kb)
+            tape.backward(T.total_sum(T.mul(want, Tensor(w[b]))))
+        assert np.array_equal(out.data[b], want.data)
+        assert np.array_equal(p.grad[b], pb.grad) and np.array_equal(k.grad[b], kb.grad)
+    check(lambda t: T.total_sum(T.mul(T.tanh(T.pairwise_add(t, k)), Tensor(w))), p)
+    with pytest.raises(ShapeError):
+        T.pairwise_add(p, Tensor(np.ones((3, 5, 4))))
+
+
+def test_softmax_mask_zeroes_masked_entries_and_their_gradient():
+    x = Tensor(RNG.normal(0, 1, (2, 3, 5)), requires_grad=True)
+    mask = np.zeros((2, 3, 5), dtype=bool)
+    mask[0, :, 3:] = mask[1, 1, 0] = True
+    w = Tensor(RNG.normal(0, 1, (2, 3, 5)))
+    with Tape() as tape:
+        out = T.softmax(x, mask)
+        tape.backward(T.total_sum(T.mul(out, w)))
+    assert (out.data[mask] == 0.0).all() and (x.grad[mask] == 0.0).all()
+    assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(out.data[0, :, :3], T.softmax(Tensor(x.data[0, :, :3])).data, atol=1e-15)
+    check(lambda t: T.total_sum(T.mul(T.softmax(t, mask), w)), x)
+    with pytest.raises(ShapeError, match="mask shape"):
+        T.softmax(x, mask[0])
+
+
+def test_mix_maps_takes_gates_with_many_leading_axes():
+    """Gates [k x B x m] over maps [k x B x ...] mix each (k, B) slice by its
+    own gates, bit for bit as an unstacked mix of that slice."""
+    k, b, m = 2, 3, 2
+    maps = [Tensor(RNG.random((k, b, 2, 4, 4)), requires_grad=True) for _ in range(m)]
+    gates = Tensor(RNG.dirichlet(np.ones(m), size=(k, b)), requires_grad=True)
+    probe = RNG.normal(0, 1, (k, b, 2, 4, 4))
+    with Tape() as tape:
+        out = T.mix_maps(maps, gates)
+        tape.backward(T.total_sum(T.mul(out, Tensor(probe))))
+    for i, j in np.ndindex(k, b):
+        want = T.mix_maps([Tensor(a.data[i, j]) for a in maps], Tensor(gates.data[i, j]))
+        assert np.array_equal(out.data[i, j], want.data)
+        ggates = [(probe[i, j] * a.data[i, j]).sum() for a in maps]
+        assert np.allclose(gates.grad[i, j], ggates, atol=1e-12)
+    check(lambda t: T.total_sum(T.mul(T.mix_maps(maps, t), Tensor(probe))), gates)
+
+
 def test_embedding_lookup_scatter_grad():
     table = Tensor(RNG.normal(0, 1, (7, 4)), requires_grad=True)
     ids = [3, 0, 3, 6]  # repeated row exercises accumulation
@@ -622,7 +677,8 @@ def test_an_activation_no_rule_reads_dies_in_the_forward(monkeypatch):
 def test_no_backward_rule_keeps_a_tensor():
     """Every op's rule closes over arrays, shapes and flags, never a Tensor
     or a list of them, so recording a node keeps no activation alive through
-    its Tensor."""
+    its Tensor; mean, sum_axis, total_sum, index and reshape keep no array,
+    and embedding_lookup and log_softmax keep no array of their input."""
     def leaf(*shape):
         return Tensor(RNG.normal(0, 1, shape), requires_grad=True)
 
@@ -645,12 +701,24 @@ def test_no_backward_rule_keeps_a_tensor():
             return 1
         return sum(map(tensors_in, value)) if isinstance(value, (list, tuple)) else 0
 
-    for op in ops:
+    def cells_of(op):
         with Tape() as tape:
             op()
         (_, _, bwd), = tape.nodes
-        cells = [c.cell_contents for c in getattr(bwd, "__closure__", None) or ()]
+        return bwd, [c.cell_contents for c in getattr(bwd, "__closure__", None) or ()]
+
+    for op in ops:
+        bwd, cells = cells_of(op)
         assert tensors_in(cells) == 0, (op, bwd.__qualname__)
+    # rules that read only their input's shape keep no array at all
+    for op in (lambda: T.mean(x, 0), lambda: T.sum_axis(x, 1), lambda: T.total_sum(x), lambda: T.index(x, 1),
+               lambda: T.reshape(x, (12,))):
+        bwd, cells = cells_of(op)
+        assert not any(isinstance(c, np.ndarray) for c in cells), (bwd.__qualname__, cells)
+    # nor do rules that read only the shape of one input keep that input
+    for op, t in ((lambda: T.embedding_lookup(w, [0, 2]), w), (lambda: T.log_softmax(x), x)):
+        bwd, cells = cells_of(op)
+        assert not any(isinstance(c, np.ndarray) and np.shares_memory(c, t.data) for c in cells), bwd.__qualname__
 
 
 def test_means_equal_ndarray_mean_bit_for_bit():

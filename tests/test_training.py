@@ -202,7 +202,7 @@ def test_blocked_adam_matches_the_whole_vector_step(size):
 
 def desk_batch_loss(params, cfg, vocab, samples):
     """One desk batch's mean XE loss on the live tape, as `train_xe` builds it."""
-    branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+    branches = TR.encode_batch(params, cfg, samples, vocab)
     inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
     return T.mul(TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets)), 1.0 / len(samples))
 
@@ -653,21 +653,25 @@ def test_beam_caption_rejects_beam_zero():
 
 def test_desk_xe_tape_node_counts():
     """Pins the taped path at desk defaults: the batched XE loss of 8 scenes,
-    as training runs it (`encode_batch`), records 1923 nodes (3334 with each
-    sample's own caption pass and one GESA pass per branch); one scene's
-    call, run as a batch of one, records 355 (514 per branch). The caption
-    encoder runs once for the batch and hands each sample its rows (one
-    `index` node each). Each GESA group (ss+sv, vs+vv) runs on one branch
-    axis: per layer one pass over its content, with the group's stored
-    [k x ...] weights, and one `mix_maps` node; per geometry kind one pass
-    over all its (branch, layer) pairs, with the stored [L*k x ...]
-    projections, sliced per layer. Each decoder layer's cross-attention
-    records the key and value projections and 10 nodes on the branch axis.
-    Weights reach their nodes as stored: no `T.stack` node (the one op whose
-    backward is `tuple`), `index` or `reshape` node takes a parameter; the
-    48 stacks left stack each group's contents and its repeated geometry
-    inputs. A node holds its inputs' slots, so a slot's owner is found by
-    slot identity, and the affine nodes show that check can see weights."""
+    as training runs it (`encode_batch`), records 400 nodes (1923 with each
+    sample's fusion and GESA run on its own). 282 encode the batch in one
+    padded pass: the region projection and each side's geometry embedding
+    over every row of the batch, the caption encoder's one pass and one
+    gather of its rows per scene, the two fusion stacks at [B x N x d], and
+    each GESA group (ss+sv, vs+vv) on one branch axis over the padded batch:
+    per layer one pass over its content, with the group's stored [k x ...]
+    weights, a masked token mean for the gates and one `mix_maps` node; per
+    geometry kind one pass over all its (branch, layer) pairs, with the
+    stored [L*k x ...] projections, sliced per layer. Then 32 `index` nodes
+    hand each sample its real rows per branch, and 86 run the decoder and the
+    loss, each decoder layer's cross-attention recording the key and value
+    projections and 10 nodes on the branch axis. One scene's call, run at
+    [N x d] with no padding, records 355. Weights reach their nodes as
+    stored: no `T.stack` node (the one op whose backward is `tuple`),
+    `index` or `reshape` node takes a parameter; the 6 stacks left stack
+    each group's contents and its repeated geometry inputs. A node holds its
+    inputs' slots, so a slot's owner is found by slot identity, and the
+    affine nodes show that check can see weights."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 8)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
@@ -677,13 +681,13 @@ def test_desk_xe_tape_node_counts():
         branches = TR.encode_batch(params, cfg, samples, vocab)
         inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
         TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
-    assert len(tape.nodes) == 1923
+    assert len(tape.nodes) == 400
 
     def weights_taken(op):
         return {owner[s] for _, node_inputs, bwd in tape.nodes if op(bwd) for s in node_inputs if s in owner}
 
     stacks = [node_inputs for _, node_inputs, bwd in tape.nodes if bwd is tuple]
-    assert len(stacks) == 48 and not weights_taken(lambda bwd: bwd is tuple)
+    assert len(stacks) == 6 and not weights_taken(lambda bwd: bwd is tuple)
     assert not weights_taken(lambda bwd: bwd.__qualname__.split(".")[0] in ("index", "reshape"))
     assert "out.w" in weights_taken(lambda bwd: bwd.__qualname__.split(".")[0] == "affine")
     for s in samples[:3]:

@@ -8,7 +8,8 @@ that the branch axis replaced, the one-scene `CachedDecoder` that the
 many-scene one replaced, beam search without its stop rule, the
 whole-vector Adam step that the blocked `Adam.step` replaced, the
 per-branch GESA loop and per-sample caption pass that the branch groups and
-the batch's one caption-encoder pass replaced, and the per-branch parameter
+the batch's one caption-encoder pass replaced, the per-sample encode of a
+batch that the padded, masked pass replaced, and the per-branch parameter
 layout that the stored branch axes replaced: its init, a view of a stored
 model in it (`per_branch`), the name map between the two (`name_map`) and
 the per-call stacking that ran it (`restacked`)."""
@@ -28,10 +29,10 @@ from gevst.config import BRANCH_NAMES, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
 from gevst.decoder import CrossAttentionParams, DecoderLayerParams, _check_bos, _check_scenes, causal_mask
 from gevst.encoder import (GeometryProjections, GesaGroupParams, GesaLayerParams, active_groups, branch_forward,
-                           needs_fusion, variant_map_count)
+                           encode_all, needs_fusion, variant_map_count)
 from gevst.errors import ContractError, ShapeError, TrainingDiverged
 from gevst.fusion import init_fusion_cell, stack_fusion
-from gevst.geometry import embed_geometry, init_geometry
+from gevst.geometry import embed_geometry, init_geometry, normalize_boxes
 from gevst.model import ModelParams, caption_ids, caption_logits, init_model
 from gevst.nn import (Ffn, LayerNorm, Linear, Tensor, attend, ffn, init_embedding, init_ffn, init_layer_norm,
                       init_linear, layer_norm, linear, named_parameters, parameters, sinusoidal_positions)
@@ -616,12 +617,38 @@ def branch_loop_encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, gro
 
 def branch_loop_encode_sample(params, cfg, sample, vocab):
     """`model.encode_sample` with the sample's own caption pass and the per-branch loop."""
-    v_con = linear(Tensor(np.stack([r.feat for r in sample.regions])), params.vis_in)
-    v_geo = embed_geometry([r.box for r in sample.regions], sample.image_wh, params.geo_visual)
+    v_con, v_geo, s_geo = scene_inputs(params, sample)
     s_con = encode_captions(params.captions, cfg.enc_heads, caption_ids(sample, vocab))
-    s_geo = embed_geometry([dc.box for dc in sample.dense_captions], sample.image_wh, params.geo_semantic)
     return branch_loop_encode_all(v_con, v_geo, s_con, s_geo, params.fusion_vs, params.fusion_sv,
                                   params.branches, cfg.heads, cfg.expand_ratio)
+
+
+# The per-sample encode of a training batch that the padded, masked pass
+# replaced: one caption-encoder pass for the batch, each sample taking its
+# rows, then each sample's regions, boxes, fusion and GESA on their own, at
+# [N x d].
+
+
+def scene_inputs(params, sample):
+    """One sample's projected region features and its two geometry embeddings."""
+    v_con = linear(Tensor(np.stack([r.feat for r in sample.regions])), params.vis_in)
+    v_geo = embed_geometry(normalize_boxes([r.box for r in sample.regions], sample.image_wh), params.geo_visual)
+    s_geo = embed_geometry(normalize_boxes([dc.box for dc in sample.dense_captions], sample.image_wh),
+                           params.geo_semantic)
+    return v_con, v_geo, s_geo
+
+
+def per_sample_encode_batch(params, cfg, samples, vocab):
+    """Each sample's branch outputs, its fusion and GESA run on its own."""
+    ids = [caption_ids(s, vocab) for s in samples]
+    encoded = encode_captions(params.captions, cfg.enc_heads, [seq for seqs in ids for seq in seqs])
+    bounds = np.cumsum([0] + [len(seqs) for seqs in ids]).tolist()
+    outputs = []
+    for s, lo, hi in zip(samples, bounds[:-1], bounds[1:]):
+        v_con, v_geo, s_geo = scene_inputs(params, s)
+        outputs.append(encode_all(v_con, v_geo, T.index(encoded, slice(lo, hi)), s_geo, params.fusion_vs,
+                                  params.fusion_sv, params.branches, cfg.heads, cfg.expand_ratio))
+    return outputs
 
 
 def gesa_layer(x, g_intra, g_inter, group, h):
