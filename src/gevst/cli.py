@@ -161,7 +161,7 @@ def cmd_eval(args):
 
 def _write_matrix_csv(path, arr):
     with open(path, "w") as f:
-        for row in np.atleast_2d(arr):
+        for row in arr.reshape(-1, arr.shape[-1]):
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 

@@ -36,7 +36,7 @@ per side marks the padded tokens. Every map (fusion's additive maps, the
 content and geometry maps here) scores padded keys -1e9 before its softmax,
 and the gate's token mean runs over each scene's real tokens only, so no
 padded row reaches a real one; padded rows compute values nobody reads.
-One scene runs at [N x d], with no batch axis and no mask.
+One scene is a batch of one, with no padded row and therefore no mask.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Full model assembly: inputs -> four-branch encoding -> caption logits.
 
-A batch of scenes is encoded in one pass (`encode_scenes`): every region,
-box and dense caption of the batch goes through its embedding or encoder
-at once, and fusion and GESA run over the scenes padded to [B x N x d],
-their padded keys masked. Each scene then takes its real rows
-(`encode_sample` with the batch). One scene alone (`encode_sample`) runs
-the same code at [N x d], with no batch axis, padding or mask.
+Scenes are encoded in one pass (`encode_scenes`): every region, box and
+dense caption of the batch goes through its embedding or encoder at once,
+and fusion and GESA run over the scenes padded to [B x N x d], their padded
+keys masked. Each scene then takes its real rows (`encode_sample`). One
+scene alone is a batch of one, with no padded row and therefore no mask.
 
 Parameter layout (and with it the checkpoint manifest order) is fixed by the
 declaration order of ModelParams and the deterministic walker in nn. Only the
@@ -94,13 +93,10 @@ class SceneBatch:
 
 
 def _padded(arrays):
-    """Scenes' row arrays [n_i x w] as one zero-padded [B x N x w] array, and
-    its padding (bool [B x N], True at a padded row; None if none is)."""
-    counts = np.array([len(a) for a in arrays])
-    out = np.zeros((len(arrays), counts.max(), arrays[0].shape[1]))
-    padding = np.arange(counts.max()) >= counts[:, None]
-    out[~padding] = np.concatenate(arrays)
-    return out, (padding if padding.any() else None)
+    """Scenes' row arrays [n_i x w] zero-padded to [B x N x w] (`nn.pad_rows`),
+    and the padding (bool [B x N], True at a padded row; None if none is)."""
+    out, padding = pad_rows([Tensor(a) for a in arrays], [len(a) for a in arrays])
+    return out.data, (padding if padding.any() else None)
 
 
 def _region_rows(cfg, sample):
@@ -112,47 +108,34 @@ def _region_rows(cfg, sample):
     return feats, normalize_boxes([r.box for r in sample.regions], sample.image_wh)
 
 
-def _encode(params, cfg, samples, vocab, one):
-    """encode_all over the samples, padded to [B x N x d] with masks; `one`
-    (one sample) runs it at [N x d], with no batch axis, padding or mask."""
-    feats, v_boxes = zip(*(_region_rows(cfg, s) for s in samples))
-    ids = [caption_ids(s, vocab) for s in samples]
-    s_boxes = [normalize_boxes([dc.box for dc in s.dense_captions], s.image_wh) for s in samples]
-    if one:
-        (feats,), (v_boxes,), (s_boxes,) = feats, v_boxes, s_boxes
-        v_padding = s_padding = None
-    else:
-        (feats, v_padding), (v_boxes, _), (s_boxes, s_padding) = _padded(feats), _padded(v_boxes), _padded(s_boxes)
-    v_con = linear(Tensor(feats), params.vis_in)
-    v_geo = embed_geometry(v_boxes, params.geo_visual)
-    captions = encode_captions(params.captions, cfg.enc_heads, [seq for seqs in ids for seq in seqs])
-    if not one:
-        captions = pad_rows([captions], [len(seqs) for seqs in ids])[0]
-    s_geo = embed_geometry(s_boxes, params.geo_semantic)
-    return encode_all(v_con, v_geo, captions, s_geo, params.fusion_vs, params.fusion_sv, params.branches,
-                      cfg.heads, cfg.expand_ratio, v_padding, s_padding)
-
-
 def encode_scenes(params: ModelParams, cfg: TrainConfig, samples, vocab):
     """Every sample encoded in one pass: the regions' features and boxes and
     the dense captions' boxes padded to the batch's most, every dense caption
     through `encode_captions` at once and its rows gathered per scene
     (`nn.pad_rows`), then fusion and GESA over the padded batch with its
-    padded keys masked (`encoder.encode_all`). Each real row equals that of
-    the sample's own encode to rounding. Returns a SceneBatch."""
-    return SceneBatch(_encode(params, cfg, samples, vocab, one=False),
-                      [len(s.regions) for s in samples], [len(s.dense_captions) for s in samples])
+    padded keys masked (`encoder.encode_all`). A side with no padded row (a
+    batch of one, say) gets no mask. Returns a SceneBatch."""
+    feats, v_boxes = zip(*(_region_rows(cfg, s) for s in samples))
+    ids = [caption_ids(s, vocab) for s in samples]
+    s_boxes = [normalize_boxes([dc.box for dc in s.dense_captions], s.image_wh) for s in samples]
+    (feats, v_padding), (v_boxes, _), (s_boxes, s_padding) = _padded(feats), _padded(v_boxes), _padded(s_boxes)
+    v_con = linear(Tensor(feats), params.vis_in)
+    v_geo = embed_geometry(v_boxes, params.geo_visual)
+    captions = encode_captions(params.captions, cfg.enc_heads, [seq for seqs in ids for seq in seqs])
+    captions = pad_rows([captions], [len(seqs) for seqs in ids])[0]
+    s_geo = embed_geometry(s_boxes, params.geo_semantic)
+    outputs = encode_all(v_con, v_geo, captions, s_geo, params.fusion_vs, params.fusion_sv, params.branches,
+                         cfg.heads, cfg.expand_ratio, v_padding, s_padding)
+    return SceneBatch(outputs, [len(s.regions) for s in samples], [len(s.dense_captions) for s in samples])
 
 
 def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab, encoded=None):
-    """Branch outputs {name: Tensor[N_branch x d]} for one dataset sample.
-    Without `encoded` the sample is encoded alone, at [N x d], with no batch
-    axis, padding or mask. With `encoded` = (a SceneBatch, i), the sample
-    being scene i of that batch, its real rows are taken from the batch's
-    outputs, one `index` per branch."""
-    if encoded is None:
-        return _encode(params, cfg, [sample], vocab, one=True)
-    scenes, i = encoded
+    """Branch outputs {name: Tensor[N_branch x d]} for one dataset sample:
+    its real rows of scene i of a SceneBatch, one `index` per branch.
+    `encoded` = (the batch, i) hands out a sample encoded with others; without
+    it the sample is encoded alone, as a batch of one (no padded row, and so
+    no mask)."""
+    scenes, i = encoded or (encode_scenes(params, cfg, [sample], vocab), 0)
     if (scenes.regions[i], scenes.captions[i]) != (len(sample.regions), len(sample.dense_captions)):
         raise InputError(f"sample {sample.id}: {len(sample.regions)} regions and {len(sample.dense_captions)} dense "
                          f"captions, but scene {i} of the batch has {scenes.regions[i]} and {scenes.captions[i]}")

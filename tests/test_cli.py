@@ -16,6 +16,7 @@ import oracles as O
 import util as U
 from gevst import ablation, cli
 from gevst.config import TrainConfig, config_from_dict
+from gevst.data import read_jsonl
 from gevst.errors import ConfigError, GevstError
 from gevst.model import init_model
 from gevst.nn import named_parameters
@@ -288,9 +289,15 @@ def test_dump_attention_contents(workdir, tmp_path):
                                     "fusion_sv_cell1_geometry.csv",
                                     "fusion_vs_cell1_content.csv",
                                     "fusion_vs_cell1_geometry.csv"]
+    # A vs map has one row per region over the dense captions; sv the reverse.
+    (sample,) = [s for s in read_jsonl(workdir["data"]) if s.id == "s00002"]
+    n_regions, n_captions = len(sample.regions), len(sample.dense_captions)
+    assert n_regions != n_captions
+    shapes = {"vs": (n_regions, n_captions), "sv": (n_captions, n_regions)}
     for name in fusion_files:
         rows = [[float(v) for v in line.split(",")]
                 for line in open(os.path.join(out, name)) if line.strip()]
+        assert (len(rows), *{len(row) for row in rows}) == shapes[name.split("_")[1]], name
         for row in rows:
             assert abs(sum(row) - 1.0) < 1e-9
 

@@ -307,10 +307,11 @@ def test_padded_batch_matches_the_per_sample_encode(row, variant, base):
 
 
 def test_a_batch_of_one_is_bit_identical_to_the_one_scene_encode():
-    """Each desk scene encoded alone (`model.encode_sample`, no padding and
-    no mask) carries the bits of the per-branch, per-sample encode of
-    tests/util.py in every branch output, fusion map and GESA gate, and so
-    does that scene run as a batch of one (`training.encode_batch`)."""
+    """Each desk scene encoded alone (`model.encode_sample`, a batch of one
+    with no padded row and therefore no mask) carries the bits of the
+    per-branch, per-sample encode of tests/util.py in every branch output,
+    fusion map and GESA gate, and so does that scene run through
+    `training.encode_batch`."""
     cfg, samples, vocab, params = desk_batch(("ss", "sv", "vs", "vv"), n=8)
     flat_parameters(params)
     for s in samples:

@@ -665,13 +665,15 @@ def test_desk_xe_tape_node_counts():
     stored [L*k x ...] projections, sliced per layer. Then 32 `index` nodes
     hand each sample its real rows per branch, and 86 run the decoder and the
     loss, each decoder layer's cross-attention recording the key and value
-    projections and 10 nodes on the branch axis. One scene's call, run at
-    [N x d] with no padding, records 355. Weights reach their nodes as
-    stored: no `T.stack` node (the one op whose backward is `tuple`),
-    `index` or `reshape` node takes a parameter; the 6 stacks left stack
-    each group's contents and its repeated geometry inputs. A node holds its
-    inputs' slots, so a slot's owner is found by slot identity, and the
-    affine nodes show that check can see weights."""
+    projections and 10 nodes on the branch axis. One scene's call, a batch
+    of one with no padded row and so no mask, records 361, the batch path's
+    caption gather (one concat and one row gather) and one row `index` per
+    branch (4) among them.
+    Weights reach their nodes as stored: no `T.stack` node (the one op whose
+    backward is `tuple`), `index` or `reshape` node takes a parameter; the 6
+    stacks left stack each group's contents and its repeated geometry
+    inputs. A node holds its inputs' slots, so a slot's owner is found by
+    slot identity, and the affine nodes show that check can see weights."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 8)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
@@ -695,7 +697,7 @@ def test_desk_xe_tape_node_counts():
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 355
+        assert len(tape.nodes) == 361
 
 
 def test_desk_decode_step_op_count():
