@@ -54,20 +54,20 @@ class CaptionEncoderParams:
     out: Linear  # [width -> d_o]
 
 
-def init_caption_encoder(rng, vocab_size, width, n_layers, d_out):
+def init_caption_encoder(layout, vocab_size, width, n_layers, d_out):
     layers = [
         EncoderLayerParams(
-            q=init_linear(rng, width, width),
-            k=init_linear(rng, width, width),
-            v=init_linear(rng, width, width),
-            o=init_linear(rng, width, width),
-            ln1=init_layer_norm(width),
-            ffn=init_ffn(rng, width),
-            ln2=init_layer_norm(width),
+            q=init_linear(layout, width, width),
+            k=init_linear(layout, width, width),
+            v=init_linear(layout, width, width),
+            o=init_linear(layout, width, width),
+            ln1=init_layer_norm(layout, width),
+            ffn=init_ffn(layout, width),
+            ln2=init_layer_norm(layout, width),
         )
         for _ in range(n_layers)
     ]
-    return CaptionEncoderParams(init_embedding(rng, vocab_size, width), layers, init_linear(rng, width, d_out))
+    return CaptionEncoderParams(init_embedding(layout, vocab_size, width), layers, init_linear(layout, width, d_out))
 
 
 def encode_captions(params: CaptionEncoderParams, heads, id_seqs):

@@ -90,15 +90,13 @@ def cmd_gen_data(args):
 def cmd_train(args):
     t0 = time.time()
     samples = read_jsonl(args.data)
+    if args.phase == "scst" and not args.init:
+        raise InputError("--phase scst requires --init with an XE checkpoint")
+    base, vocab, params, steps = load_checkpoint(args.init) if args.init else (None, None, None, 0)
+    cfg = _load_config(args.config, args.seed, base.to_dict() if base else ())
     if args.phase == "xe":
-        cfg = _load_config(args.config, args.seed)
-        _, vocab, params, steps = load_checkpoint(args.init) if args.init else (None, None, None, 0)
         out = train_xe(samples, cfg, params=params, vocab=vocab, start_step=steps)
     else:
-        if not args.init:
-            raise InputError("--phase scst requires --init with an XE checkpoint")
-        base, vocab, params, steps = load_checkpoint(args.init)
-        cfg = _load_config(args.config, args.seed, base.to_dict())
         out = train_scst(samples, cfg, params, vocab, start_step=steps)
         if "warning" in out.diagnostics:
             print(f"warning: {out.diagnostics['warning']}", file=sys.stderr)

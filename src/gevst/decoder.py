@@ -62,7 +62,6 @@ from .nn import (
     linear,
     pad_rows,
     sinusoidal_positions,
-    stack_params,
 )
 from .tensor import no_grad
 
@@ -100,19 +99,20 @@ class DecoderLayerParams:
     ln3: LayerNorm
 
 
-def init_decoder_layer(rng, d, branches):
+def init_decoder_layer(layout, d, branches):
     """A layer over the k named branches; each branch's cross q, k, v and then
-    each branch's gate affine are drawn in turn, then stacked."""
+    each branch's gate affine are drawn in turn, each into its slice of the
+    stacked tensor."""
     return DecoderLayerParams(
-        self_q=init_linear(rng, d, d),
-        self_k=init_linear(rng, d, d),
-        self_v=init_linear(rng, d, d),
-        ln1=init_layer_norm(d),
-        cross=stack_params([CrossAttentionParams(*(init_linear(rng, d, d) for _ in range(3))) for _ in branches]),
-        mod=stack_params([init_linear(rng, 2 * d, d) for _ in branches]),
-        ln2=init_layer_norm(d),
-        ffn=init_ffn(rng, d),
-        ln3=init_layer_norm(d),
+        self_q=init_linear(layout, d, d),
+        self_k=init_linear(layout, d, d),
+        self_v=init_linear(layout, d, d),
+        ln1=init_layer_norm(layout, d),
+        cross=layout.stack([CrossAttentionParams(*(init_linear(layout, d, d) for _ in range(3))) for _ in branches]),
+        mod=layout.stack([init_linear(layout, 2 * d, d) for _ in branches]),
+        ln2=init_layer_norm(layout, d),
+        ffn=init_ffn(layout, d),
+        ln3=init_layer_norm(layout, d),
     )
 
 

@@ -59,7 +59,6 @@ from .nn import (
     init_linear,
     layer_norm,
     linear,
-    stack_params,
 )
 from .tensor import Tensor
 
@@ -111,20 +110,21 @@ class GesaGroupParams:
     geometry: GeometryProjections
 
 
-def init_gesa_group(rng, d, h, variant, branches, layers):
+def init_gesa_group(layout, d, h, variant, branches, layers):
     """A group of `branches` branches, `layers` deep. Each branch's layers are
     drawn in turn, each in the order q_c, k_c, v_c, the geometry projections,
-    gate, ln1, ffn, ln2, and then stacked (`nn.stack_params`)."""
+    gate, ln1, ffn, ln2, each into its slice of the stacked tensor
+    (`nn.Layout.stack`)."""
     maps = variant_map_count(variant)
     if d % h != 0:
         raise ConfigError(f"model width {d} not divisible by {h} heads")
     content, geometry = [], []  # per (branch, layer), branch-major
     for _ in range(branches * layers):
-        q_c, k_c, v_c = (init_linear(rng, d, d) for _ in range(3))
-        geometry.append(GeometryProjections(*(init_linear(rng, d, d) if i < 2 * (maps - 1) else None for i in range(4))))
-        content.append(GesaLayerParams(q_c, k_c, v_c, init_linear(rng, d, maps), init_layer_norm(d), init_ffn(rng, d),
-                                       init_layer_norm(d)))
-    return GesaGroupParams([stack_params(content[i::layers]) for i in range(layers)], stack_params(geometry))
+        q_c, k_c, v_c = (init_linear(layout, d, d) for _ in range(3))
+        geometry.append(GeometryProjections(*(init_linear(layout, d, d) if i < 2 * maps - 2 else None for i in range(4))))
+        content.append(GesaLayerParams(q_c, k_c, v_c, init_linear(layout, d, maps), init_layer_norm(layout, d),
+                                       init_ffn(layout, d), init_layer_norm(layout, d)))
+    return GesaGroupParams([layout.stack(content[i::layers]) for i in range(layers)], layout.stack(geometry))
 
 
 def key_mask(padding, lead, h):

@@ -59,18 +59,18 @@ class FusionOutput:
     inter_geometry: Tensor  # [N x d], or [B x N x d] for a batch
 
 
-def _init_additive(rng, d):
-    return AdditiveAttention(init_linear(rng, d, d), init_linear(rng, d, d), init_linear(rng, d, 1))
+def _init_additive(layout, d):
+    return AdditiveAttention(init_linear(layout, d, d), init_linear(layout, d, d), init_linear(layout, d, 1))
 
 
-def init_fusion_cell(rng, d, er, base="cg"):
+def init_fusion_cell(layout, d, er, base="cg"):
     if base not in FUSION_BASES:
         raise ConfigError(f"fusion base must be one of {FUSION_BASES}, got {base!r}")
     return FusionCellParams(
-        content=_init_additive(rng, d) if "c" in base else None,
-        geometry=_init_additive(rng, d) if "g" in base else None,
-        v_exp=init_linear(rng, d, er * d),
-        s_exp=init_linear(rng, d, er * d),
+        content=_init_additive(layout, d) if "c" in base else None,
+        geometry=_init_additive(layout, d) if "g" in base else None,
+        v_exp=init_linear(layout, d, er * d),
+        s_exp=init_linear(layout, d, er * d),
     )
 
 

@@ -75,8 +75,8 @@ def normalize_box(box: BoundingBox, image_w, image_h):
     return np.array([cx / image_w, cy / image_h, box.width / image_w, box.height / image_h])
 
 
-def init_geometry(rng, d_out) -> Linear:
-    return init_linear(rng, 4, d_out)
+def init_geometry(layout, d_out) -> Linear:
+    return init_linear(layout, 4, d_out)
 
 
 def normalize_boxes(boxes, image_wh):

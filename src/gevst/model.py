@@ -13,6 +13,12 @@ when some active branch consumes them. The GESA branches are stored by
 group, and the decoder's per-branch weights on one branch axis, as they are
 computed (`encoder`, `decoder`); init draws them branch by branch, in the
 order of the per-branch layout it replaced.
+
+The model is born in its one float64 vector: `model_layout` runs init's code
+as a layout pass that allocates nothing (`nn.Layout`), and `init_model` then
+allocates the vector, binds each Tensor to its view and draws each leaf
+straight into it. `training.load_checkpoint` reads a file's body into the
+vector of that same layout instead.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .encoder import active_groups, encode_all, init_gesa_group, needs_fusion
 from .errors import ConfigError, GevstError, InputError
 from .fusion import init_fusion_cell
 from .geometry import embed_geometry, init_geometry, normalize_boxes
-from .nn import Linear, Tensor, init_embedding, init_linear, linear, pad_rows
+from .nn import Layout, Linear, Tensor, bind_flat, init_embedding, init_linear, linear, pad_rows
 
 
 # The config fields that size a parameter, in the order a too-large model's
@@ -51,29 +57,45 @@ class ModelParams:
     out: Linear  # d_model -> vocab
 
 
-def init_model(cfg: TrainConfig, vocab_size, rng) -> ModelParams:
+def model_layout(cfg: TrainConfig, vocab_size, alloc=None):
+    """(the Layout, ModelParams) of init's layout pass: every Tensor shaped,
+    none bound to memory, no draw made (`nn.Layout`). With `alloc`, the
+    Tensors are then bound to one vector it allocates (`nn.bind_flat`). A
+    model too large to lay out or allocate is a ConfigError."""
     d = cfg.d_model
     need_vs, need_sv = needs_fusion(cfg.branches)
     active = [b for b in BRANCH_NAMES if b in cfg.branches]
+    layout = Layout()
     try:
-        return ModelParams(
-            vis_in=init_linear(rng, cfg.raw_feat_dim, d),
-            geo_visual=init_geometry(rng, d),
-            geo_semantic=init_geometry(rng, d),
-            captions=init_caption_encoder(rng, vocab_size, cfg.enc_width, cfg.enc_layers, d),
-            fusion_vs=[init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_vs else None,
-            fusion_sv=[init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_sv else None,
-            branches={key: init_gesa_group(rng, d, cfg.heads, cfg.gesa_variant, len(members), cfg.layers)
+        params = ModelParams(
+            vis_in=init_linear(layout, cfg.raw_feat_dim, d),
+            geo_visual=init_geometry(layout, d),
+            geo_semantic=init_geometry(layout, d),
+            captions=init_caption_encoder(layout, vocab_size, cfg.enc_width, cfg.enc_layers, d),
+            fusion_vs=[init_fusion_cell(layout, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_vs else None,
+            fusion_sv=[init_fusion_cell(layout, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)] if need_sv else None,
+            branches={key: init_gesa_group(layout, d, cfg.heads, cfg.gesa_variant, len(members), cfg.layers)
                       for key, members in active_groups(active).items()},
-            dec_embed=init_embedding(rng, vocab_size, d),
-            dec_layers=[init_decoder_layer(rng, d, active) for _ in range(cfg.layers)],
-            out=init_linear(rng, d, vocab_size),
+            dec_embed=init_embedding(layout, vocab_size, d),
+            dec_layers=[init_decoder_layer(layout, d, active) for _ in range(cfg.layers)],
+            out=init_linear(layout, d, vocab_size),
         )
+        if alloc is not None:
+            bind_flat(params, alloc)
+        return layout, params
     except GevstError:
         raise
     except (MemoryError, OverflowError, ValueError) as e:  # a refused allocation, or a width NumPy cannot shape
         width = max(WIDTHS, key=lambda name: getattr(cfg, name))  # the widest is the one at fault
         raise ConfigError(f"config with {width} {getattr(cfg, width)} asks for a model too large to allocate: {e}") from None
+
+
+def init_model(cfg: TrainConfig, vocab_size, rng) -> ModelParams:
+    """cfg's model in one float64 vector (`nn.flat_parameters`), each leaf
+    drawn from `rng` straight into its view."""
+    layout, params = model_layout(cfg, vocab_size, np.zeros)
+    layout.draw(rng)
+    return params
 
 
 def caption_ids(sample, vocab):

@@ -4,8 +4,16 @@ Parameter containers are small dataclasses of Tensors; `named_parameters`
 walks any nesting of dataclasses / lists / dicts in declaration order, which
 fixes a deterministic global parameter order for init, Adam and checkpoints.
 A weight that several branches use side by side is stored stacked, one
-`[k x ...]` tensor on a leading branch axis (`stack_params` builds it at
-init), so the engine's stacked kernels read it as it lies.
+`[k x ...]` tensor on a leading branch axis (`Layout.stack`), so the
+engine's stacked kernels read it as it lies.
+
+Parameters are born flat. Init functions run on a `Layout`, which
+allocates nothing: each leaf is a Tensor of its shape bound to no memory,
+and the draw that fills it is recorded in the order the init code asks for
+it. `bind_flat` then allocates the one float64 vector and binds each Tensor
+to its view, in walk order, and `Layout.draw` fills each leaf's view (a
+stacked member's slice of its stack) in the recorded order, so the values
+are those of drawing each leaf on its own, then stacking and concatenating.
 The operations themselves, the vocabulary log-softmax among them, are the
 engine's (`tensor`); this module composes them into layers.
 """
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import ContractError
 from .tensor import Tensor
 
 
@@ -45,23 +54,61 @@ class Ffn:
     outer: Linear
 
 
-def init_linear(rng, d_in, d_out):
+class Layout:
+    """The layout pass of an init: `leaf` gives a trainable Tensor of a shape,
+    bound to no memory yet, and records the draw that will fill it, in call
+    order; `stack` lays same-structured members out on a leading axis."""
+
+    def __init__(self):
+        self.draws = []  # (leaf, draw(rng, its shape) -> its values), in the order the init code asks
+        self.home = {}  # a stacked member -> (its stack, index)
+
+    def leaf(self, shape, draw=None):
+        """A leaf of `shape`; with `draw` None it keeps what its vector is
+        allocated with (zeros at init)."""
+        t = Tensor._wrap(np.ndarray(shape, buffer=_UNBOUND, strides=(0,) * len(shape)), requires_grad=True)
+        if draw is not None:
+            self.draws.append((t, draw))
+        return t
+
+    def stack(self, objs):
+        """Same-structured parameter dataclasses (or Tensors) of this layout as
+        one of that structure, each Tensor the members' on a leading axis; a
+        field that is None in the members stays None."""
+        first = objs[0]
+        if first is None:
+            return None
+        if isinstance(first, Tensor):
+            stacked = self.leaf((len(objs),) + first.data.shape)
+            self.home.update((o, (stacked, i)) for i, o in enumerate(objs))
+            return stacked
+        return type(first)(*(self.stack([getattr(o, f.name) for o in objs]) for f in dataclasses.fields(first)))
+
+    def draw(self, rng):
+        """Fill each recorded leaf from `rng`, in call order, once bound (`bind_flat`)."""
+        for t, fill in self.draws:
+            stacked, i = self.home.get(t, (None, None))
+            (t.data if stacked is None else stacked.data[i])[...] = fill(rng, t.data.shape)
+
+
+_UNBOUND = bytes(8)  # the one read-only float64 zero that every entry of an unbound leaf reads
+
+
+def init_linear(layout, d_in, d_out):
     limit = np.sqrt(6.0 / (d_in + d_out))
-    w = Tensor(rng.uniform(-limit, limit, size=(d_in, d_out)), requires_grad=True)
-    b = Tensor(np.zeros(d_out), requires_grad=True)
-    return Linear(w, b)
+    return Linear(layout.leaf((d_in, d_out), lambda rng, size: rng.uniform(-limit, limit, size)), layout.leaf((d_out,)))
 
 
-def init_layer_norm(d):
-    return LayerNorm(Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True))
+def init_layer_norm(layout, d):
+    return LayerNorm(layout.leaf((d,), lambda rng, size: 1.0), layout.leaf((d,)))
 
 
-def init_ffn(rng, d):
-    return Ffn(init_linear(rng, d, 4 * d), init_linear(rng, 4 * d, d))
+def init_ffn(layout, d):
+    return Ffn(init_linear(layout, d, 4 * d), init_linear(layout, 4 * d, d))
 
 
-def init_embedding(rng, vocab, d):
-    return Tensor(rng.normal(0.0, 0.1, size=(vocab, d)), requires_grad=True)
+def init_embedding(layout, vocab, d):
+    return layout.leaf((vocab, d), lambda rng, size: rng.normal(0.0, 0.1, size))
 
 
 def linear(x, p: Linear):
@@ -74,18 +121,6 @@ def ffn(x, p: Ffn):
 
 def layer_norm(x, p: LayerNorm):
     return T.layer_norm(x, p.gain, p.bias)
-
-
-def stack_params(objs):
-    """Same-structured parameter dataclasses (or Tensors) as one of that
-    structure, each Tensor a new trainable one holding the members' values
-    stacked on a leading axis; a field that is None in the members stays None."""
-    first = objs[0]
-    if first is None:
-        return None
-    if isinstance(first, Tensor):
-        return Tensor(np.stack([o.data for o in objs]), requires_grad=True)
-    return type(first)(*(stack_params([getattr(o, f.name) for o in objs]) for f in dataclasses.fields(first)))
 
 
 def named_parameters(obj, prefix=""):
@@ -124,17 +159,25 @@ def flat_views(flat, tensors):
     return [flat[o : o + t.data.size].reshape(t.data.shape) for t, o in zip(tensors, flat_offsets(tensors))]
 
 
+def bind_flat(obj, alloc=np.zeros):
+    """Allocate the float64 vector of every parameter of `obj` end to end
+    (`alloc(size)`) and bind each Tensor to its view; returns the vector."""
+    tensors = parameters(obj)
+    flat = alloc(sum(t.data.size for t in tensors))
+    for t, view in zip(tensors, flat_views(flat, tensors)):
+        t.data = view
+    return flat
+
+
 def flat_parameters(obj):
     """The float64 vector holding every parameter of `obj` end to end, each
-    Tensor.data a view into it; later calls return the same vector unless a
-    parameter was rebound to another array since."""
+    Tensor.data a view into it, as init or load bound them (`bind_flat`);
+    nothing is copied."""
     tensors = parameters(obj)
     flat = tensors[0].data.base if tensors else None
     if flat is None or flat.shape != (sum(t.data.size for t in tensors),) or any(
             t.data.base is not flat for t in tensors):
-        flat = np.concatenate([np.zeros(0)] + [t.data.ravel() for t in tensors])
-        for t, view in zip(tensors, flat_views(flat, tensors)):
-            t.data = view
+        raise ContractError("parameters are not the views of one vector: build them with an init function")
     return flat
 
 

@@ -37,15 +37,20 @@ TrainingDiverged before the optimizer step, so the parameters keep their
 last finite values; so do non-finite log-probs in an SCST rollout.
 
 All parameters live in one float64 vector (nn.flat_parameters), each Tensor
-a view into it: Adam, clipping and best snapshots work on that vector.
+a view into it, from the moment init or load builds the model: Adam,
+clipping, best snapshots and checkpoints work on that vector and copy no
+parameter out of it. Either phase first checks that its parameters are laid
+out as the config's model is (init's allocation-free layout pass).
 The best snapshot is copied only at a validation that raises the best
 CIDEr-D; a run that validates nothing (epochs=0) returns a copy of the
 untouched vector.
 
 Checkpoints are one compact JSON header line (config, vocabulary, trained
 step count, parameter manifest of name/shape/offset, data_bytes) followed
-by that vector's little-endian float64 bytes. Loading accepts only the
-model's exact manifest and data_bytes finite values.
+by that vector's little-endian float64 bytes. Loading runs init's layout
+pass for the header's config, binds the model to one uninitialized vector,
+accepts only the model's exact manifest and data_bytes, and reads the body
+straight into that vector, which must then hold finite values only.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from .data import (BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vo
                    parse_json, split_train_val, tokenize)
 from .decoder import CachedDecoder, beam_search, greedy_decode
 from .errors import ConfigError, ContractError, InputError, ParseError, SchemaError, TrainingDiverged
-from .model import caption_logits, encode_sample, encode_scenes, init_model, make_step_fn
+from .model import caption_logits, encode_sample, encode_scenes, init_model, make_step_fn, model_layout
 from .nn import Tensor, flat_offsets, flat_parameters, flat_views, named_parameters, parameters
 from .tensor import Tape, no_grad
 from . import tensor as T
@@ -291,9 +296,14 @@ def _optimize(phase, train, val, cfg, params, vocab, epochs, step, batch_loss, l
     `lr_at(step)`. The curve holds the mean reward when the phase reports
     rewards, else the mean loss, logged by `report`. The best snapshot is
     copied at each validation that improves on the best score so far. The
-    optimizer's vectors are freed before the last validation."""
+    optimizer's vectors are freed before the last validation. Parameters
+    laid out other than cfg's model (init's layout pass, which allocates
+    nothing) raise ConfigError naming the first parameter that differs."""
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    expected, given = _manifest(model_layout(cfg, len(vocab))[1]), _manifest(params)
+    if given != expected:
+        raise ConfigError(f"config does not fit the given parameters: {_layout_mismatch(given, expected, 'params')}")
     opt = Adam(params)
     curve = []
     best_snapshot, best_epoch, best_val = None, 0, -1.0
@@ -476,25 +486,19 @@ def save_checkpoint(path, cfg: TrainConfig, vocab: Vocabulary, params, trained_s
         f.write(np.ascontiguousarray(flat, dtype="<f8").data)
 
 
-def _layout_mismatch(entries, expected):
-    """What first differs between a checkpoint manifest and the model's."""
+def _layout_mismatch(entries, expected, source="checkpoint"):
+    """What first differs between a manifest of `source` and the model's."""
     shapes = {e["name"]: e["shape"] for e in expected}
     for entry in entries:
         name = entry.get("name") if isinstance(entry, dict) else None
         if not isinstance(name, str) or name not in shapes:
-            return f"checkpoint names unknown parameter {name!r}"
+            return f"{source} names unknown parameter {name!r}"
         if entry.get("shape") != shapes[name]:
-            return f"parameter {name!r}: checkpoint shape {entry.get('shape')} != model shape {shapes[name]}"
+            return f"parameter {name!r}: {source} shape {entry.get('shape')} != model shape {shapes[name]}"
     missing = sorted(set(shapes) - {e["name"] for e in entries})
     if missing:
-        return f"checkpoint missing parameters: {missing[:3]}..."
-    return "checkpoint manifest order or offsets differ from the model layout"
-
-
-class _Undrawn:
-    """Stands in for init's generator where the file sets every value: its
-    draws are `np.empty`, so no weight is written before the manifest check."""
-    uniform = normal = staticmethod(lambda low, high, size: np.empty(size))
+        return f"{source} missing parameters: {missing[:3]}..."
+    return f"{source} manifest order or offsets differ from the model layout"
 
 
 def load_checkpoint(path):
@@ -519,11 +523,11 @@ def load_checkpoint(path):
             raise SchemaError(f"checkpoint trained_steps must be an integer >= 0, got {steps!r}")
         cfg = config_from_dict(header["config"])
         vocab = Vocabulary(tokens)
-        params = init_model(cfg, len(vocab), _Undrawn)
+        params = model_layout(cfg, len(vocab), np.empty)[1]
+        flat = flat_parameters(params)
         expected = _manifest(params)
         if header["params"] != expected:
             raise SchemaError(_layout_mismatch(header["params"], expected))
-        flat = flat_parameters(params)
         if header.get("data_bytes") != flat.nbytes:
             raise SchemaError(f"checkpoint data_bytes {header.get('data_bytes')!r} != model's {flat.nbytes}")
         got = f.readinto(flat)
@@ -533,7 +537,7 @@ def load_checkpoint(path):
             raise ParseError("checkpoint has trailing bytes after the parameters")
     if sys.byteorder != "little":
         flat.byteswap(inplace=True)
-    if not np.isfinite(flat).all():
+    if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):  # NaN propagates; no full-length temporary
         raise ParseError("checkpoint holds non-finite parameter values")
     return cfg, vocab, params, steps
 

@@ -25,12 +25,12 @@ from gevst.config import TrainConfig
 from gevst.data import (BOS_ID, EOS_ID, PAD_ID, DenseCaption, Region, Sample,
                         build_vocab, corpus_texts, generate_dataset,
                         split_train_val)
-from gevst.decoder import beam_search, greedy_decode, init_decoder_layer
-from gevst.encoder import init_gesa_group
-from gevst.fusion import fusion_cell, init_fusion_cell
+from gevst.decoder import beam_search, greedy_decode
+from gevst.fusion import fusion_cell
 from gevst.geometry import BoundingBox
 from gevst.model import caption_logits, encode_sample, init_model
-from gevst.nn import Tensor, init_embedding, init_linear
+from gevst.nn import Tensor
+from util import init_decoder_layer, init_embedding, init_fusion_cell, init_gesa_group, init_linear
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:CIDEr-D over a single-document corpus")
@@ -406,7 +406,7 @@ def test_criterion_7_learning_capability(announce, desk_run):
 def run_bandit(high_token=1, steps=200, lr=0.1, seed=0):
     """2-token policy under the self-critical update; reward 10 vs 0."""
     logits = Tensor(np.zeros((1, 2)), requires_grad=True)
-    opt = TR.Adam({"logits": logits})
+    opt = TR.Adam(U.flatten({"logits": logits}))
     rng = np.random.default_rng(seed)
     reward = lambda tok: 10.0 if tok == high_token else 0.0
     first_above = None

@@ -4,9 +4,10 @@ import pytest
 import util as U
 from gevst import caption_encoder
 from gevst import tensor as T
-from gevst.caption_encoder import encode_captions, init_caption_encoder
+from gevst.caption_encoder import encode_captions
 from gevst.errors import InputError
 from gevst.nn import parameters
+from util import init_caption_encoder
 
 
 def test_output_shape(rng):

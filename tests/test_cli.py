@@ -279,6 +279,36 @@ def test_scst_config_is_checkpoint_then_file_then_seed(workdir, tmp_path):
     assert manifest["seed"] == 9
 
 
+def test_xe_config_is_checkpoint_then_file_then_seed(workdir, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"xe_epochs": 1, "lr_scale": 0.5, "seed": 5}))
+    run = str(tmp_path / "xe")
+    assert cli.main(["train", "--data", workdir["data"], "--init", workdir["ckpt"],
+                     "--config", str(cfg), "--seed", "9", "--out", run]) == 0
+    manifest = json.load(open(os.path.join(run, "manifest.json")))
+    assert manifest["config"] == dict(load_checkpoint(workdir["ckpt"])[0].to_dict(), xe_epochs=1, lr_scale=0.5, seed=9)
+    assert manifest["seed"] == 9
+
+
+@pytest.mark.parametrize("phase", ["xe", "scst"])
+@pytest.mark.parametrize("change", [{"d_model": 32, "heads": 4}, {"branches": ["vv"]}], ids=["width", "branches"])
+def test_train_init_with_a_config_the_checkpoint_does_not_fit_exits_one(workdir, tmp_path, capsys, phase, change):
+    """A --config that changes the --init checkpoint's layout (its width or
+    its branches) is refused before training, naming the first parameter
+    that differs; a run that went on would write a checkpoint no reader
+    loads."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(change))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--data", workdir["data"], "--phase", phase, "--init", workdir["ckpt"],
+                     "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    first = ("parameter 'vis_in.w': params shape [32, 16] != model shape [32, 32]" if "d_model" in change
+             else "params names unknown parameter 'fusion_sv.0.content.s_proj.w'")
+    assert err == f"error: config does not fit the given parameters: {first}\n"
+    assert not out.exists()
+
+
 def test_dump_attention_contents(workdir, tmp_path):
     out = str(tmp_path / "attn")
     assert cli.main(["dump-attention", "--ckpt", workdir["ckpt"], "--data",

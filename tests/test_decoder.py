@@ -8,9 +8,10 @@ import util as U
 from gevst import tensor as T
 from gevst.data import BOS_ID, EOS_ID
 from gevst.decoder import (CachedDecoder, beam_search, cross_keys_values, decoder_forward, greedy_decode,
-                           init_decoder_layer, modulated_multi_input)
+                           modulated_multi_input)
 from gevst.errors import ConfigError, ContractError
-from gevst.nn import Linear, Tensor, init_embedding, init_linear, named_parameters
+from gevst.nn import Linear, Tensor, named_parameters
+from util import init_decoder_layer, init_embedding, init_linear
 
 
 def rigged_step(seed, vocab, peak=6.0, eos_by=None):

@@ -6,10 +6,10 @@ import util as U
 from gevst import tensor as T
 from gevst.ablation import axis_configs
 from gevst.config import BRANCH_NAMES, GESA_VARIANTS, TrainConfig
-from gevst.encoder import active_groups, branch_forward, encode_all, gesa_gates, init_gesa_group, variant_map_count
+from gevst.encoder import active_groups, branch_forward, encode_all, gesa_gates, variant_map_count
 from gevst.errors import ConfigError, ShapeError
-from gevst.fusion import init_fusion_cell
-from gevst.nn import Tensor, flat_parameters, linear, parameters
+from gevst.nn import Tensor, linear, parameters
+from util import init_fusion_cell, init_gesa_group
 
 
 def rand_group(rng, d, h, variant="con_intra_inter", layers=1):
@@ -178,7 +178,10 @@ def test_branch_groups_match_the_per_branch_loop(variant, flat):
         model = (f_vs, f_sv, groups)
         U.randomize(model, rng)
         if flat:
-            flat_parameters(model)
+            U.flatten(model)
+        else:
+            for t in parameters(model):
+                t.data = t.data.copy()
         leaves = parameters(model) + [vc, vg, sc, sg]
         runs = []
         for encode in (encode_all, U.branch_loop_encode_all):

@@ -5,9 +5,9 @@ import oracles as O
 import util as U
 from gevst import tensor as T
 from gevst.errors import ConfigError, InputError
-from gevst.fusion import (attention_map, fusion_cell, init_fusion_cell,
-                          stack_fusion)
+from gevst.fusion import attention_map, fusion_cell, stack_fusion
 from gevst.nn import Tensor, parameters
+from util import init_fusion_cell
 
 
 def rand_inputs(rng, n, m, d):

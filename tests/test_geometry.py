@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gevst.errors import GeometryError
-from gevst.geometry import (BoundingBox, embed_geometry, init_geometry, iou,
-                            normalize_box, normalize_boxes, union_box)
+from gevst.geometry import BoundingBox, embed_geometry, iou, normalize_box, normalize_boxes, union_box
+from util import init_geometry
 
 coord = st.floats(min_value=0.0, max_value=500.0, allow_nan=False)
 side = st.floats(min_value=0.5, max_value=200.0, allow_nan=False)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import oracles as O
+from gevst import nn
 from gevst import tensor as T
-from gevst.errors import ShapeError
-from gevst.nn import (LayerNorm, Tensor, ffn, flat_parameters, init_ffn, init_linear,
-                      layer_norm, linear, named_parameters,
-                      sinusoidal_positions)
-from util import grad_check
+from gevst.errors import ContractError, ShapeError
+from gevst.nn import (LayerNorm, Layout, Linear, Tensor, bind_flat, ffn, flat_parameters, layer_norm, linear,
+                      named_parameters, parameters, sinusoidal_positions)
+from util import eager_ffn, eager_linear, flatten, grad_check, init_ffn, init_linear, np_stack
 
 RNG = np.random.default_rng(31)
 
@@ -207,19 +207,43 @@ def test_named_parameters_order_is_stable_and_complete():
 
 
 def test_flat_parameters_are_views_in_walk_order():
-    p = {"w": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
-         "b": Tensor(np.array([7.0]), requires_grad=True)}
+    """An init function called on a generator binds its parameters, in walk
+    order, to one vector of their own; flat_parameters finds that vector and
+    copies nothing, and refuses parameters that are not views of one vector."""
+    p = init_ffn(np.random.default_rng(0), 2)
     flat = flat_parameters(p)
-    assert np.array_equal(flat, [0, 1, 2, 3, 4, 5, 7])
-    assert p["w"].data.shape == (2, 3) and p["w"].data.flags["C_CONTIGUOUS"]
+    assert flat.shape == (2 * 8 + 8 + 8 * 2 + 2,)
+    assert all(t.data.base is flat and t.data.flags["C_CONTIGUOUS"] for t in parameters(p))
     assert flat_parameters(p) is flat
-    flat[6] = -1.0
-    assert p["b"].data[0] == -1.0
-    # a parameter rebound to a new array starts a fresh vector
-    p["w"].data = p["w"].data * 2.0
-    flat2 = flat_parameters(p)
-    assert flat2 is not flat and np.array_equal(flat2, [0, 2, 4, 6, 8, 10, -1])
-    assert np.shares_memory(p["w"].data, flat2) and np.shares_memory(p["b"].data, flat2)
+    assert flat.tobytes() == b"".join(t.data.tobytes() for t in parameters(p))
+    flat[-1] = -1.0
+    assert p.outer.b.data[-1] == -1.0
+    p.inner.w.data = p.inner.w.data * 2.0  # rebound to an array of its own
+    with pytest.raises(ContractError, match="not the views of one vector"):
+        flat_parameters(p)
+    loose = {"w": Tensor(np.ones((2, 3)), requires_grad=True)}
+    with pytest.raises(ContractError):
+        flat_parameters(loose)
+
+
+def test_layout_pass_allocates_nothing_and_draws_in_call_order():
+    """A layout pass shapes every leaf, binds none to memory and draws
+    nothing; bound and drawn, a stacked member's draw lands in its slice of
+    the stack in the order the init code asked for it, as drawing each leaf
+    on its own and then stacking it does."""
+    layout = Layout()
+    members = [nn.init_linear(layout, 3, 2) for _ in range(2)]
+    p = {"stacked": layout.stack(members), "ffn": nn.init_ffn(layout, 2)}
+    assert [t.data.shape for t in parameters(p)] == [(2, 3, 2), (2, 2), (2, 8), (8,), (8, 2), (2,)]
+    assert all(t.data.strides == (0,) * t.data.ndim for t in parameters(p))
+    flat = bind_flat(p)
+    layout.draw(np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    eager = [eager_linear(rng, 3, 2) for _ in range(2)]
+    want = flatten({"stacked": Linear(np_stack([m.w for m in eager]), np_stack([m.b for m in eager])),
+                    "ffn": eager_ffn(rng, 2)})
+    assert flat.tobytes() == flat_parameters(want).tobytes()
+    assert all(t.data.base is flat for t in parameters(p))
 
 
 def test_layer_norm_matches_scalar():

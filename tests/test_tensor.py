@@ -14,10 +14,10 @@ import pytest
 import oracles as O
 from gevst import tensor as T
 from gevst.config import BRANCH_NAMES
-from gevst.encoder import active_groups, encode_all, init_gesa_group
+from gevst.encoder import active_groups, encode_all
 from gevst.errors import ContractError, ShapeError
-from gevst.fusion import init_fusion_cell
 from gevst.tensor import Tape, Tensor, no_grad
+from util import init_ffn, init_fusion_cell, init_gesa_group
 from util import grad_check
 
 RNG = np.random.default_rng(77)
@@ -644,7 +644,7 @@ def test_an_activation_no_rule_reads_dies_in_the_forward(monkeypatch):
     input, so an FFN's pre-ReLU hidden is freed as soon as the forward drops
     it, before backward starts, while the same hidden held by the caller
     stays alive; the gradients agree either way."""
-    from gevst.nn import ffn, init_ffn
+    from gevst.nn import ffn
 
     p = init_ffn(np.random.default_rng(3), 6)
     x = Tensor(RNG.normal(0, 1, (5, 6)), requires_grad=True)

@@ -8,6 +8,7 @@ import pytest
 
 from gevst import tensor as T
 from gevst import training as TR
+from gevst.ablation import AXES, axis_configs
 from gevst.config import TrainConfig, config_from_dict
 from gevst.data import (BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts,
                         generate_dataset, pad_ids, split_train_val)
@@ -57,7 +58,7 @@ def test_noam_peaks_at_warmup():
 
 def test_adam_minimizes_quadratic():
     x = Tensor(np.array([5.0]), requires_grad=True)
-    opt = TR.Adam({"x": x})
+    opt = TR.Adam(U.flatten({"x": x}))
     for _ in range(500):
         with T.Tape() as tape:
             tape.backward(T.mul(x, x), opt.sinks)
@@ -70,7 +71,7 @@ def test_adam_minimizes_quadratic():
 def test_adam_skips_gradless_params():
     x = Tensor(np.array([1.0]), requires_grad=True)
     y = Tensor(np.array([2.0]), requires_grad=True)
-    opt = TR.Adam({"x": x, "y": y})
+    opt = TR.Adam(U.flatten({"x": x, "y": y}))
     opt.grad[0] = 1.0  # x's view; y's stays zero
     opt.step(0.5)
     assert float(y.data[0]) == 2.0 and float(x.data[0]) != 1.0
@@ -79,7 +80,7 @@ def test_adam_skips_gradless_params():
 def test_clip_gradients():
     a = Tensor(np.zeros(3), requires_grad=True)
     b = Tensor(np.zeros(4), requires_grad=True)
-    opt = TR.Adam({"a": a, "b": b})
+    opt = TR.Adam(U.flatten({"a": a, "b": b}))
     assert TR.clip_gradients(opt, 1.0) == 0.0
     opt.grad[:] = [3.0] * 3 + [4.0] * 4  # a's view, then b's
     norm = math.sqrt(27 + 64)
@@ -99,7 +100,7 @@ def test_clip_gradients_scales_aliased_gradients_once():
     # parameter's gradient in place would scale that array twice
     a = Tensor(np.full(3, 2.0), requires_grad=True)
     b = Tensor(np.full(3, 1.0), requires_grad=True)
-    opt = TR.Adam({"a": a, "b": b})
+    opt = TR.Adam(U.flatten({"a": a, "b": b}))
     with T.Tape() as tape:
         tape.backward(T.total_sum(T.mul(T.add(a, b), Tensor(np.array([4.0, 3.0, 2.0])))), opt.sinks)
     norm = math.sqrt(2 * (16 + 9 + 4))
@@ -111,7 +112,7 @@ def test_clip_gradients_scales_aliased_gradients_once():
 def test_clip_gradients_accepts_read_only_gradients():
     # total_sum's gradient is a read-only broadcast view
     c = Tensor(np.arange(4.0), requires_grad=True)
-    opt = TR.Adam({"c": c})
+    opt = TR.Adam(U.flatten({"c": c}))
     with T.Tape() as tape:
         tape.backward(T.mul(T.total_sum(c), 3.0), opt.sinks)
     assert TR.clip_gradients(opt, 1.0) == 6.0
@@ -138,8 +139,8 @@ def test_flat_adam_matches_per_tensor_reference():
 
     def fresh():
         rng = np.random.default_rng(21)
-        return {"model": init_model(cfg, len(vocab), rng),
-                "frozen": Tensor(rng.normal(size=(2, 3)), requires_grad=True)}
+        return U.flatten({"model": init_model(cfg, len(vocab), rng),
+                          "frozen": Tensor(rng.normal(size=(2, 3)), requires_grad=True)})
 
     def backward(obj, batch, sinks=None):
         with T.Tape() as tape:
@@ -181,7 +182,7 @@ def test_blocked_adam_matches_the_whole_vector_step(size):
     def fresh():
         if size == "desk":
             return init_model(TrainConfig(), 40, np.random.default_rng(0))
-        return {"x": Tensor(np.random.default_rng(4).normal(size=size), requires_grad=True)}
+        return U.flatten({"x": Tensor(np.random.default_rng(4).normal(size=size), requires_grad=True)})
 
     blocked, whole = TR.Adam(fresh()), TR.Adam(fresh())
     start = blocked.params.copy()
@@ -414,10 +415,11 @@ def test_restore_snapshot_round_trip():
     TR.restore_snapshot(out.params, snap)
     # written back in place: the tensors are still views into the same vector
     assert flat_parameters(out.params) is flat and np.array_equal(flat, snap)
+    # parameters rebound to arrays of their own are no longer the model's vector
     for t in parameters(out.params):
         t.data = t.data + 1.0
-    TR.restore_snapshot(out.params, snap)
-    assert np.array_equal(flat_parameters(out.params), snap)
+    with pytest.raises(ContractError, match="not the views of one vector"):
+        TR.restore_snapshot(out.params, snap)
 
 
 def test_epoch_rng_streams_are_independent():
@@ -762,6 +764,99 @@ def test_checkpoint_matches_per_tensor_v2_writer(tmp_path):
     assert (cfg2, vocab2.id_to_token, steps) == (cfg, vocab.id_to_token, 7)
     for (n1, t1), (n2, t2) in zip(named_parameters(params), named_parameters(params2)):
         assert n1 == n2 and t1.data.tobytes() == t2.data.tobytes()
+
+
+@pytest.mark.parametrize("width", ["desk", 32])
+def test_init_is_bit_identical_to_drawing_stacking_and_concatenating(tmp_path, width):
+    """For every config of every ablation axis, at the desk width and at
+    d_model 32: init_model, drawing each leaf straight into its view of the
+    one vector, gives every named parameter and the whole vector the bytes
+    of the route it replaced (`util.reference_init_model`: each leaf drawn
+    into an array of its own, the branch axes np.stack-ed, the whole
+    concatenated), and its checkpoint is the per-tensor v2 writer's."""
+    samples = generate_dataset(2, 3)
+    base = TrainConfig() if width == "desk" else TrainConfig(d_model=width)
+    vocab = build_vocab(corpus_texts(samples), base.min_count)
+    path = tmp_path / "c.ckpt"
+    for axis in AXES:
+        for label, cfg in axis_configs(axis, base):
+            got = init_model(cfg, len(vocab), np.random.default_rng(6))
+            want = U.reference_init_model(cfg, len(vocab), np.random.default_rng(6))
+            named = list(named_parameters(want))
+            assert [n for n, _ in named_parameters(got)] == [n for n, _ in named], label
+            for (name, t), (_, w) in zip(named_parameters(got), named):
+                assert t.data.tobytes() == w.data.tobytes(), (label, name)
+            assert flat_parameters(got).tobytes() == flat_parameters(want).tobytes(), label
+            TR.save_checkpoint(path, cfg, vocab, got, trained_steps=3)
+            assert path.read_bytes() == O.checkpoint_v2_bytes(cfg.to_dict(), vocab.id_to_token,
+                                                              [(n, t.data) for n, t in named], 3), label
+
+
+def traced(fn):
+    """(fn(), the peak bytes traced by tracemalloc, which sees NumPy's
+    allocations, above what was live when fn began)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_init_and_load_hold_one_model(tmp_path):
+    """At d_model = enc_width = 128 (48.5 MB of parameters): init_model peaks
+    at the parameter bytes plus one draw's temporary, load_checkpoint at the
+    parameter bytes (it peaked at twice that when it built the model and then
+    copied it into its vector), and flat_parameters, Adam and save_checkpoint
+    copy no parameter, on a fresh model and on a loaded one: every tensor
+    stays a view of the one vector."""
+    mb = 1 << 20
+    cfg = TrainConfig(d_model=128, enc_width=128)
+    samples = generate_dataset(0, 8)
+    vocab = build_vocab(corpus_texts(samples), cfg.min_count)
+    params, peak = traced(lambda: init_model(cfg, len(vocab), np.random.default_rng(cfg.seed)))
+    tensors = parameters(params)
+    param_bytes, largest = sum(t.data.nbytes for t in tensors), max(t.data.nbytes for t in tensors)
+    assert param_bytes > 40e6
+    assert peak <= param_bytes + largest + mb, (peak, param_bytes)
+    saved = tmp_path / "m.ckpt"
+
+    def holds_one_copy(model, path):
+        flat, peak = traced(lambda: flat_parameters(model))
+        assert peak < mb and flat.nbytes == param_bytes
+        assert all(t.data.base is flat for t in parameters(model))
+        opt, peak = traced(lambda: TR.Adam(model))
+        assert opt.params is flat and peak <= 3 * param_bytes + mb, peak  # grad, m, v and a block of scratch
+        _, peak = traced(lambda: TR.save_checkpoint(path, cfg, vocab, model))
+        assert peak < mb and flat_parameters(model) is flat
+
+    holds_one_copy(params, saved)
+    del params, tensors
+    (_, _, loaded, _), peak = traced(lambda: TR.load_checkpoint(saved))
+    assert peak <= param_bytes + mb, (peak, param_bytes)
+    holds_one_copy(loaded, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == saved.read_bytes()
+
+
+@pytest.mark.parametrize("change", [dict(d_model=32, heads=4), dict(branches=("vv",))], ids=["width", "branches"])
+def test_training_refuses_params_laid_out_for_another_config(change):
+    """Given parameters, either phase checks them against the config's layout
+    (init's allocation-free pass) first: a config of another width or other
+    branches raises ConfigError naming the first parameter that differs,
+    before any step, so the parameters keep their values."""
+    samples, cfg = tiny_setup(n=4)
+    out = TR.train_xe(samples, cfg, epochs=0)
+    before = flat_parameters(out.params).copy()
+    other = cfg.replaced(**change)
+    first = ("parameter 'vis_in.w': params shape [32, 16] != model shape [32, 32]" if "d_model" in change
+             else "params names unknown parameter 'fusion_sv.0.content.s_proj.w'")
+    for train in (lambda: TR.train_xe(samples, other, epochs=1, params=out.params, vocab=out.vocab),
+                  lambda: TR.train_scst(samples, other, out.params, out.vocab, epochs=1)):
+        with pytest.raises(ConfigError) as e:
+            train()
+        assert str(e.value) == f"config does not fit the given parameters: {first}"
+    assert np.array_equal(flat_parameters(out.params), before)
 
 
 def test_a_v1_checkpoint_fails_naming_its_format(tmp_path):

@@ -12,7 +12,10 @@ the batch's one caption-encoder pass replaced, the per-sample encode of a
 batch that the padded, masked pass replaced, and the per-branch parameter
 layout that the stored branch axes replaced: its init, a view of a stored
 model in it (`per_branch`), the name map between the two (`name_map`) and
-the per-call stacking that ran it (`restacked`)."""
+the per-call stacking that ran it (`restacked`); and init as it ran before
+models were born flat, each leaf drawn into an array of its own, the branch
+axes `np.stack`-ed and the whole concatenated (`reference_init_model`, with
+that concatenation as `flatten`)."""
 
 import dataclasses
 import math
@@ -24,18 +27,38 @@ import oracles as O
 from gevst import metrics
 from gevst import tensor as T
 from gevst import training as TR
-from gevst.caption_encoder import encode_captions, init_caption_encoder
+from gevst import caption_encoder, decoder, encoder, fusion, geometry, nn
+from gevst.caption_encoder import CaptionEncoderParams, EncoderLayerParams, encode_captions
 from gevst.config import BRANCH_NAMES, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
 from gevst.decoder import CrossAttentionParams, DecoderLayerParams, _check_bos, _check_scenes, causal_mask
 from gevst.encoder import (GeometryProjections, GesaGroupParams, GesaLayerParams, active_groups, branch_forward,
                            encode_all, needs_fusion, variant_map_count)
 from gevst.errors import ContractError, ShapeError, TrainingDiverged
-from gevst.fusion import init_fusion_cell, stack_fusion
-from gevst.geometry import embed_geometry, init_geometry, normalize_boxes
+from gevst.fusion import AdditiveAttention, FusionCellParams, stack_fusion
+from gevst.geometry import embed_geometry, normalize_boxes
 from gevst.model import ModelParams, caption_ids, caption_logits, init_model
-from gevst.nn import (Ffn, LayerNorm, Linear, Tensor, attend, ffn, init_embedding, init_ffn, init_layer_norm,
-                      init_linear, layer_norm, linear, named_parameters, parameters, sinusoidal_positions)
+from gevst.nn import (Ffn, LayerNorm, Layout, Linear, Tensor, attend, bind_flat, ffn, flat_views, layer_norm, linear,
+                      named_parameters, parameters, sinusoidal_positions)
+
+
+def born_flat(init):
+    """An init function `init(layout, ...)` as tests call it, with a generator
+    in the layout's place: its layout pass, bound to a vector of its own
+    (`nn.bind_flat`) and drawn from that generator."""
+    def run(rng, *args, **kwargs):
+        layout = Layout()
+        obj = init(layout, *args, **kwargs)
+        bind_flat(obj)
+        layout.draw(rng)
+        return obj
+    return run
+
+
+(init_linear, init_ffn, init_embedding, init_geometry, init_fusion_cell, init_caption_encoder, init_gesa_group,
+ init_decoder_layer) = map(born_flat, (nn.init_linear, nn.init_ffn, nn.init_embedding, geometry.init_geometry,
+                                       fusion.init_fusion_cell, caption_encoder.init_caption_encoder,
+                                       encoder.init_gesa_group, decoder.init_decoder_layer))
 
 
 def miniature_config(**overrides):
@@ -795,64 +818,125 @@ def mapped_grads(obj, branches=None):
     return out
 
 
+def eager_linear(rng, d_in, d_out):
+    limit = np.sqrt(6.0 / (d_in + d_out))
+    return Linear(Tensor(rng.uniform(-limit, limit, size=(d_in, d_out)), requires_grad=True),
+                  Tensor(np.zeros(d_out), requires_grad=True))
+
+
+def eager_layer_norm(d):
+    return LayerNorm(Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True))
+
+
+def eager_ffn(rng, d):
+    return Ffn(eager_linear(rng, d, 4 * d), eager_linear(rng, 4 * d, d))
+
+
+def eager_embedding(rng, vocab, d):
+    return Tensor(rng.normal(0.0, 0.1, size=(vocab, d)), requires_grad=True)
+
+
+def eager_fusion_cell(rng, d, er, base):
+    def additive():
+        return AdditiveAttention(eager_linear(rng, d, d), eager_linear(rng, d, d), eager_linear(rng, d, 1))
+    return FusionCellParams(additive() if "c" in base else None, additive() if "g" in base else None,
+                            eager_linear(rng, d, er * d), eager_linear(rng, d, er * d))
+
+
+def eager_caption_encoder(rng, vocab_size, width, n_layers, d_out):
+    layers = [EncoderLayerParams(*(eager_linear(rng, width, width) for _ in range(4)), eager_layer_norm(width),
+                                 eager_ffn(rng, width), eager_layer_norm(width)) for _ in range(n_layers)]
+    return CaptionEncoderParams(eager_embedding(rng, vocab_size, width), layers, eager_linear(rng, width, d_out))
+
+
 def per_branch_init(cfg, vocab_size, rng):
-    """A model in the per-branch layout, drawn as its init drew it: each GESA
-    branch's layers in turn, each decoder layer's cross-attention and then
-    gate affines branch by branch."""
+    """A model in the per-branch layout, drawn as its init drew it: each leaf
+    into an array of its own (the `eager_*` initializers), each GESA branch's
+    layers in turn, each decoder layer's cross-attention and then gate
+    affines branch by branch."""
     d, maps = cfg.d_model, variant_map_count(cfg.gesa_variant)
     need_vs, need_sv = needs_fusion(cfg.branches)
     active = [b for b in BRANCH_NAMES if b in cfg.branches]
 
     def branch_layer():
-        linears = [init_linear(rng, d, d) if i < 1 + 2 * maps else None for i in range(7)]
-        return BranchLayer(*linears, init_linear(rng, d, maps), init_layer_norm(d), init_ffn(rng, d), init_layer_norm(d))
+        linears = [eager_linear(rng, d, d) if i < 1 + 2 * maps else None for i in range(7)]
+        return BranchLayer(*linears, eager_linear(rng, d, maps), eager_layer_norm(d), eager_ffn(rng, d),
+                           eager_layer_norm(d))
 
     def decoder_layer():
         return DecoderLayerParams(
-            *(init_linear(rng, d, d) for _ in range(3)), init_layer_norm(d),
-            {b: CrossAttentionParams(*(init_linear(rng, d, d) for _ in range(3))) for b in active},
-            {b: init_linear(rng, 2 * d, d) for b in active}, init_layer_norm(d), init_ffn(rng, d), init_layer_norm(d))
+            *(eager_linear(rng, d, d) for _ in range(3)), eager_layer_norm(d),
+            {b: CrossAttentionParams(*(eager_linear(rng, d, d) for _ in range(3))) for b in active},
+            {b: eager_linear(rng, 2 * d, d) for b in active}, eager_layer_norm(d), eager_ffn(rng, d),
+            eager_layer_norm(d))
 
     def fusion():
-        return [init_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)]
+        return [eager_fusion_cell(rng, d, cfg.expand_ratio, cfg.fusion_base) for _ in range(cfg.fusion_cells)]
 
     return ModelParams(
-        vis_in=init_linear(rng, cfg.raw_feat_dim, d),
-        geo_visual=init_geometry(rng, d),
-        geo_semantic=init_geometry(rng, d),
-        captions=init_caption_encoder(rng, vocab_size, cfg.enc_width, cfg.enc_layers, d),
+        vis_in=eager_linear(rng, cfg.raw_feat_dim, d),
+        geo_visual=eager_linear(rng, 4, d),
+        geo_semantic=eager_linear(rng, 4, d),
+        captions=eager_caption_encoder(rng, vocab_size, cfg.enc_width, cfg.enc_layers, d),
         fusion_vs=fusion() if need_vs else None,
         fusion_sv=fusion() if need_sv else None,
         branches={b: [branch_layer() for _ in range(cfg.layers)] for b in active},
-        dec_embed=init_embedding(rng, vocab_size, d),
+        dec_embed=eager_embedding(rng, vocab_size, d),
         dec_layers=[decoder_layer() for _ in range(cfg.layers)],
-        out=init_linear(rng, d, vocab_size),
+        out=eager_linear(rng, d, vocab_size),
     )
 
 
-def _stacked(objs):
+def _stacked(objs, stack=T.stack):
     """Same-structured parameter dataclasses as one, each Tensor the members'
-    `T.stack`."""
+    `stack`."""
     first = objs[0]
     if first is None:
         return None
     if isinstance(first, Tensor):
-        return T.stack(objs)
-    return type(first)(*(_stacked([getattr(o, f.name) for o in objs]) for f in dataclasses.fields(first)))
+        return stack(objs)
+    return type(first)(*(_stacked([getattr(o, f.name) for o in objs], stack) for f in dataclasses.fields(first)))
 
 
-def restacked(model):
+def np_stack(tensors):
+    """A new trainable Tensor of the members' values `np.stack`-ed."""
+    return Tensor(np.stack([t.data for t in tensors]), requires_grad=True)
+
+
+def restacked(model, stack=T.stack):
     """A model in the per-branch layout as the stored layout, each stored
-    tensor the `T.stack` of its per-branch tensors, as that layout ran every
-    call: on a live tape, gradients reach the per-branch tensors."""
+    tensor the `stack` of its per-branch tensors: with `T.stack`, as that
+    layout ran every call, so on a live tape gradients reach the per-branch
+    tensors; with `np_stack`, as init stored it before models were born
+    flat."""
     groups = {}
     for key, members in active_groups(list(model.branches)).items():
         layer_lists = [model.branches[b] for b in members]
         groups[key] = GesaGroupParams(
-            [GesaLayerParams(**{f: _stacked([getattr(bl, f) for bl in lps]) for f in CONTENT_FIELDS})
+            [GesaLayerParams(**{f: _stacked([getattr(bl, f) for bl in lps], stack) for f in CONTENT_FIELDS})
              for lps in zip(*layer_lists)],
-            GeometryProjections(**{f: _stacked([getattr(bl, f) for layers in layer_lists for bl in layers])
+            GeometryProjections(**{f: _stacked([getattr(bl, f) for layers in layer_lists for bl in layers], stack)
                                    for f in GEOMETRY_FIELDS}))
     return dataclasses.replace(model, branches=groups, dec_layers=[
-        dataclasses.replace(lp, cross=_stacked(list(lp.cross.values())), mod=_stacked(list(lp.mod.values())))
+        dataclasses.replace(lp, cross=_stacked(list(lp.cross.values()), stack),
+                            mod=_stacked(list(lp.mod.values()), stack))
         for lp in model.dec_layers])
+
+
+def flatten(obj):
+    """obj with its parameters' values concatenated, in walk order, into one
+    new vector and each Tensor rebound to its view of it, as
+    `nn.flat_parameters` flattened parameters before models were born flat;
+    returns obj."""
+    tensors = parameters(obj)
+    flat = np.concatenate([np.zeros(0)] + [t.data.ravel() for t in tensors])
+    for t, view in zip(tensors, flat_views(flat, tensors)):
+        t.data = view
+    return obj
+
+
+def reference_init_model(cfg, vocab_size, rng):
+    """`init_model` as it ran before models were born flat: each leaf drawn
+    into an array of its own (`per_branch_init`), the branch axes
+    `np.stack`-ed and the whole concatenated (`flatten`)."""
+    return flatten(restacked(per_branch_init(cfg, vocab_size, rng), np_stack))
