@@ -13,17 +13,16 @@ affine and one sum serve them all. Each layer stores its per-branch cross
 q, k, v and gate affines on that axis, as [k x ...] tensors, in
 BRANCH_NAMES order.
 
-Teacher forcing (`decoder_forward`) and decoding (`CachedDecoder`) share the
-layer body (`decoder_layer`, rank-agnostic) and the cross-attention inputs
-(`cross_keys_values`: the branch outputs projected once per layer). Only
-the self-attention context they hand the layer differs. Teacher forcing
-computes it with causal self attention over the whole sequence, always for
-a batch at rank 3 (one scene is a batch of one), the batch's id sequences
-padded with PAD, on the tape. Decoding projects the cross keys and values
-once, for one scene or many, and computes one new row per (scene, prefix),
-whose self attention reads the keys and values kept for the rest of the
-prefix and whose cross attention reads its own scene's keys and values.
-The decoder is causal, so the two agree to rounding.
+Teacher forcing (`decoder_forward`) runs the layer body (`decoder_layer`)
+on the tape, always for a batch at rank 3 (one scene is a batch of one),
+the batch's id sequences padded with PAD, with causal self attention over
+the whole sequence. Decoding (`CachedDecoder`) computes one new row per
+(scene, prefix) in one tapeless NumPy step over plain arrays, whose self
+attention reads the keys and values kept for the rest of the prefix and
+whose cross attention reads its own scene's keys and values. Both take the
+cross keys and values from `cross_keys_values` (the branch outputs
+projected once per layer). The decoder is causal, so the two agree to
+rounding.
 
 Decoding works through a batched `step_fn(prefixes) -> [len(prefixes) x V]`
 log-prob matrix, one row per prefix, so the strategies are testable against
@@ -40,7 +39,7 @@ optimal-stopping bound of Huang et al. 2017, arXiv 1709.07349).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,27 +161,21 @@ def cross_keys_values(layers, scenes):
 
 def modulated_multi_input(y, cross: CrossInputs, lp: DecoderLayerParams, h):
     """Gated sum over the branch axis of the cross-attention contexts of y
-    [..., n x d]. The keys and values of `cross` are of y's rank plus the
-    branch axis, which y's rows share, or, for y [n x d], hold one [N x d]
-    block per row ([k x n x N x d]). Each branch attends with its own q of
-    layer `lp`, and gates its context c elementwise with the sigmoid of its
+    [..., n x d], whose rows share the keys and values of `cross` (of y's
+    rank plus the branch axis). Each branch attends with its own q of layer
+    `lp`, and gates its context c elementwise with the sigmoid of its
     W [y; c] + b (`lp.mod`).
 
     Records each branch's gate, shaped like y, as "decoder_gates_<branch>"
     (see `T.record`)."""
-    shape = y.data.shape
-    keys = cross.keys.data
-    per_row = keys.ndim > y.data.ndim + 1
-    if per_row:
-        y = T.reshape(y, (shape[0], 1, shape[1]))
     ys = T.concat([T.reshape(y, (1,) + y.data.shape)] * len(cross.branches))  # y once per branch
     q = linear(ys, lp.cross.q)
+    keys = cross.keys.data
     mask = np.broadcast_to(cross.padding[..., None, None, :], keys.shape[:-2] + (h, q.data.shape[-2], keys.shape[-2]))
     c = attend(q, cross.keys, cross.values, h, mask=mask)
     gates = T.sigmoid(linear(T.concat([ys, c], axis=-1), lp.mod))
-    T.record_each((f"decoder_gates_{b}" for b in cross.branches), gates, shape)
-    out = T.sum_axis(T.mul(gates, c), 0)
-    return T.reshape(out, shape) if per_row else out
+    T.record_each((f"decoder_gates_{b}" for b in cross.branches), gates)
+    return T.sum_axis(T.mul(gates, c), 0)
 
 
 def decoder_layer(y, self_context, lp: DecoderLayerParams, h, cross):
@@ -227,6 +220,48 @@ def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
     return T.reshape(logits, logits.data.shape[1:]) if one else logits
 
 
+@dataclass
+class _StepLayer:
+    """One decoder layer as a CachedDecoder step reads it, laid out when the
+    decoder is made, for k branches, S scenes, N keys and h heads of width
+    dh. The fused self affine and the cross keys and values are copies; the
+    rest are views of the layer's parameters."""
+
+    qkv_w: np.ndarray  # [d x 3d]: the self q weight scaled by 1/sqrt(dh), the k and the v weight side by side
+    qkv_b: np.ndarray  # [3d]
+    q_w: np.ndarray  # [k x d x d]: each branch's cross q weight
+    q_b: np.ndarray  # [k x 1 x d]
+    gate_y: np.ndarray  # [k x d x d]: the half of each branch's gate weight over y
+    gate_c: np.ndarray  # [k x d x d]: the half over the branch's context
+    gate_b: np.ndarray  # [k x 1 x d]
+    keys: np.ndarray  # [k x S x h x dh x N]: the cross keys scaled by 1/sqrt(dh), each head's transposed
+    values: np.ndarray  # [k x S x h x N x dh]
+
+    @staticmethod
+    def of(lp: DecoderLayerParams, cross: CrossInputs, h):
+        k, s, n, d = cross.keys.data.shape
+        heads, scale = (k, s, n, h, d // h), 1.0 / np.sqrt(d // h)
+        return _StepLayer(
+            np.concatenate([lp.self_q.w.data * scale, lp.self_k.w.data, lp.self_v.w.data], axis=1),
+            np.concatenate([lp.self_q.b.data * scale, lp.self_k.b.data, lp.self_v.b.data]),
+            lp.cross.q.w.data, lp.cross.q.b.data[:, None], lp.mod.w.data[:, :d], lp.mod.w.data[:, d:],
+            lp.mod.b.data[:, None],
+            np.ascontiguousarray((cross.keys.data * scale).reshape(heads).transpose(0, 1, 3, 4, 2)),
+            np.ascontiguousarray(cross.values.data.reshape(heads).transpose(0, 1, 3, 2, 4)))
+
+
+def _row_softmax(s):
+    e = np.exp(s - np.maximum.reduce(s, -1, keepdims=True))
+    return e / np.add.reduce(e, -1, keepdims=True)
+
+
+def _layer_norm(x, p: LayerNorm):
+    """`T.layer_norm` over the last axis of an array, to rounding."""
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, -1, keepdims=True) / d
+    return xc * (np.add.reduce(xc * xc, -1, keepdims=True) / d + T.LN_EPS) ** -0.5 * p.gain.data + p.bias.data
+
+
 class CachedDecoder:
     """Incremental decoding of one or more scenes in lockstep: `step(rows)`
     takes (scene, prefix) pairs, scene an index into the list of branch
@@ -237,43 +272,35 @@ class CachedDecoder:
 
     On the first call every prefix must be [BOS]; on each later call every
     prefix must extend some prefix of the previous call by one token, for the
-    same scene. Anything else raises ContractError. The cross-attention keys
-    and values are projected once, when the decoder is made, with every
-    branch of every scene padded to the longest (`pad_scenes`, as a
-    teacher-forced batch pads them). With one scene every row attends to its
-    [k x N x d] keys. With many, each row gathers its own scene's keys and
-    values, with the padding masked, so a step costs in proportion to its
-    rows, however many scenes there are. A call computes one new row per
-    prefix: its self attention reads the keys and values kept for the parent
-    prefix, and the call keeps those of its own prefixes for the next one.
-    It runs tapeless, on the data of the branch outputs.
+    same scene. Anything else raises ContractError.
+
+    A call is one tapeless NumPy step over plain arrays: per layer a few
+    GEMMs, row softmaxes and layer norms, then the vocabulary log softmax of
+    `T.log_softmax`. Each layer's constants are laid out once, when the
+    decoder is made (`_StepLayer`): the self q, k and v affines fused, the
+    gate affine split into its y and context halves, and every scene's
+    cross keys and values, padded as a teacher-forced batch pads them
+    (`cross_keys_values`), stored head-major, with the padding as an
+    additive mask. The fused affine and the keys and values are snapshots
+    of the parameters at that time, so make a new decoder after an update.
+    With one scene every row queries its keys without a gather; with many,
+    each row gathers its own scene's, so a step costs in proportion to its
+    rows. A call computes one new row per prefix: its self attention reads
+    the head-major keys and values kept for the parent prefix, and the call
+    keeps those of its own prefixes for the next one.
     """
 
     def __init__(self, layers, h, scenes, embed, out_proj):
-        self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
+        self.layers, self.h, self.embed, self.out_proj = layers, h, embed.data, out_proj
         self.scenes = len(scenes)
         with no_grad():
-            self.cross = cross_keys_values(layers, scenes)
-        if self.scenes == 1:  # every row attends to the one scene's keys
-            self.cross = [self._of_scenes(cross, 0) for cross in self.cross]
+            crosses = cross_keys_values(layers, scenes)
+        self.steps = [_StepLayer.of(lp, cross, h) for lp, cross in zip(layers, crosses)]
+        self.mask = np.where(crosses[0].padding, -1e9, 0.0)[:, :, None, None, :]  # [k x S x 1 x 1 x N]
         # each (scene, prefix) of the previous call -> its row in `self_kv`
         self.rows = {(i, ()): 0 for i in range(self.scenes)}
-        empty = np.zeros((1, 0, embed.data.shape[1]))
-        self.self_kv = [(empty, empty)] * len(layers)  # per layer: [rows x prefix length x d] keys, values
-
-    @staticmethod
-    def _of_scenes(cross, scenes):
-        """`cross` with the keys, values and padding of the given scene index
-        (or index array) along the scene axis."""
-        return replace(cross, keys=Tensor(cross.keys.data[:, scenes]), values=Tensor(cross.values.data[:, scenes]),
-                       padding=cross.padding[:, scenes])
-
-    def _row_cross(self, rows):
-        """Each layer's CrossInputs for the given (scene, prefix) rows."""
-        if self.scenes == 1:
-            return self.cross
-        scenes = np.array([scene for scene, _ in rows])
-        return [self._of_scenes(cross, scenes) for cross in self.cross]
+        # per layer, [rows x 2 x h x prefix length x dh]: each prefix's self keys, then values, per head
+        self.self_kv = [np.zeros((1, 2, h, 0, self.embed.shape[1] // h))] * len(layers)
 
     def __call__(self, rows):
         rows = [(scene, tuple(p)) for scene, p in rows]
@@ -288,23 +315,29 @@ class CachedDecoder:
                 raise ContractError(f"prefix {list(p)} of scene {scene} is neither [BOS] on the first step "
                                     f"nor one token longer than a prefix of that scene on the previous step")
             parents.append(self.rows[scene, p[:-1]])
-        n, t, d = len(rows), len(rows[0][1]), self.embed.data.shape[1]
+        n, t, (_, d), h = len(rows), len(rows[0][1]), self.embed.shape, self.h
+        parents = np.array(parents)
+        # One scene's rows are the queries of one attention over its keys; many scenes' rows gather their own.
+        scenes, rows_at = (slice(None), 3) if self.scenes == 1 else ([scene for scene, _ in rows], 1)
+        mask = self.mask[:, scenes]
+        y = self.embed[[p[-1] for _, p in rows]] + sinusoidal_positions(t, d).data[t - 1]
         grown = []
-        with no_grad():
-            crosses = self._row_cross(rows)
-            pos = np.broadcast_to(sinusoidal_positions(t, d).data[t - 1], (n, d))
-            y = T.add(T.embedding_lookup(self.embed, [p[-1] for _, p in rows]), Tensor(pos))
-            for lp, cross, (keys, values) in zip(self.layers, crosses, self.self_kv):
-                y1 = T.reshape(y, (n, 1, d))
-                k = T.concat([Tensor(keys[parents]), linear(y1, lp.self_k)], axis=1)
-                v = T.concat([Tensor(values[parents]), linear(y1, lp.self_v)], axis=1)
-                grown.append((k.data, v.data))
-                context = T.reshape(attend(linear(y1, lp.self_q), k, v, self.h), (n, d))
-                y = decoder_layer(y, context, lp, self.h, cross)
-            logprobs = T.log_softmax(linear(y, self.out_proj)).data
+        for lp, c, kv in zip(self.layers, self.steps, self.self_kv):
+            qkv = (y @ c.qkv_w + c.qkv_b).reshape(n, 3, h, 1, d // h)
+            kv = np.concatenate([kv[parents], qkv[:, 1:]], axis=3)
+            grown.append(kv)
+            context = _row_softmax(qkv[:, 0] @ kv[:, 0].swapaxes(-1, -2)) @ kv[:, 1]
+            y = _layer_norm(y + context.reshape(n, d), lp.ln1)
+            q = (y @ c.q_w + c.q_b).reshape(-1, n, h, 1, d // h).swapaxes(1, rows_at)
+            cross = (_row_softmax(q @ c.keys[:, scenes] + mask) @ c.values[:, scenes]).swapaxes(1, rows_at)
+            cross = cross.reshape(-1, n, d)  # [k x n x d]
+            gates = 1.0 / (1.0 + np.exp(-(y @ c.gate_y + cross @ c.gate_c + c.gate_b)))
+            y = _layer_norm(y + np.add.reduce(gates * cross, 0), lp.ln2)
+            hidden = np.maximum(y @ lp.ffn.inner.w.data + lp.ffn.inner.b.data, 0.0)
+            y = _layer_norm(y + hidden @ lp.ffn.outer.w.data + lp.ffn.outer.b.data, lp.ln3)
         self.self_kv = grown
         self.rows = {row: i for i, row in enumerate(rows)}
-        return logprobs
+        return T.log_softmax(Tensor(y @ self.out_proj.w.data + self.out_proj.b.data)).data
 
 
 # ----------------------------------------------------------------- decoding

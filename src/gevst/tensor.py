@@ -210,12 +210,12 @@ def record(name, t):
         _STATE.records.setdefault(_STATE.scope + name, []).append(t.data.copy())
 
 
-def record_each(names, t, shape=None):
-    """`record(names[i], slice i of t's leading axis)`, each slice reshaped to
-    `shape` if given; nothing is sliced when no recorder is live."""
+def record_each(names, t):
+    """`record(names[i], slice i of t's leading axis)`; nothing is sliced when
+    no recorder is live."""
     if _STATE.records is not None:
         for name, row in zip(names, t.data):
-            _STATE.records.setdefault(_STATE.scope + name, []).append(row.reshape(shape or row.shape).copy())
+            _STATE.records.setdefault(_STATE.scope + name, []).append(row.copy())
 
 
 def _slot(t):

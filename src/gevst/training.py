@@ -206,13 +206,15 @@ def caption_tokens(vocab, ids):
 
 
 def greedy_caption(params, cfg, vocab, sample):
-    branch = encode_sample(params, cfg, sample, vocab)
+    with no_grad():
+        branch = encode_sample(params, cfg, sample, vocab)
     ids, logprob = greedy_decode(make_step_fn(params, cfg, branch), max_len=cfg.max_len)
     return caption_tokens(vocab, ids), logprob
 
 
 def beam_caption(params, cfg, vocab, sample, beam=None):
-    branch = encode_sample(params, cfg, sample, vocab)
+    with no_grad():
+        branch = encode_sample(params, cfg, sample, vocab)
     ids, logprob, _ = beam_search(make_step_fn(params, cfg, branch), beam=cfg.beam if beam is None else beam, max_len=cfg.max_len)
     return caption_tokens(vocab, ids), logprob
 

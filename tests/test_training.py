@@ -14,7 +14,7 @@ from gevst.data import (BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts,
                         generate_dataset, pad_ids, split_train_val)
 from gevst.errors import (ConfigError, ContractError, ParseError, SchemaError,
                           TrainingDiverged)
-from gevst.decoder import greedy_decode
+from gevst.decoder import beam_search, greedy_decode
 from gevst.model import caption_logits, encode_sample, init_model, make_step_fn
 from gevst.nn import Tensor, flat_parameters, named_parameters, parameters
 
@@ -625,6 +625,40 @@ def test_batched_rollouts_name_the_sample_with_non_finite_log_probs(monkeypatch)
     assert len(TR.lockstep_decode(params, cfg, samples, branches)[1]) == 3
 
 
+def test_desk_captions_equal_those_of_the_per_op_step():
+    """A briefly XE-trained desk model's greedy and beam-5 captions through
+    the array step: the tokens of the per-op step it replaced (kept in
+    tests/util.py), and log-probs within 1e-12, for one scene at a time and
+    for all of them in one lockstep."""
+    cfg = TrainConfig()
+    samples = generate_dataset(0, 46)
+    out = TR.train_xe(samples[:40], cfg, epochs=8)
+    params, vocab, held = out.params, out.vocab, samples[40:]
+    with T.no_grad():
+        branches = [encode_sample(params, cfg, s, vocab) for s in held]
+
+    def per_op(scenes):
+        decoder = U.PerOpCachedDecoder(params.dec_layers, cfg.heads, scenes, params.dec_embed, params.out)
+        return lambda prefixes: decoder([(0, p) for p in prefixes])
+
+    captions = set()
+    for branch in branches:
+        for decode in (lambda step: greedy_decode(step, cfg.max_len), lambda step: beam_search(step, 5, cfg.max_len)):
+            (ids, *got), (want_ids, *want) = decode(make_step_fn(params, cfg, branch)), decode(per_op([branch]))
+            assert ids == want_ids and U.max_abs_delta(got, want) <= 1e-12
+            captions.add(tuple(ids))
+    assert len(captions) > 6 and min(map(len, captions)) > 3  # the model says different things, in words
+
+    many = TR.CachedDecoder(params.dec_layers, cfg.heads, branches, params.dec_embed, params.out)
+    oracle = U.PerOpCachedDecoder(params.dec_layers, cfg.heads, branches, params.dec_embed, params.out)
+    rows = [(i, [BOS_ID]) for i in range(len(held))]
+    while rows:
+        got, want = many(rows), oracle(rows)
+        assert U.max_abs_delta(got, want) <= 1e-12
+        rows = [(i, p + [int(np.argmax(lp))]) for (i, p), lp in zip(rows, want) if np.argmax(lp) != EOS_ID
+                and len(p) <= cfg.max_len]
+
+
 def test_model_step_matches_caption_logits_last_row():
     samples, cfg = tiny_setup(n=2)
     vocab = build_vocab(corpus_texts(samples), 1)
@@ -651,6 +685,18 @@ def test_beam_caption_rejects_beam_zero():
     params = init_model(cfg, len(vocab), np.random.default_rng(1))
     with pytest.raises(ConfigError, match="beam width must be >= 1, got 0"):
         TR.beam_caption(params, cfg, vocab, samples[0], beam=0)
+
+
+@pytest.mark.parametrize("caption", [TR.greedy_caption, TR.beam_caption], ids=["greedy", "beam"])
+def test_captioning_inside_a_live_tape_records_nothing(caption):
+    """Captioning encodes and decodes tapeless even when a tape is live, so
+    it keeps no encode activations alive."""
+    samples, cfg = tiny_setup(n=2)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    params = init_model(cfg, len(vocab), np.random.default_rng(1))
+    with T.Tape() as tape:
+        caption(params, cfg, vocab, samples[0])
+    assert tape.nodes == []
 
 
 def test_desk_xe_tape_node_counts():
@@ -703,11 +749,10 @@ def test_desk_xe_tape_node_counts():
 
 
 def test_desk_decode_step_op_count():
-    """Pins a one-row decode step of one desk scene at 88 engine ops, the
-    first step and a later one alike: per decoder layer 9 ops of self
-    attention, 10 of the branch-axis cross-attention, 9 for the norms, the
-    FFN and the residual adds, plus the embedding, the positions, the output
-    projection and the log softmax (151 with one cross-attention per branch)."""
+    """Pins a one-row decode step of one desk scene at 1 engine op, the first
+    step and a later one alike: the vocabulary log softmax; the rest runs on
+    plain arrays. The per-op step it replaced ran 88 (151 with one
+    cross-attention per branch)."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 2)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
@@ -716,7 +761,7 @@ def test_desk_decode_step_op_count():
         step = make_step_fn(params, cfg, encode_sample(params, cfg, samples[0], vocab))
     for prefix in ([BOS_ID], [BOS_ID, 5], [BOS_ID, 5, 6]):
         _, ops = U.engine_ops(step, [prefix])
-        assert ops == 88
+        assert ops == 1
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -5,7 +5,8 @@ engine ops a call runs), and earlier forms kept as references: the separate
 XE and SCST training loops that `training._optimize` replaced, the decoder
 that passed projections in as callbacks, the per-branch cross-attention loop
 that the branch axis replaced, the one-scene `CachedDecoder` that the
-many-scene one replaced, beam search without its stop rule, the
+many-scene one replaced and the per-op step that its array kernel replaced
+(`PerOpCachedDecoder`), beam search without its stop rule, the
 whole-vector Adam step that the blocked `Adam.step` replaced, the
 per-branch GESA loop and per-sample caption pass that the branch groups and
 the batch's one caption-encoder pass replaced, the per-sample encode of a
@@ -586,6 +587,73 @@ class ReferenceCachedDecoder:
             logprobs = T.log_softmax(linear(y, self.out_proj)).data
         self.self_kv = grown
         self.rows = {p: i for i, p in enumerate(prefixes)}
+        return logprobs
+
+
+# The many-scene cached decoder as it stood before its step ran on plain
+# arrays: one engine op at a time, tapeless, on the layer body that teacher
+# forcing runs, each row of many scenes gathering its scene's keys, values
+# and padding.
+
+
+class PerOpCachedDecoder:
+    def __init__(self, layers, h, scenes, embed, out_proj):
+        self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
+        self.scenes = len(scenes)
+        with T.no_grad():
+            self.cross = decoder.cross_keys_values(layers, scenes)
+        if self.scenes == 1:
+            self.cross = [self._of_scenes(cross, 0) for cross in self.cross]
+        self.rows = {(i, ()): 0 for i in range(self.scenes)}
+        empty = np.zeros((1, 0, embed.data.shape[1]))
+        self.self_kv = [(empty, empty)] * len(layers)
+
+    @staticmethod
+    def _of_scenes(cross, scenes):
+        return dataclasses.replace(cross, keys=Tensor(cross.keys.data[:, scenes]),
+                                   values=Tensor(cross.values.data[:, scenes]), padding=cross.padding[:, scenes])
+
+    def _layer(self, y, context, lp, cross):
+        """`decoder.decoder_layer` with the cross sublayer over one [N x d]
+        block of keys per row when those were gathered by scene."""
+        if self.scenes == 1:
+            return decoder.decoder_layer(y, context, lp, self.h, cross)
+        n, d = y.data.shape
+        y = layer_norm(T.add(y, context), lp.ln1)
+        mixed = decoder.modulated_multi_input(T.reshape(y, (n, 1, d)), cross, lp, self.h)
+        y = layer_norm(T.add(y, T.reshape(mixed, (n, d))), lp.ln2)
+        return layer_norm(T.add(y, ffn(y, lp.ffn)), lp.ln3)
+
+    def __call__(self, rows):
+        rows = [(scene, tuple(p)) for scene, p in rows]
+        if not rows:
+            raise ContractError("a decoding step needs at least one prefix")
+        parents = []
+        for scene, p in rows:
+            if scene not in range(self.scenes):
+                raise ContractError(f"row names scene {scene!r}, but the decoder holds {self.scenes} scenes")
+            _check_bos(p)
+            if (scene, p[:-1]) not in self.rows:
+                raise ContractError(f"prefix {list(p)} of scene {scene} extends no prefix of the previous step")
+            parents.append(self.rows[scene, p[:-1]])
+        n, t, d = len(rows), len(rows[0][1]), self.embed.data.shape[1]
+        grown = []
+        with T.no_grad():
+            crosses = self.cross
+            if self.scenes > 1:
+                crosses = [self._of_scenes(cross, np.array([scene for scene, _ in rows])) for cross in self.cross]
+            pos = np.broadcast_to(sinusoidal_positions(t, d).data[t - 1], (n, d))
+            y = T.add(T.embedding_lookup(self.embed, [p[-1] for _, p in rows]), Tensor(pos))
+            for lp, cross, (keys, values) in zip(self.layers, crosses, self.self_kv):
+                y1 = T.reshape(y, (n, 1, d))
+                k = T.concat([Tensor(keys[parents]), linear(y1, lp.self_k)], axis=1)
+                v = T.concat([Tensor(values[parents]), linear(y1, lp.self_v)], axis=1)
+                grown.append((k.data, v.data))
+                context = T.reshape(attend(linear(y1, lp.self_q), k, v, self.h), (n, d))
+                y = self._layer(y, context, lp, cross)
+            logprobs = T.log_softmax(linear(y, self.out_proj)).data
+        self.self_kv = grown
+        self.rows = {row: i for i, row in enumerate(rows)}
         return logprobs
 
 
