@@ -106,8 +106,9 @@ _FIELDS = {f.name: f.type for f in fields(TrainConfig)}
 # What each field annotation means for a decoded JSON value.
 _WANTED = {"int": "an integer", "float": "a number", "str": "a string", "tuple": "a list of strings"}
 
-# Retired keys that configs and checkpoints written before may still name,
-# each with the one value the model still computes.
+# Retired keys that only `--config` files can still name (v1 checkpoints are
+# refused, and no v2 checkpoint ever held them), each with the one value the
+# model still computes.
 _RETIRED = {"renorm_fused_attention": False, "gate_mode": "sigmoid"}
 
 

@@ -17,12 +17,12 @@ Teacher forcing (`decoder_forward`) runs the layer body (`decoder_layer`)
 on the tape, always for a batch at rank 3 (one scene is a batch of one),
 the batch's id sequences padded with PAD, with causal self attention over
 the whole sequence. Decoding (`CachedDecoder`) computes one new row per
-(scene, prefix) in one tapeless NumPy step over plain arrays, whose self
-attention reads the keys and values kept for the rest of the prefix and
-whose cross attention reads its own scene's keys and values. Both take the
-cross keys and values from `cross_keys_values` (the branch outputs
-projected once per layer). The decoder is causal, so the two agree to
-rounding.
+(scene, prefix) in one tapeless NumPy step over plain arrays, with the
+engine's softmax and layer-norm forwards. Its self attention reads the
+keys and values kept for the rest of the prefix, and its cross attention
+reads its own scene's keys and values. Both take the cross keys and values
+from `cross_keys_values` (the branch outputs projected once per layer).
+The decoder is causal, so the two agree to rounding.
 
 Decoding works through a batched `step_fn(prefixes) -> [len(prefixes) x V]`
 log-prob matrix, one row per prefix, so the strategies are testable against
@@ -32,8 +32,10 @@ log-prob, completes them at EOS, and returns the completed hypothesis with
 the best sum-logprob/length score (truncated live hypotheses compete only
 when nothing completed). Generation stops at EOS or `max_len` tokens. Beam
 search also stops, with the same result, once no live hypothesis can
-complete above the best completed one (see LOGPROB_SLACK; the
-optimal-stopping bound of Huang et al. 2017, arXiv 1709.07349).
+complete above the best completed one: log-probs are <= 0, so a live
+hypothesis of sum `cum` completes with a mean log-prob of at most
+cum / max_len (the optimal-stopping bound of Huang et al. 2017, arXiv
+1709.07349).
 """
 
 from __future__ import annotations
@@ -62,15 +64,7 @@ from .nn import (
     pad_rows,
     sinusoidal_positions,
 )
-from .tensor import no_grad
-
-
-# The most a token's log-prob is taken to lie above 0: `T.log_softmax` returns
-# about +1.1e-16 for a near-certain token, because its `(s / v) * v` can round
-# below s. With every log-prob at most this slack, a live hypothesis of sum
-# `cum` with r tokens still to go completes with a mean log-prob of at most
-# (cum + r * slack) / max_len, which is what beam search's stop rule bounds.
-LOGPROB_SLACK = 1e-15
+from .tensor import layer_norm_rows, no_grad, softmax_rows
 
 
 @functools.cache
@@ -168,7 +162,7 @@ def modulated_multi_input(y, cross: CrossInputs, lp: DecoderLayerParams, h):
 
     Records each branch's gate, shaped like y, as "decoder_gates_<branch>"
     (see `T.record`)."""
-    ys = T.concat([T.reshape(y, (1,) + y.data.shape)] * len(cross.branches))  # y once per branch
+    ys = T.stack([y] * len(cross.branches))  # y once per branch, a broadcast view
     q = linear(ys, lp.cross.q)
     keys = cross.keys.data
     mask = np.broadcast_to(cross.padding[..., None, None, :], keys.shape[:-2] + (h, q.data.shape[-2], keys.shape[-2]))
@@ -250,18 +244,6 @@ class _StepLayer:
             np.ascontiguousarray(cross.values.data.reshape(heads).transpose(0, 1, 3, 2, 4)))
 
 
-def _row_softmax(s):
-    e = np.exp(s - np.maximum.reduce(s, -1, keepdims=True))
-    return e / np.add.reduce(e, -1, keepdims=True)
-
-
-def _layer_norm(x, p: LayerNorm):
-    """`T.layer_norm` over the last axis of an array, to rounding."""
-    d = x.shape[-1]
-    xc = x - np.add.reduce(x, -1, keepdims=True) / d
-    return xc * (np.add.reduce(xc * xc, -1, keepdims=True) / d + T.LN_EPS) ** -0.5 * p.gain.data + p.bias.data
-
-
 class CachedDecoder:
     """Incremental decoding of one or more scenes in lockstep: `step(rows)`
     takes (scene, prefix) pairs, scene an index into the list of branch
@@ -275,8 +257,9 @@ class CachedDecoder:
     same scene. Anything else raises ContractError.
 
     A call is one tapeless NumPy step over plain arrays: per layer a few
-    GEMMs, row softmaxes and layer norms, then the vocabulary log softmax of
-    `T.log_softmax`. Each layer's constants are laid out once, when the
+    GEMMs and the engine's own row softmax and layer-norm forwards
+    (`T.softmax_rows`, `T.layer_norm_rows`), then the vocabulary log softmax
+    of `T.log_softmax`. Each layer's constants are laid out once, when the
     decoder is made (`_StepLayer`): the self q, k and v affines fused, the
     gate affine split into its y and context halves, and every scene's
     cross keys and values, padded as a teacher-forced batch pads them
@@ -326,15 +309,16 @@ class CachedDecoder:
             qkv = (y @ c.qkv_w + c.qkv_b).reshape(n, 3, h, 1, d // h)
             kv = np.concatenate([kv[parents], qkv[:, 1:]], axis=3)
             grown.append(kv)
-            context = _row_softmax(qkv[:, 0] @ kv[:, 0].swapaxes(-1, -2)) @ kv[:, 1]
-            y = _layer_norm(y + context.reshape(n, d), lp.ln1)
+            context = softmax_rows(qkv[:, 0] @ kv[:, 0].swapaxes(-1, -2)) @ kv[:, 1]
+            y = layer_norm_rows(y + context.reshape(n, d), lp.ln1.gain.data, lp.ln1.bias.data)[0]
             q = (y @ c.q_w + c.q_b).reshape(-1, n, h, 1, d // h).swapaxes(1, rows_at)
-            cross = (_row_softmax(q @ c.keys[:, scenes] + mask) @ c.values[:, scenes]).swapaxes(1, rows_at)
+            cross = (softmax_rows(q @ c.keys[:, scenes] + mask) @ c.values[:, scenes]).swapaxes(1, rows_at)
             cross = cross.reshape(-1, n, d)  # [k x n x d]
             gates = 1.0 / (1.0 + np.exp(-(y @ c.gate_y + cross @ c.gate_c + c.gate_b)))
-            y = _layer_norm(y + np.add.reduce(gates * cross, 0), lp.ln2)
+            y = layer_norm_rows(y + np.add.reduce(gates * cross, 0), lp.ln2.gain.data, lp.ln2.bias.data)[0]
             hidden = np.maximum(y @ lp.ffn.inner.w.data + lp.ffn.inner.b.data, 0.0)
-            y = _layer_norm(y + hidden @ lp.ffn.outer.w.data + lp.ffn.outer.b.data, lp.ln3)
+            y = layer_norm_rows(y + hidden @ lp.ffn.outer.w.data + lp.ffn.outer.b.data,
+                                lp.ln3.gain.data, lp.ln3.bias.data)[0]
         self.self_kv = grown
         self.rows = {row: i for i, row in enumerate(rows)}
         return T.log_softmax(Tensor(y @ self.out_proj.w.data + self.out_proj.b.data)).data
@@ -379,7 +363,7 @@ def beam_search(step_fn, beam, max_len):
                 live.append((ids, cum))
         if completed:  # stop once no live hypothesis can complete above the best completed one
             best = max(cum / (len(ids) - 1) for ids, cum in completed)
-            if all(best > (cum + (max_len + 1 - len(ids)) * LOGPROB_SLACK) / max_len for ids, cum in live):
+            if all(best > cum / max_len for _, cum in live):
                 break
     pool = completed if completed else live
     scored = [(ids, cum, cum / (len(ids) - 1)) for ids, cum in pool]

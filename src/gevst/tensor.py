@@ -393,8 +393,7 @@ def attention_weights(q, k, h, mask=None):
         if mask.shape != scores.shape:
             raise ShapeError(f"attention_weights: mask shape {mask.shape} != score shape {scores.shape}")
         scores = np.where(mask, -1e9, scores)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = softmax_rows(scores)
     rq, rk, q_shape, k_shape = q.requires_grad, k.requires_grad, qd.shape, kd.shape
     qh, kh = (qh if rk else None), (kh if rq else None)
 
@@ -455,6 +454,13 @@ def relu(x):
 # ------------------------------------------------------------ softmax / norm
 
 
+def softmax_rows(a):
+    """Softmax over the last axis of an array, max-subtracted for stability:
+    the forward of `softmax` and `attention_weights`, and the decode step's."""
+    e = np.exp(a - np.maximum.reduce(a, -1, keepdims=True))
+    return e / np.add.reduce(e, -1, keepdims=True)
+
+
 def softmax(x, mask=None):
     """Softmax over the last axis, max-subtracted for stability. mask
     (optional bool array of x's shape) marks entries set to -1e9 first."""
@@ -465,9 +471,7 @@ def softmax(x, mask=None):
         if mask.shape != xd.shape:
             raise ShapeError(f"softmax: mask shape {mask.shape} != input shape {xd.shape}")
         xd = np.where(mask, -1e9, xd)
-    m = xd.max(axis=-1, keepdims=True)
-    e = np.exp(xd - m)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = softmax_rows(xd)
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -477,38 +481,32 @@ def softmax(x, mask=None):
 
 
 def log_softmax(x):
-    """Log softmax over the last axis, max-subtracted for stability.
-
-    Forward and backward repeat, in order, the NumPy arithmetic of the
-    engine-op composite that tests/oracles.py keeps as the reference, so the
-    two agree bit for bit.
-    """
+    """Log softmax over the last axis, max-subtracted for stability. Every
+    entry is <= 0 exactly: the row max shifts to 0 and the exp-sum, which
+    holds its exp(0) = 1, rounds to at least 1."""
     xd = x.data
     if xd.ndim < 1 or xd.shape[-1] == 0:
         raise ShapeError(f"log_softmax needs a non-empty last axis, got shape {xd.shape}")
-    shape, v = xd.shape, xd.shape[-1]
-    x2 = xd.reshape(-1, v)
-    xs = x2 - x2.max(axis=-1, keepdims=True)
+    xs = xd - np.maximum.reduce(xd, -1, keepdims=True)
     e = np.exp(xs)
-    row_sum = np.add.reduce(e, -1) / v * float(v)
-    out = (xs - np.log(row_sum)[:, None]).reshape(xd.shape)
-
-    def bwd(g):
-        g2 = g.reshape(-1, v)
-        # Each step rounds as the composite's did: the row sums of g come from
-        # a product with ones (g2.sum(-1) rounds differently and would change
-        # training), and `* v / v` is its mul and mean, left unsimplified.
-        gz = ((g2 * -1.0) @ np.ones((v, 1))).reshape(-1)
-        ge = ((gz / row_sum) * float(v)) / v
-        return ((g2 + ge[:, None] * e).reshape(shape),)
-
-    return _emit(out, (x,), bwd)
+    row_sum = np.add.reduce(e, -1, keepdims=True)
+    out = xs - np.log(row_sum)
+    return _emit(out, (x,), lambda g: (g - e * (np.add.reduce(g, -1, keepdims=True) / row_sum),))
 
 
 def _mean_last(a):
     """a.mean(axis=-1, keepdims=True), bit for bit (for float64, ndarray.mean
     is this sum and division), without NumPy's Python-level wrapper."""
     return np.add.reduce(a, -1, keepdims=True) / a.shape[-1]
+
+
+def layer_norm_rows(a, gain, bias):
+    """The forward of `layer_norm` on arrays, gain and bias broadcast against
+    a: (out, the normalized rows, 1 / their standard deviation)."""
+    xc = a - _mean_last(a)
+    inv = 1.0 / np.sqrt(_mean_last(xc * xc) + LN_EPS)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
 
 
 def layer_norm(x, gain, bias):
@@ -533,12 +531,7 @@ def layer_norm(x, gain, bias):
     if per_slice:  # each slice's row broadcast over that slice's rows
         lead = (gd.shape[0],) + (1,) * (xd.ndim - 2) + (d,)
         gd, bd = gd.reshape(lead), bd.reshape(lead)
-    mu = _mean_last(xd)
-    xc = xd - mu
-    var = _mean_last(xc * xc)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    out = xhat * gd + bd
+    out, xhat, inv = layer_norm_rows(xd, gd, bd)
     rx, rgain, rbias = x.requires_grad, gain.requires_grad, bias.requires_grad
 
     def bwd(g):

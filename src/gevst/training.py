@@ -99,8 +99,7 @@ class Adam:
         self.params = flat_parameters(params_obj)
         tensors = parameters(params_obj)
         self.grad, self.m, self.v = (np.zeros_like(self.params) for _ in range(3))
-        self.grad_views = flat_views(self.grad, tensors)
-        self.sinks = dict(zip(tensors, self.grad_views))
+        self.sinks = dict(zip(tensors, flat_views(self.grad, tensors)))
         self.scratch = np.empty(min(ADAM_BLOCK, self.params.size))
         self.t = 0
 
@@ -130,16 +129,14 @@ class Adam:
             g.fill(0.0)
 
     def free(self):
-        """Drop `grad`, `m` and `v` (with the views and sinks into `grad`)
-        once the last step is taken; no step follows."""
-        self.grad = self.m = self.v = self.grad_views = self.sinks = self.scratch = None
+        """Drop `grad`, `m` and `v` (with the sinks into `grad`) once the
+        last step is taken; no step follows."""
+        self.grad = self.m = self.v = self.sinks = self.scratch = None
 
 
 def clip_gradients(opt, max_norm):
-    """Scale `opt.grad` to global norm <= max_norm; returns the norm before.
-    The squared norm is summed per tensor in parameter order: one dot product
-    over the whole vector rounds differently and would change training."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in opt.grad_views))
+    """Scale `opt.grad` to global norm <= max_norm; returns the norm before."""
+    total = math.sqrt(float(opt.grad @ opt.grad))
     if total > max_norm and total > 0.0:
         opt.grad *= max_norm / total
     return total

@@ -14,13 +14,14 @@ square root.
 
 The last section is the exception: it keeps, as bit-exact references, the
 per-tensor numpy optimizer and checkpoint writer that the flat parameter
-vector replaced, the kron-gather additive-attention map that the engine's
+vector replaced (and the per-tensor clip, whose norm the flat vector's one
+dot product matches to 1e-12), the kron-gather additive-attention map that the engine's
 pairwise_add replaced, the multi-head attention built from the engine's
 reshape/matmul/mul/softmax ops (plus transpose and masked_fill, kept here
 since the engine has no other use for them) that its fused attention_weights
 and apply_attention replaced, the log softmax built from engine ops (plus
 sub, exp and log, kept here for the same reason) that its fused log_softmax
-replaced, and the gate-weighted map sum built from narrow (kept here for the
+replaced (a reference to 1e-12, since the fused op sums rows plainly), and the gate-weighted map sum built from narrow (kept here for the
 same reason), mul and add that its fused mix_maps replaced. They still import
 nothing from the package: these functions take the tensor engine as an
 argument.

@@ -9,7 +9,7 @@ import oracles as O
 import util as U
 from gevst import tensor as T
 from gevst.data import BOS_ID, EOS_ID
-from gevst.decoder import (LOGPROB_SLACK, CachedDecoder, beam_search, cross_keys_values, decoder_forward,
+from gevst.decoder import (CachedDecoder, beam_search, cross_keys_values, decoder_forward,
                            greedy_decode, modulated_multi_input)
 from gevst.errors import ConfigError, ContractError
 from gevst.nn import Linear, Tensor, named_parameters
@@ -270,7 +270,7 @@ def test_step_matches_teacher_forcing_on_drawn_models_scenes_and_parents(data):
     counts (so padded keys are masked), and steps whose rows reorder, drop
     and duplicate the rows of the step before: every row is the log softmax
     of the last row of its scene's teacher-forced forward, within 1e-12,
-    and no log-prob exceeds LOGPROB_SLACK."""
+    and no log-prob exceeds 0."""
     branches = tuple(data.draw(st.lists(st.sampled_from(ALL_BRANCHES), min_size=1, unique=True).map(sorted)))
     counts = data.draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=4, unique=True))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -280,7 +280,7 @@ def test_step_matches_teacher_forcing_on_drawn_models_scenes_and_parents(data):
     rows = [(scene, (BOS_ID,)) for scene in data.draw(st.lists(st.integers(0, len(scenes) - 1), min_size=1, max_size=5))]
     for _ in range(data.draw(st.integers(1, 4))):
         got = step(rows)
-        assert got.shape == (len(rows), 6) and got.max() <= LOGPROB_SLACK
+        assert got.shape == (len(rows), 6) and got.max() <= 0.0
         for (scene, prefix), row in zip(rows, got):
             want = T.log_softmax(decoder_forward(layers, 2, scenes[scene], embed, out_proj, list(prefix))).data[-1]
             assert U.max_abs_delta(row, want) <= 1e-12
@@ -416,9 +416,9 @@ def test_beam_width_validation():
 
 def rigged_table(seed, vocab, values):
     """A prefix -> log-prob row table drawing each entry from `values`: exact
-    ties everywhere, and with 0.0 and 1.1e-16 among them tokens whose
-    log-prob is exactly 0 or rounds just above it, as `T.log_softmax` can
-    give a near-certain token."""
+    ties everywhere, and with 0.0 and -1.1e-16 among them tokens whose
+    log-prob is exactly 0 or just below it, as `T.log_softmax` gives a
+    near-certain token."""
 
     def step(prefix_ids):
         r = np.random.default_rng(np.random.SeedSequence([seed, *prefix_ids]))
@@ -427,7 +427,7 @@ def rigged_table(seed, vocab, values):
     return step
 
 
-TABLE_VALUES = [(-0.5, -1.0, -1.5, -2.0), (0.0, -0.5, -1.0, -1.5), (0.0, 1.1e-16, -0.5, -1.0), (0.0, 1.1e-16)]
+TABLE_VALUES = [(-0.5, -1.0, -1.5, -2.0), (0.0, -0.5, -1.0, -1.5), (0.0, -1.1e-16, -0.5, -1.0), (0.0, -1.1e-16)]
 
 
 def test_beam_stop_matches_the_search_without_it():

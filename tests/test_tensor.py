@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles as O
 from gevst import tensor as T
@@ -274,7 +276,9 @@ def _fused_and_composite_log_softmax(xd, gd):
     return runs
 
 
-def test_log_softmax_matches_the_composite_bit_for_bit():
+def test_log_softmax_matches_the_composite():
+    """T.log_softmax against the engine-op composite it replaced: output and
+    input gradient within 1e-12 (relative to the entry, for the +-1e15 row)."""
     one_hot = np.zeros((9, 19))
     one_hot[np.arange(9), RNG.integers(0, 19, 9)] = RNG.normal(0, 1, 9)  # the XE loss's weights
     ties = np.array([[2.0, 2.0, 2.0, -1.0], [0.0] * 4, [1e4, 1e4, -1e4, 3.0],
@@ -287,8 +291,43 @@ def test_log_softmax_matches_the_composite_bit_for_bit():
     for xd, gd in cases:
         (out, gx), (want_out, want_gx) = _fused_and_composite_log_softmax(xd, gd)
         assert out.shape == xd.shape and gx.shape == xd.shape
-        assert np.array_equal(out, want_out) and np.array_equal(gx, want_gx), xd.shape
+        for got, want in ((out, want_out), (gx, want_gx)):
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all(), xd.shape
         assert np.isfinite(out).all() and np.allclose(np.exp(out).sum(axis=-1), 1.0, atol=1e-12)
+
+
+EXTREME_LOGITS = (1e15, -1e15, -745.0, 745.0, 0.0, 1.0)
+
+
+@given(st.data())
+def test_log_softmax_is_at_most_zero_and_matches_logsumexp(data):
+    """0 to 3 leading axes, a last axis of 1 to 300, and logits that are
+    normal, extreme (+-1e15, +-745), tied across the row or one-hot: every
+    entry is <= 0 exactly, and each equals x - logsumexp(x) to 1e-12
+    relative. The grad check runs on the logits clipped to +-10, where a
+    central difference can still move an entry. The differenced sum, over
+    up to 8100 entries, rounds at about 1e-12, some 5e-8 of a gradient
+    entry, so the check allows 1e-5 relative, or 1e-7 absolute below 0.01."""
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), max_size=3))) + (data.draw(st.integers(1, 300)),)
+    kind = data.draw(st.sampled_from(["normal", "extreme", "tied", "one_hot"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        xd = rng.normal(0, 10, shape)
+    elif kind == "extreme":
+        xd = rng.choice(EXTREME_LOGITS, shape)
+    elif kind == "tied":
+        xd = np.full(shape, rng.choice(EXTREME_LOGITS))
+    else:
+        xd = np.zeros(shape)
+        np.put_along_axis(xd, rng.integers(0, shape[-1], shape[:-1] + (1,)), rng.choice(EXTREME_LOGITS), axis=-1)
+    out = T.log_softmax(Tensor(xd)).data
+    assert out.shape == shape and (out <= 0.0).all()
+    shifted = xd - xd.max(axis=-1, keepdims=True)  # exact; adding the max back to the log-sum would round at 1e15
+    want = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    assert (np.abs(out - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+    w = Tensor(rng.normal(0, 1, shape))
+    x = Tensor(np.clip(xd, -10.0, 10.0), requires_grad=True)
+    assert grad_check(lambda t: T.total_sum(T.mul(T.log_softmax(t), w)), x, max_coords=40, rng=rng, floor=1e-2) < 1e-5
 
 
 def _bits(a):

@@ -255,7 +255,8 @@ def reference_adam_step(opt, lr):
 
 def move_grads(opt, params):
     """Add each parameter's Tensor.grad into its view of `opt.grad` and clear it."""
-    for t, g in zip(parameters(params), opt.grad_views):
+    tensors = parameters(params)
+    for t, g in zip(tensors, flat_views(opt.grad, tensors)):
         if t.grad is not None:
             g += t.grad
             t.grad = None

@@ -1,0 +1,52 @@
+"""Print the desk digests: fingerprints of the parameters after the desk
+training recipe, which a change that means to keep training bit for bit
+must leave unchanged.
+
+The recipe: `train_xe(generate_dataset(0, 50), TrainConfig(val_every=10),
+epochs=10)`, then 2 SCST epochs from the trained model. Each digest is the
+first 16 hex characters of the sha256 over every named parameter's name and
+float64 bytes, in `named_parameters` order. The XE line adds its clip
+events; the SCST line its per-epoch mean sampled reward.
+
+Run from the repository root (about 7 s on a 2-core x86-64 box):
+
+    python tools/desk_digests.py
+
+BLAS runs single-threaded (OPENBLAS_NUM_THREADS=1 unless already set), as
+the recorded digests were taken.
+"""
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from gevst.config import TrainConfig  # noqa: E402
+from gevst.data import generate_dataset  # noqa: E402
+from gevst.nn import named_parameters  # noqa: E402
+from gevst.training import train_scst, train_xe  # noqa: E402
+
+
+def digest(params):
+    h = hashlib.sha256()
+    for name, t in named_parameters(params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(t.data).tobytes())
+    return h.hexdigest()[:16]
+
+
+def main():
+    samples, cfg = generate_dataset(0, 50), TrainConfig(val_every=10)
+    xe = train_xe(samples, cfg, epochs=10)
+    print(f"XE   {digest(xe.params)}  clip events {xe.diagnostics['clip_events']}")
+    scst = train_scst(samples, cfg, xe.params, xe.vocab, epochs=2, start_step=xe.trained_steps)
+    print(f"SCST {digest(scst.params)}  curve {', '.join(f'{v:.4f}' for _, v in scst.curve)}")
+
+
+if __name__ == "__main__":
+    main()
