@@ -5,9 +5,9 @@ post-norm transformer encoder layers (multi-head attention WITH an output
 projection, then the 4x feed-forward). Each caption is summarized by the mean
 of its real-token outputs and projected to model width. All captions of one
 call (one sample's, or a whole training batch's) are padded to a common
-length and processed as one batch; pad keys are masked before the softmax
-and pad rows never reach the mean, which is an exact masked sum over the
-caption's real tokens divided by its length.
+length and processed as one batch; pad keys take the key bias before the
+softmax and pad rows never reach the mean, which is an exact masked sum
+over the caption's real tokens times one over its length (`nn.real_mean`).
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from .nn import (
     init_ffn,
     init_layer_norm,
     init_linear,
+    key_bias,
     layer_norm,
     linear,
+    real_mean,
     sinusoidal_positions,
 )
 
@@ -84,17 +86,11 @@ def encode_captions(params: CaptionEncoderParams, heads, id_seqs):
     pe = sinusoidal_positions(n, width).data
     x = T.add(x, Tensor(np.broadcast_to(pe, (b, n, width)).copy()))
 
-    pad_key = np.arange(n)[None, :] >= np.array(lens)[:, None]  # [b x n]
-    attn_mask = np.broadcast_to(pad_key[:, None, None, :], (b, heads, n, n))
+    padding = np.arange(n)[None, :] >= np.array(lens)[:, None]  # [b x n]
+    bias = key_bias(padding[..., None, :])  # [b x 1 x 1 x n], over every head
 
     for lp in params.layers:
-        att = linear(attend(linear(x, lp.q), linear(x, lp.k), linear(x, lp.v), heads, mask=attn_mask), lp.o)
+        att = linear(attend(linear(x, lp.q), linear(x, lp.k), linear(x, lp.v), heads, bias=bias), lp.o)
         x = layer_norm(T.add(x, att), lp.ln1)
         x = layer_norm(T.add(x, ffn(x, lp.ffn)), lp.ln2)
-
-    keep = (~pad_key)[:, :, None].astype(np.float64)
-    x = T.mul(x, Tensor(np.broadcast_to(keep, (b, n, width)).copy()))
-    summed = T.sum_axis(x, 1)  # the pad rows add exact zeros, so n does not round into it
-    inv = np.repeat(1.0 / np.array(lens, dtype=np.float64)[:, None], width, axis=1)
-    pooled = T.mul(summed, Tensor(inv))
-    return linear(pooled, params.out)
+    return linear(real_mean(x, padding), params.out)

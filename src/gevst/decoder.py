@@ -8,10 +8,10 @@ context elementwise with the sigmoid of W [Y; C_b] + b, and sums the gated
 contexts — a plain sum, not an average.
 
 The branches share one leading axis (`CrossInputs`), every branch output
-padded to the longest of any scene, so one masked attention, one gate
-affine and one sum serve them all. Each layer stores its per-branch cross
-q, k, v and gate affines on that axis, as [k x ...] tensors, in
-BRANCH_NAMES order.
+padded to the longest of any scene, its padded keys masked by one key bias,
+so one attention, one gate affine and one sum serve them all. Each layer
+stores its per-branch cross q, k, v and gate affines on that axis, as
+[k x ...] tensors, in BRANCH_NAMES order.
 
 Teacher forcing (`decoder_forward`) runs the layer body (`decoder_layer`)
 on the tape, always for a batch at rank 3 (one scene is a batch of one),
@@ -20,9 +20,9 @@ the whole sequence. Decoding (`CachedDecoder`) computes one new row per
 (scene, prefix) in one tapeless NumPy step over plain arrays, with the
 engine's softmax and layer-norm forwards. Its self attention reads the
 keys and values kept for the rest of the prefix, and its cross attention
-reads its own scene's keys and values. Both take the cross keys and values
-from `cross_keys_values` (the branch outputs projected once per layer).
-The decoder is causal, so the two agree to rounding.
+reads its own scene's keys and values. Both take the cross keys, values
+and key bias from `cross_keys_values` (the branch outputs projected once
+per layer). The decoder is causal, so the two agree to rounding.
 
 Decoding works through a batched `step_fn(prefixes) -> [len(prefixes) x V]`
 log-prob matrix, one row per prefix, so the strategies are testable against
@@ -59,6 +59,7 @@ from .nn import (
     init_ffn,
     init_layer_norm,
     init_linear,
+    key_bias,
     layer_norm,
     linear,
     pad_rows,
@@ -68,8 +69,11 @@ from .tensor import layer_norm_rows, no_grad, softmax_rows
 
 
 @functools.cache
-def causal_mask(h, t):
-    return np.broadcast_to(np.triu(np.ones((t, t), dtype=bool), k=1), (h, t, t))
+def causal_bias(t):
+    """The read-only causal bias [t x t]: -1e9 where row i sees j > i, else 0."""
+    bias = np.triu(np.full((t, t), -1e9), k=1)
+    bias.flags.writeable = False
+    return bias
 
 
 @dataclass
@@ -117,7 +121,7 @@ class CrossInputs:
     branches: tuple  # the k branch names
     keys: Tensor  # [k x ... x N x d]
     values: Tensor  # [k x ... x N x d]
-    padding: np.ndarray  # bool, shaped like keys without d: True at a padded key
+    bias: np.ndarray  # [k x ... x 1 x 1 x N]: the padded keys' per-head key bias (`nn.key_bias`)
 
 
 def _check_scenes(scenes):
@@ -148,9 +152,10 @@ def cross_keys_values(layers, scenes):
     """Per layer, the CrossInputs of many scenes' branch outputs (`pad_scenes`):
     the keys and values [k x S x N x d] are each branch projected through that
     layer's cross-attention k and v. They depend only on the scenes, not on
-    the decoded rows."""
+    the decoded rows. Every layer shares the one key bias of the padding."""
     branches, padded, padding = pad_scenes(scenes)
-    return [CrossInputs(branches, linear(padded, lp.cross.k), linear(padded, lp.cross.v), padding) for lp in layers]
+    bias = key_bias(padding[..., None, :])
+    return [CrossInputs(branches, linear(padded, lp.cross.k), linear(padded, lp.cross.v), bias) for lp in layers]
 
 
 def modulated_multi_input(y, cross: CrossInputs, lp: DecoderLayerParams, h):
@@ -163,10 +168,7 @@ def modulated_multi_input(y, cross: CrossInputs, lp: DecoderLayerParams, h):
     Records each branch's gate, shaped like y, as "decoder_gates_<branch>"
     (see `T.record`)."""
     ys = T.stack([y] * len(cross.branches))  # y once per branch, a broadcast view
-    q = linear(ys, lp.cross.q)
-    keys = cross.keys.data
-    mask = np.broadcast_to(cross.padding[..., None, None, :], keys.shape[:-2] + (h, q.data.shape[-2], keys.shape[-2]))
-    c = attend(q, cross.keys, cross.values, h, mask=mask)
+    c = attend(linear(ys, lp.cross.q), cross.keys, cross.values, h, bias=cross.bias)
     gates = T.sigmoid(linear(T.concat([ys, c], axis=-1), lp.mod))
     T.record_each((f"decoder_gates_{b}" for b in cross.branches), gates)
     return T.sum_axis(T.mul(gates, c), 0)
@@ -204,11 +206,11 @@ def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
         _check_bos(list(seq))
     ids = pad_ids(seqs)
     t_len, d = ids.shape[1], embed.data.shape[1]
-    causal = np.broadcast_to(causal_mask(h, t_len), (len(seqs), h, t_len, t_len))
     positions = np.broadcast_to(sinusoidal_positions(t_len, d).data, ids.shape + (d,))
     y = T.add(T.embedding_lookup(embed, ids), Tensor(positions))
+    causal = causal_bias(t_len)
     for lp, cross in zip(layers, cross_keys_values(layers, scenes)):
-        context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, mask=causal)
+        context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, bias=causal)
         y = decoder_layer(y, context, lp, h, cross)
     logits = linear(y, out_proj)
     return T.reshape(logits, logits.data.shape[1:]) if one else logits
@@ -263,9 +265,10 @@ class CachedDecoder:
     decoder is made (`_StepLayer`): the self q, k and v affines fused, the
     gate affine split into its y and context halves, and every scene's
     cross keys and values, padded as a teacher-forced batch pads them
-    (`cross_keys_values`), stored head-major, with the padding as an
-    additive mask. The fused affine and the keys and values are snapshots
-    of the parameters at that time, so make a new decoder after an update.
+    (`cross_keys_values`), stored head-major, with the key bias teacher
+    forcing adds (`CrossInputs.bias`). The fused affine and the keys and
+    values are snapshots of the parameters at that time, so make a new
+    decoder after an update.
     With one scene every row queries its keys without a gather; with many,
     each row gathers its own scene's, so a step costs in proportion to its
     rows. A call computes one new row per prefix: its self attention reads
@@ -279,7 +282,7 @@ class CachedDecoder:
         with no_grad():
             crosses = cross_keys_values(layers, scenes)
         self.steps = [_StepLayer.of(lp, cross, h) for lp, cross in zip(layers, crosses)]
-        self.mask = np.where(crosses[0].padding, -1e9, 0.0)[:, :, None, None, :]  # [k x S x 1 x 1 x N]
+        self.bias = crosses[0].bias  # [k x S x 1 x 1 x N]
         # each (scene, prefix) of the previous call -> its row in `self_kv`
         self.rows = {(i, ()): 0 for i in range(self.scenes)}
         # per layer, [rows x 2 x h x prefix length x dh]: each prefix's self keys, then values, per head
@@ -302,7 +305,7 @@ class CachedDecoder:
         parents = np.array(parents)
         # One scene's rows are the queries of one attention over its keys; many scenes' rows gather their own.
         scenes, rows_at = (slice(None), 3) if self.scenes == 1 else ([scene for scene, _ in rows], 1)
-        mask = self.mask[:, scenes]
+        bias = self.bias[:, scenes]
         y = self.embed[[p[-1] for _, p in rows]] + sinusoidal_positions(t, d).data[t - 1]
         grown = []
         for lp, c, kv in zip(self.layers, self.steps, self.self_kv):
@@ -312,7 +315,7 @@ class CachedDecoder:
             context = softmax_rows(qkv[:, 0] @ kv[:, 0].swapaxes(-1, -2)) @ kv[:, 1]
             y = layer_norm_rows(y + context.reshape(n, d), lp.ln1.gain.data, lp.ln1.bias.data)[0]
             q = (y @ c.q_w + c.q_b).reshape(-1, n, h, 1, d // h).swapaxes(1, rows_at)
-            cross = (softmax_rows(q @ c.keys[:, scenes] + mask) @ c.values[:, scenes]).swapaxes(1, rows_at)
+            cross = (softmax_rows(q @ c.keys[:, scenes] + bias) @ c.values[:, scenes]).swapaxes(1, rows_at)
             cross = cross.reshape(-1, n, d)  # [k x n x d]
             gates = 1.0 / (1.0 + np.exp(-(y @ c.gate_y + cross @ c.gate_c + c.gate_b)))
             y = layer_norm_rows(y + np.add.reduce(gates * cross, 0), lp.ln2.gain.data, lp.ln2.bias.data)[0]

@@ -33,17 +33,16 @@ the per-branch view of these tensors.
 A batch of scenes runs as one: every input gains a batch axis, [B x N x d],
 each scene's tokens padded to the batch's most, and a bool [B x N] padding
 per side marks the padded tokens. Every map (fusion's additive maps, the
-content and geometry maps here) scores padded keys -1e9 before its softmax,
-and the gate's token mean runs over each scene's real tokens only, so no
-padded row reaches a real one; padded rows compute values nobody reads.
-One scene is a batch of one, with no padded row and therefore no mask.
+content and geometry maps here) adds the padding's key bias (`nn.key_bias`,
+-1e9 at a padded key) before its softmax, and the gate's token mean runs
+over each scene's real tokens only, so no padded row reaches a real one;
+padded rows compute values nobody reads. One scene is a batch of one, with
+no padded row and therefore no bias.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import tensor as T
 from .config import GESA_VARIANTS
@@ -57,10 +56,11 @@ from .nn import (
     init_ffn,
     init_layer_norm,
     init_linear,
+    key_bias,
     layer_norm,
     linear,
+    real_mean,
 )
-from .tensor import Tensor
 
 # The branches that attend over one token set, each group run on one leading
 # axis: the semantic pair over the dense captions, the visual pair over the
@@ -127,16 +127,7 @@ def init_gesa_group(layout, d, h, variant, branches, layers):
     return GesaGroupParams([layout.stack(content[i::layers]) for i in range(layers)], layout.stack(geometry))
 
 
-def key_mask(padding, lead, h):
-    """The padded-key mask of maps [*lead x ... x h x N x N] over the tokens of
-    `padding` (bool [... x N], True at a padded token), or None without one."""
-    if padding is None:
-        return None
-    n = padding.shape[-1]
-    return np.broadcast_to(padding[..., None, None, :], lead + padding.shape[:-1] + (h, n, n))
-
-
-def geometry_maps(group: GesaGroupParams, h, g_intra, g_inter, padding=None):
+def geometry_maps(group: GesaGroupParams, h, g_intra, g_inter, bias=None):
     """Per layer, the geometry maps [k x ... x h x N x N] of a group of k
     branches over one token set, in (intra, inter) order, those the variant
     uses.
@@ -144,7 +135,7 @@ def geometry_maps(group: GesaGroupParams, h, g_intra, g_inter, padding=None):
     The geometry inputs g_intra and g_inter [... x N x d] are the group's own,
     the same at every layer, so no map depends on content: each kind is one
     stacked pass over every (branch, layer) pair, branch-major, as the
-    projections are stored. Padded keys (`padding`) are masked.
+    projections are stored. `bias` is the tokens' per-head key bias, or None.
     """
     n_layers = len(group.layers)
     per_layer = [[] for _ in range(n_layers)]
@@ -154,7 +145,7 @@ def geometry_maps(group: GesaGroupParams, h, g_intra, g_inter, padding=None):
             continue
         pairs = len(q.w.data)
         shared = T.stack([g] * pairs)  # a zero-copy view: every pair reads the same rows
-        maps = T.attention_weights(linear(shared, q), linear(shared, k), h, mask=key_mask(padding, (pairs,), h))
+        maps = T.attention_weights(linear(shared, q), linear(shared, k), h, bias=bias)
         for i, layer_maps in enumerate(per_layer):
             layer_maps.append(T.index(maps, slice(i, None, n_layers)))
     return per_layer
@@ -164,27 +155,21 @@ def gesa_gates(x_prev, params: GesaLayerParams, padding=None):
     """Convex gate over the active maps: softmax(mean over tokens of x W + b),
     [m] for x [N x d] and one branch's gate, or [k x ... x m] for a group's x
     [k x ... x N x d] and layer params. With `padding` (bool [... x N]) the
-    mean runs over each scene's real tokens only: a masked sum times one
-    over the count."""
+    mean runs over each scene's real tokens only (`nn.real_mean`); a side
+    with no padded row takes the plain mean."""
     logits = linear(x_prev, params.gate)
-    if padding is None:
-        return T.softmax(T.mean(logits, axis=-2))
-    shape = logits.data.shape
-    keep = np.broadcast_to((~padding)[..., None].astype(np.float64), shape)
-    inv = np.broadcast_to(1.0 / (~padding).sum(axis=-1, keepdims=True), shape[:-2] + shape[-1:])
-    return T.softmax(T.mul(T.sum_axis(T.mul(logits, Tensor(keep)), -2), Tensor(inv)))
+    return T.softmax(T.mean(logits, axis=-2) if padding is None else real_mean(logits, padding))
 
 
-def gesa_layer(x_prev, geometry, params: GesaLayerParams, h, gate_names, padding=None):
+def gesa_layer(x_prev, geometry, params: GesaLayerParams, h, gate_names, padding=None, bias=None):
     """One GESA layer of a group of k branches: x_prev [k x ... x N x d],
     `params` the group's weights of that layer, `geometry` that layer's maps
-    (`geometry_maps`), `padding` the tokens' padding (bool [... x N]) or
-    None. Records branch i's map gates [... x m] under gate_names[i] (see
-    `T.record_each`)."""
+    (`geometry_maps`), `padding` the tokens' padding (bool [... x N]) and
+    `bias` its per-head key bias, or both None. Records branch i's map gates
+    [... x m] under gate_names[i] (see `T.record_each`)."""
     if x_prev.data.shape[-1] % h != 0:
         raise ConfigError(f"width {x_prev.data.shape[-1]} not divisible by {h} heads")
-    content = T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h,
-                                  mask=key_mask(padding, x_prev.data.shape[:1], h))
+    content = T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h, bias=bias)
     if any(m.data.shape != content.data.shape for m in geometry):
         raise ShapeError(f"geometry map shapes {[m.data.shape for m in geometry]} != content map shape "
                          f"{content.data.shape}")
@@ -202,8 +187,9 @@ def branch_forward(group: GesaGroupParams, h, content, g_intra, g_inter, gate_na
     one scene (none) or of a padded batch ([B], with `padding` bool [B x N]).
     Returns [k x ... x N x d]."""
     x = content
-    for params, maps in zip(group.layers, geometry_maps(group, h, g_intra, g_inter, padding)):
-        x = gesa_layer(x, maps, params, h, gate_names, padding)
+    bias = None if padding is None else key_bias(padding[..., None, :])  # [B x 1 x 1 x N], over every head
+    for params, maps in zip(group.layers, geometry_maps(group, h, g_intra, g_inter, bias)):
+        x = gesa_layer(x, maps, params, h, gate_names, padding, bias)
     return x
 
 

@@ -19,9 +19,9 @@ and the inter-geometry comes from the LAST cell. Every cell's maps leave only
 through the recorder (`T.record`).
 
 A cell runs on one scene or on a batch of scenes padded to [B x N x d] and
-[B x M x d]: each map is batched, and the padded keys of each scene score
--1e9 before the softmax, so they take no weight and a padded row never
-reaches a real one. Padded query rows compute values nobody reads.
+[B x M x d]: each map is batched, and the padded keys of each scene take
+the key bias (-1e9) before the softmax, so they take no weight and a padded
+row never reaches a real one. Padded query rows compute values nobody reads.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from . import tensor as T
 from .config import FUSION_BASES
 from .errors import ConfigError, InputError, ShapeError
-from .nn import Linear, Tensor, init_linear, linear
+from .nn import Linear, Tensor, init_linear, key_bias, linear
 
 
 @dataclass
@@ -77,14 +77,14 @@ def init_fusion_cell(layout, d, er, base="cg"):
 def attention_map(att: AdditiveAttention, queries, keys, key_padding=None):
     """Row-stochastic additive-attention map [..., N x M] of queries [..., N x
     d] over keys [..., M x d]. key_padding (bool [..., M], optional) marks the
-    padded keys, whose scores are set to -1e9 before the softmax."""
+    padded keys, whose scores take the key bias (`nn.key_bias`) before the
+    softmax."""
     lead, n, m = queries.data.shape[:-2], queries.data.shape[-2], keys.data.shape[-2]
     if queries.data.shape[-1] != keys.data.shape[-1]:
         raise ShapeError(f"query width {queries.data.shape} != key width {keys.data.shape}")
     h = T.tanh(T.pairwise_add(linear(queries, att.v_proj), linear(keys, att.s_proj)))
     scores = T.reshape(linear(h, att.out), lead + (n, m))
-    mask = None if key_padding is None else np.broadcast_to(key_padding[..., None, :], scores.data.shape)
-    return T.softmax(scores, mask)
+    return T.softmax(scores, key_bias(key_padding))
 
 
 def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k, key_padding=None):

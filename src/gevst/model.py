@@ -11,8 +11,8 @@ declaration order of ModelParams and the deterministic walker in nn. Only the
 branches named in the config get parameters, and fusion stacks exist only
 when some active branch consumes them. The GESA branches are stored by
 group, and the decoder's per-branch weights on one branch axis, as they are
-computed (`encoder`, `decoder`); init draws them branch by branch, in the
-order of the per-branch layout it replaced.
+computed (`encoder`, `decoder`); init draws them branch by branch, each
+into its slice of the stack (`nn.Layout.stack`).
 
 The model is born in its one float64 vector: `model_layout` runs init's code
 as a layout pass that allocates nothing (`nn.Layout`), and `init_model` then

@@ -199,13 +199,30 @@ def pad_rows(parts, counts):
     return T.embedding_lookup(T.concat(list(parts) + [zero]), rows), padding
 
 
+def key_bias(padding):
+    """The key bias [... x 1 x N] of a padding (bool [... x N], True at a padded
+    key), None for None: 0 at a real key, -1e9 at a padded one, for every query
+    row of scores [... x n x N]. A per-head caller gives the padding a head axis."""
+    return None if padding is None else np.where(padding, -1e9, 0.0)[..., None, :]
+
+
+def real_mean(x, padding):
+    """The mean over axis -2 of x [... x N x d] over its real rows (padding
+    bool [... x N]) -> [... x d]: the masked sum times one over the count."""
+    shape, keep = x.data.shape, ~padding
+    masked = T.mul(x, Tensor(np.broadcast_to(keep[..., None].astype(np.float64), shape)))
+    inv = np.broadcast_to(1.0 / keep.sum(axis=-1, keepdims=True), shape[:-2] + shape[-1:])
+    return T.mul(T.sum_axis(masked, -2), Tensor(inv))
+
+
 # ---------------------------------------------------------------- attention
 
 
-def attend(q, k, v, h, mask=None):
+def attend(q, k, v, h, bias=None):
     """Multi-head attention of projected queries q [..., n_q, d] over projected
-    keys k and values v [..., n_k, d], with no output projection -> [..., n_q, d]."""
-    return T.apply_attention(T.attention_weights(q, k, h, mask=mask), v, h)
+    keys k and values v [..., n_k, d], with no output projection -> [..., n_q, d];
+    bias (`key_bias`) is added to the scores."""
+    return T.apply_attention(T.attention_weights(q, k, h, bias=bias), v, h)
 
 
 # --------------------------------------------------------------- positions
@@ -213,9 +230,11 @@ def attend(q, k, v, h, mask=None):
 
 @functools.cache
 def sinusoidal_positions(n, d):
-    """Fixed sin/cos position table [n x d], cached as a constant tensor (never written to)."""
+    """Fixed sin/cos position table [n x d], cached as a read-only constant tensor."""
     pos = np.arange(n, dtype=np.float64)[:, None]
     i = np.arange(d, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / d)
-    return Tensor(np.where(i % 2 == 0, np.sin(angles), np.cos(angles)))
+    table = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
+    table.flags.writeable = False
+    return Tensor(table)
 

@@ -10,7 +10,9 @@ Design constraints, fixed for the whole package:
     grid and the per-map gates of mix_maps;
   * ops work on any leading axes (a branch axis, a batch of scenes) unless
     they say otherwise, and padding is the caller's: attention_weights and
-    softmax take a mask of entries set to -1e9 before the softmax;
+    softmax add a float bias that broadcasts to their scores (`nn.key_bias`),
+    and every row must keep a key (a scene has a region and a dense caption,
+    a caption a token, and causal row t sees key 0);
   * `stack` copies its members, or broadcasts one tensor repeated; weights
     never pass through it, as each is stored in the stacked layout its
     kernel reads (see `nn`);
@@ -373,12 +375,19 @@ def _head_view(xd, h, opname):
     return xd.reshape(xd.shape[:-1] + (h, xd.shape[-1] // h)).transpose(perm), perm
 
 
-def attention_weights(q, k, h, mask=None):
-    """Per-head row-stochastic maps softmax(Q K^T / sqrt(d/h)) as one op.
+def _biased(scores, bias, opname):
+    """scores plus an optional additive bias that broadcasts to them."""
+    try:
+        return scores if bias is None else np.add(scores, bias, out=np.empty(scores.shape))
+    except ValueError:
+        raise ShapeError(f"{opname}: bias shape {np.shape(bias)} does not broadcast to scores {scores.shape}") from None
 
-    q: [..., n_q, d], k: [..., n_k, d] -> [..., h, n_q, n_k]. mask (optional
-    bool array of the output's shape) marks scores set to -1e9 before the
-    softmax.
+
+def attention_weights(q, k, h, bias=None):
+    """Per-head row-stochastic maps softmax(Q K^T / sqrt(d/h) + bias) as one op.
+
+    q: [..., n_q, d], k: [..., n_k, d] -> [..., h, n_q, n_k]. bias (optional
+    float array) broadcasts to the output's shape.
     """
     qd, kd = q.data, k.data
     qh, perm = _head_view(qd, h, "attention_weights")
@@ -387,21 +396,12 @@ def attention_weights(q, k, h, mask=None):
         raise ShapeError(f"attention_weights: keys {kd.shape} do not match queries {qd.shape}")
     kh, _ = _head_view(kd, h, "attention_weights")
     scale = np.asarray(1.0 / np.sqrt(qd.shape[-1] // h))
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != scores.shape:
-            raise ShapeError(f"attention_weights: mask shape {mask.shape} != score shape {scores.shape}")
-        scores = np.where(mask, -1e9, scores)
-    out = softmax_rows(scores)
+    out = softmax_rows(_biased((qh @ kh.swapaxes(-1, -2)) * scale, bias, "attention_weights"))
     rq, rk, q_shape, k_shape = q.requires_grad, k.requires_grad, qd.shape, kd.shape
     qh, kh = (qh if rk else None), (kh if rq else None)
 
     def bwd(g):
-        gs = out * (g - (g * out).sum(axis=-1, keepdims=True))
-        if mask is not None:
-            gs = np.where(mask, 0.0, gs)
-        gs = gs * scale
+        gs = out * (g - (g * out).sum(axis=-1, keepdims=True)) * scale
         gq = (gs @ kh).transpose(perm).reshape(q_shape) if rq else None
         gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2).transpose(perm).reshape(k_shape) if rk else None
         return gq, gk
@@ -461,17 +461,13 @@ def softmax_rows(a):
     return e / np.add.reduce(e, -1, keepdims=True)
 
 
-def softmax(x, mask=None):
-    """Softmax over the last axis, max-subtracted for stability. mask
-    (optional bool array of x's shape) marks entries set to -1e9 first."""
+def softmax(x, bias=None):
+    """Softmax over the last axis, max-subtracted for stability, of x plus
+    bias (optional float array that broadcasts to x's shape)."""
     xd = x.data
     if xd.ndim < 1 or xd.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {xd.shape}")
-    if mask is not None:
-        if mask.shape != xd.shape:
-            raise ShapeError(f"softmax: mask shape {mask.shape} != input shape {xd.shape}")
-        xd = np.where(mask, -1e9, xd)
-    out = softmax_rows(xd)
+    out = softmax_rows(_biased(xd, bias, "softmax"))
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)

@@ -165,10 +165,11 @@ def test_garbage_in_padded_keys_and_values_changes_no_real_row(rng, layout):
     with T.no_grad():
         cross = cross_keys_values(layers, scenes_around_eight_keys(rng, ALL_BRANCHES))[0]
     lp = layers[0]
-    keys, values, padding = cross.keys.data, cross.values.data, cross.padding
+    keys, values, bias = cross.keys.data, cross.values.data, cross.bias
     y_shape = {"batch": (3, 4, 8), "rows": (3, 1, 8), "one_scene": (4, 8)}[layout]
     if layout == "one_scene":
-        keys, values, padding = keys[:, 1], values[:, 1], padding[:, 1]
+        keys, values, bias = keys[:, 1], values[:, 1], bias[:, 1]
+    padding = bias[..., 0, 0, :] < 0
     assert padding.any() and not padding.all(axis=-1).any()
     y = Tensor(rng.normal(size=y_shape), requires_grad=True)
     probe = Tensor(rng.normal(size=y_shape))
@@ -178,7 +179,7 @@ def test_garbage_in_padded_keys_and_values_changes_no_real_row(rng, layout):
         layer = replace(lp, cross=replace(lp.cross, q=Linear(*weights[:2])), mod=Linear(*weights[2:]))
         k = Tensor(np.where(padding[..., None], fill, keys), requires_grad=True)
         v = Tensor(np.where(padding[..., None], -fill, values), requires_grad=True)
-        entry = replace(cross, keys=k, values=v, padding=padding)
+        entry = replace(cross, keys=k, values=v, bias=bias)
         y.grad = None
         with T.Tape() as tape:
             out = modulated_multi_input(y, entry, layer, 2)

@@ -5,10 +5,13 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles as O
 from gevst import nn
 from gevst import tensor as T
+from gevst.decoder import causal_bias
 from gevst.errors import ContractError, ShapeError
 from gevst.nn import (LayerNorm, Layout, Linear, Tensor, bind_flat, ffn, flat_parameters, layer_norm, linear,
                       named_parameters, parameters, sinusoidal_positions)
@@ -49,11 +52,11 @@ def test_attention_matches_scalar_oracle():
 def test_attention_mask_zeroes_and_grads():
     q = Tensor(RNG.normal(0, 1, (4, 4)), requires_grad=True)
     k = Tensor(RNG.normal(0, 1, (4, 4)))
-    mask = np.broadcast_to(np.triu(np.ones((4, 4), dtype=bool), k=1), (2, 4, 4))
-    w = T.attention_weights(q, k, 2, mask=mask)
+    bias = causal_bias(4)  # [4 x 4], over both heads
+    w = T.attention_weights(q, k, 2, bias=bias)
     assert (w.data[:, 0, 1:] == 0.0).all()
     probe = Tensor(RNG.normal(0, 1, (2, 4, 4)))
-    err = grad_check(lambda t: T.total_sum(T.mul(T.attention_weights(t, k, 2, mask=mask), probe)), q)
+    err = grad_check(lambda t: T.total_sum(T.mul(T.attention_weights(t, k, 2, bias=bias), probe)), q)
     assert err < 1e-6
 
 
@@ -65,14 +68,17 @@ FUSED = (T.attention_weights, T.apply_attention)
 COMPOSITE = (partial(O.attention_weights, T), partial(O.apply_attention, T))
 
 
-def _pad_key_mask(lens, h, n):
+def _pad_key(lens, h, n):
+    """(the bool mask [b x h x n x n] of the padded keys of captions of
+    `lens` tokens, padded to n, and their per-head key bias [b x 1 x 1 x n])."""
     pad_key = np.arange(n)[None, :] >= np.array(lens)[:, None]
-    return np.broadcast_to(pad_key[:, None, None, :], (len(lens), h, n, n))
+    return np.broadcast_to(pad_key[:, None, None, :], (len(lens), h, n, n)), nn.key_bias(pad_key[:, None])
 
 
-def _attend(mask):
+def _attend(mask=None, bias=None):
+    """The fused op takes `bias`, the composite the bool `mask` of the same keys."""
     def build(weights_op, apply_op, q, k, v):
-        w = weights_op(q, k, 2, mask=mask)
+        w = weights_op(q, k, 2, bias=bias) if weights_op is T.attention_weights else weights_op(q, k, 2, mask=mask)
         return [w, apply_op(w, v, 2)]
     return build
 
@@ -85,11 +91,11 @@ def _gate_mixed(weights_op, apply_op, q, k, q2, k2, v, gate):
 
 CAUSAL = np.broadcast_to(np.triu(np.ones((5, 5), dtype=bool), k=1), (2, 5, 5))
 ATTENTION_CASES = {
-    "gesa_2d": ({"q": (5, 8), "k": (5, 8), "v": (5, 8)}, _attend(None)),
+    "gesa_2d": ({"q": (5, 8), "k": (5, 8), "v": (5, 8)}, _attend()),
     "caption_pad_mask": ({"q": (3, 4, 8), "k": (3, 4, 8), "v": (3, 4, 8)},
-                         _attend(_pad_key_mask([4, 2, 3], 2, 4))),
-    "causal": ({"q": (5, 8), "k": (5, 8), "v": (5, 8)}, _attend(CAUSAL)),
-    "cached_step": ({"q": (3, 1, 8), "k": (3, 4, 8), "v": (3, 4, 8)}, _attend(None)),
+                         _attend(*_pad_key([4, 2, 3], 2, 4))),
+    "causal": ({"q": (5, 8), "k": (5, 8), "v": (5, 8)}, _attend(CAUSAL, causal_bias(5))),
+    "cached_step": ({"q": (3, 1, 8), "k": (3, 4, 8), "v": (3, 4, 8)}, _attend()),
     "gate_mixed": ({"q": (4, 6), "k": (4, 6), "q2": (4, 6), "k2": (4, 6), "v": (4, 6), "gate": (2,)},
                    _gate_mixed),
 }
@@ -145,11 +151,11 @@ def test_fused_attention_shape_errors():
         (ones(3, 8), ones(3, 6), 2, None),  # query and key widths differ
         (ones(2, 3, 8), ones(3, 3, 8), 2, None),  # batch dims differ
         (ones(3, 8), ones(0, 8), 2, None),  # no keys
-        (ones(3, 8), ones(4, 8), 2, np.zeros((2, 3, 3), dtype=bool)),  # mask shape
+        (ones(3, 8), ones(4, 8), 2, np.zeros((2, 3, 3))),  # a bias that does not broadcast to the scores
     ]
-    for q, k, h, mask in bad_weights:
+    for q, k, h, bias in bad_weights:
         with pytest.raises(ShapeError):
-            T.attention_weights(q, k, h, mask=mask)
+            T.attention_weights(q, k, h, bias=bias)
     bad_apply = [
         (ones(2, 3, 4), ones(4, 7), 2),  # width not divisible by h
         (ones(2, 3, 4), ones(4, 8), 4),  # map has 2 heads, not 4
@@ -159,6 +165,86 @@ def test_fused_attention_shape_errors():
     for w, v, h in bad_apply:
         with pytest.raises(ShapeError):
             T.apply_attention(w, v, h)
+
+
+def _padding(data, shape):
+    """A bool padding of `shape` that keeps at least one real key in every row."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    padding = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.5, 0.9]))
+    np.put_along_axis(padding, rng.integers(0, shape[-1], shape[:-1] + (1,)), False, axis=-1)
+    return padding
+
+
+def _forward_and_grads(build, inputs, trainable):
+    """build's output and the gradient of a fixed probe of it for each input
+    (None for one that needs none)."""
+    tensors = [Tensor(a.copy(), requires_grad=t) for a, t in zip(inputs, trainable)]
+    with T.Tape() as tape:
+        out = build(*tensors)
+        if any(trainable):
+            tape.backward(T.total_sum(T.mul(out, Tensor(np.random.default_rng(1).normal(size=out.data.shape)))))
+    return [out.data] + [t.grad for t in tensors]
+
+
+@given(st.data())
+def test_key_bias_ops_equal_the_bool_mask_composite(data):
+    """`T.attention_weights` and `T.softmax` with the key bias of a padding
+    (`nn.key_bias`) give the bool-mask composite's forward and gradients bit
+    for bit, over 0-3 leading axes (the padding leaving out some of them, as
+    a branch axis), any padding that keeps a real key in every row and any
+    inputs needing a gradient; a bias that does not broadcast to the scores
+    is refused."""
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=3)))
+    h, dh = data.draw(st.sampled_from([1, 2, 4])), data.draw(st.integers(1, 2))
+    n_q, n_k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    padding = _padding(data, lead[data.draw(st.integers(0, len(lead))):] + (n_k,))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    q, k, x = (rng.normal(size=lead + shape) for shape in ((n_q, h * dh), (n_k, h * dh), (n_q, n_k)))
+    trainable = data.draw(st.tuples(st.booleans(), st.booleans()))
+    mask = np.broadcast_to(padding[..., None, None, :], lead + (h, n_q, n_k))
+    bias = nn.key_bias(padding[..., None, :])
+    fused = _forward_and_grads(lambda q, k: T.attention_weights(q, k, h, bias=bias), [q, k], trainable)
+    composite = _forward_and_grads(lambda q, k: O.attention_weights(T, q, k, h, mask=mask), [q, k], trainable)
+    fused += _forward_and_grads(lambda x: T.softmax(x, nn.key_bias(padding)), [x], trainable[:1])
+    composite += _forward_and_grads(lambda x: T.softmax(O.masked_fill(T, x, mask[..., 0, :, :], -1e9)), [x],
+                                    trainable[:1])
+    for got, want in zip(fused, composite):
+        assert (got is None) == (want is None) and (got is None or np.array_equal(got, want))
+
+    wrong_keys = nn.key_bias(np.zeros(lead + (n_k + 1,), bool))
+    for bad in (wrong_keys, np.zeros((2,) + lead + (h, n_q, n_k))):
+        with pytest.raises(ShapeError, match="bias"):
+            T.attention_weights(Tensor(q), Tensor(k), h, bias=bad)
+    for bad in (wrong_keys, np.zeros((2,) + x.shape)):
+        with pytest.raises(ShapeError, match="bias"):
+            T.softmax(Tensor(x), bad)
+
+
+@given(st.data())
+def test_real_mean_ignores_padded_rows(data):
+    """`nn.real_mean` of rows [... x N x d] whose padded rows hold large
+    garbage is NumPy's mean over each entry's real rows."""
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=3)))
+    n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    cut = data.draw(st.integers(0, len(lead)))
+    padding = _padding(data, lead[cut:] + (n,))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=lead + (n, d))
+    x[..., padding, :] = rng.normal(0.0, 1e6, x[..., padding, :].shape) + 3e2
+    got = nn.real_mean(Tensor(x), padding).data
+    assert got.shape == lead + (d,)
+    for i in np.ndindex(lead):
+        assert np.allclose(got[i], x[i][~padding[i[cut:]]].mean(axis=0), rtol=1e-15, atol=1e-15)
+
+
+def test_cached_tables_are_read_only():
+    """The position table and the causal bias are cached and shared by every
+    caller, so a write to either raises instead of changing later calls."""
+    with pytest.raises(ValueError):
+        sinusoidal_positions(4, 8).data[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        causal_bias(3)[0, 1] = 0.0
+    assert sinusoidal_positions(4, 8).data[0, 0] == 0.0 and causal_bias(3)[0, 1] == -1e9
 
 
 def test_linear_ffn_layer_norm_grads():

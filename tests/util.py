@@ -32,7 +32,7 @@ from gevst import caption_encoder, decoder, encoder, fusion, geometry, nn
 from gevst.caption_encoder import CaptionEncoderParams, EncoderLayerParams, encode_captions
 from gevst.config import BRANCH_NAMES, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
-from gevst.decoder import CrossAttentionParams, DecoderLayerParams, _check_bos, _check_scenes, causal_mask
+from gevst.decoder import CrossAttentionParams, DecoderLayerParams, _check_bos, _check_scenes, causal_bias
 from gevst.encoder import (GeometryProjections, GesaGroupParams, GesaLayerParams, active_groups, branch_forward,
                            encode_all, needs_fusion, variant_map_count)
 from gevst.errors import ContractError, ShapeError, TrainingDiverged
@@ -393,8 +393,8 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
 # the branch loop and the one-scene cached decoder below.
 
 
-def reference_attend(x_q, x_kv, q, k, v, h, mask=None, kv=linear):
-    w = T.attention_weights(linear(x_q, q), kv(x_kv, k), h, mask=mask)
+def reference_attend(x_q, x_kv, q, k, v, h, bias=None, kv=linear):
+    w = T.attention_weights(linear(x_q, q), kv(x_kv, k), h, bias=bias)
     return T.apply_attention(w, kv(x_kv, v), h)
 
 
@@ -425,10 +425,10 @@ def reference_decoder_forward(layers, h, branch_outputs, embed, out_proj, token_
     ids = list(token_ids)
     t_len, d = len(ids), embed.data.shape[1]
     y = T.add(T.embedding_lookup(embed, ids), Tensor(sinusoidal_positions(t_len, d).data))
-    mask = causal_mask(h, t_len)
+    bias = causal_bias(t_len)
 
     def causal_self_attention(y, lp):
-        return reference_attend(y, y, lp.self_q, lp.self_k, lp.self_v, h, mask=mask)
+        return reference_attend(y, y, lp.self_q, lp.self_k, lp.self_v, h, bias=bias)
 
     for lp in layers:
         y = reference_decoder_layer(y, lp, h, branch_outputs, causal_self_attention)
@@ -455,20 +455,20 @@ def branch_loop_pad_scenes(scenes):
     return padded, padding
 
 
-def branch_loop_keys_values(layers, branch_outputs, masks=None):
-    """Per layer, {branch: (keys, values, mask)}."""
+def branch_loop_keys_values(layers, branch_outputs, biases=None):
+    """Per layer, {branch: (keys, values, key bias)}."""
     branches = [b for b in BRANCH_NAMES if b in branch_outputs]
-    masks = masks or {}
-    return [{b: (linear(branch_outputs[b], lp.cross[b].k), linear(branch_outputs[b], lp.cross[b].v), masks.get(b))
+    biases = biases or {}
+    return [{b: (linear(branch_outputs[b], lp.cross[b].k), linear(branch_outputs[b], lp.cross[b].v), biases.get(b))
              for b in branches} for lp in layers]
 
 
 def branch_loop_context(q, entry, h):
-    k, v, mask = entry
+    k, v, bias = entry
     if k.data.ndim == q.data.ndim:
-        return attend(q, k, v, h, mask=mask)
+        return attend(q, k, v, h, bias=bias)
     n, d = q.data.shape
-    return T.reshape(attend(T.reshape(q, (n, 1, d)), k, v, h, mask=mask), (n, d))
+    return T.reshape(attend(T.reshape(q, (n, 1, d)), k, v, h, bias=bias), (n, d))
 
 
 def branch_loop_modulated_multi_input(y, cross, layer, h):
@@ -496,13 +496,12 @@ def branch_loop_decoder_forward(layers, h, scenes, embed, out_proj, seqs):
     ids = pad_ids(seqs)
     t_len, d = ids.shape[1], embed.data.shape[1]
     padded, padding = branch_loop_pad_scenes(scenes)
-    lead = (len(seqs), h, t_len)
-    causal = np.broadcast_to(causal_mask(h, t_len), lead + (t_len,))
-    masks = {b: np.broadcast_to(p[:, None, None, :], lead + p.shape[1:]) for b, p in padding.items()}
+    causal = causal_bias(t_len)
+    biases = {b: nn.key_bias(p[:, None]) for b, p in padding.items()}
     positions = np.broadcast_to(sinusoidal_positions(t_len, d).data, ids.shape + (d,))
     y = T.add(T.embedding_lookup(embed, ids), Tensor(positions))
-    for lp, cross in zip(layers, branch_loop_keys_values(layers, padded, masks)):
-        context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, mask=causal)
+    for lp, cross in zip(layers, branch_loop_keys_values(layers, padded, biases)):
+        context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, bias=causal)
         y = branch_loop_decoder_layer(y, context, lp, h, cross)
     return linear(y, out_proj)
 
@@ -612,7 +611,7 @@ class PerOpCachedDecoder:
     @staticmethod
     def _of_scenes(cross, scenes):
         return dataclasses.replace(cross, keys=Tensor(cross.keys.data[:, scenes]),
-                                   values=Tensor(cross.values.data[:, scenes]), padding=cross.padding[:, scenes])
+                                   values=Tensor(cross.values.data[:, scenes]), bias=cross.bias[:, scenes])
 
     def _layer(self, y, context, lp, cross):
         """`decoder.decoder_layer` with the cross sublayer over one [N x d]
