@@ -174,7 +174,7 @@ def cmd_dump_attention(args):
     outputs = []
 
     with T.recording() as enc:
-        branch = encode_sample(params, cfg, sample, vocab)
+        scene = encode_sample(params, cfg, sample, vocab)
     # Only the maps a fusion base computes are recorded, so only those are written.
     for direction in ("fusion_vs", "fusion_sv"):
         for kind in ("content", "geometry"):
@@ -195,9 +195,9 @@ def cmd_dump_attention(args):
                 f.write(f"{li}," + ",".join(vals) + "\n")
         outputs.append(path)
 
-    ids = training.lockstep_decode(params, cfg, [sample], [branch])[1][0]
+    ids = training.lockstep_decode(params, cfg, [sample], [scene])[1][0]
     with T.recording() as dec:
-        caption_logits(params, cfg, branch, [BOS_ID] + ids[:-1])
+        caption_logits(params, cfg, scene, [BOS_ID] + ids[:-1])
     # per branch: one [1 x steps x d] gate per decoder layer, averaged over d, then layers
     step_means = {b: [g[0].mean(axis=1) for g in dec[f"decoder_gates_{b}"]]
                   for b in BRANCH_NAMES if f"decoder_gates_{b}" in dec}

@@ -7,22 +7,22 @@ sublayer attends the self-attended states over EVERY active encoder branch
 context elementwise with the sigmoid of W [Y; C_b] + b, and sums the gated
 contexts — a plain sum, not an average.
 
-The branches share one leading axis (`CrossInputs`), every branch output
-padded to the longest of any scene, its padded keys masked by one key bias,
-so one attention, one gate affine and one sum serve them all. Each layer
-stores its per-branch cross q, k, v and gate affines on that axis, as
-[k x ...] tensors, in BRANCH_NAMES order.
+The branches share one leading axis (`CrossInputs`; `model.branch_axis`
+lays it out), every branch output padded to the longest of any scene, its
+padded keys masked by one key bias, so one attention, one gate affine and
+one sum serve them all. Each layer stores its per-branch cross q, k, v and
+gate affines on that axis, as [k x ...] tensors, in BRANCH_NAMES order.
 
-Teacher forcing (`decoder_forward`) runs the layer body (`decoder_layer`)
-on the tape, always for a batch at rank 3 (one scene is a batch of one),
-the batch's id sequences padded with PAD, with causal self attention over
-the whole sequence. Decoding (`CachedDecoder`) computes one new row per
-(scene, prefix) in one tapeless NumPy step over plain arrays, with the
-engine's softmax and layer-norm forwards. Its self attention reads the
-keys and values kept for the rest of the prefix, and its cross attention
-reads its own scene's keys and values. Both take the cross keys, values
-and key bias from `cross_keys_values` (the branch outputs projected once
-per layer). The decoder is causal, so the two agree to rounding.
+Teacher forcing (`decoder_forward`) runs the layer body (`decoder_layer`) on
+the tape, for a batch at rank 3, the batch's id sequences padded with PAD,
+with causal self attention over the whole sequence. Decoding
+(`CachedDecoder`) computes one new row per (scene, prefix) in one tapeless
+NumPy step over plain arrays, with the engine's softmax and layer-norm
+forwards. Its self attention reads the keys and values kept for the rest of
+the prefix, and its cross attention reads its own scene's keys and values.
+Both take the cross keys, values and key bias from `cross_keys_values` (the
+branch outputs projected once per layer). The decoder is causal, so the two
+agree to rounding.
 
 Decoding works through a batched `step_fn(prefixes) -> [len(prefixes) x V]`
 log-prob matrix, one row per prefix, so the strategies are testable against
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import BRANCH_NAMES
 from .data import BOS_ID, EOS_ID, pad_ids
 from .errors import ConfigError, ContractError
 from .nn import (
@@ -62,10 +61,9 @@ from .nn import (
     key_bias,
     layer_norm,
     linear,
-    pad_rows,
     sinusoidal_positions,
 )
-from .tensor import layer_norm_rows, no_grad, softmax_rows
+from .tensor import layer_norm_rows, softmax_rows
 
 
 @functools.cache
@@ -124,36 +122,13 @@ class CrossInputs:
     bias: np.ndarray  # [k x ... x 1 x 1 x N]: the padded keys' per-head key bias (`nn.key_bias`)
 
 
-def _check_scenes(scenes):
-    if not scenes:
-        raise ContractError("a decoder needs the branch outputs of at least one scene")
-    if any(set(s) != set(scenes[0]) for s in scenes):
-        raise ContractError("every scene must have the same branch outputs")
-    if any(len(out.data) == 0 for s in scenes for out in s.values()):
-        raise ContractError("every branch output of every scene needs at least one row to attend to")
-
-
-def pad_scenes(scenes):
-    """Many scenes' branch outputs on one branch axis: (branches, [k x S x N x
-    d], bool [k x S x N]), the k active branches in BRANCH_NAMES order and N
-    the longest branch output of any scene. Entry [i, s] holds branch i of
-    scene s, its rows first, zero rows after them, and the padding is True at
-    those zero rows (`nn.pad_rows`)."""
-    _check_scenes(scenes)
-    branches = tuple(b for b in BRANCH_NAMES if b in scenes[0])
-    if not branches:
-        raise ConfigError("decoder needs at least one branch output")
-    outs = [s[b] for b in branches for s in scenes]
-    counts = np.array([len(out.data) for out in outs]).reshape(len(branches), len(scenes))
-    return (branches, *pad_rows(outs, counts))
-
-
 def cross_keys_values(layers, scenes):
-    """Per layer, the CrossInputs of many scenes' branch outputs (`pad_scenes`):
-    the keys and values [k x S x N x d] are each branch projected through that
-    layer's cross-attention k and v. They depend only on the scenes, not on
-    the decoded rows. Every layer shares the one key bias of the padding."""
-    branches, padded, padding = pad_scenes(scenes)
+    """Per layer, the CrossInputs of S scenes on the branch axis (names,
+    [k x S x N x d], bool padding [k x S x N]; `model.branch_axis`): the keys
+    and values are each branch projected through that layer's cross-attention
+    k and v. They depend only on the scenes, not on the decoded rows. Every
+    layer shares the one key bias of the padding."""
+    branches, padded, padding = scenes
     bias = key_bias(padding[..., None, :])
     return [CrossInputs(branches, linear(padded, lp.cross.k), linear(padded, lp.cross.v), bias) for lp in layers]
 
@@ -187,21 +162,16 @@ def _check_bos(ids):
         raise ContractError(f"decoder input must start with BOS, got {list(ids[:3])}")
 
 
-def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
-    """Teacher-forced logits; position t predicts token t+1.
-
-    A list of B scenes' branch outputs and a list of B BOS-led id sequences
-    give [B x T x V], T the longest sequence. Shorter sequences are padded
-    with PAD, and their rows past the end mean nothing (a loss weights them
-    0). Every branch output is padded to the longest of any scene
-    (`pad_scenes`), with the padded keys masked, so row b equals scene b's
-    own forward to rounding. One scene's {branch: [N x d]} and one id
-    sequence run as a batch of one and give [T x V].
-    """
-    one = isinstance(branch_outputs, dict)
-    scenes, seqs = ([branch_outputs], [token_ids]) if one else (branch_outputs, list(token_ids))
-    if len(seqs) != len(scenes):
-        raise ContractError(f"{len(scenes)} scenes vs {len(seqs)} id sequences")
+def decoder_forward(layers, h, scenes, embed, out_proj, token_ids):
+    """Teacher-forced logits [S x T x V] of S scenes on the branch axis (as
+    `cross_keys_values` takes them) and S BOS-led id sequences; position t
+    predicts token t+1, T is the longest sequence. Shorter sequences are
+    padded with PAD, and their rows past the end mean nothing (a loss weights
+    them 0). The padded keys are masked, so row s equals scene s's own
+    forward to rounding."""
+    seqs = list(token_ids)
+    if len(seqs) != scenes[1].data.shape[1]:
+        raise ContractError(f"{scenes[1].data.shape[1]} scenes vs {len(seqs)} id sequences")
     for seq in seqs:
         _check_bos(list(seq))
     ids = pad_ids(seqs)
@@ -212,8 +182,7 @@ def decoder_forward(layers, h, branch_outputs, embed, out_proj, token_ids):
     for lp, cross in zip(layers, cross_keys_values(layers, scenes)):
         context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, bias=causal)
         y = decoder_layer(y, context, lp, h, cross)
-    logits = linear(y, out_proj)
-    return T.reshape(logits, logits.data.shape[1:]) if one else logits
+    return linear(y, out_proj)
 
 
 @dataclass
@@ -248,11 +217,11 @@ class _StepLayer:
 
 class CachedDecoder:
     """Incremental decoding of one or more scenes in lockstep: `step(rows)`
-    takes (scene, prefix) pairs, scene an index into the list of branch
-    outputs the decoder was made with, and returns the [len(rows) x V]
-    log-probs of the token after each prefix, row i equal to rounding to the
-    log softmax of the last row of `decoder_forward(prefix_i)` over scene i's
-    branch outputs.
+    takes (scene, prefix) pairs, scene an index into the S scenes on the
+    branch axis the decoder was made with (as `decoder_forward` takes them),
+    and returns the [len(rows) x V] log-probs of the token after each
+    prefix, row i equal to rounding to the log softmax of the last row of
+    `decoder_forward` on prefix i over its scene.
 
     On the first call every prefix must be [BOS]; on each later call every
     prefix must extend some prefix of the previous call by one token, for the
@@ -264,11 +233,11 @@ class CachedDecoder:
     of `T.log_softmax`. Each layer's constants are laid out once, when the
     decoder is made (`_StepLayer`): the self q, k and v affines fused, the
     gate affine split into its y and context halves, and every scene's
-    cross keys and values, padded as a teacher-forced batch pads them
-    (`cross_keys_values`), stored head-major, with the key bias teacher
-    forcing adds (`CrossInputs.bias`). The fused affine and the keys and
-    values are snapshots of the parameters at that time, so make a new
-    decoder after an update.
+    cross keys and values (`cross_keys_values`), stored head-major, with
+    the key bias teacher forcing adds (`CrossInputs.bias`). Making it
+    records on a live tape, so callers make it under `T.no_grad`. The fused
+    affine and the keys and values are snapshots of the parameters at that
+    time, so make a new decoder after an update.
     With one scene every row queries its keys without a gather; with many,
     each row gathers its own scene's, so a step costs in proportion to its
     rows. A call computes one new row per prefix: its self attention reads
@@ -278,9 +247,8 @@ class CachedDecoder:
 
     def __init__(self, layers, h, scenes, embed, out_proj):
         self.layers, self.h, self.embed, self.out_proj = layers, h, embed.data, out_proj
-        self.scenes = len(scenes)
-        with no_grad():
-            crosses = cross_keys_values(layers, scenes)
+        self.scenes = scenes[1].data.shape[1]
+        crosses = cross_keys_values(layers, scenes)
         self.steps = [_StepLayer.of(lp, cross, h) for lp, cross in zip(layers, crosses)]
         self.bias = crosses[0].bias  # [k x S x 1 x 1 x N]
         # each (scene, prefix) of the previous call -> its row in `self_kv`

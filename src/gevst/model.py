@@ -3,8 +3,10 @@
 Scenes are encoded in one pass (`encode_scenes`): every region, box and
 dense caption of the batch goes through its embedding or encoder at once,
 and fusion and GESA run over the scenes padded to [B x N x d], their padded
-keys masked. Each scene then takes its real rows (`encode_sample`). One
-scene alone is a batch of one, with no padded row and therefore no mask.
+keys masked. Each sample gets a Scene, its row of that batch
+(`encode_sample`), and the decoder reads Scenes on its branch axis
+(`branch_axis`). One scene alone is a batch of one, with no padded row and
+therefore no mask.
 
 Parameter layout (and with it the checkpoint manifest order) is fixed by the
 declaration order of ModelParams and the deterministic walker in nn. Only the
@@ -32,7 +34,7 @@ from .caption_encoder import CaptionEncoderParams, encode_captions, init_caption
 from .config import BRANCH_NAMES, TrainConfig
 from .decoder import CachedDecoder, decoder_forward, init_decoder_layer
 from .encoder import active_groups, encode_all, init_gesa_group, needs_fusion
-from .errors import ConfigError, GevstError, InputError
+from .errors import ConfigError, ContractError, GevstError, InputError
 from .fusion import init_fusion_cell
 from .geometry import embed_geometry, init_geometry, normalize_boxes
 from .nn import Layout, Linear, Tensor, bind_flat, init_embedding, init_linear, linear, pad_rows
@@ -109,7 +111,7 @@ def caption_ids(sample, vocab):
 class SceneBatch:
     """Branch outputs of B scenes from one padded pass (`encode_scenes`)."""
 
-    outputs: dict  # branch -> [B x N x d], N the most regions (vs, vv) or dense captions (ss, sv) of any scene
+    outputs: dict  # branch -> [B x N x d] in BRANCH_NAMES order, N the most regions (vs, vv) or dense captions (ss, sv)
     regions: list  # the region count of each scene
     captions: list  # the dense-caption count of each scene
 
@@ -151,32 +153,58 @@ def encode_scenes(params: ModelParams, cfg: TrainConfig, samples, vocab):
     return SceneBatch(outputs, [len(s.regions) for s in samples], [len(s.dense_captions) for s in samples])
 
 
+@dataclass
+class Scene:
+    """Scene `index` of a SceneBatch: one sample, as `branch_axis` reads it."""
+
+    batch: SceneBatch
+    index: int
+
+
 def encode_sample(params: ModelParams, cfg: TrainConfig, sample, vocab, encoded=None):
-    """Branch outputs {name: Tensor[N_branch x d]} for one dataset sample:
-    its real rows of scene i of a SceneBatch, one `index` per branch.
-    `encoded` = (the batch, i) hands out a sample encoded with others; without
-    it the sample is encoded alone, as a batch of one (no padded row, and so
-    no mask)."""
-    scenes, i = encoded or (encode_scenes(params, cfg, [sample], vocab), 0)
-    if (scenes.regions[i], scenes.captions[i]) != (len(sample.regions), len(sample.dense_captions)):
+    """One dataset sample as a Scene. `encoded` = (the batch, i) hands out
+    scene i of a SceneBatch, which must have the sample's region and
+    dense-caption counts, and records nothing; without it the sample is
+    encoded alone, as a batch of one (no padded row, and so no mask)."""
+    batch, i = encoded or (encode_scenes(params, cfg, [sample], vocab), 0)
+    if (batch.regions[i], batch.captions[i]) != (len(sample.regions), len(sample.dense_captions)):
         raise InputError(f"sample {sample.id}: {len(sample.regions)} regions and {len(sample.dense_captions)} dense "
-                         f"captions, but scene {i} of the batch has {scenes.regions[i]} and {scenes.captions[i]}")
-    rows = {"v": scenes.regions[i], "s": scenes.captions[i]}
-    return {b: T.index(out, (i, slice(0, rows[b[0]]))) for b, out in scenes.outputs.items()}
+                         f"captions, but scene {i} of the batch has {batch.regions[i]} and {batch.captions[i]}")
+    return Scene(batch, i)
 
 
-def caption_logits(params: ModelParams, cfg: TrainConfig, branch_outputs, token_ids):
-    """Teacher-forced logits: [T x V] for one scene's branch outputs and one
-    BOS-led id sequence, or [B x T x V] for a list of B scenes' branch outputs
-    and a list of B sequences, padded as `decoder.decoder_forward` says."""
-    return decoder_forward(params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out, token_ids)
+def branch_axis(scenes):
+    """S Scenes of one SceneBatch, in any order, repeats allowed, on the
+    decoder's branch axis: (the k branch names, [k x S x N x d], bool [k x S
+    x N]), N the longest branch output of the S scenes. Entry [i, s] holds
+    branch i of scenes[s]: its real rows, then zero rows, where the padding
+    is True. Recorded as a concat, a reshape and `nn.pad_rows`' two nodes."""
+    if not scenes or any(s.batch is not scenes[0].batch for s in scenes):
+        raise ContractError("the decoder reads the Scenes of one SceneBatch, at least one")
+    batch, at = scenes[0].batch, np.array([s.index for s in scenes])
+    table = T.concat(list(batch.outputs.values()), axis=1)  # [B x M x d]: each scene's rows, branch after branch
+    offsets = np.cumsum([0] + [out.data.shape[1] for out in batch.outputs.values()])[:-1]
+    counts = [np.take(batch.regions if b[0] == "v" else batch.captions, at) for b in batch.outputs]
+    return (tuple(batch.outputs), *pad_rows([T.reshape(table, (-1, table.data.shape[2]))], counts,
+                                            offsets[:, None] + at * table.data.shape[1]))
 
 
-def make_step_fn(params: ModelParams, cfg: TrainConfig, branch_outputs):
-    """Batched, stateful decoding step for one scene: `step(prefixes)` returns
+def caption_logits(params: ModelParams, cfg: TrainConfig, scenes, token_ids):
+    """Teacher-forced logits: [B x T x V] for a list of B Scenes of one
+    SceneBatch and a list of B BOS-led id sequences (`decoder_forward` over
+    their `branch_axis`), or [T x V] for one Scene and one sequence."""
+    one = isinstance(scenes, Scene)
+    scenes, seqs = ([scenes], [token_ids]) if one else (scenes, token_ids)
+    logits = decoder_forward(params.dec_layers, cfg.heads, branch_axis(scenes), params.dec_embed, params.out, seqs)
+    return T.reshape(logits, logits.data.shape[1:]) if one else logits
+
+
+def make_step_fn(params: ModelParams, cfg: TrainConfig, scene):
+    """Batched, stateful decoding step for one Scene: `step(prefixes)` returns
     the [len(prefixes) x V] log-probs of the next token after each prefix,
     tapeless. The first call takes [BOS] prefixes; each later call takes
     prefixes one token longer than some prefix of the call before (see
     `decoder.CachedDecoder`, here over the one scene)."""
-    decoder = CachedDecoder(params.dec_layers, cfg.heads, [branch_outputs], params.dec_embed, params.out)
+    with T.no_grad():
+        decoder = CachedDecoder(params.dec_layers, cfg.heads, branch_axis([scene]), params.dec_embed, params.out)
     return lambda prefixes: decoder([(0, p) for p in prefixes])

@@ -184,19 +184,20 @@ def flat_parameters(obj):
 # ------------------------------------------------------------------ padding
 
 
-def pad_rows(parts, counts):
-    """Rows laid out per entry and padded: `parts` are [n x d] tensors whose
-    rows, end to end, are entry after entry of `counts` (an int array of any
-    shape), counts[e] rows each. Returns ([*counts.shape x N x d], bool
-    [*counts.shape x N]), N the largest count: entry e's rows first, zero rows
-    after them, and the padding True at those zero rows. Recorded on the tape
-    when the parts are: one concat and one row gather."""
+def pad_rows(parts, counts, starts=None):
+    """Rows laid out per entry and padded: `parts` are [n x d] tensors, read as
+    their rows end to end, and entry e of `counts` (an int array of any shape)
+    is counts[e] of those rows from row starts[e] on (`starts` shaped like
+    counts; by default entry after entry, end to end). Returns ([*counts.shape
+    x N x d], bool [*counts.shape x N]), N the largest count: entry e's rows
+    first, zero rows after them, and the padding True at those zero rows.
+    Recorded on the tape when the parts are: one concat and one row gather."""
     counts = np.asarray(counts)
+    starts = np.cumsum(counts).reshape(counts.shape) - counts if starts is None else np.asarray(starts)
     padding = np.arange(counts.max()) >= counts[..., None]
-    rows = np.full(padding.shape, counts.sum())  # the zero row appended below
-    rows[~padding] = np.arange(counts.sum())
-    zero = Tensor(np.zeros((1, parts[0].data.shape[1])))
-    return T.embedding_lookup(T.concat(list(parts) + [zero]), rows), padding
+    table = T.concat(list(parts) + [Tensor(np.zeros((1, parts[0].data.shape[1])))])
+    rows = np.where(padding, len(table.data) - 1, starts[..., None] + np.arange(counts.max()))
+    return T.embedding_lookup(table, rows), padding
 
 
 def key_bias(padding):

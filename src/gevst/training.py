@@ -15,12 +15,13 @@ Both phases run one loop (`_optimize`) and differ only in their batch
 loss, learning-rate rule and streams. A batch is encoded on the tape by
 `encode_batch`: its scenes in one padded, masked pass (`model.encode_scenes`:
 the caption encoder, both fusion stacks and each GESA group run once over
-the batch), then each sample takes its real rows in its own `encode_sample`
-call. The loss comes from one padded, masked teacher-forced decoder pass over
-the whole batch (`decoder_forward` on lists): XE over the first
-ground-truth captions, SCST over the sampled captions with a non-zero
-advantage. SCST rolls a whole batch out in one lockstep decode, each
-sample drawing from its own stream. The backward adds every parameter's
+the batch), then each sample takes its row of that pass, a `model.Scene`
+(no tape node), in its own `encode_sample` call. The loss comes from one
+padded, masked teacher-forced decoder pass over a list of Scenes
+(`caption_logits`): XE over the whole batch's first ground-truth captions,
+SCST over the sampled captions with a non-zero advantage. SCST rolls a
+whole batch out in one lockstep decode, each sample drawing from its own
+stream. The backward adds every parameter's
 gradient straight into Adam's flat gradient vector (`Adam.sinks`), the one
 way gradients reach the optimizer; the optimizer step zeroes that vector
 again. Memory follows the forward's live set, which holds only what
@@ -68,7 +69,7 @@ from .data import (BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vo
                    parse_json, split_train_val, tokenize)
 from .decoder import CachedDecoder, beam_search, greedy_decode
 from .errors import ConfigError, ContractError, InputError, ParseError, SchemaError, TrainingDiverged
-from .model import caption_logits, encode_sample, encode_scenes, init_model, make_step_fn, model_layout
+from .model import branch_axis, caption_logits, encode_sample, encode_scenes, init_model, make_step_fn, model_layout
 from .nn import Tensor, flat_offsets, flat_parameters, flat_views, named_parameters, parameters
 from .tensor import Tape, no_grad
 from . import tensor as T
@@ -204,15 +205,15 @@ def caption_tokens(vocab, ids):
 
 def greedy_caption(params, cfg, vocab, sample):
     with no_grad():
-        branch = encode_sample(params, cfg, sample, vocab)
-    ids, logprob = greedy_decode(make_step_fn(params, cfg, branch), max_len=cfg.max_len)
+        scene = encode_sample(params, cfg, sample, vocab)
+    ids, logprob = greedy_decode(make_step_fn(params, cfg, scene), max_len=cfg.max_len)
     return caption_tokens(vocab, ids), logprob
 
 
 def beam_caption(params, cfg, vocab, sample, beam=None):
     with no_grad():
-        branch = encode_sample(params, cfg, sample, vocab)
-    ids, logprob, _ = beam_search(make_step_fn(params, cfg, branch), beam=cfg.beam if beam is None else beam, max_len=cfg.max_len)
+        scene = encode_sample(params, cfg, sample, vocab)
+    ids, logprob, _ = beam_search(make_step_fn(params, cfg, scene), beam=cfg.beam if beam is None else beam, max_len=cfg.max_len)
     return caption_tokens(vocab, ids), logprob
 
 
@@ -221,9 +222,9 @@ def references_of(samples):
 
 
 def encode_batch(params, cfg, samples, vocab):
-    """Each sample's branch outputs from one padded, masked pass over the
-    batch (`model.encode_scenes`), handed out by one `encode_sample` call per
-    sample with its row of that pass."""
+    """Each sample's Scene of one padded, masked pass over the batch
+    (`model.encode_scenes`), handed out by one `encode_sample` call per
+    sample."""
     scenes = encode_scenes(params, cfg, samples, vocab)
     return [encode_sample(params, cfg, s, vocab, (scenes, i)) for i, s in enumerate(samples)]
 
@@ -234,8 +235,8 @@ def greedy_captions(params, cfg, vocab, samples):
     `greedy_caption` on its scene alone unless two tokens tie to rounding
     (see `lockstep_decode` and `model.encode_scenes`)."""
     with no_grad():
-        branches = encode_batch(params, cfg, samples, vocab)
-    return [caption_tokens(vocab, ids) for ids in lockstep_decode(params, cfg, samples, branches)[1]]
+        scenes = encode_batch(params, cfg, samples, vocab)
+    return [caption_tokens(vocab, ids) for ids in lockstep_decode(params, cfg, samples, scenes)[1]]
 
 
 def corpus_cider(params, cfg, vocab, samples):
@@ -364,9 +365,9 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
     warmup_steps = cfg.warmup_epochs * max(1, math.ceil(len(train) / cfg.batch_size))
 
     def batch_loss(batch, _indices, _epoch):
-        branches = encode_batch(params, cfg, batch, vocab)
+        scenes = encode_batch(params, cfg, batch, vocab)
         inputs, targets = zip(*(teacher_pair(vocab, s.gt_captions[0]) for s in batch))
-        return xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets)), None
+        return xe_loss(caption_logits(params, cfg, scenes, inputs), pad_ids(targets)), None
 
     def lr_at(step):
         return noam_lr(step, cfg.d_model, warmup_steps) * cfg.lr_scale
@@ -375,10 +376,10 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
                      shuffle_tag=101, report="epoch {}: loss {:.6f}", log=log, stop_fn=stop_fn)
 
 
-def lockstep_decode(params, cfg, samples, branch_outputs, rngs=()):
+def lockstep_decode(params, cfg, samples, scenes, rngs=()):
     """Captions of many scenes advanced together through one CachedDecoder,
-    tapeless: scene i is `samples[i]` with its branch outputs
-    `branch_outputs[i]` (taped or not; only their data is read).
+    tapeless: scene i is `samples[i]` with its Scene `scenes[i]`, all of one
+    SceneBatch (taped or not; their branch axis is laid out off the tape).
 
     Each of the first len(rngs) scenes gets a caption sampled from its own
     stream rngs[i], one draw per token; every scene gets its greedy caption.
@@ -390,8 +391,9 @@ def lockstep_decode(params, cfg, samples, branch_outputs, rngs=()):
     stream, greedy ids per scene). When sampling, non-finite log-probs in
     any row raise TrainingDiverged, naming that row's sample, before the
     step draws anything."""
-    decoder = CachedDecoder(params.dec_layers, cfg.heads, branch_outputs, params.dec_embed, params.out)
-    sampled, greedy = [[BOS_ID] for _ in rngs], [[BOS_ID] for _ in branch_outputs]
+    with no_grad():
+        decoder = CachedDecoder(params.dec_layers, cfg.heads, branch_axis(scenes), params.dec_embed, params.out)
+    sampled, greedy = [[BOS_ID] for _ in rngs], [[BOS_ID] for _ in scenes]
     rows = ([(i, ids, rng) for i, (ids, rng) in enumerate(zip(sampled, rngs))]
             + [(i, ids, None) for i, ids in enumerate(greedy)])
     for _ in range(cfg.max_len):
@@ -412,19 +414,19 @@ def scst_rollouts(params, cfg, vocab, sample, rng):
     """(sampled ids, greedy ids) of one scene from the current policy,
     tapeless: `lockstep_decode` over that scene alone."""
     with no_grad():
-        branch = encode_sample(params, cfg, sample, vocab)
-    sampled, greedy = lockstep_decode(params, cfg, [sample], [branch], [rng])
+        scene = encode_sample(params, cfg, sample, vocab)
+    sampled, greedy = lockstep_decode(params, cfg, [sample], [scene], [rng])
     return sampled[0], greedy[0]
 
 
 def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step=0, log=None):
     """Self-critical phase from an XE-trained model. Each batch is encoded
-    once, on the tape (`encode_batch`); its sampled and greedy captions are rolled out in one
-    `lockstep_decode` from those branch outputs, and the loss is taught
-    through them, in one teacher-forced pass over the sampled captions with a
-    non-zero advantage. Sample `train[i]` draws from its own stream (seed,
-    303, epoch, i), so a rollout depends on neither the batch nor its order,
-    to the rounding `lockstep_decode` allows."""
+    once, on the tape (`encode_batch`); its sampled and greedy captions are
+    rolled out in one `lockstep_decode` from those Scenes, and the loss is
+    taught through them, in one teacher-forced pass over the sampled captions
+    with a non-zero advantage. Sample `train[i]` draws from its own stream
+    (seed, 303, epoch, i), so a rollout depends on neither the batch nor its
+    order, to the rounding `lockstep_decode` allows."""
     train, val = split_train_val(_captioned(samples))
     epochs = cfg.scst_epochs if epochs is None else epochs
     refs = references_of(train)
@@ -432,20 +434,20 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
     ref_by_id = {s.id: r for s, r in zip(train, refs)}
 
     def batch_loss(batch, indices, epoch):
-        branches = encode_batch(params, cfg, batch, vocab)
+        scenes = encode_batch(params, cfg, batch, vocab)
         rngs = [_epoch_rng(cfg.seed, 303, epoch, int(i)) for i in indices]
-        taught, rewards = [], []  # taught: (branch outputs, sampled ids, advantage)
-        rollouts = lockstep_decode(params, cfg, batch, branches, rngs)
-        for s, branch, sampled, greedy_ids in zip(batch, branches, *rollouts):
+        taught, rewards = [], []  # taught: (Scene, sampled ids, advantage)
+        rollouts = lockstep_decode(params, cfg, batch, scenes, rngs)
+        for s, scene, sampled, greedy_ids in zip(batch, scenes, *rollouts):
             r_s = scorer.sentence(caption_tokens(vocab, sampled), ref_by_id[s.id])
             advantage = r_s - scorer.sentence(caption_tokens(vocab, greedy_ids), ref_by_id[s.id])
             rewards.append(r_s)
-            if advantage != 0.0:  # otherwise its encode nodes get no gradient, and backward skips them
-                taught.append((branch, sampled, advantage))
+            if advantage != 0.0:  # otherwise its rows of the batch's encode get no gradient
+                taught.append((scene, sampled, advantage))
         if not taught:
             return None, rewards
-        branches, sampled, advantages = zip(*taught)
-        logits = caption_logits(params, cfg, list(branches), [[BOS_ID] + ids[:-1] for ids in sampled])
+        scenes, sampled, advantages = zip(*taught)
+        logits = caption_logits(params, cfg, list(scenes), [[BOS_ID] + ids[:-1] for ids in sampled])
         return reinforce_loss(logits, sampled, advantages), rewards
 
     out = _optimize("SCST", train, val, cfg, params, vocab, epochs, start_step, batch_loss,

@@ -219,7 +219,6 @@ def test_criterion_4_scalar_oracles(announce):
                                   U.gesa_oracle_params(lp), h)
         worst["gesa"] = max(worst["gesa"], U.max_abs_delta(got.data, ref["out"]))
 
-    from gevst.decoder import decoder_forward
     for _ in range(20):
         d, h, vocab_n = 8, 2, 7
         branches = ("ss", "sv", "vs", "vv")
@@ -230,7 +229,7 @@ def test_criterion_4_scalar_oracles(announce):
         out_proj = init_linear(rng, d, vocab_n)
         outs = {b: Tensor(rng.normal(size=(3, d))) for b in branches}
         ids = [BOS_ID] + [int(t) for t in rng.integers(3, vocab_n, 3)]
-        got = decoder_forward(layers, h, outs, embed, out_proj, ids).data
+        got = U.decoder_forward(layers, h, outs, embed, out_proj, ids).data
         ref = O.decoder_forward_oracle(
             ids, {b: O.mat(t.data) for b, t in outs.items()},
             U.decoder_oracle_layers(layers, branches), O.mat(embed.data),
@@ -270,16 +269,15 @@ def test_criterion_5_decoder_contracts(announce):
         U.randomize(lp, rng)
     embed = init_embedding(rng, vocab_n, 8)
     out_proj = init_linear(rng, 8, vocab_n)
-    outs = {b: Tensor(rng.normal(size=(3, 8))) for b in branches}
-    from gevst.decoder import decoder_forward
+    outs = {b: Tensor(rng.normal(size=(3, 8))) for b in branches}  # one scene, padded by the reference
     ids = [BOS_ID, 4, 5, 3, 4]
-    base = decoder_forward(layers, 2, outs, embed, out_proj, ids).data
+    base = U.decoder_forward(layers, 2, outs, embed, out_proj, ids).data
     causal_ok = True
     for k in range(1, 5):
         for v in range(vocab_n):
             changed = list(ids)
             changed[k] = v
-            got = decoder_forward(layers, 2, outs, embed, out_proj, changed).data
+            got = U.decoder_forward(layers, 2, outs, embed, out_proj, changed).data
             causal_ok = causal_ok and bool(np.array_equal(base[:k], got[:k]))
 
     beam1_ok = True

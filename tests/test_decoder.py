@@ -9,8 +9,7 @@ import oracles as O
 import util as U
 from gevst import tensor as T
 from gevst.data import BOS_ID, EOS_ID
-from gevst.decoder import (CachedDecoder, beam_search, cross_keys_values, decoder_forward,
-                           greedy_decode, modulated_multi_input)
+from gevst.decoder import CachedDecoder, beam_search, cross_keys_values, greedy_decode, modulated_multi_input
 from gevst.errors import ConfigError, ContractError
 from gevst.nn import Linear, Tensor, named_parameters
 from util import init_decoder_layer, init_embedding, init_linear
@@ -51,32 +50,32 @@ def test_causality_exhaustive(rng):
     vocab = 6
     layers, embed, out_proj, outs = small_model(rng, vocab=vocab)
     ids = [BOS_ID, 4, 5, 3, 4]  # T=5
-    base = decoder_forward(layers, 2, outs, embed, out_proj, ids).data
+    base = U.decoder_forward(layers, 2, outs, embed, out_proj, ids).data
     for k in range(1, len(ids)):
         for v in range(vocab):
             changed = list(ids)
             changed[k] = v
-            got = decoder_forward(layers, 2, outs, embed, out_proj, changed).data
+            got = U.decoder_forward(layers, 2, outs, embed, out_proj, changed).data
             assert np.array_equal(base[:k], got[:k])
     # prefixes reproduce the corresponding rows (BLAS blocking differs by
     # matrix shape, so only up to last-ulp noise)
     for k in range(1, len(ids) + 1):
-        got = decoder_forward(layers, 2, outs, embed, out_proj, ids[:k]).data
+        got = U.decoder_forward(layers, 2, outs, embed, out_proj, ids[:k]).data
         assert np.allclose(base[:k], got, atol=1e-12)
 
 
 def test_bos_required(rng):
     layers, embed, out_proj, outs = small_model(rng)
     with pytest.raises(ContractError):
-        decoder_forward(layers, 2, outs, embed, out_proj, [4, 5])
+        U.decoder_forward(layers, 2, outs, embed, out_proj, [4, 5])
     with pytest.raises(ContractError):
-        decoder_forward(layers, 2, outs, embed, out_proj, [])
+        U.decoder_forward(layers, 2, outs, embed, out_proj, [])
 
 
 def test_matches_scalar_oracle(rng):
     layers, embed, out_proj, outs = small_model(rng, branches=("ss", "sv", "vs", "vv"))
     ids = [BOS_ID, 4, 5, 3]
-    got = decoder_forward(layers, 2, outs, embed, out_proj, ids).data
+    got = U.decoder_forward(layers, 2, outs, embed, out_proj, ids).data
     ref = O.decoder_forward_oracle(
         ids, {b: O.mat(t.data) for b, t in outs.items()},
         U.decoder_oracle_layers(layers, ("ss", "sv", "vs", "vv")), O.mat(embed.data),
@@ -98,7 +97,7 @@ def test_teacher_forcing_matches_callback_reference_to_rounding(rng, branches):
     probe = Tensor(rng.normal(size=(len(ids), 6)))
     tensors = [t for _, t in named_parameters((layers, embed, out_proj))] + list(outs.values())
     runs = []
-    for forward in (decoder_forward, U.reference_decoder_forward):
+    for forward in (U.decoder_forward, U.reference_decoder_forward):
         with T.Tape() as tape:
             logits = forward(layers, 2, outs, embed, out_proj, ids)
             tape.backward(T.total_sum(T.mul(logits, probe)))
@@ -132,7 +131,7 @@ def test_branch_axis_matches_the_branch_loop(rng, branches):
     probe = Tensor(rng.normal(size=(3, 5, 6)))
     tensors = [t for _, t in named_parameters((layers, embed, out_proj))] + [o for s in scenes for o in s.values()]
     runs = []
-    for forward in (decoder_forward, U.branch_loop_decoder_forward):
+    for forward in (U.decoder_forward, U.branch_loop_decoder_forward):
         with T.Tape() as tape:
             logits = forward(layers, 2, scenes, embed, out_proj, seqs)
             tape.backward(T.total_sum(T.mul(logits, probe)))
@@ -144,7 +143,7 @@ def test_branch_axis_matches_the_branch_loop(rng, branches):
         assert U.max_abs_delta(got, want) <= 1e-12
 
     def loss(_):
-        return T.total_sum(T.mul(decoder_forward(layers, 2, scenes, embed, out_proj, seqs), probe))
+        return T.total_sum(T.mul(U.decoder_forward(layers, 2, scenes, embed, out_proj, seqs), probe))
 
     b = branches[-1]
     targets = [U.stored_slice(layers, name, branches)
@@ -163,7 +162,7 @@ def test_garbage_in_padded_keys_and_values_changes_no_real_row(rng, layout):
     one row per scene (y [S x 1 x d]), and one scene's shared keys."""
     layers, _, _, _ = small_model(rng, branches=ALL_BRANCHES)
     with T.no_grad():
-        cross = cross_keys_values(layers, scenes_around_eight_keys(rng, ALL_BRANCHES))[0]
+        cross = cross_keys_values(layers, U.pad_scenes(scenes_around_eight_keys(rng, ALL_BRANCHES)))[0]
     lp = layers[0]
     keys, values, bias = cross.keys.data, cross.values.data, cross.bias
     y_shape = {"batch": (3, 4, 8), "rows": (3, 1, 8), "one_scene": (4, 8)}[layout]
@@ -194,14 +193,15 @@ CACHED_LAYERS = [pytest.param(2, id="sigmoid-2"), pytest.param(5, id="sigmoid-5"
 
 def cached_and_oracle(rng, branches, n_layers):
     """A fresh cached step for a random model, and the full-prefix oracle:
-    the log softmax of decoder_forward's last row on the whole prefix."""
+    the log softmax of decoder_forward's last row on the whole prefix, the
+    scene laid on the branch axis by the reference `pad_scenes`."""
     layers, embed, out_proj, outs = small_model(rng, n_layers=n_layers, branches=branches)
 
     def oracle(prefix):
-        row = decoder_forward(layers, 2, outs, embed, out_proj, prefix).data[-1]
+        row = U.decoder_forward(layers, 2, outs, embed, out_proj, prefix).data[-1]
         return row - row.max() - np.log(np.exp(row - row.max()).sum())
 
-    return one_scene(CachedDecoder(layers, 2, [outs], embed, out_proj)), oracle
+    return one_scene(CachedDecoder(layers, 2, U.pad_scenes([outs]), embed, out_proj)), oracle
 
 
 def one_scene(decoder):
@@ -242,7 +242,7 @@ def test_cached_beam_steps_reorder_drop_and_duplicate_parents(rng, branches, n_l
 
 def test_cached_step_rejects_a_prefix_that_extends_no_previous_row(rng):
     layers, embed, out_proj, outs = small_model(rng)
-    step = one_scene(CachedDecoder(layers, 2, [outs], embed, out_proj))
+    step = one_scene(CachedDecoder(layers, 2, U.pad_scenes([outs]), embed, out_proj))
     for first in ([[BOS_ID, 4]], [[4]], [[]], []):
         with pytest.raises(ContractError):
             step(first)
@@ -259,7 +259,7 @@ def test_one_scene_step_matches_the_one_scene_decoder(rng, branches):
     """With one scene every row attends to the shared keys, as in the
     one-scene per-op decoder; the fused GEMMs round differently."""
     layers, embed, out_proj, outs = small_model(rng, branches=branches)
-    got = one_scene(CachedDecoder(layers, 2, [outs], embed, out_proj))
+    got = one_scene(CachedDecoder(layers, 2, U.pad_scenes([outs]), embed, out_proj))
     want = U.ReferenceCachedDecoder(layers, 2, outs, embed, out_proj)
     for prefixes in BEAM_CALLS:
         assert U.max_abs_delta(got(prefixes), want(prefixes)) <= 1e-12
@@ -277,13 +277,14 @@ def test_step_matches_teacher_forcing_on_drawn_models_scenes_and_parents(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     layers, embed, out_proj, _ = small_model(rng, n_layers=data.draw(st.integers(1, 3)), branches=branches)
     scenes = [{b: Tensor(rng.normal(size=(n_v if b[0] == "v" else n_s, 8))) for b in branches} for n_v, n_s in counts]
-    step = CachedDecoder(layers, 2, scenes, embed, out_proj)
+    step = CachedDecoder(layers, 2, U.pad_scenes(scenes), embed, out_proj)
     rows = [(scene, (BOS_ID,)) for scene in data.draw(st.lists(st.integers(0, len(scenes) - 1), min_size=1, max_size=5))]
     for _ in range(data.draw(st.integers(1, 4))):
         got = step(rows)
         assert got.shape == (len(rows), 6) and got.max() <= 0.0
         for (scene, prefix), row in zip(rows, got):
-            want = T.log_softmax(decoder_forward(layers, 2, scenes[scene], embed, out_proj, list(prefix))).data[-1]
+            logits = U.decoder_forward(layers, 2, scenes[scene], embed, out_proj, list(prefix))
+            want = T.log_softmax(logits).data[-1]
             assert U.max_abs_delta(row, want) <= 1e-12
         children = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 5))
         rows = [(rows[i][0], rows[i][1] + (token,)) for i, token in data.draw(st.lists(children, min_size=1, max_size=5))]
@@ -307,8 +308,8 @@ def test_many_scene_steps_match_per_scene_steps(rng, n_layers):
     # (scene, caption) rows: scenes 0 and 1 decode the same tokens; each row
     # drops out once its caption is spent, scene 2 before the others
     captions = [(0, shared), (1, shared), (2, [3, 3]), (3, [5, 1, 2]), (3, [5, 0, 1, 1, 3, 2, 4]), (0, [2])]
-    many = CachedDecoder(layers, 2, scenes, embed, out_proj)
-    alone = [CachedDecoder(layers, 2, [s], embed, out_proj) for s in scenes]
+    many = CachedDecoder(layers, 2, U.pad_scenes(scenes), embed, out_proj)
+    alone = [CachedDecoder(layers, 2, U.pad_scenes([s]), embed, out_proj) for s in scenes]
     for t in range(max(len(c) for _, c in captions) + 1):
         rows = [(scene, [BOS_ID] + c[:t]) for scene, c in captions if len(c) >= t]
         got = many(rows)
@@ -327,18 +328,18 @@ def test_a_non_finite_scene_spoils_only_its_own_rows(rng):
     layers, embed, out_proj, _ = small_model(rng, branches=("ss", "sv", "vs", "vv"))
     scenes = desk_shaped_scenes(rng)
     scenes[1]["vv"].data[0, 0] = np.inf
-    many = CachedDecoder(layers, 2, scenes, embed, out_proj)
+    many = CachedDecoder(layers, 2, U.pad_scenes(scenes), embed, out_proj)
     rows = [(scene, [BOS_ID]) for scene in range(4)]
     got = many(rows)
     assert not np.isfinite(got[1]).any()
     for scene in (0, 2, 3):
-        want = CachedDecoder(layers, 2, [scenes[scene]], embed, out_proj)([(0, [BOS_ID])])
+        want = CachedDecoder(layers, 2, U.pad_scenes([scenes[scene]]), embed, out_proj)([(0, [BOS_ID])])
         assert U.max_abs_delta(got[scene], want[0]) <= 1e-12
 
 
 def test_many_scene_step_rejects_rows_outside_their_scene(rng):
     layers, embed, out_proj, _ = small_model(rng, branches=("ss", "sv", "vs", "vv"))
-    step = CachedDecoder(layers, 2, desk_shaped_scenes(rng)[:2], embed, out_proj)
+    step = CachedDecoder(layers, 2, U.pad_scenes(desk_shaped_scenes(rng)[:2]), embed, out_proj)
     for bad in ([(2, [BOS_ID])], [(-1, [BOS_ID])], [(0, [BOS_ID]), (5, [BOS_ID])]):
         with pytest.raises(ContractError, match="scene"):
             step(bad)
@@ -350,17 +351,6 @@ def test_many_scene_step_rejects_rows_outside_their_scene(rng):
             step(bad)
     # a rejected call leaves the cache as it was
     assert step([(0, [BOS_ID, 4, 5]), (0, [BOS_ID, 4, 1])]).shape == (2, 6)
-
-
-def test_decoder_needs_scenes_with_the_same_branches(rng):
-    layers, embed, out_proj, outs = small_model(rng)
-    with pytest.raises(ContractError):
-        CachedDecoder(layers, 2, [], embed, out_proj)
-    with pytest.raises(ContractError):
-        CachedDecoder(layers, 2, [outs, {"ss": outs["ss"]}], embed, out_proj)
-    no_keys = {b: Tensor(out.data[:0]) for b, out in outs.items()}
-    with pytest.raises(ContractError, match="at least one row"):
-        CachedDecoder(layers, 2, [outs, no_keys], embed, out_proj)
 
 
 def test_greedy_tie_breaks_to_lowest_id():

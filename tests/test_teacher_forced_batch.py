@@ -3,17 +3,23 @@ one-scene pass it replaced in training: one sample at a time, summed; and
 the batch encode (`training.encode_batch`: one padded, masked pass over
 the batch's scenes, GESA branch groups on one axis) against each sample
 encoded alone, at [N x d], with the per-branch loop or the branch groups;
-and the weights stored on branch axes against the per-branch layout they
-replaced.
+the decoder's branch axis laid out from Scenes (`model.branch_axis`)
+against the reference that cut each scene out of its batch and padded the
+cuts again (tests/util.py: `scene_rows`, `pad_scenes`), which also builds
+the decoder inputs of the per-sample references here; and the weights
+stored on branch axes against the per-branch layout they replaced.
 
 Desk batches mix region counts, dense-caption counts and caption lengths, so
 every branch output and every id sequence is padded somewhere in the batch.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles as O
 import util as U
@@ -22,9 +28,9 @@ from gevst import training as TR
 from gevst.ablation import axis_configs
 from gevst.config import FUSION_BASES, GESA_VARIANTS, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts, generate_dataset, pad_ids
-from gevst.decoder import decoder_forward, pad_scenes
+from gevst.decoder import decoder_forward
 from gevst.errors import ContractError, InputError
-from gevst.model import caption_logits, encode_sample, encode_scenes, init_model
+from gevst.model import branch_axis, caption_logits, encode_sample, encode_scenes, init_model
 from gevst.nn import Tensor, flat_parameters, named_parameters, parameters
 
 BRANCH_SETS = [("vv",), ("ss", "vs"), ("ss", "sv", "vs", "vv")]
@@ -50,29 +56,32 @@ def sampled_captions(vocab, n, seed=1):
     return caps
 
 
+# Scenes run the package's pass; branch-output dicts the reference's (`U.caption_logits`).
+
+
 def xe_batch(params, cfg, vocab, samples, branches):
     inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
-    return TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
+    return TR.xe_loss(U.caption_logits(params, cfg, branches, inputs), pad_ids(targets))
 
 
 def xe_loop(params, cfg, vocab, samples, branches):
     total = None
     for s, branch in zip(samples, branches):
         inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
-        loss = TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
+        loss = TR.xe_loss(U.caption_logits(params, cfg, branch, inputs), targets)
         total = loss if total is None else T.add(total, loss)
     return total
 
 
 def scst_batch(params, cfg, caps, advantages, branches):
-    logits = caption_logits(params, cfg, branches, [[BOS_ID] + c[:-1] for c in caps])
+    logits = U.caption_logits(params, cfg, branches, [[BOS_ID] + c[:-1] for c in caps])
     return TR.reinforce_loss(logits, caps, advantages)
 
 
 def scst_loop(params, cfg, caps, advantages, branches):
     total = None
     for c, a, branch in zip(caps, advantages, branches):
-        logits = caption_logits(params, cfg, branch, [BOS_ID] + c[:-1])
+        logits = U.caption_logits(params, cfg, branch, [BOS_ID] + c[:-1])
         loss = T.mul(TR.sequence_logprob(logits, c), -a)
         total = loss if total is None else T.add(total, loss)
     return total
@@ -80,12 +89,13 @@ def scst_loop(params, cfg, caps, advantages, branches):
 
 def loss_and_grads(params, cfg, vocab, samples, loss_fn):
     """(loss, every parameter's gradient, every branch output's gradient) of
-    loss_fn(branch outputs) with the samples encoded on the same tape."""
+    loss_fn(branch outputs) with the samples encoded on the same tape, each
+    alone and cut out of its batch of one (`U.scene_rows`)."""
     tensors = parameters(params)
     for t in tensors:
         t.grad = None
     with T.Tape() as tape:
-        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+        branches = [U.scene_rows(encode_sample(params, cfg, s, vocab)) for s in samples]
         loss = loss_fn(branches)
         tape.backward(loss)
     grads = [t.grad for t in tensors]
@@ -138,7 +148,7 @@ def test_a_sample_does_not_depend_on_its_batch():
         logits = []
 
         def xe_of_sample(branches):
-            full = caption_logits(params, cfg, branches, inputs)
+            full = U.caption_logits(params, cfg, branches, inputs)
             logits.append(full.data[at, :t_len].copy())
             row = O.narrow(T, O.narrow(T, full, 0, at, 1), 1, 0, t_len)
             return TR.xe_loss(row, [targets[at]])
@@ -165,7 +175,7 @@ def test_batched_pass_grad_check_on_the_miniature_config():
     caps = sampled_captions(vocab, 3, seed=4)
 
     def loss(_):
-        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+        branches = TR.encode_batch(params, cfg, samples, vocab)
         return T.add(xe_batch(params, cfg, vocab, samples, branches),
                      scst_batch(params, cfg, caps, [0.6, -0.4, 1.5], branches))
 
@@ -179,11 +189,12 @@ def test_batched_pass_grad_check_on_the_miniature_config():
 
 
 def test_pad_scenes_lays_each_scene_first_then_zero_rows(rng):
-    """Every branch of every scene is padded to the longest of them all, on a
-    branch axis in BRANCH_NAMES order, whatever order the scenes name them in."""
+    """The reference pads every branch of every scene to the longest of them
+    all, on a branch axis in BRANCH_NAMES order, whatever order the scenes
+    name them in."""
     counts = {"vv": (2, 4, 1), "ss": (3, 1, 2)}
     scenes = [{b: Tensor(rng.normal(size=(counts[b][i], 4))) for b in ("vv", "ss")} for i in range(3)]
-    branches, padded, padding = pad_scenes(scenes)
+    branches, padded, padding = U.pad_scenes(scenes)
     assert branches == ("ss", "vv")
     assert padded.data.shape == (2, 3, 4, 4)
     assert padding.tolist() == [[[False] * 3 + [True], [False] + [True] * 3, [False] * 2 + [True] * 2],
@@ -198,16 +209,75 @@ def test_pad_scenes_lays_each_scene_first_then_zero_rows(rng):
 def test_batched_forward_contracts():
     cfg, samples, vocab, params = desk_batch(("vv",), n=2)
     with T.no_grad():
-        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
+        scenes = TR.encode_batch(params, cfg, samples, vocab)
+        alone = encode_sample(params, cfg, samples[1], vocab)
+        axis = branch_axis(scenes)
     layers, embed, out = params.dec_layers, params.dec_embed, params.out
     with pytest.raises(ContractError, match="2 scenes vs 1 id sequences"):
-        decoder_forward(layers, cfg.heads, branches, embed, out, [[BOS_ID, 4]])
+        decoder_forward(layers, cfg.heads, axis, embed, out, [[BOS_ID, 4]])
     with pytest.raises(ContractError, match="must start with BOS"):
-        decoder_forward(layers, cfg.heads, branches, embed, out, [[BOS_ID, 4], [4, 5]])
-    with pytest.raises(ContractError, match="same branch outputs"):
-        decoder_forward(layers, cfg.heads, [branches[0], {}], embed, out, [[BOS_ID], [BOS_ID]])
+        decoder_forward(layers, cfg.heads, axis, embed, out, [[BOS_ID, 4], [4, 5]])
+    with pytest.raises(ContractError, match="one SceneBatch"):
+        caption_logits(params, cfg, [scenes[0], alone], [[BOS_ID], [BOS_ID]])
     with pytest.raises(ContractError, match="logit rows"):
-        TR.reinforce_loss(caption_logits(params, cfg, branches, [[BOS_ID, 4], [BOS_ID]]), [[4], [5]], [1.0, 1.0])
+        TR.reinforce_loss(caption_logits(params, cfg, scenes, [[BOS_ID, 4], [BOS_ID]]), [[4], [5]], [1.0, 1.0])
+
+
+BRANCH_ROWS = [cfg.branches for _, cfg in axis_configs("branches", TrainConfig())]
+
+
+@functools.cache
+def encoded_batch(row, miniature=False):
+    """The Scenes of six scenes encoded tapeless in one batch, with branch
+    row `row`: desk scenes at the desk config, or at the miniature config
+    with every branch output of the batch a leaf that needs a gradient."""
+    if not miniature:
+        cfg, samples, vocab, params = desk_batch(row)
+    else:
+        cfg = U.miniature_config(raw_feat_dim=32, min_count=1, enc_layers=1, branches=row)
+        samples = generate_dataset(4, 6)
+        vocab = build_vocab(corpus_texts(samples), 1)
+        params = init_model(cfg, len(vocab), np.random.default_rng(2))
+    with T.no_grad():
+        scenes = TR.encode_batch(params, cfg, samples, vocab)
+    batch = scenes[0].batch
+    if miniature:
+        batch.outputs = {b: Tensor(out.data, requires_grad=True) for b, out in batch.outputs.items()}
+    assert len(set(batch.regions)) > 1 and len(set(batch.captions)) > 1
+    return scenes
+
+
+@pytest.mark.parametrize("row", BRANCH_ROWS, ids="+".join)
+@given(st.data())
+def test_branch_axis_matches_the_reference_on_any_scenes_of_a_batch(row, data):
+    """Any subset of a desk batch's Scenes, in any order, with repeats, on the
+    decoder's branch axis (`model.branch_axis`): the branch names, the bits
+    of the padded tensor and the padding of the reference (each scene's
+    rows cut out with one `index` per branch, then padded again by
+    `pad_scenes`). The same picks of a miniature batch pass a grad check of
+    every branch output through the gather, repeats summing their
+    gradients. An empty list, and Scenes of two batches, raise ContractError."""
+    desk, mini = encoded_batch(row), encoded_batch(row, miniature=True)
+    at = data.draw(st.lists(st.integers(0, len(desk) - 1), min_size=1, max_size=8), label="scenes")
+    with T.no_grad():
+        got = branch_axis([desk[i] for i in at])
+        want = U.pad_scenes([U.scene_rows(desk[i]) for i in at])
+    assert got[0] == want[0] and len(got[0]) == len(row)
+    assert got[1].data.shape == want[1].data.shape and got[1].data.tobytes() == want[1].data.tobytes()
+    assert np.array_equal(got[2], want[2])
+
+    picked = [mini[i] for i in at]
+    probe = Tensor(np.random.default_rng(len(at)).normal(size=branch_axis(picked)[1].data.shape))
+
+    def loss(_):
+        return T.total_sum(T.mul(branch_axis(picked)[1], probe))
+
+    for out in mini[0].batch.outputs.values():
+        assert U.grad_check(loss, out, max_coords=8, rng=np.random.default_rng(0), floor=1e-5) < 1e-6
+    with pytest.raises(ContractError, match="one SceneBatch"):
+        branch_axis([])
+    with pytest.raises(ContractError, match="one SceneBatch"):
+        branch_axis(picked + [desk[0]])
 
 
 def lengthened(samples, vocab):
@@ -316,8 +386,8 @@ def test_a_batch_of_one_is_bit_identical_to_the_one_scene_encode():
     flat_parameters(params)
     for s in samples:
         runs = []
-        for encode in (lambda: encode_sample(params, cfg, s, vocab),
-                       lambda: TR.encode_batch(params, cfg, [s], vocab)[0],
+        for encode in (lambda: U.scene_rows(encode_sample(params, cfg, s, vocab)),
+                       lambda: U.scene_rows(TR.encode_batch(params, cfg, [s], vocab)[0]),
                        lambda: U.branch_loop_encode_sample(params, cfg, s, vocab)):
             with T.no_grad(), T.recording() as rec:
                 outs = encode()
@@ -328,12 +398,17 @@ def test_a_batch_of_one_is_bit_identical_to_the_one_scene_encode():
 
 
 def test_encode_sample_checks_its_row_of_the_batch():
+    """A sample's Scene names its row of the batch, records no tape node, and
+    must have the sample's region and dense-caption counts."""
     cfg, samples, vocab, params = desk_batch(("vv", "ss"), n=3)
     scenes = encode_scenes(params, cfg, samples, vocab)
     assert len({len(s.regions) for s in samples}) > 1
     with pytest.raises(InputError, match="scene 1 of the batch"):
         encode_sample(params, cfg, samples[0], vocab, (scenes, 1))
-    rows = encode_sample(params, cfg, samples[1], vocab, (scenes, 1))
+    with T.Tape() as tape:
+        scene = encode_sample(params, cfg, samples[1], vocab, (scenes, 1))
+    assert tape.nodes == [] and scene.batch is scenes and scene.index == 1
+    rows = U.scene_rows(scene)
     assert rows["vv"].data.shape[0] == len(samples[1].regions)
     assert rows["ss"].data.shape[0] == len(samples[1].dense_captions)
 

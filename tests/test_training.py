@@ -15,7 +15,7 @@ from gevst.data import (BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts,
 from gevst.errors import (ConfigError, ContractError, ParseError, SchemaError,
                           TrainingDiverged)
 from gevst.decoder import beam_search, greedy_decode
-from gevst.model import caption_logits, encode_sample, init_model, make_step_fn
+from gevst.model import branch_axis, caption_logits, encode_sample, init_model, make_step_fn
 from gevst.nn import Tensor, flat_parameters, named_parameters, parameters
 
 import oracles as O
@@ -580,30 +580,31 @@ def test_scst_rollouts_equal_two_separate_decodes():
 
 
 def desk_rollout_setup(n=8):
-    """Desk-config model at init and n desk scenes, each encoded tapeless."""
+    """Desk-config model at init and n desk scenes, encoded tapeless in one
+    batch: their Scenes."""
     cfg = TrainConfig()
     samples = generate_dataset(0, n)
     vocab = build_vocab(corpus_texts(samples), cfg.min_count)
     params = init_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
     with T.no_grad():
-        branches = [encode_sample(params, cfg, s, vocab) for s in samples]
-    return cfg, samples, vocab, params, branches
+        scenes = TR.encode_batch(params, cfg, samples, vocab)
+    return cfg, samples, vocab, params, scenes
 
 
 def test_batched_rollouts_equal_per_scene_rollouts():
-    cfg, samples, vocab, params, branches = desk_rollout_setup()
+    cfg, samples, vocab, params, scenes = desk_rollout_setup()
 
     def streams(order):
         return [TR._epoch_rng(cfg.seed, 303, 1, i) for i in order]
 
-    sampled, greedy_ids = TR.lockstep_decode(params, cfg, samples, branches, streams(range(8)))
+    sampled, greedy_ids = TR.lockstep_decode(params, cfg, samples, scenes, streams(range(8)))
     for i, s in enumerate(samples):
         assert TR.scst_rollouts(params, cfg, vocab, s, streams([i])[0]) == (sampled[i], greedy_ids[i])
     # rows leave the step at different lengths
     assert len({len(ids) for ids in sampled + greedy_ids}) > 2
     # neither the batch's composition nor its order moves a rollout
     back = list(range(7, 2, -1))
-    got = TR.lockstep_decode(params, cfg, [samples[i] for i in back], [branches[i] for i in back], streams(back))
+    got = TR.lockstep_decode(params, cfg, [samples[i] for i in back], [scenes[i] for i in back], streams(back))
     assert got == ([sampled[i] for i in back], [greedy_ids[i] for i in back])
 
 
@@ -614,7 +615,7 @@ def test_lockstep_greedy_captions_equal_per_scene_greedy():
 
 
 def test_batched_rollouts_name_the_sample_with_non_finite_log_probs(monkeypatch):
-    cfg, samples, vocab, params, branches = desk_rollout_setup(n=3)
+    cfg, samples, vocab, params, scenes = desk_rollout_setup(n=3)
 
     class PoisonedDecoder(TR.CachedDecoder):
         def __call__(self, rows):
@@ -625,11 +626,11 @@ def test_batched_rollouts_name_the_sample_with_non_finite_log_probs(monkeypatch)
     monkeypatch.setattr(TR, "CachedDecoder", PoisonedDecoder)
     rngs = [np.random.default_rng(i) for i in range(3)]
     with pytest.raises(TrainingDiverged, match=f"non-finite on sample {samples[1].id}$"):
-        TR.lockstep_decode(params, cfg, samples, branches, rngs)
+        TR.lockstep_decode(params, cfg, samples, scenes, rngs)
     # nothing was drawn
     assert [r.bit_generator.state for r in rngs] == [np.random.default_rng(i).bit_generator.state for i in range(3)]
     # greedy-only decoding draws nothing and, like greedy_decode, checks nothing
-    assert len(TR.lockstep_decode(params, cfg, samples, branches)[1]) == 3
+    assert len(TR.lockstep_decode(params, cfg, samples, scenes)[1]) == 3
 
 
 def test_desk_captions_equal_those_of_the_per_op_step():
@@ -642,22 +643,25 @@ def test_desk_captions_equal_those_of_the_per_op_step():
     out = TR.train_xe(samples[:40], cfg, epochs=8)
     params, vocab, held = out.params, out.vocab, samples[40:]
     with T.no_grad():
-        branches = [encode_sample(params, cfg, s, vocab) for s in held]
+        scenes = TR.encode_batch(params, cfg, held, vocab)
+        axis = branch_axis(scenes)
 
-    def per_op(scenes):
-        decoder = U.PerOpCachedDecoder(params.dec_layers, cfg.heads, scenes, params.dec_embed, params.out)
+    def per_op(scene):
+        with T.no_grad():
+            decoder = U.PerOpCachedDecoder(params.dec_layers, cfg.heads, branch_axis([scene]), params.dec_embed,
+                                           params.out)
         return lambda prefixes: decoder([(0, p) for p in prefixes])
 
     captions = set()
-    for branch in branches:
+    for scene in scenes:
         for decode in (lambda step: greedy_decode(step, cfg.max_len), lambda step: beam_search(step, 5, cfg.max_len)):
-            (ids, *got), (want_ids, *want) = decode(make_step_fn(params, cfg, branch)), decode(per_op([branch]))
+            (ids, *got), (want_ids, *want) = decode(make_step_fn(params, cfg, scene)), decode(per_op(scene))
             assert ids == want_ids and U.max_abs_delta(got, want) <= 1e-12
             captions.add(tuple(ids))
     assert len(captions) > 6 and min(map(len, captions)) > 3  # the model says different things, in words
 
-    many = TR.CachedDecoder(params.dec_layers, cfg.heads, branches, params.dec_embed, params.out)
-    oracle = U.PerOpCachedDecoder(params.dec_layers, cfg.heads, branches, params.dec_embed, params.out)
+    many = TR.CachedDecoder(params.dec_layers, cfg.heads, axis, params.dec_embed, params.out)
+    oracle = U.PerOpCachedDecoder(params.dec_layers, cfg.heads, axis, params.dec_embed, params.out)
     rows = [(i, [BOS_ID]) for i in range(len(held))]
     while rows:
         got, want = many(rows), oracle(rows)
@@ -708,23 +712,27 @@ def test_captioning_inside_a_live_tape_records_nothing(caption):
 
 def test_desk_xe_tape_node_counts():
     """Pins the taped path at desk defaults: the batched XE loss of 8 scenes,
-    as training runs it (`encode_batch`), records 397 nodes (1923 with each
-    sample's fusion and GESA run on its own). 282 encode the batch in one
-    padded pass: the region projection and each side's geometry embedding
-    over every row of the batch, the caption encoder's one pass and one
-    gather of its rows per scene, the two fusion stacks at [B x N x d], and
-    each GESA group (ss+sv, vs+vv) on one branch axis over the padded batch:
-    per layer one pass over its content, with the group's stored [k x ...]
-    weights, a masked token mean for the gates and one `mix_maps` node; per
-    geometry kind one pass over all its (branch, layer) pairs, with the
-    stored [L*k x ...] projections, sliced per layer. Then 32 `index` nodes
-    hand each sample its real rows per branch, and 83 run the decoder and the
-    loss, each decoder layer's cross-attention recording the key and value
-    projections and 9 nodes on the branch axis, the first a `T.stack` that
-    repeats y once per branch. One scene's call, a batch of one with no
-    padded row and so no mask, records 358, the batch path's
-    caption gather (one concat and one row gather) and one row `index` per
-    branch (4) among them.
+    as training runs it (`encode_batch`), records 367 nodes (397 when each
+    sample took its rows with one `index` per branch and the decoder padded
+    them again; 1923 with each sample's fusion and GESA run on its own).
+    282 encode the batch in one padded pass: the region projection and each
+    side's geometry embedding over every row of the batch, the caption
+    encoder's one pass and one gather of its rows per scene, the two fusion
+    stacks at [B x N x d], and each GESA group (ss+sv, vs+vv) on one branch
+    axis over the padded batch: per layer one pass over its content, with
+    the group's stored [k x ...] weights, a masked token mean for the gates
+    and one `mix_maps` node; per geometry kind one pass over all its
+    (branch, layer) pairs, with the stored [L*k x ...] projections, sliced
+    per layer, and one `index` per branch out of its group. The Scenes that
+    `encode_sample` hands out record nothing. 4 lay the scenes on the
+    decoder's branch axis (`model.branch_axis`: one concat of the branch
+    outputs, one reshape, and `nn.pad_rows`' concat and row gather), and 81
+    run the decoder and the loss, each decoder layer's cross-attention
+    recording the key and value projections and 9 nodes on the branch axis,
+    the first a `T.stack` that repeats y once per branch. One scene's call,
+    a batch of one with no padded row and so no mask, records 356 (358 with
+    the per-branch `index` hand-out), the batch path's caption gather (one
+    concat and one row gather) and the 4 of the branch axis among them.
     Weights reach their nodes as stored: no `T.stack` node (the one op whose
     backward is `tuple`), `index` or `reshape` node takes a parameter; the 9
     stacks stack each group's contents, its repeated geometry inputs and
@@ -740,7 +748,7 @@ def test_desk_xe_tape_node_counts():
         branches = TR.encode_batch(params, cfg, samples, vocab)
         inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
         TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
-    assert len(tape.nodes) == 397
+    assert len(tape.nodes) == 367
 
     def weights_taken(op):
         return {owner[s] for _, node_inputs, bwd in tape.nodes if op(bwd) for s in node_inputs if s in owner}
@@ -754,7 +762,7 @@ def test_desk_xe_tape_node_counts():
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 358
+        assert len(tape.nodes) == 356
 
 
 def test_desk_decode_step_op_count():

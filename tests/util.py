@@ -3,7 +3,10 @@ small helpers shared across test modules (among them `miniature_config`,
 the smallest legal end-to-end setting, and `engine_ops`, which counts the
 engine ops a call runs), and earlier forms kept as references: the separate
 XE and SCST training loops that `training._optimize` replaced, the decoder
-that passed projections in as callbacks, the per-branch cross-attention loop
+that passed projections in as callbacks, the decoder inputs as they were
+before Scenes (per-scene branch-output dicts, cut from the batch by
+`scene_rows` and padded again by `pad_scenes`, and the `decoder_forward`
+and `caption_logits` that took them), the per-branch cross-attention loop
 that the branch axis replaced, the one-scene `CachedDecoder` that the
 many-scene one replaced and the per-op step that its array kernel replaced
 (`PerOpCachedDecoder`), beam search without its stop rule, the
@@ -32,13 +35,14 @@ from gevst import caption_encoder, decoder, encoder, fusion, geometry, nn
 from gevst.caption_encoder import CaptionEncoderParams, EncoderLayerParams, encode_captions
 from gevst.config import BRANCH_NAMES, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
-from gevst.decoder import CrossAttentionParams, DecoderLayerParams, _check_bos, _check_scenes, causal_bias
+from gevst.decoder import CrossAttentionParams, DecoderLayerParams, _check_bos, causal_bias
 from gevst.encoder import (GeometryProjections, GesaGroupParams, GesaLayerParams, active_groups, branch_forward,
                            encode_all, needs_fusion, variant_map_count)
-from gevst.errors import ContractError, ShapeError, TrainingDiverged
+from gevst.errors import ConfigError, ContractError, ShapeError, TrainingDiverged
 from gevst.fusion import AdditiveAttention, FusionCellParams, stack_fusion
 from gevst.geometry import embed_geometry, normalize_boxes
-from gevst.model import ModelParams, caption_ids, caption_logits, init_model
+from gevst import model as M
+from gevst.model import ModelParams, Scene, caption_ids, init_model
 from gevst.nn import (Ffn, LayerNorm, Layout, Linear, Tensor, attend, bind_flat, ffn, flat_views, layer_norm, linear,
                       named_parameters, parameters, sinusoidal_positions)
 
@@ -207,7 +211,7 @@ def grad_check(f, x, eps=1e-5, max_coords=None, rng=None, floor=1e-8, part=None)
 # The XE and SCST loops as they stood before they shared `training._optimize`,
 # except that each takes its batch loss from the package: the batch encoded
 # by `training.encode_batch`, then one teacher-forced pass over the batch
-# (`caption_logits` on lists of scenes), scored by `xe_loss` or
+# (`model.caption_logits` on lists of Scenes), scored by `xe_loss` or
 # `reinforce_loss`. They backpropagate into Tensor.grad and move
 # it into the optimizer's vector (`move_grads`), where the package's backward
 # adds gradients straight into that vector. Every package
@@ -292,7 +296,7 @@ def reference_train_xe(samples, cfg, epochs=None, params=None, vocab=None,
                     pair = TR.teacher_pair(vocab, s.gt_captions[0])
                     inputs.append(pair[0])
                     targets.append(pair[1])
-                loss = TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
+                loss = TR.xe_loss(M.caption_logits(params, cfg, branches, inputs), pad_ids(targets))
                 batch_loss = T.mul(loss, 1.0 / len(batch))
                 tape.backward(batch_loss)
             del tape
@@ -357,7 +361,7 @@ def reference_train_scst(samples, cfg, params, vocab, epochs=None, start_step=0,
                 if not taught:
                     continue
                 branches, sampled, advantages = zip(*taught)
-                logits = caption_logits(params, cfg, list(branches), [[BOS_ID] + ids[:-1] for ids in sampled])
+                logits = M.caption_logits(params, cfg, list(branches), [[BOS_ID] + ids[:-1] for ids in sampled])
                 batch_loss = T.mul(TR.reinforce_loss(logits, sampled, advantages), 1.0 / len(batch))
                 tape.backward(batch_loss)
             del tape
@@ -433,6 +437,62 @@ def reference_decoder_forward(layers, h, branch_outputs, embed, out_proj, token_
     for lp in layers:
         y = reference_decoder_layer(y, lp, h, branch_outputs, causal_self_attention)
     return linear(y, out_proj)
+
+
+# The decoder's inputs as they were before Scenes: each scene cut out of its
+# batch as a {branch: [N x d]} dict of its real rows (`scene_rows`, one
+# `index` per branch), and the dicts padded again onto the branch axis
+# (`pad_scenes`), the reference that `model.branch_axis` is held to.
+
+
+def _check_scenes(scenes):
+    if not scenes:
+        raise ContractError("a decoder needs the branch outputs of at least one scene")
+    if any(set(s) != set(scenes[0]) for s in scenes):
+        raise ContractError("every scene must have the same branch outputs")
+    if any(len(out.data) == 0 for s in scenes for out in s.values()):
+        raise ContractError("every branch output of every scene needs at least one row to attend to")
+
+
+def pad_scenes(scenes):
+    """Many scenes' branch outputs on one branch axis: (branches, [k x S x N x
+    d], bool [k x S x N]), the k active branches in BRANCH_NAMES order and N
+    the longest branch output of any scene. Entry [i, s] holds branch i of
+    scene s, its rows first, zero rows after them, and the padding is True at
+    those zero rows (`nn.pad_rows`)."""
+    _check_scenes(scenes)
+    branches = tuple(b for b in BRANCH_NAMES if b in scenes[0])
+    if not branches:
+        raise ConfigError("decoder needs at least one branch output")
+    outs = [s[b] for b in branches for s in scenes]
+    counts = np.array([len(out.data) for out in outs]).reshape(len(branches), len(scenes))
+    return (branches, *nn.pad_rows(outs, counts))
+
+
+def scene_rows(scene):
+    """A Scene's real rows of its batch, {branch: [N_branch x d]}, one `index`
+    per branch, as `model.encode_sample` handed them out before Scenes."""
+    batch, i = scene.batch, scene.index
+    rows = {"v": batch.regions[i], "s": batch.captions[i]}
+    return {b: T.index(out, (i, slice(0, rows[b[0]]))) for b, out in batch.outputs.items()}
+
+
+def decoder_forward(layers, h, scenes, embed, out_proj, token_ids):
+    """`decoder.decoder_forward` on branch-output dicts, as it took them
+    before Scenes: a list of B dicts and of B id sequences give [B x T x V],
+    one dict and one sequence [T x V], the dicts padded by `pad_scenes`."""
+    one = isinstance(scenes, dict)
+    scenes, seqs = ([scenes], [token_ids]) if one else (scenes, token_ids)
+    logits = decoder.decoder_forward(layers, h, pad_scenes(scenes), embed, out_proj, seqs)
+    return T.reshape(logits, logits.data.shape[1:]) if one else logits
+
+
+def caption_logits(params, cfg, scenes, token_ids):
+    """`model.caption_logits` on Scenes, and on branch-output dicts the same
+    pass through `decoder_forward` above."""
+    if isinstance(scenes, Scene) or isinstance(scenes, list) and isinstance(scenes[0], Scene):
+        return M.caption_logits(params, cfg, scenes, token_ids)
+    return decoder_forward(params.dec_layers, cfg.heads, scenes, params.dec_embed, params.out, token_ids)
 
 
 # The decoder's cross-attention as it stood before the branch axis: one
@@ -599,7 +659,7 @@ class ReferenceCachedDecoder:
 class PerOpCachedDecoder:
     def __init__(self, layers, h, scenes, embed, out_proj):
         self.layers, self.h, self.embed, self.out_proj = layers, h, embed, out_proj
-        self.scenes = len(scenes)
+        self.scenes = scenes[1].data.shape[1]
         with T.no_grad():
             self.cross = decoder.cross_keys_values(layers, scenes)
         if self.scenes == 1:

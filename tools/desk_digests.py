@@ -3,12 +3,20 @@ training recipe, which a change that means to keep training bit for bit
 must leave unchanged.
 
 The recipe: `train_xe(generate_dataset(0, 50), TrainConfig(val_every=10),
-epochs=10)`, then 2 SCST epochs from the trained model. Each digest is the
-first 16 hex characters of the sha256 over every named parameter's name and
-float64 bytes, in `named_parameters` order. The XE line adds its clip
-events; the SCST line its per-epoch mean sampled reward.
+epochs=10)`, then 2 SCST epochs from the trained model. Each of these two
+digests is the first 16 hex characters of the sha256 over every named
+parameter's name and float64 bytes, in `named_parameters` order. The XE
+line adds its clip events; the SCST line its per-epoch mean sampled reward.
 
-Run from the repository root (about 7 s on a 2-core x86-64 box):
+The XE model is the benchmark's decode_desk fixture (the same scenes,
+config and epochs), and a third line fingerprints what it decodes: the
+greedy and beam-5 captions of the 125 held-out scenes of decode_desk's
+seed 1, `generate_dataset(1, 175)[50:]`. Its digest is the first 16 hex
+characters of the sha256 over the repr of every (tokens, sum log-prob)
+pair, beam-5 then greedy per scene, and it adds the generated ids per
+caption, EOS included, as the benchmark counts them.
+
+Run from the repository root (about 10 s on a 2-core x86-64 box):
 
     python tools/desk_digests.py
 
@@ -29,7 +37,7 @@ import numpy as np  # noqa: E402
 from gevst.config import TrainConfig  # noqa: E402
 from gevst.data import generate_dataset  # noqa: E402
 from gevst.nn import named_parameters  # noqa: E402
-from gevst.training import train_scst, train_xe  # noqa: E402
+from gevst.training import beam_caption, greedy_caption, train_scst, train_xe  # noqa: E402
 
 
 def digest(params):
@@ -40,12 +48,22 @@ def digest(params):
     return h.hexdigest()[:16]
 
 
+def decode_digest(params, cfg, vocab):
+    captions = []
+    for s in generate_dataset(1, 175)[50:]:
+        captions += [beam_caption(params, cfg, vocab, s, beam=5), greedy_caption(params, cfg, vocab, s)]
+    ids = sum(len(tokens) + (len(tokens) < cfg.max_len) for tokens, _ in captions)
+    return hashlib.sha256(repr(captions).encode()).hexdigest()[:16], ids / len(captions)
+
+
 def main():
     samples, cfg = generate_dataset(0, 50), TrainConfig(val_every=10)
     xe = train_xe(samples, cfg, epochs=10)
     print(f"XE   {digest(xe.params)}  clip events {xe.diagnostics['clip_events']}")
+    decoded, per_caption = decode_digest(xe.params, cfg, xe.vocab)  # before SCST moves the parameters
     scst = train_scst(samples, cfg, xe.params, xe.vocab, epochs=2, start_step=xe.trained_steps)
     print(f"SCST {digest(scst.params)}  curve {', '.join(f'{v:.4f}' for _, v in scst.curve)}")
+    print(f"DECODE {decoded}  tokens per caption {per_caption:.4f}")
 
 
 if __name__ == "__main__":
