@@ -24,18 +24,15 @@ Both take the cross keys, values and key bias from `cross_keys_values` (the
 branch outputs projected once per layer). The decoder is causal, so the two
 agree to rounding.
 
-Decoding works through a batched `step_fn(prefixes) -> [len(prefixes) x V]`
-log-prob matrix, one row per prefix, so the strategies are testable against
-rigged models. Greedy takes the argmax (ties -> lowest token id); beam search
-advances all live hypotheses in one step call, ranks them by cumulative
-log-prob, completes them at EOS, and returns the completed hypothesis with
-the best sum-logprob/length score (truncated live hypotheses compete only
-when nothing completed). Generation stops at EOS or `max_len` tokens. Beam
-search also stops, with the same result, once no live hypothesis can
-complete above the best completed one: log-probs are <= 0, so a live
-hypothesis of sum `cum` completes with a mean log-prob of at most
-cum / max_len (the optimal-stopping bound of Huang et al. 2017, arXiv
-1709.07349).
+Every caption comes from one driver, `decode`, over a batched `step(rows)
+-> [len(rows) x V]` log-prob matrix, one row per (scene, prefix), so it is
+testable against rigged models. One step call per token advances every
+live hypothesis of every group: a beam (greedy is width 1, ties -> lowest
+id) ranked on arrays by cumulative log-prob, or a caption drawn from a
+stream. A beam returns the completed hypothesis of best sum / length score
+(truncated ones compete only when none completed). It stops at `max_len`,
+or once no live sum `cum` can complete above the best completed score:
+with log-probs <= 0, at most cum / max_len (Huang et al. 2017, 1709.07349).
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import BOS_ID, EOS_ID, pad_ids
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DecodeDiverged
 from .nn import (
     Ffn,
     LayerNorm,
@@ -298,46 +295,52 @@ class CachedDecoder:
 # ----------------------------------------------------------------- decoding
 
 
-def greedy_decode(step_fn, max_len):
-    """Argmax decoding; returns (generated ids, summed log-prob)."""
-    ids = [BOS_ID]
-    total = 0.0
+def decode(step, groups, max_len):
+    """One (generated ids, sum log-prob, sum / length score) per group
+    (scene, width, rng): a beam of that width over `scene`, or with an rng
+    one caption drawn from it. Each token is one `step(rows)` call over the
+    (scene, prefix) of every live hypothesis, in group then rank order; a
+    non-finite row raises DecodeDiverged before anything is drawn or ranked."""
+    if any(width < 1 for _, width, _ in groups):
+        raise ConfigError(f"beam width must be >= 1, got {min(width for _, width, _ in groups)}")
+    live, completed = [[((BOS_ID,), 0.0)] for _ in groups], [[] for _ in groups]
     for _ in range(max_len):
-        lp = step_fn([ids])[0]
-        nxt = int(np.argmax(lp))  # first max = lowest token id on ties
-        total += float(lp[nxt])
-        ids.append(nxt)
-        if nxt == EOS_ID:
+        rows = [(scene, ids) for (scene, _, _), hyps in zip(groups, live) for ids, _ in hyps]
+        if not rows:
             break
-    return ids[1:], total
+        logprobs = step(rows)
+        if not np.isfinite(logprobs).all():  # name the scene of the first row that is not finite
+            raise DecodeDiverged(rows[int(np.argmin(np.isfinite(logprobs).all(axis=1)))][0])
+        sums = np.array([cum for hyps in live for _, cum in hyps])[:, None] + logprobs
+        ends = np.cumsum([0] + [len(hyps) for hyps in live]).tolist()
+        for (_, width, rng), hyps, done, lo, hi in zip(groups, live, completed, ends, ends[1:]):
+            hyps[:] = _advance(hyps, logprobs[lo:hi], sums[lo:hi].ravel(), width, rng) if hyps else []
+            done += [h for h in hyps if h[0][-1] == EOS_ID]
+            hyps[:] = [h for h in hyps if h[0][-1] != EOS_ID]
+            if done and all(max(c / (len(i) - 1) for i, c in done) > cum / max_len for _, cum in hyps):
+                hyps.clear()  # none of them can complete above the best completed hypothesis
+    return [min(((list(ids[1:]), cum, cum / max(len(ids) - 1, 1)) for ids, cum in done or hyps),
+                key=lambda c: (-c[2], c[0])) for hyps, done in zip(live, completed)]
+
+
+def _advance(hyps, lp, sums, width, rng):
+    """The extensions (ids, sum) of `hyps` under rows lp and flat sums, best first by (-sum, ids): the `width`
+    best, only sums at or above the width-th best becoming tuples (ties included), or the one rng draws."""
+    v = lp.shape[1]
+    if rng is None:
+        cut = max(sums.size - width, 0)
+        kept = (sums >= np.partition(sums, cut)[cut]).nonzero()[0]
+    else:  # one hypothesis, one draw
+        kept = np.array([rng.choice(v, p=np.exp(lp[0]))])
+    return sorted(((hyps[i // v][0] + (i % v,), s) for i, s in zip(kept.tolist(), sums[kept].tolist())),
+                  key=lambda c: (-c[1], c[0]))[:width]
+
+
+def greedy_decode(step_fn, max_len):
+    """Beam search of width 1; returns (generated ids, summed log-prob)."""
+    return beam_search(step_fn, 1, max_len)[:2]
 
 
 def beam_search(step_fn, beam, max_len):
-    """Length-normalized beam search; returns (generated ids, sum log-prob, normalized score)."""
-    if beam < 1:
-        raise ConfigError(f"beam width must be >= 1, got {beam}")
-    live = [((BOS_ID,), 0.0)]
-    completed = []
-    for _ in range(max_len):
-        if not live:
-            break
-        candidates = []
-        for (ids, cum), lp in zip(live, step_fn([ids for ids, _ in live])):
-            for tok in range(len(lp)):
-                candidates.append((ids + (tok,), cum + float(lp[tok])))
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        live = []
-        for ids, cum in candidates[:beam]:
-            if ids[-1] == EOS_ID:
-                completed.append((ids, cum))
-            else:
-                live.append((ids, cum))
-        if completed:  # stop once no live hypothesis can complete above the best completed one
-            best = max(cum / (len(ids) - 1) for ids, cum in completed)
-            if all(best > cum / max_len for _, cum in live):
-                break
-    pool = completed if completed else live
-    scored = [(ids, cum, cum / (len(ids) - 1)) for ids, cum in pool]
-    scored.sort(key=lambda c: (-c[2], c[0]))
-    ids, cum, norm = scored[0]
-    return list(ids[1:]), cum, norm
+    """`decode` of one scene over plain prefixes; returns (generated ids, sum log-prob, normalized score)."""
+    return decode(lambda rows: step_fn([ids for _, ids in rows]), [(0, beam, None)], max_len)[0]

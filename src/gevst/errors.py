@@ -49,3 +49,11 @@ class SchemaError(GevstError):
 
 class TrainingDiverged(GevstError):
     """Loss became non-finite during optimization."""
+
+
+class DecodeDiverged(GevstError):
+    """A decoding step gave non-finite log-probs in a row of `scene`."""
+
+    def __init__(self, scene):
+        self.scene = scene
+        super().__init__(f"decoding log-probs became non-finite on scene {scene!r}")

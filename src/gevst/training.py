@@ -67,8 +67,8 @@ from . import metrics
 from .config import TrainConfig, config_from_dict
 from .data import (BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, Vocabulary, build_vocab, corpus_texts, pad_ids,
                    parse_json, split_train_val, tokenize)
-from .decoder import CachedDecoder, beam_search, greedy_decode
-from .errors import ConfigError, ContractError, InputError, ParseError, SchemaError, TrainingDiverged
+from .decoder import CachedDecoder, beam_search, decode, greedy_decode
+from .errors import ConfigError, ContractError, DecodeDiverged, InputError, ParseError, SchemaError, TrainingDiverged
 from .model import branch_axis, caption_logits, encode_sample, encode_scenes, init_model, make_step_fn, model_layout
 from .nn import Tensor, flat_offsets, flat_parameters, flat_views, named_parameters, parameters
 from .tensor import Tape, no_grad
@@ -382,32 +382,22 @@ def lockstep_decode(params, cfg, samples, scenes, rngs=()):
     SceneBatch (taped or not; their branch axis is laid out off the tape).
 
     Each of the first len(rngs) scenes gets a caption sampled from its own
-    stream rngs[i], one draw per token; every scene gets its greedy caption.
-    A caption leaves the step rows once it ends. A row's log-probs are those
-    of a lone decode of its scene to rounding (within 1e-12), whatever the
-    other scenes are, so a token can differ from a lone decode's only where
-    two candidates tie to that rounding, or a draw falls that close to an
-    edge of its stream's cumulative distribution. Returns (sampled ids per
-    stream, greedy ids per scene). When sampling, non-finite log-probs in
-    any row raise TrainingDiverged, naming that row's sample, before the
-    step draws anything."""
+    stream rngs[i]; every scene gets its greedy caption: the groups of one
+    `decoder.decode`, sampled first. A row's log-probs are those of a lone
+    decode of its scene to rounding (within 1e-12), whatever the other
+    scenes are, so a token can differ from a lone decode's only where two
+    candidates tie to that rounding, or a draw falls that close to an edge
+    of its stream's cumulative distribution. Returns (sampled ids per stream,
+    greedy ids per scene); a non-finite row raises TrainingDiverged naming its sample."""
     with no_grad():
         decoder = CachedDecoder(params.dec_layers, cfg.heads, branch_axis(scenes), params.dec_embed, params.out)
-    sampled, greedy = [[BOS_ID] for _ in rngs], [[BOS_ID] for _ in scenes]
-    rows = ([(i, ids, rng) for i, (ids, rng) in enumerate(zip(sampled, rngs))]
-            + [(i, ids, None) for i, ids in enumerate(greedy)])
-    for _ in range(cfg.max_len):
-        rows = [row for row in rows if row[1][-1] != EOS_ID]
-        if not rows:
-            break
-        logprobs = decoder([(scene, ids) for scene, ids, _ in rows])
-        finite = np.isfinite(logprobs).all(axis=1)
-        if rngs and not finite.all():
-            bad = samples[rows[int(np.argmin(finite))][0]]
-            raise TrainingDiverged(f"SCST policy log-probs became non-finite on sample {bad.id}")
-        for (_, ids, rng), lp in zip(rows, logprobs):
-            ids.append(int(np.argmax(lp)) if rng is None else int(rng.choice(len(lp), p=np.exp(lp))))
-    return [ids[1:] for ids in sampled], [ids[1:] for ids in greedy]
+    groups = [(i, 1, rng) for i, rng in enumerate(rngs)] + [(i, 1, None) for i in range(len(scenes))]
+    try:
+        captions = [ids for ids, _, _ in decode(decoder, groups, cfg.max_len)]
+    except DecodeDiverged as e:
+        policy = "SCST policy" if rngs else "greedy"
+        raise TrainingDiverged(f"{policy} log-probs became non-finite on sample {samples[e.scene].id}") from None
+    return captions[:len(rngs)], captions[len(rngs):]
 
 
 def scst_rollouts(params, cfg, vocab, sample, rng):
@@ -415,8 +405,7 @@ def scst_rollouts(params, cfg, vocab, sample, rng):
     tapeless: `lockstep_decode` over that scene alone."""
     with no_grad():
         scene = encode_sample(params, cfg, sample, vocab)
-    sampled, greedy = lockstep_decode(params, cfg, [sample], [scene], [rng])
-    return sampled[0], greedy[0]
+    return tuple(captions[0] for captions in lockstep_decode(params, cfg, [sample], [scene], [rng]))
 
 
 def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step=0, log=None):

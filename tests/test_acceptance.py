@@ -25,7 +25,7 @@ from gevst.config import TrainConfig
 from gevst.data import (BOS_ID, EOS_ID, PAD_ID, DenseCaption, Region, Sample,
                         build_vocab, corpus_texts, generate_dataset,
                         split_train_val)
-from gevst.decoder import beam_search, greedy_decode
+from gevst.decoder import beam_search
 from gevst.fusion import fusion_cell
 from gevst.geometry import BoundingBox
 from gevst.model import caption_logits, encode_sample, init_model
@@ -283,7 +283,7 @@ def test_criterion_5_decoder_contracts(announce):
     beam1_ok = True
     for seed in range(50):
         step = rigged_step(seed, vocab=5, peak=3.0)
-        g_ids, g_total = greedy_decode(U.batched(step), max_len=8)
+        g_ids, g_total = U.argmax_decode(U.batched(step), max_len=8)
         b_ids, b_cum, _ = beam_search(U.batched(step), beam=1, max_len=8)
         beam1_ok = beam1_ok and b_ids == g_ids and b_cum == g_total
 

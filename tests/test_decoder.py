@@ -2,15 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
 import util as U
 from gevst import tensor as T
 from gevst.data import BOS_ID, EOS_ID
-from gevst.decoder import CachedDecoder, beam_search, cross_keys_values, greedy_decode, modulated_multi_input
-from gevst.errors import ConfigError, ContractError
+from gevst.decoder import (CachedDecoder, beam_search, cross_keys_values, decode, greedy_decode,
+                           modulated_multi_input)
+from gevst.errors import ConfigError, ContractError, DecodeDiverged
 from gevst.nn import Linear, Tensor, named_parameters
 from util import init_decoder_layer, init_embedding, init_linear
 
@@ -367,7 +368,7 @@ def test_greedy_tie_breaks_to_lowest_id():
 def test_beam_one_equals_greedy():
     for seed in range(50):
         step = rigged_step(seed, vocab=5, peak=3.0)
-        g_ids, g_total = greedy_decode(U.batched(step), max_len=8)
+        g_ids, g_total = U.argmax_decode(U.batched(step), max_len=8)
         b_ids, b_cum, _ = beam_search(U.batched(step), beam=1, max_len=8)
         assert b_ids == g_ids
         assert b_cum == g_total
@@ -398,6 +399,12 @@ def test_beam_prefers_normalized_score():
     # [3, EOS]: mean log-prob log(0.5*0.88)/2 beats [EOS]: log(0.4)
     assert ids == [3, EOS_ID]
     assert abs(norm - (np.log(0.5) + np.log(0.88)) / 2.0) < 1e-12
+
+
+def test_decoding_no_tokens_gives_the_empty_caption():
+    step = U.batched(lambda p: np.log(np.full(4, 0.25)))
+    assert greedy_decode(step, 0) == ([], 0.0)
+    assert beam_search(step, 3, 0) == ([], 0.0, 0.0)
 
 
 def test_beam_width_validation():
@@ -437,3 +444,73 @@ def test_beam_stop_matches_the_search_without_it():
             runs.append(search(counted, beam, max_len))
         assert runs[0] == runs[1], f"seed {seed}"
     assert calls[0] < calls[1]
+
+
+def integer_rows(seed, low, vocab, normalized):
+    """A rigged (scene, prefix) -> log-prob row: integers from -low to 0, so
+    that sums of different paths tie exactly; for the scenes in
+    `normalized`, their log softmax, which a draw reads as probabilities."""
+
+    def row(scene, prefix):
+        r = np.random.default_rng(np.random.SeedSequence([seed, scene, *prefix]))
+        values = r.integers(-low, 1, size=vocab).astype(np.float64)
+        return values - np.log(np.exp(values).sum()) if scene in normalized else values
+
+    return row
+
+
+def drawn_caption(row, scene, rng, max_len):
+    """One caption of `scene` drawn token by token from rng: (ids, sum, score)."""
+    ids, cum = [BOS_ID], 0.0
+    while len(ids) <= max_len and ids[-1] != EOS_ID:
+        lp = row(scene, ids)
+        tok = int(rng.choice(len(lp), p=np.exp(lp)))
+        ids.append(tok)
+        cum += float(lp[tok])
+    return ids[1:], cum, cum / (len(ids) - 1)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_decode_groups_equal_their_references(data):
+    """Beam groups of every width equal the tuple-sorting search (beam 1 the
+    argmax decode too), and sampled groups a hand-written draw loop, bit for
+    bit in ids, sum and score, however the groups share a step."""
+    vocab, max_len, seed = data.draw(st.integers(2, 60)), data.draw(st.integers(1, 8)), data.draw(st.integers(0, 999))
+    groups = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 8), st.none() | st.integers(0, 3)),
+                                min_size=1, max_size=4))
+    groups = [(scene, 1 if draw is not None else width, draw) for scene, width, draw in groups]
+    row = integer_rows(seed, data.draw(st.integers(0, 4)), vocab, {s for s, _, draw in groups if draw is not None})
+    got = decode(lambda rows: np.stack([row(s, p) for s, p in rows]),
+                 [(s, width, None if draw is None else np.random.default_rng(draw)) for s, width, draw in groups],
+                 max_len)
+    assert len(got) == len(groups)
+    for (scene, width, draw), result in zip(groups, got):
+        if draw is not None:
+            assert result == drawn_caption(row, scene, np.random.default_rng(draw), max_len)
+            continue
+        alone = U.batched(lambda p, scene=scene: row(scene, p))
+        assert result == U.stopping_beam_search(alone, width, max_len)
+        if width == 1:
+            assert result[:2] == U.argmax_decode(alone, max_len)
+
+
+def test_beam_five_equals_the_reference_at_a_large_vocabulary():
+    def step(prefix):
+        logits = 3.0 * np.random.default_rng(np.random.SeedSequence([5, *prefix])).normal(size=10_000)
+        return T.log_softmax(Tensor(logits)).data
+
+    assert beam_search(U.batched(step), 5, 6) == U.stopping_beam_search(U.batched(step), 5, 6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("search", [lambda step: greedy_decode(step, 5), lambda step: beam_search(step, 3, 5)],
+                         ids=["greedy", "beam"])
+def test_one_scene_decoding_rejects_non_finite_log_probs(search, bad):
+    def step(prefix):
+        row = np.log(np.full(6, 1.0 / 6.0))
+        row[4] = bad if len(prefix) == 3 else row[4]
+        return row
+
+    with pytest.raises(DecodeDiverged, match="non-finite on scene 0$"):
+        search(U.batched(step))

@@ -629,8 +629,9 @@ def test_batched_rollouts_name_the_sample_with_non_finite_log_probs(monkeypatch)
         TR.lockstep_decode(params, cfg, samples, scenes, rngs)
     # nothing was drawn
     assert [r.bit_generator.state for r in rngs] == [np.random.default_rng(i).bit_generator.state for i in range(3)]
-    # greedy-only decoding draws nothing and, like greedy_decode, checks nothing
-    assert len(TR.lockstep_decode(params, cfg, samples, scenes)[1]) == 3
+    # greedy-only decoding checks every row as well: scene 1 does not decode to an empty caption
+    with pytest.raises(TrainingDiverged, match=f"greedy log-probs became non-finite on sample {samples[1].id}$"):
+        TR.lockstep_decode(params, cfg, samples, scenes)
 
 
 def test_desk_captions_equal_those_of_the_per_op_step():

@@ -9,7 +9,9 @@ before Scenes (per-scene branch-output dicts, cut from the batch by
 and `caption_logits` that took them), the per-branch cross-attention loop
 that the branch axis replaced, the one-scene `CachedDecoder` that the
 many-scene one replaced and the per-op step that its array kernel replaced
-(`PerOpCachedDecoder`), beam search without its stop rule, the
+(`PerOpCachedDecoder`), the argmax greedy decode and the tuple-sorting
+beam search that `decoder.decode` replaced (`argmax_decode`,
+`stopping_beam_search`), beam search without its stop rule, the
 whole-vector Adam step that the blocked `Adam.step` replaced, the
 per-branch GESA loop and per-sample caption pass that the branch groups and
 the batch's one caption-encoder pass replaced, the per-sample encode of a
@@ -564,6 +566,53 @@ def branch_loop_decoder_forward(layers, h, scenes, embed, out_proj, seqs):
         context = attend(linear(y, lp.self_q), linear(y, lp.self_k), linear(y, lp.self_v), h, bias=causal)
         y = branch_loop_decoder_layer(y, context, lp, h, cross)
     return linear(y, out_proj)
+
+
+def argmax_decode(step_fn, max_len):
+    """`decoder.greedy_decode` as it stood before greedy became beam search
+    of width 1: the argmax of each row (ties -> lowest token id); returns
+    (generated ids, summed log-prob)."""
+    ids = [BOS_ID]
+    total = 0.0
+    for _ in range(max_len):
+        lp = step_fn([ids])[0]
+        nxt = int(np.argmax(lp))  # first max = lowest token id on ties
+        total += float(lp[nxt])
+        ids.append(nxt)
+        if nxt == EOS_ID:
+            break
+    return ids[1:], total
+
+
+def stopping_beam_search(step_fn, beam, max_len):
+    """`decoder.beam_search` as it stood before `decoder.decode` ranked on
+    arrays: every (hypothesis, token) pair becomes a candidate tuple, all of
+    them sorted by (-sum, ids), with the stop rule."""
+    live = [((BOS_ID,), 0.0)]
+    completed = []
+    for _ in range(max_len):
+        if not live:
+            break
+        candidates = []
+        for (ids, cum), lp in zip(live, step_fn([ids for ids, _ in live])):
+            for tok in range(len(lp)):
+                candidates.append((ids + (tok,), cum + float(lp[tok])))
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        live = []
+        for ids, cum in candidates[:beam]:
+            if ids[-1] == EOS_ID:
+                completed.append((ids, cum))
+            else:
+                live.append((ids, cum))
+        if completed:  # stop once no live hypothesis can complete above the best completed one
+            best = max(cum / (len(ids) - 1) for ids, cum in completed)
+            if all(best > cum / max_len for _, cum in live):
+                break
+    pool = completed if completed else live
+    scored = [(ids, cum, cum / (len(ids) - 1)) for ids, cum in pool]
+    scored.sort(key=lambda c: (-c[2], c[0]))
+    ids, cum, norm = scored[0]
+    return list(ids[1:]), cum, norm
 
 
 def reference_beam_search(step_fn, beam, max_len):

@@ -14,9 +14,13 @@ greedy and beam-5 captions of the 125 held-out scenes of decode_desk's
 seed 1, `generate_dataset(1, 175)[50:]`. Its digest is the first 16 hex
 characters of the sha256 over the repr of every (tokens, sum log-prob)
 pair, beam-5 then greedy per scene, and it adds the generated ids per
-caption, EOS included, as the benchmark counts them.
+caption, EOS included, as the benchmark counts them. A fourth line
+fingerprints the greedy captions of those scenes decoded many at a time,
+as validation decodes them: `greedy_captions` over blocks of 8 scenes,
+the first 16 hex characters of the sha256 over the repr of every
+caption's tokens, in scene order.
 
-Run from the repository root (about 10 s on a 2-core x86-64 box):
+Run from the repository root (about 15 s on a 2-core x86-64 box):
 
     python tools/desk_digests.py
 
@@ -37,7 +41,7 @@ import numpy as np  # noqa: E402
 from gevst.config import TrainConfig  # noqa: E402
 from gevst.data import generate_dataset  # noqa: E402
 from gevst.nn import named_parameters  # noqa: E402
-from gevst.training import beam_caption, greedy_caption, train_scst, train_xe  # noqa: E402
+from gevst.training import beam_caption, greedy_caption, greedy_captions, train_scst, train_xe  # noqa: E402
 
 
 def digest(params):
@@ -48,22 +52,33 @@ def digest(params):
     return h.hexdigest()[:16]
 
 
-def decode_digest(params, cfg, vocab):
+def sha16(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def decode_digest(params, cfg, vocab, scenes):
     captions = []
-    for s in generate_dataset(1, 175)[50:]:
+    for s in scenes:
         captions += [beam_caption(params, cfg, vocab, s, beam=5), greedy_caption(params, cfg, vocab, s)]
     ids = sum(len(tokens) + (len(tokens) < cfg.max_len) for tokens, _ in captions)
-    return hashlib.sha256(repr(captions).encode()).hexdigest()[:16], ids / len(captions)
+    return sha16(captions), ids / len(captions)
+
+
+def lockstep_digest(params, cfg, vocab, scenes):
+    return sha16([c for i in range(0, len(scenes), 8) for c in greedy_captions(params, cfg, vocab, scenes[i:i + 8])])
 
 
 def main():
     samples, cfg = generate_dataset(0, 50), TrainConfig(val_every=10)
     xe = train_xe(samples, cfg, epochs=10)
     print(f"XE   {digest(xe.params)}  clip events {xe.diagnostics['clip_events']}")
-    decoded, per_caption = decode_digest(xe.params, cfg, xe.vocab)  # before SCST moves the parameters
+    held = generate_dataset(1, 175)[50:]
+    decoded, per_caption = decode_digest(xe.params, cfg, xe.vocab, held)  # before SCST moves the parameters
+    lockstep = lockstep_digest(xe.params, cfg, xe.vocab, held)
     scst = train_scst(samples, cfg, xe.params, xe.vocab, epochs=2, start_step=xe.trained_steps)
     print(f"SCST {digest(scst.params)}  curve {', '.join(f'{v:.4f}' for _, v in scst.curve)}")
     print(f"DECODE {decoded}  tokens per caption {per_caption:.4f}")
+    print(f"LOCKSTEP {lockstep}")
 
 
 if __name__ == "__main__":
