@@ -27,12 +27,13 @@ agree to rounding.
 Every caption comes from one driver, `decode`, over a batched `step(rows)
 -> [len(rows) x V]` log-prob matrix, one row per (scene, prefix), so it is
 testable against rigged models. One step call per token advances every
-live hypothesis of every group: a beam (greedy is width 1, ties -> lowest
-id) ranked on arrays by cumulative log-prob, or a caption drawn from a
-stream. A beam returns the completed hypothesis of best sum / length score
-(truncated ones compete only when none completed). It stops at `max_len`,
-or once no live sum `cum` can complete above the best completed score:
-with log-probs <= 0, at most cum / max_len (Huang et al. 2017, 1709.07349).
+live hypothesis of every group: a beam ranked on arrays by cumulative
+log-prob (greedy is width 1: ties of the rounded sum -> lowest id), or a
+caption drawn from a stream. A beam returns the completed hypothesis of
+best sum / length score (truncated ones compete only when none completed).
+It stops at `max_len`, or once no live sum `cum` can complete above the
+best completed score: with log-probs <= 0, at most cum / max_len (Huang et
+al. 2017, 1709.07349).
 """
 
 from __future__ import annotations
@@ -300,27 +301,40 @@ def decode(step, groups, max_len):
     (scene, width, rng): a beam of that width over `scene`, or with an rng
     one caption drawn from it. Each token is one `step(rows)` call over the
     (scene, prefix) of every live hypothesis, in group then rank order; a
-    non-finite row raises DecodeDiverged before anything is drawn or ranked."""
+    non-finite row raises DecodeDiverged before anything is drawn or ranked.
+    A beam ranks the rounded sums cum + lp, so at width 1 two log-probs
+    closer than the rounding of cum tie, and the lower token id wins."""
     if any(width < 1 for _, width, _ in groups):
         raise ConfigError(f"beam width must be >= 1, got {min(width for _, width, _ in groups)}")
-    live, completed = [[((BOS_ID,), 0.0)] for _ in groups], [[] for _ in groups]
+    live = [[((BOS_ID,), 0.0)] for _ in groups]  # per group, its (ids, sum) hypotheses, best first
+    completed = [[] for _ in groups]
     for _ in range(max_len):
         rows = [(scene, ids) for (scene, _, _), hyps in zip(groups, live) for ids, _ in hyps]
         if not rows:
             break
         logprobs = step(rows)
-        if not np.isfinite(logprobs).all():  # name the scene of the first row that is not finite
-            raise DecodeDiverged(rows[int(np.argmin(np.isfinite(logprobs).all(axis=1)))][0])
+        finite = np.isfinite(logprobs).all(axis=1)
+        if not finite.all():
+            raise DecodeDiverged(rows[int(np.argmin(finite))][0])  # the scene of the first row not finite
         sums = np.array([cum for hyps in live for _, cum in hyps])[:, None] + logprobs
-        ends = np.cumsum([0] + [len(hyps) for hyps in live]).tolist()
-        for (_, width, rng), hyps, done, lo, hi in zip(groups, live, completed, ends, ends[1:]):
-            hyps[:] = _advance(hyps, logprobs[lo:hi], sums[lo:hi].ravel(), width, rng) if hyps else []
-            done += [h for h in hyps if h[0][-1] == EOS_ID]
-            hyps[:] = [h for h in hyps if h[0][-1] != EOS_ID]
-            if done and all(max(c / (len(i) - 1) for i, c in done) > cum / max_len for _, cum in hyps):
-                hyps.clear()  # none of them can complete above the best completed hypothesis
-    return [min(((list(ids[1:]), cum, cum / max(len(ids) - 1, 1)) for ids, cum in done or hyps),
-                key=lambda c: (-c[2], c[0])) for hyps, done in zip(live, completed)]
+        start = 0
+        for g, (_, width, rng) in enumerate(groups):
+            n = len(live[g])
+            if not n:
+                continue
+            extended = _advance(live[g], logprobs[start:start + n], sums[start:start + n].ravel(), width, rng)
+            start += n
+            completed[g] += [h for h in extended if h[0][-1] == EOS_ID]
+            live[g] = [h for h in extended if h[0][-1] != EOS_ID]
+            if completed[g]:  # stop once no live hypothesis can complete above the best completed one
+                best = max(cum / (len(ids) - 1) for ids, cum in completed[g])
+                if all(best > cum / max_len for _, cum in live[g]):
+                    live[g] = []
+    results = []
+    for hyps, done in zip(live, completed):
+        scored = [(list(ids[1:]), cum, cum / max(len(ids) - 1, 1)) for ids, cum in done or hyps]
+        results.append(min(scored, key=lambda c: (-c[2], c[0])))
+    return results
 
 
 def _advance(hyps, lp, sums, width, rng):
@@ -332,8 +346,9 @@ def _advance(hyps, lp, sums, width, rng):
         kept = (sums >= np.partition(sums, cut)[cut]).nonzero()[0]
     else:  # one hypothesis, one draw
         kept = np.array([rng.choice(v, p=np.exp(lp[0]))])
-    return sorted(((hyps[i // v][0] + (i % v,), s) for i, s in zip(kept.tolist(), sums[kept].tolist())),
-                  key=lambda c: (-c[1], c[0]))[:width]
+    candidates = [(hyps[i // v][0] + (i % v,), s) for i, s in zip(kept.tolist(), sums[kept].tolist())]
+    candidates.sort(key=lambda c: (-c[1], c[0]))
+    return candidates[:width]
 
 
 def greedy_decode(step_fn, max_len):

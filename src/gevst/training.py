@@ -405,7 +405,8 @@ def scst_rollouts(params, cfg, vocab, sample, rng):
     tapeless: `lockstep_decode` over that scene alone."""
     with no_grad():
         scene = encode_sample(params, cfg, sample, vocab)
-    return tuple(captions[0] for captions in lockstep_decode(params, cfg, [sample], [scene], [rng]))
+    sampled, greedy = lockstep_decode(params, cfg, [sample], [scene], [rng])
+    return sampled[0], greedy[0]
 
 
 def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step=0, log=None):

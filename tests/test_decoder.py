@@ -401,6 +401,25 @@ def test_beam_prefers_normalized_score():
     assert abs(norm - (np.log(0.5) + np.log(0.88)) / 2.0) < 1e-12
 
 
+def test_width_one_ties_are_ties_of_the_rounded_sum():
+    """Greedy is beam 1, so it ranks the sums cum + lp: two log-probs closer
+    than the rounding of cum = -10 tie, and the lower token id wins where
+    the argmax of the log-probs takes the larger one. Both sums are -11."""
+    def step(prefix):
+        row = np.full(8, -50.0)
+        if len(prefix) == 1:
+            row[4] = -10.0
+        elif len(prefix) == 2:
+            row[5], row[6] = np.nextafter(-1.0, -2.0), -1.0
+        else:
+            row[EOS_ID] = 0.0
+        return row
+
+    assert greedy_decode(U.batched(step), 3) == ([4, 5, EOS_ID], -11.0)
+    assert beam_search(U.batched(step), 1, 3) == U.stopping_beam_search(U.batched(step), 1, 3)
+    assert U.argmax_decode(U.batched(step), 3) == ([4, 6, EOS_ID], -11.0)
+
+
 def test_decoding_no_tokens_gives_the_empty_caption():
     step = U.batched(lambda p: np.log(np.full(4, 0.25)))
     assert greedy_decode(step, 0) == ([], 0.0)

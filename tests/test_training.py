@@ -636,9 +636,10 @@ def test_batched_rollouts_name_the_sample_with_non_finite_log_probs(monkeypatch)
 
 def test_desk_captions_equal_those_of_the_per_op_step():
     """A briefly XE-trained desk model's greedy and beam-5 captions through
-    the array step: the tokens of the per-op step it replaced (kept in
-    tests/util.py), and log-probs within 1e-12, for one scene at a time and
-    for all of them in one lockstep."""
+    the array step and `decoder.decode`: the tokens of the per-op step it
+    replaced decoded by the reference loops (both kept in tests/util.py),
+    and log-probs within 1e-12, for one scene at a time and for all of them
+    in one lockstep."""
     cfg = TrainConfig()
     samples = generate_dataset(0, 46)
     out = TR.train_xe(samples[:40], cfg, epochs=8)
@@ -655,8 +656,11 @@ def test_desk_captions_equal_those_of_the_per_op_step():
 
     captions = set()
     for scene in scenes:
-        for decode in (lambda step: greedy_decode(step, cfg.max_len), lambda step: beam_search(step, 5, cfg.max_len)):
-            (ids, *got), (want_ids, *want) = decode(make_step_fn(params, cfg, scene)), decode(per_op(scene))
+        for decode, reference in ((lambda step: greedy_decode(step, cfg.max_len), U.argmax_decode),
+                                  (lambda step: beam_search(step, 5, cfg.max_len),
+                                   lambda step, max_len: U.stopping_beam_search(step, 5, max_len))):
+            ids, *got = decode(make_step_fn(params, cfg, scene))
+            want_ids, *want = reference(per_op(scene), cfg.max_len)
             assert ids == want_ids and U.max_abs_delta(got, want) <= 1e-12
             captions.add(tuple(ids))
     assert len(captions) > 6 and min(map(len, captions)) > 3  # the model says different things, in words
@@ -688,7 +692,12 @@ def test_beam_one_equals_greedy_bit_for_bit_through_the_model():
     vocab = build_vocab(corpus_texts(samples), 1)
     params = init_model(cfg, len(vocab), np.random.default_rng(2))
     for s in samples:
-        assert TR.beam_caption(params, cfg, vocab, s, beam=1) == TR.greedy_caption(params, cfg, vocab, s)
+        with T.no_grad():
+            scene = encode_sample(params, cfg, s, vocab)
+        ids, logprob = U.argmax_decode(make_step_fn(params, cfg, scene), cfg.max_len)
+        want = TR.caption_tokens(vocab, ids), logprob
+        assert TR.beam_caption(params, cfg, vocab, s, beam=1) == want
+        assert TR.greedy_caption(params, cfg, vocab, s) == want
 
 
 def test_beam_caption_rejects_beam_zero():
