@@ -5,9 +5,11 @@ Design constraints, fixed for the whole package:
     views that `index` returns and the broadcast view that `stack` returns
     for one tensor repeated;
   * no implicit broadcasting between tensors except scalars (size-1 tensors
-    and python numbers); row-wise broadcast exists only INSIDE the fused
-    affine and layer_norm kernels (per slice, when stacked), the pairwise_add
-    grid and the per-map gates of mix_maps;
+    and python numbers); row-wise broadcast exists only INSIDE fused
+    kernels: `affine`'s shared weight, one [K x N] w and [N] b for every row
+    of x; `matmul`'s paired slices, slice s of x [*S x ... x K] taking w[s]
+    and b[s] for all its rows; layer_norm's gain and bias, paired the same
+    way; the pairwise_add grid and the per-map gates of mix_maps;
   * ops work on any leading axes (a branch axis, a batch of scenes) unless
     they say otherwise, and padding is the caller's: attention_weights and
     softmax add a float bias that broadcasts to their scores (`nn.key_bias`),
@@ -242,32 +244,42 @@ def _emit(data, inputs, bwd):
 # ---------------------------------------------------------------- binary ops
 
 
-def matmul(a, b):
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2] or ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul shapes incompatible: {ad.shape} @ {bd.shape}")
-    out = ad @ bd
-    ra, rb = a.requires_grad, b.requires_grad
-    ad, bd = (ad if rb else None), (bd if ra else None)  # each operand only for the other's gradient
+def matmul(x, w, b=None):
+    """x @ w (+ b), slice by slice, as one fused op: x [*S x ... x K], w
+    [*S x K x N] and b (optional) [*S x N] for a non-empty S, or 2-D x and w.
+    Each slice is one GEMM over its rows flattened, slice s of the result
+    being x[s] @ w[s] + b[s] with the bias broadcast over its rows."""
+    xd, wd = x.data, w.data
+    lead = wd.shape[:-2]
+    if (wd.ndim < 2 or xd.ndim < wd.ndim or (not lead and xd.ndim > 2) or xd.shape[:len(lead)] != lead
+            or xd.shape[-1] != wd.shape[-2] or (b is not None and b.data.shape != lead + wd.shape[-1:])):
+        raise ShapeError(f"matmul needs x[*S,...,K], w[*S,K,N], b[*S,N] (S non-empty, or x and w 2-d); "
+                         f"got {xd.shape}, {wd.shape}, {None if b is None else b.data.shape}")
+    n_in, n_out, x_shape = wd.shape[-2], wd.shape[-1], xd.shape
+    x3 = xd.reshape(lead + (-1, n_in))
+    out = x3 @ wd
+    if b is not None:
+        out += b.data[..., None, :]
+    out = out.reshape(x_shape[:-1] + (n_out,))
+    inputs = (x, w) if b is None else (x, w, b)
+    rx, rw, rb, n = x.requires_grad, w.requires_grad, b is not None and b.requires_grad, len(inputs)
+    x3, wd = (x3 if rw else None), (wd if rx else None)  # each operand only for the other's gradient
 
     def bwd(g):
-        ga = g @ bd.swapaxes(-1, -2) if ra else None
-        gb = ad.swapaxes(-1, -2) @ g if rb else None
-        return ga, gb
+        g3 = g.reshape(lead + (-1, n_out))
+        gx = (g3 @ wd.swapaxes(-1, -2)).reshape(x_shape) if rx else None
+        gw = x3.swapaxes(-1, -2) @ g3 if rw else None
+        return (gx, gw, g3.sum(axis=-2) if rb else None)[:n]
 
-    return _emit(out, (a, b), bwd)
+    return _emit(out, inputs, bwd)
 
 
 def affine(x, w, b):
-    """x @ w + b with the bias broadcast over rows, as one fused op.
-
-    x: [..., K], w: [K, N], b: [N]. Stacked on a leading slice axis, x: [k, ..., K],
-    w: [k, K, N], b: [k, N], slice i of the result being x[i] @ w[i] + b[i].
-    """
-    if w.data.ndim == 3:
-        return _stacked_affine(x, w, b)
+    """x @ w + b with one weight w [K, N] and bias b [N] shared by every row
+    of x [..., K], as one fused op. A stacked w [*S x K x N] pairs with x
+    slice by slice instead (`matmul`)."""
+    if w.data.ndim > 2:
+        return matmul(x, w, b)
     xd, wd, bb = x.data, w.data, b.data
     if xd.ndim < 2 or wd.ndim != 2 or bb.ndim != 1:
         raise ShapeError(f"affine needs x[...,K], w[K,N], b[N]; got {xd.shape}, {wd.shape}, {bb.shape}")
@@ -281,26 +293,6 @@ def affine(x, w, b):
         gx = g @ wd.T if rx else None
         gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if rw else None
         gb = g.reshape(-1, g.shape[-1]).sum(axis=0) if rb else None
-        return gx, gw, gb
-
-    return _emit(out, (x, w, b), bwd)
-
-
-def _stacked_affine(x, w, b):
-    xd, wd, bb = x.data, w.data, b.data
-    k, n_in, n_out = wd.shape
-    if xd.ndim < 3 or xd.shape[0] != k or xd.shape[-1] != n_in or bb.shape != (k, n_out):
-        raise ShapeError(f"stacked affine needs x[k,...,K], w[k,K,N], b[k,N]; got {xd.shape}, {wd.shape}, {bb.shape}")
-    x3 = xd.reshape(k, -1, n_in)
-    out = (x3 @ wd + bb[:, None, :]).reshape(xd.shape[:-1] + (n_out,))
-    rx, rw, rb, x_shape = x.requires_grad, w.requires_grad, b.requires_grad, xd.shape
-    x3, wd = (x3 if rw else None), (wd if rx else None)
-
-    def bwd(g):
-        g3 = g.reshape(k, -1, n_out)
-        gx = (g3 @ wd.swapaxes(1, 2)).reshape(x_shape) if rx else None
-        gw = x3.swapaxes(1, 2) @ g3 if rw else None
-        gb = g3.sum(axis=1) if rb else None
         return gx, gw, gb
 
     return _emit(out, (x, w, b), bwd)
@@ -509,24 +501,23 @@ def layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then gain*x + bias.
 
     Population variance; LN_EPS sits inside the square root. Feature axis must
-    have length >= 2 so the variance is defined. gain and bias are [d], or,
-    stacked on a leading slice axis, [k x d] for x [k x ... x d], slice i of
-    x taking gain[i] and bias[i].
+    have length >= 2 so the variance is defined. gain and bias are [*S x d]
+    for x [*S x ... x d], slice s of x taking gain[s] and bias[s] over its
+    rows: S is empty for one [d] gain, or one slice axis [k x d] stacked.
     """
     xd = x.data
     d = xd.shape[-1] if xd.ndim else 0
     if d < 2:
         raise ShapeError(f"layer_norm needs a feature axis of length >= 2, got shape {xd.shape}")
     gd, bd = gain.data, bias.data
-    per_slice = gd.ndim == 2
+    lead = gd.shape[:-1]
     if (gd.shape != bd.shape or gd.shape[-1] != d or gd.ndim > 2
-            or (per_slice and (xd.ndim < 3 or xd.shape[0] != gd.shape[0]))):
+            or (lead and (xd.ndim < 3 or xd.shape[0] != lead[0]))):
         raise ShapeError(f"layer_norm gain/bias must be [{d}], or [k x {d}] for x [k x ... x {d}]; "
                          f"got {gd.shape}, {bd.shape} for x {xd.shape}")
-    rows = (gd.shape[0], -1, d) if per_slice else (-1, d)  # what the gain and bias gradients sum over
-    if per_slice:  # each slice's row broadcast over that slice's rows
-        lead = (gd.shape[0],) + (1,) * (xd.ndim - 2) + (d,)
-        gd, bd = gd.reshape(lead), bd.reshape(lead)
+    rows = lead + (-1, d)  # what the gain and bias gradients sum over
+    spread = lead + (1,) * (xd.ndim - gd.ndim) + (d,)  # each slice's gain and bias over that slice's rows
+    gd, bd = gd.reshape(spread), bd.reshape(spread)
     out, xhat, inv = layer_norm_rows(xd, gd, bd)
     rx, rgain, rbias = x.requires_grad, gain.requires_grad, bias.requires_grad
 
@@ -608,10 +599,10 @@ def stack(tensors):
 
 
 def mix_maps(maps, gates):
-    """sum_i gates[..., i] * maps[i] for m maps of one shape and gates [m], or,
-    with leading axes, gates [... x m] for maps [... x rest], each map slice
-    mixed by its own gates (GESA's convex map mix, per branch and scene), as
-    one op. Forward and backward repeat, in order, the NumPy arithmetic of the
+    """sum_i gates[..., i] * maps[i] for m maps [*L x ...] of one shape and
+    gates [*L x m], each map slice mixed by its own gates (GESA's convex map
+    mix, per branch and scene; L empty, one gate per whole map), as one op.
+    Forward and backward repeat, in order, the NumPy arithmetic of the
     narrow/mul/add composite that tests/oracles.py keeps as the reference,
     so the two agree bit for bit."""
     maps = tuple(maps)
@@ -622,11 +613,8 @@ def mix_maps(maps, gates):
         raise ShapeError(f"mix_maps: gates of shape {gd.shape} do not weight {len(maps)} maps")
     if any(m.data.shape != maps[0].data.shape for m in maps):
         raise ShapeError(f"mix_maps: map shapes differ: {[m.data.shape for m in maps]}")
-    # column i of the gates, broadcast over each map slice (a scalar when unstacked)
-    if lead:
-        weights = np.moveaxis(gd, -1, 0).reshape((len(maps),) + lead + (1,) * (maps[0].data.ndim - len(lead)))
-    else:
-        weights = gd
+    # column i of the gates, broadcast over each map slice
+    weights = np.moveaxis(gd, -1, 0).reshape((len(maps),) + lead + (1,) * (maps[0].data.ndim - len(lead)))
     out = maps[0].data * weights[0]
     for m, gi in zip(maps[1:], weights[1:]):
         out = out + m.data * gi

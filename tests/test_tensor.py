@@ -99,7 +99,7 @@ def test_stacked_affine_matches_per_slice_affines(lead):
         check(lambda _: T.total_sum(T.mul(T.affine(x, w, b), probe)), t)
     for bad in ((x, w, Tensor(np.ones((k + 1, n_out)))), (Tensor(np.ones((k + 1, 6, n_in))), w, b),
                 (Tensor(np.ones((k, 6, n_in + 1))), w, b), (Tensor(np.ones((k, n_in))), w, b)):
-        with pytest.raises(ShapeError, match="stacked affine"):
+        with pytest.raises(ShapeError, match="matmul needs"):
             T.affine(*bad)
 
 
@@ -328,6 +328,94 @@ def test_log_softmax_is_at_most_zero_and_matches_logsumexp(data):
     w = Tensor(rng.normal(0, 1, shape))
     x = Tensor(np.clip(xd, -10.0, 10.0), requires_grad=True)
     assert grad_check(lambda t: T.total_sum(T.mul(T.log_softmax(t), w)), x, max_coords=40, rng=rng, floor=1e-2) < 1e-5
+
+
+# ------------------------------------------- kernels over generated shapes
+
+
+def _axes(data, most, least=0):
+    """A drawn tuple of `least` to `most` axis sizes, each from 1 to 3."""
+    return tuple(data.draw(st.lists(st.integers(1, 3), min_size=least, max_size=most)))
+
+
+def _check_generated(data, rng, op, arrays, want):
+    """op over tensors of `arrays`, a drawn non-empty subset of them needing a
+    gradient, against `want`, its plain NumPy forward, within 1e-12. The op
+    records one node, whose rule keeps no Tensor and gives None for exactly
+    the inputs that need none, and grad_check passes on each input that
+    needs one (12 sampled coordinates)."""
+    needs = data.draw(st.lists(st.booleans(), min_size=len(arrays), max_size=len(arrays)).filter(any))
+    inputs = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)]
+    with Tape() as tape:
+        out = op(*inputs)
+    assert out.data.shape == want.shape and np.abs(out.data - want).max() <= 1e-12
+    (_, _, rule), = tape.nodes
+    assert _tensors_in(_cells(rule)) == 0
+    probe = rng.normal(0, 1, want.shape)
+    grads = rule(probe)
+    assert [g is None for g in grads] == [not r for r in needs]
+    assert all(g.shape == a.shape for g, a in zip(grads, arrays) if g is not None)
+    for t in inputs:
+        if t.requires_grad:
+            loss = lambda _: T.total_sum(T.mul(op(*inputs), Tensor(probe)))
+            assert grad_check(loss, t, max_coords=12, rng=rng, floor=1e-4) < 1e-6
+
+
+@given(st.data())
+def test_matmul_pairs_slices_over_generated_shapes(data):
+    """x [*S x ... x n x K] @ w [*S x K x N] (+ b [*S x N]) for S of 0 to 2
+    axes, 0 to 2 middle axes when S is not empty, with and without a bias:
+    slice s of the result is x[s] @ w[s] + b[s], the bias on every row."""
+    lead = _axes(data, 2)
+    middle = _axes(data, 2) if lead else ()
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xd, wd, bd = rng.normal(0, 1, lead + middle + (n, k)), rng.normal(0, 1, lead + (k, m)), rng.normal(0, 1, lead + (m,))
+    biased = data.draw(st.booleans())
+    want = np.empty(lead + middle + (n, m))
+    for s in np.ndindex(*lead):
+        want[s] = np.einsum("...k,kn->...n", xd[s], wd[s]) + (bd[s] if biased else 0.0)
+    arrays = (xd, wd, bd) if biased else (xd, wd)
+    _check_generated(data, rng, T.matmul, arrays, want)
+
+
+@given(st.data())
+def test_affine_shares_its_weight_over_generated_shapes(data):
+    """x [... x n x K] @ w [K x N] + b [N] for 0 to 3 leading axes: one
+    weight and bias for every row."""
+    lead = _axes(data, 3)
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xd, wd, bd = rng.normal(0, 1, lead + (n, k)), rng.normal(0, 1, (k, m)), rng.normal(0, 1, m)
+    _check_generated(data, rng, T.affine, (xd, wd, bd), np.einsum("...k,kn->...n", xd, wd) + bd)
+
+
+@given(st.data())
+def test_layer_norm_over_generated_shapes(data):
+    """A [d] gain and bias over x [... x d] with 0 to 3 leading axes, or a
+    [k x d] pair over x [k x ... x d] with 1 or 2 more, slice i taking row i."""
+    d = data.draw(st.integers(2, 5))
+    stacked = data.draw(st.booleans())
+    lead = _axes(data, 1, 1) if stacked else ()
+    rows = _axes(data, 2, 1) if stacked else _axes(data, 3)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xd, gd, bd = rng.normal(0, 1, lead + rows + (d,)), rng.normal(0, 1, lead + (d,)), rng.normal(0, 1, lead + (d,))
+    spread = lead + (1,) * len(rows) + (d,)
+    xhat = (xd - xd.mean(axis=-1, keepdims=True)) / np.sqrt(xd.var(axis=-1, keepdims=True) + T.LN_EPS)
+    want = xhat * gd.reshape(spread) + bd.reshape(spread)
+    _check_generated(data, rng, T.layer_norm, (xd, gd, bd), want)
+
+
+@given(st.data())
+def test_mix_maps_over_generated_shapes(data):
+    """1 to 3 maps [*L x ...] mixed by gates [*L x m], L of 0 to 2 axes and
+    1 or 2 axes after it: each map slice weighted by its own gates."""
+    lead, rest = _axes(data, 2), _axes(data, 2, 1)
+    m = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    maps, gd = [rng.random(lead + rest) for _ in range(m)], rng.dirichlet(np.ones(m), size=lead)
+    want = sum(gd[..., i].reshape(lead + (1,) * len(rest)) * md for i, md in enumerate(maps))
+    _check_generated(data, rng, lambda *ts: T.mix_maps(ts[:-1], ts[-1]), (*maps, gd), want)
 
 
 def _bits(a):
@@ -714,6 +802,17 @@ def test_an_activation_no_rule_reads_dies_in_the_forward(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(grads, [x.grad, p.inner.w.grad, p.outer.w.grad]))
 
 
+def _cells(rule):
+    """What a backward rule closes over."""
+    return [c.cell_contents for c in getattr(rule, "__closure__", None) or ()]
+
+
+def _tensors_in(value):
+    if isinstance(value, Tensor):
+        return 1
+    return sum(map(_tensors_in, value)) if isinstance(value, (list, tuple)) else 0
+
+
 def test_no_backward_rule_keeps_a_tensor():
     """Every op's rule closes over arrays, shapes and flags, never a Tensor
     or a list of them, so recording a node keeps no activation alive through
@@ -736,20 +835,15 @@ def test_no_backward_rule_keeps_a_tensor():
            lambda: T.stack([x, x]), lambda: T.mix_maps([x, x], leaf(2)), lambda: T.index(x, 1),
            lambda: T.reshape(x, (12,)), lambda: T.embedding_lookup(w, [0, 2])]
 
-    def tensors_in(value):
-        if isinstance(value, Tensor):
-            return 1
-        return sum(map(tensors_in, value)) if isinstance(value, (list, tuple)) else 0
-
     def cells_of(op):
         with Tape() as tape:
             op()
         (_, _, bwd), = tape.nodes
-        return bwd, [c.cell_contents for c in getattr(bwd, "__closure__", None) or ()]
+        return bwd, _cells(bwd)
 
     for op in ops:
         bwd, cells = cells_of(op)
-        assert tensors_in(cells) == 0, (op, bwd.__qualname__)
+        assert _tensors_in(cells) == 0, (op, bwd.__qualname__)
     # rules that read only their input's shape keep no array at all
     for op in (lambda: T.mean(x, 0), lambda: T.sum_axis(x, 1), lambda: T.total_sum(x), lambda: T.index(x, 1),
                lambda: T.reshape(x, (12,))):

@@ -1,4 +1,5 @@
-"""Print the size of the package source `src/gevst` as two counts:
+"""Print the size of the package source `src/gevst` as two counts, then the
+same pair for each module, in name order:
 
   * lines: every line of every module, as `wc -l src/gevst/*.py` totals them;
   * code lines: the lines that hold a token other than a comment, outside
@@ -44,9 +45,13 @@ def code_lines(text):
 
 
 def main():
-    texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
-    print(f"lines {sum(text.count(chr(10)) for text in texts)}")
-    print(f"code lines {sum(map(code_lines, texts))}")
+    paths = sorted(SRC.glob("*.py"))
+    texts = [path.read_text() for path in paths]
+    sizes = [(text.count("\n"), code_lines(text)) for text in texts]
+    print(f"lines {sum(lines for lines, _ in sizes)}")
+    print(f"code lines {sum(code for _, code in sizes)}")
+    for path, (lines, code) in zip(paths, sizes):
+        print(f"{path.name:<20} lines {lines:>4}  code lines {code:>4}")
 
 
 if __name__ == "__main__":
