@@ -156,9 +156,8 @@ def gesa_gates(x_prev, params: GesaLayerParams, padding=None):
     [m] for x [N x d] and one branch's gate, or [k x ... x m] for a group's x
     [k x ... x N x d] and layer params. With `padding` (bool [... x N]) the
     mean runs over each scene's real tokens only (`nn.real_mean`); a side
-    with no padded row takes the plain mean."""
-    logits = linear(x_prev, params.gate)
-    return T.softmax(T.mean(logits, axis=-2) if padding is None else real_mean(logits, padding))
+    with no padded row (padding None) takes the mean over every token."""
+    return T.softmax(real_mean(linear(x_prev, params.gate), padding))
 
 
 def gesa_layer(x_prev, geometry, params: GesaLayerParams, h, gate_names, padding=None, bias=None):

@@ -15,8 +15,8 @@ map (output independent of every geometry input, inter-geometry is zero);
 "g" drops the content map (attention independent of content).
 
 Stacked cells have independent parameters; the primary content flows through,
-and the inter-geometry comes from the LAST cell. Every cell's maps leave only
-through the recorder (`T.record`).
+and the inter-geometry is aggregated once, after the stack, by the LAST cell's
+geometry map. Every cell's maps leave only through the recorder (`T.record`).
 
 A cell runs on one scene or on a batch of scenes padded to [B x N x d] and
 [B x M x d]: each map is batched, and the padded keys of each scene take
@@ -90,7 +90,7 @@ def attention_map(att: AdditiveAttention, queries, keys, key_padding=None):
 def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k, key_padding=None):
     """One cell pass over one scene ([N x d] queries, [M x d] keys) or a padded
     batch ([B x N x d], [B x M x d], key_padding bool [B x M]). Returns
-    (updated content, content map, geometry map, inter)."""
+    (updated content, content map, geometry map)."""
     n, m = content_q.data.shape[-2], content_k.data.shape[-2]
     if n < 1 or m < 1:
         raise InputError("fusion needs at least one row on each side")
@@ -106,14 +106,9 @@ def fusion_cell(params: FusionCellParams, er, content_q, geo_q, content_k, geo_k
     s_hat = T.matmul(weights, content_k)
     v_dot = linear(content_q, params.v_exp)
     s_dot = linear(s_hat, params.s_exp)
-    fused = T.sum_pool_stride(T.mul(s_dot, v_dot), er)
-    updated = T.add(content_q, fused)
-
-    if alpha_geo is not None:
-        inter = T.matmul(alpha_geo, geo_k)
-    else:
-        inter = Tensor(np.zeros(content_q.data.shape))
-    return updated, alpha_con, alpha_geo, inter
+    prod = T.mul(s_dot, v_dot)
+    fused = T.sum_axis(T.reshape(prod, prod.data.shape[:-1] + (-1, er)), -1)  # each group of er entries summed
+    return T.add(content_q, fused), alpha_con, alpha_geo
 
 
 def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, secondary_geo, key_padding=None):
@@ -127,8 +122,9 @@ def stack_fusion(cells, er, primary_content, primary_geo, secondary_content, sec
         raise ConfigError("at least one fusion cell is required")
     x = primary_content
     for cell in cells:
-        x, alpha_con, alpha_geo, inter = fusion_cell(cell, er, x, primary_geo, secondary_content, secondary_geo,
-                                                     key_padding)
+        x, alpha_con, alpha_geo = fusion_cell(cell, er, x, primary_geo, secondary_content, secondary_geo, key_padding)
         T.record("content", alpha_con)
         T.record("geometry", alpha_geo)
-    return FusionOutput(x, inter)
+    if alpha_geo is None:
+        return FusionOutput(x, Tensor(np.zeros(primary_content.data.shape)))
+    return FusionOutput(x, T.matmul(alpha_geo, secondary_geo))

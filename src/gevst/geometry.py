@@ -1,9 +1,9 @@
 """Bounding boxes and their embedding into model space.
 
 A box is normalized to [cx/W, cy/H, w/W, h/H] (all in (0, 1]) and embedded by
-relu(affine), row by row, so a padded batch of scenes embeds in one call.
-Visual regions and dense-caption regions use separate embedding parameters;
-both live in the model, this module only defines the math.
+relu(x W + b), one GEMM over its rows, so a padded batch of scenes embeds in
+one call. Visual regions and dense-caption regions use separate embedding
+parameters; both live in the model, this module only defines the math.
 """
 
 from __future__ import annotations
@@ -89,5 +89,5 @@ def normalize_boxes(boxes, image_wh):
 
 def embed_geometry(rows, params: Linear):
     """Normalized boxes [..., 4] (`normalize_boxes`; one scene's, or a padded
-    batch's [B x N x 4]) -> relu(affine) rows [..., d_out]."""
-    return T.relu(T.affine(T.Tensor(rows), params.w, params.b))
+    batch's [B x N x 4]) -> relu(x W + b) rows [..., d_out]."""
+    return T.relu(T.matmul(T.Tensor(rows), params.w, params.b))

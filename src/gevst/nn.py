@@ -112,11 +112,11 @@ def init_embedding(layout, vocab, d):
 
 
 def linear(x, p: Linear):
-    return T.affine(x, p.w, p.b)
+    return T.matmul(x, p.w, p.b)
 
 
 def ffn(x, p: Ffn):
-    return T.affine(T.relu(T.affine(x, p.inner.w, p.inner.b)), p.outer.w, p.outer.b)
+    return linear(T.relu(linear(x, p.inner)), p.outer)
 
 
 def layer_norm(x, p: LayerNorm):
@@ -209,11 +209,14 @@ def key_bias(padding):
 
 def real_mean(x, padding):
     """The mean over axis -2 of x [... x N x d] over its real rows (padding
-    bool [... x N]) -> [... x d]: the masked sum times one over the count."""
-    shape, keep = x.data.shape, ~padding
-    masked = T.mul(x, Tensor(np.broadcast_to(keep[..., None].astype(np.float64), shape)))
-    inv = np.broadcast_to(1.0 / keep.sum(axis=-1, keepdims=True), shape[:-2] + shape[-1:])
-    return T.mul(T.sum_axis(masked, -2), Tensor(inv))
+    bool [... x N], or None when every row is real) -> [... x d]: the masked
+    sum times one over the count."""
+    shape, count = x.data.shape, x.data.shape[-2]
+    if padding is not None:
+        keep = ~padding
+        x = T.mul(x, Tensor(np.broadcast_to(keep[..., None].astype(np.float64), shape)))
+        count = keep.sum(axis=-1, keepdims=True)
+    return T.mul(T.sum_axis(x, -2), Tensor(np.broadcast_to(1.0 / count, shape[:-2] + shape[-1:])))
 
 
 # ---------------------------------------------------------------- attention

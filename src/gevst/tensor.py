@@ -6,10 +6,10 @@ Design constraints, fixed for the whole package:
     for one tensor repeated;
   * no implicit broadcasting between tensors except scalars (size-1 tensors
     and python numbers); row-wise broadcast exists only INSIDE fused
-    kernels: `affine`'s shared weight, one [K x N] w and [N] b for every row
-    of x; `matmul`'s paired slices, slice s of x [*S x ... x K] taking w[s]
-    and b[s] for all its rows; layer_norm's gain and bias, paired the same
-    way; the pairwise_add grid and the per-map gates of mix_maps;
+    kernels: `matmul`'s weight, one [K x N] w and [N] b shared by every row
+    of x, or paired slices, slice s of x [*S x ... x K] taking w[s] and b[s]
+    for all its rows; layer_norm's gain and bias, paired the same way; the
+    pairwise_add grid and the per-map gates of mix_maps;
   * ops work on any leading axes (a branch axis, a batch of scenes) unless
     they say otherwise, and padding is the caller's: attention_weights and
     softmax add a float bias that broadcasts to their scores (`nn.key_bias`),
@@ -25,8 +25,8 @@ Design constraints, fixed for the whole package:
     closes over only the arrays, shapes and requires-grad flags it reads,
     never a Tensor. So an activation no rule reads (a pre-ReLU hidden, a
     residual sum a layer norm consumes) is freed in the forward, as soon as
-    the caller drops it; a rule that reads only an input's shape (`mean`,
-    `sum_axis`, `total_sum`, `index`, `reshape`, the table of
+    the caller drops it; a rule that reads only an input's shape
+    (`sum_axis`, `total_sum`, `index`, `reshape`, the table of
     `embedding_lookup`, the logits of `log_softmax`) keeps just the shape.
     Backward replays nodes in exact reverse recording order, which is a valid
     reverse topological order because recording order is execution order;
@@ -245,15 +245,15 @@ def _emit(data, inputs, bwd):
 
 
 def matmul(x, w, b=None):
-    """x @ w (+ b), slice by slice, as one fused op: x [*S x ... x K], w
-    [*S x K x N] and b (optional) [*S x N] for a non-empty S, or 2-D x and w.
-    Each slice is one GEMM over its rows flattened, slice s of the result
-    being x[s] @ w[s] + b[s] with the bias broadcast over its rows."""
+    """x @ w (+ b) as one fused op: x [*S x ... x K], w [*S x K x N] and b
+    (optional) [*S x N]. Each slice is one GEMM over its rows flattened,
+    slice s of the result being x[s] @ w[s] + b[s] with the bias broadcast
+    over its rows; with S empty one w [K x N] is shared by every row of x."""
     xd, wd = x.data, w.data
     lead = wd.shape[:-2]
-    if (wd.ndim < 2 or xd.ndim < wd.ndim or (not lead and xd.ndim > 2) or xd.shape[:len(lead)] != lead
-            or xd.shape[-1] != wd.shape[-2] or (b is not None and b.data.shape != lead + wd.shape[-1:])):
-        raise ShapeError(f"matmul needs x[*S,...,K], w[*S,K,N], b[*S,N] (S non-empty, or x and w 2-d); "
+    if (wd.ndim < 2 or xd.ndim < wd.ndim or xd.shape[:len(lead)] != lead or xd.shape[-1] != wd.shape[-2]
+            or (b is not None and b.data.shape != lead + wd.shape[-1:])):
+        raise ShapeError(f"matmul needs x[*S,...,K], w[*S,K,N], b[*S,N]; "
                          f"got {xd.shape}, {wd.shape}, {None if b is None else b.data.shape}")
     n_in, n_out, x_shape = wd.shape[-2], wd.shape[-1], xd.shape
     x3 = xd.reshape(lead + (-1, n_in))
@@ -272,30 +272,6 @@ def matmul(x, w, b=None):
         return (gx, gw, g3.sum(axis=-2) if rb else None)[:n]
 
     return _emit(out, inputs, bwd)
-
-
-def affine(x, w, b):
-    """x @ w + b with one weight w [K, N] and bias b [N] shared by every row
-    of x [..., K], as one fused op. A stacked w [*S x K x N] pairs with x
-    slice by slice instead (`matmul`)."""
-    if w.data.ndim > 2:
-        return matmul(x, w, b)
-    xd, wd, bb = x.data, w.data, b.data
-    if xd.ndim < 2 or wd.ndim != 2 or bb.ndim != 1:
-        raise ShapeError(f"affine needs x[...,K], w[K,N], b[N]; got {xd.shape}, {wd.shape}, {bb.shape}")
-    if xd.shape[-1] != wd.shape[0] or wd.shape[1] != bb.shape[0]:
-        raise ShapeError(f"affine shapes incompatible: {xd.shape} @ {wd.shape} + {bb.shape}")
-    out = xd @ wd + bb
-    rx, rw, rb = x.requires_grad, w.requires_grad, b.requires_grad
-    xd, wd = (xd if rw else None), (wd if rx else None)
-
-    def bwd(g):
-        gx = g @ wd.T if rx else None
-        gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if rw else None
-        gb = g.reshape(-1, g.shape[-1]).sum(axis=0) if rb else None
-        return gx, gw, gb
-
-    return _emit(out, (x, w, b), bwd)
 
 
 def _operands(a, b, opname):
@@ -535,27 +511,6 @@ def layer_norm(x, gain, bias):
 
 
 # ------------------------------------------------------- shape / reductions
-
-
-def sum_pool_stride(x, stride):
-    """Sum consecutive groups of `stride` entries along the last axis."""
-    xd = x.data
-    if stride < 1 or xd.ndim < 1 or xd.shape[-1] % stride != 0:
-        raise ShapeError(f"sum_pool_stride: last axis {xd.shape} not divisible by stride {stride}")
-    lead = xd.shape[:-1]
-    out_w = xd.shape[-1] // stride
-    out = xd.reshape(*lead, out_w, stride).sum(axis=-1)
-    return _emit(out, (x,), lambda g: (np.repeat(g, stride, axis=-1),))
-
-
-def mean(x, axis):
-    xd = x.data
-    if not -xd.ndim <= axis < xd.ndim:
-        raise ShapeError(f"mean: axis {axis} out of range for shape {xd.shape}")
-    ax, shape = axis % xd.ndim, xd.shape
-    n = shape[ax]
-    out = np.add.reduce(xd, ax) / n  # xd.mean(axis=ax), bit for bit
-    return _emit(out, (x,), lambda g: (np.broadcast_to(np.expand_dims(g / n, ax), shape),))
 
 
 def sum_axis(x, axis):

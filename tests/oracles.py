@@ -474,12 +474,12 @@ def kron_attention_map(T, att, queries, keys):
     matrices. T is the tensor engine; att holds v_proj (queries), s_proj
     (keys) and out, each with .w and .b tensors."""
     n, m = queries.data.shape[0], keys.data.shape[0]
-    p = T.affine(queries, att.v_proj.w, att.v_proj.b)
-    k = T.affine(keys, att.s_proj.w, att.s_proj.b)
+    p = T.matmul(queries, att.v_proj.w, att.v_proj.b)
+    k = T.matmul(keys, att.s_proj.w, att.s_proj.b)
     eq = T.Tensor(np.kron(np.eye(n), np.ones((m, 1))))
     ek = T.Tensor(np.kron(np.ones((n, 1)), np.eye(m)))
     h = T.tanh(T.add(T.matmul(eq, p), T.matmul(ek, k)))
-    scores = T.reshape(T.affine(h, att.out.w, att.out.b), (n, m))
+    scores = T.reshape(T.matmul(h, att.out.w, att.out.b), (n, m))
     return T.softmax(scores)
 
 
@@ -603,7 +603,7 @@ def log_softmax(T, x):
     m = T.Tensor(np.broadcast_to(xd.max(axis=-1, keepdims=True), xd.shape).copy())
     xs = sub(T, x, m)
     e = exp(T, xs)
-    row_sum = T.mul(T.mean(e, axis=-1), float(v))
+    row_sum = T.sum_axis(e, -1)
     log_z = log(T, row_sum)
     tiled = T.matmul(T.reshape(log_z, (-1, 1)), T.Tensor(np.ones((1, v))))
     out = sub(T, xs, tiled)

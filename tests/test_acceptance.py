@@ -26,7 +26,7 @@ from gevst.data import (BOS_ID, EOS_ID, PAD_ID, DenseCaption, Region, Sample,
                         build_vocab, corpus_texts, generate_dataset,
                         split_train_val)
 from gevst.decoder import beam_search
-from gevst.fusion import fusion_cell
+from gevst.fusion import fusion_cell, stack_fusion
 from gevst.geometry import BoundingBox
 from gevst.model import caption_logits, encode_sample, init_model
 from gevst.nn import Tensor
@@ -120,7 +120,8 @@ def test_criterion_2_fusion_invariants(announce):
         U.randomize(cell, rng)
         cq, gq = Tensor(rng.normal(size=(n, d))), Tensor(rng.normal(size=(n, d)))
         ck, gk = Tensor(rng.normal(size=(m, d))), Tensor(rng.normal(size=(m, d)))
-        _, a_con, a_geo, inter = fusion_cell(cell, er, cq, gq, ck, gk)
+        _, a_con, a_geo = fusion_cell(cell, er, cq, gq, ck, gk)
+        inter = stack_fusion([cell], er, cq, gq, ck, gk).inter_geometry
         for a in (a_con, a_geo):
             worst_row = max(worst_row, float(np.abs(a.data.sum(axis=1) - 1.0).max()))
         summed = a_con.data + a_geo.data
@@ -199,7 +200,8 @@ def test_criterion_4_scalar_oracles(announce):
         U.randomize(cell, rng)
         cq, gq = Tensor(rng.normal(size=(n, d))), Tensor(rng.normal(size=(n, d)))
         ck, gk = Tensor(rng.normal(size=(m, d))), Tensor(rng.normal(size=(m, d)))
-        up, a_con, a_geo, inter = fusion_cell(cell, er, cq, gq, ck, gk)
+        up, a_con, a_geo = fusion_cell(cell, er, cq, gq, ck, gk)
+        inter = stack_fusion([cell], er, cq, gq, ck, gk).inter_geometry
         ref = O.fusion_cell_oracle(O.mat(cq.data), O.mat(gq.data), O.mat(ck.data),
                                    O.mat(gk.data), U.fusion_oracle_params(cell), er)
         worst["fusion"] = max(worst["fusion"],

@@ -26,7 +26,7 @@ def test_attention_rows_sum_to_one(rng):
         n, m, d = rng.integers(1, 6), rng.integers(1, 6), 4
         cell = rand_cell(rng, d, 2)
         cq, gq, ck, gk = rand_inputs(rng, n, m, d)
-        _, a_con, a_geo, _ = fusion_cell(cell, 2, cq, gq, ck, gk)
+        _, a_con, a_geo = fusion_cell(cell, 2, cq, gq, ck, gk)
         assert np.allclose(a_con.data.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(a_geo.data.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose((a_con.data + a_geo.data).sum(axis=1), 2.0, atol=1e-9)
@@ -37,7 +37,7 @@ def test_inter_geometry_in_convex_hull(rng):
         n, m, d = rng.integers(1, 5), rng.integers(1, 5), 6
         cell = rand_cell(rng, d, 2)
         cq, gq, ck, gk = rand_inputs(rng, n, m, d)
-        _, _, _, inter = fusion_cell(cell, 2, cq, gq, ck, gk)
+        inter = stack_fusion([cell], 2, cq, gq, ck, gk).inter_geometry
         lo = gk.data.min(axis=0) - 1e-12
         hi = gk.data.max(axis=0) + 1e-12
         assert (inter.data >= lo).all() and (inter.data <= hi).all()
@@ -46,20 +46,20 @@ def test_inter_geometry_in_convex_hull(rng):
 def test_base_c_ignores_geometry_and_zeroes_inter(rng):
     cell = rand_cell(rng, 4, 2, base="c")
     cq, gq, ck, gk = rand_inputs(rng, 3, 4, 4)
-    up1, a_con, a_geo, inter = fusion_cell(cell, 2, cq, gq, ck, gk)
+    up1, _, a_geo = fusion_cell(cell, 2, cq, gq, ck, gk)
     gq2, gk2 = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 4)))
-    up2, _, _, _ = fusion_cell(cell, 2, cq, gq2, ck, gk2)
+    up2, _, _ = fusion_cell(cell, 2, cq, gq2, ck, gk2)
     assert a_geo is None
-    assert (inter.data == 0.0).all()
+    assert (stack_fusion([cell], 2, cq, gq, ck, gk).inter_geometry.data == 0.0).all()
     assert np.array_equal(up1.data, up2.data)
 
 
 def test_base_g_attention_ignores_content(rng):
     cell = rand_cell(rng, 4, 2, base="g")
     cq, gq, ck, gk = rand_inputs(rng, 3, 4, 4)
-    _, a_con, a_geo, _ = fusion_cell(cell, 2, cq, gq, ck, gk)
+    _, a_con, a_geo = fusion_cell(cell, 2, cq, gq, ck, gk)
     cq2, ck2 = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 4)))
-    _, _, a_geo2, _ = fusion_cell(cell, 2, cq2, gq, ck2, gk)
+    _, _, a_geo2 = fusion_cell(cell, 2, cq2, gq, ck2, gk)
     assert a_con is None
     assert np.array_equal(a_geo.data, a_geo2.data)
 
@@ -70,7 +70,8 @@ def test_matches_scalar_oracle(rng):
         n, m, d, er = 3, 4, 4, 2
         cell = rand_cell(rng, d, er)
         cq, gq, ck, gk = rand_inputs(rng, n, m, d)
-        up, a_con, a_geo, inter = fusion_cell(cell, er, cq, gq, ck, gk)
+        up, a_con, a_geo = fusion_cell(cell, er, cq, gq, ck, gk)
+        inter = stack_fusion([cell], er, cq, gq, ck, gk).inter_geometry
         ref = O.fusion_cell_oracle(O.mat(cq.data), O.mat(gq.data), O.mat(ck.data),
                                    O.mat(gk.data), U.fusion_oracle_params(cell), er)
         worst = max(worst,
@@ -90,11 +91,11 @@ def test_stack_trace_and_last_cell_maps(rng):
     assert len(rec["content"]) == 3 and len(rec["geometry"]) == 3
     x = cq
     for cell in cells:
-        x, a_con, a_geo, inter = fusion_cell(cell, 2, x, gq, ck, gk)
+        x, a_con, a_geo = fusion_cell(cell, 2, x, gq, ck, gk)
     assert np.array_equal(rec["content"][-1], a_con.data)
     assert np.array_equal(rec["geometry"][-1], a_geo.data)
     assert np.array_equal(out.fused_content.data, x.data)
-    assert np.array_equal(out.inter_geometry.data, inter.data)
+    assert np.array_equal(out.inter_geometry.data, a_geo.data @ gk.data)
     assert out.fused_content.data.shape == (2, 4)
 
 
@@ -105,8 +106,8 @@ def test_fusion_gradients(rng):
     x0 = rng.normal(size=(2, 4))
 
     def f(t):
-        up, _, _, inter = fusion_cell(cell, 2, t, gq, ck, gk)
-        return T.total_sum(T.add(T.mul(up, up), inter))
+        out = stack_fusion([cell], 2, t, gq, ck, gk)
+        return T.total_sum(T.add(T.mul(out.fused_content, out.fused_content), out.inter_geometry))
 
     rel = U.grad_check(f, Tensor(x0.copy(), requires_grad=True))
     assert rel < 1e-6

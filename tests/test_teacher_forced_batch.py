@@ -179,9 +179,14 @@ def test_batched_pass_grad_check_on_the_miniature_config():
         return T.add(xe_batch(params, cfg, vocab, samples, branches),
                      scst_batch(params, cfg, caps, [0.6, -0.4, 1.5], branches))
 
-    # eps and floor as in criterion 1: near-zero gradients compare absolutely
+    # eps and floor as in criterion 1: near-zero gradients compare absolutely. A tensor of every
+    # stored group: the decoder, the region projection, both geometry embeddings, the caption
+    # encoder, each fusion stack (its d -> 1 score projection; one stack's pooled expansion too)
+    # and each GESA group (its gate weight)
     names = ("dec_layers.0.cross.vv.k.w", "dec_layers.0.cross.ss.v.b", "dec_layers.0.mod.sv.w",
-             "dec_layers.0.self_q.w", "dec_embed", "vis_in.w")
+             "dec_layers.0.self_q.w", "dec_embed", "vis_in.w", "geo_visual.w", "geo_semantic.w",
+             "captions.layers.0.v.w", "fusion_vs.0.geometry.out.w", "fusion_vs.0.s_exp.w",
+             "fusion_sv.0.content.out.w", "branches.ss.1.gate.w", "branches.vv.0.gate.w")
     for name in names:
         target, part = U.stored_slice(params, name)
         rel = U.grad_check(loss, target, eps=1e-6, max_coords=6, rng=np.random.default_rng(5), floor=1e-5, part=part)

@@ -61,20 +61,11 @@ def test_matmul_2d_and_batched_grads():
     check(lambda t: T.total_sum(T.matmul(t, bb)), ba)
 
 
-def test_affine_grads_all_inputs():
-    x = Tensor(RNG.normal(0, 1, (4, 3)), requires_grad=True)
-    w = Tensor(RNG.normal(0, 1, (3, 5)), requires_grad=True)
-    b = Tensor(RNG.normal(0, 1, 5), requires_grad=True)
-    check(lambda t: T.total_sum(T.tanh(T.affine(t, w, b))), x)
-    check(lambda t: T.total_sum(T.tanh(T.affine(x, t, b))), w)
-    check(lambda t: T.total_sum(T.tanh(T.affine(x, w, t))), b)
-
-
 @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["rank3", "rank5"])
-def test_stacked_affine_matches_per_slice_affines(lead):
-    """T.affine over [k x ... x K] inputs, [k x K x N] weights and [k x N]
-    biases against one affine per slice: outputs and the gradients of every
-    slice's input, weight and bias, through `T.stack`."""
+def test_stacked_matmul_matches_per_slice_matmuls(lead):
+    """T.matmul over [k x ... x K] inputs, [k x K x N] weights and [k x N]
+    biases against one shared-weight matmul per slice: outputs and the
+    gradients of every slice's input, weight and bias, through `T.stack`."""
     k, n_in, n_out = 3, 5, 4
     data = [(RNG.normal(0, 1, lead + (6, n_in)), RNG.normal(0, 1, (n_in, n_out)), RNG.normal(0, 1, n_out))
             for _ in range(k)]
@@ -84,23 +75,23 @@ def test_stacked_affine_matches_per_slice_affines(lead):
         leaves = [[Tensor(a, requires_grad=True) for a in slice_data] for slice_data in data]
         with Tape() as tape:
             if stacked:
-                out = T.affine(*(T.stack(column) for column in zip(*leaves)))
+                out = T.matmul(*(T.stack(column) for column in zip(*leaves)))
             else:
-                out = T.stack([T.affine(x, w, b) for x, w, b in leaves])
+                out = T.stack([T.matmul(x, w, b) for x, w, b in leaves])
             tape.backward(T.total_sum(T.mul(out, probe)))
         runs.append([out.data] + [t.grad for slice_leaves in leaves for t in slice_leaves])
     for got, want in zip(*runs):
         assert np.abs(got - want).max() <= 1e-12
     x, w, b = (Tensor(np.stack(column), requires_grad=True) for column in zip(*data))
     with Tape() as tape:
-        T.affine(x, w, b)
+        T.matmul(x, w, b)
     assert len(tape.nodes) == 1
     for t in (x, w, b):
-        check(lambda _: T.total_sum(T.mul(T.affine(x, w, b), probe)), t)
+        check(lambda _: T.total_sum(T.mul(T.matmul(x, w, b), probe)), t)
     for bad in ((x, w, Tensor(np.ones((k + 1, n_out)))), (Tensor(np.ones((k + 1, 6, n_in))), w, b),
                 (Tensor(np.ones((k, 6, n_in + 1))), w, b), (Tensor(np.ones((k, n_in))), w, b)):
         with pytest.raises(ShapeError, match="matmul needs"):
-            T.affine(*bad)
+            T.matmul(*bad)
 
 
 def test_stack_and_sum_axis_are_one_node_each():
@@ -380,14 +371,39 @@ def test_matmul_pairs_slices_over_generated_shapes(data):
 
 
 @given(st.data())
-def test_affine_shares_its_weight_over_generated_shapes(data):
-    """x [... x n x K] @ w [K x N] + b [N] for 0 to 3 leading axes: one
-    weight and bias for every row."""
-    lead = _axes(data, 3)
-    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+def test_matmul_shares_its_weight_over_generated_shapes(data):
+    """x [*L x K] @ w [K x N] (+ b [N]) for L of 1 to 3 axes and N from 1
+    on, with and without a bias: one weight and bias for every row."""
+    lead = _axes(data, 3, 1)
+    k, m = (data.draw(st.integers(1, 4)) for _ in range(2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    xd, wd, bd = rng.normal(0, 1, lead + (n, k)), rng.normal(0, 1, (k, m)), rng.normal(0, 1, m)
-    _check_generated(data, rng, T.affine, (xd, wd, bd), np.einsum("...k,kn->...n", xd, wd) + bd)
+    xd, wd, bd = rng.normal(0, 1, lead + (k,)), rng.normal(0, 1, (k, m)), rng.normal(0, 1, m)
+    biased = data.draw(st.booleans())
+    want = np.einsum("...k,kn->...n", xd, wd) + (bd if biased else 0.0)
+    _check_generated(data, rng, T.matmul, (xd, wd, bd) if biased else (xd, wd), want)
+
+
+@given(st.data())
+def test_sum_axis_over_generated_shapes(data):
+    """x of 1 to 4 axes summed over one of them, counted from either end."""
+    shape = _axes(data, 4, 1)
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xd = rng.normal(0, 1, shape)
+    _check_generated(data, rng, lambda t: T.sum_axis(t, axis), (xd,), xd.sum(axis=axis))
+
+
+@given(st.data())
+def test_reshape_over_generated_shapes(data):
+    """x [*L x g*r] for L of 0 to 3 axes to a shape of its entries: the last
+    axis split into g groups of r (the fusion pool's split, also by -1), all
+    entries in one axis, or L moved behind the last axis's entries."""
+    lead = _axes(data, 3)
+    g, r = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    shape = data.draw(st.sampled_from([lead + (g, r), lead + (-1, r), (-1,), (g * r,) + lead]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xd = rng.normal(0, 1, lead + (g * r,))
+    _check_generated(data, rng, lambda t: T.reshape(t, shape), (xd,), xd.reshape(shape))
 
 
 @given(st.data())
@@ -475,14 +491,14 @@ def test_log_softmax_is_one_node_and_rejects_an_empty_last_axis():
 
 def test_shape_op_grads():
     x = Tensor(RNG.normal(0, 1, (2, 8)), requires_grad=True)
-    check(lambda t: T.total_sum(T.sum_pool_stride(T.mul(t, t), 4)), x)
+    check(lambda t: T.total_sum(T.sum_axis(T.reshape(T.mul(t, t), (2, 2, 4)), -1)), x)
     check(lambda t: T.total_sum(T.mul(T.reshape(t, (4, 4)), 2.0)), x)
     check(lambda t: T.total_sum(T.tanh(O.transpose(T, t))), x)
     x3 = Tensor(RNG.normal(0, 1, (2, 3, 4)), requires_grad=True)
     w3 = Tensor(RNG.normal(0, 1, (3, 4, 2)))
     check(lambda t: T.total_sum(T.mul(T.tanh(O.transpose(T, t, (1, 2, 0))), w3)), x3)
     check(lambda t: T.total_sum(O.narrow(T, t, 1, 2, 3)), x)
-    check(lambda t: T.total_sum(T.mean(t, axis=0)), x)
+    check(lambda t: T.total_sum(T.tanh(T.sum_axis(t, 0))), x)
     check(lambda t: T.total_sum(T.concat([t, t], axis=0)), x)
 
 
@@ -619,9 +635,11 @@ def test_no_implicit_broadcasting():
     with pytest.raises(ShapeError):
         T.mul(a, Tensor(np.ones((2, 1))))
     with pytest.raises(ShapeError):
-        T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2))))
-    # the one sanctioned exception: size-1 tensors act as scalars
+        T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2))))
+    # the sanctioned exceptions: size-1 tensors act as scalars, and one 2-D
+    # weight is shared by every row of x
     assert T.mul(a, Tensor(np.array([2.0]))).data.sum() == 12.0
+    assert T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2)))).data.shape == (2, 2, 2)
 
 
 def test_grad_accumulates_when_input_reused():
@@ -794,8 +812,8 @@ def test_an_activation_no_rule_reads_dies_in_the_forward(monkeypatch):
     for t in (x, p.inner.w, p.inner.b, p.outer.w, p.outer.b):
         t.grad = None
     with Tape() as tape:
-        held = T.affine(x, p.inner.w, p.inner.b)
-        y = T.total_sum(T.affine(T.relu(held), p.outer.w, p.outer.b))
+        held = T.matmul(x, p.inner.w, p.inner.b)
+        y = T.total_sum(T.matmul(T.relu(held), p.outer.w, p.outer.b))
         kept = weakref.ref(held.data)
         tape.backward(y)
         assert kept() is not None
@@ -816,7 +834,7 @@ def _tensors_in(value):
 def test_no_backward_rule_keeps_a_tensor():
     """Every op's rule closes over arrays, shapes and flags, never a Tensor
     or a list of them, so recording a node keeps no activation alive through
-    its Tensor; mean, sum_axis, total_sum, index and reshape keep no array,
+    its Tensor; sum_axis, total_sum, index and reshape keep no array,
     and embedding_lookup and log_softmax keep no array of their input."""
     def leaf(*shape):
         return Tensor(RNG.normal(0, 1, shape), requires_grad=True)
@@ -825,15 +843,14 @@ def test_no_backward_rule_keeps_a_tensor():
     ws, bs, xs = leaf(2, 3, 5), leaf(2, 5), leaf(2, 4, 3)
     q, k, v, att = leaf(4, 6), leaf(5, 6), leaf(5, 6), leaf(2, 4, 5)
     gains = leaf(2, 3)
-    ops = [lambda: T.matmul(x, w), lambda: T.affine(x, w, b), lambda: T.affine(xs, ws, bs),
+    ops = [lambda: T.matmul(x, w), lambda: T.matmul(x, w, b), lambda: T.matmul(xs, ws, bs),
            lambda: T.add(x, x), lambda: T.mul(x, 2.0), lambda: T.pairwise_add(x, x),
            lambda: T.attention_weights(q, k, 2), lambda: T.apply_attention(att, v, 2),
            lambda: T.tanh(x), lambda: T.sigmoid(x), lambda: T.relu(x), lambda: T.softmax(x),
            lambda: T.log_softmax(x), lambda: T.layer_norm(x, leaf(3), leaf(3)),
-           lambda: T.layer_norm(xs, gains, leaf(2, 3)), lambda: T.sum_pool_stride(x, 3),
-           lambda: T.mean(x, 0), lambda: T.sum_axis(x, 1), lambda: T.total_sum(x), lambda: T.concat([x, x]),
-           lambda: T.stack([x, x]), lambda: T.mix_maps([x, x], leaf(2)), lambda: T.index(x, 1),
-           lambda: T.reshape(x, (12,)), lambda: T.embedding_lookup(w, [0, 2])]
+           lambda: T.layer_norm(xs, gains, leaf(2, 3)), lambda: T.sum_axis(x, 1), lambda: T.total_sum(x),
+           lambda: T.concat([x, x]), lambda: T.stack([x, x]), lambda: T.mix_maps([x, x], leaf(2)),
+           lambda: T.index(x, 1), lambda: T.reshape(x, (12,)), lambda: T.embedding_lookup(w, [0, 2])]
 
     def cells_of(op):
         with Tape() as tape:
@@ -845,8 +862,7 @@ def test_no_backward_rule_keeps_a_tensor():
         bwd, cells = cells_of(op)
         assert _tensors_in(cells) == 0, (op, bwd.__qualname__)
     # rules that read only their input's shape keep no array at all
-    for op in (lambda: T.mean(x, 0), lambda: T.sum_axis(x, 1), lambda: T.total_sum(x), lambda: T.index(x, 1),
-               lambda: T.reshape(x, (12,))):
+    for op in (lambda: T.sum_axis(x, 1), lambda: T.total_sum(x), lambda: T.index(x, 1), lambda: T.reshape(x, (12,))):
         bwd, cells = cells_of(op)
         assert not any(isinstance(c, np.ndarray) for c in cells), (bwd.__qualname__, cells)
     # nor do rules that read only the shape of one input keep that input
@@ -856,13 +872,11 @@ def test_no_backward_rule_keeps_a_tensor():
 
 
 def test_means_equal_ndarray_mean_bit_for_bit():
-    """layer_norm, mean and log_softmax sum and divide (np.add.reduce / n)
-    instead of calling ndarray.mean, which computes exactly that."""
+    """layer_norm sums and divides (np.add.reduce / n) instead of calling
+    ndarray.mean, which computes exactly that."""
     for shape in ((7,), (3, 64), (2, 5, 19), (4, 257)):
         x = RNG.normal(0, 3, shape)
         assert np.array_equal(T._mean_last(x), x.mean(axis=-1, keepdims=True))
-        for axis in range(len(shape)):
-            assert np.array_equal(T.mean(Tensor(x), axis).data, x.mean(axis=axis))
 
 
 def test_grad_check_samples_coordinates():

@@ -46,7 +46,7 @@ from gevst.geometry import embed_geometry, normalize_boxes
 from gevst import model as M
 from gevst.model import ModelParams, Scene, caption_ids, init_model
 from gevst.nn import (Ffn, LayerNorm, Layout, Linear, Tensor, attend, bind_flat, ffn, flat_views, layer_norm, linear,
-                      named_parameters, parameters, sinusoidal_positions)
+                      named_parameters, parameters, real_mean, sinusoidal_positions)
 
 
 def born_flat(init):
@@ -781,7 +781,7 @@ def branch_loop_gesa_layer(x_prev, g_intra, g_inter, params, h):
         if g.data.shape != x_prev.data.shape:
             raise ShapeError(f"{kind}-geometry shape {g.data.shape} != content shape {x_prev.data.shape}")
         maps.append(T.attention_weights(linear(g, q), linear(g, k), h))
-    gates = T.softmax(T.mean(linear(x_prev, params.gate), axis=0))
+    gates = T.softmax(real_mean(linear(x_prev, params.gate), None))
     T.record("gesa_gates", gates)
     attended = T.apply_attention(T.mix_maps(maps, gates), linear(x_prev, params.v_c), h)
     a = layer_norm(T.add(x_prev, attended), params.ln1)
