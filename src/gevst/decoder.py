@@ -18,11 +18,12 @@ the tape, for a batch at rank 3, the batch's id sequences padded with PAD,
 with causal self attention over the whole sequence. Decoding
 (`CachedDecoder`) computes one new row per (scene, prefix) in one tapeless
 NumPy step over plain arrays, with the engine's softmax and layer-norm
-forwards. Its self attention reads the keys and values kept for the rest of
-the prefix, and its cross attention reads its own scene's keys and values.
-Both take the cross keys, values and key bias from `cross_keys_values` (the
-branch outputs projected once per layer). The decoder is causal, so the two
-agree to rounding.
+forwards, reading every weight in place. Its self attention reads the keys
+and values kept for the rest of the prefix, and its cross attention reads
+its own scene's keys and values. Both take the cross keys, values and key
+bias from `cross_keys_values` (the branch outputs projected once per
+layer); those keys and values are all a decoder copies. The decoder is
+causal, so the two agree to rounding.
 
 Every caption comes from one driver, `decode`, over a batched `step(rows)
 -> [len(rows) x V]` log-prob matrix, one row per (scene, prefix), so it is
@@ -183,36 +184,6 @@ def decoder_forward(layers, h, scenes, embed, out_proj, token_ids):
     return linear(y, out_proj)
 
 
-@dataclass
-class _StepLayer:
-    """One decoder layer as a CachedDecoder step reads it, laid out when the
-    decoder is made, for k branches, S scenes, N keys and h heads of width
-    dh. The fused self affine and the cross keys and values are copies; the
-    rest are views of the layer's parameters."""
-
-    qkv_w: np.ndarray  # [d x 3d]: the self q weight scaled by 1/sqrt(dh), the k and the v weight side by side
-    qkv_b: np.ndarray  # [3d]
-    q_w: np.ndarray  # [k x d x d]: each branch's cross q weight
-    q_b: np.ndarray  # [k x 1 x d]
-    gate_y: np.ndarray  # [k x d x d]: the half of each branch's gate weight over y
-    gate_c: np.ndarray  # [k x d x d]: the half over the branch's context
-    gate_b: np.ndarray  # [k x 1 x d]
-    keys: np.ndarray  # [k x S x h x dh x N]: the cross keys scaled by 1/sqrt(dh), each head's transposed
-    values: np.ndarray  # [k x S x h x N x dh]
-
-    @staticmethod
-    def of(lp: DecoderLayerParams, cross: CrossInputs, h):
-        k, s, n, d = cross.keys.data.shape
-        heads, scale = (k, s, n, h, d // h), 1.0 / np.sqrt(d // h)
-        return _StepLayer(
-            np.concatenate([lp.self_q.w.data * scale, lp.self_k.w.data, lp.self_v.w.data], axis=1),
-            np.concatenate([lp.self_q.b.data * scale, lp.self_k.b.data, lp.self_v.b.data]),
-            lp.cross.q.w.data, lp.cross.q.b.data[:, None], lp.mod.w.data[:, :d], lp.mod.w.data[:, d:],
-            lp.mod.b.data[:, None],
-            np.ascontiguousarray((cross.keys.data * scale).reshape(heads).transpose(0, 1, 3, 4, 2)),
-            np.ascontiguousarray(cross.values.data.reshape(heads).transpose(0, 1, 3, 2, 4)))
-
-
 class CachedDecoder:
     """Incremental decoding of one or more scenes in lockstep: `step(rows)`
     takes (scene, prefix) pairs, scene an index into the S scenes on the
@@ -228,14 +199,14 @@ class CachedDecoder:
     A call is one tapeless NumPy step over plain arrays: per layer a few
     GEMMs and the engine's own row softmax and layer-norm forwards
     (`T.softmax_rows`, `T.layer_norm_rows`), then the vocabulary log softmax
-    of `T.log_softmax`. Each layer's constants are laid out once, when the
-    decoder is made (`_StepLayer`): the self q, k and v affines fused, the
-    gate affine split into its y and context halves, and every scene's
-    cross keys and values (`cross_keys_values`), stored head-major, with
-    the key bias teacher forcing adds (`CrossInputs.bias`). Making it
-    records on a live tape, so callers make it under `T.no_grad`. The fused
-    affine and the keys and values are snapshots of the parameters at that
-    time, so make a new decoder after an update.
+    of `T.log_softmax`. Every weight is read where the model stores it, at
+    each call. A decoder holds, besides the self-attention cache, only what
+    depends on its scenes: per layer every scene's cross keys and values
+    (`cross_keys_values`), stored head-major, and the one key bias teacher
+    forcing adds (`CrossInputs.bias`). Making it records on a live tape, so
+    callers make it under `T.no_grad`. The cross keys and values are
+    snapshots of the parameters at that time, so make a new decoder after
+    an update.
     With one scene every row queries its keys without a gather; with many,
     each row gathers its own scene's, so a step costs in proportion to its
     rows. A call computes one new row per prefix: its self attention reads
@@ -247,12 +218,16 @@ class CachedDecoder:
         self.layers, self.h, self.embed, self.out_proj = layers, h, embed.data, out_proj
         self.scenes = scenes[1].data.shape[1]
         crosses = cross_keys_values(layers, scenes)
-        self.steps = [_StepLayer.of(lp, cross, h) for lp, cross in zip(layers, crosses)]
+        k, s, n, d = crosses[0].keys.data.shape
+        heads = (k, s, n, h, d // h)
+        # per layer, the cross keys [k x S x h x dh x N] (each head's transposed) and values [k x S x h x N x dh]
+        self.cross = [(np.ascontiguousarray(c.keys.data.reshape(heads).transpose(0, 1, 3, 4, 2)),
+                       np.ascontiguousarray(c.values.data.reshape(heads).transpose(0, 1, 3, 2, 4))) for c in crosses]
         self.bias = crosses[0].bias  # [k x S x 1 x 1 x N]
         # each (scene, prefix) of the previous call -> its row in `self_kv`
         self.rows = {(i, ()): 0 for i in range(self.scenes)}
         # per layer, [rows x 2 x h x prefix length x dh]: each prefix's self keys, then values, per head
-        self.self_kv = [np.zeros((1, 2, h, 0, self.embed.shape[1] // h))] * len(layers)
+        self.self_kv = [np.zeros((1, 2, h, 0, d // h))] * len(layers)
 
     def __call__(self, rows):
         rows = [(scene, tuple(p)) for scene, p in rows]
@@ -268,29 +243,36 @@ class CachedDecoder:
                                     f"nor one token longer than a prefix of that scene on the previous step")
             parents.append(self.rows[scene, p[:-1]])
         n, t, (_, d), h = len(rows), len(rows[0][1]), self.embed.shape, self.h
-        parents = np.array(parents)
+        dh, parents = d // h, np.array(parents)
+        scale = 1.0 / np.sqrt(dh)
         # One scene's rows are the queries of one attention over its keys; many scenes' rows gather their own.
         scenes, rows_at = (slice(None), 3) if self.scenes == 1 else ([scene for scene, _ in rows], 1)
         bias = self.bias[:, scenes]
         y = self.embed[[p[-1] for _, p in rows]] + sinusoidal_positions(t, d).data[t - 1]
         grown = []
-        for lp, c, kv in zip(self.layers, self.steps, self.self_kv):
-            qkv = (y @ c.qkv_w + c.qkv_b).reshape(n, 3, h, 1, d // h)
-            kv = np.concatenate([kv[parents], qkv[:, 1:]], axis=3)
+        for lp, (keys, values), kv in zip(self.layers, self.cross, self.self_kv):
+            new_kv = np.stack([_affine(y, lp.self_k), _affine(y, lp.self_v)], 1).reshape(n, 2, h, 1, dh)
+            kv = np.concatenate([kv[parents], new_kv], axis=3)
             grown.append(kv)
-            context = softmax_rows(qkv[:, 0] @ kv[:, 0].swapaxes(-1, -2)) @ kv[:, 1]
+            q = _affine(y, lp.self_q).reshape(n, h, 1, dh)
+            context = softmax_rows((q @ kv[:, 0].swapaxes(-1, -2)) * scale) @ kv[:, 1]
             y = layer_norm_rows(y + context.reshape(n, d), lp.ln1.gain.data, lp.ln1.bias.data)[0]
-            q = (y @ c.q_w + c.q_b).reshape(-1, n, h, 1, d // h).swapaxes(1, rows_at)
-            cross = (softmax_rows(q @ c.keys[:, scenes] + bias) @ c.values[:, scenes]).swapaxes(1, rows_at)
+            q = _affine(y, lp.cross.q).reshape(-1, n, h, 1, dh).swapaxes(1, rows_at)
+            cross = (softmax_rows((q @ keys[:, scenes]) * scale + bias) @ values[:, scenes]).swapaxes(1, rows_at)
             cross = cross.reshape(-1, n, d)  # [k x n x d]
-            gates = 1.0 / (1.0 + np.exp(-(y @ c.gate_y + cross @ c.gate_c + c.gate_b)))
+            gate_w = lp.mod.w.data  # [k x 2d x d]: each branch's half over y, then its half over the context
+            gates = 1.0 / (1.0 + np.exp(-(y @ gate_w[:, :d] + cross @ gate_w[:, d:] + lp.mod.b.data[:, None])))
             y = layer_norm_rows(y + np.add.reduce(gates * cross, 0), lp.ln2.gain.data, lp.ln2.bias.data)[0]
-            hidden = np.maximum(y @ lp.ffn.inner.w.data + lp.ffn.inner.b.data, 0.0)
-            y = layer_norm_rows(y + hidden @ lp.ffn.outer.w.data + lp.ffn.outer.b.data,
-                                lp.ln3.gain.data, lp.ln3.bias.data)[0]
+            hidden = np.maximum(_affine(y, lp.ffn.inner), 0.0)
+            y = layer_norm_rows(y + _affine(hidden, lp.ffn.outer), lp.ln3.gain.data, lp.ln3.bias.data)[0]
         self.self_kv = grown
         self.rows = {row: i for i, row in enumerate(rows)}
-        return T.log_softmax(Tensor(y @ self.out_proj.w.data + self.out_proj.b.data)).data
+        return T.log_softmax(Tensor(_affine(y, self.out_proj))).data
+
+
+def _affine(x, lin):
+    """x @ w + b on the stored arrays of a Linear; a stacked b [k x N] adds to each slice's rows."""
+    return x @ lin.w.data + lin.b.data[..., None, :]
 
 
 # ----------------------------------------------------------------- decoding

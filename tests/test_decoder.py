@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 import oracles as O
 import util as U
 from gevst import tensor as T
-from gevst.data import BOS_ID, EOS_ID
+from gevst.config import TrainConfig
+from gevst.data import BOS_ID, EOS_ID, build_vocab, corpus_texts, generate_dataset
 from gevst.decoder import (CachedDecoder, beam_search, cross_keys_values, decode, greedy_decode,
                            modulated_multi_input)
 from gevst.errors import ConfigError, ContractError, DecodeDiverged
+from gevst.model import branch_axis, encode_sample, init_model
 from gevst.nn import Linear, Tensor, named_parameters
 from util import init_decoder_layer, init_embedding, init_linear
 
@@ -258,7 +261,7 @@ def test_cached_step_rejects_a_prefix_that_extends_no_previous_row(rng):
 @pytest.mark.parametrize("branches", CACHED_BRANCHES)
 def test_one_scene_step_matches_the_one_scene_decoder(rng, branches):
     """With one scene every row attends to the shared keys, as in the
-    one-scene per-op decoder; the fused GEMMs round differently."""
+    one-scene per-op decoder; the array step's products round differently."""
     layers, embed, out_proj, outs = small_model(rng, branches=branches)
     got = one_scene(CachedDecoder(layers, 2, U.pad_scenes([outs]), embed, out_proj))
     want = U.ReferenceCachedDecoder(layers, 2, outs, embed, out_proj)
@@ -352,6 +355,32 @@ def test_many_scene_step_rejects_rows_outside_their_scene(rng):
             step(bad)
     # a rejected call leaves the cache as it was
     assert step([(0, [BOS_ID, 4, 5]), (0, [BOS_ID, 4, 1])]).shape == (2, 6)
+
+
+def test_a_desk_decoder_holds_only_its_scenes_cross_keys_and_values():
+    """Every weight is read where the model stores it: what making a
+    one-scene decoder at the desk config leaves allocated is its per-layer
+    cross keys and values, the key bias and the empty self-attention cache,
+    plus 4 KB for the Python objects that hold them. A fused copy of one
+    layer's self q, k and v weights alone would be 96 KB."""
+    cfg = TrainConfig()
+    sample = generate_dataset(0, 1)[0]
+    vocab = build_vocab(corpus_texts([sample]), 1)
+    params = init_model(cfg, len(vocab), np.random.default_rng(0))
+    with T.no_grad():
+        axis = branch_axis([encode_sample(params, cfg, sample, vocab)])
+        CachedDecoder(params.dec_layers, cfg.heads, axis, params.dec_embed, params.out)  # fills any lazy cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            decoder = CachedDecoder(params.dec_layers, cfg.heads, axis, params.dec_embed, params.out)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    _, padded, padding = axis  # the cross keys and values of a layer are each shaped like `padded`
+    snapshots = 2 * len(params.dec_layers) * padded.data.nbytes + padding.size * padded.data.itemsize
+    assert held <= snapshots + 4096
+    assert decoder([(0, [BOS_ID])]).shape == (1, len(vocab))
 
 
 def test_greedy_tie_breaks_to_lowest_id():

@@ -193,6 +193,47 @@ def test_batched_pass_grad_check_on_the_miniature_config():
         assert rel < 1e-4
 
 
+def test_gesa_geometry_projections_grad_check_through_a_padded_batch():
+    """Every (branch, layer) slice of each GESA group's q_intra and q_inter,
+    grad-checked through `encode_scenes` over a padded 3-scene batch at
+    criterion 1's eps, floor and bound. Through the decoder's loss these
+    gradients are about 1e-7, under the finite-difference noise; here the
+    loss reads the branch outputs straight off: a fixed random projection
+    of their real rows, scaled to the unit size of a mean loss, and the
+    geometry embeddings are scaled by 10 so the geometry maps are far from
+    uniform. Most nonzero coordinates then exceed the floor, so the check
+    is relative."""
+    cfg = U.miniature_config(raw_feat_dim=32, min_count=1, enc_layers=1)
+    samples = generate_dataset(4, 3)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    params = init_model(cfg, len(vocab), np.random.default_rng(2))
+    for embedding in (params.geo_visual, params.geo_semantic):
+        embedding.w.data[...] *= 10.0
+    with T.no_grad():
+        batch = encode_scenes(params, cfg, samples, vocab)
+    rng, proj = np.random.default_rng(7), {}
+    for b, out in batch.outputs.items():
+        proj[b] = rng.normal(0, 1, out.data.shape)
+        for s, n in enumerate(batch.regions if b[0] == "v" else batch.captions):
+            proj[b][s, n:] = 0.0  # a padded row computes values nobody reads
+    scale = 1.0 / np.sqrt(sum(np.count_nonzero(p) for p in proj.values()))
+
+    def loss(_):
+        out = encode_scenes(params, cfg, samples, vocab).outputs
+        return functools.reduce(T.add, (T.total_sum(T.mul(out[b], Tensor(p * scale))) for b, p in proj.items()))
+
+    stored = dict(named_parameters(params))
+    for group in ("ss+sv", "vs+vv"):
+        for kind in ("q_intra", "q_inter"):
+            w = stored[f"branches.{group}.geometry.{kind}.w"]
+            for part in range(len(w.data)):
+                rel = U.grad_check(loss, w, eps=1e-6, max_coords=6, rng=np.random.default_rng(5), floor=1e-5,
+                                   part=part)
+                assert rel < 1e-4, (group, kind, part)
+            nonzero = np.abs(w.grad[w.grad != 0])
+            assert np.median(nonzero) > 1e-5, (group, kind)
+
+
 def test_pad_scenes_lays_each_scene_first_then_zero_rows(rng):
     """The reference pads every branch of every scene to the longest of them
     all, on a branch axis in BRANCH_NAMES order, whatever order the scenes

@@ -329,23 +329,30 @@ def _axes(data, most, least=0):
     return tuple(data.draw(st.lists(st.integers(1, 3), min_size=least, max_size=most)))
 
 
-def _check_generated(data, rng, op, arrays, want):
+def _check_generated(data, rng, op, arrays, want, splits=False):
     """op over tensors of `arrays`, a drawn non-empty subset of them needing a
     gradient, against `want`, its plain NumPy forward, within 1e-12. The op
-    records one node, whose rule keeps no Tensor and gives None for exactly
-    the inputs that need none, and grad_check passes on each input that
-    needs one (12 sampled coordinates)."""
+    records one node, which may take one tensor more than once. Its rule
+    keeps no Tensor, gives each input that needs a gradient one of that
+    input's shape, and gives None to each input that needs none, unless the
+    rule only `splits` g into views (the tape drops those). grad_check
+    passes on each input that needs a gradient (12 sampled coordinates)."""
     needs = data.draw(st.lists(st.booleans(), min_size=len(arrays), max_size=len(arrays)).filter(any))
     inputs = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)]
     with Tape() as tape:
         out = op(*inputs)
     assert out.data.shape == want.shape and np.abs(out.data - want).max() <= 1e-12
-    (_, _, rule), = tape.nodes
+    (_, slots, rule), = tape.nodes
     assert _tensors_in(_cells(rule)) == 0
     probe = rng.normal(0, 1, want.shape)
     grads = rule(probe)
-    assert [g is None for g in grads] == [not r for r in needs]
-    assert all(g.shape == a.shape for g, a in zip(grads, arrays) if g is not None)
+    shapes = {t.slot: t.data.shape for t in inputs if t.requires_grad}
+    assert len(grads) == len(slots)
+    for g, s in zip(grads, slots):
+        if s is not None:
+            assert g.shape == shapes[s]
+        elif not splits:
+            assert g is None
     for t in inputs:
         if t.requires_grad:
             loss = lambda _: T.total_sum(T.mul(op(*inputs), Tensor(probe)))
@@ -432,6 +439,72 @@ def test_mix_maps_over_generated_shapes(data):
     maps, gd = [rng.random(lead + rest) for _ in range(m)], rng.dirichlet(np.ones(m), size=lead)
     want = sum(gd[..., i].reshape(lead + (1,) * len(rest)) * md for i, md in enumerate(maps))
     _check_generated(data, rng, lambda *ts: T.mix_maps(ts[:-1], ts[-1]), (*maps, gd), want)
+
+
+@given(st.data())
+def test_apply_attention_over_generated_shapes(data):
+    """Maps [*L x h x n x m] over values [*L x m x h*dh], L of 0 to 3 axes:
+    head j of each row is its map row applied to head j's columns of the
+    values, the heads merged back in order."""
+    lead = _axes(data, 3)
+    h, dh, n, m = (data.draw(st.integers(1, 3)) for _ in range(4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    wd, vd = rng.random(lead + (h, n, m)), rng.normal(0, 1, lead + (m, h * dh))
+    want = np.einsum("...jnm,...mje->...nje", wd, vd.reshape(lead + (m, h, dh))).reshape(lead + (n, h * dh))
+    _check_generated(data, rng, lambda w, v: T.apply_attention(w, v, h), (wd, vd), want)
+
+
+@given(st.data())
+def test_concat_over_generated_shapes(data):
+    """1 to 3 tensors of 1 to 4 axes, each of its own size on the axis they
+    are joined on, counted from either end."""
+    shape = list(_axes(data, 4, 1))
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    arrays = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        shape[axis] = data.draw(st.integers(1, 3))
+        arrays.append(rng.normal(0, 1, shape))
+    want = np.concatenate(arrays, axis=axis)
+    _check_generated(data, rng, lambda *ts: T.concat(ts, axis=axis), arrays, want, splits=True)
+
+
+@given(st.data())
+def test_stack_copies_over_generated_shapes(data):
+    """2 or 3 distinct tensors of one shape, of 0 to 3 axes, copied onto a
+    new leading axis, slice i being member i."""
+    shape = _axes(data, 3)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    arrays = [rng.normal(0, 1, shape) for _ in range(data.draw(st.integers(2, 3)))]
+    _check_generated(data, rng, lambda *ts: T.stack(ts), arrays, np.stack(arrays), splits=True)
+
+
+@given(st.data())
+def test_stack_of_one_tensor_repeated_over_generated_shapes(data):
+    """One tensor of 0 to 3 axes repeated 1 to 4 times: a broadcast view,
+    whose gradient is the sum of its slices' gradients."""
+    shape, k = _axes(data, 3), data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xd = rng.normal(0, 1, shape)
+    _check_generated(data, rng, lambda t: T.stack([t] * k), (xd,), np.stack([xd] * k), splits=True)
+
+
+@given(st.data())
+def test_index_over_generated_shapes(data):
+    """x of 1 to 4 axes under a basic index of its first 1 to all axes, each
+    an int counted from either end or a non-empty slice of a step from -2
+    to 3; a one-axis index is also given bare."""
+    shape = _axes(data, 4, 1)
+    key = []
+    for n in shape[:data.draw(st.integers(1, len(shape)))]:
+        if data.draw(st.booleans()):
+            key.append(data.draw(st.integers(-n, n - 1)))
+        else:
+            key.append(slice(data.draw(st.integers(0, n - 1)), None, data.draw(st.sampled_from([1, 2, 3, -1, -2]))))
+    key = key[0] if len(key) == 1 and data.draw(st.booleans()) else tuple(key)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xd = rng.normal(0, 1, shape)
+    _check_generated(data, rng, lambda t: T.index(t, key), (xd,), np.asarray(xd[key]))
 
 
 def _bits(a):

@@ -11,13 +11,15 @@ line adds its clip events; the SCST line its per-epoch mean sampled reward.
 The XE model is the benchmark's decode_desk fixture (the same scenes,
 config and epochs), and a third line fingerprints what it decodes: the
 greedy and beam-5 captions of the 125 held-out scenes of decode_desk's
-seed 1, `generate_dataset(1, 175)[50:]`. Its digest is the first 16 hex
-characters of the sha256 over the repr of every (tokens, sum log-prob)
-pair, beam-5 then greedy per scene, and it adds the generated ids per
-caption, EOS included, as the benchmark counts them. A fourth line
-fingerprints the greedy captions of those scenes decoded many at a time,
-as validation decodes them: `greedy_captions` over blocks of 8 scenes,
-the first 16 hex characters of the sha256 over the repr of every
+seed 1, `generate_dataset(1, 175)[50:]`. Its first digest is the first 16
+hex characters of the sha256 over the repr of every (tokens, sum log-prob)
+pair, beam-5 then greedy per scene; its second, after "tokens", the same
+over the tokens alone, so a change that moves only the rounding of the
+log-probs moves the first and leaves the second. The line adds the
+generated ids per caption, EOS included, as the benchmark counts them. A
+fourth line fingerprints the greedy captions of those scenes decoded many
+at a time, as validation decodes them: `greedy_captions` over blocks of 8
+scenes, the first 16 hex characters of the sha256 over the repr of every
 caption's tokens, in scene order.
 
 Run from the repository root (about 15 s on a 2-core x86-64 box):
@@ -61,7 +63,7 @@ def decode_digest(params, cfg, vocab, scenes):
     for s in scenes:
         captions += [beam_caption(params, cfg, vocab, s, beam=5), greedy_caption(params, cfg, vocab, s)]
     ids = sum(len(tokens) + (len(tokens) < cfg.max_len) for tokens, _ in captions)
-    return sha16(captions), ids / len(captions)
+    return sha16(captions), sha16([tokens for tokens, _ in captions]), ids / len(captions)
 
 
 def lockstep_digest(params, cfg, vocab, scenes):
@@ -73,11 +75,11 @@ def main():
     xe = train_xe(samples, cfg, epochs=10)
     print(f"XE   {digest(xe.params)}  clip events {xe.diagnostics['clip_events']}")
     held = generate_dataset(1, 175)[50:]
-    decoded, per_caption = decode_digest(xe.params, cfg, xe.vocab, held)  # before SCST moves the parameters
+    decoded, tokens, per_caption = decode_digest(xe.params, cfg, xe.vocab, held)  # before SCST moves the parameters
     lockstep = lockstep_digest(xe.params, cfg, xe.vocab, held)
     scst = train_scst(samples, cfg, xe.params, xe.vocab, epochs=2, start_step=xe.trained_steps)
     print(f"SCST {digest(scst.params)}  curve {', '.join(f'{v:.4f}' for _, v in scst.curve)}")
-    print(f"DECODE {decoded}  tokens per caption {per_caption:.4f}")
+    print(f"DECODE {decoded}  tokens {tokens}  tokens per caption {per_caption:.4f}")
     print(f"LOCKSTEP {lockstep}")
 
 
