@@ -16,6 +16,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -62,11 +63,14 @@ class Sample:
     gt_captions: list
 
 
+@functools.cache
 def base_code(shape, color):
-    """Fixed 32-dim code for a (shape, color) pair; no learning involved."""
+    """Fixed 32-dim code for a (shape, color) pair; no learning involved.
+    Drawn once per pair and cached as a read-only array."""
     si, ci = SHAPES.index(shape), COLORS.index(color)
-    rng = np.random.default_rng(np.random.SeedSequence([_CODE_SEED, si, ci]))
-    return rng.standard_normal(FEAT_DIM)
+    code = np.random.default_rng(np.random.SeedSequence([_CODE_SEED, si, ci])).standard_normal(FEAT_DIM)
+    code.flags.writeable = False
+    return code
 
 
 def _relation_word(box_a: BoundingBox, box_b: BoundingBox):
@@ -118,7 +122,7 @@ def generate_sample(seed, index):
     regions = []
     for shape, color, box in objs:
         noise = rng.normal(0.0, NOISE_SIGMA, FEAT_DIM)
-        feat = np.array([float(f"{v:.9g}") for v in base_code(shape, color) + noise])
+        feat = np.array([float(f"{v:.9g}") for v in (base_code(shape, color) + noise).tolist()])
         regions.append(Region(feat, box))
 
     dense = []
@@ -168,7 +172,7 @@ def split_train_val(samples):
 def sample_to_dict(s: Sample):
     return {
         "id": s.id,
-        "regions": [{"feat": [float(v) for v in r.feat], "box": r.box.as_list()} for r in s.regions],
+        "regions": [{"feat": r.feat.tolist(), "box": r.box.as_list()} for r in s.regions],
         "image_wh": [float(s.image_wh[0]), float(s.image_wh[1])],
         "dense_captions": [{"text": d.text, "box": d.box.as_list()} for d in s.dense_captions],
         "gt_captions": list(s.gt_captions),

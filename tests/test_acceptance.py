@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,10 +480,10 @@ def test_criterion_9_ablation_mechanics(announce, tmp_path):
     assert cli.main(["ablate", "--data", data, "--axis", "gesa", "--config",
                      str(cfg_path), "--epochs", "8", "--out", out_dir]) == 0
 
-    table = open(os.path.join(out_dir, "table.csv")).read().splitlines()
+    table = Path(out_dir, "table.csv").read_text().splitlines()
     sweep_ok = (table[0] == "config,bleu4,rouge_l,cider_d,best_epoch"
                 and [line.split(",")[0] for line in table[1:]] == ["Con", "+Intra", "+Inter"])
-    md = open(os.path.join(out_dir, "table.md")).read()
+    md = Path(out_dir, "table.md").read_text()
     direction_line = next((l for l in md.splitlines() if "direction check" in l), "")
     sweep_ok = sweep_ok and bool(direction_line)
 

@@ -6,6 +6,7 @@ import json
 import os
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,12 +49,12 @@ def workdir(tmp_path_factory):
 
 def test_gen_data_outputs_and_manifest(workdir):
     data = workdir["data"]
-    manifest = json.load(open(data + ".manifest.json"))
+    manifest = json.loads(Path(data + ".manifest.json").read_text())
     assert manifest["command"] == "gen-data"
     assert manifest["seed"] == 4
     assert manifest["outputs"] == [data]
     assert manifest["dataset_sha256"] == hashlib.sha256(
-        open(data, "rb").read()).hexdigest()
+        Path(data).read_bytes()).hexdigest()
     assert set(manifest) == {"command", "config", "seed", "dataset_sha256",
                              "outputs", "timings_s"}
 
@@ -61,17 +62,17 @@ def test_gen_data_outputs_and_manifest(workdir):
 def test_gen_data_rerun_byte_identical(workdir, tmp_path):
     out = str(tmp_path / "again.jsonl")
     assert cli.main(["gen-data", "--seed", "4", "--n", "6", "--out", out]) == 0
-    assert open(out, "rb").read() == open(workdir["data"], "rb").read()
+    assert Path(out).read_bytes() == Path(workdir["data"]).read_bytes()
 
 
 def test_train_xe_artifacts(workdir):
     run = workdir["run"]
     assert os.path.exists(os.path.join(run, "loss_curve.csv"))
     assert os.path.exists(workdir["ckpt"])
-    manifest = json.load(open(os.path.join(run, "manifest.json")))
+    manifest = json.loads(Path(run, "manifest.json").read_text())
     assert manifest["command"] == "train-xe"
     assert manifest["config"]["d_model"] == 16
-    curve = open(os.path.join(run, "loss_curve.csv")).read().splitlines()
+    curve = Path(run, "loss_curve.csv").read_text().splitlines()
     assert curve[0] == "epoch,loss" and len(curve) == 1 + TINY["xe_epochs"]
 
 
@@ -80,8 +81,8 @@ def test_train_rerun_byte_identical(workdir, tmp_path):
     assert cli.main(["train", "--data", workdir["data"], "--config",
                      workdir["cfg"], "--out", run2]) == 0
     for name in ("checkpoint.bin", "loss_curve.csv"):
-        a = open(os.path.join(workdir["run"], name), "rb").read()
-        b = open(os.path.join(run2, name), "rb").read()
+        a = Path(workdir["run"], name).read_bytes()
+        b = Path(run2, name).read_bytes()
         assert a == b, f"{name} differs between reruns"
 
 
@@ -89,7 +90,7 @@ def test_caption_and_eval_flow(workdir, tmp_path):
     pred = str(tmp_path / "pred.jsonl")
     assert cli.main(["caption", "--ckpt", workdir["ckpt"], "--data",
                      workdir["data"], "--beam", "2", "--out", pred]) == 0
-    rows = [json.loads(l) for l in open(pred) if l.strip()]
+    rows = [json.loads(l) for l in Path(pred).read_text().splitlines() if l.strip()]
     assert [r["id"] for r in rows] == [f"s{i:05d}" for i in range(6)]
     for r in rows:
         assert set(r) == {"id", "caption", "logprob"}
@@ -99,12 +100,12 @@ def test_caption_and_eval_flow(workdir, tmp_path):
     pred2 = str(tmp_path / "pred2.jsonl")
     cli.main(["caption", "--ckpt", workdir["ckpt"], "--data", workdir["data"],
               "--beam", "2", "--out", pred2])
-    assert open(pred, "rb").read() == open(pred2, "rb").read()
+    assert Path(pred).read_bytes() == Path(pred2).read_bytes()
 
     out = str(tmp_path / "metrics.json")
     assert cli.main(["eval", "--pred", pred, "--refs", workdir["data"],
                      "--out", out]) == 0
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     assert set(report) == {"bleu1", "bleu2", "bleu3", "bleu4", "rouge_l",
                            "cider_d", "n"}
     assert report["n"] == 6
@@ -262,9 +263,9 @@ def test_scst_from_checkpoint(workdir, tmp_path):
     run = str(tmp_path / "scst")
     assert cli.main(["train", "--data", workdir["data"], "--phase", "scst",
                      "--init", workdir["ckpt"], "--out", run]) == 0
-    curve = open(os.path.join(run, "reward_curve.csv")).read().splitlines()
+    curve = Path(run, "reward_curve.csv").read_text().splitlines()
     assert curve[0] == "epoch,reward" and len(curve) == 2
-    manifest = json.load(open(os.path.join(run, "manifest.json")))
+    manifest = json.loads(Path(run, "manifest.json").read_text())
     assert manifest["command"] == "train-scst"
 
 
@@ -274,7 +275,7 @@ def test_scst_config_is_checkpoint_then_file_then_seed(workdir, tmp_path):
     run = str(tmp_path / "scst")
     assert cli.main(["train", "--data", workdir["data"], "--phase", "scst", "--init", workdir["ckpt"],
                      "--config", str(cfg), "--seed", "9", "--out", run]) == 0
-    manifest = json.load(open(os.path.join(run, "manifest.json")))
+    manifest = json.loads(Path(run, "manifest.json").read_text())
     assert manifest["config"] == dict(load_checkpoint(workdir["ckpt"])[0].to_dict(), scst_lr=1e-6, seed=9)
     assert manifest["seed"] == 9
 
@@ -285,7 +286,7 @@ def test_xe_config_is_checkpoint_then_file_then_seed(workdir, tmp_path):
     run = str(tmp_path / "xe")
     assert cli.main(["train", "--data", workdir["data"], "--init", workdir["ckpt"],
                      "--config", str(cfg), "--seed", "9", "--out", run]) == 0
-    manifest = json.load(open(os.path.join(run, "manifest.json")))
+    manifest = json.loads(Path(run, "manifest.json").read_text())
     assert manifest["config"] == dict(load_checkpoint(workdir["ckpt"])[0].to_dict(), xe_epochs=1, lr_scale=0.5, seed=9)
     assert manifest["seed"] == 9
 
@@ -326,24 +327,24 @@ def test_dump_attention_contents(workdir, tmp_path):
     shapes = {"vs": (n_regions, n_captions), "sv": (n_captions, n_regions)}
     for name in fusion_files:
         rows = [[float(v) for v in line.split(",")]
-                for line in open(os.path.join(out, name)) if line.strip()]
+                for line in Path(out, name).read_text().splitlines() if line.strip()]
         assert (len(rows), *{len(row) for row in rows}) == shapes[name.split("_")[1]], name
         for row in rows:
             assert abs(sum(row) - 1.0) < 1e-9
 
     for b in ("ss", "sv", "vs", "vv"):
-        lines = open(os.path.join(out, f"gesa_gates_{b}.csv")).read().splitlines()
+        lines = Path(out, f"gesa_gates_{b}.csv").read_text().splitlines()
         assert lines[0] == "layer,c1,c2,c3"
         assert len(lines) == 1 + TINY["layers"]
         for line in lines[1:]:
             vals = [float(v) for v in line.split(",")[1:] if v != ""]
             assert abs(sum(vals) - 1.0) < 1e-9
 
-    dec = open(os.path.join(out, "decoder_gates.csv")).read().splitlines()
+    dec = Path(out, "decoder_gates.csv").read_text().splitlines()
     assert dec[0] == "step,ss,sv,vs,vv"
     assert len(dec) >= 2
 
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert len(manifest["outputs"]) == len(fusion_files) + 4 + 1
 
 
@@ -359,7 +360,7 @@ def test_dump_attention_single_map_base(workdir, tmp_path, base):
     kind = {"c": "content", "g": "geometry"}[base]
     assert sorted(f for f in os.listdir(out) if f.startswith("fusion_")) == [
         f"fusion_sv_cell1_{kind}.csv", f"fusion_vs_cell1_{kind}.csv"]
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert len(manifest["outputs"]) == 2 + 4 + 1
 
 
@@ -381,10 +382,10 @@ def test_ablate_worker_count_does_not_change_bytes(workdir, tmp_path, monkeypatc
     monkeypatch.setenv("GEVST_THREADS", "2")
     assert cli.main(args + ["--out", parallel]) == 0
     for name in ("table.csv", "table.md"):
-        a = open(os.path.join(serial, name), "rb").read()
-        b = open(os.path.join(parallel, name), "rb").read()
+        a = Path(serial, name).read_bytes()
+        b = Path(parallel, name).read_bytes()
         assert a == b
-    table = open(os.path.join(serial, "table.csv")).read().splitlines()
+    table = Path(serial, "table.csv").read_text().splitlines()
     assert len(table) == 4
 
 
@@ -395,7 +396,7 @@ def test_missing_file_fails_cleanly(tmp_path, capsys):
 
 
 def test_repeated_scene_id_exits_one(workdir, tmp_path, capsys):
-    lines = open(workdir["data"]).read().splitlines()
+    lines = Path(workdir["data"]).read_text().splitlines()
     data = tmp_path / "twice.jsonl"
     data.write_text("\n".join(lines + lines[:1]) + "\n")
     pred = tmp_path / "pred.jsonl"
@@ -413,7 +414,7 @@ def test_repeated_scene_id_exits_one(workdir, tmp_path, capsys):
 def test_scene_without_captions_exits_one(workdir, tmp_path, capsys):
     """A scene with no ground-truth caption can be captioned, but training on
     it, validating on it or scoring against it exits 1 and names it."""
-    rows = [json.loads(line) for line in open(workdir["data"]).read().splitlines()]
+    rows = [json.loads(line) for line in Path(workdir["data"]).read_text().splitlines()]
     pred = tmp_path / "pred.jsonl"
     for bare in ("s00002", "s00005"):  # a training scene, then the validation scene
         data = tmp_path / f"no_caption_{bare}.jsonl"
@@ -483,7 +484,7 @@ def test_ablate_pool_is_no_larger_than_its_grid(workdir, tmp_path, monkeypatch, 
 
 
 def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
-    raw = open(workdir["ckpt"], "rb").read()
+    raw = Path(workdir["ckpt"]).read_bytes()
     header_line, _, body = raw.partition(b"\n")
     header = json.loads(header_line)
     header["config"]["d_model"] = "abc"
@@ -665,7 +666,7 @@ def prediction_lines(ids):
 
 @pytest.fixture(scope="module")
 def reference_ids(workdir):
-    return [json.loads(line)["id"] for line in open(workdir["data"])]
+    return [json.loads(line)["id"] for line in Path(workdir["data"]).read_text().splitlines()]
 
 
 @given(data=st.data())
@@ -684,7 +685,7 @@ def test_eval_on_any_predictions_file_reports_or_exits_one(workdir, reference_id
             code = cli.main(["eval", "--pred", pred, "--refs", workdir["data"], "--out", out])
         if code == 0:
             assert err.getvalue() == ""
-            assert {"bleu4", "cider_d", "n"} <= set(json.load(open(out)))
+            assert {"bleu4", "cider_d", "n"} <= set(json.loads(Path(out).read_text()))
         else:
             assert code == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
@@ -742,7 +743,7 @@ def test_load_checkpoint_on_any_mutated_file_raises_a_gevst_error(workdir, data)
     """A v2 checkpoint with a mutated header and a truncated or extended body
     either loads (when the mutation left what is checked intact) or raises a
     GevstError, never anything else."""
-    raw = open(workdir["ckpt"], "rb").read()
+    raw = Path(workdir["ckpt"]).read_bytes()
     header_line, _, body = raw.partition(b"\n")
     header = mutated_header(json.loads(header_line), data)
     cut = data.draw(st.integers(0, len(body)))

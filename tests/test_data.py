@@ -105,6 +105,35 @@ def test_base_code_is_stable_and_distinct():
     assert (c1 == c2).all()
     assert not (c1 == D.base_code("square", "red")).all()
     assert not (c1 == D.base_code("circle", "blue")).all()
+    # each cached code carries the bits of a fresh draw from its pair's stream, and refuses a write
+    for si, shape in enumerate(D.SHAPES):
+        for ci, color in enumerate(D.COLORS):
+            fresh = np.random.default_rng(np.random.SeedSequence([D._CODE_SEED, si, ci])).standard_normal(D.FEAT_DIM)
+            code = D.base_code(shape, color)
+            assert code.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                code[0] = 0.0
+
+
+def test_write_jsonl_bytes_match_the_per_element_writer(tmp_path):
+    """write_jsonl converts each feature vector with one tolist; the bytes are
+    those of the per-element float() form it replaced, kept here."""
+    def reference_line(s):
+        obj = {
+            "id": s.id,
+            "regions": [{"feat": [float(v) for v in r.feat], "box": r.box.as_list()} for r in s.regions],
+            "image_wh": [float(s.image_wh[0]), float(s.image_wh[1])],
+            "dense_captions": [{"text": d.text, "box": d.box.as_list()} for d in s.dense_captions],
+            "gt_captions": list(s.gt_captions),
+        }
+        return json.dumps(obj, separators=(",", ":")) + "\n"
+
+    samples = D.generate_dataset(1, 40)
+    path = tmp_path / "d.jsonl"
+    D.write_jsonl(samples, path)
+    assert path.read_bytes() == "".join(map(reference_line, samples)).encode()
+    D.write_jsonl(D.read_jsonl(path), path)
+    assert path.read_bytes() == "".join(map(reference_line, samples)).encode()
 
 
 def test_generate_dataset_rejects_empty():

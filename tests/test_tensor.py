@@ -324,9 +324,9 @@ def test_log_softmax_is_at_most_zero_and_matches_logsumexp(data):
 # ------------------------------------------- kernels over generated shapes
 
 
-def _axes(data, most, least=0):
-    """A drawn tuple of `least` to `most` axis sizes, each from 1 to 3."""
-    return tuple(data.draw(st.lists(st.integers(1, 3), min_size=least, max_size=most)))
+def _axes(data, most, least=0, top=3):
+    """A drawn tuple of `least` to `most` axis sizes, each from 1 to `top`."""
+    return tuple(data.draw(st.lists(st.integers(1, top), min_size=least, max_size=most)))
 
 
 def _check_generated(data, rng, op, arrays, want, splits=False):
@@ -505,6 +505,76 @@ def test_index_over_generated_shapes(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     xd = rng.normal(0, 1, shape)
     _check_generated(data, rng, lambda t: T.index(t, key), (xd,), np.asarray(xd[key]))
+
+
+@pytest.mark.parametrize("op, reference", [(T.add, np.add), (T.mul, np.multiply)], ids=["add", "mul"])
+@given(data=st.data())
+def test_add_and_mul_over_generated_shapes(op, reference, data):
+    """x of 0 to 3 leading axes (sizes 1 to 5) and a last axis, with y of
+    x's shape entry by entry, or with a size-1 y of 0 to 2 axes on either
+    side or a python number after x, which acts as a scalar (the second
+    operand, when both are size 1), its gradient summed to one entry."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xd = rng.normal(0, 1, _axes(data, 3, top=5) + (data.draw(st.integers(1, 5)),))
+    kind = data.draw(st.sampled_from(["same", "size1", "number"]))
+    if kind == "number":
+        c = data.draw(st.floats(-2, 2))
+        _check_generated(data, rng, lambda t: op(t, c), (xd,), reference(xd, c))
+        return
+    yd = rng.normal(0, 1, xd.shape if kind == "same" else (1,) * data.draw(st.integers(0, 2)))
+    a, b = (yd, xd) if data.draw(st.booleans()) else (xd, yd)
+    pair = (a, b) if a.shape == b.shape else (a, b.reshape(())) if b.size == 1 else (a.reshape(()), b)
+    _check_generated(data, rng, op, (a, b), np.asarray(reference(*pair)))
+
+
+@given(st.data())
+def test_pairwise_add_over_generated_shapes(data):
+    """p [*L x N x d] and k [*L x M x d], L of 0 to 3 axes: row i*M + j of
+    each slice is p's row i plus k's row j."""
+    lead = _axes(data, 3, top=5)
+    n, m, d = (data.draw(st.integers(1, 5)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pd, kd = rng.normal(0, 1, lead + (n, d)), rng.normal(0, 1, lead + (m, d))
+    want = np.empty(lead + (n * m, d))
+    for i, j in np.ndindex(n, m):
+        want[..., i * m + j, :] = pd[..., i, :] + kd[..., j, :]
+    _check_generated(data, rng, T.pairwise_add, (pd, kd), want)
+
+
+@given(st.data())
+def test_total_sum_over_generated_shapes(data):
+    """Every entry of x, of 0 to 4 axes, summed to one; g reaches each."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xd = rng.normal(0, 1, _axes(data, 4, top=5))
+    _check_generated(data, rng, T.total_sum, (xd,), np.asarray(xd.sum()))
+
+
+@given(st.data())
+def test_embedding_lookup_over_generated_shapes(data):
+    """Rows of a [V x d] table picked by ids of 0 to 3 leading axes and a
+    last axis, one id at least repeated: the gradient of a row adds the g of
+    every place that picked it."""
+    v, d = (data.draw(st.integers(1, 5)) for _ in range(2))
+    shape = _axes(data, 3, top=5) + (data.draw(st.integers(2, 5)),)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ids = rng.integers(0, v, shape)
+    ids.flat[-1] = ids.flat[0]
+    td = rng.normal(0, 1, (v, d))
+    want = np.array([td[i] for i in ids.ravel()]).reshape(shape + (d,))
+    _check_generated(data, rng, lambda t: T.embedding_lookup(t, ids), (td,), want)
+
+
+@pytest.mark.parametrize("op, reference", [(T.tanh, np.tanh), (T.sigmoid, lambda a: 1.0 / (1.0 + np.exp(-a))),
+                                           (T.relu, lambda a: np.maximum(a, 0.0))], ids=["tanh", "sigmoid", "relu"])
+@given(data=st.data())
+def test_pointwise_over_generated_shapes(op, reference, data):
+    """tanh, sigmoid and relu over x of 0 to 3 leading axes and a last axis.
+    Entries sit at least 0.1 from 0, so relu's kink is beyond the reach of a
+    central difference."""
+    shape = _axes(data, 3, top=5) + (data.draw(st.integers(1, 5)),)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xd = rng.uniform(0.1, 3.0, shape) * rng.choice([-1.0, 1.0], shape)
+    _check_generated(data, rng, op, (xd,), reference(xd))
 
 
 def _bits(a):
