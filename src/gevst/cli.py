@@ -119,13 +119,10 @@ def cmd_caption(args):
     t0 = time.time()
     cfg, vocab, params, _ = load_checkpoint(args.ckpt)
     samples = read_jsonl(args.data)
-    rows = []
-    for s in samples:
-        tokens, cum = training.beam_caption(params, cfg, vocab, s, beam=args.beam)
-        rows.append({"id": s.id, "caption": " ".join(tokens), "logprob": cum})
+    captions = training.captions(params, cfg, vocab, samples, cfg.beam if args.beam is None else args.beam)
     with open(args.out, "w") as f:
-        for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+        for s, (tokens, cum) in zip(samples, captions):
+            f.write(json.dumps({"id": s.id, "caption": " ".join(tokens), "logprob": cum}, sort_keys=True) + "\n")
     _write_manifest(args.out + ".manifest.json", "caption", cfg, cfg.seed,
                     args.data, [args.out], {"total": time.time() - t0})
     return 0
@@ -195,7 +192,7 @@ def cmd_dump_attention(args):
                 f.write(f"{li}," + ",".join(vals) + "\n")
         outputs.append(path)
 
-    ids = training.lockstep_decode(params, cfg, [sample], [scene])[1][0]
+    ids, _ = training.lockstep_decode(params, cfg, [sample], [scene])[1][0]
     with T.recording() as dec:
         caption_logits(params, cfg, scene, [BOS_ID] + ids[:-1])
     # per branch: one [1 x steps x d] gate per decoder layer, averaged over d, then layers

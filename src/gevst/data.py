@@ -107,7 +107,7 @@ def _place_objects(rng):
             continue
         objs.append((shape, color, box))
     sums = [b.center[0] + b.center[1] for _, _, b in objs]
-    if int(np.argmin(sums)) == int(np.argmax(sums)):
+    if min(sums) == max(sums):
         # all diagonal sums tied; nudge by rejecting the whole scene
         return None
     return objs
@@ -134,7 +134,7 @@ def generate_sample(seed, index):
         dense.append(DenseCaption(f"{sa} {_relation_word(ba, bb)} {sb}", union_box(ba, bb)))
 
     sums = [b.center[0] + b.center[1] for _, _, b in objs]
-    lo, hi = int(np.argmin(sums)), int(np.argmax(sums))
+    lo, hi = sums.index(min(sums)), sums.index(max(sums))
     first, second = (lo, hi) if rng.integers(0, 2) == 0 else (hi, lo)
     sa, ca, ba = objs[first]
     sb, cb, bb = objs[second]

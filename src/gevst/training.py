@@ -229,21 +229,29 @@ def encode_batch(params, cfg, samples, vocab):
     return [encode_sample(params, cfg, s, vocab, (scenes, i)) for i, s in enumerate(samples)]
 
 
-def greedy_captions(params, cfg, vocab, samples):
-    """Greedy caption tokens of every sample: the scenes are encoded tapeless
-    (`encode_batch`) and decoded in one lockstep. Each caption is that of
-    `greedy_caption` on its scene alone unless two tokens tie to rounding
+# Scenes per lockstep decode of `captions`: a block's decoder gathers every row's own scene keys,
+# so a step's memory grows with the block's rows (up to beam x CAPTION_BLOCK of them).
+CAPTION_BLOCK = 32
+
+
+def captions(params, cfg, vocab, samples, beam=1):
+    """(caption tokens, sum log-prob) of every sample: blocks of
+    CAPTION_BLOCK scenes, each encoded tapeless (`encode_batch`) and decoded
+    in one lockstep at beam width `beam`. Each caption is that of
+    `beam_caption` on its scene alone unless two candidates tie to rounding
     (see `lockstep_decode` and `model.encode_scenes`)."""
-    with no_grad():
-        scenes = encode_batch(params, cfg, samples, vocab)
-    return [caption_tokens(vocab, ids) for ids in lockstep_decode(params, cfg, samples, scenes)[1]]
+    out = []
+    for lo in range(0, len(samples), CAPTION_BLOCK):
+        block = samples[lo:lo + CAPTION_BLOCK]
+        with no_grad():
+            scenes = encode_batch(params, cfg, block, vocab)
+        decoded = lockstep_decode(params, cfg, block, scenes, beam=beam)[1]
+        out += [(caption_tokens(vocab, ids), cum) for ids, cum in decoded]
+    return out
 
 
 def corpus_cider(params, cfg, vocab, samples):
-    if not samples:
-        return 0.0
-    score, _ = metrics.cider_d(greedy_captions(params, cfg, vocab, samples), references_of(samples))
-    return score
+    return metrics.cider_d([tokens for tokens, _ in captions(params, cfg, vocab, samples)], references_of(samples))[0]
 
 
 # ---------------------------------------------------------------- training
@@ -376,28 +384,30 @@ def train_xe(samples, cfg: TrainConfig, epochs=None, params=None, vocab=None,
                      shuffle_tag=101, report="epoch {}: loss {:.6f}", log=log, stop_fn=stop_fn)
 
 
-def lockstep_decode(params, cfg, samples, scenes, rngs=()):
+def lockstep_decode(params, cfg, samples, scenes, rngs=(), beam=1):
     """Captions of many scenes advanced together through one CachedDecoder,
     tapeless: scene i is `samples[i]` with its Scene `scenes[i]`, all of one
     SceneBatch (taped or not; their branch axis is laid out off the tape).
 
     Each of the first len(rngs) scenes gets a caption sampled from its own
-    stream rngs[i]; every scene gets its greedy caption: the groups of one
-    `decoder.decode`, sampled first. A row's log-probs are those of a lone
-    decode of its scene to rounding (within 1e-12), whatever the other
-    scenes are, so a token can differ from a lone decode's only where two
-    candidates tie to that rounding, or a draw falls that close to an edge
-    of its stream's cumulative distribution. Returns (sampled ids per stream,
-    greedy ids per scene); a non-finite row raises TrainingDiverged naming its sample."""
+    stream rngs[i]; every scene gets its beam-search caption of width `beam`
+    (greedy at 1): the groups of one `decoder.decode`, sampled first. A row's
+    log-probs are those of a lone decode of its scene to rounding (within
+    1e-12), whatever the other scenes are, so a token can differ from a lone
+    decode's only where two candidates tie to that rounding, or a draw falls
+    that close to an edge of its stream's cumulative distribution. Returns
+    (sampled ids per stream, (ids, sum log-prob) of the beam caption per
+    scene); a non-finite row raises TrainingDiverged naming its sample and
+    the policy or beam width."""
     with no_grad():
         decoder = CachedDecoder(params.dec_layers, cfg.heads, branch_axis(scenes), params.dec_embed, params.out)
-    groups = [(i, 1, rng) for i, rng in enumerate(rngs)] + [(i, 1, None) for i in range(len(scenes))]
+    groups = [(i, 1, rng) for i, rng in enumerate(rngs)] + [(i, beam, None) for i in range(len(scenes))]
     try:
-        captions = [ids for ids, _, _ in decode(decoder, groups, cfg.max_len)]
+        decoded = [(ids, cum) for ids, cum, _ in decode(decoder, groups, cfg.max_len)]
     except DecodeDiverged as e:
-        policy = "SCST policy" if rngs else "greedy"
+        policy = "SCST policy" if rngs else "greedy" if beam == 1 else f"beam-{beam}"
         raise TrainingDiverged(f"{policy} log-probs became non-finite on sample {samples[e.scene].id}") from None
-    return captions[:len(rngs)], captions[len(rngs):]
+    return [ids for ids, _ in decoded[:len(rngs)]], decoded[len(rngs):]
 
 
 def scst_rollouts(params, cfg, vocab, sample, rng):
@@ -406,7 +416,7 @@ def scst_rollouts(params, cfg, vocab, sample, rng):
     with no_grad():
         scene = encode_sample(params, cfg, sample, vocab)
     sampled, greedy = lockstep_decode(params, cfg, [sample], [scene], [rng])
-    return sampled[0], greedy[0]
+    return sampled[0], greedy[0][0]
 
 
 def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step=0, log=None):
@@ -428,7 +438,7 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
         rngs = [_epoch_rng(cfg.seed, 303, epoch, int(i)) for i in indices]
         taught, rewards = [], []  # taught: (Scene, sampled ids, advantage)
         rollouts = lockstep_decode(params, cfg, batch, scenes, rngs)
-        for s, scene, sampled, greedy_ids in zip(batch, scenes, *rollouts):
+        for s, scene, sampled, (greedy_ids, _) in zip(batch, scenes, *rollouts):
             r_s = scorer.sentence(caption_tokens(vocab, sampled), ref_by_id[s.id])
             advantage = r_s - scorer.sentence(caption_tokens(vocab, greedy_ids), ref_by_id[s.id])
             rewards.append(r_s)

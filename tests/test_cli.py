@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles as O
 import util as U
-from gevst import ablation, cli
+from gevst import ablation, cli, training
 from gevst.config import TrainConfig, config_from_dict
 from gevst.data import read_jsonl
 from gevst.errors import ConfigError, GevstError
@@ -628,6 +628,64 @@ def test_out_of_range_heads_seed_and_epochs_exit_one(workdir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err, (argv, err)
         assert not out.is_file() and not any(p.is_file() for p in out.rglob("*")), argv
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"heads": 3}, "d_model 16 must be >= 2 and divisible by heads 3"),
+    ({"enc_heads": 3}, "enc_width 16 must be >= 2 and divisible by enc_heads 3"),
+    ({"layers": 6}, "layers must be in 2..5, got 6"),
+    ({"fusion_cells": 0}, "fusion_cells must be in 1..3, got 0"),
+    ({"fusion_base": "cgc"}, "fusion_base must be one of"),
+    ({"gesa_variant": "inter"}, "gesa_variant must be one of"),
+    ({"branches": ["ss", "sx"]}, "branches must be a non-empty subset"),
+    ({"branches": []}, "branches must be a non-empty subset"),
+    ({"branches": ["vv", "vs", "vv"]}, "duplicate branches in ('vv', 'vs', 'vv')"),
+    ({"lr_scale": 0}, "lr_scale must be positive and finite, got 0"),
+    ({"grad_clip": -5.0}, "grad_clip must be positive and finite, got -5.0"),
+    ({"scst_lr": 0.0}, "scst_lr must be positive and finite, got 0.0"),
+], ids=["heads", "enc-heads", "layers", "fusion-cells", "fusion-base", "gesa-variant", "unknown-branch", "no-branch",
+        "repeated-branch", "lr-scale", "grad-clip", "scst-lr"])
+def test_config_value_outside_its_set_exits_one(workdir, tmp_path, capsys, bad, message):
+    """An unknown, repeated, out-of-range or non-positive value in a
+    --config file makes `gevst train` exit 1 with the one message and no
+    output directory."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(TINY, **bad)))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", workdir["data"], "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _narrow_feats(row):
+    for region in row["regions"]:
+        region["feat"] = region["feat"][:16]
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda row: row.update(id=5), "line 6: field 'id' should be str, got int"),
+    (lambda row: row.update(dense_captions="a red cube"), "line 6: field 'dense_captions' should be list, got str"),
+    (lambda row: row["regions"].append([1.0]), "line 6: region entries must be objects"),
+    (lambda row: row["dense_captions"].append("a red cube"), "line 6: dense caption entries must be objects"),
+    (lambda row: row["gt_captions"].append(7), "line 6: field 'gt_captions' should be a list of strings"),
+    (lambda row: row.update(dense_captions=[]), "sample s00005: no dense captions"),
+    (_narrow_feats, "sample s00005: feature width 16 != configured 32"),
+], ids=["id-type", "dense-type", "region-entry", "dense-entry", "gt-entry", "no-dense", "feat-width"])
+def test_spoiled_second_block_scene_fails_caption(workdir, tmp_path, capsys, monkeypatch, spoil, message):
+    """`gevst caption` over blocks of 4 scenes, on a file whose sixth scene
+    (in the second block) the reader or the model rejects, exits 1 naming
+    it and writes no --out, also when the first block decoded."""
+    monkeypatch.setattr(training, "CAPTION_BLOCK", 4)
+    rows = [json.loads(line) for line in Path(workdir["data"]).read_text().splitlines()]
+    spoil(rows[5])
+    data = tmp_path / "spoiled.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "pred.jsonl"
+    assert cli.main(["caption", "--ckpt", workdir["ckpt"], "--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "pred.jsonl.manifest.json").exists()
 
 
 @pytest.mark.parametrize("line, message", [

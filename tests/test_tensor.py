@@ -733,6 +733,7 @@ def test_masked_fill_underflows_to_exact_zero():
 # Public names that no package module uses, each kept for a caller outside
 # the package; delete a name with its last such caller.
 KEPT_FOR_OUTSIDE_CALLERS = {
+    ("training", "beam_caption"): "perfbench/workloads.py calls it by name and perfbench/tracer.py wraps it",
     ("training", "greedy_caption"): "perfbench/workloads.py calls it by name",
     ("training", "scst_rollouts"): "perfbench/tracer.py wraps it and tests/util.py::reference_train_scst calls it",
     ("training", "sequence_logprob"): "perfbench/workloads.py calls it by name",

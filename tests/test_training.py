@@ -497,10 +497,10 @@ def test_shared_loop_matches_reference_scst_without_advantage(monkeypatch):
     # The reference's per-scene scst_rollouts call the same lockstep_decode; validation decodes as usual.
     decode = TR.lockstep_decode
 
-    def empty_rollouts(params, cfg, batch, branches, rngs=()):
+    def empty_rollouts(params, cfg, batch, branches, rngs=(), beam=1):
         if not rngs:
-            return decode(params, cfg, batch, branches)
-        return [[EOS_ID]] * len(rngs), [[EOS_ID]] * len(branches)
+            return decode(params, cfg, batch, branches, beam=beam)
+        return [[EOS_ID]] * len(rngs), [([EOS_ID], 0.0)] * len(branches)
 
     monkeypatch.setattr(TR, "lockstep_decode", empty_rollouts)
     samples, cfg = tiny_setup(n=8)
@@ -597,21 +597,68 @@ def test_batched_rollouts_equal_per_scene_rollouts():
     def streams(order):
         return [TR._epoch_rng(cfg.seed, 303, 1, i) for i in order]
 
-    sampled, greedy_ids = TR.lockstep_decode(params, cfg, samples, scenes, streams(range(8)))
+    sampled, greedy = TR.lockstep_decode(params, cfg, samples, scenes, streams(range(8)))
+    greedy_ids = [ids for ids, _ in greedy]
     for i, s in enumerate(samples):
         assert TR.scst_rollouts(params, cfg, vocab, s, streams([i])[0]) == (sampled[i], greedy_ids[i])
     # rows leave the step at different lengths
     assert len({len(ids) for ids in sampled + greedy_ids}) > 2
     # neither the batch's composition nor its order moves a rollout
     back = list(range(7, 2, -1))
-    got = TR.lockstep_decode(params, cfg, [samples[i] for i in back], [scenes[i] for i in back], streams(back))
-    assert got == ([sampled[i] for i in back], [greedy_ids[i] for i in back])
+    got_sampled, got_greedy = TR.lockstep_decode(params, cfg, [samples[i] for i in back], [scenes[i] for i in back],
+                                                 streams(back))
+    assert (got_sampled, [ids for ids, _ in got_greedy]) == ([sampled[i] for i in back], [greedy_ids[i] for i in back])
 
 
 def test_lockstep_greedy_captions_equal_per_scene_greedy():
     cfg, samples, vocab, params, _ = desk_rollout_setup(n=7)
     want = [TR.greedy_caption(params, cfg, vocab, s)[0] for s in samples]
-    assert TR.greedy_captions(params, cfg, vocab, samples) == want
+    assert [tokens for tokens, _ in TR.captions(params, cfg, vocab, samples)] == want
+
+
+def miniature_caption_setup(n=7):
+    samples, cfg = tiny_setup(n=n)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    return samples, cfg, vocab, init_model(cfg, len(vocab), np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("beam", [1, 3])
+def test_block_captions_equal_per_scene_captions(monkeypatch, beam):
+    """`captions` over blocks of 3 scenes (the last one short) gives each
+    scene the tokens of its lone `greedy_caption`/`beam_caption`, and its
+    log-prob within 1e-12."""
+    monkeypatch.setattr(TR, "CAPTION_BLOCK", 3)
+    samples, cfg, vocab, params = miniature_caption_setup()
+    lone = TR.greedy_caption if beam == 1 else lambda *a: TR.beam_caption(*a, beam=beam)
+    want = [lone(params, cfg, vocab, s) for s in samples]
+    got = TR.captions(params, cfg, vocab, samples, beam)
+    assert [tokens for tokens, _ in got] == [tokens for tokens, _ in want]
+    assert U.max_abs_delta([cum for _, cum in got], [cum for _, cum in want]) <= 1e-12
+    assert len({tuple(tokens) for tokens, _ in got}) > 1  # the scenes are told apart
+
+
+@pytest.mark.parametrize("beam, policy", [(1, "greedy"), (3, "beam-3")])
+def test_block_captions_name_the_sample_and_beam_with_non_finite_log_probs(monkeypatch, beam, policy):
+    """A non-finite row of the second block's second scene names that
+    scene's sample and the beam width."""
+    monkeypatch.setattr(TR, "CAPTION_BLOCK", 3)
+    samples, cfg, vocab, params = miniature_caption_setup()
+    made = []
+
+    class PoisonedDecoder(TR.CachedDecoder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def __call__(self, rows):
+            lp = super().__call__(rows)
+            if len(made) == 2:
+                lp[[scene == 1 for scene, _ in rows], 0] = np.nan
+            return lp
+
+    monkeypatch.setattr(TR, "CachedDecoder", PoisonedDecoder)
+    with pytest.raises(TrainingDiverged, match=f"^{policy} log-probs became non-finite on sample {samples[4].id}$"):
+        TR.captions(params, cfg, vocab, samples, beam)
 
 
 def test_batched_rollouts_name_the_sample_with_non_finite_log_probs(monkeypatch):

@@ -18,9 +18,10 @@ over the tokens alone, so a change that moves only the rounding of the
 log-probs moves the first and leaves the second. The line adds the
 generated ids per caption, EOS included, as the benchmark counts them. A
 fourth line fingerprints the greedy captions of those scenes decoded many
-at a time, as validation decodes them: `greedy_captions` over blocks of 8
-scenes, the first 16 hex characters of the sha256 over the repr of every
-caption's tokens, in scene order.
+at a time, as validation and `gevst caption --beam 1` decode them:
+`captions` over slices of 8 scenes (each slice one block), the first 16
+hex characters of the sha256 over the repr of every caption's tokens, in
+scene order.
 
 Run from the repository root (about 15 s on a 2-core x86-64 box):
 
@@ -43,7 +44,7 @@ import numpy as np  # noqa: E402
 from gevst.config import TrainConfig  # noqa: E402
 from gevst.data import generate_dataset  # noqa: E402
 from gevst.nn import named_parameters  # noqa: E402
-from gevst.training import beam_caption, greedy_caption, greedy_captions, train_scst, train_xe  # noqa: E402
+from gevst.training import beam_caption, captions, greedy_caption, train_scst, train_xe  # noqa: E402
 
 
 def digest(params):
@@ -67,7 +68,7 @@ def decode_digest(params, cfg, vocab, scenes):
 
 
 def lockstep_digest(params, cfg, vocab, scenes):
-    return sha16([c for i in range(0, len(scenes), 8) for c in greedy_captions(params, cfg, vocab, scenes[i:i + 8])])
+    return sha16([tokens for i in range(0, len(scenes), 8) for tokens, _ in captions(params, cfg, vocab, scenes[i:i + 8])])
 
 
 def main():
