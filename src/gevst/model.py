@@ -134,19 +134,23 @@ def _region_rows(cfg, sample):
 
 def encode_scenes(params: ModelParams, cfg: TrainConfig, samples, vocab):
     """Every sample encoded in one pass: the regions' features and boxes and
-    the dense captions' boxes padded to the batch's most, every dense caption
-    through `encode_captions` at once and its rows gathered per scene
-    (`nn.pad_rows`), then fusion and GESA over the padded batch with its
-    padded keys masked (`encoder.encode_all`). A side with no padded row (a
-    batch of one, say) gets no mask. Returns a SceneBatch."""
+    the dense captions' boxes padded to the batch's most, each distinct
+    dense caption (id sequence) of the pass through `encode_captions` once,
+    all at once, and every scene's caption rows gathered from them
+    (`nn.pad_rows`, whose backward sums a repeated caption's gradients),
+    then fusion and GESA over the padded batch with its padded keys masked
+    (`encoder.encode_all`). A side with no padded row (a batch of one, say)
+    gets no mask. Returns a SceneBatch."""
     feats, v_boxes = zip(*(_region_rows(cfg, s) for s in samples))
     ids = [caption_ids(s, vocab) for s in samples]
     s_boxes = [normalize_boxes([dc.box for dc in s.dense_captions], s.image_wh) for s in samples]
     (feats, v_padding), (v_boxes, _), (s_boxes, s_padding) = _padded(feats), _padded(v_boxes), _padded(s_boxes)
     v_con = linear(Tensor(feats), params.vis_in)
     v_geo = embed_geometry(v_boxes, params.geo_visual)
-    captions = encode_captions(params.captions, cfg.enc_heads, [seq for seqs in ids for seq in seqs])
-    captions = pad_rows([captions], [len(seqs) for seqs in ids])[0]
+    rows = {}  # each distinct id sequence -> its row of the encoded captions, in first-seen order
+    index = [rows.setdefault(tuple(seq), len(rows)) for seqs in ids for seq in seqs]
+    captions = encode_captions(params.captions, cfg.enc_heads, list(rows))
+    captions = pad_rows([captions], [len(seqs) for seqs in ids], index=index)[0]
     s_geo = embed_geometry(s_boxes, params.geo_semantic)
     outputs = encode_all(v_con, v_geo, captions, s_geo, params.fusion_vs, params.fusion_sv, params.branches,
                          cfg.heads, cfg.expand_ratio, v_padding, s_padding)

@@ -184,19 +184,25 @@ def flat_parameters(obj):
 # ------------------------------------------------------------------ padding
 
 
-def pad_rows(parts, counts, starts=None):
+def pad_rows(parts, counts, starts=None, index=None):
     """Rows laid out per entry and padded: `parts` are [n x d] tensors, read as
     their rows end to end, and entry e of `counts` (an int array of any shape)
     is counts[e] of those rows from row starts[e] on (`starts` shaped like
-    counts; by default entry after entry, end to end). Returns ([*counts.shape
-    x N x d], bool [*counts.shape x N]), N the largest count: entry e's rows
-    first, zero rows after them, and the padding True at those zero rows.
-    Recorded on the tape when the parts are: one concat and one row gather."""
+    counts; by default entry after entry, end to end). With `index` (an int
+    array), row r of that layout is row index[r] of the parts instead, so
+    entries may share a row. Returns ([*counts.shape x N x d], bool
+    [*counts.shape x N]), N the largest count: entry e's rows first, zero rows
+    after them, and the padding True at those zero rows. Recorded on the tape
+    when the parts are: one concat and one row gather, whose backward sums
+    the gradients of a shared row."""
     counts = np.asarray(counts)
     starts = np.cumsum(counts).reshape(counts.shape) - counts if starts is None else np.asarray(starts)
     padding = np.arange(counts.max()) >= counts[..., None]
     table = T.concat(list(parts) + [Tensor(np.zeros((1, parts[0].data.shape[1])))])
-    rows = np.where(padding, len(table.data) - 1, starts[..., None] + np.arange(counts.max()))
+    rows = starts[..., None] + np.arange(counts.max())
+    if index is not None:
+        rows = np.asarray(index)[np.where(padding, 0, rows)]
+    rows = np.where(padding, len(table.data) - 1, rows)
     return T.embedding_lookup(table, rows), padding
 
 

@@ -239,7 +239,10 @@ def captions(params, cfg, vocab, samples, beam=1):
     CAPTION_BLOCK scenes, each encoded tapeless (`encode_batch`) and decoded
     in one lockstep at beam width `beam`. Each caption is that of
     `beam_caption` on its scene alone unless two candidates tie to rounding
-    (see `lockstep_decode` and `model.encode_scenes`)."""
+    (see `lockstep_decode` and `model.encode_scenes`). A width below 1 is a
+    ConfigError, also with no sample to decode."""
+    if beam < 1:
+        raise ConfigError(f"beam width must be >= 1, got {beam}")
     out = []
     for lo in range(0, len(samples), CAPTION_BLOCK):
         block = samples[lo:lo + CAPTION_BLOCK]

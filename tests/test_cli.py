@@ -118,6 +118,17 @@ def test_caption_beam_zero_exits_one(workdir, tmp_path, capsys):
     assert "beam width must be >= 1" in capsys.readouterr().err
 
 
+def test_caption_beam_zero_on_no_scenes_exits_one_and_writes_nothing(workdir, tmp_path, capsys):
+    """The width is checked before anything is decoded, so an empty JSONL
+    does not let a bad width through."""
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "pred.jsonl"
+    empty.write_text("")
+    code = cli.main(["caption", "--ckpt", workdir["ckpt"], "--data", str(empty), "--beam", "0", "--out", str(out)])
+    assert code == 1
+    assert "beam width must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+
 def test_eval_unknown_id_fails(workdir, tmp_path, capsys):
     pred = tmp_path / "bad.jsonl"
     pred.write_text(json.dumps({"id": "zzz", "caption": "a thing"}) + "\n")

@@ -25,12 +25,13 @@ import oracles as O
 import util as U
 from gevst import tensor as T
 from gevst import training as TR
-from gevst.ablation import axis_configs
+from gevst import model as M
+from gevst.ablation import AXES, axis_configs
 from gevst.config import FUSION_BASES, GESA_VARIANTS, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, PAD_ID, build_vocab, corpus_texts, generate_dataset, pad_ids
 from gevst.decoder import decoder_forward
 from gevst.errors import ContractError, InputError
-from gevst.model import branch_axis, caption_logits, encode_sample, encode_scenes, init_model
+from gevst.model import branch_axis, caption_ids, caption_logits, encode_sample, encode_scenes, init_model
 from gevst.nn import Tensor, flat_parameters, named_parameters, parameters
 
 BRANCH_SETS = [("vv",), ("ss", "vs"), ("ss", "sv", "vs", "vv")]
@@ -441,6 +442,79 @@ def test_a_batch_of_one_is_bit_identical_to_the_one_scene_encode():
                          {k: [a.tobytes() for a in v] for k, v in rec.items()}))
         assert runs[0] == runs[1] == runs[2]
         assert {k.split(".")[-1] for k in runs[0][1]} == {"content", "geometry", "gesa_gates"}
+
+
+def caption_batches():
+    """Miniature batches of five scenes, (name, samples), under one vocabulary:
+    every dense caption distinct; as generated, captions repeated across
+    scenes; one scene's captions all the same text; and two texts that
+    differ only in a word outside the vocabulary, so both encode to the same
+    ids through UNK."""
+    samples = generate_dataset(4, 5)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    seen, distinct = set(), []
+    for s in samples:
+        dense = [dc for dc in s.dense_captions if dc.text not in seen and not seen.add(dc.text)]
+        distinct.append(dataclasses.replace(s, dense_captions=dense))
+    alike = list(samples)
+    alike[1] = dataclasses.replace(alike[1], dense_captions=[
+        dataclasses.replace(dc, text=alike[1].dense_captions[0].text) for dc in alike[1].dense_captions])
+    unk = list(samples)
+    for i, word in ((0, "zorblax"), (2, "quuxle")):
+        dense = list(unk[i].dense_captions)
+        dense[0] = dataclasses.replace(dense[0], text=f"a {word} square")
+        unk[i] = dataclasses.replace(unk[i], dense_captions=dense)
+    assert vocab.encode(unk[0].dense_captions[0].text) == vocab.encode(unk[2].dense_captions[0].text)
+    return vocab, [("distinct", distinct), ("repeated", samples), ("alike", alike), ("unk", unk)]
+
+
+AXIS_ROWS = [(axis, label) for axis in AXES for label, _ in axis_configs(axis, TrainConfig())]
+
+
+@pytest.mark.parametrize("axis, label", AXIS_ROWS, ids=[f"{a}:{l}" for a, l in AXIS_ROWS])
+def test_each_distinct_dense_caption_is_encoded_once(axis, label, monkeypatch):
+    """`model.encode_scenes` sends each distinct id sequence of the pass
+    through the caption encoder once and gathers every scene's rows from
+    them. Against the encode of every caption (tests/util.py), on each
+    miniature batch of `caption_batches` at each row of the ablation grid:
+    the branch outputs and the XE loss bit for bit, the same tape-node
+    count, and every parameter gradient within 1e-12 (a repeat's gradients
+    are summed by the gather, in another order)."""
+    cfg = dict(axis_configs(axis, U.miniature_config(raw_feat_dim=32, min_count=1, enc_layers=1)))[label]
+    vocab, batches = caption_batches()
+    encoded, encode_captions = [], M.encode_captions
+
+    def counted(params, heads, seqs):
+        encoded.append(len(seqs))
+        return encode_captions(params, heads, seqs)
+
+    monkeypatch.setattr(M, "encode_captions", counted)
+    for name, samples in batches:
+        ids = [tuple(seq) for s in samples for seq in caption_ids(s, vocab)]
+        params = init_model(cfg, len(vocab), np.random.default_rng(2))
+        tensors = parameters(params)
+        runs = []
+        for encode in (encode_scenes, U.every_caption_encode_scenes):
+            for t in tensors:
+                t.grad = None
+            with T.Tape() as tape:
+                batch = encode(params, cfg, samples, vocab)
+                scenes = [encode_sample(params, cfg, s, vocab, (batch, i)) for i, s in enumerate(samples)]
+                inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
+                loss = TR.xe_loss(caption_logits(params, cfg, scenes, inputs), pad_ids(targets))
+                nodes = len(tape.nodes)
+                tape.backward(loss)
+            runs.append(({b: out.data.tobytes() for b, out in batch.outputs.items()}, loss.data.tobytes(), nodes,
+                         [t.grad for t in tensors]))
+        assert encoded == [len(set(ids))], name
+        assert (len(set(ids)) == len(ids)) == (name == "distinct"), name
+        encoded.clear()
+        (outputs, loss, nodes, grads), (want_outputs, want_loss, want_nodes, want_grads) = runs
+        assert outputs == want_outputs and loss == want_loss and nodes == want_nodes, name
+        for g, w in zip(grads, want_grads):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert U.max_abs_delta(g, w) <= TOL, name
 
 
 def test_encode_sample_checks_its_row_of_the_batch():

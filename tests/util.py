@@ -15,7 +15,9 @@ beam search that `decoder.decode` replaced (`argmax_decode`,
 whole-vector Adam step that the blocked `Adam.step` replaced, the
 per-branch GESA loop and per-sample caption pass that the branch groups and
 the batch's one caption-encoder pass replaced, the per-sample encode of a
-batch that the padded, masked pass replaced, and the per-branch parameter
+batch that the padded, masked pass replaced, the batch encode that ran
+every dense caption through the caption encoder, repeats too
+(`every_caption_encode_scenes`), and the per-branch parameter
 layout that the stored branch axes replaced: its init, a view of a stored
 model in it (`per_branch`), the name map between the two (`name_map`) and
 the per-call stacking that ran it (`restacked`); and init as it ran before
@@ -849,6 +851,25 @@ def per_sample_encode_batch(params, cfg, samples, vocab):
         outputs.append(encode_all(v_con, v_geo, T.index(encoded, slice(lo, hi)), s_geo, params.fusion_vs,
                                   params.fusion_sv, params.branches, cfg.heads, cfg.expand_ratio))
     return outputs
+
+
+def every_caption_encode_scenes(params, cfg, samples, vocab):
+    """`model.encode_scenes` as it was before each distinct dense caption was
+    encoded once: every dense caption of the pass through the caption
+    encoder, repeats too, and each scene's rows gathered from consecutive
+    starts. Returns a SceneBatch."""
+    feats, v_boxes = zip(*(M._region_rows(cfg, s) for s in samples))
+    ids = [caption_ids(s, vocab) for s in samples]
+    s_boxes = [normalize_boxes([dc.box for dc in s.dense_captions], s.image_wh) for s in samples]
+    (feats, v_padding), (v_boxes, _), (s_boxes, s_padding) = M._padded(feats), M._padded(v_boxes), M._padded(s_boxes)
+    v_con = linear(Tensor(feats), params.vis_in)
+    v_geo = embed_geometry(v_boxes, params.geo_visual)
+    captions = encode_captions(params.captions, cfg.enc_heads, [seq for seqs in ids for seq in seqs])
+    captions = nn.pad_rows([captions], [len(seqs) for seqs in ids])[0]
+    s_geo = embed_geometry(s_boxes, params.geo_semantic)
+    outputs = encode_all(v_con, v_geo, captions, s_geo, params.fusion_vs, params.fusion_sv, params.branches,
+                         cfg.heads, cfg.expand_ratio, v_padding, s_padding)
+    return M.SceneBatch(outputs, [len(s.regions) for s in samples], [len(s.dense_captions) for s in samples])
 
 
 def gesa_layer(x, g_intra, g_inter, group, h):
