@@ -1,12 +1,14 @@
 """One flat configuration object for model structure and training schedule.
 
 Defaults are the desk-scale values; full-scale settings (width 512,
-batch 40) stay reachable through overrides. Validation runs before any math.
+batch 40) stay reachable through overrides. Validation runs before any math,
+in `__post_init__` alone: a `--config` file or checkpoint header (through
+`config_from_dict`), direct construction and `replaced(...)` raise the same
+ConfigError for the same value.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -49,14 +51,14 @@ class TrainConfig:
     min_count: int = 5
 
     def __post_init__(self):
-        self.branches = tuple(self.branches)
-        self.validate()
-
-    def validate(self):
         c = self
         for f in fields(c):
-            if f.type in ("int", "float") and not _finite(getattr(c, f.name)):
+            value = getattr(c, f.name)
+            if not _accepts(f.type, value):
+                raise ConfigError(f"config {f.name!r} must be {_WANTED[f.type]}, got {value!r}")
+            if f.type in ("int", "float") and not _finite(value):
                 raise ConfigError(f"{f.name} must be a finite number, got a value beyond float range")
+        c.branches = tuple(c.branches)
         for name in ("heads", "enc_heads", "max_len", "batch_size", "warmup_epochs", "beam",
                      "val_every", "min_count", "expand_ratio", "enc_layers", "raw_feat_dim"):
             if getattr(c, name) < 1:
@@ -101,15 +103,11 @@ def _finite(value):
         return False
 
 
-_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+_FIELDS = {f.name for f in fields(TrainConfig)}
 
-# What each field annotation means for a decoded JSON value.
+# What each field annotation means for a value, whether decoded from JSON or
+# passed to the constructor.
 _WANTED = {"int": "an integer", "float": "a number", "str": "a string", "tuple": "a list of strings"}
-
-# Retired keys that only `--config` files can still name (v1 checkpoints are
-# refused, and no v2 checkpoint ever held them), each with the one value the
-# model still computes.
-_RETIRED = {"renorm_fused_attention": False, "gate_mode": "sigmoid"}
 
 
 def _accepts(kind, value):
@@ -122,15 +120,7 @@ def _accepts(kind, value):
 def config_from_dict(d):
     if not isinstance(d, dict):
         raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-    d = dict(d)
-    for name, meant in _RETIRED.items():
-        value = d.pop(name, meant)
-        if type(value) is not type(meant) or value != meant:
-            raise ConfigError(f"config {name!r} is retired and loads only as {json.dumps(meant)}, got {value!r}")
-    unknown = d.keys() - _FIELDS.keys()
+    unknown = d.keys() - _FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for name, value in d.items():
-        if not _accepts(_FIELDS[name], value):
-            raise ConfigError(f"config {name!r} must be {_WANTED[_FIELDS[name]]}, got {value!r}")
     return TrainConfig(**d)

@@ -415,8 +415,15 @@ def sigmoid(x):
 
 
 def relu(x):
+    """max(x, 0), as the decode step computes it, so a NaN propagates."""
     keep = x.data > 0.0
-    return _emit(np.where(keep, x.data, 0.0), (x,), lambda g: (np.where(keep, g, 0.0),))
+
+    def bwd(g):
+        grad = g * keep
+        grad += 0.0  # a masked entry reads +0.0, never -0.0; in place, so no second array
+        return (grad,)
+
+    return _emit(np.maximum(x.data, 0.0), (x,), bwd)
 
 
 # ------------------------------------------------------------ softmax / norm

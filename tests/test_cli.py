@@ -501,7 +501,7 @@ def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
     header["config"]["d_model"] = "abc"
     typed = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
     header = json.loads(header_line)
-    header["config"]["gate_mode"] = "softmax"  # a model this code cannot compute
+    header["config"]["gate_mode"] = "sigmoid"  # retired before this checkpoint format existed
     retired = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
     header = json.loads(header_line)
     header["vocab"] = [t for t in header["vocab"] if t != "<unk>"] + ["unk"]  # once a KeyError
@@ -512,7 +512,7 @@ def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
     for blob, message in ((raw + b"\0" * 8, "trailing bytes"),
                           (negative_seed, "seed must be >= 0, got -1"),
                           (typed, "'d_model' must be an integer"),
-                          (retired, "'gate_mode' is retired"),
+                          (retired, "unknown config keys: ['gate_mode']"),
                           (no_unk, "checkpoint vocab must be distinct strings")):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(blob)
@@ -523,7 +523,8 @@ def test_malformed_checkpoint_exits_one(workdir, tmp_path, capsys):
 
 
 def test_wrongly_typed_config_exits_one(workdir, tmp_path, capsys):
-    cases = ({"d_model": "abc"}, {"renorm_fused_attention": "no"}, {"seed": "1"},
+    cases = ({"d_model": "abc"}, {"renorm_fused_attention": "no"}, {"renorm_fused_attention": False},
+             {"gate_mode": "sigmoid"}, {"seed": "1"},
              {"lr_scale": True}, {"branches": ["ss", 1]}, {"lr_scale": float("nan")},
              {"grad_clip": float("inf")}, {"lr_scale": 10 ** 400}, {"scst_lr": 10 ** 400},
              {"warmup_epochs": 10 ** 400})
@@ -552,8 +553,10 @@ ODD_NUMBERS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 2 ** 7
 
 def mutated_config(data):
     """TINY with one to three fields set to another type, a bool, a
-    non-finite or huge number or a near miss; or with an unknown or retired
-    key added, or a key dropped; or other JSON in place of the object."""
+    non-finite or huge number or a near miss; or with an unknown key added,
+    among them the retired `gate_mode` and `renorm_fused_attention`, which
+    read as unknown at any value; or a key dropped; or other JSON in place
+    of the object."""
     cfg = dict(TINY)
     kind = data.draw(st.sampled_from(["field", "field", "field", "unknown", "retired", "drop", "whole"]))
     if kind == "field":

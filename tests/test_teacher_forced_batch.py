@@ -15,10 +15,11 @@ every branch output and every id sequence is padded somewhere in the batch.
 
 import dataclasses
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles as O
@@ -233,6 +234,78 @@ def test_gesa_geometry_projections_grad_check_through_a_padded_batch():
                 assert rel < 1e-4, (group, kind, part)
             nonzero = np.abs(w.grad[w.grad != 0])
             assert np.median(nonzero) > 1e-5, (group, kind)
+
+
+MINIATURE_GRID = [(f"{axis}:{label}", cfg) for axis in AXES
+                  for label, cfg in axis_configs(axis, U.miniature_config(raw_feat_dim=32, min_count=1, enc_layers=1))]
+
+
+def stored_groups(params):
+    """{group: the names of its stored tensors}: a tensor's group is the first
+    part of its name, or its first two under `branches` (one GESA group)."""
+    groups = {}
+    for name, _ in named_parameters(params):
+        parts = name.split(".")
+        groups.setdefault(".".join(parts[:2 if parts[0] == "branches" else 1]), []).append(name)
+    return groups
+
+
+@pytest.mark.parametrize("label, cfg", MINIATURE_GRID, ids=[label for label, _ in MINIATURE_GRID])
+@settings(max_examples=2)
+@given(data=st.data())
+def test_generated_grad_check_over_the_ablation_grid_in_a_padded_batch(label, cfg, data):
+    """Each row of the ablation grid at miniature width, with a drawn padded
+    batch of 2 to 4 scenes of different region and dense-caption counts and
+    an XE or SCST loss of unit size (the XE loss as training takes it, a
+    mean over the batch; the SCST surrogate over the sampled tokens),
+    grad-checked at sampled coordinates of one drawn tensor of each stored
+    group, at criterion 1's eps, floor and bound. A loss summed over the
+    batch would read finite-difference noise as faults."""
+    seed, n = data.draw(st.integers(0, 30), label="data seed"), data.draw(st.integers(2, 4), label="scenes")
+    samples = generate_dataset(seed, n)
+    assume(len({len(s.regions) for s in samples}) > 1 and len({len(s.dense_captions) for s in samples}) > 1)
+    vocab = build_vocab(corpus_texts(samples), 1)
+    params = init_model(cfg, len(vocab), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    if data.draw(st.sampled_from(["xe", "scst"]), label="loss") == "xe":
+        inputs, targets = map(pad_ids, zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples)))
+
+        def batch_loss(scenes):
+            return T.mul(TR.xe_loss(caption_logits(params, cfg, scenes, inputs), targets), 1.0 / n)
+    else:
+        caps = sampled_captions(vocab, n, seed=data.draw(st.integers(0, 99)))
+        advantages = data.draw(st.lists(st.floats(-2.0, 2.0).filter(bool), min_size=n, max_size=n))
+        tokens = sum(map(len, caps))
+
+        def batch_loss(scenes):
+            logits = caption_logits(params, cfg, scenes, [[BOS_ID] + c[:-1] for c in caps])
+            return T.mul(TR.reinforce_loss(logits, caps, advantages), 1.0 / tokens)
+
+    relu, masks = T.relu, []  # masks: per loss call, the mask of each relu it ran
+
+    def recording_relu(x):
+        masks[-1].append(x.data > 0.0)
+        return relu(x)
+
+    def loss(_):
+        masks.append([])
+        return batch_loss(TR.encode_batch(params, cfg, samples, vocab))
+
+    def straddled_a_kink():
+        return any(not np.array_equal(a, b) for call in masks[1:] for a, b in zip(call, masks[0]))
+
+    stored = dict(named_parameters(params))
+    with mock.patch.object(T, "relu", recording_relu):
+        for group, names in stored_groups(params).items():
+            name = data.draw(st.sampled_from(names), label=group)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            # a central difference whose points fall on two sides of a relu kink measures the
+            # kink, not the gradient: such a failure is checked again at new coordinates
+            for _ in range(3):
+                masks.clear()
+                rel = U.grad_check(loss, stored[name], eps=1e-6, max_coords=3, rng=rng, floor=1e-5)
+                if rel < 1e-4 or not straddled_a_kink():
+                    break
+            assert rel < 1e-4, (label, name)
 
 
 def test_pad_scenes_lays_each_scene_first_then_zero_rows(rng):

@@ -577,6 +577,19 @@ def test_pointwise_over_generated_shapes(op, reference, data):
     _check_generated(data, rng, op, (xd,), reference(xd))
 
 
+def test_relu_propagates_nan_and_masks_its_gradient_to_positive_zero():
+    """relu is max(x, 0), as the decode step computes it: a NaN pre-activation
+    reads NaN, not 0, so a diverged layer shows in the loss. Its gradient is
+    g where x > 0 and +0.0 elsewhere, whatever the sign of g."""
+    x = Tensor(np.array([np.nan, -1.0, -0.0, 0.0, 2.0, 3.0]), requires_grad=True)
+    with Tape() as tape:
+        out = T.relu(x)
+        tape.backward(T.total_sum(T.mul(out, Tensor(np.array([-1.0, -2.0, -3.0, -4.0, 7.0, 5.0])))))
+    assert np.isnan(out.data[0]) and np.array_equal(out.data[1:], [0.0, 0.0, 0.0, 2.0, 3.0])
+    assert x.grad.tolist() == [0.0, 0.0, 0.0, 0.0, 7.0, 5.0]
+    assert not np.signbit(x.grad[:4]).any()
+
+
 def _bits(a):
     return None if a is None else (a.shape, a.tobytes())
 
