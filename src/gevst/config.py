@@ -56,8 +56,8 @@ class TrainConfig:
             value = getattr(c, f.name)
             if not _accepts(f.type, value):
                 raise ConfigError(f"config {f.name!r} must be {_WANTED[f.type]}, got {value!r}")
-            if f.type in ("int", "float") and not _finite(value):
-                raise ConfigError(f"{f.name} must be a finite number, got a value beyond float range")
+            if f.type in ("int", "float") and (cause := _not_finite(value)):
+                raise ConfigError(f"{f.name} must be a finite number, got {cause}")
         c.branches = tuple(c.branches)
         for name in ("heads", "enc_heads", "max_len", "batch_size", "warmup_epochs", "beam",
                      "val_every", "min_count", "expand_ratio", "enc_layers", "raw_feat_dim"):
@@ -96,11 +96,12 @@ class TrainConfig:
         return replace(self, **kw)
 
 
-def _finite(value):
+def _not_finite(value):
+    """What a number that is not finite is (nan, inf or -inf), or None for a finite one."""
     try:
-        return math.isfinite(value)
+        return None if math.isfinite(value) else repr(value)
     except OverflowError:  # an int too large for a float
-        return False
+        return "a value beyond float range"
 
 
 _FIELDS = {f.name for f in fields(TrainConfig)}

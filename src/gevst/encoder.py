@@ -22,13 +22,12 @@ inputs are identical at every layer; only content evolves.
 
 The branches of one side attend over the same tokens with the same geometry,
 so each side's active branches (a group of one or two, GROUPS) run together
-on a leading branch axis, and their parameters are stored that way
-(`GesaGroupParams`): each layer's content weights as [k x ...] tensors, and
-each geometry projection as one [L*k x ...] tensor over every (branch,
-layer) pair, which one stacked pass reads whole (`geometry_maps`). Each
-slice computes what its branch alone would, with the same NumPy
-arithmetic; tests/util.py keeps the per-branch loop as the reference, with
-the per-branch view of these tensors.
+on a leading branch axis, and their parameters are stored that way: a group
+is its list of layers, each one `GesaLayerParams` of [k x ...] tensors,
+content and geometry weights alike. Each slice computes what its branch
+alone would, with the same NumPy arithmetic; tests/util.py keeps the
+per-branch loop as the reference, with the per-branch view of these
+tensors.
 
 A batch of scenes runs as one: every input gains a batch axis, [B x N x d],
 each scene's tokens padded to the batch's most, and a bool [B x N] padding
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 
 from . import tensor as T
 from .config import GESA_VARIANTS
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .fusion import stack_fusion
 from .nn import (
     Ffn,
@@ -82,73 +81,37 @@ def variant_map_count(variant):
 
 @dataclass
 class GesaLayerParams:
-    """The content weights of one GESA layer, each [k x ...] for a group of k."""
+    """One GESA layer's weights, each [k x ...] for a group of k."""
 
     q_c: Linear
     k_c: Linear
     v_c: Linear
+    q_intra: Linear  # None under "con"
+    k_intra: Linear
+    q_inter: Linear  # None unless "con_intra_inter"
+    k_inter: Linear
     gate: Linear  # [d -> number of active maps]
     ln1: LayerNorm
     ffn: Ffn
     ln2: LayerNorm
 
 
-@dataclass
-class GeometryProjections:
-    """A group's geometry projections, each [L*k x d x d]: pair i*L + l is
-    branch i's layer l."""
-
-    q_intra: Linear  # None under "con"
-    k_intra: Linear
-    q_inter: Linear  # None unless "con_intra_inter"
-    k_inter: Linear
-
-
-@dataclass
-class GesaGroupParams:
-    layers: list  # per layer, GesaLayerParams
-    geometry: GeometryProjections
-
-
 def init_gesa_group(layout, d, h, variant, branches, layers):
-    """A group of `branches` branches, `layers` deep. Each branch's layers are
-    drawn in turn, each in the order q_c, k_c, v_c, the geometry projections,
-    gate, ln1, ffn, ln2, each into its slice of the stacked tensor
+    """A group of `branches` branches, `layers` deep: its list of layers.
+    Each branch's layers are drawn in turn, each field in declaration
+    order, each into its slice of the layer's stacked tensor
     (`nn.Layout.stack`)."""
     maps = variant_map_count(variant)
     if d % h != 0:
         raise ConfigError(f"model width {d} not divisible by {h} heads")
-    content, geometry = [], []  # per (branch, layer), branch-major
-    for _ in range(branches * layers):
-        q_c, k_c, v_c = (init_linear(layout, d, d) for _ in range(3))
-        geometry.append(GeometryProjections(*(init_linear(layout, d, d) if i < 2 * maps - 2 else None for i in range(4))))
-        content.append(GesaLayerParams(q_c, k_c, v_c, init_linear(layout, d, maps), init_layer_norm(layout, d),
-                                       init_ffn(layout, d), init_layer_norm(layout, d)))
-    return GesaGroupParams([layout.stack(content[i::layers]) for i in range(layers)], layout.stack(geometry))
 
+    def layer():
+        return GesaLayerParams(*(init_linear(layout, d, d) if i < 1 + 2 * maps else None for i in range(7)),
+                               init_linear(layout, d, maps), init_layer_norm(layout, d), init_ffn(layout, d),
+                               init_layer_norm(layout, d))
 
-def geometry_maps(group: GesaGroupParams, h, g_intra, g_inter, bias=None):
-    """Per layer, the geometry maps [k x ... x h x N x N] of a group of k
-    branches over one token set, in (intra, inter) order, those the variant
-    uses.
-
-    The geometry inputs g_intra and g_inter [... x N x d] are the group's own,
-    the same at every layer, so no map depends on content: each kind is one
-    stacked pass over every (branch, layer) pair, branch-major, as the
-    projections are stored. `bias` is the tokens' per-head key bias, or None.
-    """
-    n_layers = len(group.layers)
-    per_layer = [[] for _ in range(n_layers)]
-    geometry = group.geometry
-    for g, q, k in ((g_intra, geometry.q_intra, geometry.k_intra), (g_inter, geometry.q_inter, geometry.k_inter)):
-        if q is None:
-            continue
-        pairs = len(q.w.data)
-        shared = T.stack([g] * pairs)  # a zero-copy view: every pair reads the same rows
-        maps = T.attention_weights(linear(shared, q), linear(shared, k), h, bias=bias)
-        for i, layer_maps in enumerate(per_layer):
-            layer_maps.append(T.index(maps, slice(i, None, n_layers)))
-    return per_layer
+    drawn = [[layer() for _ in range(layers)] for _ in range(branches)]
+    return [layout.stack(members) for members in zip(*drawn)]
 
 
 def gesa_gates(x_prev, params: GesaLayerParams, padding=None):
@@ -160,35 +123,40 @@ def gesa_gates(x_prev, params: GesaLayerParams, padding=None):
     return T.softmax(real_mean(linear(x_prev, params.gate), padding))
 
 
-def gesa_layer(x_prev, geometry, params: GesaLayerParams, h, gate_names, padding=None, bias=None):
+def gesa_layer(x_prev, g_intra, g_inter, params: GesaLayerParams, h, gate_names, padding=None, bias=None):
     """One GESA layer of a group of k branches: x_prev [k x ... x N x d],
-    `params` the group's weights of that layer, `geometry` that layer's maps
-    (`geometry_maps`), `padding` the tokens' padding (bool [... x N]) and
-    `bias` its per-head key bias, or both None. Records branch i's map gates
-    [... x m] under gate_names[i] (see `T.record_each`)."""
+    g_intra and g_inter the group's geometry inputs on the branch axis,
+    [k x ... x N x d] each (None for a kind the variant does not use),
+    `params` the group's weights of that layer, `padding` the tokens'
+    padding (bool [... x N]) and `bias` its per-head key bias, or both None.
+    Records branch i's map gates [... x m] under gate_names[i] (see
+    `T.record_each`)."""
     if x_prev.data.shape[-1] % h != 0:
         raise ConfigError(f"width {x_prev.data.shape[-1]} not divisible by {h} heads")
-    content = T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h, bias=bias)
-    if any(m.data.shape != content.data.shape for m in geometry):
-        raise ShapeError(f"geometry map shapes {[m.data.shape for m in geometry]} != content map shape "
-                         f"{content.data.shape}")
+    maps = [T.attention_weights(linear(x_prev, params.q_c), linear(x_prev, params.k_c), h, bias=bias)]
+    for g, q, k in ((g_intra, params.q_intra, params.k_intra), (g_inter, params.q_inter, params.k_inter)):
+        if q is not None:
+            maps.append(T.attention_weights(linear(g, q), linear(g, k), h, bias=bias))
     gates = gesa_gates(x_prev, params, padding)
     T.record_each(gate_names, gates)
-    attended = T.apply_attention(T.mix_maps([content, *geometry], gates), linear(x_prev, params.v_c), h)
+    attended = T.apply_attention(T.mix_maps(maps, gates), linear(x_prev, params.v_c), h)
     a = layer_norm(T.add(x_prev, attended), params.ln1)
     return layer_norm(T.add(a, ffn(a, params.ffn)), params.ln2)
 
 
-def branch_forward(group: GesaGroupParams, h, content, g_intra, g_inter, gate_names, padding=None):
+def branch_forward(group, h, content, g_intra, g_inter, gate_names, padding=None):
     """A group of k branches that share one token set, on one leading axis:
-    content [k x ... x N x d], the geometry inputs [... x N x d] shared by the
-    group and repeated unchanged at every layer, the leading axes those of
-    one scene (none) or of a padded batch ([B], with `padding` bool [B x N]).
-    Returns [k x ... x N x d]."""
+    `group` its list of layers, content [k x ... x N x d], the geometry
+    inputs [... x N x d] shared by the group and repeated unchanged at every
+    layer, the leading axes those of one scene (none) or of a padded batch
+    ([B], with `padding` bool [B x N]). Returns [k x ... x N x d]."""
     x = content
     bias = None if padding is None else key_bias(padding[..., None, :])  # [B x 1 x 1 x N], over every head
-    for params, maps in zip(group.layers, geometry_maps(group, h, g_intra, g_inter, bias)):
-        x = gesa_layer(x, maps, params, h, gate_names, padding, bias)
+    # each kind the variant uses, once on the branch axis: a zero-copy view, every branch reads the same rows
+    g_intra, g_inter = (None if q is None else T.stack([g] * len(x.data))
+                        for g, q in ((g_intra, group[0].q_intra), (g_inter, group[0].q_inter)))
+    for params in group:
+        x = gesa_layer(x, g_intra, g_inter, params, h, gate_names, padding, bias)
     return x
 
 
@@ -204,8 +172,8 @@ def encode_all(v_con, v_geo, s_con, s_geo, fusion_vs, fusion_sv, groups, h, er, 
     [B x N] paddings of the regions and dense captions; None when nothing is
     padded).
 
-    `groups` maps the key of each group with active branches to its
-    GesaGroupParams, as `active_groups` orders and names them; their members
+    `groups` maps the key of each group with active branches to its list of
+    layers, as `active_groups` orders and names them; their members
     are the active branches. fusion_vs fuses semantic into visual (visual
     primary); fusion_sv the reverse. A side's branches take its geometry
     embeddings and its fusion's inter-geometry; vv/ss keep their pure

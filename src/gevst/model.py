@@ -53,7 +53,7 @@ class ModelParams:
     captions: CaptionEncoderParams
     fusion_vs: list  # semantic fused into visual; None when unused
     fusion_sv: list
-    branches: dict  # group key ("ss+sv", "vs+vv", or one branch's name) -> GesaGroupParams
+    branches: dict  # group key ("ss+sv", "vs+vv", or one branch's name) -> [GesaLayerParams per layer]
     dec_embed: Tensor
     dec_layers: list
     out: Linear  # d_model -> vocab

@@ -462,7 +462,7 @@ def train_scst(samples, cfg: TrainConfig, params, vocab, epochs=None, start_step
 
 # ------------------------------------------------------------- checkpoints
 
-CHECKPOINT_FORMAT = "gevst-checkpoint-v2"
+CHECKPOINT_FORMAT = "gevst-checkpoint-v3"
 
 
 def _manifest(params):

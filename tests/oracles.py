@@ -446,11 +446,12 @@ def clip_per_tensor(named, max_norm):
     return total
 
 
-def checkpoint_v2_bytes(config, vocab_tokens, named_arrays, trained_steps=0, fmt="gevst-checkpoint-v2"):
-    """A gevst-checkpoint-v2 file: one compact JSON header line, then one
-    little-endian float64 tobytes() per parameter in manifest order. The v1
-    format framed its per-branch tensors the same way, under `fmt`
-    "gevst-checkpoint-v1"."""
+def checkpoint_v2_bytes(config, vocab_tokens, named_arrays, trained_steps=0, fmt="gevst-checkpoint-v3"):
+    """A checkpoint file as the per-tensor v2 writer framed it: one compact
+    JSON header line, then one little-endian float64 tobytes() per parameter
+    in manifest order. Formats v1, v2 and v3 frame their tensors the same
+    way, each under its own `fmt` and with its own names (v1 per branch, v2
+    with each GESA group's geometry projections apart from its layers)."""
     manifest, chunks, offset = [], [], 0
     for name, values in named_arrays:
         arr = np.ascontiguousarray(values, dtype="<f8")

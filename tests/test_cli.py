@@ -13,14 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles as O
 import util as U
 from gevst import ablation, cli, training
 from gevst.config import TrainConfig, config_from_dict
 from gevst.data import read_jsonl
 from gevst.errors import ConfigError, GevstError
 from gevst.model import init_model
-from gevst.nn import named_parameters
 from gevst.training import load_checkpoint, save_checkpoint
 
 pytestmark = pytest.mark.filterwarnings(
@@ -763,17 +761,17 @@ def test_eval_on_any_predictions_file_reports_or_exits_one(workdir, reference_id
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
-def test_caption_from_a_v1_checkpoint_exits_one(workdir, tmp_path, capsys):
-    """A checkpoint in the per-branch v1 layout exits 1 with one `error:` line
+@pytest.mark.parametrize("fmt", U.OLDER_CHECKPOINT_FORMATS)
+def test_caption_from_an_older_checkpoint_exits_one(workdir, tmp_path, capsys, fmt):
+    """A checkpoint in the v1 or v2 layout exits 1 with one `error:` line
     that names its format."""
     cfg, vocab, params, steps = load_checkpoint(workdir["ckpt"])
-    v1 = [(n, t.data) for n, t in named_parameters(U.per_branch(params))]
-    path = tmp_path / "v1.ckpt"
-    path.write_bytes(O.checkpoint_v2_bytes(cfg.to_dict(), vocab.id_to_token, v1, steps, fmt="gevst-checkpoint-v1"))
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(U.older_checkpoint_bytes(fmt, cfg, vocab, params, steps))
     code = cli.main(["caption", "--ckpt", str(path), "--data", workdir["data"], "--out", str(tmp_path / "p.jsonl")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1 and "'gevst-checkpoint-v1'" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{fmt}'" in err
     assert not (tmp_path / "p.jsonl").exists()
 
 

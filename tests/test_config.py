@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gevst import cli
 from gevst import training as TR
 from gevst.config import BRANCH_NAMES, FUSION_BASES, GESA_VARIANTS, TrainConfig, config_from_dict
 from gevst.data import build_vocab
@@ -81,6 +82,28 @@ def test_a_wrongly_typed_field_is_refused_with_one_text_on_every_path(name, valu
     assert refusals({name: value}) == [text] * 3
     with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
         TrainConfig().replaced(**{name: value})
+
+
+@pytest.mark.parametrize("name, value, shown", [
+    ("lr_scale", float("nan"), "nan"),
+    ("grad_clip", float("inf"), "inf"),
+    ("scst_lr", float("-inf"), "-inf"),
+    ("seed", 10 ** 400, "a value beyond float range"),
+    ("lr_scale", 10 ** 400, "a value beyond float range"),
+])
+def test_a_number_that_is_not_finite_is_named_on_every_path(name, value, shown):
+    assert refusals({name: value}) == [f"{name} must be a finite number, got {shown}"] * 3
+
+
+@pytest.mark.parametrize("name, text, shown", [
+    ("lr_scale", "NaN", "nan"), ("grad_clip", "Infinity", "inf"), ("scst_lr", "-Infinity", "-inf"),
+    ("seed", "1" + "0" * 400, "a value beyond float range"),
+])
+def test_a_config_file_holding_a_number_that_is_not_finite_names_it(tmp_path, name, text, shown):
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"{name}": {text}}}')
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be a finite number, got {re.escape(shown)}$"):
+        cli._load_config(str(path), None)
 
 
 @given(data=st.data())

@@ -8,7 +8,7 @@ from gevst.ablation import axis_configs
 from gevst.config import BRANCH_NAMES, GESA_VARIANTS, TrainConfig
 from gevst.encoder import active_groups, branch_forward, encode_all, gesa_gates, variant_map_count
 from gevst.errors import ConfigError, ShapeError
-from gevst.nn import Tensor, linear, parameters
+from gevst.nn import Tensor, parameters
 from util import init_fusion_cell, init_gesa_group
 
 
@@ -75,17 +75,28 @@ def test_variant_containment_exact(rng):
         assert np.array_equal(out_rich, out_poor)
 
 
-def test_geometry_maps_static_across_layers(rng):
-    """With shared geometry, the intra map is identical at every layer of a
-    branch whose layers share intra projections."""
-    d, h = 8, 2
-    group, lp = rand_group(rng, d, h)
-    x, gi, ge = rand_xgg(rng, 4, d)
-    m1 = T.attention_weights(linear(gi, lp.q_intra), linear(gi, lp.k_intra), h).data
-    y = U.gesa_layer(x, gi, ge, group, h)
-    m2 = T.attention_weights(linear(gi, lp.q_intra), linear(gi, lp.k_intra), h).data
-    assert np.array_equal(m1, m2)
-    assert y.data.shape == x.data.shape
+def test_geometry_maps_static_across_layers(rng, monkeypatch):
+    """The maps each layer of a three-layer branch hands `T.mix_maps`, for
+    two different content inputs: at every layer the intra and inter maps
+    are bit-identical, since geometry is static; only the content map
+    changes with the content."""
+    d, h, layers = 8, 2, 3
+    group, _ = rand_group(rng, d, h, layers=layers)
+    _, gi, ge = rand_xgg(rng, 4, d)
+    mixed, mix_maps = [], T.mix_maps
+
+    def recording_mix(maps, gates):
+        mixed.append([m.data.copy() for m in maps])
+        return mix_maps(maps, gates)
+
+    monkeypatch.setattr(T, "mix_maps", recording_mix)
+    for _ in range(2):
+        branch_forward(group, h, T.stack([Tensor(rng.normal(size=(4, d)))]), gi, ge, ["gesa_gates"])
+    assert len(mixed) == 2 * layers
+    for first, second in zip(mixed[:layers], mixed[layers:]):
+        content, intra, inter = first
+        assert np.array_equal(intra, second[1]) and np.array_equal(inter, second[2])
+        assert not np.array_equal(content, second[0])
 
 
 def test_matches_scalar_oracle(rng):

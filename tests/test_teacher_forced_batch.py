@@ -196,7 +196,7 @@ def test_batched_pass_grad_check_on_the_miniature_config():
 
 
 def test_gesa_geometry_projections_grad_check_through_a_padded_batch():
-    """Every (branch, layer) slice of each GESA group's q_intra and q_inter,
+    """Every branch's slice of each GESA layer's stored q_intra and q_inter,
     grad-checked through `encode_scenes` over a padded 3-scene batch at
     criterion 1's eps, floor and bound. Through the decoder's loss these
     gradients are about 1e-7, under the finite-difference noise; here the
@@ -227,12 +227,15 @@ def test_gesa_geometry_projections_grad_check_through_a_padded_batch():
     stored = dict(named_parameters(params))
     for group in ("ss+sv", "vs+vv"):
         for kind in ("q_intra", "q_inter"):
-            w = stored[f"branches.{group}.geometry.{kind}.w"]
-            for part in range(len(w.data)):
-                rel = U.grad_check(loss, w, eps=1e-6, max_coords=6, rng=np.random.default_rng(5), floor=1e-5,
-                                   part=part)
-                assert rel < 1e-4, (group, kind, part)
-            nonzero = np.abs(w.grad[w.grad != 0])
+            grads = []
+            for layer in range(cfg.layers):
+                w = stored[f"branches.{group}.{layer}.{kind}.w"]
+                for part in range(len(w.data)):
+                    rel = U.grad_check(loss, w, eps=1e-6, max_coords=6, rng=np.random.default_rng(5), floor=1e-5,
+                                       part=part)
+                    assert rel < 1e-4, (group, layer, kind, part)
+                grads.append(w.grad.copy())
+            nonzero = np.abs(np.concatenate([g[g != 0] for g in grads]))
             assert np.median(nonzero) > 1e-5, (group, kind)
 
 

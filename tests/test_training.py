@@ -800,27 +800,29 @@ def test_captioning_inside_a_live_tape_records_nothing(caption):
 
 def test_desk_xe_tape_node_counts():
     """Pins the taped path at desk defaults: the batched XE loss of 8 scenes,
-    as training runs it (`encode_batch`), records 369 nodes (397 when each
-    sample took its rows with one `index` per branch and the decoder padded
-    them again; 1923 with each sample's fusion and GESA run on its own).
-    284 encode the batch in one padded pass: the region projection and each
+    as training runs it (`encode_batch`), records 381 nodes (369 when each
+    geometry kind ran one pass over all (branch, layer) pairs of a group and
+    sliced it per layer; 397 when each sample took its rows with one `index`
+    per branch and the decoder padded them again; 1923 with each sample's
+    fusion and GESA run on its own).
+    296 encode the batch in one padded pass: the region projection and each
     side's geometry embedding over every row of the batch, the caption
     encoder's one pass and one gather of its rows per scene, the two fusion
     stacks at [B x N x d] (each cell pooling by a reshape and a sum, and each
     stack's inter-geometry one product after its last cell), and each GESA
-    group (ss+sv, vs+vv) on one branch axis over the padded batch: per layer
-    one pass over its content, with the group's stored [k x ...] weights, a
-    masked token mean for the gates
-    and one `mix_maps` node; per geometry kind one pass over all its
-    (branch, layer) pairs, with the stored [L*k x ...] projections, sliced
-    per layer, and one `index` per branch out of its group. The Scenes that
-    `encode_sample` hands out record nothing. 4 lay the scenes on the
+    group (ss+sv, vs+vv) on one branch axis over the padded batch: each
+    geometry input repeated once on that axis, then per layer one pass over
+    its content, with the layer's stored [k x ...] weights, a masked token
+    mean for the gates and one `mix_maps` node, and per geometry kind two
+    projections, with the layer's stored [k x ...] weights, and one
+    `attention_weights`; then one `index` per branch out of its group. The
+    Scenes that `encode_sample` hands out record nothing. 4 lay the scenes on the
     decoder's branch axis (`model.branch_axis`: one concat of the branch
     outputs, one reshape, and `nn.pad_rows`' concat and row gather), and 81
     run the decoder and the loss, each decoder layer's cross-attention
     recording the key and value projections and 9 nodes on the branch axis,
     the first a `T.stack` that repeats y once per branch. One scene's call,
-    a batch of one with no padded row and so no mask, records 364, its 6
+    a batch of one with no padded row and so no mask, records 376, its 6
     gate means each a sum and a scale, the batch path's caption gather (one
     concat and one row gather) and the 4 of the branch axis among them.
     Weights reach their nodes as stored: no `T.stack` node (the one op whose
@@ -838,7 +840,7 @@ def test_desk_xe_tape_node_counts():
         branches = TR.encode_batch(params, cfg, samples, vocab)
         inputs, targets = zip(*(TR.teacher_pair(vocab, s.gt_captions[0]) for s in samples))
         TR.xe_loss(caption_logits(params, cfg, branches, inputs), pad_ids(targets))
-    assert len(tape.nodes) == 369
+    assert len(tape.nodes) == 381
 
     def weights_taken(op):
         return {owner[s] for _, node_inputs, bwd in tape.nodes if op(bwd) for s in node_inputs if s in owner}
@@ -852,7 +854,7 @@ def test_desk_xe_tape_node_counts():
             branch = encode_sample(params, cfg, s, vocab)
             inputs, targets = TR.teacher_pair(vocab, s.gt_captions[0])
             TR.xe_loss(caption_logits(params, cfg, branch, inputs), targets)
-        assert len(tape.nodes) == 364
+        assert len(tape.nodes) == 376
 
 
 def test_desk_decode_step_op_count():
@@ -1011,16 +1013,17 @@ def test_training_refuses_params_laid_out_for_another_config(change):
     assert np.array_equal(flat_parameters(out.params), before)
 
 
-def test_a_v1_checkpoint_fails_naming_its_format(tmp_path):
-    """A file in the per-branch v1 layout, as that format wrote it, is
+@pytest.mark.parametrize("fmt", U.OLDER_CHECKPOINT_FORMATS)
+def test_an_older_checkpoint_fails_naming_its_format(tmp_path, fmt):
+    """A file in the per-branch v1 layout or the v2 layout (each group's
+    geometry projections apart from its layers), as that format wrote it, is
     refused before its manifest is read."""
     samples, cfg = tiny_setup(n=2)
     vocab = build_vocab(corpus_texts(samples), 1)
     params = init_model(cfg, len(vocab), np.random.default_rng(4))
-    v1 = [(n, t.data) for n, t in named_parameters(U.per_branch(params))]
-    path = tmp_path / "v1.ckpt"
-    path.write_bytes(O.checkpoint_v2_bytes(cfg.to_dict(), vocab.id_to_token, v1, 7, fmt="gevst-checkpoint-v1"))
-    with pytest.raises(SchemaError, match="'gevst-checkpoint-v1'"):
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(U.older_checkpoint_bytes(fmt, cfg, vocab, params, 7))
+    with pytest.raises(SchemaError, match=f"'{fmt}'"):
         TR.load_checkpoint(path)
 
 

@@ -27,7 +27,6 @@ that concatenation as `flatten`)."""
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +39,8 @@ from gevst.caption_encoder import CaptionEncoderParams, EncoderLayerParams, enco
 from gevst.config import BRANCH_NAMES, TrainConfig
 from gevst.data import BOS_ID, EOS_ID, build_vocab, corpus_texts, pad_ids, split_train_val
 from gevst.decoder import CrossAttentionParams, DecoderLayerParams, _check_bos, causal_bias
-from gevst.encoder import (GeometryProjections, GesaGroupParams, GesaLayerParams, active_groups, branch_forward,
-                           encode_all, needs_fusion, variant_map_count)
+from gevst.encoder import (GesaLayerParams, active_groups, branch_forward, encode_all, needs_fusion,
+                           variant_map_count)
 from gevst.errors import ConfigError, ContractError, ShapeError, TrainingDiverged
 from gevst.fusion import AdditiveAttention, FusionCellParams, stack_fusion
 from gevst.geometry import embed_geometry, normalize_boxes
@@ -880,31 +879,9 @@ def gesa_layer(x, g_intra, g_inter, group, h):
 
 
 # The per-branch parameter layout, before the branch axes were stored: each
-# GESA branch held its own layers (`BranchLayer`, geometry projections
-# included), each decoder layer a {branch: weights} dict of cross-attention
+# GESA branch held its own layers (a `GesaLayerParams` each, of unstacked
+# tensors), each decoder layer a {branch: weights} dict of cross-attention
 # and gate affines, and every call stacked them on the branch axis.
-
-
-@dataclass
-class BranchLayer:
-    """One branch's GESA layer in the per-branch layout."""
-
-    q_c: Linear
-    k_c: Linear
-    v_c: Linear
-    q_intra: Linear  # None under "con"
-    k_intra: Linear
-    q_inter: Linear  # None unless "con_intra_inter"
-    k_inter: Linear
-    gate: Linear
-    ln1: LayerNorm
-    ffn: Ffn
-    ln2: LayerNorm
-
-
-BRANCH_FIELDS = [f.name for f in dataclasses.fields(BranchLayer)]
-CONTENT_FIELDS = [f.name for f in dataclasses.fields(GesaLayerParams)]
-GEOMETRY_FIELDS = [f.name for f in dataclasses.fields(GeometryProjections)]
 
 
 def _join(prefix, name):
@@ -925,24 +902,15 @@ def _sliced(obj, index, old, new, pairs):
 
 
 def _group_layout(group, names, prefix, key, pairs):
-    """{name: [BranchLayer per layer]} of a stored group whose slices are the
-    named branches: branch i's content weights are slice i of each layer's,
-    its geometry projections of layer l slice i*L + l of the group's."""
-    n_layers = len(group.layers)
-    out = {}
-    for i, b in enumerate(names):
-        out[b] = []
-        for l, lp in enumerate(group.layers):
-            fields = {}
-            for f in BRANCH_FIELDS:
-                old = _join(prefix, f"{b}.{l}.{f}")
-                if f in CONTENT_FIELDS:
-                    fields[f] = _sliced(getattr(lp, f), i, old, _join(key, f"layers.{l}.{f}"), pairs)
-                else:
-                    fields[f] = _sliced(getattr(group.geometry, f), i * n_layers + l, old,
-                                        _join(key, f"geometry.{f}"), pairs)
-            out[b].append(BranchLayer(**fields))
-    return out
+    """{name: [GesaLayerParams per layer]} of a stored group (its list of
+    layers) whose slices are the named branches: branch i's layer l is
+    slice i of the group's layer l."""
+    return {b: [_sliced(lp, i, _join(prefix, f"{b}.{l}"), _join(key, l), pairs) for l, lp in enumerate(group)]
+            for i, b in enumerate(names)}
+
+
+def _is_group(obj):
+    return isinstance(obj, list) and bool(obj) and all(isinstance(lp, GesaLayerParams) for lp in obj)
 
 
 def _layout(obj, branches, prefix, pairs):
@@ -951,9 +919,9 @@ def _layout(obj, branches, prefix, pairs):
     if isinstance(obj, Tensor):
         pairs.append((prefix, prefix, None))
         return obj
-    if isinstance(obj, GesaGroupParams):  # a lone group, its branches named by index
-        return list(_group_layout(obj, range(len(obj.layers[0].gate.w.data)), prefix, prefix, pairs).values())
-    if isinstance(obj, dict) and obj and all(isinstance(g, GesaGroupParams) for g in obj.values()):
+    if _is_group(obj):  # a lone group, its branches named by index
+        return list(_group_layout(obj, range(len(obj[0].gate.w.data)), prefix, prefix, pairs).values())
+    if isinstance(obj, dict) and obj and all(map(_is_group, obj.values())):
         out = {}
         for key, group in obj.items():
             out.update(_group_layout(group, key.split("+"), prefix, _join(prefix, key), pairs))
@@ -1016,6 +984,46 @@ def mapped_grads(obj, branches=None):
     return out
 
 
+GEOMETRY_FIELDS = ("q_intra", "k_intra", "q_inter", "k_inter")
+
+
+def v2_named_arrays(params):
+    """(name, values) of a model's parameters as a gevst-checkpoint-v2 file
+    laid them out: each GESA layer's weights but its geometry projections
+    under `branches.<group>.layers.<l>`, then each geometry projection of
+    the group as one [L*k x ...] tensor under `branches.<group>.geometry`,
+    pair i*L + l being branch i's layer l."""
+    out = []
+    for f in dataclasses.fields(params):
+        child = getattr(params, f.name)
+        if f.name != "branches":
+            out += [(n, t.data) for n, t in named_parameters(child, f.name)]
+            continue
+        for key, layers in child.items():
+            for l, lp in enumerate(layers):
+                content = dataclasses.replace(lp, **dict.fromkeys(GEOMETRY_FIELDS))
+                out += [(n, t.data) for n, t in named_parameters(content, f"branches.{key}.layers.{l}")]
+            branches = range(len(layers[0].gate.w.data))
+            for g in GEOMETRY_FIELDS:
+                if getattr(layers[0], g) is not None:
+                    out += [(f"branches.{key}.geometry.{g}.{p}",
+                             np.stack([getattr(getattr(lp, g), p).data[i] for i in branches for lp in layers]))
+                            for p in ("w", "b")]
+    return out
+
+
+OLDER_CHECKPOINT_FORMATS = ("gevst-checkpoint-v1", "gevst-checkpoint-v2")
+
+
+def older_checkpoint_bytes(fmt, cfg, vocab, params, trained_steps):
+    """A checkpoint of `params` in the layout of an older format, as that
+    format wrote it: v1 per branch (`per_branch`), v2 with each group's
+    geometry projections apart from its layers (`v2_named_arrays`)."""
+    named = ([(n, t.data) for n, t in named_parameters(per_branch(params))] if fmt == "gevst-checkpoint-v1"
+             else v2_named_arrays(params))
+    return O.checkpoint_v2_bytes(cfg.to_dict(), vocab.id_to_token, named, trained_steps, fmt=fmt)
+
+
 def eager_linear(rng, d_in, d_out):
     limit = np.sqrt(6.0 / (d_in + d_out))
     return Linear(Tensor(rng.uniform(-limit, limit, size=(d_in, d_out)), requires_grad=True),
@@ -1058,8 +1066,8 @@ def per_branch_init(cfg, vocab_size, rng):
 
     def branch_layer():
         linears = [eager_linear(rng, d, d) if i < 1 + 2 * maps else None for i in range(7)]
-        return BranchLayer(*linears, eager_linear(rng, d, maps), eager_layer_norm(d), eager_ffn(rng, d),
-                           eager_layer_norm(d))
+        return GesaLayerParams(*linears, eager_linear(rng, d, maps), eager_layer_norm(d), eager_ffn(rng, d),
+                               eager_layer_norm(d))
 
     def decoder_layer():
         return DecoderLayerParams(
@@ -1107,14 +1115,8 @@ def restacked(model, stack=T.stack):
     layout ran every call, so on a live tape gradients reach the per-branch
     tensors; with `np_stack`, as init stored it before models were born
     flat."""
-    groups = {}
-    for key, members in active_groups(list(model.branches)).items():
-        layer_lists = [model.branches[b] for b in members]
-        groups[key] = GesaGroupParams(
-            [GesaLayerParams(**{f: _stacked([getattr(bl, f) for bl in lps], stack) for f in CONTENT_FIELDS})
-             for lps in zip(*layer_lists)],
-            GeometryProjections(**{f: _stacked([getattr(bl, f) for layers in layer_lists for bl in layers], stack)
-                                   for f in GEOMETRY_FIELDS}))
+    groups = {key: [_stacked(lps, stack) for lps in zip(*(model.branches[b] for b in members))]
+              for key, members in active_groups(list(model.branches)).items()}
     return dataclasses.replace(model, branches=groups, dec_layers=[
         dataclasses.replace(lp, cross=_stacked(list(lp.cross.values()), stack),
                             mod=_stacked(list(lp.mod.values()), stack))
